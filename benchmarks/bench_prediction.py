@@ -11,7 +11,6 @@ alert stream, validates on the third quarter, tests on the final quarter,
 and compares against the burst-only baseline applied to every category.
 """
 
-from repro import pipeline
 from repro.prediction.base import evaluate
 from repro.prediction.ensemble import PredictorEnsemble
 from repro.prediction.features import AlertHistory

@@ -12,7 +12,7 @@ millions of messages (scaled) but almost no alerts; every system shows
 all of its Table 2 categories.
 """
 
-from repro import pipeline
+from repro import api
 from repro.reporting.tables import table2
 
 from _bench_utils import SEED, bench_scale, write_artifact
@@ -20,7 +20,7 @@ from _bench_utils import SEED, bench_scale, write_artifact
 
 def test_table2_pipeline_throughput(benchmark, proportional_results):
     result = benchmark.pedantic(
-        lambda: pipeline.run_system(
+        lambda: api.run_system(
             "liberty", scale=bench_scale("liberty"), seed=SEED
         ),
         rounds=3,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import pipeline
+from repro import api
 
 from _bench_utils import BENCH_SCALES, SEED, bench_scale
 
@@ -24,8 +24,7 @@ from _bench_utils import BENCH_SCALES, SEED, bench_scale
 def results():
     """Pipeline results for all five machines at bench scales."""
     return {
-        system: pipeline.run_system(system, scale=bench_scale(system),
-                                    seed=SEED)
+        system: api.run_system(system, scale=bench_scale(system), seed=SEED)
         for system in BENCH_SCALES
     }
 
@@ -40,7 +39,7 @@ def proportional_results():
     cross-system orderings, which are raw-count properties.
     """
     return {
-        system: pipeline.run_system(
+        system: api.run_system(
             system, scale=1e-3, incident_scale=1e-3, seed=SEED,
         )
         for system in BENCH_SCALES
@@ -76,7 +75,7 @@ def liberty_result(results):
 def liberty_full_alerts():
     """Liberty with full-paper alert volumes and thin background — the
     alert-side case studies (PBS bug, Figures 3/4) at true multiplicity."""
-    return pipeline.run_system(
+    return api.run_system(
         "liberty", scale=1.0, background_scale=1e-4, seed=SEED,
     )
 
@@ -85,7 +84,7 @@ def liberty_full_alerts():
 def thunderbird_burst_alerts():
     """Thunderbird with realistic burst multiplicities (alerts only) for
     the spatial-correlation and interarrival figures."""
-    return pipeline.run_system(
+    return api.run_system(
         "thunderbird", scale=0.02, incident_scale=0.05,
         background_scale=0.0, seed=SEED,
     )

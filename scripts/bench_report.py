@@ -1,25 +1,25 @@
-"""Pipeline throughput report: serial vs. sharded-parallel tagging.
+"""Engine throughput report: the driver matrix and the columnar store.
 
 Runs the full pipeline (tag + spatio-temporal filter + stats) over a
-deterministic synthetic Liberty stream — serially, then with 2/4/8
-workers — and writes ``benchmarks/output/BENCH_pipeline.json`` recording
-records/sec and speedup for each configuration, so the repo carries a
-perf trajectory across commits.
+deterministic synthetic Liberty stream under every execution driver and
+writes ``benchmarks/output/BENCH_engine.json`` — the workload the CI
+perf gate replays — recording records/sec and speedup for each driver.
+(End-to-end throughput per workload, sharded included, is ``bench/``'s
+job: ``python3 bench/run.py``.)
 
-Every parallel run is also checked for output equivalence against the
-serial baseline before its number is recorded: a fast wrong pipeline is
-not a result.
+Every run is also checked for output equivalence against the serial
+baseline before its number is recorded: a fast wrong pipeline is not a
+result.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python scripts/bench_report.py [--records N]
+    PYTHONPATH=src python scripts/bench_report.py [--engine|--store] [--records N]
 
-``--records`` defaults to 1,000,000 (the ISSUE's benchmark size); use a
-smaller value for a quick smoke run.  ``--engine`` skips the worker
-sweep and runs only the engine driver matrix (the workload the CI perf
-gate replays).  ``--store`` benchmarks the columnar alert store instead:
-write overhead vs. a plain serial run, bytes/alert on disk, and scan /
-aggregate throughput from the spilled store
+``--records`` defaults to 1,000,000; use a smaller value for a quick
+smoke run.  ``--engine`` (the default) runs the engine driver matrix.
+``--store`` benchmarks the columnar alert store instead: write overhead
+vs. a plain serial run, bytes/alert on disk, and scan / aggregate
+throughput from the spilled store
 (``benchmarks/output/BENCH_store.json`` — the perf gate ratchets the
 write overhead from it).  Every row embeds ``cpu_count`` — speedup
 numbers are only meaningful relative to the cores the host actually
@@ -48,13 +48,11 @@ from repro.logmodel.record import LogRecord  # noqa: E402
 from repro.parallel import ParallelConfig  # noqa: E402
 from repro.resilience.backpressure import BackpressureConfig  # noqa: E402
 
-OUTPUT = REPO / "benchmarks" / "output" / "BENCH_pipeline.json"
 ENGINE_OUTPUT = REPO / "benchmarks" / "output" / "BENCH_engine.json"
 PREDICTION_OUTPUT = REPO / "benchmarks" / "output" / "BENCH_prediction.json"
 STORE_OUTPUT = REPO / "benchmarks" / "output" / "BENCH_store.json"
 
 SYSTEM = "liberty"
-WORKER_SWEEP = (2, 4, 8)
 BATCH_SIZE = 2048
 
 #: Alert density of the synthetic stream: one tagged record per ALERT_EVERY.
@@ -238,8 +236,8 @@ def main(argv=None) -> int:
     parser.add_argument("--records", type=int, default=1_000_000,
                         help="synthetic stream length (default: 1,000,000)")
     parser.add_argument("--engine", action="store_true",
-                        help="run only the engine driver matrix (the perf-"
-                             "gate workload), skipping the worker sweep")
+                        help="run the engine driver matrix (the perf-gate "
+                             "workload; the default)")
     parser.add_argument("--store", action="store_true",
                         help="run only the columnar-store benchmark "
                              "(write overhead, disk footprint, scans)")
@@ -258,62 +256,9 @@ def main(argv=None) -> int:
     if args.store:
         return store_benchmark(records, hardware)
 
-    if not args.engine:
-        serial_result, serial_secs = timed_run(records)
-        serial_rps = args.records / serial_secs
-        baseline = signature(serial_result)
-        print(f"serial          : {serial_rps:12,.0f} rec/s  "
-              f"({serial_secs:.2f}s)")
-
-        runs = []
-        for workers in WORKER_SWEEP:
-            config = ParallelConfig(workers=workers, batch_size=BATCH_SIZE)
-            result, secs = timed_run(records, parallel=config)
-            if signature(result) != baseline:
-                raise AssertionError(
-                    f"parallel run with {workers} workers diverged from serial"
-                )
-            rps = args.records / secs
-            runs.append({
-                "workers": workers,
-                "batch_size": BATCH_SIZE,
-                "cpu_count": cpu_count,
-                "seconds": round(secs, 3),
-                "records_per_sec": round(rps, 1),
-                "speedup_vs_serial": round(rps / serial_rps, 3),
-                "equivalent_to_serial": True,
-            })
-            print(f"workers={workers:<8}: {rps:12,.0f} rec/s  ({secs:.2f}s)  "
-                  f"{rps / serial_rps:.2f}x")
-
-        report = {
-            "benchmark": "pipeline_throughput",
-            "system": SYSTEM,
-            "records": args.records,
-            "alert_every": ALERT_EVERY,
-            "hardware": hardware,
-            "note": (
-                "Speedup over serial is bounded by cpu_count: on a "
-                "single-core host the parallel path pays IPC overhead with "
-                "no extra compute to buy back."
-            ),
-            "serial": {
-                "cpu_count": cpu_count,
-                "seconds": round(serial_secs, 3),
-                "records_per_sec": round(serial_rps, 1),
-            },
-            "parallel": runs,
-        }
-        OUTPUT.parent.mkdir(exist_ok=True)
-        OUTPUT.write_text(
-            json.dumps(report, indent=1) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {OUTPUT.relative_to(REPO)}")
-
     # -- engine driver matrix: serial vs each execution driver ------------
-    # Self-contained: the matrix's own serial row (first in the config
-    # dict) is the equivalence baseline and speedup denominator, so
-    # ``--engine`` needs no worker sweep to have run.
+    # The matrix's own serial row (first in the config dict) is the
+    # equivalence baseline and speedup denominator.
     engine_workers = min(4, cpu_count or 1)
     driver_runs = []
     engine_baseline = engine_serial_rps = None

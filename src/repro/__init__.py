@@ -28,7 +28,7 @@ Quickstart::
 :mod:`repro.api` is the stable import surface (``run``, ``run_all``,
 ``tag_lines``, ``iter_alerts``, ``serve``, plus the historical
 ``run_stream``/``run_system``); its facade functions are also re-exported
-here at the package root.  ``repro.pipeline`` still works but warns.
+here at the package root.
 """
 
 __version__ = "1.0.0"
@@ -41,7 +41,6 @@ from . import (
     logio,
     logmodel,
     parallel,
-    pipeline,
     prediction,
     reporting,
     resilience,
@@ -60,7 +59,6 @@ __all__ = [
     "logio",
     "logmodel",
     "parallel",
-    "pipeline",
     "prediction",
     "reporting",
     "resilience",

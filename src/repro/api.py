@@ -13,8 +13,7 @@ Everything a caller needs rides on five functions::
 
 These names (plus :func:`run_stream`/:func:`run_system`, the historical
 pipeline entry points that :func:`run` wraps) are the supported, stable
-surface; ``repro.pipeline`` forwards here with a :class:`DeprecationWarning`
-and the engine/driver internals may reshape without notice.  The paper's
+surface; the engine/driver internals may reshape without notice.  The paper's
 workflow (Sections 3-4) maps directly: generate or read a machine's log,
 accumulate Table 2 volume statistics while streaming, tag alerts with the
 machine's expert ruleset, filter with Algorithm 3.1, and keep everything

@@ -129,26 +129,6 @@ class Tagger:
             if alert is not None:
                 yield alert
 
-    def tag_stream_with_stats(
-        self, records: Iterable[LogRecord]
-    ) -> Iterator[Alert]:
-        """Like :meth:`tag_stream` but maintains :attr:`last_stats`.
-
-        ``last_stats`` maps ``"messages"`` / ``"alerts"`` / ``"corrupted"``
-        to running counts, letting callers report Table 2-style totals
-        without a second pass.
-        """
-        stats = {"messages": 0, "alerts": 0, "corrupted": 0}
-        self.last_stats: Dict[str, int] = stats
-        for record in records:
-            stats["messages"] += 1
-            if record.corrupted:
-                stats["corrupted"] += 1
-            alert = self.tag(record)
-            if alert is not None:
-                stats["alerts"] += 1
-                yield alert
-
     def tag_batch(self, records: Sequence[LogRecord]) -> "BatchOutcome":
         """Tag one batch, returning a compact, picklable outcome.
 

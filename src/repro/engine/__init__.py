@@ -1,11 +1,11 @@
-"""The composable stage engine behind :mod:`repro.pipeline`.
+"""The composable stage engine behind :mod:`repro.api`.
 
 One :class:`AlertPath` expresses the per-record semantics of Sections
 3.1-3.3 exactly once — validate -> observe stats -> tag -> severity ->
 filter -> report/dead-letter — and pluggable drivers
 (:class:`SerialDriver`, :class:`ShardedDriver`, :class:`BoundedDriver`)
 decide the execution schedule.  :mod:`repro.engine.capabilities` is the
-single composition table the pipeline and the CLI both validate against.
+single composition table the API and the CLI both validate against.
 """
 
 from .capabilities import (
@@ -22,7 +22,7 @@ from .capabilities import (
 from .drivers import BoundedDriver, Driver, DriverReport, SerialDriver, ShardedDriver
 from .path import DEFAULT_REORDER_TOLERANCE, AlertPath
 from .result import PipelineResult
-from .stages import AlertListSink, Sink, Source, SourceFactory, Stage
+from .stages import AlertListSink, Sink, Source, SourceFactory
 
 __all__ = [
     "AlertListSink",
@@ -41,7 +41,6 @@ __all__ = [
     "Sink",
     "Source",
     "SourceFactory",
-    "Stage",
     "build_driver",
     "capabilities_for",
     "capability_lines",

@@ -75,7 +75,7 @@ CAPABILITY_TABLE = {
             name="serial",
             checkpoint_barrier="record",
             equivalence=BYTE_IDENTICAL,
-            notes="the reference schedule; one record at a time",
+            notes="the reference schedule; batches cut at the barrier",
         ),
         DriverCapabilities(
             name="sharded",

@@ -7,7 +7,8 @@ driver produces the same observable output (the bounded drivers modulo
 the documented shedding tolerance).  This is the piece that replaces the
 three hand-forked loops the pipeline used to carry:
 
-* :class:`SerialDriver` — one record at a time, the reference schedule;
+* :class:`SerialDriver` — in-process batches in stream order, the
+  reference schedule;
 * :class:`ShardedDriver` — tagging fans out to worker processes
   (:class:`~repro.parallel.sharded.ShardedTagger`); stats, severity,
   and the Algorithm 3.1 filter stay the single sequential consumer of
@@ -20,8 +21,9 @@ three hand-forked loops the pipeline used to carry:
 
 Checkpointing is orthogonal to all three: every driver accepts a
 :class:`~repro.resilience.checkpoint.CheckpointManager` and snapshots at
-its own consistency barrier — after any record (serial), at batch
-boundaries where no in-flight worker state affects the path (sharded),
+its own consistency barrier — after any record (serial, which cuts its
+batches there), at batch boundaries where no in-flight worker state
+affects the path (sharded),
 or at drained-queue barriers (bounded).  ``path.consumed`` is exact at
 each barrier, so a resumed run of the *same* deterministic stream lands
 byte-identical (bounded: within shedding tolerance).
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 
 from ..logmodel.record import LogRecord
 from ..parallel.config import ParallelConfig
@@ -80,16 +82,16 @@ SERIAL_BATCH_SIZE = 4096
 
 
 class SerialDriver:
-    """The reference schedule: one record at a time, in process.
+    """The reference schedule: batches in stream order, in process.
 
-    Without a checkpointer the records move in batches through
-    :meth:`AlertPath.process_batch` — semantically the same per-record
-    loop (the path falls back to it whenever per-record observability
-    matters, e.g. quarantine mode), but with the per-record render/
-    encode/compress/severity overhead amortized per batch.  A
-    checkpointer forces the genuine per-record loop: the serial driver's
-    checkpoint barrier is *any record*, and batching would quantize the
-    snapshot cadence.
+    The records move through :meth:`AlertPath.process_batch` —
+    semantically the per-record loop, with the per-record render/
+    encode/compress/severity overhead amortized per batch.  The serial
+    checkpoint barrier is *any record*, so with a checkpointer each
+    batch is cut where the next snapshot is due and the barrier is
+    checked after every cut: snapshots land on exactly the
+    ``records_consumed`` values a per-record loop would give them,
+    quarantined records included.
     """
 
     name = "serial"
@@ -100,19 +102,17 @@ class SerialDriver:
         path: AlertPath,
         checkpointer: Optional[CheckpointManager] = None,
     ) -> DriverReport:
-        if checkpointer is None:
-            stream = iter(source)
-            while True:
-                batch = list(islice(stream, SERIAL_BATCH_SIZE))
-                if not batch:
-                    break
-                path.process_batch(batch)
-            return DriverReport()
-        for record in source:
-            if not path.admit(record):
-                continue
-            path.process(record)
-            checkpointer.maybe(path.consumed, path.snapshot)
+        stream = iter(source)
+        while True:
+            size = SERIAL_BATCH_SIZE
+            if checkpointer is not None:
+                size = min(size, checkpointer.due_in(path.consumed))
+            batch = list(islice(stream, size))
+            if not batch:
+                break
+            path.process_batch(batch)
+            if checkpointer is not None:
+                checkpointer.maybe(path.consumed, path.snapshot)
         return DriverReport()
 
 
@@ -122,9 +122,11 @@ class ShardedDriver:
 
     Only the tagger — the hot path, where almost every record matches no
     rule — runs in workers.  Batches are cut from the *raw* stream and
-    only the structurally valid records are shipped; admission,
-    quarantine, stats, severity, and the filter all happen in the parent
-    at batch-processing time, in original stream order, so the
+    only the records that pass admission are shipped (strict mode admits
+    everything, so there the shipped batch *is* the raw batch);
+    admission, quarantine, stats, severity, and the filter all happen in
+    the parent when the merged outcome is handed to
+    :meth:`AlertPath.process_batch`, in original stream order, so the
     dead-letter interleaving and every path decision match the serial
     schedule exactly.
 
@@ -146,57 +148,19 @@ class ShardedDriver:
         path: AlertPath,
         checkpointer: Optional[CheckpointManager] = None,
     ) -> DriverReport:
-        if path.dead_letters is None:
-            return self._run_strict(source, path, checkpointer)
-        pending: Deque[Tuple[List[LogRecord], Optional[List[bool]]]] = deque()
+        pending: Deque[List[LogRecord]] = deque()
 
-        def shipped() -> Iterator[List[LogRecord]]:
-            """Cut raw batches; ship the valid subsequence to workers."""
-            for raw_batch in chunked(source, self.config.batch_size):
-                flags = [path.valid(r) for r in raw_batch]
-                valid = [r for r, ok in zip(raw_batch, flags) if ok]
-                pending.append((raw_batch, flags))
-                yield valid
+        def ship(raw_batch: List[LogRecord]) -> List[LogRecord]:
+            pending.append(raw_batch)
+            if path.dead_letters is None:
+                return raw_batch
+            return [r for r in raw_batch if path.valid(r)]
 
         with ShardedTagger(path.system, self.config) as sharded:
-            for _valid_batch, outcome in sharded.tag_batches(shipped()):
-                raw_batch, _flags = pending.popleft()
-                errors = outcome.error_map()
-                hits = outcome.hit_map()
-                shipped_index = 0
-                for record in raw_batch:
-                    if not path.admit(record):
-                        continue
-                    path.observe(record)
-                    alert = path.apply_tagged(
-                        record,
-                        alert=hits.get(shipped_index),
-                        error=errors.get(shipped_index),
-                    )
-                    shipped_index += 1
-                    if alert is not None:
-                        path.offer(alert)
-                if checkpointer is not None:
-                    checkpointer.maybe(path.consumed, path.snapshot)
-            shard_stats = sharded.stats
-        return DriverReport(shard_stats=shard_stats)
-
-    def _run_strict(
-        self,
-        source: Iterator[LogRecord],
-        path: AlertPath,
-        checkpointer: Optional[CheckpointManager],
-    ) -> DriverReport:
-        """Strict mode ships every record (the serial path does not
-        validate either), so the shipped batch *is* the raw batch and
-        each merged outcome replays through the path's batch form.  The
-        checkpoint barrier is unchanged — after batch *i* the path
-        reflects exactly batches ``0..i``."""
-        with ShardedTagger(path.system, self.config) as sharded:
-            for batch, outcome in sharded.tag_batches(
-                chunked(source, self.config.batch_size)
+            for _shipped, outcome in sharded.tag_batches(
+                map(ship, chunked(source, self.config.batch_size))
             ):
-                path.process_tagged_batch(batch, outcome)
+                path.process_batch(pending.popleft(), outcome)
                 if checkpointer is not None:
                     checkpointer.maybe(path.consumed, path.snapshot)
             shard_stats = sharded.stats
@@ -269,17 +233,14 @@ class BoundedDriver:
         ))
         gate = CreditGate(ingest_q)
 
-        if self.parallel is None:
-            report = self._run_serial_stages(
-                source, path, checkpointer, policy, accounting, monitor,
-                ingest_q, gate,
-            )
-        else:
-            report = self._run_sharded_stages(
-                source, path, checkpointer, policy, accounting, monitor,
-                ingest_q, gate,
-            )
-        return report
+        stages = (
+            self._run_serial_stages if self.parallel is None
+            else self._run_sharded_stages
+        )
+        return stages(
+            source, path, checkpointer, policy, accounting, monitor,
+            ingest_q, gate,
+        )
 
     # -- shared arrival tick ----------------------------------------------
 
@@ -359,7 +320,7 @@ class BoundedDriver:
             #    so free alert-queue slots bound the batch size).
             room = alert_q.capacity - len(alert_q)
             batch = ingest_q.take(min(config.service_batch, room))
-            for alert in path.tag_batch_admitted(batch):
+            for alert in path.process_batch(batch, admitted=True, offer=False):
                 alert_q.put(alert)
             monitor.note_throughput("tag", len(batch))
 
@@ -404,17 +365,9 @@ class BoundedDriver:
                     batches = chunked(iter(round_records),
                                       self.parallel.batch_size)
                     for batch, outcome in sharded.tag_batches(batches):
-                        errors = outcome.error_map()
-                        hits = outcome.hit_map()
-                        for i, record in enumerate(batch):
-                            path.observe(record)
-                            alert = path.apply_tagged(
-                                record, alert=hits.get(i),
-                                error=errors.get(i),
-                            )
-                            if alert is not None:
-                                path.offer(alert)
-                                offered += 1
+                        offered += len(
+                            path.process_batch(batch, outcome, admitted=True)
+                        )
                 monitor.note_throughput("tag", len(round_records))
                 monitor.note_throughput("filter", offered)
 

@@ -10,15 +10,16 @@ bounded), and every behavioral PR had to patch all three.
 decides *what* the step does, so the serial, sharded, and bounded
 schedules cannot drift apart semantically.
 
-The granular methods compose into the two canonical per-record shapes:
+The path has exactly two shapes:
 
-* :meth:`process` — admit -> observe -> tag (severity included) ->
-  offer, the serial shape, also used by the bounded driver split across
-  queue boundaries (observe+tag at the service stage, offer at the
-  filter stage);
-* :meth:`apply_tagged` + :meth:`offer` — the sharded shape, where the
-  tag outcome was computed in a worker process and the parent replays
-  the same severity/dead-letter decisions on the merged stream.
+* the per-record reference — :meth:`admit`, then :meth:`process`
+  (observe -> tag, severity included -> offer) — which the service
+  worker runs and every differential test compares against;
+* one batch kernel, :meth:`process_batch`, which every driver calls:
+  a vectorised body for the batch nothing can go wrong in, and a replay
+  through the per-record methods for any batch holding an invalid
+  record or a tagger error, so dead letters keep stream order and a
+  strict run raises at the record where the reference loop would.
 
 The path also owns resumability: :meth:`snapshot` captures every piece
 of mutable state plus ``consumed`` (records pulled from the input
@@ -39,10 +40,10 @@ from ..core.filtering import (
 )
 from ..core.categories import Alert
 from ..core.rules import get_ruleset
-from ..core.tagging import Tagger
+from ..core.tagging import BatchOutcome, Tagger
 from ..analysis.severity_eval import SeverityCrossTab
 from ..logio.stats import StatsCollector
-from ..logmodel.record import LogRecord
+from ..logmodel.record import LogRecord, full_texts
 from ..resilience.checkpoint import (
     PipelineCheckpoint,
     copy_report,
@@ -56,7 +57,7 @@ from ..resilience.deadletter import (
 )
 from ..parallel.sharded import TaggerErrorReplay
 from .result import PipelineResult
-from .stages import AlertListSink, ObservingSink, emit_batch
+from .stages import AlertListSink, ObservingSink
 
 #: How far back an alert timestamp may run (collector fan-in jitter,
 #: syslog's one-second granularity) before it is quarantined rather than
@@ -223,36 +224,28 @@ class AlertPath:
         self.severity_tab.add(record, alert is not None)
         return alert
 
-    def apply_tagged(
-        self,
-        record: LogRecord,
-        alert: Optional[Alert] = None,
-        error: Optional[str] = None,
-    ) -> Optional[Alert]:
-        """The sharded form of :meth:`tag`: the outcome was computed in a
-        worker process; replay the same severity/dead-letter decisions.
-        ``error`` is the worker-side exception ``repr`` (the original
-        object cannot cross the process boundary)."""
-        if error is not None:
-            if self.dead_letters is None:
-                raise TaggerErrorReplay(error)
-            self.dead_letters.put(record, REASON_TAGGER_ERROR, error)
-            return None
-        self.severity_tab.add(record, alert is not None)
-        return alert
-
     def offer(self, alert: Alert) -> None:
         """One Algorithm 3.1 offer: filter, report, collect — or
         quarantine an alert whose timestamp runs backwards beyond the
         reorder tolerance."""
-        try:
-            kept = self.filter.offer(alert)
-        except OutOfOrderError as exc:
-            if self.dead_letters is None:
-                raise
-            self.dead_letters.put(alert.record, REASON_OUT_OF_ORDER, str(exc))
-            return
-        self.sink.emit(alert, kept)
+        self._offer_all((alert,))
+
+    def _offer_all(self, alerts: Sequence[Alert]) -> None:
+        offer = self.filter.offer
+        pairs = []
+        for alert in alerts:
+            try:
+                kept = offer(alert)
+            except OutOfOrderError as exc:
+                if self.dead_letters is None:
+                    raise
+                self.dead_letters.put(
+                    alert.record, REASON_OUT_OF_ORDER, str(exc)
+                )
+                continue
+            pairs.append((alert, kept))
+        if pairs:
+            self.sink.emit_batch(pairs)
 
     def process(self, record: LogRecord) -> None:
         """The whole post-admission per-record step (the serial shape)."""
@@ -261,120 +254,98 @@ class AlertPath:
         if alert is not None:
             self.offer(alert)
 
-    # -- the batch shapes --------------------------------------------------
-    #
-    # Semantically these are loops over the per-record methods above; the
-    # batch forms exist because per-record call overhead (render, encode,
-    # compress, severity bookkeeping) dominates the serial hot path.
-    # Quarantine mode keeps the genuine per-record loop: dead-letter
-    # interleaving is part of the observable contract, and quarantined
-    # runs are never the throughput-critical ones.
+    # -- the batch kernel --------------------------------------------------
 
-    def process_batch(self, records: Sequence[LogRecord]) -> None:
-        """Admit and process a whole batch (the serial driver's unit).
-
-        Strict mode (no dead-letter queue) runs fully batched: one
-        stats observation, one severity tally, and one in-order pass of
-        filter offers — byte-identical to the per-record loop, which the
-        engine equivalence tests pin.  Errors still propagate (strict),
-        though a mid-batch crash leaves the already-abandoned path with
-        the whole batch observed rather than a prefix; strict crashes
-        discard the path either way.
-        """
-        if self.dead_letters is not None:
-            for record in records:
-                if self.admit(record):
-                    self.process(record)
-            return
-        n = len(records)
-        if n == 0:
-            return
-        self.consumed += n
-        self.stats_collector.observe_batch(records)
-        self.corrupted += sum(1 for r in records if r.corrupted)
-        texts = [
-            f"{r.facility}: {r.body}" if r.facility else r.body
-            for r in records
-        ]
-        hits = self.tagger.match_texts(texts)
-        self.severity_tab.add_batch(records, [i for i, _ in hits])
-        if not hits:
-            return
-        offer = self.filter.offer
-        pairs = []
-        from_record = Alert.from_record
-        for i, category in hits:
-            alert = from_record(records[i], category)
-            pairs.append((alert, offer(alert)))
-        emit_batch(self.sink, pairs)
-
-    def tag_batch_admitted(
-        self, records: Sequence[LogRecord]
+    def process_batch(
+        self,
+        records: Sequence[LogRecord],
+        outcome: Optional[BatchOutcome] = None,
+        admitted: bool = False,
+        offer: bool = True,
     ) -> List[Alert]:
-        """Batch form of :meth:`observe` + :meth:`tag` for records that
-        already passed :meth:`admit` (the bounded tick pump's unit):
-        one stats observation, one ruleset pass, one severity tally.
+        """Admit and process a whole batch; returns the tagged alerts.
 
-        A batch the rules engine cannot match falls back to the genuine
-        per-record loop — nothing has been observed at that point, so
-        the fallback reproduces the serial interleaving exactly,
-        including the tagger-error dead letter for the poison record.
+        Semantically this is the :meth:`admit`/:meth:`process` loop, and
+        for a batch that holds an invalid record (quarantine mode) or a
+        record the rules engine cannot match it *is* that loop
+        (:meth:`_replay_batch`): nothing has been observed when either
+        is detected, so dead letters interleave in stream order and a
+        strict run raises at the poison record with exactly the prefix
+        processed.  Every other batch takes the vectorised body — one
+        ruleset pass, one stats observation, one severity tally, one
+        in-order run of filter offers — because per-record call overhead
+        (render, encode, compress, severity bookkeeping) dominates the
+        hot path.  The two are byte-identical, which
+        ``tests/engine/test_batch_flow.py`` pins for any partition.
+
+        ``outcome`` is the tag outcome a worker pool already computed
+        over the records that pass :meth:`valid` (strict mode: over all
+        of them); without one the batch is matched in process.
+        ``admitted`` says the caller already ran :meth:`admit` on every
+        record (the bounded drivers admit at arrival), and
+        ``offer=False`` leaves the returned alerts un-offered for a
+        driver that queues them ahead of the filter.
         """
         if not records:
             return []
-        try:
-            texts = [
-                f"{r.facility}: {r.body}" if r.facility else r.body
-                for r in records
-            ]
-            hits = self.tagger.match_texts(texts)
-        except Exception:
-            alerts: List[Alert] = []
-            for record in records:
-                self.observe(record)
-                alert = self.tag(record)
-                if alert is not None:
-                    alerts.append(alert)
-            return alerts
+        if (
+            not admitted
+            and self.dead_letters is not None
+            and not all(map(_valid_record, records))
+        ):
+            return self._replay_batch(records, outcome, admitted, offer)
+        if outcome is None:
+            try:
+                matches = self.tagger.match_texts(full_texts(records))
+            except Exception:
+                return self._replay_batch(records, outcome, admitted, offer)
+            from_record = Alert.from_record
+            hits = [(i, from_record(records[i], cat)) for i, cat in matches]
+        elif outcome.errors:
+            return self._replay_batch(records, outcome, admitted, offer)
+        else:
+            hits = outcome.hits
+        if not admitted:
+            self.consumed += len(records)
         self.stats_collector.observe_batch(records)
         self.corrupted += sum(1 for r in records if r.corrupted)
         self.severity_tab.add_batch(records, [i for i, _ in hits])
-        from_record = Alert.from_record
-        return [from_record(records[i], category) for i, category in hits]
+        alerts = [alert for _, alert in hits]
+        if offer and alerts:
+            self._offer_all(alerts)
+        return alerts
 
-    def process_tagged_batch(self, records, outcome) -> None:
-        """The batch form of the sharded replay: ``outcome`` is a
-        :class:`~repro.core.tagging.BatchOutcome` computed by the worker
-        pool for exactly ``records``.  Strict mode only — the sharded
-        driver keeps its per-record replay when a dead-letter queue (or
-        a worker error, whose position in the stream is observable in
-        strict mode) is involved."""
-        errors = outcome.errors
-        if self.dead_letters is not None or errors:
-            error_map = outcome.error_map()
-            hit_map = outcome.hit_map()
-            for i, record in enumerate(records):
-                if not self.admit(record):
+    def _replay_batch(self, records, outcome, admitted, offer) -> List[Alert]:
+        """The batch as the per-record reference loop, with a worker
+        ``outcome`` (indexed over the admitted records) standing in for
+        :meth:`tag`.  A worker-side error arrives as its ``repr`` — the
+        exception object cannot cross the process boundary — so strict
+        mode re-raises it as :class:`TaggerErrorReplay`."""
+        hits = dict(outcome.hits) if outcome is not None else {}
+        errors = dict(outcome.errors) if outcome is not None else {}
+        alerts: List[Alert] = []
+        shipped = 0
+        for record in records:
+            if not admitted and not self.admit(record):
+                continue
+            self.observe(record)
+            if outcome is None:
+                alert = self.tag(record)
+            else:
+                error = errors.get(shipped)
+                alert = hits.get(shipped)
+                shipped += 1
+                if error is not None:
+                    if self.dead_letters is None:
+                        raise TaggerErrorReplay(error)
+                    self.dead_letters.put(record, REASON_TAGGER_ERROR, error)
                     continue
-                self.observe(record)
-                alert = self.apply_tagged(
-                    record, alert=hit_map.get(i), error=error_map.get(i)
-                )
-                if alert is not None:
+                self.severity_tab.add(record, alert is not None)
+            if alert is not None:
+                alerts.append(alert)
+                if offer:
                     self.offer(alert)
-            return
-        n = len(records)
-        if n == 0:
-            return
-        self.consumed += n
-        self.stats_collector.observe_batch(records)
-        self.corrupted += sum(1 for r in records if r.corrupted)
-        self.severity_tab.add_batch(records, [i for i, _ in outcome.hits])
-        if not outcome.hits:
-            return
-        offer = self.filter.offer
-        pairs = [(alert, offer(alert)) for _i, alert in outcome.hits]
-        emit_batch(self.sink, pairs)
+        return alerts
 
     # -- resumability ------------------------------------------------------
 

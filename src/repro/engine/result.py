@@ -1,11 +1,9 @@
 """The result object every driver produces: one machine's pipeline run.
 
-:class:`PipelineResult` used to live in :mod:`repro.pipeline`; it moved
-here when the three forked pipeline loops were unified into the stage
-engine, because the result is a property of the *semantics* (the
+:class:`PipelineResult` lives with the stage engine because the result
+is a property of the *semantics* (the
 :class:`~repro.engine.path.AlertPath`), not of any particular execution
-driver.  :mod:`repro.pipeline` re-exports it, so downstream code keeps
-importing ``pipeline.PipelineResult`` unchanged.
+driver.  :mod:`repro.api` re-exports it as ``api.PipelineResult``.
 """
 
 from __future__ import annotations

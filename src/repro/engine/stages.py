@@ -3,13 +3,12 @@
 The paper's pipeline (Section 3) is a linear chain — collect -> tag ->
 filter -> characterize — and every execution strategy (serial, sharded,
 bounded) runs the *same* chain under a different schedule.  These
-protocols pin the seams:
+protocols pin the seams on either side of the one stage,
+:class:`~repro.engine.path.AlertPath` (it *is* the per-record
+semantics):
 
 * a :class:`Source` produces log records (a generator, a file reader, a
   bounded ingest buffer — anything iterable);
-* a :class:`Stage` consumes one record at a time and mutates its own
-  state (the :class:`~repro.engine.path.AlertPath` is the canonical
-  stage: it *is* the per-record semantics);
 * a :class:`Sink` receives every alert the filter ruled on, with the
   verdict (:class:`AlertListSink` keeps the raw/filtered lists and the
   Table 4 report that :class:`~repro.engine.result.PipelineResult`
@@ -55,69 +54,12 @@ SourceFactory = Callable[[], Iterable[LogRecord]]
 
 
 @runtime_checkable
-class Stage(Protocol):
-    """One per-record processing step with internal state.
-
-    ``process`` is the required contract.  A stage *may* also provide
-    ``process_batch(records)`` — drivers route whole batches through it
-    via :func:`process_batch`, which falls back to the per-record loop,
-    so third-party stages written against the original protocol keep
-    working unchanged.
-    """
-
-    def process(self, record: LogRecord) -> None: ...
-
-
-@runtime_checkable
-class BatchStage(Stage, Protocol):
-    """A stage that also accepts whole record batches."""
-
-    def process_batch(self, records: Sequence[LogRecord]) -> None: ...
-
-
-@runtime_checkable
 class Sink(Protocol):
-    """Receives every alert the filter ruled on, with the verdict.
-
-    ``emit`` is the required contract; a sink *may* also provide
-    ``emit_batch(pairs)`` for ``(alert, kept)`` sequences — see
-    :func:`emit_batch` for the dispatching fallback.
-    """
-
-    def emit(self, alert: Alert, kept: bool) -> None: ...
-
-
-@runtime_checkable
-class BatchSink(Sink, Protocol):
-    """A sink that also accepts whole ``(alert, kept)`` batches."""
+    """Receives every alert the filter ruled on, with the verdict, as
+    ``(alert, kept)`` pairs in offer order.  The per-record path emits
+    one-pair batches, so a sink has one method and one behaviour."""
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None: ...
-
-
-def process_batch(stage: Stage, records: Sequence[LogRecord]) -> None:
-    """Feed a batch to ``stage``, preferring its native batch method.
-
-    The default for stages that only implement ``process`` is the exact
-    per-record loop the drivers always ran, so batch-first drivers
-    compose with third-party per-record stages unchanged.
-    """
-    native = getattr(stage, "process_batch", None)
-    if native is not None:
-        native(records)
-        return
-    for record in records:
-        stage.process(record)
-
-
-def emit_batch(sink: Sink, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-    """Feed ``(alert, kept)`` pairs to ``sink``, preferring its native
-    batch method and falling back to per-pair :meth:`Sink.emit`."""
-    native = getattr(sink, "emit_batch", None)
-    if native is not None:
-        native(pairs)
-        return
-    for alert, kept in pairs:
-        sink.emit(alert, kept)
 
 
 class AlertListSink:
@@ -137,12 +79,6 @@ class AlertListSink:
         self.raw_alerts = raw_alerts
         self.filtered_alerts = filtered_alerts
 
-    def emit(self, alert: Alert, kept: bool) -> None:
-        self.raw_alerts.append(alert)
-        self.report.record(alert, kept)
-        if kept:
-            self.filtered_alerts.append(alert)
-
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
         raw_append = self.raw_alerts.append
         kept_append = self.filtered_alerts.append
@@ -157,9 +93,8 @@ class AlertListSink:
 class ObservingSink:
     """Tees the ruled-on alert flow into a side observer.
 
-    Wraps any sink and forwards every ``emit``/``emit_batch`` to it
-    unchanged, then hands the same pairs to an *observer* — an object
-    with ``observe(alert, kept)`` and optionally
+    Wraps any sink and forwards every ``emit_batch`` to it unchanged,
+    then hands the same pairs to an *observer* — an object with
     ``observe_batch(pairs)`` (the prediction stage is the canonical
     observer).  The wrapped sink's alert lists and report stay the
     authoritative state, so code that reads ``path.sink.raw_alerts`` or
@@ -183,15 +118,6 @@ class ObservingSink:
     def filtered_alerts(self) -> List[Alert]:
         return self.inner.filtered_alerts  # type: ignore[attr-defined]
 
-    def emit(self, alert: Alert, kept: bool) -> None:
-        self.inner.emit(alert, kept)
-        self.observer.observe(alert, kept)  # type: ignore[attr-defined]
-
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-        emit_batch(self.inner, pairs)
-        native = getattr(self.observer, "observe_batch", None)
-        if native is not None:
-            native(pairs)
-        else:
-            for alert, kept in pairs:
-                self.observer.observe(alert, kept)  # type: ignore[attr-defined]
+        self.inner.emit_batch(pairs)
+        self.observer.observe_batch(pairs)  # type: ignore[attr-defined]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import List, Optional, Sequence
 
 
 class SyslogSeverity(enum.IntEnum):
@@ -166,6 +166,15 @@ class LogRecord:
         if self.facility:
             return f"{self.facility}: {self.body}"
         return self.body
+
+
+def full_texts(records: Sequence[LogRecord]) -> List[str]:
+    """:meth:`LogRecord.full_text` of every record, inlined: the batch
+    paths (in-process matching, the shard wire encoder) build one text
+    per record, where a method call per record is a measurable cost."""
+    return [
+        f"{r.facility}: {r.body}" if r.facility else r.body for r in records
+    ]
 
 
 SYSTEM_NAMES = ("bgl", "thunderbird", "redstorm", "spirit", "liberty")

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from ..core.categories import Alert
 from ..core.tagging import BatchOutcome, RulesetHandle, Tagger
-from ..logmodel.record import LogRecord
+from ..logmodel.record import LogRecord, full_texts
 from .config import ParallelConfig
 from .merge import OrderedMerge
 
@@ -111,13 +111,6 @@ class ShardStats:
 # ---------------------------------------------------------------------------
 
 _LENGTH_TYPECODE = "I"
-
-
-def _match_texts(records: Sequence[LogRecord]) -> List[str]:
-    """Every record's ``full_text()``, computed inline (hot path)."""
-    return [
-        f"{r.facility}: {r.body}" if r.facility else r.body for r in records
-    ]
 
 
 def _encode_texts(texts: Sequence[str]) -> Tuple[bytes, bytes]:
@@ -298,7 +291,7 @@ class ShardedTagger:
         resolution uses the same serial tagger as crash replay, so the
         error reprs are byte-identical to the serial schedule's."""
         records = task.records
-        texts = _match_texts(records)
+        texts = full_texts(records)
         try:
             return _encode_texts(texts)
         except TypeError:

@@ -19,7 +19,7 @@ from ..core.attribution import attribution_summary, build_failure_reports
 from ..core.correlated_filter import learn_correlated_groups
 from ..core.filtering import sorted_by_time
 from ..logmodel.record import RasSeverity, SyslogSeverity
-from ..pipeline import PipelineResult
+from ..engine.result import PipelineResult
 from .format import format_int, format_pct, render_table
 
 

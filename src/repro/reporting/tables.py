@@ -14,7 +14,7 @@ from ..core.categories import AlertType
 from ..core.rules import get_ruleset
 from ..core.rules.bgl import OTHER_NAMES as BGL_OTHER_NAMES
 from ..logmodel.record import RasSeverity, SyslogSeverity
-from ..pipeline import PipelineResult
+from ..engine.result import PipelineResult
 from ..systems.specs import LOG_SPECS, SYSTEMS
 from .format import format_float, format_int, format_pct, render_table
 

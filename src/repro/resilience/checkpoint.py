@@ -130,6 +130,11 @@ class CheckpointManager:
         if self.every < 1:
             raise ValueError("checkpoint interval must be at least 1 record")
 
+    def due_in(self, records_consumed: int) -> int:
+        """Records until the next snapshot is due (at least one), so a
+        batching driver can end a batch exactly on the barrier."""
+        return max(1, self.every - (records_consumed - self._last_at))
+
     def maybe(
         self,
         records_consumed: int,

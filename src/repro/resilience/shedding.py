@@ -21,7 +21,7 @@ offers ``chatter-only`` (sheds nothing that any rule tags) and ``none``
 (sheds nothing at all; overflow spills, turning arbitrary transport loss
 into accounted loss).  All decisions and their outcomes are counted in
 :class:`ShedAccounting`, whose totals feed the overload report on
-:meth:`repro.pipeline.PipelineResult.summary`.
+:meth:`repro.api.PipelineResult.summary`.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ and fault mutation is replayed identically (see
 state byte-identical to an uninterrupted one.
 
 When the budget is exhausted the supervisor *degrades* instead of
-raising: it builds a partial :class:`~repro.pipeline.PipelineResult` from
+raising: it builds a partial :class:`~repro.api.PipelineResult` from
 the last checkpoint (or an empty one), flags it ``degraded``, and attaches
 the failure log — the contract production log-analytics stacks keep
 (Park et al., "Big Data Meets HPC Log Analytics"; Zhou et al.,

@@ -99,27 +99,16 @@ class ServiceAlertSink:
         #: counted so a crash can never un-report an alert.
         self.journal = journal
 
-    def emit(self, alert: Alert, kept: bool) -> None:
-        if self.journal is not None:
-            self.journal("alert", (alert, kept))
-        self.counters.alerts_raw += 1
-        self.raw_alerts.append(alert)
-        self.report.record(alert, kept)
-        if kept:
-            self.counters.alerts_filtered += 1
-            self.filtered_alerts.append(alert)
-
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-        """Batch form of :meth:`emit` (same counts, same retention)."""
         counters = self.counters
         raw_append = self.raw_alerts.append
         kept_append = self.filtered_alerts.append
         record = self.report.record
         journal = self.journal
-        counters.alerts_raw += len(pairs)
         for alert, kept in pairs:
             if journal is not None:
                 journal("alert", (alert, kept))
+            counters.alerts_raw += 1
             raw_append(alert)
             record(alert, kept)
             if kept:

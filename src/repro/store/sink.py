@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 
 from ..core.categories import Alert
 from ..core.filtering import FilterReport
-from ..engine.stages import Sink, emit_batch
+from ..engine.stages import Sink
 from .columnar import ColumnarStoreWriter
 from .query import StoredAlertSequence
 
@@ -41,10 +41,6 @@ class ColumnarSink:
     @property
     def filtered_alerts(self) -> StoredAlertSequence:
         return StoredAlertSequence(self.writer.reader(), kept=True)
-
-    def emit(self, alert: Alert, kept: bool) -> None:
-        self.report.record(alert, kept)
-        self.writer.append(alert, kept)
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
         record = self.report.record
@@ -79,10 +75,6 @@ class StoreTeeSink:
     def filtered_alerts(self):
         return self.inner.filtered_alerts  # type: ignore[attr-defined]
 
-    def emit(self, alert: Alert, kept: bool) -> None:
-        self.inner.emit(alert, kept)
-        self.writer.append(alert, kept)
-
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-        emit_batch(self.inner, pairs)
+        self.inner.emit_batch(pairs)
         self.writer.append_batch(pairs)

@@ -103,18 +103,6 @@ class PredictionStage:
 
     # -- observer protocol (driven by ObservingSink) -------------------
 
-    def observe(self, alert: Any, kept: bool) -> None:
-        t = alert.timestamp
-        self._pending.append(
-            (t, self._seq, (t, alert.category, alert.source, alert.record.severity))
-        )
-        self._seq += 1
-        self.observed += 1
-        if t > self._max_seen:
-            self._max_seen = t
-        if len(self._pending) >= _DRAIN_BATCH:
-            self._drain(self._max_seen - self.reorder_tolerance)
-
     def observe_batch(self, pairs: Iterable[Tuple[Any, bool]]) -> None:
         pending = self._pending
         seq = self._seq

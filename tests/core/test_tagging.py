@@ -83,19 +83,6 @@ class TestTagger:
         assert len(alerts) == 1
         assert alerts[0].category == "GENERAL"
 
-    def test_tag_stream_with_stats(self):
-        tagger = Tagger(_ruleset())
-        records = [
-            _record("quiet"),
-            _record("disk error"),
-            _record("junk").with_corruption(body="junk"),
-        ]
-        alerts = list(tagger.tag_stream_with_stats(records))
-        assert len(alerts) == 1
-        assert tagger.last_stats == {
-            "messages": 3, "alerts": 1, "corrupted": 1,
-        }
-
 
 class TestPrefilterEquivalence:
     def test_prefilter_preserves_first_match_semantics(self):

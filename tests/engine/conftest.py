@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro import api as pipeline
+from repro.engine.path import AlertPath
 from repro.logio.reader import read_log
 from repro.systems.specs import SYSTEMS
 
@@ -63,6 +64,22 @@ def result_signature(result):
         "severity_messages": dict(result.severity_tab.messages),
         "severity_alerts": dict(result.severity_tab.alerts),
     }
+
+
+def reference_path(system, stream, **path_options):
+    """The per-record reference every batch shape and driver must
+    reproduce: ``admit``/``process``, one record at a time."""
+    path = AlertPath(system, **path_options)
+    for record in stream:
+        if path.admit(record):
+            path.process(record)
+    return path
+
+
+def letter_trace(dead_letters):
+    """The ordered dead-letter list, by record identity — equality would
+    lie: a NaN clock never compares equal to itself."""
+    return [(id(l.record), l.reason, l.detail) for l in dead_letters or ()]
 
 
 def assert_equivalent(result, baseline):

@@ -1,212 +1,202 @@
-"""Batch flow through the stage engine: protocols, helpers, and the
-batch/per-record differential.
+"""The batch kernel against the per-record reference.
 
-The batch-first refactor moves records through :class:`AlertPath` as
-lists (``process_batch``/``process_tagged_batch``) and through sinks as
-``(alert, kept)`` pair lists (``emit_batch``), while the per-record
-semantics stay expressed once in ``path.py``.  These tests pin:
-
-* the protocol dispatch helpers fall back to the per-record loop for
-  third-party stages/sinks that only implement the original contract;
-* ``AlertPath.process_batch`` over the golden corpus produces results
-  identical to the per-record ``process`` loop, batch size by batch size;
-* strict batch mode and dead-letter mode agree where both are defined.
+:meth:`AlertPath.process_batch` is the only batch shape the drivers
+have, so one differential carries the whole contract: for *any*
+partition of a stream — size-1 batches, cuts that land on checkpoint
+barriers, one batch for everything — and for either source of the tag
+outcome (matched in process, or handed in as a worker pool would hand
+it), the kernel must leave the path exactly where the
+``admit``/``process`` loop leaves it: same result, same ``consumed``,
+and the same dead letters *in the same order*.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.tagging import RulesetHandle
+from repro.core.rules import get_ruleset
+from repro.core.tagging import Tagger
+from repro.engine.drivers import SERIAL_BATCH_SIZE
 from repro.engine.path import AlertPath
-from repro.engine.stages import (
-    BatchSink,
-    BatchStage,
-    Sink,
-    Stage,
-    emit_batch,
-    process_batch,
+from repro.resilience.deadletter import (
+    DeadLetterQueue,
+    REASON_INVALID_RECORD,
+    REASON_OUT_OF_ORDER,
+    REASON_TAGGER_ERROR,
 )
-from repro.logmodel.record import LogRecord
-from repro.resilience.deadletter import DeadLetterQueue
 
-from .conftest import ALL_SYSTEMS, assert_equivalent
+from .conftest import (
+    ALL_SYSTEMS,
+    letter_trace,
+    reference_path,
+    result_signature,
+)
 
-
-def record(t=1.0, body="ok", source="n1", system="liberty"):
-    return LogRecord(timestamp=t, source=source, facility="kernel",
-                     body=body, system=system)
-
-
-class RecordingStage:
-    """A third-party stage written against the original protocol."""
-
-    def __init__(self):
-        self.seen = []
-
-    def process(self, rec):
-        self.seen.append(rec)
+POISON = "__POISON_BODY__"
 
 
-class RecordingBatchStage(RecordingStage):
-    def __init__(self):
-        super().__init__()
-        self.batches = 0
+class PoisonTagger(Tagger):
+    """A tagger a marked body crashes, per record and per batch alike —
+    structurally valid records cannot crash the real rules engine, so
+    this stands in for the regex engine failing on one."""
 
-    def process_batch(self, records):
-        self.batches += 1
-        self.seen.extend(records)
+    def match_text(self, text):
+        if POISON in text:
+            raise RuntimeError("poison body")
+        return super().match_text(text)
 
-
-class RecordingSink:
-    def __init__(self):
-        self.pairs = []
-
-    def emit(self, alert, kept):
-        self.pairs.append((alert, kept))
+    def match_texts(self, texts):
+        if any(POISON in text for text in texts):
+            raise RuntimeError("poison body")
+        return super().match_texts(texts)
 
 
-class RecordingBatchSink(RecordingSink):
-    def __init__(self):
-        super().__init__()
-        self.batches = 0
-
-    def emit_batch(self, pairs):
-        self.batches += 1
-        self.pairs.extend(pairs)
-
-
-class TestProtocolDispatch:
-    def test_per_record_stage_gets_the_loop(self):
-        stage = RecordingStage()
-        records = [record(t=float(i)) for i in range(5)]
-        process_batch(stage, records)
-        assert stage.seen == records
-        assert isinstance(stage, Stage)
-        assert not isinstance(stage, BatchStage)
-
-    def test_batch_stage_gets_one_call(self):
-        stage = RecordingBatchStage()
-        records = [record(t=float(i)) for i in range(5)]
-        process_batch(stage, records)
-        assert stage.seen == records
-        assert stage.batches == 1
-        assert isinstance(stage, BatchStage)
-
-    def test_per_pair_sink_gets_the_loop(self):
-        sink = RecordingSink()
-        pairs = [(object(), True), (object(), False)]
-        emit_batch(sink, pairs)
-        assert sink.pairs == pairs
-        assert isinstance(sink, Sink)
-        assert not isinstance(sink, BatchSink)
-
-    def test_batch_sink_gets_one_call(self):
-        sink = RecordingBatchSink()
-        pairs = [(object(), True), (object(), False)]
-        emit_batch(sink, pairs)
-        assert sink.pairs == pairs
-        assert sink.batches == 1
-        assert isinstance(sink, BatchSink)
-
-    def test_alert_path_is_a_batch_stage(self):
-        assert isinstance(AlertPath("liberty"), BatchStage)
-
-    def test_alert_list_sink_is_a_batch_sink(self):
-        path = AlertPath("liberty")
-        assert isinstance(path.sink, BatchSink)
+def inject(records, faults):
+    """``records`` with one faulty record inserted per ``(position,
+    kind)``: an invalid record (non-finite clock), a poison body, or a
+    tagged alert whose clock runs far backwards."""
+    tagger = Tagger(get_ruleset(records[0].system))
+    tagged = next(r for r in records if tagger.tag(r) is not None)
+    stream = list(records)
+    for position, kind in faults:
+        at = position % (len(stream) + 1)
+        if kind == REASON_INVALID_RECORD:
+            bad = replace(stream[at - 1], timestamp=float("nan"))
+        elif kind == REASON_TAGGER_ERROR:
+            bad = replace(stream[at - 1], body=f"{POISON} {position}")
+        else:
+            bad = replace(tagged, timestamp=tagged.timestamp - 1e6)
+        stream.insert(at, bad)
+    return stream
 
 
-class TestEmitBatchEquivalence:
-    def _pairs(self, system="liberty"):
-        handle = RulesetHandle(system)
-        tagger = handle.tagger()
-        records = [
-            record(t=float(i), body=cat.example or "quiet", system=system)
-            for i, cat in enumerate(handle.resolve())
-        ]
-        pairs = []
-        for i, rec in enumerate(records):
-            alert = tagger.tag(rec)
-            if alert is not None:
-                pairs.append((alert, i % 2 == 0))
-        return pairs
-
-    def test_alert_list_sink_batch_equals_loop(self):
-        pairs = self._pairs()
-        assert pairs, "fixture must produce alerts"
-        a = AlertPath("liberty").sink
-        b = AlertPath("liberty").sink
-        a.emit_batch(pairs)
-        for alert, kept in pairs:
-            b.emit(alert, kept)
-        assert a.raw_alerts == b.raw_alerts
-        assert a.filtered_alerts == b.filtered_alerts
-        assert a.report.raw_total == b.report.raw_total
-        assert a.report.filtered_total == b.report.filtered_total
-        assert a.report.by_category == b.report.by_category
-
-    def test_service_sink_batch_equals_loop(self):
-        from repro.core.filtering import FilterReport
-        from repro.service.accounting import TenantCounters
-        from repro.service.tenant import ServiceAlertSink
-
-        pairs = self._pairs()
-        a = ServiceAlertSink(FilterReport(threshold=5.0), TenantCounters(), tail=64)
-        b = ServiceAlertSink(FilterReport(threshold=5.0), TenantCounters(), tail=64)
-        a.emit_batch(pairs)
-        for alert, kept in pairs:
-            b.emit(alert, kept)
-        assert list(a.raw_alerts) == list(b.raw_alerts)
-        assert list(a.filtered_alerts) == list(b.filtered_alerts)
-        assert a.counters.alerts_raw == b.counters.alerts_raw
-        assert a.counters.alerts_filtered == b.counters.alerts_filtered
+def path_options(system, quarantine):
+    return {
+        "dead_letters": DeadLetterQueue() if quarantine else None,
+        "tagger": PoisonTagger(get_ruleset(system)),
+    }
 
 
-class TestBatchPathDifferential:
-    """process_batch must be observationally identical to the loop."""
+def reference(system, stream, quarantine):
+    return reference_path(system, stream, **path_options(system, quarantine))
 
-    @pytest.mark.parametrize("system", ALL_SYSTEMS)
-    @pytest.mark.parametrize("batch_size", [1, 7, 4096])
-    def test_strict_batches_equal_per_record(
-        self, golden_records, serial_baselines, system, batch_size
+
+def batched(system, stream, sizes, quarantine, shipped_outcome):
+    """The stream through the kernel, cut by ``sizes`` (the last size
+    repeats).  With ``shipped_outcome`` every batch's tag outcome is
+    computed up front over the records a driver would ship — the valid
+    subsequence, or everything in strict mode."""
+    path = AlertPath(system, **path_options(system, quarantine))
+    sizes = list(sizes)
+    start = 0
+    while start < len(stream):
+        size = sizes.pop(0) if len(sizes) > 1 else sizes[0]
+        batch = stream[start:start + size]
+        start += size
+        outcome = None
+        if shipped_outcome:
+            outcome = path.tagger.tag_batch(
+                [r for r in batch if path.valid(r)] if quarantine else batch
+            )
+        path.process_batch(batch, outcome)
+    return path
+
+
+def observable(path):
+    return (
+        result_signature(path.result()),
+        path.consumed,
+        letter_trace(path.dead_letters),
+    )
+
+
+#: Batch sizes: the degenerate 1, the cadences the checkpoint tests cut
+#: on, anything in between, and one batch for the whole corpus.
+batch_sizes = st.lists(
+    st.one_of(
+        st.sampled_from([1, 7, SERIAL_BATCH_SIZE + 1]), st.integers(1, 130)
+    ),
+    min_size=1, max_size=40,
+)
+fault_lists = st.lists(
+    st.tuples(
+        st.integers(0, 10_000),
+        st.sampled_from(
+            [REASON_INVALID_RECORD, REASON_TAGGER_ERROR, REASON_OUT_OF_ORDER]
+        ),
+    ),
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("shipped_outcome", [False, True],
+                         ids=["in-process", "shipped-outcome"])
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+class TestKernelEqualsReference:
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sizes=batch_sizes)
+    def test_strict(self, golden_records, system, shipped_outcome, sizes):
+        stream = golden_records[system]
+        got = batched(system, stream, sizes, False, shipped_outcome)
+        assert observable(got) == observable(reference(system, stream, False))
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sizes=batch_sizes, faults=fault_lists)
+    def test_quarantine(
+        self, golden_records, system, shipped_outcome, sizes, faults
     ):
-        records = golden_records[system]
-        path = AlertPath(system)
-        for start in range(0, len(records), batch_size):
-            path.process_batch(records[start:start + batch_size])
-        assert_equivalent(path.result(), serial_baselines[system])
-
-    @pytest.mark.parametrize("system", ALL_SYSTEMS)
-    def test_dead_letter_batches_equal_per_record(
-        self, golden_records, system
-    ):
-        records = golden_records[system]
-        a = AlertPath(system, dead_letters=DeadLetterQueue())
-        b = AlertPath(system, dead_letters=DeadLetterQueue())
-        a.process_batch(records)
-        for rec in records:
-            b.process(rec)
-        assert_equivalent(a.result(), b.result())
-        assert a.dead_letters.quarantined == b.dead_letters.quarantined
-
-    def test_empty_batch_is_a_no_op(self):
-        path = AlertPath("liberty")
-        path.process_batch([])
-        assert path.consumed == 0
-        assert path.result().raw_alert_count == 0
-
-    def test_tagged_batch_with_errors_falls_back(self):
-        """process_tagged_batch with a worker-reported error must raise
-        exactly where the per-record loop would (strict mode)."""
-        from repro.core.tagging import BatchOutcome
-        from repro.parallel.sharded import TaggerErrorReplay
-
-        path = AlertPath("liberty")
-        records = [record(t=1.0), record(t=2.0)]
-        outcome = BatchOutcome(
-            size=2, hits=(), errors=((1, "RuntimeError('boom')"),),
+        stream = inject(golden_records[system], faults)
+        got = batched(system, stream, sizes, True, shipped_outcome)
+        want = reference(system, stream, True)
+        assert observable(got) == observable(want)
+        assert want.dead_letters.quarantined >= sum(
+            1 for _, kind in faults if kind != REASON_OUT_OF_ORDER
         )
-        with pytest.raises(TaggerErrorReplay):
-            path.process_tagged_batch(records, outcome)
-        assert path.consumed == 2  # the clean record was consumed first
+
+    def test_strict_raises_at_the_poison_record(
+        self, golden_records, system, shipped_outcome
+    ):
+        """A strict run raises where the reference loop would, with
+        exactly the prefix consumed — whatever batch the record is in
+        (a worker's error comes back as ``TaggerErrorReplay``, itself a
+        ``RuntimeError`` carrying the original ``repr``)."""
+        stream = inject(golden_records[system], [(123, REASON_TAGGER_ERROR)])
+        with pytest.raises(RuntimeError, match="poison body"):
+            reference(system, stream, False)
+        path = AlertPath(system, **path_options(system, False))
+        outcome = path.tagger.tag_batch(stream) if shipped_outcome else None
+        with pytest.raises(RuntimeError, match="poison body"):
+            path.process_batch(stream, outcome)
+        assert path.consumed == 124
+        assert path.stats_collector.stats.messages == 124
+
+
+def test_empty_batch_is_a_no_op():
+    path = AlertPath("liberty")
+    assert path.process_batch([]) == []
+    assert path.consumed == 0
+    assert path.result().raw_alert_count == 0
+
+
+def test_unoffered_alerts_are_returned_not_filtered(golden_records):
+    """``offer=False`` (the bounded driver's tag stage): the alerts come
+    back for the caller's queue and the filter has seen nothing; offering
+    them afterwards lands on the reference result."""
+    stream = golden_records["bgl"]
+    path = AlertPath("bgl", dead_letters=DeadLetterQueue())
+    for record in stream:
+        path.admit(record)
+    alerts = path.process_batch(stream, admitted=True, offer=False)
+    assert alerts and path.report.raw_total == 0
+    assert path.consumed == len(stream)
+    for alert in alerts:
+        path.offer(alert)
+    assert observable(path) == observable(
+        reference("bgl", stream, quarantine=True)
+    )

@@ -18,16 +18,26 @@ the refactor made legal.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
+
 import pytest
 
 from repro import api as pipeline
+from repro.engine.drivers import SERIAL_BATCH_SIZE
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.deadletter import DeadLetterQueue
 from repro.resilience.faults import FaultConfig
 from repro.resilience.supervisor import PipelineSupervisor
 
-from .conftest import ALL_SYSTEMS, assert_equivalent
+from .conftest import (
+    ALL_SYSTEMS,
+    assert_equivalent,
+    letter_trace,
+    reference_path,
+    result_signature,
+)
 
 CHECKPOINT_EVERY = 50
 
@@ -45,7 +55,11 @@ def crash_after(records, at):
 
 
 def parallel_config(env_workers):
-    return ParallelConfig(workers=env_workers, batch_size=64)
+    # Batches small enough that the in-flight window (2 x workers
+    # batches, all pulled before the first outcome is merged) stays well
+    # inside the 400-record corpus at any pool width: a crash two-thirds
+    # in must find a checkpoint behind it.
+    return ParallelConfig(workers=env_workers, batch_size=16)
 
 
 def drivers(env_workers):
@@ -171,3 +185,83 @@ class TestRunSystemKnobs:
             iter(records), system, backpressure=BackpressureConfig(),
         )
         assert_equivalent(resumed, baseline)
+
+
+@dataclass
+class KeepEverySnapshot(CheckpointManager):
+    """A manager that also keeps every snapshot it retains as latest."""
+
+    history: list = field(default_factory=list)
+
+    def maybe(self, records_consumed, snapshot):
+        taken = super().maybe(records_consumed, snapshot)
+        if taken:
+            self.history.append(self.latest)
+        return taken
+
+
+class TestSerialCheckpointCadence:
+    """The serial barrier is *any record*: with ``every=k`` snapshots
+    land on ``records_consumed`` k, 2k, ... — also when the record the
+    barrier falls on is quarantined at admission, and when the stream
+    ends on one (the per-record loop this replaced skipped the barrier
+    check for invalid records: late snapshots, or none at the end)."""
+
+    SYSTEM = "liberty"
+
+    def stream(self, golden_records, every):
+        """Two barriers' worth of records (sixty at least, trimmed to a
+        whole number of intervals), invalid on the first barrier and at
+        the very end."""
+        golden = golden_records[self.SYSTEM]
+        span = golden[-1].timestamp - golden[0].timestamp + 3600.0
+        n = max(2 * every, 60)
+        n -= n % every
+        stream = [
+            replace(golden[i % len(golden)],
+                    timestamp=golden[i % len(golden)].timestamp
+                    + span * (i // len(golden)))
+            for i in range(n)
+        ]
+        for consumed in (every, n - 1, n):
+            stream[consumed - 1] = replace(
+                stream[consumed - 1], timestamp=float("nan")
+            )
+        return stream
+
+    @staticmethod
+    def observable(result):
+        return (
+            result_signature(result),
+            letter_trace(result.dead_letters),
+            result.checkpoints.taken,
+        )
+
+    @pytest.mark.parametrize("every", [1, 7, SERIAL_BATCH_SIZE + 1])
+    def test_snapshots_land_on_every_kth_record(self, golden_records, every):
+        stream = self.stream(golden_records, every)
+        manager = KeepEverySnapshot(every=every)
+        whole = pipeline.run_stream(
+            iter(stream), self.SYSTEM, dead_letters=DeadLetterQueue(),
+            checkpointer=manager,
+        )
+        barriers = list(range(every, len(stream) + 1, every))
+        assert [s.records_consumed for s in manager.history] == barriers
+        assert manager.taken == len(barriers)
+        assert [s.snapshots_taken for s in manager.history] == list(
+            range(1, len(barriers) + 1)
+        )
+
+        reference = reference_path(
+            self.SYSTEM, stream, dead_letters=DeadLetterQueue()
+        )
+        assert result_signature(whole) == result_signature(reference.result())
+        assert whole.dead_letter_count == reference.dead_letters.quarantined == 3
+
+        for snapshot in manager.history:
+            resumed = pipeline.run_stream(
+                iter(stream), self.SYSTEM, dead_letters=DeadLetterQueue(),
+                checkpointer=CheckpointManager(every=every),
+                resume_from=snapshot,
+            )
+            assert self.observable(resumed) == self.observable(whole)

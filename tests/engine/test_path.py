@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.tagging import BatchOutcome
 from repro.engine.drivers import SerialDriver
 from repro.engine.path import AlertPath
 from repro.logmodel.record import LogRecord
@@ -70,18 +71,31 @@ class TestTagAndOffer:
         with pytest.raises(RuntimeError):
             path.tag(record())
 
-    def test_apply_tagged_error_strict_raises_replay(self):
+    def test_worker_error_strict_raises_replay_at_the_record(self):
+        """A worker-reported error raises exactly where the per-record
+        loop would: the clean prefix is processed, the suffix is not."""
         path = AlertPath("liberty")
-        with pytest.raises(TaggerErrorReplay):
-            path.apply_tagged(record(), error="RuntimeError('boom')")
+        outcome = BatchOutcome(
+            size=3, errors=((1, "RuntimeError('boom')"),),
+        )
+        with pytest.raises(TaggerErrorReplay, match="boom"):
+            path.process_batch(
+                [record(t=1.0), record(t=2.0), record(t=3.0)], outcome
+            )
+        assert path.consumed == 2
+        assert sum(path.severity_tab.messages.values()) == 1
 
-    def test_apply_tagged_error_quarantines(self):
+    def test_worker_error_quarantines(self):
         dlq = DeadLetterQueue()
         path = AlertPath("liberty", dead_letters=dlq)
-        assert path.apply_tagged(
-            record(), error="RuntimeError('boom')"
-        ) is None
+        outcome = BatchOutcome(
+            size=2, errors=((0, "RuntimeError('boom')"),),
+        )
+        assert path.process_batch([record(t=1.0), record(t=2.0)], outcome) == []
         assert dlq.by_reason.get(REASON_TAGGER_ERROR) == 1
+        assert path.consumed == 2
+        # The poison record skips the severity tab, as in tag().
+        assert sum(path.severity_tab.messages.values()) == 1
 
     def test_out_of_order_alert_quarantined(self):
         dlq = DeadLetterQueue()

@@ -15,13 +15,12 @@ from array import array
 import pytest
 
 from repro.core.tagging import RulesetHandle, Tagger
-from repro.logmodel.record import LogRecord
+from repro.logmodel.record import LogRecord, full_texts
 from repro.parallel.config import ParallelConfig
 from repro.parallel.sharded import (
     _LENGTH_TYPECODE,
     ShardedTagger,
     _encode_texts,
-    _match_texts,
     chunked,
 )
 
@@ -82,7 +81,7 @@ class TestMatchTexts:
             record("body only", facility=""),
             record("with facility", facility="pbs_mom"),
         ]
-        assert _match_texts(records) == [r.full_text() for r in records]
+        assert full_texts(records) == [r.full_text() for r in records]
 
 
 class TestLocalFallback:

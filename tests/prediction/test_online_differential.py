@@ -17,7 +17,7 @@ window-straddling gaps) and assert:
   all-size-1 partition — produce identical graph snapshots;
 * the engine-facing :class:`~repro.streaming.stage.PredictionStage`
   emits the same warnings and graph when alerts arrive out of order
-  within the reorder tolerance, across any observe/observe_batch mix.
+  within the reorder tolerance, across any ``observe_batch`` chunking.
 """
 
 from __future__ import annotations
@@ -233,20 +233,19 @@ class TestMinerMechanics:
 
 def run_stage(arrivals, chunking, config):
     """Feed ``arrivals`` through a PredictionStage in the given chunking
-    (sizes; 1 -> observe, >1 -> observe_batch) and return its report."""
+    (``observe_batch`` sizes; 1 is what the per-record path emits, and
+    whatever the chunking leaves over goes in one pair at a time) and
+    return its report."""
     stage = PredictionStage(config=config, reorder_tolerance=1.0)
     i = 0
     for size in chunking:
         chunk = arrivals[i:i + size]
         if not chunk:
             break
-        if size == 1:
-            stage.observe(chunk[0], True)
-        else:
-            stage.observe_batch((a, True) for a in chunk)
+        stage.observe_batch((a, True) for a in chunk)
         i += size
     for alert in arrivals[i:]:
-        stage.observe(alert, True)
+        stage.observe_batch([(alert, True)])
     stage.finish()
     return stage.report()
 
@@ -264,7 +263,7 @@ class TestStageReordering:
         (every arrival has ``t > max_seen - tolerance``) yet freely
         swaps neighbours closer than the tolerance.  The finalized
         stream — hence warnings and graph — must not notice, for any
-        observe/observe_batch chunking on either side."""
+        ``observe_batch`` chunking on either side."""
         events = data.draw(
             event_streams(system, max_size=90, min_gap=0.001), label="events",
         )

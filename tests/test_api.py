@@ -1,16 +1,14 @@
-"""The stable ``repro.api`` surface and the ``repro.pipeline`` shim.
+"""The stable ``repro.api`` surface.
 
-Three guarantees: the facade names exist, work, and are re-exported at
-the package root; the deprecated ``repro.pipeline`` entry points still
-resolve but warn; and nothing under ``examples/`` or ``scripts/``
-imports the deprecated surface or engine internals directly —
-``repro.api`` is their only import surface.
+Two guarantees: the facade names exist, work, and are re-exported at
+the package root; and nothing under ``examples/`` or ``scripts/``
+imports the removed ``repro.pipeline`` name or engine internals
+directly — ``repro.api`` is their only import surface.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -72,40 +70,6 @@ class TestFacade:
             api.serve(ServiceConfig(), tcp_port=1)
 
 
-class TestDeprecationShim:
-    @pytest.mark.parametrize("name", ["run_stream", "run_system", "run_all"])
-    def test_entry_points_warn_and_delegate(self, name):
-        from repro import pipeline
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            func = getattr(pipeline, name)
-        assert func is getattr(api, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api" in str(w.message)
-            for w in caught
-        ), f"no DeprecationWarning for pipeline.{name}"
-
-    def test_constants_reexport_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro import pipeline
-
-            assert pipeline.DEFAULT_RESTART_BUDGET == \
-                api.DEFAULT_RESTART_BUDGET
-            assert pipeline.DEFAULT_CHECKPOINT_EVERY == \
-                api.DEFAULT_CHECKPOINT_EVERY
-            assert pipeline.DEFAULT_THRESHOLD == api.DEFAULT_THRESHOLD
-            assert pipeline.PipelineResult is api.PipelineResult
-
-    def test_unknown_attribute_raises(self):
-        from repro import pipeline
-
-        with pytest.raises(AttributeError):
-            pipeline.no_such_name
-
-
 class TestImportBoundary:
     """examples/ and scripts/ must import only the stable surface."""
 
@@ -118,14 +82,14 @@ class TestImportBoundary:
     )
 
     @pytest.mark.parametrize("directory", ["examples", "scripts"])
-    def test_no_deprecated_imports(self, directory):
+    def test_no_internal_imports(self, directory):
         offenders = []
         for path in sorted((REPO / directory).glob("*.py")):
             if self.FORBIDDEN.search(path.read_text(encoding="utf-8")):
                 offenders.append(path.name)
         assert not offenders, (
-            f"{directory}/ must import repro.api, not the deprecated "
-            f"pipeline/driver internals: {offenders}"
+            f"{directory}/ must import repro.api, not the removed "
+            f"repro.pipeline or the driver internals: {offenders}"
         )
 
     @pytest.mark.parametrize("directory", ["examples", "scripts"])

@@ -42,11 +42,12 @@ def test_top_level_subpackages():
 
 def test_readme_quickstart_names_exist():
     """The README's quickstart must not rot."""
-    from repro import pipeline
+    from repro import api
 
-    assert callable(pipeline.run_system)
-    assert callable(pipeline.run_stream)
-    assert callable(pipeline.run_all)
+    assert callable(api.run)
+    assert callable(api.run_system)
+    assert callable(api.run_stream)
+    assert callable(api.run_all)
 
 
 class TestReproducibility:
