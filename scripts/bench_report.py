@@ -107,9 +107,8 @@ def engine_driver_configs(workers: int):
     cost relative to plain serial is what the perf gate ratchets."""
     parallel = ParallelConfig(workers=workers, batch_size=BATCH_SIZE)
     bounded = BackpressureConfig(
-        max_buffer=4 * BATCH_SIZE, filter_buffer=BATCH_SIZE,
+        max_buffer=4 * BATCH_SIZE,
         arrival_batch=BATCH_SIZE, service_batch=BATCH_SIZE,
-        filter_batch=BATCH_SIZE,
     )
     return {
         "serial": {},

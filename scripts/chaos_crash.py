@@ -114,8 +114,7 @@ def _driver_knobs(driver: str):
         # Roomy buffers: bounded-mode output stays byte-identical to
         # serial (nothing sheds), so the fingerprint check is exact.
         return None, BackpressureConfig(
-            max_buffer=1024, filter_buffer=256,
-            arrival_batch=256, service_batch=256, filter_batch=256,
+            max_buffer=1024, arrival_batch=256, service_batch=256,
         )
     raise SystemExit(f"unknown driver {driver!r}")
 

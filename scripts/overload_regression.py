@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """CI overload regression: bounded memory under a 10x burst, enforced.
 
-Runs a scaled five-system study twice — unbounded (the accounting
-baseline) and bounded under a 10x burst from an unpausable source — with
-the process's address space hard-capped via ``resource.setrlimit``.  The
-cap is generous (numpy and the interpreter need real room); the point is
-that a *runaway queue* would blow through it and the job would die, while
-the bounded pipeline must stay comfortably inside.
+Runs a scaled five-system study unbounded (the accounting baseline) and
+bounded under a 10x burst from an unpausable source — once per tag seam,
+in process and through a two-worker pool — with the process's address
+space hard-capped via ``resource.setrlimit``.  The cap is generous
+(numpy and the interpreter need real room); the point is that a *runaway
+queue* would blow through it and the job would die, while the bounded
+pipeline must stay comfortably inside.
 
 Failure conditions (any -> exit 1):
 
@@ -16,7 +17,9 @@ Failure conditions (any -> exit 1):
   ``shed-overload`` accounting;
 * record conservation breaks: admitted + shed + spilled != the unbounded
   run's message count;
-* the overload metrics fail to appear in ``PipelineResult.summary()``.
+* the overload metrics fail to appear in ``PipelineResult.summary()``;
+* the two tag seams disagree on the offered/shed/spilled-by-class counts
+  (they share one pump, so they must choose the same losses).
 
 Usage: PYTHONPATH=src python scripts/overload_regression.py [--scale S]
 """
@@ -54,63 +57,77 @@ def main() -> int:
         print("address-space cap: unavailable on this platform")
 
     from repro import api
+    from repro.parallel.config import ParallelConfig
     from repro.resilience.backpressure import BackpressureConfig
     from repro.resilience.deadletter import REASON_SHED_OVERLOAD
     from repro.resilience.shedding import CLASS_ALERT
     from repro.systems.specs import SYSTEMS
 
     failures = []
+    seams = (("bounded", None), ("bounded-sharded", ParallelConfig(workers=2)))
+    config = BackpressureConfig.burst(
+        factor=10.0, service_batch=32, max_buffer=args.max_buffer,
+    )
     for system in sorted(SYSTEMS):
         scale = args.scale * (100 if system == "bgl" else 1)
         baseline = api.run_system(system, scale=scale, seed=args.seed)
-        config = BackpressureConfig.burst(
-            factor=10.0, service_batch=32,
-            max_buffer=args.max_buffer, filter_buffer=args.max_buffer // 4,
-        )
-        result = api.run_system(
-            system, scale=scale, seed=args.seed, backpressure=config,
-        )
-        report = result.overload
+        by_class = {}
+        for seam, parallel in seams:
+            label = f"{system}/{seam}"
+            result = api.run_system(
+                system, scale=scale, seed=args.seed, backpressure=config,
+                parallel=parallel,
+            )
+            report = result.overload
+            by_class[seam] = (
+                report.offered_by_class, report.shed_by_class,
+                report.spilled_by_class,
+            )
 
-        for name, peak in report.queue_peaks.items():
-            bound = report.queue_capacities[name]
-            if peak > bound:
+            for name, peak in report.queue_peaks.items():
+                bound = report.queue_capacities[name]
+                if peak > bound:
+                    failures.append(
+                        f"{label}: queue {name} peaked at {peak} > bound {bound}"
+                    )
+            if report.shed_by_class.get(CLASS_ALERT):
                 failures.append(
-                    f"{system}: queue {name} peaked at {peak} > bound {bound}"
+                    f"{label}: {report.shed_by_class[CLASS_ALERT]} tagged "
+                    "alerts silently shed"
                 )
-        if report.shed_by_class.get(CLASS_ALERT):
-            failures.append(
-                f"{system}: {report.shed_by_class[CLASS_ALERT]} tagged "
-                "alerts silently shed"
+            spilled_in_dlq = result.dead_letters.by_reason.get(
+                REASON_SHED_OVERLOAD, 0
             )
-        spilled_in_dlq = result.dead_letters.by_reason.get(
-            REASON_SHED_OVERLOAD, 0
-        )
-        if report.total_spilled != spilled_in_dlq:
-            failures.append(
-                f"{system}: {report.total_spilled} spills but only "
-                f"{spilled_in_dlq} accounted in the dead-letter queue"
+            if report.total_spilled != spilled_in_dlq:
+                failures.append(
+                    f"{label}: {report.total_spilled} spills but only "
+                    f"{spilled_in_dlq} accounted in the dead-letter queue"
+                )
+            accounted = (
+                result.message_count + report.total_shed + report.total_spilled
             )
-        accounted = (
-            result.message_count + report.total_shed + report.total_spilled
-        )
-        if accounted != baseline.message_count:
-            failures.append(
-                f"{system}: conservation broken — {accounted} accounted vs "
-                f"{baseline.message_count} generated"
-            )
-        if "queues (peak)" not in result.summary():
-            failures.append(f"{system}: overload metrics missing in summary()")
+            if accounted != baseline.message_count:
+                failures.append(
+                    f"{label}: conservation broken — {accounted} accounted vs "
+                    f"{baseline.message_count} generated"
+                )
+            if "queues (peak)" not in result.summary():
+                failures.append(f"{label}: overload metrics missing in summary()")
 
-        peaks = ", ".join(
-            f"{name} {peak}/{report.queue_capacities[name]}"
-            for name, peak in sorted(report.queue_peaks.items())
-        )
-        print(
-            f"{system:>12}: {result.message_count:,} admitted, "
-            f"{report.total_shed:,} shed, {report.total_spilled:,} spilled "
-            f"(of {baseline.message_count:,}); peaks: {peaks}"
-        )
+            peaks = ", ".join(
+                f"{name} {peak}/{report.queue_capacities[name]}"
+                for name, peak in sorted(report.queue_peaks.items())
+            )
+            print(
+                f"{label:>27}: {result.message_count:,} admitted, "
+                f"{report.total_shed:,} shed, {report.total_spilled:,} spilled "
+                f"(of {baseline.message_count:,}); peaks: {peaks}"
+            )
+        if by_class["bounded"] != by_class["bounded-sharded"]:
+            failures.append(
+                f"{system}: the tag seams disagree on offered/shed/spilled "
+                f"by class — {by_class}"
+            )
 
     if failures:
         print("\nOVERLOAD REGRESSION FAILURES:", file=sys.stderr)

@@ -110,7 +110,7 @@ def run_stream(
     (bounded: within shedding tolerance).
 
     With ``backpressure`` (a :class:`BackpressureConfig`), the stages run
-    behind bounded queues with credit-based flow control and
+    behind one bounded ingest queue with credit-based flow control and
     priority-aware load shedding — see
     :class:`~repro.engine.drivers.BoundedDriver` — and the result carries
     an :class:`~repro.resilience.backpressure.OverloadReport`.
@@ -172,13 +172,19 @@ def run_stream(
 
         store_writer = ColumnarStoreWriter(store_dir, system)
 
+    prediction = None
+    if predict:
+        from .streaming import prediction_stage
+
+        prediction = prediction_stage(predict, reorder_tolerance)
+
     path = AlertPath(
         system,
         threshold=threshold,
         dead_letters=dead_letters,
         reorder_tolerance=reorder_tolerance,
         resume_from=resume_from,
-        prediction=_prediction_stage(predict, reorder_tolerance),
+        prediction=prediction,
         store_writer=store_writer,
     )
     source = iter(records)
@@ -209,19 +215,6 @@ def run_stream(
         # into a stream that already completed.
         store.mark_complete()
     return result
-
-
-def _prediction_stage(predict, reorder_tolerance: float):
-    """Build the optional prediction stage from the ``predict`` knob:
-    falsy -> off, ``True`` -> defaults, a ``PredictionConfig`` -> that
-    configuration.  Imported lazily so runs without prediction never pay
-    for the streaming package (or numpy's startup)."""
-    if not predict:
-        return None
-    from .streaming import PredictionConfig, PredictionStage
-
-    config = predict if isinstance(predict, PredictionConfig) else None
-    return PredictionStage(config=config, reorder_tolerance=reorder_tolerance)
 
 
 def _predict_token(predict) -> str:

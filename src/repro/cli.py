@@ -109,9 +109,14 @@ def cmd_study(args: argparse.Namespace) -> int:
     if args.max_buffer is not None:
         backpressure = BackpressureConfig(
             max_buffer=args.max_buffer,
-            shed_policy=args.shed_policy,
+            shed_policy=args.shed_policy or "priority",
             degrade=args.overload_degrade,
         )
+    elif args.shed_policy is not None or args.overload_degrade:
+        print("error: --shed-policy and --overload-degrade only take "
+              "effect on a bounded run; pass --max-buffer (or drop them)",
+              file=sys.stderr)
+        return 2
     parallel = _parallel_config(args)
     # One authority for what composes: the engine's capability table.
     # (Historically this was an ad-hoc check that forbade --workers with
@@ -410,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "this many records (backpressure + load "
                               "shedding instead of unbounded memory)")
     p_study.add_argument("--shed-policy", choices=sorted(SHED_POLICIES),
-                         default="priority",
                          help="what to lose first under overload "
-                              "(requires --max-buffer)")
+                              "(requires --max-buffer; default priority)")
     p_study.add_argument("--predict", action="store_true",
                          help="run the streaming correlation miner + "
                               "online predictor ensemble alongside each "
@@ -421,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--overload-degrade", action="store_true",
                          help="on sustained overload, degrade gracefully: "
                               "coarser stats and a larger filter threshold "
-                              "instead of unbounded queue growth")
+                              "instead of unbounded queue growth (requires "
+                              "--max-buffer)")
     p_study.add_argument("--store-dir", default=None,
                          help="spill every system's alerts to a columnar "
                               "store under this directory (one "

@@ -87,7 +87,7 @@ CAPABILITY_TABLE = {
             name="bounded",
             checkpoint_barrier="drained-queues",
             equivalence=SHED_TOLERANCE,
-            notes="bounded queues, credit flow control, load shedding",
+            notes="bounded ingest queue, credit flow control, load shedding",
         ),
         DriverCapabilities(
             name="bounded-sharded",

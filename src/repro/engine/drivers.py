@@ -13,11 +13,11 @@ three hand-forked loops the pipeline used to carry:
   (:class:`~repro.parallel.sharded.ShardedTagger`); stats, severity,
   and the Algorithm 3.1 filter stay the single sequential consumer of
   the order-preserving merge;
-* :class:`BoundedDriver` — stages run behind bounded queues with
-  credit-based flow control and priority-aware load shedding; give it a
-  :class:`~repro.parallel.config.ParallelConfig` too and the service
-  stage tags through the worker pool (the bounded ingest queue feeds the
-  sharded tagger's already-bounded in-flight window).
+* :class:`BoundedDriver` — one tick loop over one bounded ingest queue,
+  with credit-based flow control and priority-aware load shedding at
+  arrival; give it a :class:`~repro.parallel.config.ParallelConfig` too
+  and each tick's drain is tagged through the worker pool (the bounded
+  queue feeds the sharded tagger's already-bounded in-flight window).
 
 Checkpointing is orthogonal to all three: every driver accepts a
 :class:`~repro.resilience.checkpoint.CheckpointManager` and snapshots at
@@ -32,6 +32,7 @@ byte-identical (bounded: within shedding tolerance).
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from itertools import islice
 from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 
@@ -46,6 +47,7 @@ from ..resilience.backpressure import (
     CreditGate,
     OverloadMonitor,
     OverloadReport,
+    Watermarks,
 )
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.deadletter import DeadLetterQueue, REASON_SHED_OVERLOAD
@@ -168,26 +170,27 @@ class ShardedDriver:
 
 
 class BoundedDriver:
-    """Stages behind bounded queues, driven in ticks.
+    """One bounded ingest queue ahead of the batch kernel, driven in ticks.
 
     Per tick the source offers ``arrival_batch`` records — credit-paced
-    for a pausable source, shed-policy-gated otherwise — the tag stage
-    serves ``service_batch``, and the filter serves ``filter_batch``.
-    Sustained overload (the monitor's high-watermark flag) optionally
-    degrades the run — coarser stats, larger filter ``T`` — instead of
-    growing without bound.
+    for a pausable source (nothing lost), shed-policy-gated for an
+    unpausable one (every loss accounted) — and the pump serves
+    ``service_batch`` of them from the queue through
+    :meth:`AlertPath.process_batch`.  Sustained overload (the monitor's
+    high-watermark flag) optionally degrades the run — coarse stats,
+    larger filter ``T`` — instead of growing without bound.
 
-    With a :class:`ParallelConfig`, the service stage tags each tick's
-    drain through the shared worker pool instead of in-process: the
-    bounded ingest queue feeds the sharded tagger's in-flight window
-    (itself bounded by ``max_inflight``), and the merged outcomes are
-    offered to the filter inline, still in stream order.
+    A :class:`ParallelConfig` changes only where the tag outcome comes
+    from: each tick's drain is chunked through the worker pool (its
+    in-flight window bounded by ``max_inflight``) and the merged
+    outcomes reach the kernel in stream order.
 
     Checkpoints are taken only at drained-queue barriers, where every
     consumed record has been processed, quarantined, or shed; shedding
     makes resumed results equivalent within shedding tolerance rather
     than byte-identical.  The shed policy's dedup lookback is part of
-    the snapshot, so a resumed policy keeps its duplicate memory.
+    the snapshot, and degraded mode rides it as its effects (the raised
+    ``T``, the coarse-stats flag), so a resumed pump keeps both.
     """
 
     name = "bounded"
@@ -229,160 +232,86 @@ class BoundedDriver:
             else OverloadMonitor(sustain=config.sustain)
         )
         ingest_q = monitor.attach(BoundedQueue(
-            "ingest", config.max_buffer, config.watermarks_for(config.max_buffer)
+            "ingest",
+            config.max_buffer,
+            Watermarks.for_capacity(
+                config.max_buffer, config.high_fraction, config.low_fraction
+            ),
         ))
         gate = CreditGate(ingest_q)
-
-        stages = (
-            self._run_serial_stages if self.parallel is None
-            else self._run_sharded_stages
+        sharded = (
+            ShardedTagger(path.system, self.parallel)
+            if self.parallel is not None else None
         )
-        return stages(
-            source, path, checkpointer, policy, accounting, monitor,
-            ingest_q, gate,
-        )
-
-    # -- shared arrival tick ----------------------------------------------
-
-    def _arrival_tick(self, source, path, policy, accounting, monitor,
-                      ingest_q, gate) -> bool:
-        """One arrival burst; returns ``True`` once the source is done.
-        A pausable source is slowed by credits (nothing lost); an
-        unpausable one goes through the shed policy, which degrades in
-        the paper-aware order — and every loss is accounted."""
-        config = self.config
-        want = config.arrival_batch
-        if config.source_pausable:
-            want = gate.acquire(want)
-        arrived = 0
         exhausted = False
-        for _ in range(want):
-            try:
-                record = next(source)
-            except StopIteration:
-                exhausted = True
-                break
-            arrived += 1
-            if not path.admit(record):
-                continue
-            decision, klass = policy.decide(record, ingest_q.pressure())
-            accounting.count_offered(klass)
-            if decision == SHED:
-                accounting.count_shed(klass)
-                continue
-            if decision == SPILL or not ingest_q.put(record):
-                accounting.count_spilled(klass)
-                path.dead_letters.put(record, REASON_SHED_OVERLOAD, klass)
-        monitor.note_throughput("arrive", arrived)
-        return exhausted
 
-    def _degrade_check(self, path, monitor, degraded: bool) -> bool:
-        config = self.config
-        if config.degrade and monitor.sustained_overload and not degraded:
-            path.filter.threshold = path.threshold * config.degrade_threshold_factor
-            if config.degrade_coarse_stats:
-                path.stats_collector.coarse = True
-            monitor.events.append(
-                f"degraded mode entered: filter T raised to "
-                f"{path.filter.threshold:g}s"
-                + (", stats coarsened" if config.degrade_coarse_stats else "")
-            )
-            return True
-        return degraded
-
-    def _maybe_checkpoint(self, path, checkpointer, policy) -> None:
-        if checkpointer is not None:
-            checkpointer.maybe(
-                path.consumed,
-                lambda: path.snapshot(shed_state=policy.state_dict()),
-            )
-
-    # -- in-process tag stage (the historical bounded pump) ----------------
-
-    def _run_serial_stages(self, source, path, checkpointer, policy,
-                           accounting, monitor, ingest_q, gate) -> DriverReport:
-        config = self.config
-        alert_q = monitor.attach(BoundedQueue(
-            "filter", config.filter_buffer,
-            config.watermarks_for(config.filter_buffer),
-        ))
-        degraded = False
-        exhausted = False
-        while not exhausted or ingest_q or alert_q:
-            if not exhausted:
-                exhausted = self._arrival_tick(
-                    source, path, policy, accounting, monitor, ingest_q, gate
-                )
-
-            # -- tag/stats stage: halts when the filter queue is full,
-            #    which is how downstream pressure propagates upstream.
-            #    Served as one batch (a record yields at most one alert,
-            #    so free alert-queue slots bound the batch size).
-            room = alert_q.capacity - len(alert_q)
-            batch = ingest_q.take(min(config.service_batch, room))
-            for alert in path.process_batch(batch, admitted=True, offer=False):
-                alert_q.put(alert)
-            monitor.note_throughput("tag", len(batch))
-
-            # -- filter stage -------------------------------------------
-            drained = 0
-            while drained < config.filter_batch and alert_q:
-                path.offer(alert_q.get())
-                drained += 1
-            monitor.note_throughput("filter", drained)
-
-            monitor.sample()
-            degraded = self._degrade_check(path, monitor, degraded)
-            if not ingest_q and not alert_q:
-                self._maybe_checkpoint(path, checkpointer, policy)
-
-        return DriverReport(overload=OverloadReport.from_parts(
-            monitor=monitor, accounting=accounting, gate=gate,
-            degraded=degraded,
-        ))
-
-    # -- worker-pool tag stage (backpressure x parallel) -------------------
-
-    def _run_sharded_stages(self, source, path, checkpointer, policy,
-                            accounting, monitor, ingest_q, gate) -> DriverReport:
-        config = self.config
-        degraded = False
-        exhausted = False
-        with ShardedTagger(path.system, self.parallel) as sharded:
+        with sharded if sharded is not None else nullcontext():
             while not exhausted or ingest_q:
                 if not exhausted:
-                    exhausted = self._arrival_tick(
-                        source, path, policy, accounting, monitor,
-                        ingest_q, gate,
-                    )
-
-                # -- service stage: drain one tick's worth through the
-                #    worker pool; the merge hands outcomes back in
-                #    stream order, so offers stay order-defined --------
-                round_records = ingest_q.take(config.service_batch)
-                offered = 0
-                if round_records:
-                    batches = chunked(iter(round_records),
-                                      self.parallel.batch_size)
-                    for batch, outcome in sharded.tag_batches(batches):
-                        offered += len(
-                            path.process_batch(batch, outcome, admitted=True)
+                    want = config.arrival_batch
+                    if config.source_pausable:
+                        want = gate.acquire(want)
+                    arrived = 0
+                    for record in islice(source, want):
+                        arrived += 1
+                        if not path.admit(record):
+                            continue
+                        decision, klass = policy.decide(
+                            record, ingest_q.pressure()
                         )
-                monitor.note_throughput("tag", len(round_records))
+                        accounting.count_offered(klass)
+                        if decision == SHED:
+                            accounting.count_shed(klass)
+                        elif decision == SPILL or not ingest_q.put(record):
+                            accounting.count_spilled(klass)
+                            path.dead_letters.put(
+                                record, REASON_SHED_OVERLOAD, klass
+                            )
+                    exhausted = arrived < want
+                    monitor.note_throughput("arrive", arrived)
+
+                # The one place the two tag seams differ: matched in
+                # process, or shipped through the pool, whose merge hands
+                # outcomes back in stream order.
+                batch = ingest_q.take(config.service_batch)
+                tagged = (
+                    ((batch, None),) if sharded is None
+                    else sharded.tag_batches(
+                        chunked(batch, self.parallel.batch_size)
+                    )
+                )
+                offered = sum(
+                    len(path.process_batch(part, outcome, admitted=True))
+                    for part, outcome in tagged
+                )
+                monitor.note_throughput("tag", len(batch))
                 monitor.note_throughput("filter", offered)
 
                 monitor.sample()
-                degraded = self._degrade_check(path, monitor, degraded)
-                if not ingest_q:
-                    # A true barrier: the tick's batches were fully
-                    # merged and offered, nothing is in flight.
-                    self._maybe_checkpoint(path, checkpointer, policy)
-            shard_stats = sharded.stats
+                # Degraded mode is path state, not a pump local: it rides
+                # the checkpoint, so a resumed pump is in it already.
+                if (config.degrade and monitor.sustained_overload
+                        and not path.stats_collector.coarse):
+                    path.stats_collector.coarse = True
+                    path.filter.threshold = (
+                        path.threshold * config.degrade_threshold_factor
+                    )
+                    monitor.events.append(
+                        f"degraded mode entered: filter T raised to "
+                        f"{path.filter.threshold:g}s, stats coarsened"
+                    )
+                if checkpointer is not None and not ingest_q:
+                    # A true barrier: the tick's drain was fully merged
+                    # and offered, nothing is queued or in flight.
+                    checkpointer.maybe(
+                        path.consumed,
+                        lambda: path.snapshot(shed_state=policy.state_dict()),
+                    )
 
         return DriverReport(
-            shard_stats=shard_stats,
+            shard_stats=sharded.stats if sharded is not None else None,
             overload=OverloadReport.from_parts(
                 monitor=monitor, accounting=accounting, gate=gate,
-                degraded=degraded,
+                degraded=path.stats_collector.coarse,
             ),
         )

@@ -179,7 +179,7 @@ class AlertPath:
                 )
             self.sink = AlertListSink(self.report, raw, filtered)
         if prediction is not None:
-            self.sink = ObservingSink(self.sink, prediction)
+            self.sink = ObservingSink(self.sink, prediction.observe_batch)
 
     # -- admission ---------------------------------------------------------
 
@@ -261,7 +261,6 @@ class AlertPath:
         records: Sequence[LogRecord],
         outcome: Optional[BatchOutcome] = None,
         admitted: bool = False,
-        offer: bool = True,
     ) -> List[Alert]:
         """Admit and process a whole batch; returns the tagged alerts.
 
@@ -282,9 +281,7 @@ class AlertPath:
         over the records that pass :meth:`valid` (strict mode: over all
         of them); without one the batch is matched in process.
         ``admitted`` says the caller already ran :meth:`admit` on every
-        record (the bounded drivers admit at arrival), and
-        ``offer=False`` leaves the returned alerts un-offered for a
-        driver that queues them ahead of the filter.
+        record (the bounded driver admits at arrival).
         """
         if not records:
             return []
@@ -293,16 +290,16 @@ class AlertPath:
             and self.dead_letters is not None
             and not all(map(_valid_record, records))
         ):
-            return self._replay_batch(records, outcome, admitted, offer)
+            return self._replay_batch(records, outcome, admitted)
         if outcome is None:
             try:
                 matches = self.tagger.match_texts(full_texts(records))
             except Exception:
-                return self._replay_batch(records, outcome, admitted, offer)
+                return self._replay_batch(records, outcome, admitted)
             from_record = Alert.from_record
             hits = [(i, from_record(records[i], cat)) for i, cat in matches]
         elif outcome.errors:
-            return self._replay_batch(records, outcome, admitted, offer)
+            return self._replay_batch(records, outcome, admitted)
         else:
             hits = outcome.hits
         if not admitted:
@@ -311,11 +308,11 @@ class AlertPath:
         self.corrupted += sum(1 for r in records if r.corrupted)
         self.severity_tab.add_batch(records, [i for i, _ in hits])
         alerts = [alert for _, alert in hits]
-        if offer and alerts:
+        if alerts:
             self._offer_all(alerts)
         return alerts
 
-    def _replay_batch(self, records, outcome, admitted, offer) -> List[Alert]:
+    def _replay_batch(self, records, outcome, admitted) -> List[Alert]:
         """The batch as the per-record reference loop, with a worker
         ``outcome`` (indexed over the admitted records) standing in for
         :meth:`tag`.  A worker-side error arrives as its ``repr`` — the
@@ -343,8 +340,7 @@ class AlertPath:
                 self.severity_tab.add(record, alert is not None)
             if alert is not None:
                 alerts.append(alert)
-                if offer:
-                    self.offer(alert)
+                self.offer(alert)
         return alerts
 
     # -- resumability ------------------------------------------------------

@@ -94,17 +94,21 @@ class ObservingSink:
     """Tees the ruled-on alert flow into a side observer.
 
     Wraps any sink and forwards every ``emit_batch`` to it unchanged,
-    then hands the same pairs to an *observer* — an object with
-    ``observe_batch(pairs)`` (the prediction stage is the canonical
-    observer).  The wrapped sink's alert lists and report stay the
-    authoritative state, so code that reads ``path.sink.raw_alerts`` or
-    replaces ``path.sink`` with a service sink keeps working: the
+    then hands the same pairs to ``observe`` — a bound callable such as
+    the prediction stage's ``observe_batch`` or a store writer's
+    ``append_batch``.  The wrapped sink's alert lists and report stay
+    the authoritative state, so code that reads ``path.sink.raw_alerts``
+    or replaces ``path.sink`` with a service sink keeps working: the
     wrapper delegates those attributes to the inner sink.
     """
 
-    def __init__(self, inner: Sink, observer: object):
+    def __init__(
+        self,
+        inner: Sink,
+        observe: Callable[[Sequence[Tuple[Alert, bool]]], None],
+    ):
         self.inner = inner
-        self.observer = observer
+        self.observe = observe
 
     @property
     def report(self) -> FilterReport:
@@ -120,4 +124,4 @@ class ObservingSink:
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
         self.inner.emit_batch(pairs)
-        self.observer.observe_batch(pairs)  # type: ignore[attr-defined]
+        self.observe(pairs)

@@ -78,6 +78,9 @@ class StatsSnapshot:
     flushed: bool
     #: Total bytes fed to the compressor when the snapshot was taken.
     fed_bytes: int = 0
+    #: Coarse mode (overload degradation) at snapshot time, so a resumed
+    #: run stays degraded; the default reads back from older pickles.
+    coarse: bool = False
 
 
 class StatsCollector:
@@ -182,6 +185,7 @@ class StatsCollector:
             compressor=self._compressor.copy(),
             flushed=self._flushed,
             fed_bytes=self._fed,
+            coarse=self.coarse,
         )
 
     @classmethod
@@ -198,6 +202,7 @@ class StatsCollector:
         collector.stats = replace(snapshot.stats)
         collector._flushed = snapshot.flushed
         collector._fed = snapshot.fed_bytes
+        collector.coarse = snapshot.coarse
         if snapshot.compressor is not None:
             collector._compressor = snapshot.compressor.copy()
         else:

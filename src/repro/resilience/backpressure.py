@@ -350,14 +350,15 @@ class OverloadReport:
 class BackpressureConfig:
     """Configuration for a bounded, load-shedding pipeline run.
 
-    ``max_buffer`` bounds the generate/collect -> tag queue and
-    ``filter_buffer`` the tag -> filter queue.  Per tick of the pump, the
-    source offers ``arrival_batch`` records, the tag stage serves
-    ``service_batch``, and the filter serves ``filter_batch`` — a burst is
-    simply an ``arrival_batch`` larger than the service rate.  With a
-    ``source_pausable`` source, credit-based flow control slows arrivals
-    instead (nothing is shed); an unpausable source (UDP fan-in) engages
-    the shed policy.
+    ``max_buffer`` bounds the one queue of the pump, between
+    generate/collect and the tag -> filter kernel.  Per tick the source
+    offers ``arrival_batch`` records and the kernel serves
+    ``service_batch`` — a burst is simply an ``arrival_batch`` larger
+    than the service rate.  With a ``source_pausable`` source,
+    credit-based flow control slows arrivals instead (nothing is shed);
+    an unpausable source (UDP fan-in) engages the shed policy.
+    ``degrade`` answers sustained overload with coarse stats and a
+    filter ``T`` raised ``degrade_threshold_factor``-fold.
 
     ``monitor`` and ``accounting`` are normally created per run; the
     supervisor injects shared instances so overload accounting survives
@@ -365,25 +366,22 @@ class BackpressureConfig:
     """
 
     max_buffer: int = 1024
-    filter_buffer: int = 256
     high_fraction: float = 0.8
     low_fraction: float = 0.5
     arrival_batch: int = 64
     service_batch: int = 64
-    filter_batch: int = 64
     source_pausable: bool = True
     shed_policy: Union[str, Any] = "priority"
     dedup_window: Optional[float] = None
     degrade: bool = False
     degrade_threshold_factor: float = 4.0
-    degrade_coarse_stats: bool = True
     sustain: int = 8
     monitor: Optional[OverloadMonitor] = field(default=None, compare=False)
     accounting: Optional[Any] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("max_buffer", "filter_buffer", "arrival_batch",
-                     "service_batch", "filter_batch", "sustain"):
+        for name in ("max_buffer", "arrival_batch", "service_batch",
+                     "sustain"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if not 0.0 < self.low_fraction < self.high_fraction <= 1.0:
@@ -404,14 +402,8 @@ class BackpressureConfig:
         if factor < 1.0:
             raise ValueError("burst factor must be >= 1")
         kwargs.setdefault("arrival_batch", max(1, round(service_batch * factor)))
-        kwargs.setdefault("filter_batch", service_batch)
         return cls(
             service_batch=service_batch, source_pausable=False, **kwargs
-        )
-
-    def watermarks_for(self, capacity: int) -> Watermarks:
-        return Watermarks.for_capacity(
-            capacity, self.high_fraction, self.low_fraction
         )
 
     def with_runtime(

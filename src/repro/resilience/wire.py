@@ -36,7 +36,6 @@ import zlib
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..logio.stats import StatsSnapshot
 from .checkpoint import PipelineCheckpoint
 
 #: File magics: the journal and the checkpoint store refuse each other's
@@ -156,12 +155,7 @@ def durable_checkpoint(checkpoint: PipelineCheckpoint) -> PipelineCheckpoint:
         return checkpoint
     return replace(
         checkpoint,
-        stats=StatsSnapshot(
-            stats=replace(stats.stats),
-            compressor=None,
-            flushed=stats.flushed,
-            fed_bytes=stats.fed_bytes,
-        ),
+        stats=replace(stats, stats=replace(stats.stats), compressor=None),
     )
 
 

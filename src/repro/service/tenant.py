@@ -233,21 +233,23 @@ class Tenant:
 
     def _prediction_stage(self):
         """A fresh per-tenant prediction stage when ``config.predict``
-        asks for one (``True`` = defaults, a PredictionConfig = custom),
-        else ``None``.  Lazy import so predict-less services never pay
-        for the streaming package.  Checkpoint restore happens inside
-        AlertPath — a rebuilt path's fresh stage is loaded from the
-        checkpoint's ``prediction_state``, so the miner/ensemble roll
-        back with the filter clocks, never ahead of them."""
-        predict = self.config.predict
-        if not predict:
+        asks for one, else ``None``.  Lazy import so predict-less
+        services never pay for the streaming package.  Checkpoint
+        restore happens inside AlertPath — a rebuilt path's fresh stage
+        is loaded from the checkpoint's ``prediction_state``, so the
+        miner/ensemble roll back with the filter clocks, never ahead."""
+        if not self.config.predict:
             return None
-        from ..streaming import PredictionConfig, PredictionStage
+        from ..streaming import prediction_stage
 
-        stage_config = predict if isinstance(predict, PredictionConfig) else None
-        return PredictionStage(config=stage_config)
+        return prediction_stage(self.config.predict)
 
     def _install_sink(self, raw_seed=(), filtered_seed=()) -> None:
+        # A restored path carries its checkpoint's stats mode; in the
+        # service that mode is the governor's call, as of now.
+        self.path.stats_collector.coarse = (
+            self.governor is not None and self.governor.degraded
+        )
         self._sink = ServiceAlertSink(
             self.path.report,
             self.counters,
@@ -263,14 +265,17 @@ class Tenant:
             # Re-tee the alert flow into the prediction stage: replacing
             # path.sink above dropped the ObservingSink wrapper AlertPath
             # installed.  The service sink stays the counting authority.
-            self.path.sink = ObservingSink(self._sink, self.path.prediction)
+            self.path.sink = ObservingSink(
+                self._sink, self.path.prediction.observe_batch
+            )
         if self._store_writer is not None:
-            from ..store import StoreTeeSink
-
             # Outermost so every emit the service counts also lands a
             # column row; path rebuilds never roll the store back (it is
-            # append-only, like the journaled counts).
-            self.path.sink = StoreTeeSink(self.path.sink, self._store_writer)
+            # append-only, like the journaled counts).  Commit cadence is
+            # the tenant's: the same barriers it checkpoints at.
+            self.path.sink = ObservingSink(
+                self.path.sink, self._store_writer.append_batch
+            )
 
     def start(self) -> None:
         """Spawn the worker task on the running loop."""

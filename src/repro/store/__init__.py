@@ -26,7 +26,7 @@ from .format import (
 from .memory import MemoryAlertStore
 from .query import AlertChunk, AlertQuery, StoredAlertSequence
 from .replay import load_result, run_summary
-from .sink import ColumnarSink, StoreTeeSink
+from .sink import ColumnarSink
 
 __all__ = [
     "AlertChunk",
@@ -42,7 +42,6 @@ __all__ = [
     "PartitionMeta",
     "StoreError",
     "StoreFormatError",
-    "StoreTeeSink",
     "StoredAlertSequence",
     "is_store_dir",
     "load_result",

@@ -31,7 +31,7 @@ from .miner import (
     StreamingCorrelationMiner,
 )
 from .online import OnlineEnsemble, OnlineWarning, SlimAlert
-from .stage import PredictionConfig, PredictionReport, PredictionStage
+from .stage import PredictionConfig, PredictionReport, PredictionStage, prediction_stage
 
 __all__ = [
     "CorrelationEdge",
@@ -44,4 +44,5 @@ __all__ = [
     "SlimAlert",
     "SourceEdge",
     "StreamingCorrelationMiner",
+    "prediction_stage",
 ]

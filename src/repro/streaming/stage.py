@@ -193,3 +193,14 @@ class PredictionStage:
         self._max_seen = state["max_seen"]
         self.observed = int(state["observed"])
         self._finished = bool(state["finished"])
+
+
+def prediction_stage(
+    predict: Any, reorder_tolerance: float = DEFAULT_REORDER_TOLERANCE
+) -> PredictionStage:
+    """The stage a truthy ``predict`` knob asks for: ``True`` means the
+    defaults, a :class:`PredictionConfig` that configuration.  Callers
+    test the knob first, so predict-less runs never import this package
+    (or pay numpy's startup)."""
+    config = predict if isinstance(predict, PredictionConfig) else None
+    return PredictionStage(config=config, reorder_tolerance=reorder_tolerance)

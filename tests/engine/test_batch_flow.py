@@ -182,21 +182,3 @@ def test_empty_batch_is_a_no_op():
     assert path.process_batch([]) == []
     assert path.consumed == 0
     assert path.result().raw_alert_count == 0
-
-
-def test_unoffered_alerts_are_returned_not_filtered(golden_records):
-    """``offer=False`` (the bounded driver's tag stage): the alerts come
-    back for the caller's queue and the filter has seen nothing; offering
-    them afterwards lands on the reference result."""
-    stream = golden_records["bgl"]
-    path = AlertPath("bgl", dead_letters=DeadLetterQueue())
-    for record in stream:
-        path.admit(record)
-    alerts = path.process_batch(stream, admitted=True, offer=False)
-    assert alerts and path.report.raw_total == 0
-    assert path.consumed == len(stream)
-    for alert in alerts:
-        path.offer(alert)
-    assert observable(path) == observable(
-        reference("bgl", stream, quarantine=True)
-    )

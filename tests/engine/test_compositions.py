@@ -24,6 +24,7 @@ import pytest
 
 from repro import api as pipeline
 from repro.engine.drivers import SERIAL_BATCH_SIZE
+from repro.engine.path import AlertPath
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.checkpoint import CheckpointManager
@@ -40,6 +41,13 @@ from .conftest import (
 )
 
 CHECKPOINT_EVERY = 50
+
+
+#: A 10x burst from an unpausable source over a small buffer, degrading
+#: early enough (``sustain=2``) that the 400-record corpora get there.
+DEGRADING_BURST = BackpressureConfig.burst(
+    factor=10, service_batch=32, max_buffer=256, degrade=True, sustain=2,
+)
 
 
 class MidStreamCrash(Exception):
@@ -115,6 +123,28 @@ class TestCompositionMatrix:
             assert result.overload.total_spilled == 0
             assert result.dead_letter_count == 0
 
+    def test_burst_tag_seams_agree(self, system, golden_records):
+        """One pump, two tag seams: under a shedding burst the in-process
+        and worker-pool seams lose the same records and report the same
+        overload picture — queue rows and throughput keys included."""
+        results = [
+            pipeline.run_stream(
+                iter(golden_records[system]), system, parallel=parallel,
+                backpressure=DEGRADING_BURST,
+            )
+            for parallel in (None, ParallelConfig(workers=2, batch_size=16))
+        ]
+        assert_equivalent(*results)
+        in_process, pooled = (result.overload for result in results)
+        for field_name in (
+            "queue_peaks", "queue_capacities", "offered_by_class",
+            "shed_by_class", "spilled_by_class", "stage_throughput",
+            "samples", "degraded", "events",
+        ):
+            assert getattr(in_process, field_name) == getattr(
+                pooled, field_name
+            ), field_name
+
     def test_supervised_faults(self, system, golden_records,
                                serial_baselines, env_workers):
         records = golden_records[system]
@@ -185,6 +215,34 @@ class TestRunSystemKnobs:
             iter(records), system, backpressure=BackpressureConfig(),
         )
         assert_equivalent(resumed, baseline)
+
+    def test_bounded_resume_stays_degraded(self, golden_records):
+        """Degraded mode rides the checkpoint as its effects — the raised
+        filter ``T`` and the coarse-stats flag — so a resumed pump reports
+        the mode it is in instead of a fresh ``False``, and does not log
+        entering it a second time."""
+        records = golden_records["spirit"]
+        manager = CheckpointManager(every=CHECKPOINT_EVERY)
+        first = pipeline.run_stream(
+            iter(records), "spirit", checkpointer=manager,
+            backpressure=DEGRADING_BURST,
+        )
+        assert first.overload.degraded
+        raised = manager.latest.filter_state["threshold"]
+        assert raised > first.threshold
+
+        path = AlertPath("spirit", resume_from=manager.latest)
+        assert path.filter.threshold == raised
+        assert path.stats_collector.coarse
+        resumed = pipeline.run_stream(
+            iter(records), "spirit", resume_from=manager.latest,
+            backpressure=DEGRADING_BURST,
+        )
+        assert resumed.overload.degraded
+        assert not any(
+            "degraded mode entered" in event
+            for event in resumed.overload.events
+        )
 
 
 @dataclass

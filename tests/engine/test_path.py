@@ -97,7 +97,7 @@ class TestTagAndOffer:
         # The poison record skips the severity tab, as in tag().
         assert sum(path.severity_tab.messages.values()) == 1
 
-    def test_out_of_order_alert_quarantined(self):
+    def test_out_of_order_alert_is_quarantined(self):
         dlq = DeadLetterQueue()
         path = AlertPath("liberty", dead_letters=dlq)
         path.offer(make_alert(100.0, system="liberty"))

@@ -139,3 +139,14 @@ class TestStudyBounded:
     def test_unknown_shed_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(["study", "--max-buffer", "128", "--shed-policy", "yolo"])
+
+    @pytest.mark.parametrize("knob", [
+        ["--shed-policy", "chatter-only"], ["--overload-degrade"],
+    ], ids=["shed-policy", "overload-degrade"])
+    def test_overload_knob_without_max_buffer_refused(self, knob, capsys):
+        """Nothing is bounded without --max-buffer, so the knob would be
+        silently ignored; the CLI refuses it instead."""
+        assert main(["study", "--scale", "1e-5", *knob]) == 2
+        captured = capsys.readouterr()
+        assert "--max-buffer" in captured.err
+        assert captured.out == ""

@@ -36,7 +36,7 @@ def bounded_pausable():
     """Bounded buffers over a pausable source: flow control, no loss."""
     return pipeline.run_system(
         SYSTEM, scale=SMALL_SCALE, seed=SEED,
-        backpressure=BackpressureConfig(max_buffer=256, filter_buffer=64),
+        backpressure=BackpressureConfig(max_buffer=256),
     )
 
 
@@ -47,7 +47,7 @@ def burst():
     return pipeline.run_system(
         SYSTEM, scale=SMALL_SCALE, seed=SEED,
         backpressure=BackpressureConfig.burst(
-            factor=10.0, service_batch=32, max_buffer=256, filter_buffer=64,
+            factor=10.0, service_batch=32, max_buffer=256,
         ),
     )
 
@@ -73,7 +73,7 @@ class TestPausableSource:
 class TestBurstWorkload:
     def test_completes_with_bounded_peak_occupancy(self, burst):
         report = burst.overload
-        assert report.queue_peaks  # both stage queues attached
+        assert report.queue_peaks  # the one ingest queue is attached
         for name, peak in report.queue_peaks.items():
             assert 0 < report.queue_capacities[name] <= 256
             assert peak <= report.queue_capacities[name], name
@@ -126,7 +126,7 @@ class TestBurstWorkload:
 class TestDegradedMode:
     def test_sustained_overload_triggers_degradation(self, unbounded):
         config = BackpressureConfig.burst(
-            factor=10.0, service_batch=32, max_buffer=256, filter_buffer=64,
+            factor=10.0, service_batch=32, max_buffer=256,
             degrade=True, sustain=4,
         )
         result = pipeline.run_system(
@@ -153,7 +153,7 @@ class TestSupervisedOverload:
         supervisor must hand back a flagged partial carrying the overload
         report — never an exception, never an unbounded queue."""
         config = BackpressureConfig.burst(
-            factor=10.0, service_batch=32, max_buffer=128, filter_buffer=32,
+            factor=10.0, service_batch=32, max_buffer=128,
         )
         supervisor = PipelineSupervisor(restart_budget=1, checkpoint_every=50)
         result = supervisor.run_system(
@@ -178,7 +178,7 @@ class TestSupervisedOverload:
         """A survivable crash under burst load: the restarted attempt
         completes bounded, and the report covers the whole run."""
         config = BackpressureConfig.burst(
-            factor=10.0, service_batch=32, max_buffer=256, filter_buffer=64,
+            factor=10.0, service_batch=32, max_buffer=256,
         )
         supervisor = PipelineSupervisor(restart_budget=3, checkpoint_every=100)
         result = supervisor.run_system(

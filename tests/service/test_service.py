@@ -293,11 +293,18 @@ class TestLifecycle:
             await wait_for(lambda: service.router.governor.degraded)
             assert tenant.path.stats_collector.coarse
             assert any("degraded" in e for e in service.events)
+            # A path rebuilt mid-mode (crash restart) takes the mode in
+            # force, whatever its checkpoint recorded.
+            tenant._take_checkpoint()
+            tenant._rebuild_path()
+            assert tenant.path.stats_collector.coarse
 
             del service.router.total_queued  # restore the real method
             await wait_for(
                 lambda: not service.router.governor.degraded
             )
+            assert not tenant.path.stats_collector.coarse
+            tenant._rebuild_path()  # from the degraded-mode checkpoint
             assert not tenant.path.stats_collector.coarse
             await service.drain()
 
