@@ -15,10 +15,11 @@ around to a generator abandoned by an early ``break``.
 from __future__ import annotations
 
 import gzip
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from ..logmodel.bgl import parse_bgl_line
+from ..logmodel.bgl import parse_bgl_stream
 from ..logmodel.record import LogRecord
 from ..logmodel.redstorm import parse_redstorm_line
 from ..logmodel.syslog import parse_syslog_stream
@@ -32,32 +33,35 @@ def _open_text(path: Path):
     return open(path, "rt", encoding="utf-8", errors="replace")
 
 
+def _parse_redstorm_records(lines, year: int) -> Iterator[LogRecord]:
+    previous = None
+    current_year = year
+    for line in lines:
+        if not line.strip():
+            continue
+        record = parse_redstorm_line(line, current_year)
+        # BSD-syslog lines carry no year: detect rollover the way
+        # syslog daemons do (a >half-year backwards jump).
+        if (
+            previous is not None
+            and not record.corrupted
+            and previous - record.timestamp > 182 * 86400.0
+        ):
+            current_year += 1
+            record = parse_redstorm_line(line, current_year)
+        if not record.corrupted:
+            previous = record.timestamp
+        yield record
+
+
 def _parse_records(handle, system: str, year: int) -> Iterator[LogRecord]:
+    """The system's stream parser over ``handle``'s lines: the generator
+    itself, so a consumer pulls from it with no frame in between."""
     if system == "bgl":
-        for line in handle:
-            if line.strip():
-                yield parse_bgl_line(line.rstrip("\n"))
-    elif system == "redstorm":
-        previous = None
-        current_year = year
-        for line in handle:
-            if not line.strip():
-                continue
-            record = parse_redstorm_line(line.rstrip("\n"), current_year)
-            # BSD-syslog lines carry no year: detect rollover the way
-            # syslog daemons do (a >half-year backwards jump).
-            if (
-                previous is not None
-                and not record.corrupted
-                and previous - record.timestamp > 182 * 86400.0
-            ):
-                current_year += 1
-                record = parse_redstorm_line(line.rstrip("\n"), current_year)
-            if not record.corrupted:
-                previous = record.timestamp
-            yield record
-    else:
-        yield from parse_syslog_stream(handle, year, system=system)
+        return parse_bgl_stream(handle)
+    if system == "redstorm":
+        return _parse_redstorm_records(handle, year)
+    return parse_syslog_stream(handle, year, system=system)
 
 
 class LogReader:
@@ -67,7 +71,12 @@ class LogReader:
     The underlying file handle is closed as soon as the last record is
     yielded; a consumer that stops early (``break``, an exception, an
     ``islice``) should call :meth:`close` or use the reader as a context
-    manager — ``__del__`` is only the backstop.
+    manager — otherwise the handle lives as long as the stream does.
+
+    ``iter(reader)`` is the one stream ``next(reader)`` also draws from,
+    and it is a C-level iterator that owns what it needs (it outlives a
+    temporary ``for record in read_log(...)`` reader): a driver's
+    ``islice`` pulls records without a Python call per record.
 
     Parameters
     ----------
@@ -91,41 +100,34 @@ class LogReader:
         self.path = Path(path)
         self.system = system
         self._handle = _open_text(self.path)
-        self._records: Optional[Iterator[LogRecord]] = _parse_records(
-            self._handle, system, year
-        )
+        self._source = _parse_records(self._handle, system, year)
         if read_ahead:
             # Local import: logio is a lower layer than resilience for
             # checkpointing purposes; a module-level import would cycle.
             from ..resilience.backpressure import BoundedQueue, bounded_buffer
 
-            self._records = bounded_buffer(
-                self._records,
+            self._source = bounded_buffer(
+                self._source,
                 BoundedQueue(f"{self.path.name}-readahead", read_ahead),
                 chunk=min(64, read_ahead),
             )
+        # Past the last record the chain pulls from an iterator whose one
+        # step closes the handle (``close()`` returns the sentinel).
+        self._records = chain(self._source, iter(self._handle.close, None))
 
     @property
     def closed(self) -> bool:
         return self._handle.closed
 
-    def __iter__(self) -> "LogReader":
-        return self
+    def __iter__(self) -> Iterator[LogRecord]:
+        return self._records
 
     def __next__(self) -> LogRecord:
-        if self._records is None:
-            raise StopIteration
-        try:
-            return next(self._records)
-        except StopIteration:
-            self.close()
-            raise
+        return next(self._records)
 
     def close(self) -> None:
-        """Release the parse generator and the file handle; idempotent."""
-        records, self._records = self._records, None
-        if records is not None and hasattr(records, "close"):
-            records.close()
+        """Stop the stream and release the file handle; idempotent."""
+        self._source.close()
         self._handle.close()
 
     def __enter__(self) -> "LogReader":
@@ -133,12 +135,6 @@ class LogReader:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def read_log(

@@ -142,9 +142,10 @@ class StatsCollector:
         (``tests/engine`` pins both).  The batch form exists because the
         per-record form pays a render + encode + compress call per line;
         even batched this is most of the serial path on chatter-heavy
-        logs (``bench/``: ``logio.stats_us_per_rec`` 2.9 of
-        ``engine.serial_us_per_rec`` 3.6 us on ``liberty_file_serial``),
-        though not on Spirit's 64%-tagged stream (1.2 of 6.2; tag 2.4).
+        logs (``bench/``: ``logio.stats_us_per_rec`` 1.8 of
+        ``engine.serial_us_per_rec`` 2.4 us on ``liberty_file_serial``,
+        0.6 of it rendering), though not on Spirit's 64%-tagged stream
+        (1.5 of 7.0; tag 2.4).
         """
         if not records:
             return

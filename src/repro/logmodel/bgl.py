@@ -17,21 +17,23 @@ is a hardware coordinate such as ``R02-M1-N0-C:J12-U11`` (rack, midplane,
 node card, chip), or ``NULL`` when the event has no attributable location —
 the paper's operational-context example message shows exactly such a
 ``NULL`` location.
+
+The stamp is validated and converted by :mod:`repro.logmodel.clock`, under
+the same rule as every other dialect's.
 """
 
 from __future__ import annotations
 
-import calendar
 import re
-import time
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator
 
+from .clock import DOT_MINUTES, SECOND_TEXT, DayPrefixes, epoch
 from .record import Channel, LogRecord, RasSeverity
 
+#: year, month, day, hh, mm, ss, micros, location, facility, severity, body.
 _BGL_RE = re.compile(
-    r"^(?P<yy>\d{4})-(?P<mo>\d{2})-(?P<dd>\d{2})-"
-    r"(?P<hh>\d{2})\.(?P<mi>\d{2})\.(?P<ss>\d{2})\.(?P<us>\d{6}) "
-    r"(?P<loc>\S+) RAS (?P<fac>\S+) (?P<sev>\S+) (?P<body>.*)$"
+    r"^(\d{4})-(\d{2})-(\d{2})-(\d{2})\.(\d{2})\.(\d{2})\.(\d{6}) "
+    r"(\S+) RAS (\S+) (\S+) (.*)$"
 )
 
 _SEVERITY_LABELS = frozenset(sev.name for sev in RasSeverity)
@@ -55,6 +57,12 @@ class BglParseError(ValueError):
     """Raised in strict mode when a line is not a valid BG/L RAS event."""
 
 
+def _corrupt_record(line: str) -> LogRecord:
+    return LogRecord(
+        0.0, "", "", line, "bgl", None, Channel.JTAG_MAILBOX, True, line
+    )
+
+
 def parse_bgl_line(line: str, strict: bool = False) -> LogRecord:
     """Parse one BG/L RAS event line.
 
@@ -64,59 +72,26 @@ def parse_bgl_line(line: str, strict: bool = False) -> LogRecord:
     """
     line = line.rstrip("\n")
     match = _BGL_RE.match(line)
-    if match is None or match.group("sev") not in _SEVERITY_LABELS:
+    if match is None or match.group(10) not in _SEVERITY_LABELS:
         if strict:
             raise BglParseError(f"not a BG/L RAS line: {line!r}")
-        return LogRecord(
-            timestamp=0.0,
-            source="",
-            facility="",
-            body=line,
-            system="bgl",
-            channel=Channel.JTAG_MAILBOX,
-            corrupted=True,
-            raw=line,
-        )
+        return _corrupt_record(line)
+    (year, month, day, hh, mi, ss, micros,
+     location, facility, severity, body) = match.groups()
     try:
-        year, month, day = (
-            int(match.group("yy")), int(match.group("mo")), int(match.group("dd")),
-        )
-        hh, mi, ss = (
-            int(match.group("hh")), int(match.group("mi")), int(match.group("ss")),
-        )
-        if not 1 <= month <= 12:
-            raise ValueError(f"month {month} out of range")
-        if not 1 <= day <= calendar.monthrange(year, month)[1]:
-            raise ValueError(f"day {day} out of range")
-        if hh > 23 or mi > 59 or ss > 60:
-            raise ValueError("time out of range")
-        base = calendar.timegm((year, month, day, hh, mi, ss, 0, 0, 0))
+        timestamp = epoch(year, month, day, hh, mi, ss) + int(micros) / 1e6
     except ValueError:
         if strict:
             raise BglParseError(f"bad timestamp in: {line!r}") from None
-        return LogRecord(
-            timestamp=0.0,
-            source="",
-            facility="",
-            body=line,
-            system="bgl",
-            channel=Channel.JTAG_MAILBOX,
-            corrupted=True,
-            raw=line,
-        )
-    timestamp = base + int(match.group("us")) / 1e6
-    location = match.group("loc")
+        return _corrupt_record(line)
     return LogRecord(
-        timestamp=timestamp,
-        source="" if location == "NULL" else location,
-        facility=match.group("fac"),
-        body=match.group("body"),
-        system="bgl",
-        severity=match.group("sev"),
-        channel=Channel.JTAG_MAILBOX,
-        corrupted=False,
-        raw=line,
+        timestamp, "" if location == "NULL" else location, facility, body,
+        "bgl", severity, Channel.JTAG_MAILBOX, False, line,
     )
+
+
+#: Day number -> ``"YYYY-MM-DD-"``.
+_DAYS = DayPrefixes(lambda *ymd: "%04d-%02d-%02d-" % ymd)
 
 
 def render_bgl_line(record: LogRecord) -> str:
@@ -128,20 +103,13 @@ def render_bgl_line(record: LogRecord) -> str:
     if micros >= 1_000_000:  # float rounding pushed us to the next second
         whole += 1
         micros = 0
-    tm = _gmtime(whole)
-    stamp = "%04d-%02d-%02d-%02d.%02d.%02d.%06d" % (
-        tm[0], tm[1], tm[2], tm[3], tm[4], tm[5], micros,
-    )
+    day, second = divmod(whole, 86400)
     location = record.source if record.source else "NULL"
     severity = record.severity if record.severity else "INFO"
-    return f"{stamp} {location} RAS {record.facility} {severity} {record.body}"
-
-
-def _gmtime(epoch: int) -> Tuple[int, int, int, int, int, int]:
-    """UTC (year, month, day, hour, minute, second) for an epoch."""
-    parts = time.gmtime(epoch)
-    return (parts.tm_year, parts.tm_mon, parts.tm_mday,
-            parts.tm_hour, parts.tm_min, parts.tm_sec)
+    return (
+        f"{_DAYS[day]}{DOT_MINUTES[second // 60]}{SECOND_TEXT[second % 60]}"
+        f".{micros:06d} {location} RAS {record.facility} {severity} {record.body}"
+    )
 
 
 def parse_bgl_stream(lines: Iterable[str]) -> Iterator[LogRecord]:

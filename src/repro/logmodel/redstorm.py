@@ -19,30 +19,34 @@ Red Storm has several logging paths (paper, Section 3.1):
   (paper, Section 3.2).  Event lines look like::
 
       YYYY-MM-DD HH:MM:SS event_code src:::NODE svc:::NODE message body
+
+Both stamp shapes go through :mod:`repro.logmodel.clock`: a stamp naming no
+real instant (``Feb 31``, ``25:61:61``) is a corrupted line here as it is
+on Liberty or BG/L, not a valid line some days later.
 """
 
 from __future__ import annotations
 
-import calendar
 import re
-import time
 from typing import Iterable, Iterator
 
+from .clock import COLON_MINUTES, MONTHS, SECOND_TEXT, DayPrefixes, epoch, split
 from .record import Channel, LogRecord, SyslogSeverity
-from .syslog import _FACILITY_RE, _MONTHS
+from .syslog import BSD_DAYS, FACILITY_PATTERN
 
+#: month, day, hh, mm, ss, host, severity, facility (or None), body.  A
+#: DDN controller's ``DMT_*`` code is part of the body, never a facility
+#: ("DMT_HINT Warning: ..." must stay whole).
 _RS_SYSLOG_RE = re.compile(
-    r"^(?P<mon>[A-Z][a-z]{2}) {1,2}(?P<day>\d{1,2}) "
-    r"(?P<hh>\d{2}):(?P<mm>\d{2}):(?P<ss>\d{2}) "
-    r"(?P<host>\S+) "
-    r"(?P<sev>EMERG|ALERT|CRIT|ERR|WARNING|NOTICE|INFO|DEBUG) "
-    r"(?P<rest>.*)$"
+    r"^([A-Z][a-z]{2}) {1,2}(\d{1,2}) (\d{2}):(\d{2}):(\d{2}) (\S+) "
+    r"(EMERG|ALERT|CRIT|ERR|WARNING|NOTICE|INFO|DEBUG) "
+    r"(?:(?!DMT_)" + FACILITY_PATTERN + r")?(.*)$"
 )
 
+#: year, month, day, hh, mm, ss, event, src, svc, trailing body.
 _RS_RAS_RE = re.compile(
-    r"^(?P<yy>\d{4})-(?P<mo>\d{2})-(?P<dd>\d{2}) "
-    r"(?P<hh>\d{2}):(?P<mm>\d{2}):(?P<ss>\d{2}) "
-    r"(?P<event>\S+) src:::(?P<src>\S*) svc:::(?P<svc>\S*)\s?(?P<body>.*)$"
+    r"^(\d{4})-(\d{2})-(\d{2}) (\d{2}):(\d{2}):(\d{2}) "
+    r"(\S+) src:::(\S*) svc:::(\S*)\s?(.*)$"
 )
 
 
@@ -51,16 +55,7 @@ class RedStormParseError(ValueError):
 
 
 def _corrupt_record(line: str, channel: Channel) -> LogRecord:
-    return LogRecord(
-        timestamp=0.0,
-        source="",
-        facility="",
-        body=line,
-        system="redstorm",
-        channel=channel,
-        corrupted=True,
-        raw=line,
-    )
+    return LogRecord(0.0, "", "", line, "redstorm", None, channel, True, line)
 
 
 def parse_redstorm_syslog_line(line: str, year: int, strict: bool = False) -> LogRecord:
@@ -71,54 +66,39 @@ def parse_redstorm_syslog_line(line: str, year: int, strict: bool = False) -> Lo
         if strict:
             raise RedStormParseError(f"not a Red Storm syslog line: {line!r}")
         return _corrupt_record(line, Channel.SYSLOG_UDP)
-    mon = _MONTHS.get(match.group("mon"))
+    month, day, hh, mm, ss, host, severity, facility, body = match.groups()
+    mon = MONTHS.get(month)
     if mon is None:
         if strict:
             raise RedStormParseError(f"bad month in: {line!r}")
         return _corrupt_record(line, Channel.SYSLOG_UDP)
     try:
-        timestamp = float(
-            calendar.timegm(
-                (
-                    year,
-                    mon,
-                    int(match.group("day")),
-                    int(match.group("hh")),
-                    int(match.group("mm")),
-                    int(match.group("ss")),
-                    0,
-                    0,
-                    0,
-                )
-            )
-        )
-    except ValueError:
+        timestamp = float(epoch(year, mon, day, hh, mm, ss))
+    except (ValueError, OverflowError):
         if strict:
             raise RedStormParseError(f"bad timestamp in: {line!r}") from None
         return _corrupt_record(line, Channel.SYSLOG_UDP)
-    rest = match.group("rest")
-    if rest.startswith("DMT_"):
-        # DDN controller message: the DMT_* code is part of the body, not
-        # a syslog facility ("DMT_HINT Warning: ..." must stay whole).
-        facility, body = "", rest
-        channel = Channel.DDN
-    else:
-        fac_match = _FACILITY_RE.match(rest)
-        if fac_match is not None:
-            facility, body = fac_match.group("fac"), fac_match.group("body")
-        else:
-            facility, body = "", rest
-        channel = Channel.SYSLOG_UDP
+    ddn = facility is None and body.startswith("DMT_")
     return LogRecord(
-        timestamp=timestamp,
-        source=match.group("host"),
-        facility=facility,
-        body=body,
-        system="redstorm",
-        severity=match.group("sev"),
-        channel=channel,
-        corrupted=False,
-        raw=line,
+        timestamp, host, facility or "", body, "redstorm", severity,
+        Channel.DDN if ddn else Channel.SYSLOG_UDP, False, line,
+    )
+
+
+def _ras_record(line: str, match, strict: bool) -> LogRecord:
+    year, month, day, hh, mm, ss, event, src, svc, trailing = match.groups()
+    try:
+        timestamp = float(epoch(year, month, day, hh, mm, ss))
+    except ValueError:
+        if strict:
+            raise RedStormParseError(f"bad timestamp in: {line!r}") from None
+        return _corrupt_record(line, Channel.RAS_TCP)
+    body = f"src:::{src} svc:::{svc}"
+    if trailing:
+        body = f"{body} {trailing}"
+    return LogRecord(
+        timestamp, src, event, body, "redstorm", None, Channel.RAS_TCP,
+        False, line,
     )
 
 
@@ -130,68 +110,33 @@ def parse_redstorm_ras_line(line: str, strict: bool = False) -> LogRecord:
         if strict:
             raise RedStormParseError(f"not a Red Storm RAS line: {line!r}")
         return _corrupt_record(line, Channel.RAS_TCP)
-    try:
-        timestamp = float(
-            calendar.timegm(
-                (
-                    int(match.group("yy")),
-                    int(match.group("mo")),
-                    int(match.group("dd")),
-                    int(match.group("hh")),
-                    int(match.group("mm")),
-                    int(match.group("ss")),
-                    0,
-                    0,
-                    0,
-                )
-            )
-        )
-    except ValueError:
-        if strict:
-            raise RedStormParseError(f"bad timestamp in: {line!r}") from None
-        return _corrupt_record(line, Channel.RAS_TCP)
-    body = f"src:::{match.group('src')} svc:::{match.group('svc')}"
-    trailing = match.group("body")
-    if trailing:
-        body = f"{body} {trailing}"
-    return LogRecord(
-        timestamp=timestamp,
-        source=match.group("src"),
-        facility=match.group("event"),
-        body=body,
-        system="redstorm",
-        severity=None,
-        channel=Channel.RAS_TCP,
-        corrupted=False,
-        raw=line,
-    )
+    return _ras_record(line, match, strict)
 
 
 def parse_redstorm_line(line: str, year: int, strict: bool = False) -> LogRecord:
     """Dispatch a line to the matching Red Storm format parser."""
-    if _RS_RAS_RE.match(line):
-        return parse_redstorm_ras_line(line, strict=strict)
+    match = _RS_RAS_RE.match(line)
+    if match is not None:
+        return _ras_record(line.rstrip("\n"), match, strict)
     return parse_redstorm_syslog_line(line, year, strict=strict)
+
+
+#: Day number -> ``"YYYY-MM-DD "``.
+_RAS_DAYS = DayPrefixes(lambda *ymd: "%04d-%02d-%02d " % ymd)
 
 
 def render_redstorm_line(record: LogRecord) -> str:
     """Render a record in the on-disk format matching its channel."""
     if record.corrupted and record.raw is not None:
         return record.raw
-    tm = time.gmtime(record.timestamp)
+    day, second = split(record.timestamp)
+    time_of_day = f"{COLON_MINUTES[second // 60]}{SECOND_TEXT[second % 60]}"
     if record.channel is Channel.RAS_TCP:
-        stamp = "%04d-%02d-%02d %02d:%02d:%02d" % (
-            tm.tm_year, tm.tm_mon, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec,
-        )
         # Facility holds the event code; body embeds the src:::/svc::: fields.
-        return f"{stamp} {record.facility} {record.body}"
-    stamp = "%s %2d %02d:%02d:%02d" % (
-        calendar.month_abbr[tm.tm_mon], tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec,
-    )
+        return f"{_RAS_DAYS[day]}{time_of_day} {record.facility} {record.body}"
     severity = record.severity if record.severity else SyslogSeverity.INFO.name
-    if record.facility:
-        return f"{stamp} {record.source} {severity} {record.facility}: {record.body}"
-    return f"{stamp} {record.source} {severity} {record.body}"
+    text = f"{record.facility}: {record.body}" if record.facility else record.body
+    return f"{BSD_DAYS[day]}{time_of_day} {record.source} {severity} {text}"
 
 
 def parse_redstorm_stream(lines: Iterable[str], year: int) -> Iterator[LogRecord]:

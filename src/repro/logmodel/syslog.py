@@ -12,46 +12,33 @@ messages under contention, the parser never raises on malformed input in
 tolerant mode — it produces a best-effort :class:`~repro.logmodel.record.LogRecord`
 with ``corrupted=True``, mirroring how the paper had to cope with truncated
 and spliced lines (Section 3.2.1, "Corruption").
+
+One regex match per line; the calendar arithmetic on both sides lives in
+:mod:`repro.logmodel.clock`.
 """
 
 from __future__ import annotations
 
-import calendar
 import re
-import time
 from typing import Iterable, Iterator
 
+from .clock import (
+    COLON_MINUTES, MONTH_ABBR, MONTHS, SECOND_TEXT, DayPrefixes, epoch, split,
+)
 from .record import Channel, LogRecord
 
-_MONTHS = {abbr: i for i, abbr in enumerate(calendar.month_abbr) if abbr}
+#: ``facility[pid]: `` in front of the body; capturing the facility.
+FACILITY_PATTERN = r"([A-Za-z_][\w.\-/ ]{0,40}?)(?:\[\d+\])?: "
 
+#: month, day, hh, mm, ss, host, facility (or None), body.
 _SYSLOG_RE = re.compile(
-    r"^(?P<mon>[A-Z][a-z]{2}) {1,2}(?P<day>\d{1,2}) "
-    r"(?P<hh>\d{2}):(?P<mm>\d{2}):(?P<ss>\d{2}) "
-    r"(?P<host>\S+) "
-    r"(?P<rest>.*)$"
+    r"^([A-Z][a-z]{2}) {1,2}(\d{1,2}) (\d{2}):(\d{2}):(\d{2}) (\S+) "
+    r"(?:" + FACILITY_PATTERN + r")?(.*)$"
 )
-
-_FACILITY_RE = re.compile(r"^(?P<fac>[A-Za-z_][\w.\-/ ]{0,40}?)(?:\[(?P<pid>\d+)\])?: (?P<body>.*)$")
 
 
 class SyslogParseError(ValueError):
     """Raised in strict mode when a line is not valid BSD syslog."""
-
-
-def _epoch(year: int, mon: int, day: int, hh: int, mm: int, ss: int) -> float:
-    """Epoch seconds for a local-naive UTC timestamp.
-
-    Syslog analysis conventionally treats log timestamps as a monotone
-    counter rather than wall-clock in a specific zone; we fix UTC so results
-    are machine-independent.  Out-of-range fields raise ``ValueError``
-    (``calendar.timegm`` would silently normalize a "Feb 31").
-    """
-    if not (1 <= day <= calendar.monthrange(year, mon)[1]):
-        raise ValueError(f"day {day} out of range for {year}-{mon:02d}")
-    if hh > 23 or mm > 59 or ss > 60:  # :60 allows leap seconds
-        raise ValueError(f"time {hh:02d}:{mm:02d}:{ss:02d} out of range")
-    return float(calendar.timegm((year, mon, day, hh, mm, ss, 0, 0, 0)))
 
 
 def parse_syslog_line(
@@ -81,87 +68,32 @@ def parse_syslog_line(
         if strict:
             raise SyslogParseError(f"not a syslog line: {line!r}")
         return LogRecord(
-            timestamp=0.0,
-            source="",
-            facility="",
-            body=line,
-            system=system,
-            channel=Channel.SYSLOG_UDP,
-            corrupted=True,
-            raw=line,
+            0.0, "", "", line, system, None, Channel.SYSLOG_UDP, True, line
         )
-
-    mon = _MONTHS.get(match.group("mon"))
+    month, day, hh, mm, ss, host, facility, body = match.groups()
+    mon = MONTHS.get(month)
     if mon is None:
         if strict:
             raise SyslogParseError(f"bad month in: {line!r}")
         mon, damaged = 1, True
     else:
         damaged = False
-
     try:
-        timestamp = _epoch(
-            year,
-            mon,
-            int(match.group("day")),
-            int(match.group("hh")),
-            int(match.group("mm")),
-            int(match.group("ss")),
-        )
+        timestamp = float(epoch(year, mon, day, hh, mm, ss))
     except (ValueError, OverflowError):
         if strict:
             raise SyslogParseError(f"bad timestamp in: {line!r}") from None
         timestamp, damaged = 0.0, True
-
-    rest = match.group("rest")
-    fac_match = _FACILITY_RE.match(rest)
-    if fac_match is not None:
-        facility = fac_match.group("fac")
-        body = fac_match.group("body")
-    else:
-        facility = ""
-        body = rest
-
     return LogRecord(
-        timestamp=timestamp,
-        source=match.group("host"),
-        facility=facility,
-        body=body,
-        system=system,
-        channel=Channel.SYSLOG_UDP,
-        corrupted=damaged,
-        raw=line,
+        timestamp, host, facility or "", body, system, None,
+        Channel.SYSLOG_UDP, damaged, line,
     )
 
 
-#: Month abbreviations pinned as a tuple: ``calendar.month_abbr`` is a
-#: locale-aware proxy whose ``__getitem__`` costs a function call per
-#: render — measurable at millions of records.
-_MONTH_ABBR = tuple(calendar.month_abbr)
-
-#: Timestamp-second -> rendered stamp.  Syslog has one-second granularity
-#: and log records arrive in bursts within the same second, so the stamp
-#: — the expensive part of rendering (``gmtime`` plus ``%``-formatting)
-#: — memoizes extremely well.  Bounded: cleared wholesale when full.
-_STAMP_CACHE: dict = {}
-_STAMP_CACHE_MAX = 16384
-
-
-def _stamp_for(second) -> str:
-    stamp = _STAMP_CACHE.get(second)
-    if stamp is None:
-        if len(_STAMP_CACHE) >= _STAMP_CACHE_MAX:
-            _STAMP_CACHE.clear()
-        parts = time.gmtime(second)
-        stamp = "%s %2d %02d:%02d:%02d" % (
-            _MONTH_ABBR[parts.tm_mon],
-            parts.tm_mday,
-            parts.tm_hour,
-            parts.tm_min,
-            parts.tm_sec,
-        )
-        _STAMP_CACHE[second] = stamp
-    return stamp
+#: Day number -> ``"Mmm dd "``; Red Storm's syslog lines share it.
+BSD_DAYS = DayPrefixes(
+    lambda year, month, mday: "%s %2d " % (MONTH_ABBR[month], mday)
+)
 
 
 def render_syslog_line(record: LogRecord) -> str:
@@ -174,18 +106,12 @@ def render_syslog_line(record: LogRecord) -> str:
     """
     if record.corrupted and record.raw is not None:
         return record.raw
-    timestamp = record.timestamp
-    try:
-        # gmtime() floors float seconds; flooring ourselves makes the
-        # memo key exact for every timestamp in the same second.
-        second = int(timestamp // 1)
-    except (TypeError, ValueError, OverflowError):
-        # NaN/exotic timestamps: let gmtime raise its historical error.
-        second = timestamp
-    stamp = _stamp_for(second)
-    if record.facility:
-        return f"{stamp} {record.source} {record.facility}: {record.body}"
-    return f"{stamp} {record.source} {record.body}"
+    day, second = split(record.timestamp)
+    text = f"{record.facility}: {record.body}" if record.facility else record.body
+    return (
+        f"{BSD_DAYS[day]}{COLON_MINUTES[second // 60]}{SECOND_TEXT[second % 60]}"
+        f" {record.source} {text}"
+    )
 
 
 def parse_syslog_stream(

@@ -1,6 +1,7 @@
 """Unit tests for streaming log I/O and volume statistics."""
 
 import gzip
+from itertools import islice
 
 import pytest
 
@@ -133,10 +134,10 @@ class TestReaderHandleLifetime:
     """Regression: the old generator-based reader leaked its file handle
     when a consumer stopped early — closure waited on the GC."""
 
-    def _write_log(self, tmp_path):
-        gen = generate_log("liberty", scale=SCALE, seed=SEED, corruption=0.0)
-        path = tmp_path / "liberty.log"
-        write_log(gen.records, path, "liberty")
+    def _write_log(self, tmp_path, system="liberty"):
+        gen = generate_log(system, scale=SCALE, seed=SEED, corruption=0.0)
+        path = tmp_path / f"{system}.log"
+        write_log(gen.records, path, system)
         return path
 
     def test_handle_closes_on_exhaustion(self, tmp_path):
@@ -183,3 +184,62 @@ class TestReaderHandleLifetime:
         path = self._write_log(tmp_path)
         with pytest.raises(ValueError):
             read_log(path, "liberty", read_ahead=-1)
+
+    #: The driver's view of a reader: every system's stream parser, and
+    #: the read-ahead buffer in front of one.
+    SHAPES = [("liberty", 0), ("liberty", 16), ("bgl", 0), ("redstorm", 0)]
+
+    @pytest.mark.parametrize("system, read_ahead", SHAPES)
+    def test_islice_chunks_drain_the_stream_and_close(
+        self, tmp_path, system, read_ahead
+    ):
+        path = self._write_log(tmp_path, system)
+        whole = list(read_log(path, system))
+        assert len(whole) > 100
+        reader = read_log(path, system, read_ahead=read_ahead)
+        chunks = []
+        while True:
+            chunk = list(islice(reader, 37))
+            if not chunk:
+                break
+            chunks.extend(chunk)
+        assert chunks == whole
+        assert reader.closed
+
+    @pytest.mark.parametrize("system, read_ahead", SHAPES)
+    def test_next_and_for_share_one_stream(self, tmp_path, system, read_ahead):
+        path = self._write_log(tmp_path, system)
+        whole = list(read_log(path, system))
+        reader = read_log(path, system, read_ahead=read_ahead)
+        seen = [next(reader)]
+        for record in reader:
+            seen.append(record)
+            if len(seen) % 3 == 0:
+                try:
+                    seen.append(next(reader))
+                except StopIteration:
+                    break
+        assert seen == whole
+        assert reader.closed
+
+    @pytest.mark.parametrize("system, read_ahead", SHAPES)
+    def test_close_mid_iteration_ends_the_loop(self, tmp_path, system, read_ahead):
+        path = self._write_log(tmp_path, system)
+        reader = read_log(path, system, read_ahead=read_ahead)
+        seen = 0
+        for _ in reader:
+            seen += 1
+            if seen == 5:
+                reader.close()
+        assert seen == 5
+        assert reader.closed
+        with pytest.raises(StopIteration):
+            next(reader)
+        reader.close()
+
+    def test_a_temporary_reader_is_iterated_to_the_end(self, tmp_path):
+        path = self._write_log(tmp_path)
+        count = 0
+        for _ in read_log(path, "liberty"):
+            count += 1
+        assert count == len(list(read_log(path, "liberty")))

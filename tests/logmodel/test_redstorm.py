@@ -94,3 +94,54 @@ class TestDispatch:
             Channel.SYSLOG_UDP, Channel.RAS_TCP, Channel.DDN,
         ]
         assert not any(r.corrupted for r in records)
+
+
+class TestImpossibleTimestamps:
+    """``calendar.timegm`` normalises out-of-range fields ("Feb 31
+    25:61:61" is three days later), so both formats used to parse such a
+    stamp clean and late; a Liberty or BG/L line with it is corrupted."""
+
+    SYSLOG_STAMPS = [
+        "Feb 31 12:00:00", "Feb 29 12:00:00", "Apr 31 00:00:00",
+        "Mar  0 12:00:00", "Mar 32 12:00:00", "Mar 19 24:00:00",
+        "Mar 19 12:60:00", "Mar 19 12:00:61", "Feb 31 25:61:61",
+    ]
+    RAS_STAMPS = [
+        "2006-02-31 12:00:00", "2006-02-29 12:00:00", "2006-04-31 00:00:00",
+        "2006-03-00 12:00:00", "2006-03-32 12:00:00", "2006-13-01 12:00:00",
+        "2006-00-10 12:00:00", "2006-03-19 25:00:00", "2006-03-19 12:60:00",
+        "2006-03-19 12:00:61", "2006-02-31 25:61:61",
+    ]
+
+    @pytest.mark.parametrize("stamp", SYSLOG_STAMPS)
+    def test_syslog_path(self, stamp):
+        line = f"{stamp} c0-0c0s0n0 CRIT kernel: hello"
+        for parse in (parse_redstorm_syslog_line, parse_redstorm_line):
+            record = parse(line, 2006)
+            assert record.corrupted
+            assert record.timestamp == 0.0
+            assert record.channel is Channel.SYSLOG_UDP
+            assert render_redstorm_line(record) == line
+            with pytest.raises(RedStormParseError, match="bad timestamp in: "):
+                parse(line, 2006, strict=True)
+
+    @pytest.mark.parametrize("stamp", RAS_STAMPS)
+    def test_ras_path(self, stamp):
+        line = f"{stamp} ec_heartbeat_stop src:::c0-0c1s2n3 svc:::c0-0c1s2n3"
+        for record in (parse_redstorm_ras_line(line),
+                       parse_redstorm_line(line, 2006)):
+            assert record.corrupted
+            assert record.timestamp == 0.0
+            assert record.channel is Channel.RAS_TCP
+        with pytest.raises(RedStormParseError, match="bad timestamp in: "):
+            parse_redstorm_ras_line(line, strict=True)
+        with pytest.raises(RedStormParseError, match="bad timestamp in: "):
+            parse_redstorm_line(line, 2006, strict=True)
+
+    def test_leap_second_and_leap_day_stay_valid(self):
+        assert not parse_redstorm_syslog_line(
+            "Feb 29 23:59:60 c0-0c0s0n0 CRIT kernel: hello", 2004
+        ).corrupted
+        assert not parse_redstorm_ras_line(
+            "2004-02-29 23:59:60 ec_x src:::c0 svc:::c0"
+        ).corrupted
