@@ -19,7 +19,7 @@ baseline — CI runners are not 3x slower than the recording host), and
 every driver must stay output-equivalent to serial before its number
 counts (a fast wrong pipeline is not a result).
 
-Two ratchets keep the batch-first engine honest beyond simple
+Three ratchets keep the batch-first engine honest beyond simple
 regression checks.  First, the *committed baseline itself* must record
 serial throughput at least ``SERIAL_RATCHET``x the pre-batch-engine
 seed (113,686.5 rec/s, measured on the same class of host that records
@@ -27,7 +27,10 @@ baselines — so the comparison is already host-normalized): nobody can
 quietly re-baseline the compiled-ruleset fast path away.  Second, the
 measured sharded/serial ratio must clear a floor keyed off the host's
 cores: near-parity (the byte-buffer boundary is cheap) even on one
-core, a real win once four or more cores are available.
+core, a real win once four or more cores are available.  Third, the
+measured bounded/serial ratio must clear ``BOUNDED_MIN_RATIO``: with
+nothing shed the bounded pump may cost a queue and a shed decision per
+record, not a second pass through the rules engine.
 
 Exit 1 on any violated floor or ratchet, any equivalence break, or a
 baseline/matrix mismatch (a driver added to the engine but missing from
@@ -96,6 +99,13 @@ SERIAL_RATCHET = 3.0
 SHARDED_MIN_RATIO = 0.8
 SHARDED_MULTI_CORE_RATIO = 1.5
 SHARDED_MULTI_CORE_AT = 4
+
+#: Measured bounded/serial ratio floor (before tolerance) on the same
+#: stream: with roomy buffers nothing is shed, so what separates the two
+#: is the pump — admission, one tag pass and the shed decision at
+#: arrival, the queue, the per-tick kernel call.  Before the verdict
+#: rode the queue every record was matched twice and this read 0.48x.
+BOUNDED_MIN_RATIO = 0.7
 
 #: Timing runs per driver; the best is scored.  Benchmark noise on a
 #: busy runner is one-sided — the scheduler can only make a run look
@@ -230,6 +240,20 @@ def main(argv=None) -> int:
                 f"{ratio_floor:.2f}x floor for a {cores}-core host "
                 f"(target {target:.2f}x less tolerance): the shard "
                 "boundary has gotten expensive relative to serial"
+            )
+
+    if "bounded" in measured:
+        ratio = measured["bounded"] / measured["serial"]
+        ratio_floor = BOUNDED_MIN_RATIO * (1.0 - args.tolerance)
+        verdict = "ok" if ratio >= ratio_floor else "REGRESSION"
+        print(f"  bounded/serial ratio {ratio:.2f}x "
+              f"(floor {ratio_floor:.2f}x)  {verdict}")
+        if ratio < ratio_floor:
+            failures.append(
+                f"bounded/serial ratio {ratio:.2f}x below the "
+                f"{ratio_floor:.2f}x floor (target {BOUNDED_MIN_RATIO:.2f}x "
+                "less tolerance): the bounded pump has gotten expensive "
+                "relative to serial"
             )
 
     if "serial-predict" in measured:

@@ -21,8 +21,8 @@ an analysis needs on one :class:`~repro.engine.result.PipelineResult`.
 
 The execution knobs compose orthogonally — ``parallel`` with
 ``checkpointer``/``resume_from`` (snapshots at batch barriers),
-``parallel`` with ``backpressure`` (the bounded ingest queue feeds the
-sharded tagger's in-flight window), and either with supervision — see
+``parallel`` with ``backpressure`` (the pool tags each tick's arrivals
+ahead of the bounded queue), and either with supervision — see
 :data:`repro.engine.capabilities.CAPABILITY_TABLE`.
 """
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Pattern, Sequence, Tuple
 
-from ..logmodel.record import LogRecord
+from ..logmodel.record import LogRecord, full_texts
 from .categories import Alert, CategoryDef, Ruleset
 from .rules.compiled import CompiledRuleset, compiled_ruleset, scoped_pattern
 
@@ -132,24 +132,28 @@ class Tagger:
     def tag_batch(self, records: Sequence[LogRecord]) -> "BatchOutcome":
         """Tag one batch, returning a compact, picklable outcome.
 
-        This is the unit of work the parallel execution layer ships to
-        worker processes (:mod:`repro.parallel`), and also the serial
-        fallback a crashed batch is retried through, so serial and
-        parallel tagging share one code path.  The outcome records only
-        the *hits* (almost every record in a real log matches no rule)
-        and the per-record failures, exactly mirroring
-        :meth:`tag_stream`'s quarantine semantics.
+        This is the outcome contract of the parallel execution layer
+        (:mod:`repro.parallel`), its serial fallback for a crashed batch,
+        and how the bounded driver tags a tick's arrivals in process:
+        one :meth:`match_texts` pass, the per-record loop only when that
+        raises.  The outcome records only the *hits* (almost every
+        record in a real log matches no rule) and the per-record
+        failures, mirroring :meth:`tag_stream`'s quarantine semantics.
         """
-        hits: List[Tuple[int, Alert]] = []
         errors: List[Tuple[int, str]] = []
-        for index, record in enumerate(records):
-            try:
-                alert = self.tag(record)
-            except Exception as exc:
-                errors.append((index, repr(exc)))
-                continue
-            if alert is not None:
-                hits.append((index, alert))
+        try:
+            matches = self.match_texts(full_texts(records))
+            hits = [(i, Alert.from_record(records[i], cat)) for i, cat in matches]
+        except Exception:  # some record crashes the rules engine: find which
+            hits = []
+            for index, record in enumerate(records):
+                try:
+                    alert = self.tag(record)
+                except Exception as exc:
+                    errors.append((index, repr(exc)))
+                    continue
+                if alert is not None:
+                    hits.append((index, alert))
         return BatchOutcome(size=len(records), hits=tuple(hits),
                             errors=tuple(errors))
 

@@ -93,7 +93,7 @@ CAPABILITY_TABLE = {
             name="bounded-sharded",
             checkpoint_barrier="drained-queues",
             equivalence=SHED_TOLERANCE,
-            notes="bounded ingest feeding the sharded tagger's window",
+            notes="sharded tagging at arrival, ahead of the bounded ingest queue",
         ),
         DriverCapabilities(
             name="service",

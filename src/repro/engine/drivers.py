@@ -15,9 +15,9 @@ three hand-forked loops the pipeline used to carry:
   the order-preserving merge;
 * :class:`BoundedDriver` — one tick loop over one bounded ingest queue,
   with credit-based flow control and priority-aware load shedding at
-  arrival; give it a :class:`~repro.parallel.config.ParallelConfig` too
-  and each tick's drain is tagged through the worker pool (the bounded
-  queue feeds the sharded tagger's already-bounded in-flight window).
+  arrival, where each tick's arrivals are tagged once and the verdict
+  rides the queue; give it a :class:`~repro.parallel.config.
+  ParallelConfig` too and that one tag pass goes through the worker pool.
 
 Checkpointing is orthogonal to all three: every driver accepts a
 :class:`~repro.resilience.checkpoint.CheckpointManager` and snapshots at
@@ -31,11 +31,12 @@ byte-identical (bounded: within shedding tolerance).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 
+from ..core.tagging import BatchOutcome
 from ..logmodel.record import LogRecord
 from ..parallel.config import ParallelConfig
 from ..parallel.sharded import ShardedTagger, chunked
@@ -174,16 +175,18 @@ class BoundedDriver:
 
     Per tick the source offers ``arrival_batch`` records — credit-paced
     for a pausable source (nothing lost), shed-policy-gated for an
-    unpausable one (every loss accounted) — and the pump serves
-    ``service_batch`` of them from the queue through
-    :meth:`AlertPath.process_batch`.  Sustained overload (the monitor's
+    unpausable one (every loss accounted).  They are admitted and tagged
+    **once**, at the door — in process, or chunked through the worker
+    pool of a :class:`ParallelConfig`, the only place the two seams
+    differ — and the verdict (alert, nothing, or the tagger error's
+    ``repr``) is what the shed policy classifies from and what rides the
+    queue beside the record; the pump serves ``service_batch`` of those
+    pairs to :meth:`AlertPath.process_batch` as a finished outcome.  A
+    record the rules engine fails on classes as a tagged alert (may
+    spill, never shed) and the kernel's replay dead-letters it
+    ``tagger-error`` in stream order.  Sustained overload (the monitor's
     high-watermark flag) optionally degrades the run — coarse stats,
     larger filter ``T`` — instead of growing without bound.
-
-    A :class:`ParallelConfig` changes only where the tag outcome comes
-    from: each tick's drain is chunked through the worker pool (its
-    in-flight window bounded by ``max_inflight``) and the merged
-    outcomes reach the kernel in stream order.
 
     Checkpoints are taken only at drained-queue barriers, where every
     consumed record has been processed, quarantined, or shed; shedding
@@ -219,9 +222,7 @@ class BoundedDriver:
         window = (
             path.threshold if config.dedup_window is None else config.dedup_window
         )
-        policy = get_shed_policy(
-            config.shed_policy, dedup_window=window
-        ).bind(path.tagger)
+        policy = get_shed_policy(config.shed_policy, dedup_window=window)
         if path.resumed_shed_state is not None:
             policy.load_state_dict(path.resumed_shed_state)
         accounting = (
@@ -239,6 +240,7 @@ class BoundedDriver:
             ),
         ))
         gate = CreditGate(ingest_q)
+        decide, pressure, put = policy.decide, ingest_q.pressure, ingest_q.put
         sharded = (
             ShardedTagger(path.system, self.parallel)
             if self.parallel is not None else None
@@ -251,42 +253,52 @@ class BoundedDriver:
                     want = config.arrival_batch
                     if config.source_pausable:
                         want = gate.acquire(want)
-                    arrived = 0
-                    for record in islice(source, want):
-                        arrived += 1
-                        if not path.admit(record):
-                            continue
-                        decision, klass = policy.decide(
-                            record, ingest_q.pressure()
+                    arrivals = list(islice(source, want))
+                    exhausted = len(arrivals) < want
+                    monitor.note_throughput("arrive", len(arrivals))
+                    if all(map(path.valid, arrivals)):
+                        path.consumed += len(arrivals)
+                    else:
+                        arrivals = [r for r in arrivals if path.admit(r)]
+                    # The one place the two tag seams differ: matched in
+                    # process, or shipped through the pool, whose merge
+                    # hands outcomes back in stream order.
+                    tagged = (
+                        ((arrivals, path.tagger.tag_batch(arrivals)),)
+                        if sharded is None else sharded.tag_batches(
+                            chunked(arrivals, self.parallel.batch_size)
                         )
-                        accounting.count_offered(klass)
-                        if decision == SHED:
-                            accounting.count_shed(klass)
-                        elif decision == SPILL or not ingest_q.put(record):
-                            accounting.count_spilled(klass)
-                            path.dead_letters.put(
-                                record, REASON_SHED_OVERLOAD, klass
-                            )
-                    exhausted = arrived < want
-                    monitor.note_throughput("arrive", arrived)
-
-                # The one place the two tag seams differ: matched in
-                # process, or shipped through the pool, whose merge hands
-                # outcomes back in stream order.
-                batch = ingest_q.take(config.service_batch)
-                tagged = (
-                    ((batch, None),) if sharded is None
-                    else sharded.tag_batches(
-                        chunked(batch, self.parallel.batch_size)
                     )
-                )
-                offered = sum(
-                    len(path.process_batch(part, outcome, admitted=True))
-                    for part, outcome in tagged
+                    offered, shed, spilled = [], [], []
+                    for part, outcome in tagged:
+                        found = dict(chain(outcome.hits, outcome.errors))
+                        for item in zip(part, map(found.get, range(len(part)))):
+                            record, verdict = item
+                            decision, klass = decide(record, pressure(), verdict)
+                            offered.append(klass)
+                            if decision == SHED:
+                                shed.append(klass)
+                            elif decision == SPILL or not put(item):
+                                spilled.append(klass)
+                                path.dead_letters.put(
+                                    record, REASON_SHED_OVERLOAD, klass
+                                )
+                    for count, klasses in ((accounting.count_offered, offered),
+                                           (accounting.count_shed, shed),
+                                           (accounting.count_spilled, spilled)):
+                        for klass, n in Counter(klasses).items():
+                            count(klass, n)
+
+                batch = ingest_q.take(config.service_batch)
+                marks = [(i, v) for i, (_, v) in enumerate(batch) if v is not None]
+                hits = tuple(m for m in marks if not isinstance(m[1], str))
+                errors = tuple(m for m in marks if isinstance(m[1], str))
+                alerts = path.process_batch(
+                    [record for record, _ in batch],
+                    BatchOutcome(len(batch), hits, errors), admitted=True,
                 )
                 monitor.note_throughput("tag", len(batch))
-                monitor.note_throughput("filter", offered)
-
+                monitor.note_throughput("filter", len(alerts))
                 monitor.sample()
                 # Degraded mode is path state, not a pump local: it rides
                 # the checkpoint, so a resumed pump is in it already.
@@ -301,7 +313,7 @@ class BoundedDriver:
                         f"{path.filter.threshold:g}s, stats coarsened"
                     )
                 if checkpointer is not None and not ingest_q:
-                    # A true barrier: the tick's drain was fully merged
+                    # A true barrier: the tick's drain was fully processed
                     # and offered, nothing is queued or in flight.
                     checkpointer.maybe(
                         path.consumed,

@@ -183,12 +183,9 @@ class AlertPath:
 
     # -- admission ---------------------------------------------------------
 
-    @staticmethod
-    def valid(record: LogRecord) -> bool:
-        """Structural validity, with no side effects (drivers that ship
-        records elsewhere check ahead of time; quarantine still happens
-        in stream order via :meth:`admit`)."""
-        return _valid_record(record)
+    #: Structural validity, no side effects: drivers check a batch ahead
+    #: of time; quarantine still happens in stream order via :meth:`admit`.
+    valid = staticmethod(_valid_record)
 
     def admit(self, record: LogRecord) -> bool:
         """Count one input record; quarantine the structurally invalid
@@ -277,11 +274,11 @@ class AlertPath:
         hot path.  The two are byte-identical, which
         ``tests/engine/test_batch_flow.py`` pins for any partition.
 
-        ``outcome`` is the tag outcome a worker pool already computed
-        over the records that pass :meth:`valid` (strict mode: over all
-        of them); without one the batch is matched in process.
-        ``admitted`` says the caller already ran :meth:`admit` on every
-        record (the bounded driver admits at arrival).
+        ``outcome`` is the tag outcome already computed (by a worker
+        pool, or by the bounded driver at arrival) over the records that
+        pass :meth:`valid` (strict mode: over all of them); without one
+        the batch is matched in process.  ``admitted`` says the caller
+        already ran :meth:`admit` on every record (the bounded driver).
         """
         if not records:
             return []

@@ -127,13 +127,14 @@ class BoundedQueue:
 
     def put(self, item: Any) -> bool:
         """Append ``item``; ``False`` (and no append) when full."""
-        if len(self._items) >= self.capacity:
+        items = self._items
+        if len(items) >= self.capacity:
             self.refused += 1
             return False
-        self._items.append(item)
+        items.append(item)
         self.total_in += 1
-        if len(self._items) > self.peak_occupancy:
-            self.peak_occupancy = len(self._items)
+        if len(items) > self.peak_occupancy:
+            self.peak_occupancy = len(items)
         return True
 
     def get(self) -> Any:
@@ -145,9 +146,9 @@ class BoundedQueue:
     def take(self, n: int) -> List[Any]:
         """Pop up to ``n`` oldest items as a list (a service-stage drain
         that hands one tick's worth to a batch consumer)."""
-        out: List[Any] = []
-        while len(out) < n and self._items:
-            out.append(self.get())
+        popleft = self._items.popleft
+        out = [popleft() for _ in range(min(n, len(self._items)))]
+        self.total_out += len(out)
         return out
 
     def pressure(self) -> PressureLevel:

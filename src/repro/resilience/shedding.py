@@ -37,6 +37,7 @@ CLASS_DUPLICATE = "duplicate-alert"
 CLASS_ALERT = "tagged-alert"
 
 Decision = Tuple[str, str]  # (KEEP | SHED | SPILL, shed class)
+UNMATCHED = object()  # ``verdict`` default: the policy does the matching
 
 
 class ShedAccounting:
@@ -56,17 +57,17 @@ class ShedAccounting:
         # accounting object is shared across threads or tenant tasks.
         self._lock = threading.Lock()
 
-    def count_offered(self, klass: str) -> None:
+    def count_offered(self, klass: str, n: int = 1) -> None:
         with self._lock:
-            self.offered[klass] = self.offered.get(klass, 0) + 1
+            self.offered[klass] = self.offered.get(klass, 0) + n
 
-    def count_shed(self, klass: str) -> None:
+    def count_shed(self, klass: str, n: int = 1) -> None:
         with self._lock:
-            self.shed[klass] = self.shed.get(klass, 0) + 1
+            self.shed[klass] = self.shed.get(klass, 0) + n
 
-    def count_spilled(self, klass: str) -> None:
+    def count_spilled(self, klass: str, n: int = 1) -> None:
         with self._lock:
-            self.spilled[klass] = self.spilled.get(klass, 0) + 1
+            self.spilled[klass] = self.spilled.get(klass, 0) + n
 
     @property
     def total_offered(self) -> int:
@@ -100,9 +101,11 @@ class ShedPolicy:
     """Base policy: classification plus a (subclass-supplied) decision.
 
     Classification needs the system's expert ruleset — the tagger *is*
-    the priority oracle — so the pipeline binds its tagger via
-    :meth:`bind` before the first decision.  An **unbound** policy
-    classifies everything as :data:`CLASS_ALERT`: with no way to tell
+    the priority oracle.  The bounded driver, which tags every record
+    anyway, passes :meth:`decide` that ``verdict`` so the rules engine is
+    asked once; other callers :meth:`bind` their tagger and the policy
+    matches.  An **unbound** policy, like a verdict that is a tagger
+    error, classifies as :data:`CLASS_ALERT`: with no way to tell
     chatter from alerts, the only safe degradation is to spill with
     accounting, never to shed.
 
@@ -132,15 +135,21 @@ class ShedPolicy:
         self._tagger = tagger
         return self
 
-    def classify(self, record) -> str:
-        if self._tagger is None:
-            return CLASS_ALERT
-        category = self._tagger.match(record)
-        if category is None:
+    def classify(self, record, verdict=UNMATCHED) -> str:
+        """The record's shed class; ``verdict`` (the alert, ``None``, or
+        the tagger error's ``repr``) stands in for the match made here."""
+        if verdict is UNMATCHED and self._tagger is not None:
+            category = self._tagger.match(record)
+            name = category and category.name
+        elif verdict is UNMATCHED or isinstance(verdict, str):
+            return CLASS_ALERT  # unbound, or the rules engine failed on it
+        else:
+            name = verdict and verdict.category
+        if name is None:
             return CLASS_CHATTER
         with self._lock:
-            last = self._last_seen.get(category.name)
-            self._last_seen[category.name] = record.timestamp
+            last = self._last_seen.get(name)
+            self._last_seen[name] = record.timestamp
         if last is not None and 0 <= record.timestamp - last < self.dedup_window:
             return CLASS_DUPLICATE
         return CLASS_ALERT
@@ -156,7 +165,7 @@ class ShedPolicy:
         with self._lock:
             self._last_seen = dict(state) if state else {}
 
-    def decide(self, record, level: PressureLevel) -> Decision:
+    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
         raise NotImplementedError
 
 
@@ -166,8 +175,8 @@ class PriorityShedPolicy(ShedPolicy):
 
     name = "priority"
 
-    def decide(self, record, level: PressureLevel) -> Decision:
-        klass = self.classify(record)
+    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+        klass = self.classify(record, verdict)
         if level is PressureLevel.NORMAL:
             return KEEP, klass
         if klass == CLASS_CHATTER:
@@ -185,8 +194,8 @@ class ChatterOnlyShedPolicy(ShedPolicy):
 
     name = "chatter-only"
 
-    def decide(self, record, level: PressureLevel) -> Decision:
-        klass = self.classify(record)
+    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+        klass = self.classify(record, verdict)
         if level is PressureLevel.NORMAL:
             return KEEP, klass
         if klass == CLASS_CHATTER:
@@ -202,8 +211,8 @@ class NoShedPolicy(ShedPolicy):
 
     name = "none"
 
-    def decide(self, record, level: PressureLevel) -> Decision:
-        klass = self.classify(record)
+    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+        klass = self.classify(record, verdict)
         if level is PressureLevel.CRITICAL:
             return SPILL, klass
         return KEEP, klass

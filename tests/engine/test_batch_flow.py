@@ -1,4 +1,5 @@
-"""The batch kernel against the per-record reference.
+"""The batch kernel, and the bounded pump, against the per-record
+reference.
 
 :meth:`AlertPath.process_batch` is the only batch shape the drivers
 have, so one differential carries the whole contract: for *any*
@@ -8,6 +9,11 @@ outcome (matched in process, or handed in as a worker pool would hand
 it), the kernel must leave the path exactly where the
 ``admit``/``process`` loop leaves it: same result, same ``consumed``,
 and the same dead letters *in the same order*.
+
+The bounded driver feeds that kernel a verdict it computed at arrival
+and carried through its queue, so the same differential — faults
+included, both tag seams — holds it to the reference too, and a counting
+tagger pins that the verdict is the only match a record ever gets.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ from hypothesis import strategies as st
 
 from repro.core.rules import get_ruleset
 from repro.core.tagging import Tagger
-from repro.engine.drivers import SERIAL_BATCH_SIZE
+from repro.engine.drivers import SERIAL_BATCH_SIZE, BoundedDriver
 from repro.engine.path import AlertPath
+from repro.parallel.config import ParallelConfig
+from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.deadletter import (
     DeadLetterQueue,
     REASON_INVALID_RECORD,
@@ -74,10 +82,10 @@ def inject(records, faults):
     return stream
 
 
-def path_options(system, quarantine):
+def path_options(system, quarantine, tagger=PoisonTagger):
     return {
         "dead_letters": DeadLetterQueue() if quarantine else None,
-        "tagger": PoisonTagger(get_ruleset(system)),
+        "tagger": tagger(get_ruleset(system)),
     }
 
 
@@ -182,3 +190,65 @@ def test_empty_batch_is_a_no_op():
     assert path.process_batch([]) == []
     assert path.consumed == 0
     assert path.result().raw_alert_count == 0
+
+
+#: One fault of each kind per tick at most, an invalid record never
+#: behind a tagger error or a backwards alert of its own tick: admission
+#: letters are written at arrival and the kernel's at the drain, so
+#: across those two the bounded pump keeps stream order tick by tick.
+BOUNDED_FAULTS = [
+    (20, REASON_INVALID_RECORD), (40, REASON_TAGGER_ERROR),
+    (50, REASON_OUT_OF_ORDER), (130, REASON_TAGGER_ERROR),
+    (131, REASON_TAGGER_ERROR), (200, REASON_OUT_OF_ORDER),
+    (270, REASON_INVALID_RECORD), (330, REASON_TAGGER_ERROR),
+    (400, REASON_TAGGER_ERROR),
+]
+SEAMS = {"in-process": None, "pool": ParallelConfig(workers=2, batch_size=16)}
+
+
+class CountingTagger(Tagger):
+    """Counts every text the rules engine is asked about in this process."""
+
+    texts_matched = 0
+
+    def match_text(self, text):
+        self.texts_matched += 1
+        return super().match_text(text)
+
+    def match_texts(self, texts):
+        self.texts_matched += len(texts)
+        return super().match_texts(texts)
+
+
+@pytest.mark.parametrize("seam", SEAMS)
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+class TestBoundedEqualsReference:
+    def test_faulted_stream(self, golden_records, system, seam):
+        """Roomy buffers shed nothing, so the pump must land exactly on
+        the reference — quarantined records, their order and ``consumed``
+        included.  The pool's workers run the registered ruleset, which
+        no valid record can crash, so there the poison bodies are plain
+        chatter on both sides."""
+        tagger = PoisonTagger if seam == "in-process" else Tagger
+        stream = inject(golden_records[system], BOUNDED_FAULTS)
+        got = AlertPath(system, **path_options(system, True, tagger))
+        BoundedDriver(BackpressureConfig(), SEAMS[seam]).run(iter(stream), got)
+        want = reference_path(
+            system, stream, **path_options(system, True, tagger)
+        )
+        assert observable(got) == observable(want)
+        errors = want.dead_letters.by_reason.get(REASON_TAGGER_ERROR, 0)
+        assert errors == (5 if seam == "in-process" else 0)
+
+    def test_one_match_per_record(self, golden_records, system, seam):
+        """The verdict taken at arrival is the only match: every admitted
+        record's text reaches this process's rules engine once, or — with
+        the workers doing the matching — never."""
+        records = golden_records[system]
+        for config in (BackpressureConfig(), BackpressureConfig.burst()):
+            path = AlertPath(system, **path_options(system, True, CountingTagger))
+            BoundedDriver(config, SEAMS[seam]).run(iter(records), path)
+            assert path.consumed == len(records)
+            assert path.tagger.texts_matched == (
+                len(records) if seam == "in-process" else 0
+            )

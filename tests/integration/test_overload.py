@@ -11,6 +11,7 @@ or spill accounting), and overload metrics surfaced in
 import pytest
 
 from repro import api as pipeline
+from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.deadletter import REASON_SHED_OVERLOAD
 from repro.resilience.faults import FaultConfig
@@ -121,6 +122,49 @@ class TestBurstWorkload:
         assert "shed:" in text
         assert "spilled:" in text
         assert "overload samples:" in text
+
+
+#: ``scripts/overload_regression.py``'s workload (scale 2e-5, BG/L at
+#: 100x, seed 2007, a 10x burst over a 512-record buffer) and what it has
+#: always printed: records admitted / shed / spilled.  Which records a
+#: burst loses is decided per record from the pressure that record meets
+#: and the class its tag verdict gives it, so any change to where or how
+#: the bounded pump tags shows up here first.
+PINNED_BURST_LOSSES = {
+    "bgl": (1_515, 8_627, 251),
+    "liberty": (1_120, 4_693, 548),
+    "redstorm": (1_065, 4_034, 705),
+    "spirit": (1_532, 4_782, 3_964),
+    "thunderbird": (1_120, 3_850, 1_277),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PINNED_BURST_LOSSES))
+def test_burst_losses_are_pinned_on_both_tag_seams(system):
+    reports = [
+        (result.message_count, result.overload)
+        for result in (
+            pipeline.run_system(
+                system, scale=2e-5 * (100 if system == "bgl" else 1),
+                seed=2007, parallel=parallel,
+                backpressure=BackpressureConfig.burst(
+                    factor=10.0, service_batch=32, max_buffer=512,
+                ),
+            )
+            for parallel in (None, ParallelConfig(workers=2))
+        )
+    ]
+    for admitted, report in reports:
+        assert (admitted, report.total_shed, report.total_spilled) \
+            == PINNED_BURST_LOSSES[system]
+        assert report.queue_peaks == report.queue_capacities == {"ingest": 512}
+    in_process, pooled = (report for _, report in reports)
+    for field_name in (
+        "offered_by_class", "shed_by_class", "spilled_by_class",
+        "stage_throughput", "samples", "events",
+    ):
+        assert getattr(in_process, field_name) == getattr(pooled, field_name), \
+            field_name
 
 
 class TestDegradedMode:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.rules import get_ruleset
 from repro.core.tagging import Tagger
+from repro.logio.reader import read_log
 from repro.logmodel.record import LogRecord
 from repro.resilience.backpressure import KEEP, SHED, SPILL, PressureLevel
 from repro.resilience.shedding import (
@@ -17,6 +18,8 @@ from repro.resilience.shedding import (
     ShedAccounting,
     get_shed_policy,
 )
+
+from ..engine.conftest import ALL_SYSTEMS, GOLDEN_DIR, load_expected
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,44 @@ class TestClassification:
                                         PressureLevel.CRITICAL)
         assert decision == SPILL
         assert klass == CLASS_ALERT
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+@pytest.mark.parametrize("level", list(PressureLevel))
+@pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+def test_told_the_verdict_equals_matching_it(policy_name, level, system):
+    """A caller that has already tagged the record hands ``decide`` the
+    verdict; that must choose exactly what the self-matching form
+    chooses — class, decision and the duplicate lookback it leaves."""
+    records = list(read_log(
+        GOLDEN_DIR / f"{system}.log", system, year=load_expected(system)["year"]
+    ))
+    system_tagger = Tagger(get_ruleset(system))
+    matching = get_shed_policy(policy_name, dedup_window=5.0).bind(system_tagger)
+    told = get_shed_policy(policy_name, dedup_window=5.0)
+    assert [told.decide(r, level, system_tagger.tag(r)) for r in records] \
+        == [matching.decide(r, level) for r in records]
+    assert told.state_dict() == matching.state_dict() != {}
+
+
+class TestToldVerdict:
+    def test_tagger_error_is_unclassifiable(self, make_alert_record):
+        """What the rules engine failed on may spill, never be shed —
+        the unbound rule — and leaves the duplicate lookback alone."""
+        policy = PriorityShedPolicy(dedup_window=5.0)
+        error = repr(RuntimeError("regex engine fell over"))
+        for level, decision in (
+            (PressureLevel.NORMAL, KEEP), (PressureLevel.ELEVATED, KEEP),
+            (PressureLevel.CRITICAL, SPILL),
+        ):
+            assert policy.decide(make_alert_record(0.0), level, error) \
+                == (decision, CLASS_ALERT)
+        assert policy.state_dict() == {}
+
+    def test_no_verdict_is_chatter_even_unbound(self):
+        policy = PriorityShedPolicy()
+        assert policy.decide(_record(0.0, "x"), PressureLevel.ELEVATED, None) \
+            == (SHED, CLASS_CHATTER)
 
 
 class TestPriorityPolicy:
@@ -153,6 +194,15 @@ class TestAccounting:
         assert accounting.total_offered == 6
         assert accounting.admitted == 4
         assert "shed" in accounting.summary()
+
+    def test_counts_take_a_count(self):
+        """A tick hands over one count per class, not one call per record."""
+        accounting = ShedAccounting()
+        accounting.count_offered(CLASS_CHATTER, 64)
+        accounting.count_shed(CLASS_CHATTER, 60)
+        accounting.count_spilled(CLASS_ALERT, 3)
+        accounting.count_offered(CLASS_ALERT, 3)
+        assert (accounting.total_offered, accounting.admitted) == (67, 4)
 
     def test_empty_summary(self):
         assert ShedAccounting().summary() == "nothing shed"
