@@ -12,6 +12,12 @@ while injecting every failure mode the service claims to survive:
   quarantined — with every subsequent arrival still accounted;
 * **bursty** tenants that send 10x-sized bursts at 1/10 frequency;
 * **churny** tenants that reconnect for every chunk (connection churn);
+* **ragged** tenants whose bytes leave in 1-3,000-byte slices cut at
+  arbitrary offsets — inside a line, inside an envelope — with one
+  70 kB line in the middle of every connection's first write: the
+  listener must frame the slices back into the lines that were sent and
+  account the over-long one once (truncated, a corrupted record of its
+  tenant) without eating the lines behind it;
 * **lossy** tenants whose lines first pass through the simulated
   :class:`UdpSyslogChannel` at the sender, so wire drops are attributed
   there and end-to-end accounting stays exact;
@@ -34,8 +40,9 @@ Failure conditions (any -> exit 1):
   class that must never be shed);
 * a control tenant shed, refused, crashed, or reported an alert count
   different from the serial baseline;
-* a doomed tenant failed to quarantine, or no crash/burst/churn was
-  actually exercised (the soak must prove what it claims);
+* the service saw a different number of wire lines than were sent;
+* a doomed tenant failed to quarantine, or no crash/burst/churn/ragged
+  write was actually exercised (the soak must prove what it claims);
 * any queue's peak occupancy exceeded its capacity.
 
 Usage::
@@ -49,6 +56,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
+import random
 import sys
 import tempfile
 import time
@@ -109,6 +117,8 @@ def build_specs(n_tenants: int, seed: int):
                 roles.add("lossy")
             if i % 3 == 0:
                 roles.add("churn")
+            if i % 5 == 3:
+                roles.add("ragged")
             roles = frozenset(roles)
         specs.append(TenantSpec(i, system, roles))
     return specs
@@ -190,18 +200,27 @@ def serial_baselines(parsed_streams):
     return baselines
 
 
-async def sender(service, spec, pace: float):
+#: A line longer than the listener's 64 KiB limit, sent once per
+#: connection by the ragged tenants.
+OVER_LONG_LINE_BYTES = 70_000
+
+
+async def sender(service, spec, pace: float, seed: int):
     """Stream one tenant's lines over TCP with its roles' behaviors."""
     chunk = 200
     burst_every = 10
     writer = None
+    ragged = "ragged" in spec.roles
+    rng = random.Random(seed + spec.index)
+    over_long_due = False
 
     async def connect():
-        nonlocal writer
+        nonlocal writer, over_long_due
         _, writer = await asyncio.open_connection(
             "127.0.0.1", service.tcp_port
         )
         spec.connections += 1
+        over_long_due = ragged
 
     await connect()
     i, chunk_no = 0, 0
@@ -214,8 +233,23 @@ async def sender(service, spec, pace: float):
         batch = spec.lines[i:i + max(1, size)]
         i += len(batch)
         chunk_no += 1
-        writer.write(("\n".join(batch) + "\n").encode())
-        await writer.drain()
+        if over_long_due:
+            over_long_due = False
+            head = f"@{spec.tenant_id}:{spec.system} "
+            batch = list(batch)
+            batch.insert(
+                len(batch) // 2,
+                head + "x" * (OVER_LONG_LINE_BYTES - len(head)),
+            )
+        data = ("\n".join(batch) + "\n").encode()
+        at = 0
+        while at < len(data):
+            size = rng.randint(1, 3000) if ragged else len(data)
+            writer.write(data[at:at + size])
+            await writer.drain()
+            at += size
+            if ragged:
+                await asyncio.sleep(0)  # let the listener see the cut
         spec.sent += len(batch)
         if "churn" in spec.roles:
             writer.close()
@@ -299,7 +333,9 @@ async def run_soak(args) -> int:
     n_chunks = max(1, total_lines // (len(specs) * 200))
     pace = seconds / n_chunks
     started = time.monotonic()
-    await asyncio.gather(*(sender(service, s, pace) for s in specs))
+    await asyncio.gather(
+        *(sender(service, s, pace, args.seed) for s in specs)
+    )
     send_elapsed = time.monotonic() - started
     await service.drain()
     print(f"sent in {send_elapsed:.1f}s; drained {service.state!r} "
@@ -377,6 +413,11 @@ def check(service, specs, baselines) -> int:
     expect(quarantined >= doomed,
            f"{quarantined} quarantined < {doomed} doomed tenants")
     expect(churned > len(specs), "no connection churn happened")
+    expect(any("ragged" in s.roles for s in specs),
+           "no tenant wrote ragged slices")
+    sent = sum(s.sent for s in specs)
+    expect(service.router.lines_seen == sent,
+           f"{sent} wire lines sent but {service.router.lines_seen} seen")
     expect(service.router.unroutable.quarantined == 0,
            "well-formed soak traffic was marked unroutable")
 

@@ -36,7 +36,6 @@ from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 
-from ..core.tagging import BatchOutcome
 from ..logmodel.record import LogRecord
 from ..parallel.config import ParallelConfig
 from ..parallel.sharded import ShardedTagger, chunked
@@ -290,13 +289,7 @@ class BoundedDriver:
                             count(klass, n)
 
                 batch = ingest_q.take(config.service_batch)
-                marks = [(i, v) for i, (_, v) in enumerate(batch) if v is not None]
-                hits = tuple(m for m in marks if not isinstance(m[1], str))
-                errors = tuple(m for m in marks if isinstance(m[1], str))
-                alerts = path.process_batch(
-                    [record for record, _ in batch],
-                    BatchOutcome(len(batch), hits, errors), admitted=True,
-                )
+                alerts = path.process_tagged(batch)
                 monitor.note_throughput("tag", len(batch))
                 monitor.note_throughput("filter", len(alerts))
                 monitor.sample()

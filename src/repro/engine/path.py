@@ -13,13 +13,15 @@ schedules cannot drift apart semantically.
 The path has exactly two shapes:
 
 * the per-record reference — :meth:`admit`, then :meth:`process`
-  (observe -> tag, severity included -> offer) — which the service
-  worker runs and every differential test compares against;
-* one batch kernel, :meth:`process_batch`, which every driver calls:
-  a vectorised body for the batch nothing can go wrong in, and a replay
-  through the per-record methods for any batch holding an invalid
-  record or a tagger error, so dead letters keep stream order and a
-  strict run raises at the record where the reference loop would.
+  (observe -> tag, severity included -> offer) — which every
+  differential test compares against and a tenant worker's crash
+  replay runs to find the record a failed batch died on;
+* one batch kernel, :meth:`process_batch` (:meth:`process_tagged` for
+  records queued with their verdicts), which every driver and tenant
+  worker calls: a vectorised body for the batch nothing can go wrong
+  in, and a replay through the per-record methods for any batch holding
+  an invalid record or a tagger error, so dead letters keep stream order
+  and a strict run raises at the record where the reference loop would.
 
 The path also owns resumability: :meth:`snapshot` captures every piece
 of mutable state plus ``consumed`` (records pulled from the input
@@ -308,6 +310,21 @@ class AlertPath:
         if alerts:
             self._offer_all(alerts)
         return alerts
+
+    def process_tagged(self, pairs, admitted: bool = True) -> List[Alert]:
+        """Serve ``(record, verdict)`` pairs tagged at the door (verdict:
+        the alert, ``None``, or the tagger error's ``repr``) as a finished
+        outcome.  For a caller that has not admitted them (a tenant
+        worker: invalid-record letters belong in drain order) the verdicts
+        of invalid records are dropped, as the kernel's indexing wants."""
+        records = [record for record, _ in pairs]
+        if not admitted and self.dead_letters is not None:
+            pairs = [pair for pair in pairs if _valid_record(pair[0])]
+        marks = [(i, v) for i, (_, v) in enumerate(pairs) if v is not None]
+        hits = tuple(m for m in marks if not isinstance(m[1], str))
+        errors = tuple(m for m in marks if isinstance(m[1], str))
+        outcome = BatchOutcome(len(pairs), hits, errors)
+        return self.process_batch(records, outcome, admitted=admitted)
 
     def _replay_batch(self, records, outcome, admitted) -> List[Alert]:
         """The batch as the per-record reference loop, with a worker

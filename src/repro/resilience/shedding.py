@@ -101,13 +101,13 @@ class ShedPolicy:
     """Base policy: classification plus a (subclass-supplied) decision.
 
     Classification needs the system's expert ruleset — the tagger *is*
-    the priority oracle.  The bounded driver, which tags every record
-    anyway, passes :meth:`decide` that ``verdict`` so the rules engine is
-    asked once; other callers :meth:`bind` their tagger and the policy
-    matches.  An **unbound** policy, like a verdict that is a tagger
-    error, classifies as :data:`CLASS_ALERT`: with no way to tell
-    chatter from alerts, the only safe degradation is to spill with
-    accounting, never to shed.
+    the priority oracle.  The bounded driver and the service's tenants,
+    which tag every record anyway, pass :meth:`decide` that ``verdict``
+    so the rules engine is asked once; other callers :meth:`bind` their
+    tagger and the policy matches.  An **unbound** policy, like a
+    verdict that is a tagger error, classifies as :data:`CLASS_ALERT`:
+    with no way to tell chatter from alerts, the only safe degradation
+    is to spill with accounting, never to shed.
 
     ``dedup_window`` is the lookback (seconds) within which a repeated
     category counts as a duplicate; the pipeline defaults it to the

@@ -15,9 +15,10 @@ from typing import Any, Callable, Optional
 
 from ..core.filtering import DEFAULT_THRESHOLD
 
-#: ``fault_hook(tenant_id, record)`` is called before each record is
-#: processed; raising simulates a tenant worker crash (the soak harness
-#: and the isolation tests inject deterministic crash schedules here).
+#: ``fault_hook(tenant_id, record)`` is called on each record, once and in
+#: order, ahead of the worker batch's kernel call; raising simulates a
+#: tenant worker crash on that record (the soak harness and the isolation
+#: tests inject deterministic crash schedules here).
 FaultHook = Callable[[str, Any], None]
 
 

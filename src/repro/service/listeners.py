@@ -1,23 +1,40 @@
 """Syslog wire listeners: newline-framed TCP and datagram UDP.
 
-Both transports feed :meth:`TenantRouter.ingest_line` on the event loop.
-TCP carries one envelope per line with explicit framing (partial lines
-are buffered per connection, bounded so one unframed flood cannot grow
-memory); UDP carries one envelope per datagram, matching classic syslog.
-Decoding is tolerant (``errors="replace"``) — a garbled payload becomes
-an unroutable or corrupted-record dead letter downstream, never a
-listener exception.
+Both transports frame with :func:`wire_lines` and hand each block's
+lines to :meth:`TenantRouter.ingest_lines` on the event loop.  The wire
+protocol is unchanged: one envelope per ``\n``-terminated line (or per
+datagram), a ``\r`` before the newline and empty lines ignored.  TCP
+reads chunks of up to :data:`MAX_LINE_BYTES`, frames everything up to a
+chunk's last newline at once (one decode per chunk — a cut at ``\n``
+cannot split a UTF-8 sequence, wherever the network cut) and keeps the
+unterminated rest, never more than the limit.  A longer line is
+truncated to the limit and routed like any other (its envelope names
+its tenant, whose parser flags it corrupted), the lines behind it
+intact; an unframed flood is one accounted line.  Decoding is tolerant
+(``errors="replace"``): garbage becomes an unroutable or corrupted-
+record dead letter downstream, never a listener exception.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-#: A TCP connection buffering more than this many bytes without a
-#: newline is framed wrong; the buffer is flushed as one (unroutable)
-#: line rather than growing without bound.
+#: The longest wire line, in bytes; what a line has beyond it is dropped
+#: (up to its newline), so one unframed flood cannot grow memory.
 MAX_LINE_BYTES = 64 * 1024
+
+
+def wire_lines(block: bytes) -> List[str]:
+    """The non-empty wire lines of a newline-delimited block."""
+    if len(block) > MAX_LINE_BYTES:
+        cut = (raw[:MAX_LINE_BYTES] for raw in block.split(b"\n"))
+        block = b"\n".join(cut)
+    text = block.decode("utf-8", errors="replace")
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    return list(filter(None, lines))
 
 
 class TcpIngestListener:
@@ -44,19 +61,21 @@ class TcpIngestListener:
                      writer: asyncio.StreamWriter) -> None:
         self.connections += 1
         self.connections_open += 1
+        ingest = self.router.ingest_lines
+        tail = b""  # the unterminated end of what has been read
         try:
             while True:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Over-long unframed junk: drain what we can reach
-                    # and account it as one line.
-                    raw = await reader.read(MAX_LINE_BYTES)
-                if not raw:
+                chunk = await reader.read(MAX_LINE_BYTES)
+                if not chunk:
                     break
-                line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-                if line:
-                    self.router.ingest_line(line)
+                head, newline, rest = chunk.rpartition(b"\n")
+                if newline:
+                    ingest(wire_lines(tail + head))
+                    tail = rest
+                else:
+                    # Inside one line still: keep what it is cut to.
+                    tail = (tail + chunk)[:MAX_LINE_BYTES]
+            ingest(wire_lines(tail))
         except (ConnectionResetError, BrokenPipeError):
             pass  # abrupt churn is normal; everything framed was ingested
         finally:
@@ -83,10 +102,7 @@ class UdpIngestProtocol(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr) -> None:
         self.datagrams += 1
-        text = data.decode("utf-8", errors="replace")
-        for line in text.splitlines():
-            if line:
-                self.router.ingest_line(line)
+        self.router.ingest_lines(wire_lines(data))
 
     def error_received(self, exc) -> None:  # pragma: no cover - OS-dependent
         pass

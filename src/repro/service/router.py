@@ -9,6 +9,9 @@ five paper systems) so the router knows which parser and tagger ruleset
 the tenant's :class:`AlertPath` needs.  The native remainder is parsed
 in tolerant mode — a corrupted line becomes a flagged record the
 tenant's own path accounts for, never an exception in the listener.
+Lines arrive by the chunk (:meth:`TenantRouter.ingest_lines`), are
+grouped per tenant in arrival order, and each tenant is offered its run
+once (:meth:`Tenant.offer_batch`, where the run is tagged).
 
 Lines the router cannot attribute to a tenant at all (no envelope, an
 unknown dialect, or a dialect clash with an existing tenant) go to a
@@ -25,7 +28,7 @@ instead of unbounded growth.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..logmodel.bgl import parse_bgl_line
 from ..logmodel.record import LogRecord
@@ -163,29 +166,39 @@ class TenantRouter:
     # -- routing -----------------------------------------------------------
 
     def ingest_line(self, line: str) -> None:
-        """Route one wire line to its tenant (creating or resurrecting it
-        on first sight) or to the unroutable dead-letter queue."""
-        self.lines_seen += 1
-        envelope = parse_envelope(line)
-        if envelope is None:
-            self._unroutable(line, "no envelope")
-            return
-        tenant_id, system, rest = envelope
-        if system not in SYSTEMS:
-            self._unroutable(line, f"unknown system {system!r}")
-            return
-        tenant = self.tenants.get(tenant_id)
-        if tenant is None:
-            tenant = self._materialize(tenant_id, system)
-        elif tenant.system != system:
-            self._unroutable(
-                line,
-                f"dialect clash: tenant {tenant_id!r} is "
-                f"{tenant.system}, line says {system}",
+        """Route one wire line (the one-element :meth:`ingest_lines`)."""
+        self.ingest_lines((line,))
+
+    def ingest_lines(self, lines: Iterable[str]) -> None:
+        """Route a chunk of wire lines: each to its tenant (created or
+        resurrected on first sight) or to the unroutable dead-letter
+        queue; then one offer per tenant, its records in arrival order."""
+        runs: Dict[str, List[LogRecord]] = {}
+        for line in lines:
+            self.lines_seen += 1
+            envelope = parse_envelope(line)
+            if envelope is None:
+                self._unroutable(line, "no envelope")
+                continue
+            tenant_id, system, rest = envelope
+            if system not in SYSTEMS:
+                self._unroutable(line, f"unknown system {system!r}")
+                continue
+            tenant = self.tenants.get(tenant_id)
+            if tenant is None:
+                tenant = self._materialize(tenant_id, system)
+            elif tenant.system != system:
+                self._unroutable(
+                    line,
+                    f"dialect clash: tenant {tenant_id!r} is "
+                    f"{tenant.system}, line says {system}",
+                )
+                continue
+            runs.setdefault(tenant_id, []).append(
+                parse_native_line(rest, system, self.config.year)
             )
-            return
-        record = parse_native_line(rest, system, self.config.year)
-        tenant.offer(record)
+        for tenant_id, records in runs.items():
+            self.tenants[tenant_id].offer_batch(records)
 
     def _unroutable(self, line: str, detail: str) -> None:
         # Wrap the raw line in a minimal corrupted record so the letter

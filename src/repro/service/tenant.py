@@ -10,6 +10,15 @@ at most ``service_batch`` records per wakeup and then yields the event
 loop, so a tenant under a 10x burst or a crash-loop cannot starve the
 other tenants' workers or the listeners.
 
+Records take the door the bounded driver's take: a run of arrivals
+(:meth:`Tenant.offer_batch`, one per tenant per chunk a listener read)
+is tagged **once**, there; the verdict — the alert, nothing, or the
+tagger error's ``repr`` — classes each record for shedding and rides the
+queue beside it.  The worker shows a batch's records to the fault hook,
+then serves them through the batch kernel with the queued verdicts as
+its tag outcome (:meth:`AlertPath.process_tagged`); the per-record
+reference runs only to find the record a failed kernel call died on.
+
 Crash handling follows the supervisor contract (PR 1) adapted to a
 stream that cannot be replayed: the poison record is dead-lettered
 (``worker-crash``, classified so tagged-alert conservation stays exact),
@@ -29,6 +38,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Deque, Optional, Sequence, Tuple
 
 from ..core.categories import Alert
@@ -53,16 +63,9 @@ from ..resilience.deadletter import (
     REASON_WORKER_CRASH,
 )
 from ..resilience.retry import BreakerState, CircuitBreaker
-from ..resilience.shedding import (
-    CLASS_ALERT,
-    CLASS_DUPLICATE,
-    get_shed_policy,
-)
+from ..resilience.shedding import get_shed_policy
 from .accounting import TenantCounters
 from .config import ServiceConfig
-
-#: Shed classes that represent records an expert rule would tag.
-TAGGED_CLASSES = frozenset({CLASS_ALERT, CLASS_DUPLICATE})
 
 
 class TenantQuarantined(RuntimeError):
@@ -178,13 +181,8 @@ class Tenant:
         # the checkpoint; for a parked tenant that snapshot *is* the live
         # state (taken at park time with the queue drained), so this is
         # the handoff, not a rollback.
-        self.path = AlertPath(
-            system,
-            threshold=config.threshold,
-            dead_letters=self.dead_letters,
-            resume_from=checkpoint,
-            prediction=self._prediction_stage(),
-        )
+        self.checkpoint = checkpoint
+        self.path = self._new_path()
         self._install_sink(
             raw_seed=tuple(self.path.sink.raw_alerts),
             filtered_seed=tuple(self.path.sink.filtered_alerts),
@@ -194,9 +192,7 @@ class Tenant:
             config.threshold if config.dedup_window is None
             else config.dedup_window
         )
-        self.policy = get_shed_policy(
-            config.shed_policy, dedup_window=window
-        ).bind(self.path.tagger)
+        self.policy = get_shed_policy(config.shed_policy, dedup_window=window)
         if checkpoint is not None and checkpoint.shed_state is not None:
             self.policy.load_state_dict(checkpoint.shed_state)
         if parked is not None:
@@ -213,7 +209,6 @@ class Tenant:
             failure_threshold=config.breaker_threshold,
             reset_timeout=config.breaker_reset,
         )
-        self.checkpoint = checkpoint
         # A resurrection cannot refund a spent restart budget: the crash
         # count rides in the (journaled) counters, so a tenant that was
         # quarantined when the process died comes back quarantined.
@@ -243,6 +238,13 @@ class Tenant:
         from ..streaming import prediction_stage
 
         return prediction_stage(self.config.predict)
+
+    def _new_path(self) -> AlertPath:
+        return AlertPath(
+            self.system, threshold=self.config.threshold,
+            dead_letters=self.dead_letters, resume_from=self.checkpoint,
+            prediction=self._prediction_stage(),
+        )
 
     def _install_sink(self, raw_seed=(), filtered_seed=()) -> None:
         # A restored path carries its checkpoint's stats mode; in the
@@ -296,55 +298,55 @@ class Tenant:
 
     def offer(self, record: LogRecord) -> None:
         """Admit, shed, or refuse one arriving record — never silently."""
-        self.counters.received += 1
-        self.last_activity = time.monotonic()
-        if self.quarantined:
-            self._refuse(record, REASON_TENANT_QUARANTINED)
-            # No worker batch will sync this letter (the worker is gone);
-            # land it now so a dead tenant loses nothing across restarts.
-            if self._persist is not None:
+        self.offer_batch((record,))
+
+    def offer_batch(self, records: Sequence[LogRecord]) -> None:
+        """Admit, shed, or refuse a run of arriving records — never
+        silently.  Tagged once, here: the verdict decides each record's
+        shed class and is queued beside it, ``(record, verdict)``."""
+        self.counters.received += len(records)
+        now = self.last_activity = time.monotonic()
+        outcome = self.path.tagger.tag_batch(records)
+        found = dict(chain(outcome.hits, outcome.errors))
+        pairs = zip(records, map(found.get, range(len(records))))
+        # (Nothing can open a closed breaker inside this call; an open
+        # one asked at one ``now`` refuses every record or none.)
+        if self.quarantined or (
+            self.breaker.state is not BreakerState.CLOSED
+            and not all([self.breaker.allow(now) for _ in records])
+        ):
+            reason = (REASON_TENANT_QUARANTINED if self.quarantined
+                      else REASON_CIRCUIT_OPEN)
+            for record, verdict in pairs:
+                self._refuse(record, reason, verdict)
+            # No worker batch will sync a dead tenant's letters (the worker
+            # is gone); land them now so it loses nothing across restarts.
+            if self.quarantined and self._persist is not None:
                 self._persist.sync()
             return
-        if not self.breaker.allow(time.monotonic()):
-            self._refuse(record, REASON_CIRCUIT_OPEN)
-            return
-        level = self.queue.pressure()
-        if self.governor is not None:
-            level = max(level, self.governor.level())
-        decision, klass = self.policy.decide(record, level)
-        if decision == SHED:
-            self.counters.count_shed(klass)
-            return
-        if decision == SPILL or not self.queue.put(record):
-            self._refuse(
-                record, REASON_SHED_OVERLOAD,
-                tagged=klass in TAGGED_CLASSES, detail=klass,
-            )
-            return
-        self._wakeup.set()
+        floor = (
+            self.governor.level() if self.governor is not None
+            else PressureLevel.NORMAL
+        )
+        decide, pressure = self.policy.decide, self.queue.pressure
+        for item in pairs:
+            record, verdict = item
+            decision, klass = decide(record, max(pressure(), floor), verdict)
+            if decision == SHED:
+                self.counters.count_shed(klass)
+            elif decision == SPILL or not self.queue.put(item):
+                self._refuse(record, REASON_SHED_OVERLOAD, verdict, klass)
+        if self.queue:
+            self._wakeup.set()
 
-    def _refuse(
-        self,
-        record: LogRecord,
-        reason: str,
-        tagged: Optional[bool] = None,
-        detail: str = "",
-    ) -> None:
-        """Dead-letter a record the worker will never see, classified so
-        tagged-alert conservation stays exact."""
-        if tagged is None:
-            tagged = self._would_tag(record)
+    def _refuse(self, record: LogRecord, reason: str, verdict,
+                detail: str = "") -> None:
+        """Dead-letter a record the worker will never see, classified by
+        the door's verdict (an alert is tagged; a tagger error counts as
+        untagged, the ground-truth convention) so tagged-alert
+        conservation stays exact."""
         self.dead_letters.put(record, reason, detail)
-        self.counters.count_refused(reason, tagged)
-
-    def _would_tag(self, record: LogRecord) -> bool:
-        """Would any expert rule tag this record?  (Classification only —
-        no dedup state is touched; errors count as untagged, matching the
-        ground-truth convention.)"""
-        try:
-            return self.path.tagger.match(record) is not None
-        except Exception:
-            return False
+        self.counters.count_refused(reason, isinstance(verdict, Alert))
 
     def ensure_live(self) -> None:
         if self.quarantined:
@@ -353,8 +355,6 @@ class Tenant:
     # -- the worker --------------------------------------------------------
 
     async def _work(self) -> None:
-        config = self.config
-        hook = config.fault_hook
         while True:
             if not self.queue:
                 if self.draining or self.quarantined:
@@ -365,31 +365,15 @@ class Tenant:
                 if not self.queue:
                     await self._wakeup.wait()
                 continue
-            batch = self.queue.take(config.service_batch)
-            clean = True
-            for position, record in enumerate(batch):
-                try:
-                    if hook is not None:
-                        hook(self.tenant_id, record)
-                    if self.path.admit(record):
-                        self.path.process(record)
-                    self.counters.processed += 1
-                    self._since_checkpoint += 1
-                except Exception:
-                    clean = False
-                    self._on_crash(record)
-                    if self.quarantined:
-                        # The rest of the in-flight batch is already out
-                        # of the queue; account it before exiting.
-                        for rest in batch[position + 1:]:
-                            self._refuse(rest, REASON_TENANT_QUARANTINED)
-                        break
-            if clean and batch:
+            batch = self.queue.take(self.config.service_batch)
+            crashes = self.counters.crashes
+            served = self._serve(batch)
+            if self.counters.crashes == crashes:
                 self.breaker.record_success()
             if self.quarantined:
-                self._flush_quarantined()
+                self._flush_quarantined(batch[served:])
                 break
-            if self._persist is not None and batch:
+            if self._persist is not None:
                 # Drained-queue boundaries journal a full counters dict
                 # (last one wins on replay); either way the batch's
                 # alert/letter entries hit the disk before new arrivals
@@ -405,12 +389,58 @@ class Tenant:
             # Drain barrier: everything consumed, snapshot final state.
             self._take_checkpoint()
 
-    def _on_crash(self, record: LogRecord) -> None:
+    def _serve(self, batch) -> int:
+        """One worker batch: the fault hook sees each record (once, in
+        order) ahead of the kernel, which serves the runs between the
+        records the hook raises on; those crash where they stood.
+        Returns how many records have a fate: all, unless quarantined."""
+        hook = self.config.fault_hook
+        done = 0
+        for at, (record, verdict) in enumerate(batch if hook else ()):
+            try:
+                hook(self.tenant_id, record)
+            except Exception:
+                done += self._serve_run(batch[done:at])
+                if not self.quarantined:
+                    self._on_crash(record, verdict)
+                    done += 1
+                if self.quarantined:
+                    return done
+        return done + self._serve_run(batch[done:])
+
+    def _serve_run(self, pairs) -> int:
+        """Serve one run the hook passed.  An exception out of the
+        kernel names no record and leaves the path half-updated: roll it
+        back (the crash would anyway) and replay the run through the
+        per-record reference, which crashes on the record itself.  What
+        the failed call had journaled is journaled again: at least once."""
+        try:
+            self.path.process_tagged(pairs, admitted=False)
+        except Exception:
+            self._rebuild_path()
+        else:
+            self.counters.processed += len(pairs)
+            self._since_checkpoint += len(pairs)
+            return len(pairs)
+        for at, (record, verdict) in enumerate(pairs):
+            try:
+                if self.path.admit(record):
+                    self.path.process(record)
+            except Exception:
+                self._on_crash(record, verdict)
+                if self.quarantined:
+                    return at + 1
+            else:
+                self.counters.processed += 1
+                self._since_checkpoint += 1
+        return len(pairs)
+
+    def _on_crash(self, record: LogRecord, verdict) -> None:
         """Absorb one worker crash: dead-letter the poison record, rebuild
         path state from the last checkpoint, and quarantine once the
         restart budget is spent."""
         self.counters.crashes += 1
-        self._refuse(record, REASON_WORKER_CRASH)
+        self._refuse(record, REASON_WORKER_CRASH, verdict)
         self.breaker.record_failure(time.monotonic())
         if self.counters.crashes > self.config.restart_budget:
             # The same contract as the batch supervisor's exhaustion fix:
@@ -426,27 +456,20 @@ class Tenant:
         preserved — only internal path state (filter clocks, stats) rolls
         back, which is the documented shedding-tolerance degradation."""
         live_letters = self.dead_letters.snapshot()
-        self.path = AlertPath(
-            self.system,
-            threshold=self.config.threshold,
-            dead_letters=self.dead_letters,
-            resume_from=self.checkpoint,
-            prediction=self._prediction_stage(),
-        )
+        self.path = self._new_path()
         self.dead_letters.restore(live_letters)
         self._install_sink(
             raw_seed=tuple(self._sink.raw_alerts),
             filtered_seed=tuple(self._sink.filtered_alerts),
         )
-        self.policy.bind(self.path.tagger)
         self._since_checkpoint = 0
 
-    def _flush_quarantined(self) -> None:
-        """Account every record still queued when quarantine hit; then
-        refresh the final snapshot so it covers the flush."""
-        while self.queue:
-            record = self.queue.get()
-            self._refuse(record, REASON_TENANT_QUARANTINED)
+    def _flush_quarantined(self, in_flight) -> None:
+        """Account the rest of the batch quarantine hit in and every
+        record still queued; then refresh the final snapshot to cover it."""
+        queued = self.queue.take(len(self.queue))
+        for record, verdict in chain(in_flight, queued):
+            self._refuse(record, REASON_TENANT_QUARANTINED, verdict)
         self.final_dead_letters = self.dead_letters.snapshot()
         if self._persist is not None:
             self._persist.journal("counters", self.counters.as_dict())
@@ -506,24 +529,12 @@ class Tenant:
     def park(self) -> ParkedTenant:
         """Checkpoint handoff: capture complete resumable state and stop
         the worker.  Caller must have checked :meth:`evictable`."""
-        if self._store_writer is not None:
-            self._store_writer.commit()
-        checkpoint = self.path.snapshot(shed_state=self.policy.state_dict())
         if self._task is not None:
             self._task.cancel()
             self._task = None
         self.counters.evictions += 1
-        parked = ParkedTenant(
-            tenant_id=self.tenant_id,
-            system=self.system,
-            checkpoint=checkpoint,
-            counters=self.counters,
-            dead_letters=checkpoint.dead_letters or self.dead_letters.snapshot(),
-            parked_at=time.monotonic(),
-        )
-        if self._persist is not None:
-            self._persist.save_parked(parked)
-        return parked
+        self._take_checkpoint()
+        return self._bundle(self.checkpoint)
 
     async def drain(self) -> None:
         """Process everything pending, take a final checkpoint, stop."""
@@ -594,7 +605,6 @@ __all__ = [
     "ParkedTenant",
     "PressureLevel",
     "ServiceAlertSink",
-    "TAGGED_CLASSES",
     "Tenant",
     "TenantQuarantined",
 ]

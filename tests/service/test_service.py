@@ -10,13 +10,17 @@ import asyncio
 
 import pytest
 
+from repro.core.rules import get_ruleset
 from repro.engine.path import AlertPath
 from repro.logio.writer import renderer_for
+from repro.resilience.deadletter import DeadLetterQueue
 from repro.service import IngestService, ServiceConfig, query_stats
-from repro.service.router import format_envelope
+from repro.service.listeners import MAX_LINE_BYTES
+from repro.service.router import format_envelope, parse_native_line
 from repro.simulation.generator import generate_log
 
 from ..conftest import SEED, SMALL_SCALE
+from ..engine.test_batch_flow import POISON, PoisonTagger
 
 
 def native_lines(system, n=None, tenant=None):
@@ -143,6 +147,98 @@ class TestTransports:
             "unroutable": 3
         }
         assert len(service.router.tenants) == 0
+
+
+class TestHostileFraming:
+    @pytest.mark.parametrize("size", [70_000, 100_000, 200_000])
+    def test_over_long_line_is_one_record_and_eats_nothing(self, size):
+        """REGRESSION: ``readline`` discarded a line longer than the
+        limit and the handler then read the next 64 KiB of well-framed
+        lines as one (12 sent, ``lines_seen 2``).  Pinned: the line is
+        truncated to ``MAX_LINE_BYTES`` and is one corrupted record of
+        the tenant its envelope names; every line around it arrives."""
+        good = native_lines("liberty", 11, "t")
+        junk = "@t:liberty " + "x" * (size - 11)
+        payload = "\n".join([good[0], junk] + good[1:]).encode() + b"\n"
+
+        async def main():
+            service = IngestService(quick_config())
+            await service.start()
+            _, writer = await asyncio.open_connection(
+                "127.0.0.1", service.tcp_port
+            )
+            writer.write(payload)  # one sendall
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            await wait_for(lambda: service.tcp.connections_open == 0)
+            await service.drain()
+            return service
+
+        service = asyncio.run(main())
+        assert service.router.lines_seen == 12
+        assert service.router.unroutable.quarantined == 0
+        row = service.final_report()["t"]
+        assert row["received"] == row["processed"] == 12
+        assert row["conserves"]
+        path = service.router.tenants["t"].path
+        assert path.corrupted == 1
+        assert path.stats_collector.stats.messages == 12
+        assert path.stats_collector.stats.raw_bytes < 2 * MAX_LINE_BYTES
+
+    def test_tagger_error_at_the_door_is_a_dead_letter_not_a_hangup(self):
+        """REGRESSION: the door's classifying match was unguarded, so a
+        record the rules engine raised on took the connection down with
+        the rest of its buffer unread.  The verdict now rides the queue:
+        the record is processed, dead-lettered ``tagger-error`` in
+        stream order, and the connection lives."""
+        lines = native_lines("liberty", 24)
+        lines[3] = lines[3] + " " + POISON
+        lines[17] = lines[17] + " " + POISON
+        records = [parse_native_line(l, "liberty", 2005) for l in lines]
+        wire = [format_envelope("t", "liberty", l) for l in lines]
+
+        want = AlertPath(
+            "liberty", dead_letters=DeadLetterQueue(),
+            tagger=PoisonTagger(get_ruleset("liberty")),
+        )
+        for record in records:
+            if want.admit(record):
+                want.process(record)
+
+        async def main():
+            service = IngestService(quick_config())
+            await service.start()
+            tenant = service.router._materialize("t", "liberty")
+            tenant.path.tagger = PoisonTagger(get_ruleset("liberty"))
+            # Even a policy bound to that tagger (as the door's once
+            # was) is not asked: the verdict is handed to it.
+            tenant.policy.bind(tenant.path.tagger)
+            _, writer = await asyncio.open_connection(
+                "127.0.0.1", service.tcp_port
+            )
+            for part in (wire[:12], wire[12:]):  # the poison 4th of 12
+                writer.write(("\n".join(part) + "\n").encode())
+                await writer.drain()
+                await wait_for(
+                    lambda: tenant.counters.processed
+                    == tenant.counters.received >= len(part)
+                )
+                assert service.tcp.connections_open == 1
+            writer.close()
+            await writer.wait_closed()
+            await service.drain()
+            return service, tenant
+
+        service, tenant = asyncio.run(main())
+        assert service.router.lines_seen == 24
+        assert tenant.counters.received == tenant.counters.processed == 24
+        assert tenant.counters.conserves(0)
+        assert [
+            (l.record, l.reason, l.detail) for l in tenant.dead_letters
+        ] == [(l.record, l.reason, l.detail) for l in want.dead_letters]
+        assert dict(tenant.dead_letters.by_reason) == {"tagger-error": 2}
+        assert tenant.counters.alerts_raw == len(want.sink.raw_alerts)
 
 
 class TestIsolation:

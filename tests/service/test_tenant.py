@@ -10,6 +10,8 @@ partition every received record no matter what happened.
 
 import asyncio
 
+import pytest
+
 from repro.engine.path import AlertPath
 from repro.service.config import ServiceConfig
 from repro.service.tenant import Tenant
@@ -171,6 +173,154 @@ class TestCrashSupervision:
         before, after = counts[0], counts[1]
         assert after == before  # rebuild preserved the journal
         assert tenant.counters.alerts_raw >= after
+
+
+class TestCrashGranularity:
+    """The worker drains by the batch; a crash still costs one record."""
+
+    BATCH = 64
+
+    def run_offered_up_front(self, tenant, records):
+        """Everything queued before the worker's first turn, so batch
+        ``k`` is ``records[64 * k:64 * (k + 1)]``."""
+
+        async def main():
+            tenant.offer_batch(records)
+            tenant.start()
+            await tenant.drain()
+            return tenant
+
+        return asyncio.run(main())
+
+    def hooked(self, crash_on, budget=10):
+        shown = []
+
+        def hook(tenant_id, record):
+            shown.append(record)
+            if len(shown) in crash_on:
+                raise RuntimeError(f"injected crash #{len(shown)}")
+
+        config = roomy_config(
+            fault_hook=hook, restart_budget=budget, breaker_threshold=100,
+            service_batch=self.BATCH,
+        )
+        return config, shown
+
+    @pytest.mark.parametrize("crash_on", [
+        {1}, {64}, {10, 11}, {64, 65}, {1, 2, 63, 64, 128},
+    ], ids=["first", "last", "adjacent", "across-batches", "many"])
+    def test_hook_crash_costs_exactly_its_record(self, crash_on):
+        records = liberty_records(200)
+        config, shown = self.hooked(crash_on)
+
+        async def build():
+            return Tenant("t", "liberty", config)
+
+        tenant = self.run_offered_up_front(asyncio.run(build()), records)
+        poison = [records[i - 1] for i in sorted(crash_on)]
+        assert shown == records  # once each, in order
+        assert tenant.counters.crashes == len(poison)
+        assert [
+            letter.record for letter in tenant.dead_letters
+            if letter.reason == "worker-crash"
+        ] == poison
+        assert tenant.counters.refused == len(poison)
+        assert tenant.counters.processed == len(records) - len(poison)
+        assert conservation_ok(tenant)
+        # The path that survives saw what followed the last crash, once.
+        survivors = len(records) - max(crash_on)
+        assert tenant.path.consumed == survivors
+        assert tenant.path.stats_collector.stats.messages == survivors
+
+    def test_quarantine_mid_batch_refuses_the_rest(self):
+        records = liberty_records(200)
+        config, shown = self.hooked({5, 6, 7}, budget=2)
+
+        async def build():
+            return Tenant("t", "liberty", config)
+
+        tenant = self.run_offered_up_front(asyncio.run(build()), records)
+        assert tenant.quarantined
+        assert tenant.counters.crashes == 3
+        # Nothing behind the record that spent the budget is served, so
+        # the hook is not shown it.
+        assert shown == records[:7]
+        assert tenant.counters.processed == 4
+        reasons = tenant.counters.refused_by_reason
+        assert reasons["worker-crash"] == 3
+        assert reasons["tenant-quarantined"] == len(records) - 7
+        letters = list(tenant.dead_letters)
+        assert [l.record for l in letters] == records[4:]
+        assert conservation_ok(tenant) and not tenant.queue
+        assert dict(tenant.final_dead_letters.by_reason) == {
+            "worker-crash": 3, "tenant-quarantined": len(records) - 7,
+        }
+
+    @pytest.mark.parametrize("budget", [10, 1])
+    def test_exception_out_of_the_kernel_finds_its_record(self, budget):
+        """A sink that raises on particular alerts: the batch kernel
+        fails as a whole and names no record, so the path is rolled
+        back and the run replayed through the per-record reference,
+        which crashes on exactly the record whose alert raised."""
+        records = liberty_records()
+        tagger = AlertPath("liberty").tagger
+        tagged = [i for i, r in enumerate(records) if tagger.match(r)]
+        # Two in one batch, behind alerts of that batch; one in the last.
+        busy = [i for i in tagged if i // self.BATCH == 58]
+        poison_at = [busy[3], busy[5], tagged[-1]]
+        poison = [records[i] for i in poison_at]
+
+        class PoisonSink:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def emit_batch(self, pairs):
+                for alert, kept in pairs:
+                    if any(alert.record is p for p in poison):
+                        raise RuntimeError("sink failed on this alert")
+                    self.inner.emit_batch([(alert, kept)])
+
+        class SinkPoisonedTenant(Tenant):
+            def _install_sink(self, **seeds):
+                super()._install_sink(**seeds)
+                self.path.sink = PoisonSink(self.path.sink)
+
+        async def build():
+            return SinkPoisonedTenant("t", "liberty", roomy_config(
+                restart_budget=budget, breaker_threshold=100,
+                service_batch=self.BATCH, dead_letter_capacity=len(records),
+            ))
+
+        tenant = self.run_offered_up_front(asyncio.run(build()), records)
+        crashes = min(len(poison), budget + 1)
+        assert tenant.counters.crashes == crashes  # one per poison record
+        assert [
+            letter.record for letter in tenant.dead_letters
+            if letter.reason == "worker-crash"
+        ] == poison[:crashes]
+        assert conservation_ok(tenant) and not tenant.queue
+        if budget == 1:
+            assert tenant.quarantined
+            assert tenant.counters.processed == poison_at[1] - 1
+            assert tenant.counters.refused == len(records) - poison_at[1] + 1
+            return
+        assert tenant.counters.processed == len(records) - 3
+        # No record is observed twice by the path that survives.
+        survivors = len(records) - poison_at[-1] - 1
+        assert tenant.path.consumed == survivors
+        assert tenant.path.stats_collector.stats.messages == survivors
+        # At least once, never un-reported: what a failed kernel call
+        # had journaled before it raised, its replay journals again.
+        first, last = poison_at[0], poison_at[-1]
+        again = sum(
+            1 for i in tagged
+            if i // self.BATCH == first // self.BATCH and i < first
+            or i // self.BATCH == last // self.BATCH and i < last
+        )
+        assert tenant.counters.alerts_raw == len(tagged) - 3 + again
 
 
 class TestBreaker:
