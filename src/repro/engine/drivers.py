@@ -33,25 +33,21 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import islice
 from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 
 from ..logmodel.record import LogRecord
 from ..parallel.config import ParallelConfig
 from ..parallel.sharded import ShardedTagger, chunked
 from ..resilience.backpressure import (
-    SHED,
-    SPILL,
     BackpressureConfig,
-    BoundedQueue,
     CreditGate,
     OverloadMonitor,
     OverloadReport,
-    Watermarks,
 )
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.deadletter import DeadLetterQueue, REASON_SHED_OVERLOAD
-from ..resilience.shedding import ShedAccounting, get_shed_policy
+from ..resilience.shedding import BoundedIngest, ShedAccounting
 from .path import AlertPath
 
 
@@ -169,18 +165,25 @@ class ShardedDriver:
         return DriverReport(shard_stats=shard_stats)
 
 
+#: How far sustained overload raises the filter ``T`` in degraded mode.
+DEGRADE_THRESHOLD_FACTOR = 4.0
+
+
 class BoundedDriver:
     """One bounded ingest queue ahead of the batch kernel, driven in ticks.
 
     Per tick the source offers ``arrival_batch`` records — credit-paced
     for a pausable source (nothing lost), shed-policy-gated for an
     unpausable one (every loss accounted).  They are admitted and tagged
-    **once**, at the door — in process, or chunked through the worker
-    pool of a :class:`ParallelConfig`, the only place the two seams
-    differ — and the verdict (alert, nothing, or the tagger error's
-    ``repr``) is what the shed policy classifies from and what rides the
-    queue beside the record; the pump serves ``service_batch`` of those
-    pairs to :meth:`AlertPath.process_batch` as a finished outcome.  A
+    **once** — in process, or chunked through the worker pool of a
+    :class:`ParallelConfig`, the only place the two seams differ — and
+    offered to the run's :class:`~repro.resilience.shedding.
+    BoundedIngest`, the door the service's tenants also admit through:
+    the verdict (alert, nothing, or the tagger error's ``repr``) is what
+    the shed policy classifies from and what rides the queue beside the
+    record.  What the door refuses is this driver's to tally and
+    dead-letter; the pump serves ``service_batch`` of the queued pairs
+    to :meth:`AlertPath.process_batch` as a finished outcome.  A
     record the rules engine fails on classes as a tagged alert (may
     spill, never shed) and the kernel's replay dead-letters it
     ``tagger-error`` in stream order.  Sustained overload (the monitor's
@@ -218,12 +221,6 @@ class BoundedDriver:
             # Bounded mode must never lose a tagged alert silently: the
             # spill path needs somewhere accounted to land.
             path.dead_letters = DeadLetterQueue()
-        window = (
-            path.threshold if config.dedup_window is None else config.dedup_window
-        )
-        policy = get_shed_policy(config.shed_policy, dedup_window=window)
-        if path.resumed_shed_state is not None:
-            policy.load_state_dict(path.resumed_shed_state)
         accounting = (
             config.accounting if config.accounting is not None else ShedAccounting()
         )
@@ -231,15 +228,11 @@ class BoundedDriver:
             config.monitor if config.monitor is not None
             else OverloadMonitor(sustain=config.sustain)
         )
-        ingest_q = monitor.attach(BoundedQueue(
-            "ingest",
-            config.max_buffer,
-            Watermarks.for_capacity(
-                config.max_buffer, config.high_fraction, config.low_fraction
-            ),
-        ))
+        ingest = BoundedIngest(
+            "ingest", config, path.threshold, path.resumed_shed_state
+        )
+        ingest_q = monitor.attach(ingest.queue)
         gate = CreditGate(ingest_q)
-        decide, pressure, put = policy.decide, ingest_q.pressure, ingest_q.put
         sharded = (
             ShardedTagger(path.system, self.parallel)
             if self.parallel is not None else None
@@ -268,24 +261,20 @@ class BoundedDriver:
                             chunked(arrivals, self.parallel.batch_size)
                         )
                     )
-                    offered, shed, spilled = [], [], []
+                    offered, shed, spilled = Counter(), Counter(), Counter()
                     for part, outcome in tagged:
-                        found = dict(chain(outcome.hits, outcome.errors))
-                        for item in zip(part, map(found.get, range(len(part)))):
-                            record, verdict = item
-                            decision, klass = decide(record, pressure(), verdict)
-                            offered.append(klass)
-                            if decision == SHED:
-                                shed.append(klass)
-                            elif decision == SPILL or not put(item):
-                                spilled.append(klass)
-                                path.dead_letters.put(
-                                    record, REASON_SHED_OVERLOAD, klass
-                                )
-                    for count, klasses in ((accounting.count_offered, offered),
-                                           (accounting.count_shed, shed),
-                                           (accounting.count_spilled, spilled)):
-                        for klass, n in Counter(klasses).items():
+                        classes, dropped, refused = ingest.offer(part, outcome)
+                        offered.update(classes)
+                        shed.update(dropped)
+                        for record, _verdict, klass in refused:
+                            spilled[klass] += 1
+                            path.dead_letters.put(
+                                record, REASON_SHED_OVERLOAD, klass
+                            )
+                    for count, tally in ((accounting.count_offered, offered),
+                                         (accounting.count_shed, shed),
+                                         (accounting.count_spilled, spilled)):
+                        for klass, n in tally.items():
                             count(klass, n)
 
                 batch = ingest_q.take(config.service_batch)
@@ -299,7 +288,7 @@ class BoundedDriver:
                         and not path.stats_collector.coarse):
                     path.stats_collector.coarse = True
                     path.filter.threshold = (
-                        path.threshold * config.degrade_threshold_factor
+                        path.threshold * DEGRADE_THRESHOLD_FACTOR
                     )
                     monitor.events.append(
                         f"degraded mode entered: filter T raised to "
@@ -310,7 +299,9 @@ class BoundedDriver:
                     # and offered, nothing is queued or in flight.
                     checkpointer.maybe(
                         path.consumed,
-                        lambda: path.snapshot(shed_state=policy.state_dict()),
+                        lambda: path.snapshot(
+                            shed_state=ingest.policy.state_dict()
+                        ),
                     )
 
         return DriverReport(

@@ -76,41 +76,15 @@ class LogReader:
     ``iter(reader)`` is the one stream ``next(reader)`` also draws from,
     and it is a C-level iterator that owns what it needs (it outlives a
     temporary ``for record in read_log(...)`` reader): a driver's
-    ``islice`` pulls records without a Python call per record.
-
-    Parameters
-    ----------
-    read_ahead:
-        When positive, records are staged through a bounded buffer of at
-        most this many parsed records (chunked refills at the low
-        watermark), decoupling parse bursts from consumer pace while
-        keeping memory bounded.  Zero (default) parses strictly on
-        demand.
+    ``islice`` pulls records without a Python call per record.  Records
+    are parsed strictly on demand: nothing is read ahead of the consumer.
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        system: str,
-        year: int = 2005,
-        read_ahead: int = 0,
-    ):
-        if read_ahead < 0:
-            raise ValueError("read_ahead must be non-negative")
+    def __init__(self, path: PathLike, system: str, year: int = 2005):
         self.path = Path(path)
         self.system = system
         self._handle = _open_text(self.path)
         self._source = _parse_records(self._handle, system, year)
-        if read_ahead:
-            # Local import: logio is a lower layer than resilience for
-            # checkpointing purposes; a module-level import would cycle.
-            from ..resilience.backpressure import BoundedQueue, bounded_buffer
-
-            self._source = bounded_buffer(
-                self._source,
-                BoundedQueue(f"{self.path.name}-readahead", read_ahead),
-                chunk=min(64, read_ahead),
-            )
         # Past the last record the chain pulls from an iterator whose one
         # step closes the handle (``close()`` returns the sentinel).
         self._records = chain(self._source, iter(self._handle.close, None))
@@ -137,19 +111,17 @@ class LogReader:
         self.close()
 
 
-def read_log(
-    path: PathLike, system: str, year: int = 2005, read_ahead: int = 0
-) -> LogReader:
+def read_log(path: PathLike, system: str, year: int = 2005) -> LogReader:
     """Lazily parse a native-format log file into records.
 
     ``year`` seeds the syslog timestamp parser (BSD syslog carries no
     year; the stream parser handles rollover when a log spans New Year).
     BG/L lines carry full dates and ignore it.
 
-    Returns a :class:`LogReader`; see there for handle-lifetime and
-    ``read_ahead`` semantics.
+    Returns a :class:`LogReader`; see there for handle-lifetime
+    semantics.
     """
-    return LogReader(path, system, year=year, read_ahead=read_ahead)
+    return LogReader(path, system, year=year)
 
 
 def count_lines(path: PathLike) -> int:

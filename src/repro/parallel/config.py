@@ -1,11 +1,12 @@
 """Configuration for the parallel sharded-tagging execution layer.
 
 One frozen object describes how a run fans tagging out to worker
-processes: how many workers, how many records per shipped batch, how many
-batches may be in flight at once (the memory bound), which
-multiprocessing start method to use, and how a crashed worker's batch is
-handled.  It travels through :func:`repro.api.run_stream` and the
-CLI (``study --workers/--batch-size``) the same way
+processes: how many workers, how many records per shipped batch, and how
+a crashed worker's batch is handled; how many batches may be in flight
+at once (the memory bound) and which multiprocessing start method to use
+follow from those and the platform.  It travels through
+:func:`repro.api.run_stream` and the CLI (``study
+--workers/--batch-size``) the same way
 :class:`~repro.resilience.backpressure.BackpressureConfig` does.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def default_workers() -> int:
@@ -46,14 +47,6 @@ class ParallelConfig:
         Records per batch shipped to a worker.  Larger batches amortize
         pickling; smaller batches bound the damage of a worker crash and
         keep the order-preserving merge shallow.
-    max_inflight:
-        Maximum batches submitted but not yet yielded; ``0`` means
-        ``2 * workers``.  This bounds parent-side memory: at most
-        ``max_inflight * batch_size`` records are buffered for the
-        order-preserving merge, no matter how fast the source is.
-    mp_context:
-        Multiprocessing start method (``"fork"``/``"spawn"``/
-        ``"forkserver"``); empty string means :func:`default_mp_context`.
     retry_failed_batches:
         When a worker process dies mid-batch, replay the batch **exactly
         once** through an in-parent serial tagger (the supervisor path).
@@ -68,8 +61,6 @@ class ParallelConfig:
 
     workers: int = 0
     batch_size: int = 1024
-    max_inflight: int = 0
-    mp_context: str = ""
     retry_failed_batches: bool = True
     enable_test_faults: bool = False
 
@@ -78,19 +69,17 @@ class ParallelConfig:
             raise ValueError("workers must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.max_inflight < 0:
-            raise ValueError("max_inflight must be non-negative")
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else default_workers()
 
     def resolved_inflight(self) -> int:
-        if self.max_inflight > 0:
-            return max(self.max_inflight, 1)
+        """Batches submitted but not yet yielded, at most: two per
+        worker.  This bounds parent-side memory — ``resolved_inflight()
+        * batch_size`` records buffered for the order-preserving merge,
+        no matter how fast the source is."""
         return 2 * self.resolved_workers()
 
     def resolved_context(self) -> str:
-        return self.mp_context or default_mp_context()
-
-    def with_workers(self, workers: int) -> "ParallelConfig":
-        return replace(self, workers=workers)
+        """The multiprocessing start method: :func:`default_mp_context`."""
+        return default_mp_context()

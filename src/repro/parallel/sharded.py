@@ -359,7 +359,7 @@ class ShardedTagger:
         """Tag batches in parallel; yield ``(records, outcome)`` pairs in
         the exact order the batches were submitted.
 
-        At most ``config.max_inflight`` batches are submitted-but-unyielded
+        At most ``resolved_inflight()`` batches are submitted-but-unyielded
         at any moment, which bounds parent memory and the merge window.
         A broken worker pool fails every in-flight future; each affected
         batch is replayed serially exactly once (see

@@ -23,7 +23,9 @@ paper catalogs, the way production HPC log-analytics stacks do:
   bounded-memory runs;
 * :mod:`~repro.resilience.shedding` — priority-aware load-shedding
   policies that degrade in paper order: INFO chatter first, duplicate
-  alerts next, tagged alerts never (they spill to the dead-letter queue).
+  alerts next, tagged alerts never (they spill to the dead-letter queue),
+  and :class:`~repro.resilience.shedding.BoundedIngest`, the bounded
+  door the driver and the service's tenants both admit through.
 """
 
 from .backpressure import (
@@ -34,7 +36,6 @@ from .backpressure import (
     OverloadReport,
     PressureLevel,
     Watermarks,
-    bounded_buffer,
 )
 from .checkpoint import CheckpointManager, PipelineCheckpoint
 from .deadletter import DeadLetter, DeadLetterQueue, DeadLetterSnapshot
@@ -62,6 +63,7 @@ from .retry import (
     with_retry,
 )
 from .shedding import (
+    BoundedIngest,
     ChatterOnlyShedPolicy,
     NoShedPolicy,
     PriorityShedPolicy,
@@ -115,7 +117,7 @@ __all__ = [
     "OverloadReport",
     "PressureLevel",
     "Watermarks",
-    "bounded_buffer",
+    "BoundedIngest",
     "ChatterOnlyShedPolicy",
     "NoShedPolicy",
     "PriorityShedPolicy",

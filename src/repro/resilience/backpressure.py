@@ -16,19 +16,21 @@ mechanics of that choice:
   may push only as many records as the downstream queue has free space
   below its high watermark, which is how a *pausable* source (our
   deterministic generators, a file reader) is slowed instead of shed;
-* :func:`bounded_buffer` — a bounded read-ahead buffer between a producer
-  and a consumer, with an optional shed-policy hook for *unpausable*
-  sources (a UDP fan-in cannot be slowed, only shed);
 * :class:`OverloadMonitor` — samples queue occupancy, shed counts, and
   per-stage throughput, and raises the ``sustained_overload`` flag the
   pipeline and supervisor use to enter degraded mode instead of OOM;
 * :class:`BackpressureConfig` — one object describing all of the above,
   accepted by :func:`repro.api.run_stream` and the supervisor.
 
+An *unpausable* source (a UDP fan-in cannot be slowed, only shed) goes
+through the door built from these parts,
+:class:`repro.resilience.shedding.BoundedIngest`: the queue, its shed
+policy, and the one admission loop, owned by the bounded driver (one per
+run) and by the ingest service (one per tenant).
+
 Everything here is deliberately free of imports from the rest of the
 package (records, policies, and dead-letter queues are duck-typed), so
-any layer — reader, transport, collector, pipeline — can use it without
-import cycles.
+any layer can use it without import cycles.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 #: Shed-decision verbs shared with :mod:`repro.resilience.shedding`.
 #: Plain strings so policy objects stay duck-typed.
@@ -359,7 +361,7 @@ class BackpressureConfig:
     credit-based flow control slows arrivals instead (nothing is shed);
     an unpausable source (UDP fan-in) engages the shed policy.
     ``degrade`` answers sustained overload with coarse stats and a
-    filter ``T`` raised ``degrade_threshold_factor``-fold.
+    raised filter ``T``.
 
     ``monitor`` and ``accounting`` are normally created per run; the
     supervisor injects shared instances so overload accounting survives
@@ -375,7 +377,6 @@ class BackpressureConfig:
     shed_policy: Union[str, Any] = "priority"
     dedup_window: Optional[float] = None
     degrade: bool = False
-    degrade_threshold_factor: float = 4.0
     sustain: int = 8
     monitor: Optional[OverloadMonitor] = field(default=None, compare=False)
     accounting: Optional[Any] = field(default=None, compare=False)
@@ -390,8 +391,6 @@ class BackpressureConfig:
                 "need 0 < low_fraction < high_fraction <= 1, got "
                 f"{self.low_fraction}/{self.high_fraction}"
             )
-        if self.degrade_threshold_factor < 1.0:
-            raise ValueError("degrade_threshold_factor must be >= 1")
 
     @classmethod
     def burst(
@@ -412,70 +411,3 @@ class BackpressureConfig:
     ) -> "BackpressureConfig":
         """A copy bound to shared runtime state (supervisor restarts)."""
         return replace(self, monitor=monitor, accounting=accounting)
-
-
-def bounded_buffer(
-    records: Iterable[Any],
-    queue: BoundedQueue,
-    chunk: int = 64,
-    pausable: bool = True,
-    policy: Optional[Any] = None,
-    accounting: Optional[Any] = None,
-    dead_letters: Optional[Any] = None,
-    spill_reason: str = "shed-overload",
-) -> Iterator[Any]:
-    """Bounded, chunked read-ahead between a producer and a consumer.
-
-    Pulls up to ``chunk`` records per refill into ``queue`` and yields
-    from its front, so the consumer sees the same stream while upstream
-    read-ahead stays bounded by the queue's capacity.
-
-    ``pausable`` sources are credit-controlled: a refill never pulls past
-    the high watermark, so nothing is ever refused.  Unpausable sources
-    deliver the full ``chunk`` regardless (packets arrive whether the
-    buffer has room or not); each arriving record is then put to
-    ``policy.decide(record, pressure)`` — sheds are counted in
-    ``accounting``, spills go to ``dead_letters`` under ``spill_reason``,
-    and a refused ``keep`` (queue truly full, no policy room) spills too,
-    so loss is *always* accounted.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
-    source = iter(records)
-    exhausted = False
-    while True:
-        # Refill in chunk-sized arrival bursts once the buffer drains to
-        # its low watermark (classic double-buffered read-ahead cadence).
-        if not exhausted and len(queue) <= queue.watermarks.low:
-            want = min(chunk, queue.credits()) if pausable else chunk
-            for _ in range(want):
-                try:
-                    record = next(source)
-                except StopIteration:
-                    exhausted = True
-                    break
-                if policy is None:
-                    if not queue.put(record):
-                        # No policy to consult: spill, never silently drop.
-                        if accounting is not None:
-                            accounting.count_spilled("overflow")
-                        if dead_letters is not None:
-                            dead_letters.put(record, spill_reason, "overflow")
-                    continue
-                decision, klass = policy.decide(record, queue.pressure())
-                if accounting is not None:
-                    accounting.count_offered(klass)
-                if decision == SHED:
-                    if accounting is not None:
-                        accounting.count_shed(klass)
-                    continue
-                if decision == SPILL or not queue.put(record):
-                    if accounting is not None:
-                        accounting.count_spilled(klass)
-                    if dead_letters is not None:
-                        dead_letters.put(record, spill_reason, klass)
-        if queue:
-            yield queue.get()
-        elif exhausted:
-            return
-        # else: everything pulled this round was shed; refill again.

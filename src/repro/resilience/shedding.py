@@ -22,14 +22,28 @@ offers ``chatter-only`` (sheds nothing that any rule tags) and ``none``
 into accounted loss).  All decisions and their outcomes are counted in
 :class:`ShedAccounting`, whose totals feed the overload report on
 :meth:`repro.api.PipelineResult.summary`.
+
+:class:`BoundedIngest` is the door itself — the bounded queue, its
+policy, and the one loop that puts each tagged arrival to the policy
+against the live queue depth.  The bounded driver owns one per run and
+the ingest service one per tenant; each keeps only its own bookkeeping
+for what the door refuses.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple, Union
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .backpressure import KEEP, SHED, SPILL, PressureLevel
+from .backpressure import (
+    KEEP,
+    SHED,
+    SPILL,
+    BoundedQueue,
+    PressureLevel,
+    Watermarks,
+)
 
 #: Shed classes, in degradation order (first shed first).
 CLASS_CHATTER = "info-chatter"
@@ -37,7 +51,6 @@ CLASS_DUPLICATE = "duplicate-alert"
 CLASS_ALERT = "tagged-alert"
 
 Decision = Tuple[str, str]  # (KEEP | SHED | SPILL, shed class)
-UNMATCHED = object()  # ``verdict`` default: the policy does the matching
 
 
 class ShedAccounting:
@@ -101,13 +114,11 @@ class ShedPolicy:
     """Base policy: classification plus a (subclass-supplied) decision.
 
     Classification needs the system's expert ruleset — the tagger *is*
-    the priority oracle.  The bounded driver and the service's tenants,
-    which tag every record anyway, pass :meth:`decide` that ``verdict``
-    so the rules engine is asked once; other callers :meth:`bind` their
-    tagger and the policy matches.  An **unbound** policy, like a
-    verdict that is a tagger error, classifies as :data:`CLASS_ALERT`:
-    with no way to tell chatter from alerts, the only safe degradation
-    is to spill with accounting, never to shed.
+    the priority oracle — so the caller, who tags every record anyway,
+    passes :meth:`decide` the ``verdict`` and the rules engine is asked
+    once.  A verdict that is a tagger error classifies as
+    :data:`CLASS_ALERT`: with no way to tell chatter from alerts, the
+    only safe degradation is to spill with accounting, never to shed.
 
     ``dedup_window`` is the lookback (seconds) within which a repeated
     category counts as a duplicate; the pipeline defaults it to the
@@ -121,32 +132,20 @@ class ShedPolicy:
         if dedup_window < 0:
             raise ValueError("dedup_window must be non-negative")
         self.dedup_window = dedup_window
-        self._tagger = None
         self._last_seen: Dict[str, float] = {}
         # The duplicate-lookback table is read-modify-written per record;
         # the ingest service multiplexes policies across tenant tasks (and
         # tests hammer one from threads), so the update must be atomic.
-        # The regex match stays outside the lock — it touches no policy
-        # state and is the expensive part.
         self._lock = threading.Lock()
 
-    def bind(self, tagger) -> "ShedPolicy":
-        """Attach the system's tagger used for classification."""
-        self._tagger = tagger
-        return self
-
-    def classify(self, record, verdict=UNMATCHED) -> str:
-        """The record's shed class; ``verdict`` (the alert, ``None``, or
-        the tagger error's ``repr``) stands in for the match made here."""
-        if verdict is UNMATCHED and self._tagger is not None:
-            category = self._tagger.match(record)
-            name = category and category.name
-        elif verdict is UNMATCHED or isinstance(verdict, str):
-            return CLASS_ALERT  # unbound, or the rules engine failed on it
-        else:
-            name = verdict and verdict.category
-        if name is None:
+    def classify(self, record, verdict) -> str:
+        """The record's shed class, from the tagger's ``verdict`` on it:
+        the alert, ``None``, or the tagger error's ``repr``."""
+        if verdict is None:
             return CLASS_CHATTER
+        if isinstance(verdict, str):
+            return CLASS_ALERT  # the rules engine failed on it
+        name = verdict.category
         with self._lock:
             last = self._last_seen.get(name)
             self._last_seen[name] = record.timestamp
@@ -165,7 +164,7 @@ class ShedPolicy:
         with self._lock:
             self._last_seen = dict(state) if state else {}
 
-    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+    def decide(self, record, level: PressureLevel, verdict) -> Decision:
         raise NotImplementedError
 
 
@@ -175,7 +174,7 @@ class PriorityShedPolicy(ShedPolicy):
 
     name = "priority"
 
-    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+    def decide(self, record, level: PressureLevel, verdict) -> Decision:
         klass = self.classify(record, verdict)
         if level is PressureLevel.NORMAL:
             return KEEP, klass
@@ -194,7 +193,7 @@ class ChatterOnlyShedPolicy(ShedPolicy):
 
     name = "chatter-only"
 
-    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+    def decide(self, record, level: PressureLevel, verdict) -> Decision:
         klass = self.classify(record, verdict)
         if level is PressureLevel.NORMAL:
             return KEEP, klass
@@ -211,7 +210,7 @@ class NoShedPolicy(ShedPolicy):
 
     name = "none"
 
-    def decide(self, record, level: PressureLevel, verdict=UNMATCHED) -> Decision:
+    def decide(self, record, level: PressureLevel, verdict) -> Decision:
         klass = self.classify(record, verdict)
         if level is PressureLevel.CRITICAL:
             return SPILL, klass
@@ -239,3 +238,67 @@ def get_shed_policy(
     if dedup_window is None:
         return cls()
     return cls(dedup_window=dedup_window)
+
+
+class BoundedIngest:
+    """The one door for overload: a bounded queue, the shed policy that
+    guards it, and the loop that puts tagged arrivals to that policy.
+
+    ``config`` is anything with ``max_buffer``, ``high_fraction``,
+    ``low_fraction``, ``shed_policy`` and ``dedup_window``
+    (:class:`~repro.resilience.backpressure.BackpressureConfig`,
+    :class:`~repro.service.config.ServiceConfig`); ``threshold`` is the
+    filter ``T``, the dedup window's default; ``shed_state`` is a
+    checkpointed :meth:`ShedPolicy.state_dict` to resume the duplicate
+    lookback from.  :attr:`queue` and :attr:`policy` are plain
+    attributes: the owner drains the one and snapshots the other.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        config: Any,
+        threshold: float,
+        shed_state: Optional[Dict[str, float]] = None,
+    ):
+        window = threshold if config.dedup_window is None else config.dedup_window
+        self.policy = get_shed_policy(config.shed_policy, dedup_window=window)
+        if shed_state is not None:
+            self.policy.load_state_dict(shed_state)
+        self.queue = BoundedQueue(
+            name,
+            config.max_buffer,
+            Watermarks.for_capacity(
+                config.max_buffer, config.high_fraction, config.low_fraction
+            ),
+        )
+
+    def offer(
+        self,
+        records: Sequence[Any],
+        outcome: Any,
+        floor: PressureLevel = PressureLevel.NORMAL,
+    ) -> Tuple[List[str], List[str], List[Tuple[Any, Any, str]]]:
+        """Put a tagged run of arrivals to the policy, one decision per
+        record against the live queue depth (never below ``floor``), and
+        queue what it keeps as ``(record, verdict)``.
+
+        ``outcome`` is the run's tag outcome (``hits`` and ``errors`` as
+        ``(index, verdict)`` pairs).  Returns the class of every record
+        offered, the classes shed, and ``(record, verdict, class)`` for
+        each record refused — spilled by the policy, or kept by it with
+        the queue full — in arrival order, for the owner to dead-letter.
+        """
+        decide = self.policy.decide
+        pressure, put = self.queue.pressure, self.queue.put
+        offered, shed, refused = [], [], []
+        found = dict(chain(outcome.hits, outcome.errors))
+        for item in zip(records, map(found.get, range(len(records)))):
+            record, verdict = item
+            decision, klass = decide(record, max(pressure(), floor), verdict)
+            offered.append(klass)
+            if decision == SHED:
+                shed.append(klass)
+            elif decision == SPILL or not put(item):
+                refused.append((record, verdict, klass))
+        return offered, shed, refused

@@ -20,12 +20,11 @@ the failure log — the contract production log-analytics stacks keep
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .. import api as _pipeline
-from ..core.filtering import DEFAULT_THRESHOLD, FilterReport
-from ..analysis.severity_eval import SeverityCrossTab
-from ..logio.stats import StatsCollector
+from ..core.filtering import DEFAULT_THRESHOLD
+from ..engine.path import AlertPath
 from ..simulation.generator import LogGenerator
 from ..parallel.config import ParallelConfig
 from .backpressure import BackpressureConfig, OverloadMonitor, OverloadReport
@@ -141,7 +140,7 @@ class PipelineSupervisor:
 
         return self._degraded_result(
             system, threshold, checkpoint, dead_letters, failure_log,
-            backpressure=backpressure,
+            backpressure=backpressure, predict=predict,
         )
 
     def run_system(
@@ -177,29 +176,6 @@ class PipelineSupervisor:
             result.generated = holder.get("generated")
         return result
 
-    def run_all(
-        self,
-        scale: float = 1e-4,
-        seed: int = 2007,
-        threshold: float = DEFAULT_THRESHOLD,
-        faults: Optional[FaultConfig] = None,
-        backpressure: Optional[BackpressureConfig] = None,
-        parallel: Optional[ParallelConfig] = None,
-        **generator_kwargs,
-    ) -> Dict[str, "_pipeline.PipelineResult"]:
-        """All five systems, each supervised independently: one system
-        exhausting its budget degrades that system only."""
-        from ..systems.specs import SYSTEMS
-
-        return {
-            name: self.run_system(
-                name, scale=scale, seed=seed, threshold=threshold,
-                faults=faults, backpressure=backpressure, parallel=parallel,
-                **generator_kwargs,
-            )
-            for name in SYSTEMS
-        }
-
     def _degraded_result(
         self,
         system: str,
@@ -208,11 +184,14 @@ class PipelineSupervisor:
         dead_letters: DeadLetterQueue,
         failure_log: List[str],
         backpressure: Optional[BackpressureConfig] = None,
+        predict=None,
     ) -> "_pipeline.PipelineResult":
         """The partial result covering the stream up to the last
-        checkpoint (or nothing, if the worker never survived one).
+        checkpoint (or nothing, if the worker never survived one): what
+        a path resumed from that checkpoint would report if its stream
+        ended there, prediction included.
 
-        The dead-letter queue is about to be rolled back to the
+        Building that path rolls the dead-letter queue back to the
         checkpoint; quarantines from the failed attempts after that point
         would otherwise exist only in the result the crash destroyed.
         Snapshot the live accounting *first* and carry it on the degraded
@@ -224,19 +203,16 @@ class PipelineSupervisor:
             "final dead-letter accounting at budget exhaustion: "
             + dead_letters.summary()
         )
-        if checkpoint is not None:
-            stats = checkpoint.restore_stats().finish()
-            report = checkpoint.restore_report()
-            severity = checkpoint.restore_severity()
-            raw = list(checkpoint.raw_alerts)
-            filtered = list(checkpoint.filtered_alerts)
-            corrupted = checkpoint.corrupted_messages
-            dead_letters.restore(checkpoint.dead_letters)
-        else:
-            stats = StatsCollector(system).finish()
-            report = FilterReport(threshold=threshold)
-            severity = SeverityCrossTab()
-            raw, filtered, corrupted = [], [], 0
+        prediction = None
+        if predict:
+            from ..streaming import prediction_stage
+
+            prediction = prediction_stage(predict)
+        path = AlertPath(
+            system, threshold, dead_letters, resume_from=checkpoint,
+            prediction=prediction,
+        )
+        if checkpoint is None:
             dead_letters.restore(None)
         overload = None
         if backpressure is not None:
@@ -246,20 +222,10 @@ class PipelineSupervisor:
                 monitor=backpressure.monitor,
                 accounting=backpressure.accounting,
             )
-        result = _pipeline.PipelineResult(
-            system=system,
-            stats=stats,
-            raw_alerts=raw,
-            filtered_alerts=filtered,
-            filter_report=report,
-            severity_tab=severity,
-            corrupted_messages=corrupted,
-            threshold=threshold,
-            dead_letters=dead_letters,
+        return path.result(
             degraded=True,
             restarts=self.restart_budget,
             failure_log=failure_log,
             overload=overload,
             final_dead_letters=final_dead_letters,
         )
-        return result

@@ -5,7 +5,11 @@ One object describes everything the service needs: per-tenant bounds
 eviction, drain timeout), global memory governance, and the listener
 endpoints.  Per-tenant knobs deliberately reuse the vocabulary of
 :class:`~repro.resilience.backpressure.BackpressureConfig` — a tenant is
-a bounded pipeline run that never ends.
+a bounded pipeline run that never ends, and the five they share
+(``max_buffer``, ``high_fraction``, ``low_fraction``, ``shed_policy``,
+``dedup_window``) are exactly what either config hands
+:class:`~repro.resilience.shedding.BoundedIngest`, the one door both
+admit through.
 """
 
 from __future__ import annotations

@@ -2,19 +2,22 @@
 
 A :class:`Tenant` is everything one source stream owns and nothing it
 shares: its own :class:`~repro.engine.path.AlertPath` (filter clocks,
-stats, severity tab), its own :class:`BoundedQueue` with watermarks, its
-own :class:`ShedPolicy` and :class:`DeadLetterQueue`, its own circuit
+stats, severity tab), its own :class:`~repro.resilience.shedding.
+BoundedIngest` (the bounded queue with watermarks and the shed policy
+guarding it), its own :class:`DeadLetterQueue`, its own circuit
 breaker and restart budget, and its own asyncio worker task.  Isolation
 falls out of that ownership plus cooperative scheduling: a worker serves
 at most ``service_batch`` records per wakeup and then yields the event
 loop, so a tenant under a 10x burst or a crash-loop cannot starve the
 other tenants' workers or the listeners.
 
-Records take the door the bounded driver's take: a run of arrivals
-(:meth:`Tenant.offer_batch`, one per tenant per chunk a listener read)
-is tagged **once**, there; the verdict — the alert, nothing, or the
+Records take the door the bounded driver's take — the same class, not
+a copy of its loop: a run of arrivals (:meth:`Tenant.offer_batch`, one
+per tenant per chunk a listener read) is tagged **once** and offered to
+the tenant's ``BoundedIngest``; the verdict — the alert, nothing, or the
 tagger error's ``repr`` — classes each record for shedding and rides the
-queue beside it.  The worker shows a batch's records to the fault hook,
+queue beside it, and what the door refuses is the tenant's to count and
+dead-letter.  The worker shows a batch's records to the fault hook,
 then serves them through the batch kernel with the queued verdicts as
 its tag outcome (:meth:`AlertPath.process_tagged`); the per-record
 reference runs only to find the record a failed kernel call died on.
@@ -46,13 +49,7 @@ from ..core.filtering import FilterReport
 from ..engine.path import AlertPath
 from ..engine.stages import ObservingSink
 from ..logmodel.record import LogRecord
-from ..resilience.backpressure import (
-    SHED,
-    SPILL,
-    BoundedQueue,
-    PressureLevel,
-    Watermarks,
-)
+from ..resilience.backpressure import PressureLevel
 from ..resilience.checkpoint import PipelineCheckpoint
 from ..resilience.deadletter import (
     DeadLetterQueue,
@@ -63,7 +60,7 @@ from ..resilience.deadletter import (
     REASON_WORKER_CRASH,
 )
 from ..resilience.retry import BreakerState, CircuitBreaker
-from ..resilience.shedding import get_shed_policy
+from ..resilience.shedding import BoundedIngest
 from .accounting import TenantCounters
 from .config import ServiceConfig
 
@@ -188,23 +185,17 @@ class Tenant:
             filtered_seed=tuple(self.path.sink.filtered_alerts),
         )
 
-        window = (
-            config.threshold if config.dedup_window is None
-            else config.dedup_window
+        #: The door (shared with the bounded driver); its queue and
+        #: policy are this tenant's to drain and to checkpoint.
+        self.ingest = BoundedIngest(
+            f"ingest:{tenant_id}", config, config.threshold,
+            checkpoint.shed_state if checkpoint is not None else None,
         )
-        self.policy = get_shed_policy(config.shed_policy, dedup_window=window)
-        if checkpoint is not None and checkpoint.shed_state is not None:
-            self.policy.load_state_dict(checkpoint.shed_state)
+        self.queue = self.ingest.queue
+        self.policy = self.ingest.policy
         if parked is not None:
             self.counters.resumes += 1
 
-        self.queue = BoundedQueue(
-            f"ingest:{tenant_id}",
-            config.max_buffer,
-            Watermarks.for_capacity(
-                config.max_buffer, config.high_fraction, config.low_fraction
-            ),
-        )
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_threshold,
             reset_timeout=config.breaker_reset,
@@ -307,8 +298,6 @@ class Tenant:
         self.counters.received += len(records)
         now = self.last_activity = time.monotonic()
         outcome = self.path.tagger.tag_batch(records)
-        found = dict(chain(outcome.hits, outcome.errors))
-        pairs = zip(records, map(found.get, range(len(records))))
         # (Nothing can open a closed breaker inside this call; an open
         # one asked at one ``now`` refuses every record or none.)
         if self.quarantined or (
@@ -317,8 +306,9 @@ class Tenant:
         ):
             reason = (REASON_TENANT_QUARANTINED if self.quarantined
                       else REASON_CIRCUIT_OPEN)
-            for record, verdict in pairs:
-                self._refuse(record, reason, verdict)
+            alerts = dict(outcome.hits)
+            for at, record in enumerate(records):
+                self._refuse(record, reason, alerts.get(at))
             # No worker batch will sync a dead tenant's letters (the worker
             # is gone); land them now so it loses nothing across restarts.
             if self.quarantined and self._persist is not None:
@@ -328,14 +318,11 @@ class Tenant:
             self.governor.level() if self.governor is not None
             else PressureLevel.NORMAL
         )
-        decide, pressure = self.policy.decide, self.queue.pressure
-        for item in pairs:
-            record, verdict = item
-            decision, klass = decide(record, max(pressure(), floor), verdict)
-            if decision == SHED:
-                self.counters.count_shed(klass)
-            elif decision == SPILL or not self.queue.put(item):
-                self._refuse(record, REASON_SHED_OVERLOAD, verdict, klass)
+        _offered, shed, refused = self.ingest.offer(records, outcome, floor)
+        for klass in shed:
+            self.counters.count_shed(klass)
+        for record, verdict, klass in refused:
+            self._refuse(record, REASON_SHED_OVERLOAD, verdict, klass)
         if self.queue:
             self._wakeup.set()
 

@@ -21,14 +21,11 @@ import math
 from typing import Iterable, Iterator, Optional
 
 from ..logmodel.record import LogRecord
-from ..resilience.backpressure import BoundedQueue, bounded_buffer
 from ..resilience.deadletter import (
     DeadLetterQueue,
     REASON_INVALID_RECORD,
     REASON_OUT_OF_ORDER,
-    REASON_SHED_OVERLOAD,
 )
-from ..resilience.shedding import ShedAccounting
 from .corruptor import Corruptor
 
 
@@ -66,21 +63,6 @@ class Collector:
         stored timestamp before quarantine.  The default of one second
         matches syslog's timestamp granularity: same-second interleaving
         is normal fan-in behavior, not disorder worth refusing.
-    max_pending:
-        When given, the server's fan-in buffer is *bounded*: at most this
-        many merged records are read ahead of the consumer (historically
-        the buffer was implicit and unbounded).  Peak occupancy is
-        tracked on :attr:`pending`.
-    shed_policy:
-        Optional bound shed policy (see :mod:`repro.resilience.shedding`)
-        consulted when the bounded buffer comes under pressure from an
-        unpausable fan-in (``pausable_sources=False``); sheds and spills
-        are counted exactly in :attr:`shed_accounting`, with spills
-        quarantined to ``dead_letters``.
-    pausable_sources:
-        ``True`` (default) models sources the server can slow down
-        (credit-based flow control: nothing is lost); ``False`` models
-        UDP-style senders that keep transmitting into a full buffer.
     """
 
     def __init__(
@@ -89,25 +71,13 @@ class Collector:
         corruptor: Optional[Corruptor] = None,
         dead_letters: Optional[DeadLetterQueue] = None,
         reorder_tolerance: float = 1.0,
-        max_pending: Optional[int] = None,
-        ingest_chunk: int = 64,
-        shed_policy=None,
-        pausable_sources: bool = True,
     ):
         if reorder_tolerance < 0:
             raise ValueError("reorder_tolerance must be non-negative")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
         self.name = name
         self.corruptor = corruptor
         self.dead_letters = dead_letters
         self.reorder_tolerance = reorder_tolerance
-        self.max_pending = max_pending
-        self.ingest_chunk = ingest_chunk
-        self.shed_policy = shed_policy
-        self.pausable_sources = pausable_sources
-        self.pending: Optional[BoundedQueue] = None
-        self.shed_accounting = ShedAccounting()
         self.stored = 0
         self.corrupted = 0
         self.disordered = 0
@@ -123,15 +93,6 @@ class Collector:
         merged = merge_streams(*streams)
         if self.corruptor is not None:
             merged = self.corruptor.apply(merged)
-        if self.max_pending is not None:
-            self.pending = BoundedQueue(f"{self.name}-pending", self.max_pending)
-            merged = bounded_buffer(
-                merged, self.pending, chunk=self.ingest_chunk,
-                pausable=self.pausable_sources, policy=self.shed_policy,
-                accounting=self.shed_accounting,
-                dead_letters=self.dead_letters,
-                spill_reason=REASON_SHED_OVERLOAD,
-            )
         high_water: Optional[float] = None
         for record in merged:
             if not self._storable(record):

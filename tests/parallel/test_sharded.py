@@ -109,11 +109,6 @@ class TestParallelConfig:
             ParallelConfig(workers=-1)
         with pytest.raises(ValueError):
             ParallelConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(max_inflight=-2)
-
-    def test_with_workers(self):
-        assert ParallelConfig().with_workers(3).resolved_workers() == 3
 
 
 class TestShardedTagger:

@@ -1,4 +1,4 @@
-"""Unit tests for bounded queues, credits, the monitor, bounded_buffer."""
+"""Unit tests for bounded queues, credits, the monitor, the config."""
 
 import pytest
 
@@ -10,15 +10,8 @@ from repro.resilience.backpressure import (
     OverloadReport,
     PressureLevel,
     Watermarks,
-    bounded_buffer,
 )
-from repro.resilience.deadletter import DeadLetterQueue
-from repro.resilience.shedding import CLASS_ALERT, ShedAccounting
-from repro.logmodel.record import LogRecord
-
-
-def _record(t=1.0, body="x"):
-    return LogRecord(timestamp=t, source="n1", facility="kernel", body=body)
+from repro.resilience.shedding import ShedAccounting
 
 
 class TestWatermarks:
@@ -139,45 +132,6 @@ class TestOverloadMonitor:
         assert monitor.peak_by_queue["q"] == 5
 
 
-class TestBoundedBuffer:
-    def test_pausable_source_loses_nothing(self):
-        q = BoundedQueue("q", capacity=8)
-        out = list(bounded_buffer(range(100), q, chunk=16, pausable=True))
-        assert out == list(range(100))
-        assert q.refused == 0
-        assert q.peak_occupancy <= q.watermarks.high
-
-    def test_unpausable_overflow_spills_with_accounting(self):
-        q = BoundedQueue("q", capacity=4)
-        accounting = ShedAccounting()
-        dlq = DeadLetterQueue()
-        records = [_record(t=float(k)) for k in range(50)]
-        out = list(bounded_buffer(records, q, chunk=20, pausable=False,
-                                  accounting=accounting, dead_letters=dlq))
-        # Everything is either delivered or spilled with a count: no
-        # silent loss, and the buffer never exceeded its bound.
-        assert len(out) + accounting.total_spilled == 50
-        assert dlq.quarantined == accounting.total_spilled > 0
-        assert q.peak_occupancy <= q.capacity
-
-    def test_policy_decisions_are_consulted(self):
-        class ShedEverything:
-            def decide(self, record, level):
-                return "shed", CLASS_ALERT
-
-        q = BoundedQueue("q", capacity=4)
-        accounting = ShedAccounting()
-        out = list(bounded_buffer(range(10), q, chunk=4, pausable=False,
-                                  policy=ShedEverything(),
-                                  accounting=accounting))
-        assert out == []
-        assert accounting.total_shed == 10
-
-    def test_invalid_chunk(self):
-        with pytest.raises(ValueError):
-            list(bounded_buffer([], BoundedQueue("q", 4), chunk=0))
-
-
 class TestBackpressureConfig:
     def test_burst_arrival_outpaces_service(self):
         cfg = BackpressureConfig.burst(factor=10.0, service_batch=32)
@@ -189,8 +143,6 @@ class TestBackpressureConfig:
             BackpressureConfig(max_buffer=0)
         with pytest.raises(ValueError):
             BackpressureConfig(high_fraction=0.4, low_fraction=0.5)
-        with pytest.raises(ValueError):
-            BackpressureConfig(degrade_threshold_factor=0.5)
         with pytest.raises(ValueError):
             BackpressureConfig.burst(factor=0.5)
 

@@ -128,14 +128,16 @@ class TestShedPolicyConcurrency:
         """Many threads sharing one policy: every decision is a valid
         verb and nothing raises; duplicate state stays a sane dict."""
         tagger = Tagger(get_ruleset("liberty"))
-        policy = get_shed_policy("priority", dedup_window=5.0).bind(tagger)
+        policy = get_shed_policy("priority", dedup_window=5.0)
         decisions = [[] for _ in range(THREADS)]
 
         def worker(tid):
             for i in range(PER_THREAD):
                 record = make_record(tid * PER_THREAD + i)
                 level = PressureLevel(i % 3)
-                decisions[tid].append(policy.decide(record, level)[0])
+                decisions[tid].append(
+                    policy.decide(record, level, tagger.tag(record))[0]
+                )
 
         run_threads(worker)
         flat = [d for sub in decisions for d in sub]
@@ -146,13 +148,14 @@ class TestShedPolicyConcurrency:
 
     def test_state_dict_round_trip_during_decides(self):
         tagger = Tagger(get_ruleset("liberty"))
-        policy = get_shed_policy("priority", dedup_window=5.0).bind(tagger)
+        policy = get_shed_policy("priority", dedup_window=5.0)
         stop = threading.Event()
         errors = []
 
         def decider(tid):
             for i in range(PER_THREAD):
-                policy.decide(make_record(i), PressureLevel.CRITICAL)
+                record = make_record(i)
+                policy.decide(record, PressureLevel.CRITICAL, tagger.tag(record))
             stop.set()
 
         def checkpointer():

@@ -3,15 +3,22 @@
 import pytest
 
 from repro.core.rules import get_ruleset
-from repro.core.tagging import Tagger
+from repro.core.tagging import BatchOutcome, Tagger
 from repro.logio.reader import read_log
 from repro.logmodel.record import LogRecord
-from repro.resilience.backpressure import KEEP, SHED, SPILL, PressureLevel
+from repro.resilience.backpressure import (
+    KEEP,
+    SHED,
+    SPILL,
+    BackpressureConfig,
+    PressureLevel,
+)
 from repro.resilience.shedding import (
     CLASS_ALERT,
     CLASS_CHATTER,
     CLASS_DUPLICATE,
     SHED_POLICIES,
+    BoundedIngest,
     ChatterOnlyShedPolicy,
     NoShedPolicy,
     PriorityShedPolicy,
@@ -51,57 +58,71 @@ def _record(t, body):
     return LogRecord(timestamp=t, source="n1", facility="kernel", body=body)
 
 
+def _classify(policy, tagger, record):
+    return policy.classify(record, tagger.tag(record))
+
+
+def _decide(policy, tagger, record, level):
+    return policy.decide(record, level, tagger.tag(record))
+
+
 class TestClassification:
     def test_chatter_vs_alert(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy(dedup_window=5.0).bind(tagger)
-        assert policy.classify(_record(0.0, "healthd: uneventful")) \
+        policy = PriorityShedPolicy(dedup_window=5.0)
+        assert _classify(policy, tagger, _record(0.0, "healthd: uneventful")) \
             == CLASS_CHATTER
-        assert policy.classify(make_alert_record(100.0)) == CLASS_ALERT
+        assert _classify(policy, tagger, make_alert_record(100.0)) == CLASS_ALERT
 
     def test_repeat_within_window_is_duplicate(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy(dedup_window=5.0).bind(tagger)
-        assert policy.classify(make_alert_record(0.0)) == CLASS_ALERT
-        assert policy.classify(make_alert_record(2.0)) == CLASS_DUPLICATE
+        policy = PriorityShedPolicy(dedup_window=5.0)
+        assert _classify(policy, tagger, make_alert_record(0.0)) == CLASS_ALERT
+        assert _classify(policy, tagger, make_alert_record(2.0)) \
+            == CLASS_DUPLICATE
         # Beyond the window the category is fresh again.
-        assert policy.classify(make_alert_record(20.0)) == CLASS_ALERT
+        assert _classify(policy, tagger, make_alert_record(20.0)) == CLASS_ALERT
 
     def test_backwards_timestamp_is_not_duplicate(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy(dedup_window=5.0).bind(tagger)
-        policy.classify(make_alert_record(10.0))
-        assert policy.classify(make_alert_record(3.0)) == CLASS_ALERT
-
-    def test_unbound_policy_is_conservative(self):
-        policy = PriorityShedPolicy()
-        assert policy.classify(_record(0.0, "anything")) == CLASS_ALERT
-        # ...so under pressure nothing is shed, only spilled.
-        decision, klass = policy.decide(_record(0.0, "anything"),
-                                        PressureLevel.CRITICAL)
-        assert decision == SPILL
-        assert klass == CLASS_ALERT
+        policy = PriorityShedPolicy(dedup_window=5.0)
+        _classify(policy, tagger, make_alert_record(10.0))
+        assert _classify(policy, tagger, make_alert_record(3.0)) == CLASS_ALERT
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 @pytest.mark.parametrize("level", list(PressureLevel))
 @pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
 def test_told_the_verdict_equals_matching_it(policy_name, level, system):
-    """A caller that has already tagged the record hands ``decide`` the
-    verdict; that must choose exactly what the self-matching form
-    chooses — class, decision and the duplicate lookback it leaves."""
+    """The door is told a whole run's verdicts as one batch outcome;
+    that must choose exactly what matching and deciding record by
+    record chooses — class, decision and the duplicate lookback it
+    leaves."""
     records = list(read_log(
         GOLDEN_DIR / f"{system}.log", system, year=load_expected(system)["year"]
     ))
     system_tagger = Tagger(get_ruleset(system))
-    matching = get_shed_policy(policy_name, dedup_window=5.0).bind(system_tagger)
-    told = get_shed_policy(policy_name, dedup_window=5.0)
-    assert [told.decide(r, level, system_tagger.tag(r)) for r in records] \
-        == [matching.decide(r, level) for r in records]
-    assert told.state_dict() == matching.state_dict() != {}
+    matching = get_shed_policy(policy_name, dedup_window=5.0)
+    decisions = [
+        (r, *matching.decide(r, level, system_tagger.tag(r))) for r in records
+    ]
+    # Room for every record: the queue itself never raises the pressure.
+    told = BoundedIngest("door", BackpressureConfig(
+        max_buffer=10 * len(records), shed_policy=policy_name, dedup_window=5.0,
+    ), threshold=1.0)
+    offered, shed, refused = told.offer(
+        records, system_tagger.tag_batch(records), floor=level
+    )
+    assert offered == [klass for _, _, klass in decisions]
+    assert shed == [klass for _, verb, klass in decisions if verb == SHED]
+    assert [(r, klass) for r, _, klass in refused] \
+        == [(r, klass) for r, verb, klass in decisions if verb == SPILL]
+    assert [r for r, _ in told.queue.take(len(records))] \
+        == [r for r, verb, _ in decisions if verb == KEEP]
+    assert told.policy.state_dict() == matching.state_dict() != {}
 
 
 class TestToldVerdict:
     def test_tagger_error_is_unclassifiable(self, make_alert_record):
-        """What the rules engine failed on may spill, never be shed —
-        the unbound rule — and leaves the duplicate lookback alone."""
+        """What the rules engine failed on may spill, never be shed,
+        and leaves the duplicate lookback alone."""
         policy = PriorityShedPolicy(dedup_window=5.0)
         error = repr(RuntimeError("regex engine fell over"))
         for level, decision in (
@@ -120,48 +141,48 @@ class TestToldVerdict:
 
 class TestPriorityPolicy:
     def test_normal_pressure_keeps_everything(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy().bind(tagger)
+        policy = PriorityShedPolicy()
         for record in (_record(0.0, "chatter line"), make_alert_record(0.0)):
-            decision, _ = policy.decide(record, PressureLevel.NORMAL)
+            decision, _ = _decide(policy, tagger, record, PressureLevel.NORMAL)
             assert decision == KEEP
 
     def test_elevated_sheds_only_chatter(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy().bind(tagger)
-        decision, klass = policy.decide(_record(0.0, "chatter"),
-                                        PressureLevel.ELEVATED)
+        policy = PriorityShedPolicy()
+        decision, klass = _decide(policy, tagger, _record(0.0, "chatter"),
+                                  PressureLevel.ELEVATED)
         assert (decision, klass) == (SHED, CLASS_CHATTER)
-        decision, _ = policy.decide(make_alert_record(1.0),
-                                    PressureLevel.ELEVATED)
+        decision, _ = _decide(policy, tagger, make_alert_record(1.0),
+                              PressureLevel.ELEVATED)
         assert decision == KEEP
 
     def test_critical_sheds_duplicates_spills_fresh_alerts(
         self, tagger, make_alert_record
     ):
-        policy = PriorityShedPolicy(dedup_window=5.0).bind(tagger)
-        decision, klass = policy.decide(make_alert_record(0.0),
-                                        PressureLevel.CRITICAL)
+        policy = PriorityShedPolicy(dedup_window=5.0)
+        decision, klass = _decide(policy, tagger, make_alert_record(0.0),
+                                  PressureLevel.CRITICAL)
         assert (decision, klass) == (SPILL, CLASS_ALERT)
-        decision, klass = policy.decide(make_alert_record(1.0),
-                                        PressureLevel.CRITICAL)
+        decision, klass = _decide(policy, tagger, make_alert_record(1.0),
+                                  PressureLevel.CRITICAL)
         assert (decision, klass) == (SHED, CLASS_DUPLICATE)
 
 
 class TestOtherPolicies:
     def test_chatter_only_never_sheds_tagged(self, tagger, make_alert_record):
-        policy = ChatterOnlyShedPolicy(dedup_window=5.0).bind(tagger)
-        policy.classify(make_alert_record(0.0))  # prime a duplicate
-        decision, klass = policy.decide(make_alert_record(1.0),
-                                        PressureLevel.CRITICAL)
+        policy = ChatterOnlyShedPolicy(dedup_window=5.0)
+        _classify(policy, tagger, make_alert_record(0.0))  # prime a duplicate
+        decision, klass = _decide(policy, tagger, make_alert_record(1.0),
+                                  PressureLevel.CRITICAL)
         assert decision == SPILL  # duplicates spill, not shed
         assert klass == CLASS_DUPLICATE
 
     def test_none_policy_only_spills_at_critical(self, tagger):
-        policy = NoShedPolicy().bind(tagger)
-        decision, _ = policy.decide(_record(0.0, "chatter"),
-                                    PressureLevel.ELEVATED)
+        policy = NoShedPolicy()
+        decision, _ = _decide(policy, tagger, _record(0.0, "chatter"),
+                              PressureLevel.ELEVATED)
         assert decision == KEEP
-        decision, _ = policy.decide(_record(0.0, "chatter"),
-                                    PressureLevel.CRITICAL)
+        decision, _ = _decide(policy, tagger, _record(0.0, "chatter"),
+                              PressureLevel.CRITICAL)
         assert decision == SPILL
 
 
@@ -206,3 +227,102 @@ class TestAccounting:
 
     def test_empty_summary(self):
         assert ShedAccounting().summary() == "nothing shed"
+
+
+def _door(max_buffer=8, shed_policy="priority", shed_state=None):
+    return BoundedIngest(
+        "door",
+        BackpressureConfig(max_buffer=max_buffer, shed_policy=shed_policy),
+        threshold=5.0, shed_state=shed_state,
+    )
+
+
+class TestBoundedIngest:
+    def test_refused_triples_come_back_in_arrival_order(
+        self, tagger, make_alert_record
+    ):
+        """CRITICAL from the first record: chatter is shed, each fresh
+        alert spilled — handed back, in order, with verdict and class."""
+        door = _door()
+        records = [make_alert_record(100.0 * i) if i % 2 else
+                   _record(100.0 * i, "chatter") for i in range(8)]
+        outcome = tagger.tag_batch(records)
+        offered, shed, refused = door.offer(
+            records, outcome, floor=PressureLevel.CRITICAL
+        )
+        assert offered == [CLASS_CHATTER, CLASS_ALERT] * 4
+        assert shed == [CLASS_CHATTER] * 4
+        assert [r for r, _, _ in refused] == records[1::2]
+        assert [v for _, v, _ in refused] == [a for _, a in outcome.hits]
+        assert {k for _, _, k in refused} == {CLASS_ALERT}
+        assert not door.queue
+
+    def test_keep_on_a_full_queue_is_refused_not_dropped(self, tagger):
+        """``none`` keeps until the queue is at capacity; past that the
+        policy spills — and a KEEP the queue cannot take is refused the
+        same way, so every record is queued or handed back."""
+        door = _door(max_buffer=4, shed_policy="none")
+        records = [_record(float(i), "chatter") for i in range(6)]
+        offered, shed, refused = door.offer(records, tagger.tag_batch(records))
+        assert (len(offered), shed) == (6, [])
+        assert [r for r, _ in door.queue.take(6)] == records[:4]
+        assert [(r, v, k) for r, v, k in refused] \
+            == [(r, None, CLASS_CHATTER) for r in records[4:]]
+        # The put itself refusing (a policy that never looks at pressure):
+        door = _door(max_buffer=1)
+        door.policy.decide = lambda record, level, verdict: (KEEP, CLASS_CHATTER)
+        _, _, refused = door.offer(records[:3], tagger.tag_batch(records[:3]))
+        assert [r for r, _, _ in refused] == records[1:3]
+        assert door.queue.refused == 2
+
+    def test_floor_sheds_chatter_on_an_empty_queue(self, tagger):
+        door = _door()
+        records = [_record(0.0, "chatter")]
+        assert door.offer(records, tagger.tag_batch(records)) \
+            == ([CLASS_CHATTER], [], [])
+        assert len(door.queue) == 1
+        door.queue.take(1)
+        assert door.offer(
+            records, tagger.tag_batch(records), floor=PressureLevel.CRITICAL
+        ) == ([CLASS_CHATTER], [CLASS_CHATTER], [])
+        assert not door.queue
+
+    @pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+    def test_tagger_error_is_a_tagged_alert_never_shed(self, policy_name):
+        error = repr(RuntimeError("regex engine fell over"))
+        records = [_record(float(i), "anything") for i in range(3)]
+        outcome = BatchOutcome(size=3, errors=tuple((i, error) for i in range(3)))
+        for floor in PressureLevel:
+            door = _door(shed_policy=policy_name)
+            offered, shed, refused = door.offer(records, outcome, floor=floor)
+            assert offered == [CLASS_ALERT] * 3
+            assert shed == []
+            queued = door.queue.take(3)
+            assert queued + [(r, v) for r, v, _ in refused] \
+                == [(r, error) for r in records]
+            assert door.policy.state_dict() == {}
+
+    def test_shed_state_round_trips(self, tagger, make_alert_record):
+        """A door rebuilt from a checkpointed lookback calls the next
+        record a duplicate exactly when the original does."""
+        first = _door()
+        warmup = [make_alert_record(0.0)]
+        first.offer(warmup, tagger.tag_batch(warmup))
+        state = first.policy.state_dict()
+        assert state
+        rebuilt, fresh = _door(shed_state=state), _door()
+        repeat = [make_alert_record(2.0)]
+        outcome = tagger.tag_batch(repeat)
+        assert rebuilt.offer(repeat, outcome) == first.offer(repeat, outcome) \
+            == ([CLASS_DUPLICATE], [], [])
+        assert fresh.offer(repeat, outcome) == ([CLASS_ALERT], [], [])
+        assert rebuilt.policy.state_dict() == first.policy.state_dict()
+
+    @pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+    def test_a_forgotten_verdict_is_a_type_error(self, policy_name):
+        """Not a silent ``tagged-alert``: the verdict is required."""
+        policy = get_shed_policy(policy_name)
+        with pytest.raises(TypeError):
+            policy.decide(_record(0.0, "x"), PressureLevel.CRITICAL)
+        with pytest.raises(TypeError):
+            policy.classify(_record(0.0, "x"))

@@ -103,6 +103,21 @@ class TestDegradation:
         # One crash line plus the final dead-letter accounting line.
         assert len(result.failure_log) == 2
 
+    def test_degraded_predict_run_reports_its_prediction(self):
+        """Regression: the hand-assembled degraded result forgot the
+        checkpoint's ``prediction_state`` — a ``predict`` run that ran
+        out of restarts reported no prediction at all."""
+        result = pipeline.run_system(
+            "spirit", scale=1e-4, seed=11,
+            faults=FaultConfig.crash_only(at=20000), restart_budget=0,
+            checkpoint_every=2000, predict=True,
+        )
+        assert result.degraded
+        assert result.stats.messages == 20000
+        assert result.prediction is not None
+        assert result.prediction.observed == result.raw_alert_count == 13635
+        assert "prediction:" in result.summary()
+
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             PipelineSupervisor(restart_budget=-1)
@@ -113,9 +128,9 @@ class TestRunAll:
         """ACCEPTANCE: with fault injection enabled at defaults, run_all
         completes for all five systems — reporting per-system degraded
         and dead-letter counts instead of crashing."""
-        supervisor = PipelineSupervisor(restart_budget=3, checkpoint_every=1000)
-        results = supervisor.run_all(
-            scale=SMALL_SCALE, seed=SEED, faults=FaultConfig.defaults(seed=11)
+        results = pipeline.run_all(
+            scale=SMALL_SCALE, seed=SEED, faults=FaultConfig.defaults(seed=11),
+            supervised=True, restart_budget=3, checkpoint_every=1000,
         )
         assert set(results) == set(SYSTEMS)
         for name, result in results.items():

@@ -211,9 +211,6 @@ class TestHostileFraming:
             await service.start()
             tenant = service.router._materialize("t", "liberty")
             tenant.path.tagger = PoisonTagger(get_ruleset("liberty"))
-            # Even a policy bound to that tagger (as the door's once
-            # was) is not asked: the verdict is handed to it.
-            tenant.policy.bind(tenant.path.tagger)
             _, writer = await asyncio.open_connection(
                 "127.0.0.1", service.tcp_port
             )

@@ -119,31 +119,3 @@ class TestCollectorAdversarial:
         with pytest.raises(ValueError):
             Collector("x", reorder_tolerance=-1.0)
 
-
-class TestBoundedFanIn:
-    def test_bounded_pending_preserves_stream_when_pausable(self):
-        a = _stream(range(0, 200, 2), source="a")
-        b = _stream(range(1, 200, 2), source="b")
-        collector = Collector("srv", max_pending=16, ingest_chunk=8)
-        merged = list(collector.collect(a, b))
-        assert len(merged) == 200
-        assert collector.stored == 200
-        assert collector.pending is not None
-        assert collector.pending.peak_occupancy <= 16
-        assert collector.shed_accounting.total_spilled == 0
-
-    def test_unpausable_overflow_spills_to_dead_letters(self):
-        dlq = DeadLetterQueue()
-        collector = Collector(
-            "srv", dead_letters=dlq, max_pending=8, ingest_chunk=32,
-            pausable_sources=False,
-        )
-        merged = list(collector.collect(_stream(range(100))))
-        spilled = collector.shed_accounting.total_spilled
-        assert spilled > 0
-        assert len(merged) + spilled == 100  # exact loss accounting
-        assert dlq.by_reason.get("shed-overload") == spilled
-
-    def test_invalid_max_pending(self):
-        with pytest.raises(ValueError):
-            Collector("srv", max_pending=0)
