@@ -8,8 +8,8 @@ compares the paper's T=5 filter against the recommended per-category
 adaptive filter on a stream whose categories need different windows.
 """
 
-from repro.core.adaptive_filter import PerCategoryFilter, suggest_thresholds
-from repro.core.filtering import log_filter_list, sorted_by_time
+from repro.core.adaptive_filter import suggest_thresholds
+from repro.core.filtering import SpatioTemporalFilter, log_filter, sorted_by_time
 
 from _bench_utils import write_artifact
 
@@ -20,7 +20,7 @@ def test_threshold_sweep(benchmark, spirit_result):
     alerts = sorted_by_time(spirit_result.raw_alerts)
 
     def sweep():
-        return {t: len(log_filter_list(alerts, t)) for t in SWEEP}
+        return {t: len(list(log_filter(alerts, t))) for t in SWEEP}
 
     kept = benchmark.pedantic(sweep, rounds=3, iterations=1)
 
@@ -49,11 +49,11 @@ def test_adaptive_vs_global(benchmark, bgl_result):
             category: max(value, 5.0)
             for category, value in suggest_thresholds(alerts).items()
         }
-        pcf = PerCategoryFilter(thresholds, default_threshold=5.0)
-        return thresholds, list(pcf.filter(alerts))
+        adaptive = SpatioTemporalFilter(5.0, thresholds=thresholds)
+        return thresholds, list(filter(adaptive.offer, alerts))
 
     thresholds, adaptive_kept = benchmark.pedantic(run, rounds=3, iterations=1)
-    global_kept = log_filter_list(alerts, 5.0)
+    global_kept = list(log_filter(alerts, 5.0))
 
     # With the floor in place, adaptation can only coalesce further.
     assert len(adaptive_kept) <= len(global_kept)

@@ -9,11 +9,8 @@ adequately address"), while the correlation-aware filter coalesces them.
 """
 
 from repro.analysis.correlation import tag_correlation
-from repro.core.correlated_filter import (
-    CorrelationAwareFilter,
-    learn_correlated_groups,
-)
-from repro.core.filtering import sorted_by_time
+from repro.core.correlated_filter import alias_key, learn_correlated_groups
+from repro.core.filtering import SpatioTemporalFilter, log_filter, sorted_by_time
 from repro.reporting.figures import figure3
 
 from _bench_utils import write_artifact
@@ -44,12 +41,11 @@ def test_figure3_correlation_aware_filtering(benchmark, liberty_full_alerts):
 
     def run():
         groups = learn_correlated_groups(alerts, window=600.0)
-        caf = CorrelationAwareFilter(groups, threshold=600.0)
-        return groups, list(caf.filter(alerts))
+        grouped = SpatioTemporalFilter(600.0, key=alias_key(groups))
+        return groups, list(filter(grouped.offer, alerts))
 
     groups, coalesced = benchmark(run)
     assert frozenset({"GM_PAR", "GM_LANAI"}) in groups
 
-    plain = CorrelationAwareFilter([], threshold=600.0)
-    plain_kept = list(plain.filter(alerts))
+    plain_kept = list(log_filter(alerts, 600.0))
     assert len(coalesced) < len(plain_kept)

@@ -140,11 +140,11 @@ def mttf_sensitivity(
     that varies by orders of magnitude with an analysis knob measures the
     knob, not the machine.
     """
-    from ..core.filtering import log_filter_list
+    from ..core.filtering import log_filter
 
     return {
         threshold: naive_log_mttf(
-            log_filter_list(list(alerts), threshold), window_seconds
+            list(log_filter(alerts, threshold)), window_seconds
         )
         for threshold in thresholds
     }

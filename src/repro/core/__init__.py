@@ -7,13 +7,16 @@ Public surface:
   — the alert vocabulary;
 * :mod:`repro.core.rules` — the 77 expert rules for the five machines;
 * :class:`~repro.core.tagging.Tagger` — regex tagging engine;
-* :func:`~repro.core.filtering.log_filter` — the paper's Algorithm 3.1
-  (simultaneous spatio-temporal filtering);
+* :class:`~repro.core.filtering.SpatioTemporalFilter` — the one
+  redundancy clock, and :func:`~repro.core.filtering.log_filter` — the
+  paper's Algorithm 3.1 (simultaneous spatio-temporal filtering) over a
+  whole stream;
 * :func:`~repro.core.serial_filter.serial_filter` — the Liang et al.
   temporal-then-spatial baseline;
-* :class:`~repro.core.adaptive_filter.PerCategoryFilter` and
-  :class:`~repro.core.correlated_filter.CorrelationAwareFilter` — the
-  extensions the paper recommends as future work;
+* per-category thresholds (``SpatioTemporalFilter(thresholds=...)``, fed
+  by :func:`~repro.core.adaptive_filter.suggest_thresholds`) and
+  correlation-aware keys (:func:`~repro.core.correlated_filter.alias_key`)
+  — the extensions the paper recommends as future work;
 * :mod:`repro.core.tupling` — Tsao-style tuple clustering baseline;
 * :class:`~repro.core.severity.SeverityTagger` — the severity-field
   baseline the paper evaluates (Tables 5 and 6).
@@ -29,24 +32,15 @@ from .tagging import (
 from .filtering import (
     DEFAULT_THRESHOLD,
     FilterReport,
-    FilterStats,
     OutOfOrderError,
     SpatioTemporalFilter,
-    filter_with_report,
     log_filter,
-    log_filter_list,
     sorted_by_time,
 )
-from .serial_filter import (
-    compare_filters,
-    serial_filter,
-    serial_filter_list,
-    spatial_filter,
-    temporal_filter,
-)
-from .adaptive_filter import PerCategoryFilter, suggest_thresholds
+from .serial_filter import compare_filters, serial_filter
+from .adaptive_filter import suggest_thresholds
 from .correlated_filter import (
-    CorrelationAwareFilter,
+    alias_key,
     learn_correlated_groups,
     pair_cooccurrence,
 )
@@ -71,21 +65,14 @@ __all__ = [
     "observed_categories",
     "DEFAULT_THRESHOLD",
     "FilterReport",
-    "FilterStats",
     "OutOfOrderError",
     "SpatioTemporalFilter",
-    "filter_with_report",
     "log_filter",
-    "log_filter_list",
     "sorted_by_time",
     "compare_filters",
     "serial_filter",
-    "serial_filter_list",
-    "spatial_filter",
-    "temporal_filter",
-    "PerCategoryFilter",
     "suggest_thresholds",
-    "CorrelationAwareFilter",
+    "alias_key",
     "learn_correlated_groups",
     "pair_cooccurrence",
     "AlertTuple",

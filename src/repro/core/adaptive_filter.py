@@ -7,67 +7,22 @@ may require a different threshold, which may change over time."  The
 bimodal interarrival distribution on BG/L (Figure 6a) is attributed partly
 to unfiltered redundancy left by the one-size-fits-all threshold.
 
-This module provides the two pieces the recommendation implies:
-
-* :class:`PerCategoryFilter` — Algorithm 3.1 generalized to a map of
-  per-category thresholds (falling back to a default for unlisted tags);
-* :func:`suggest_thresholds` — a data-driven threshold chooser that places
-  each category's cut at the antimode of its log-interarrival histogram
-  (the valley between the redundancy mode and the independent-failure
-  mode), which is exactly where a human would cut Figure 6(a).
+The filter half of that recommendation is Algorithm 3.1 with a map of
+per-category windows, ``SpatioTemporalFilter(T, thresholds=...)`` (unlisted
+tags keep ``T``).  This module provides the other half,
+:func:`suggest_thresholds` — a data-driven threshold chooser that places
+each category's cut at the antimode of its log-interarrival histogram (the
+valley between the redundancy mode and the independent-failure mode),
+which is exactly where a human would cut Figure 6(a).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .categories import Alert
 from .filtering import DEFAULT_THRESHOLD
-
-
-class PerCategoryFilter:
-    """Simultaneous spatio-temporal filtering with per-category thresholds.
-
-    Semantics match Algorithm 3.1 except the redundancy window for an alert
-    of category ``c`` is ``thresholds.get(c, default_threshold)``.  With an
-    empty mapping this degenerates to the paper's filter exactly — a
-    property the test suite pins down.
-    """
-
-    def __init__(
-        self,
-        thresholds: Optional[Mapping[str, float]] = None,
-        default_threshold: float = DEFAULT_THRESHOLD,
-    ):
-        if default_threshold < 0:
-            raise ValueError("default_threshold must be non-negative")
-        self.thresholds = dict(thresholds or {})
-        for category, value in self.thresholds.items():
-            if value < 0:
-                raise ValueError(
-                    f"threshold for {category!r} must be non-negative, got {value}"
-                )
-        self.default_threshold = default_threshold
-        self._last_seen: Dict[str, float] = {}
-
-    def threshold_for(self, category: str) -> float:
-        return self.thresholds.get(category, self.default_threshold)
-
-    def offer(self, alert: Alert) -> bool:
-        """Process one alert; ``True`` iff it survives."""
-        t, category = alert.timestamp, alert.category
-        last = self._last_seen.get(category)
-        self._last_seen[category] = t
-        if last is not None and t - last < self.threshold_for(category):
-            return False
-        return True
-
-    def filter(self, alerts: Iterable[Alert]) -> Iterator[Alert]:
-        """Lazily filter a time-sorted stream."""
-        for alert in alerts:
-            if self.offer(alert):
-                yield alert
 
 
 def _log_histogram(
@@ -109,7 +64,8 @@ def suggest_thresholds(
     "independent failures" mode that Figure 6(a) shows.  Unimodal
     categories (no interior valley) keep ``default_threshold``.
 
-    The returned mapping feeds :class:`PerCategoryFilter`.  Thresholds are
+    The returned mapping feeds ``SpatioTemporalFilter(thresholds=...)``
+    (:class:`~repro.core.filtering.SpatioTemporalFilter`).  Thresholds are
     clamped to ``max_threshold`` so a bimodal category with a very distant
     second mode cannot swallow whole days.
     """

@@ -12,17 +12,17 @@ parts:
 * :func:`learn_correlated_groups` — measures, for every category pair, how
   often their alerts co-occur within a window, and unions pairs whose
   co-occurrence rate clears a confidence bar into *alias groups*;
-* :class:`CorrelationAwareFilter` — Algorithm 3.1 run on alias groups: all
-  categories in a group share one redundancy clock, so the GM_PAR followed
-  two seconds later by GM_LANAI collapses to a single alert.
+* :func:`alias_key` — the key that runs Algorithm 3.1 on alias groups,
+  ``SpatioTemporalFilter(T, key=alias_key(groups))``: all categories in a
+  group share one redundancy clock, so the GM_PAR followed two seconds
+  later by GM_LANAI collapses to a single alert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .categories import Alert
-from .filtering import DEFAULT_THRESHOLD
 
 
 def pair_cooccurrence(
@@ -113,47 +113,18 @@ def learn_correlated_groups(
     return [frozenset(members) for members in groups.values() if len(members) > 1]
 
 
-class CorrelationAwareFilter:
-    """Algorithm 3.1 over alias groups of correlated categories.
+def alias_key(groups: Iterable[FrozenSet[str]]) -> Callable[[Alert], str]:
+    """The redundancy-clock key of an alert under alias groups: the
+    smallest category of its group, or its own category when ungrouped.
 
-    Categories in the same group share a redundancy clock: an alert is
-    redundant when *any category of its group* was reported within the
-    threshold.  Ungrouped categories behave exactly as in the plain filter.
+    Categories in the same group share a clock, so an alert is redundant
+    when *any category of its group* was reported within the threshold.
+    A category in two different groups is a ``ValueError``.
     """
-
-    def __init__(
-        self,
-        groups: Iterable[FrozenSet[str]] = (),
-        threshold: float = DEFAULT_THRESHOLD,
-    ):
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        self.threshold = threshold
-        self._alias: Dict[str, str] = {}
-        for group in groups:
-            canonical = min(group)
-            for member in group:
-                if member in self._alias and self._alias[member] != canonical:
-                    raise ValueError(
-                        f"category {member!r} appears in multiple groups"
-                    )
-                self._alias[member] = canonical
-        self._last_seen: Dict[str, float] = {}
-
-    def group_key(self, category: str) -> str:
-        """The shared clock key for a category (itself when ungrouped)."""
-        return self._alias.get(category, category)
-
-    def offer(self, alert: Alert) -> bool:
-        key = self.group_key(alert.category)
-        last = self._last_seen.get(key)
-        self._last_seen[key] = alert.timestamp
-        if last is not None and alert.timestamp - last < self.threshold:
-            return False
-        return True
-
-    def filter(self, alerts: Iterable[Alert]) -> Iterator[Alert]:
-        """Lazily filter a time-sorted stream."""
-        for alert in alerts:
-            if self.offer(alert):
-                yield alert
+    alias: Dict[str, str] = {}
+    for group in groups:
+        canonical = min(group)
+        for member in group:
+            if alias.setdefault(member, canonical) != canonical:
+                raise ValueError(f"category {member!r} appears in multiple groups")
+    return lambda alert: alias.get(alert.category, alert.category)

@@ -1,4 +1,5 @@
-"""The paper's simultaneous spatio-temporal filter (Algorithm 3.1).
+"""The paper's simultaneous spatio-temporal filter (Algorithm 3.1), and the
+one redundancy clock every other filter in this package is built from.
 
 A single failure may generate alerts across many nodes or many alerts on a
 single node; filtering reduces a related set of alerts to (ideally) one
@@ -13,7 +14,8 @@ failures of the same category on different nodes (the paper's
 sn373 / sn325 example; "at most one true positive was removed on any single
 machine").
 
-The pseudocode from the paper, which :func:`log_filter` implements exactly::
+The pseudocode from the paper, which :class:`SpatioTemporalFilter`
+implements exactly with its default key and no per-key thresholds::
 
     l <- 0
     for i <- 1 to N:
@@ -31,12 +33,22 @@ if the chain lasts days — this is what collapses Spirit's 56.8-million-alert
 disk storm to a handful of filtered alerts.  The ``clear(X)`` step is pure
 memory hygiene (the table would otherwise grow with dead categories) and
 does not change the output.
+
+Every other filter is the same rule with a different key ``k(a)`` or
+window ``T(k)`` — an alert is redundant if its key was seen less than
+``T(k)`` seconds ago: the Liang et al. serial baseline is a
+``(source, category)`` clock feeding a category clock
+(:mod:`repro.core.serial_filter`), per-category thresholds are
+``thresholds=`` (:mod:`repro.core.adaptive_filter`), and correlation-aware
+filtering keys by alias group (:func:`repro.core.correlated_filter.alias_key`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+)
 
 from .categories import Alert
 
@@ -66,100 +78,81 @@ class OutOfOrderError(ValueError):
         self.tolerance = tolerance
 
 
-@dataclass
-class FilterStats:
-    """Counters maintained by a filtering pass."""
-
-    seen: int = 0
-    kept: int = 0
-
-    @property
-    def removed(self) -> int:
-        return self.seen - self.kept
-
-    @property
-    def reduction_ratio(self) -> float:
-        """Fraction of alerts removed; 0.0 on an empty stream."""
-        if self.seen == 0:
-            return 0.0
-        return self.removed / self.seen
-
-
 class SpatioTemporalFilter:
-    """Streaming form of Algorithm 3.1.
+    """Algorithm 3.1 as a keyed redundancy clock.
 
     Feed alerts in non-decreasing time order via :meth:`offer`; it returns
-    ``True`` when the alert survives filtering.  The class form exists so
-    the filter can be embedded in pipelines that interleave other work;
-    :func:`log_filter` is the convenience generator over a whole stream.
+    ``True`` when the alert survives: its key ``key(alert)`` (its category
+    when ``key`` is ``None``) was not seen within
+    ``thresholds.get(key, threshold)`` seconds.  When the stream goes quiet
+    for longer than every window the table is cleared, which never changes
+    the output.
 
     Timestamps must be monotone within ``reorder_tolerance``: a timestamp
     up to that many seconds behind stream time is treated as arriving *at*
     stream time (collector fan-in jitter), while anything further behind
     raises :class:`OutOfOrderError` instead of silently corrupting the
-    clear-table state.
+    clock.
     """
 
     def __init__(
         self,
         threshold: float = DEFAULT_THRESHOLD,
         reorder_tolerance: float = 0.0,
+        key: Optional[Callable[[Alert], Hashable]] = None,
+        thresholds: Optional[Mapping[Hashable, float]] = None,
     ):
-        if threshold < 0:
-            raise ValueError(f"threshold must be non-negative, got {threshold}")
-        if reorder_tolerance < 0:
-            raise ValueError(
-                f"reorder_tolerance must be non-negative, got {reorder_tolerance}"
-            )
+        self.thresholds = dict(thresholds or {})
+        for name, value in [
+            ("threshold", threshold),
+            ("reorder_tolerance", reorder_tolerance),
+            *((f"threshold for {k!r}", v) for k, v in self.thresholds.items()),
+        ]:
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         self.threshold = threshold
         self.reorder_tolerance = reorder_tolerance
-        self.stats = FilterStats()
+        self.key = key
+        # ``threshold`` stays a plain attribute (degraded mode raises it
+        # mid-run), so the clear test checks it and the overrides apart.
+        self._longest_override = max(self.thresholds.values(), default=0.0)
         self._last_time = 0.0
-        self._last_seen: Dict[str, float] = {}
+        self._last_seen: Dict[Hashable, float] = {}
 
     def offer(self, alert: Alert) -> bool:
         """Process one alert; ``True`` iff it is kept (non-redundant)."""
-        t, category = alert.timestamp, alert.category
+        t = alert.timestamp
         if t < self._last_time:
             if self._last_time - t > self.reorder_tolerance:
                 raise OutOfOrderError(t, self._last_time, self.reorder_tolerance)
             t = self._last_time
-        self.stats.seen += 1
-        if t - self._last_time > self.threshold:
+        gap = t - self._last_time
+        if gap > self.threshold and gap > self._longest_override:
             self._last_seen.clear()
         self._last_time = t
-        last = self._last_seen.get(category)
-        self._last_seen[category] = t
-        if last is not None and t - last < self.threshold:
-            return False
-        self.stats.kept += 1
-        return True
-
-    def reset(self) -> None:
-        """Forget all state (equivalent to a fresh instance)."""
-        self.stats = FilterStats()
-        self._last_time = 0.0
-        self._last_seen.clear()
+        key = alert.category if self.key is None else self.key(alert)
+        last = self._last_seen.get(key)
+        self._last_seen[key] = t
+        return last is None or t - last >= self.thresholds.get(key, self.threshold)
 
     def state_dict(self) -> Dict[str, object]:
-        """Resumable state: restoring it into a fresh instance and feeding
-        the rest of the stream matches an uninterrupted run exactly."""
+        """Resumable clock state: restoring it into an instance built with
+        the same key and thresholds and feeding the rest of the stream
+        matches an uninterrupted run exactly."""
         return {
             "threshold": self.threshold,
             "reorder_tolerance": self.reorder_tolerance,
             "last_time": self._last_time,
             "last_seen": dict(self._last_seen),
-            "seen": self.stats.seen,
-            "kept": self.stats.kept,
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore state captured by :meth:`state_dict`."""
+    def load_state_dict(self, state: Mapping[str, object]) -> None:
+        """Restore state captured by :meth:`state_dict` (older states also
+        carry ``seen``/``kept`` counters, which are ignored)."""
         self.threshold = float(state["threshold"])
         self.reorder_tolerance = float(state["reorder_tolerance"])
         self._last_time = float(state["last_time"])
         self._last_seen = dict(state["last_seen"])  # type: ignore[arg-type]
-        self.stats = FilterStats(seen=int(state["seen"]), kept=int(state["kept"]))
 
 
 def log_filter(
@@ -170,37 +163,11 @@ def log_filter(
 
     Yields the surviving alerts in order.  The input must be sorted by
     non-decreasing timestamp, as in the paper ("the sequence is sorted by
-    increasing time"); use :func:`sorted_by_time` first when unsure.
-
-    This is the hot path of the whole library (the paper ran it over
-    hundreds of millions of alerts), so the loop is written flat — local
-    bindings, no per-alert object churn — rather than delegating to
-    :class:`SpatioTemporalFilter`, which exists for stat-keeping and
-    incremental embedding.
+    increasing time"); a timestamp that runs backwards raises
+    :class:`OutOfOrderError`, so use :func:`sorted_by_time` first when
+    unsure.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    last_seen: Dict[str, float] = {}
-    get = last_seen.get
-    last_time = 0.0
-    for alert in alerts:
-        t = alert.timestamp
-        if t - last_time > threshold:
-            last_seen.clear()
-        last_time = t
-        category = alert.category
-        previous = get(category)
-        last_seen[category] = t
-        if previous is None or t - previous >= threshold:
-            yield alert
-
-
-def log_filter_list(
-    alerts: Iterable[Alert],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> List[Alert]:
-    """Eager variant of :func:`log_filter`, returning a list."""
-    return list(log_filter(alerts, threshold))
+    return filter(SpatioTemporalFilter(threshold).offer, alerts)
 
 
 def sorted_by_time(alerts: Iterable[Alert]) -> List[Alert]:
@@ -229,19 +196,3 @@ class FilterReport:
         if kept:
             pair[1] += 1
             self.filtered_total += 1
-
-
-def filter_with_report(
-    alerts: Iterable[Alert],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> "tuple[List[Alert], FilterReport]":
-    """Filter eagerly and return (survivors, per-category raw/filtered report)."""
-    stf = SpatioTemporalFilter(threshold)
-    report = FilterReport(threshold=threshold)
-    kept: List[Alert] = []
-    for alert in alerts:
-        survived = stf.offer(alert)
-        report.record(alert, survived)
-        if survived:
-            kept.append(alert)
-    return kept, report

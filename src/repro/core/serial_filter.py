@@ -12,82 +12,42 @@ DSN'05 and DSN'06] applied two filters *serially* (paper, Section 3.3.2):
    "removes an alert if some other source had previously reported that
    alert within T seconds."
 
+Both stages are the redundancy clock of :mod:`repro.core.filtering`: the
+temporal stage keyed by ``(source, category)``, the spatial stage by
+category.  The spatial stage need not ask whether the earlier alert came
+from *another* source: on a time-sorted stream, a same-source,
+same-category predecessor that survived the temporal stage is always at
+least ``T`` back, so it never suppresses.
+
 The paper's critique, which this implementation lets you measure directly:
 "serial filtering fails to remove alerts that share a root cause ... the
 problem arises when the temporal filter removes messages that the spatial
 filter would have used as cues that the failure had already been reported
-by another source."  The simultaneous filter
-(:mod:`repro.core.filtering`) removes those extra duplicates, and being one
-pass instead of two it also runs faster (~16 % on the Spirit logs).
+by another source."  The simultaneous filter removes those extra
+duplicates, and being one pass instead of two it also runs faster (~16 %
+on the Spirit logs).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List
 
 from .categories import Alert
-from .filtering import DEFAULT_THRESHOLD, log_filter
-
-
-def temporal_filter(
-    alerts: Iterable[Alert],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Iterator[Alert]:
-    """Per-source temporal coalescing (first stage of the serial pipeline).
-
-    An alert is redundant if the *same source* reported the *same category*
-    within ``threshold`` seconds; redundant alerts refresh the clock
-    (chain suppression).  Input must be sorted by non-decreasing time.
-    """
-    last_seen: Dict[Tuple[str, str], float] = {}
-    for alert in alerts:
-        key = (alert.source, alert.category)
-        last = last_seen.get(key)
-        last_seen[key] = alert.timestamp
-        if last is not None and alert.timestamp - last < threshold:
-            continue
-        yield alert
-
-
-def spatial_filter(
-    alerts: Iterable[Alert],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Iterator[Alert]:
-    """Cross-source spatial coalescing (second stage of the serial pipeline).
-
-    An alert is redundant if some *other* source reported the same category
-    within ``threshold`` seconds.  Same-source repeats are the temporal
-    filter's job and are deliberately not removed here.  Input must be
-    sorted by non-decreasing time.
-    """
-    last_by_category: Dict[str, Tuple[float, str]] = {}
-    for alert in alerts:
-        previous = last_by_category.get(alert.category)
-        last_by_category[alert.category] = (alert.timestamp, alert.source)
-        if previous is not None:
-            prev_time, prev_source = previous
-            if (
-                prev_source != alert.source
-                and alert.timestamp - prev_time < threshold
-            ):
-                continue
-        yield alert
+from .filtering import DEFAULT_THRESHOLD, SpatioTemporalFilter, log_filter
 
 
 def serial_filter(
     alerts: Iterable[Alert],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> Iterator[Alert]:
-    """The full serial pipeline: temporal filter, then spatial filter."""
-    return spatial_filter(temporal_filter(alerts, threshold), threshold)
-
-
-def serial_filter_list(
-    alerts: Iterable[Alert],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> List[Alert]:
-    """Eager variant of :func:`serial_filter`."""
-    return list(serial_filter(alerts, threshold))
+    """The full serial pipeline: temporal filter, then spatial filter.
+    Input must be sorted by non-decreasing time; a timestamp that runs
+    backwards raises :class:`~repro.core.filtering.OutOfOrderError`."""
+    temporal = SpatioTemporalFilter(
+        threshold, key=attrgetter("source", "category")
+    )
+    return log_filter(filter(temporal.offer, alerts), threshold)
 
 
 def compare_filters(
@@ -106,13 +66,13 @@ def compare_filters(
       node" — mostly extra false positives, occasionally a coincident
       independent failure (a lost true positive);
     * ``"removed_only_by_serial"`` — alerts Algorithm 3.1 keeps but the
-      serial pipeline removes.  On a time-sorted stream this is provably
-      empty (the simultaneous suppression condition is strictly broader at
-      every step — see the containment property test), so a non-empty list
-      here flags an unsorted input.
+      serial pipeline removes.  This is provably empty (the simultaneous
+      suppression condition is strictly broader at every step — see the
+      containment property test); an unsorted input raises
+      :class:`~repro.core.filtering.OutOfOrderError` instead.
     """
     simultaneous = list(log_filter(alerts, threshold))
-    serial = serial_filter_list(alerts, threshold)
+    serial = list(serial_filter(alerts, threshold))
     sim_ids = {id(a) for a in simultaneous}
     ser_ids = {id(a) for a in serial}
     return {

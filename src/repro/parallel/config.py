@@ -79,7 +79,3 @@ class ParallelConfig:
         * batch_size`` records buffered for the order-preserving merge,
         no matter how fast the source is."""
         return 2 * self.resolved_workers()
-
-    def resolved_context(self) -> str:
-        """The multiprocessing start method: :func:`default_mp_context`."""
-        return default_mp_context()

@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 from ..core.categories import Alert
 from ..core.tagging import BatchOutcome, RulesetHandle, Tagger
 from ..logmodel.record import LogRecord, full_texts
-from .config import ParallelConfig
+from .config import ParallelConfig, default_mp_context
 from .merge import OrderedMerge
 
 #: Record body the test-fault hook recognizes: a worker that sees it dies
@@ -243,7 +243,7 @@ class ShardedTagger:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.resolved_workers(),
-                mp_context=get_context(self.config.resolved_context()),
+                mp_context=get_context(default_mp_context()),
                 initializer=_init_worker,
                 initargs=(self.handle, self.config.enable_test_faults),
             )

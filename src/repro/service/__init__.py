@@ -41,7 +41,7 @@ The robustness contract, enforced by ``scripts/soak_service.py`` and
 
 from .config import ServiceConfig
 from .accounting import TenantCounters
-from .tenant import Tenant, TenantQuarantined
+from .tenant import Tenant
 from .router import TenantRouter, parse_envelope
 from .service import IngestService
 from .stats import query_stats
@@ -51,7 +51,6 @@ __all__ = [
     "ServiceConfig",
     "Tenant",
     "TenantCounters",
-    "TenantQuarantined",
     "TenantRouter",
     "parse_envelope",
     "query_stats",

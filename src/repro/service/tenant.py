@@ -65,10 +65,6 @@ from .accounting import TenantCounters
 from .config import ServiceConfig
 
 
-class TenantQuarantined(RuntimeError):
-    """Raised by :meth:`Tenant.ensure_live` when the tenant is dead."""
-
-
 class ServiceAlertSink:
     """Bounded-retention alert sink with monotonic journal counts.
 
@@ -335,10 +331,6 @@ class Tenant:
         self.dead_letters.put(record, reason, detail)
         self.counters.count_refused(reason, isinstance(verdict, Alert))
 
-    def ensure_live(self) -> None:
-        if self.quarantined:
-            raise TenantQuarantined(self.tenant_id)
-
     # -- the worker --------------------------------------------------------
 
     async def _work(self) -> None:
@@ -593,5 +585,4 @@ __all__ = [
     "PressureLevel",
     "ServiceAlertSink",
     "Tenant",
-    "TenantQuarantined",
 ]

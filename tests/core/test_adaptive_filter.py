@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive_filter import PerCategoryFilter, suggest_thresholds
-from repro.core.filtering import log_filter_list, sorted_by_time
+from repro.core.adaptive_filter import suggest_thresholds
+from repro.core.filtering import SpatioTemporalFilter, log_filter, sorted_by_time
 
 from ..conftest import make_alert
+
+
+def per_category(alerts, thresholds, threshold=5.0):
+    clock = SpatioTemporalFilter(threshold, thresholds=thresholds)
+    return list(filter(clock.offer, alerts))
 
 
 class TestPerCategoryFilter:
@@ -21,27 +26,31 @@ class TestPerCategoryFilter:
                 make_alert(30.0, category="SLOW"),  # < 60s: removed
             ]
         )
-        pcf = PerCategoryFilter({"FAST": 1.0, "SLOW": 60.0})
-        kept = list(pcf.filter(alerts))
+        kept = per_category(alerts, {"FAST": 1.0, "SLOW": 60.0})
         assert {(a.category, a.timestamp) for a in kept} == {
             ("FAST", 0.0), ("FAST", 2.0), ("SLOW", 0.5),
         }
 
     def test_default_threshold_for_unlisted(self):
-        pcf = PerCategoryFilter({}, default_threshold=5.0)
         alerts = [make_alert(0.0), make_alert(3.0)]
-        assert len(list(pcf.filter(alerts))) == 1
+        assert len(per_category(alerts, {"OTHER": 1.0}, threshold=5.0)) == 1
 
     def test_rejects_negative_thresholds(self):
+        with pytest.raises(ValueError, match="threshold for 'A'"):
+            SpatioTemporalFilter(thresholds={"A": -1.0})
         with pytest.raises(ValueError):
-            PerCategoryFilter({"A": -1.0})
-        with pytest.raises(ValueError):
-            PerCategoryFilter(default_threshold=-1.0)
+            SpatioTemporalFilter(-1.0, thresholds={"A": 1.0})
 
     def test_threshold_for(self):
-        pcf = PerCategoryFilter({"A": 2.0}, default_threshold=7.0)
-        assert pcf.threshold_for("A") == 2.0
-        assert pcf.threshold_for("B") == 7.0
+        """An override is the window for its category; the others keep
+        the default: a gap of 3 s is redundant for B (T=7) only."""
+        alerts = sorted_by_time(
+            [make_alert(t, category=c) for t in (0.0, 3.0) for c in "AB"]
+        )
+        kept = per_category(alerts, {"A": 2.0}, threshold=7.0)
+        assert [(a.category, a.timestamp) for a in kept] == [
+            ("A", 0.0), ("B", 0.0), ("A", 3.0),
+        ]
 
 
 alert_streams = st.lists(
@@ -57,9 +66,8 @@ alert_streams = st.lists(
 @settings(max_examples=150)
 def test_property_empty_mapping_degenerates_to_algorithm_31(alerts):
     """With no per-category overrides the adaptive filter IS Algorithm 3.1."""
-    pcf = PerCategoryFilter({}, default_threshold=5.0)
-    assert [id(a) for a in pcf.filter(alerts)] == [
-        id(a) for a in log_filter_list(alerts, 5.0)
+    assert [id(a) for a in per_category(alerts, {})] == [
+        id(a) for a in log_filter(alerts, 5.0)
     ]
 
 
@@ -87,9 +95,8 @@ class TestSuggestThresholds:
         """Filtering with the learned threshold gets closer to one alert
         per failure than the global T=5 (which is below the 8 s burst gap)."""
         alerts = self._bimodal_alerts(n_failures=40, burst=6)
-        global_kept = log_filter_list(alerts, 5.0)
-        pcf = PerCategoryFilter(suggest_thresholds(alerts))
-        adaptive_kept = list(pcf.filter(alerts))
+        global_kept = list(log_filter(alerts, 5.0))
+        adaptive_kept = per_category(alerts, suggest_thresholds(alerts))
         assert len(adaptive_kept) == 40          # exactly one per failure
         assert len(global_kept) == 40 * 6        # T=5 removes nothing
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.correlated_filter import (
-    CorrelationAwareFilter,
+    alias_key,
     learn_correlated_groups,
     pair_cooccurrence,
 )
-from repro.core.filtering import sorted_by_time
+from repro.core.filtering import SpatioTemporalFilter, sorted_by_time
 
 from ..conftest import make_alert
 
@@ -80,13 +80,15 @@ class TestLearnGroups:
         assert frozenset({"A", "B", "C"}) in groups
 
 
+def grouped(alerts, groups, threshold=5.0):
+    clock = SpatioTemporalFilter(threshold, key=alias_key(groups))
+    return list(filter(clock.offer, alerts))
+
+
 class TestCorrelationAwareFilter:
     def test_grouped_categories_share_a_clock(self):
         alerts = _figure3_style_alerts(lanai_probability=1.0)
-        caf = CorrelationAwareFilter(
-            groups=[frozenset({"GM_PAR", "GM_LANAI"})], threshold=60.0,
-        )
-        kept = list(caf.filter(alerts))
+        kept = grouped(alerts, [frozenset({"GM_PAR", "GM_LANAI"})], 60.0)
         # One alert per failure: the GM_LANAI echoes are coalesced away.
         assert all(a.category == "GM_PAR" for a in kept)
         assert len(kept) == 12
@@ -95,31 +97,26 @@ class TestCorrelationAwareFilter:
         """Without groups, 'correlated alerts relegated to different
         categories' both survive — the behavior the paper criticizes."""
         alerts = _figure3_style_alerts(lanai_probability=1.0)
-        caf = CorrelationAwareFilter(groups=[], threshold=60.0)
-        kept = list(caf.filter(alerts))
+        kept = grouped(alerts, [], 60.0)
         assert {a.category for a in kept} == {"GM_PAR", "GM_LANAI"}
         assert len(kept) == 24
 
     def test_ungrouped_categories_unaffected(self):
-        caf = CorrelationAwareFilter(
-            groups=[frozenset({"A", "B"})], threshold=5.0,
-        )
         alerts = sorted_by_time(
             [make_alert(0.0, category="C"), make_alert(1.0, category="C")]
         )
-        assert len(list(caf.filter(alerts))) == 1
+        assert len(grouped(alerts, [frozenset({"A", "B"})])) == 1
 
     def test_group_key(self):
-        caf = CorrelationAwareFilter(groups=[frozenset({"B", "A"})])
-        assert caf.group_key("A") == caf.group_key("B") == "A"
-        assert caf.group_key("C") == "C"
+        key = alias_key([frozenset({"B", "A"})])
+        assert key(make_alert(0.0, category="A")) == "A"
+        assert key(make_alert(0.0, category="B")) == "A"
+        assert key(make_alert(0.0, category="C")) == "C"
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError, match="multiple groups"):
-            CorrelationAwareFilter(
-                groups=[frozenset({"A", "B"}), frozenset({"B", "C"})]
-            )
+            alias_key([frozenset({"A", "B"}), frozenset({"B", "C"})])
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            CorrelationAwareFilter(threshold=-1)
+            SpatioTemporalFilter(-1, key=alias_key([frozenset({"A", "B"})]))

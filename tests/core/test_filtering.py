@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.filtering import (
+    FilterReport,
     OutOfOrderError,
     SpatioTemporalFilter,
-    filter_with_report,
-    log_filter_list,
+    log_filter,
     sorted_by_time,
 )
 
@@ -17,28 +17,28 @@ from ..conftest import make_alert
 
 class TestBasicSemantics:
     def test_single_alert_kept(self):
-        assert len(log_filter_list([make_alert(0.0)])) == 1
+        assert len(list(log_filter([make_alert(0.0)]))) == 1
 
     def test_repeat_within_threshold_removed(self):
         alerts = [make_alert(0.0), make_alert(3.0)]
-        kept = log_filter_list(alerts)
+        kept = list(log_filter(alerts))
         assert [a.timestamp for a in kept] == [0.0]
 
     def test_repeat_beyond_threshold_kept(self):
         alerts = [make_alert(0.0), make_alert(6.0)]
-        assert len(log_filter_list(alerts)) == 2
+        assert len(list(log_filter(alerts))) == 2
 
     def test_boundary_gap_exactly_t_is_kept(self):
         # Algorithm 3.1 removes on t_i - X[c_i] < T, strictly.
         alerts = [make_alert(0.0), make_alert(5.0)]
-        assert len(log_filter_list(alerts, threshold=5.0)) == 2
+        assert len(list(log_filter(alerts, threshold=5.0))) == 2
 
     def test_chain_suppression(self):
         # "if a node reports a particular alert every T seconds for a week,
         # the temporal filter keeps only the first" — suppressed alerts
         # refresh the clock.
         alerts = [make_alert(float(t)) for t in range(0, 100, 3)]
-        assert len(log_filter_list(alerts)) == 1
+        assert len(list(log_filter(alerts))) == 1
 
     def test_spatial_suppression_across_sources(self):
         # "an alert ... is considered redundant if ANY source, including s,
@@ -48,7 +48,7 @@ class TestBasicSemantics:
             make_alert(2.0, source="n2"),
             make_alert(4.0, source="n3"),
         ]
-        kept = log_filter_list(alerts)
+        kept = list(log_filter(alerts))
         assert len(kept) == 1
         assert kept[0].source == "n1"
 
@@ -57,22 +57,22 @@ class TestBasicSemantics:
         alerts = [
             make_alert(float(t), source=f"n{t % 4}") for t in range(0, 40, 2)
         ]
-        assert len(log_filter_list(alerts)) == 1
+        assert len(list(log_filter(alerts))) == 1
 
     def test_categories_filter_independently(self):
         alerts = sorted_by_time(
             [make_alert(0.0, category="A"), make_alert(1.0, category="B"),
              make_alert(2.0, category="A"), make_alert(3.0, category="B")]
         )
-        kept = log_filter_list(alerts)
+        kept = list(log_filter(alerts))
         assert {(a.category, a.timestamp) for a in kept} == {("A", 0.0), ("B", 1.0)}
 
     def test_empty_stream(self):
-        assert log_filter_list([]) == []
+        assert list(log_filter([])) == []
 
     def test_zero_threshold_keeps_everything_with_positive_gaps(self):
         alerts = [make_alert(0.0), make_alert(0.5), make_alert(1.0)]
-        assert len(log_filter_list(alerts, threshold=0.0)) == 3
+        assert len(list(log_filter(alerts, threshold=0.0))) == 3
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -84,7 +84,7 @@ class TestTableClear:
         # The clear(X) step is memory hygiene: a long quiet gap wipes the
         # table, but any surviving entry would have been stale anyway.
         alerts = [make_alert(0.0), make_alert(1000.0), make_alert(1002.0)]
-        kept = log_filter_list(alerts)
+        kept = list(log_filter(alerts))
         assert [a.timestamp for a in kept] == [0.0, 1000.0]
 
     def test_internal_table_is_cleared_after_quiet_gap(self):
@@ -158,34 +158,27 @@ class TestOutOfOrderInput:
         with pytest.raises(ValueError):
             SpatioTemporalFilter(reorder_tolerance=-1.0)
 
+    def test_log_filter_refuses_a_backwards_stream(self):
+        """The whole-stream filter used to rewind its clock on a backwards
+        timestamp, silently; it is the same clock as ``offer`` now."""
+        alerts = [make_alert(10.0), make_alert(4.0), make_alert(12.0)]
+        with pytest.raises(OutOfOrderError):
+            list(log_filter(alerts))
+
 
 class TestStats:
-    def test_counters(self):
-        stf = SpatioTemporalFilter()
-        for alert in [make_alert(0.0), make_alert(1.0), make_alert(10.0)]:
-            stf.offer(alert)
-        assert stf.stats.seen == 3
-        assert stf.stats.kept == 2
-        assert stf.stats.removed == 1
-        assert stf.stats.reduction_ratio == pytest.approx(1 / 3)
-
-    def test_reset(self):
-        stf = SpatioTemporalFilter()
-        stf.offer(make_alert(0.0))
-        stf.reset()
-        assert stf.stats.seen == 0
-        assert stf.offer(make_alert(0.1))  # fresh state keeps it
-
     def test_report_per_category(self):
         alerts = sorted_by_time(
             [make_alert(0.0, category="A"), make_alert(1.0, category="A"),
              make_alert(2.0, category="B")]
         )
-        kept, report = filter_with_report(alerts)
+        stf = SpatioTemporalFilter()
+        report = FilterReport(threshold=stf.threshold)
+        for alert in alerts:
+            report.record(alert, stf.offer(alert))
         assert report.by_category == {"A": [2, 1], "B": [1, 1]}
         assert report.raw_total == 3
         assert report.filtered_total == 2
-        assert len(kept) == 2
 
 
 # -- property-based tests ----------------------------------------------------
@@ -207,7 +200,7 @@ alert_streams = st.lists(
 @given(alert_streams)
 @settings(max_examples=200)
 def test_property_output_is_subsequence_of_input(alerts):
-    kept = log_filter_list(alerts)
+    kept = list(log_filter(alerts))
     it = iter(alerts)
     assert all(any(k is a for a in it) for k in kept)
 
@@ -215,7 +208,7 @@ def test_property_output_is_subsequence_of_input(alerts):
 @given(alert_streams)
 @settings(max_examples=200)
 def test_property_first_alert_always_kept(alerts):
-    kept = log_filter_list(alerts)
+    kept = list(log_filter(alerts))
     if alerts:
         assert kept and kept[0] is alerts[0]
 
@@ -223,7 +216,7 @@ def test_property_first_alert_always_kept(alerts):
 @given(alert_streams, st.floats(min_value=0.1, max_value=50))
 @settings(max_examples=200)
 def test_property_kept_same_category_gaps_at_least_t(alerts, threshold):
-    kept = log_filter_list(alerts, threshold)
+    kept = list(log_filter(alerts, threshold))
     last = {}
     for alert in kept:
         if alert.category in last:
@@ -234,8 +227,8 @@ def test_property_kept_same_category_gaps_at_least_t(alerts, threshold):
 @given(alert_streams)
 @settings(max_examples=100)
 def test_property_idempotent(alerts):
-    once = log_filter_list(alerts)
-    twice = log_filter_list(once)
+    once = list(log_filter(alerts))
+    twice = list(log_filter(once))
     assert twice == once
 
 
@@ -245,7 +238,7 @@ def test_property_idempotent(alerts):
 def test_property_monotone_in_threshold(alerts, t_small, t_large):
     """A larger threshold never keeps more alerts."""
     lo, hi = sorted([t_small, t_large])
-    assert len(log_filter_list(alerts, hi)) <= len(log_filter_list(alerts, lo))
+    assert len(list(log_filter(alerts, hi))) <= len(list(log_filter(alerts, lo)))
 
 
 def _reference_filter(alerts, threshold):
@@ -267,6 +260,6 @@ def _reference_filter(alerts, threshold):
 def test_property_differential_against_reference(alerts, threshold):
     """The full Algorithm 3.1 (with its clear(X) step) must agree with the
     simple per-category-gap oracle on every input."""
-    assert [id(a) for a in log_filter_list(alerts, threshold)] == [
+    assert [id(a) for a in list(log_filter(alerts, threshold))] == [
         id(a) for a in _reference_filter(alerts, threshold)
     ]

@@ -1,48 +1,47 @@
 """Unit and property tests for the serial filter baseline and the
 simultaneous-vs-serial comparison the paper draws (Section 3.3.2)."""
 
+from operator import attrgetter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.filtering import log_filter_list, sorted_by_time
-from repro.core.serial_filter import (
-    compare_filters,
-    serial_filter_list,
-    spatial_filter,
-    temporal_filter,
-)
+from repro.core.filtering import SpatioTemporalFilter, log_filter, sorted_by_time
+from repro.core.serial_filter import compare_filters, serial_filter
 
 from ..conftest import make_alert
+
+
+def temporal_stage(alerts, threshold=5.0):
+    """The serial pipeline's first stage: a ``(source, category)`` clock."""
+    clock = SpatioTemporalFilter(threshold, key=attrgetter("source", "category"))
+    return list(filter(clock.offer, alerts))
 
 
 class TestTemporalFilter:
     def test_same_source_chain_collapses(self):
         alerts = [make_alert(float(t), source="n1") for t in range(0, 30, 3)]
-        assert len(list(temporal_filter(alerts))) == 1
+        assert len(temporal_stage(alerts)) == 1
 
     def test_different_sources_pass(self):
         alerts = [
             make_alert(0.0, source="n1"),
             make_alert(1.0, source="n2"),
         ]
-        assert len(list(temporal_filter(alerts))) == 2
+        assert len(temporal_stage(alerts)) == 2
 
     def test_different_categories_pass(self):
         alerts = sorted_by_time(
             [make_alert(0.0, category="A"), make_alert(1.0, category="B")]
         )
-        assert len(list(temporal_filter(alerts))) == 2
+        assert len(temporal_stage(alerts)) == 2
 
 
 class TestSpatialFilter:
     def test_other_source_within_t_removed(self):
         alerts = [make_alert(0.0, source="n1"), make_alert(2.0, source="n2")]
-        kept = list(spatial_filter(alerts))
+        kept = list(serial_filter(alerts))
         assert [a.source for a in kept] == ["n1"]
-
-    def test_same_source_repeats_not_its_job(self):
-        alerts = [make_alert(0.0, source="n1"), make_alert(2.0, source="n1")]
-        assert len(list(spatial_filter(alerts))) == 2
 
 
 class TestPaperDivergenceExample:
@@ -60,11 +59,11 @@ class TestPaperDivergenceExample:
         )
 
     def test_serial_keeps_the_shared_resource_duplicate(self):
-        kept = serial_filter_list(self._alerts())
+        kept = list(serial_filter(self._alerts()))
         assert [(a.timestamp, a.source) for a in kept] == [(0.0, "n1"), (7.0, "n2")]
 
     def test_simultaneous_removes_it(self):
-        kept = log_filter_list(self._alerts())
+        kept = list(log_filter(self._alerts()))
         assert [(a.timestamp, a.source) for a in kept] == [(0.0, "n1")]
 
     def test_compare_filters_reports_the_difference(self):
@@ -96,8 +95,8 @@ def test_property_simultaneous_output_contained_in_serial(alerts):
     """Anything Algorithm 3.1 keeps, the serial pipeline keeps too: the
     simultaneous filter's suppression condition (any same-category alert
     within T) is strictly broader at every step."""
-    simultaneous = {id(a) for a in log_filter_list(alerts)}
-    serial = {id(a) for a in serial_filter_list(alerts)}
+    simultaneous = {id(a) for a in list(log_filter(alerts))}
+    serial = {id(a) for a in list(serial_filter(alerts))}
     assert simultaneous <= serial
 
 
@@ -106,8 +105,8 @@ def test_property_simultaneous_output_contained_in_serial(alerts):
 def test_property_both_keep_first_alert(alerts):
     if not alerts:
         return
-    assert serial_filter_list(alerts)[0] is alerts[0]
-    assert log_filter_list(alerts)[0] is alerts[0]
+    assert list(serial_filter(alerts))[0] is alerts[0]
+    assert list(log_filter(alerts))[0] is alerts[0]
 
 
 @given(alert_streams)
@@ -116,6 +115,6 @@ def test_property_single_source_streams_agree(alerts):
     """With one source the spatial stage is a no-op and the algorithms
     coincide."""
     single = [a for a in alerts if a.source == "n1"]
-    assert [id(a) for a in serial_filter_list(single)] == [
-        id(a) for a in log_filter_list(single)
+    assert [id(a) for a in list(serial_filter(single))] == [
+        id(a) for a in list(log_filter(single))
     ]

@@ -9,7 +9,7 @@ no exceptions, flagged records, sane counts.
 import numpy as np
 
 from repro import api as pipeline
-from repro.core.filtering import log_filter_list, sorted_by_time
+from repro.core.filtering import log_filter, sorted_by_time
 from repro.logmodel.record import LogRecord
 from repro.simulation.generator import generate_log
 from repro.simulation.transport import UdpSyslogChannel
@@ -55,7 +55,7 @@ class TestUdpLoss:
         alerts = [make_alert(k * 0.5) for k in range(100)]  # one chain
         rng = np.random.default_rng(SEED)
         surviving = [a for a in alerts if rng.random() > 0.1]
-        assert len(log_filter_list(surviving)) == 1
+        assert len(list(log_filter(surviving))) == 1
 
 
 class TestHostileStreams:
@@ -89,7 +89,7 @@ class TestHostileStreams:
 
     def test_duplicate_timestamps(self):
         alerts = [make_alert(5.0) for _ in range(50)]
-        assert len(log_filter_list(alerts)) == 1
+        assert len(list(log_filter(alerts))) == 1
 
     def test_filter_rejects_nothing_but_detects_disorder_via_sort(self):
         """Out-of-order input is the caller's bug; sorted_by_time is the
@@ -97,9 +97,9 @@ class TestHostileStreams:
         rng = np.random.default_rng(SEED)
         times = rng.uniform(0, 1e4, 200)
         shuffled = [make_alert(float(t)) for t in times]
-        kept = log_filter_list(sorted_by_time(shuffled))
+        kept = list(log_filter(sorted_by_time(shuffled)))
         resorted = sorted(times)
-        reference = log_filter_list([make_alert(t) for t in resorted])
+        reference = list(log_filter([make_alert(t) for t in resorted]))
         assert [a.timestamp for a in kept] == [a.timestamp for a in reference]
 
 

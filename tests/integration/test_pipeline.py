@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api as pipeline
-from repro.core.filtering import log_filter_list, sorted_by_time
+from repro.core.filtering import log_filter, sorted_by_time
 from repro.logio.reader import read_log
 from repro.logio.writer import write_log
 from repro.simulation.calibration import SCENARIOS
@@ -95,7 +95,7 @@ def test_alerts_are_time_sorted_property(liberty_result):
 
 
 def test_refiltering_already_filtered_is_stable(liberty_result):
-    refiltered = log_filter_list(
+    refiltered = list(log_filter(
         sorted_by_time(liberty_result.filtered_alerts)
-    )
+    ))
     assert len(refiltered) == liberty_result.filtered_alert_count

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api as pipeline
-from repro.core.filtering import log_filter_list
+from repro.core.filtering import log_filter
 from repro.core.tagging import RulesetHandle, Tagger
 from repro.logmodel.record import LogRecord
 from repro.parallel import ParallelConfig, ShardedTagger, chunked
@@ -154,7 +154,7 @@ class TestPipelineDifferential:
         )
         serial = pipeline.run_system(SYSTEM, scale=2e-5, seed=41)
         assert result.raw_alerts == serial.raw_alerts
-        assert result.filtered_alerts == log_filter_list(serial.raw_alerts)
+        assert result.filtered_alerts == list(log_filter(serial.raw_alerts))
 
 
 class TestTaggerDifferential:

@@ -11,6 +11,7 @@ from repro.parallel import (
     ShardedTagger,
     TaggerErrorReplay,
     chunked,
+    default_mp_context,
 )
 from repro.resilience.deadletter import REASON_TAGGER_ERROR, DeadLetterQueue
 
@@ -102,7 +103,7 @@ class TestParallelConfig:
         config = ParallelConfig()
         assert config.resolved_workers() >= 2
         assert config.resolved_inflight() == 2 * config.resolved_workers()
-        assert config.resolved_context() in {"fork", "spawn", "forkserver"}
+        assert default_mp_context() in {"fork", "spawn", "forkserver"}
 
     def test_validation(self):
         with pytest.raises(ValueError):

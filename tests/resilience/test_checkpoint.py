@@ -1,5 +1,7 @@
 """Checkpoint/resume: interrupted runs must land byte-identical."""
 
+import dataclasses
+
 import pytest
 
 from repro import api as pipeline
@@ -83,9 +85,10 @@ class TestManager:
 
 
 class TestRunStreamResume:
-    def _crash_then_resume(self, crash_at, every=300):
+    def _crash_then_resume(self, crash_at, every=300, edit=lambda c: c):
         """Crash a liberty run at ``crash_at`` records, resume from the
-        latest checkpoint, and return (baseline, resumed) results."""
+        latest checkpoint (passed through ``edit``), and return (baseline,
+        resumed) results."""
         # The baseline checkpoints at the same cadence: summary equality
         # below then also asserts the resumed run's snapshot accounting
         # matches an uninterrupted run's (prime() restores ``taken``).
@@ -111,6 +114,7 @@ class TestRunStreamResume:
         checkpoint = manager.latest
         assert isinstance(checkpoint, PipelineCheckpoint)
         assert checkpoint.records_consumed <= crash_at
+        checkpoint = edit(checkpoint)
 
         resumed = pipeline.run_stream(
             plan.wrap(
@@ -137,6 +141,36 @@ class TestRunStreamResume:
         baseline, resumed = self._crash_then_resume(crash_at=600, every=300)
         assert resumed.stats == baseline.stats
         assert resumed.filtered_alerts == baseline.filtered_alerts
+
+    def test_resume_from_filter_state_with_counters(self):
+        """Checkpoints written while the filter still counted seen/kept
+        alerts carry both counters in ``filter_state``: such a state
+        restores to the same clock and the resumed run is unchanged."""
+
+        def as_written_with_counters(checkpoint):
+            state = checkpoint.filter_state
+            assert set(state) == {
+                "threshold", "reorder_tolerance", "last_time", "last_seen",
+            }
+            old = {
+                "threshold": state["threshold"],
+                "reorder_tolerance": state["reorder_tolerance"],
+                "last_time": state["last_time"],
+                "last_seen": dict(state["last_seen"]),
+                "seen": 1234,
+                "kept": 56,
+            }
+            old_checkpoint = dataclasses.replace(checkpoint, filter_state=old)
+            assert old_checkpoint.restore_filter().state_dict() == state
+            return old_checkpoint
+
+        baseline, resumed = self._crash_then_resume(
+            crash_at=2000, edit=as_written_with_counters
+        )
+        assert resumed.stats == baseline.stats
+        assert resumed.raw_alerts == baseline.raw_alerts
+        assert resumed.filtered_alerts == baseline.filtered_alerts
+        assert resumed.summary() == baseline.summary()
 
     def test_resume_rejects_wrong_system(self):
         plan = FaultPlan(FaultConfig.crash_only(at=500, seed=SEED))

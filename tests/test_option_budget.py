@@ -12,6 +12,9 @@ import inspect
 import pytest
 
 from repro import api
+from repro.core.correlated_filter import alias_key
+from repro.core.filtering import SpatioTemporalFilter, log_filter
+from repro.core.serial_filter import serial_filter
 from repro.logio.reader import LogReader, read_log
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
@@ -44,6 +47,10 @@ PARAMETERS = [
     (LogReader.__init__, 4),
     (read_log, 3),
     (Collector.__init__, 5),
+    (SpatioTemporalFilter.__init__, 5),
+    (log_filter, 2),
+    (serial_filter, 2),
+    (alias_key, 1),
 ]
 
 
