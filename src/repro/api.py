@@ -22,7 +22,9 @@ an analysis needs on one :class:`~repro.engine.result.PipelineResult`.
 The execution knobs compose orthogonally — ``parallel`` with
 ``checkpointer``/``resume_from`` (snapshots at batch barriers),
 ``parallel`` with ``backpressure`` (the pool tags each tick's arrivals
-ahead of the bounded queue), and either with supervision — see
+ahead of the bounded queue), and any of them with ``store_dir`` and
+with supervision (:func:`run_system` with ``faults`` or
+``restart_budget``), which resumes through ``resume_from`` — see
 :data:`repro.engine.capabilities.CAPABILITY_TABLE`.
 """
 
@@ -44,8 +46,8 @@ from .resilience.deadletter import DeadLetterQueue
 from .parallel.config import ParallelConfig
 from .simulation.generator import GeneratedLog, LogGenerator
 
-#: Supervised defaults, applied when ``run_system(supervised=True)`` /
-#: ``faults=...`` is used without explicit budget/cadence knobs.
+#: Supervised defaults, applied when ``run_system(faults=...)`` is used
+#: without explicit budget/cadence knobs.
 DEFAULT_RESTART_BUDGET = 3
 DEFAULT_CHECKPOINT_EVERY = 2000
 
@@ -156,15 +158,15 @@ def run_stream(
     if state_dir is not None:
         from .resilience.durability import CheckpointStore
 
-        store = CheckpointStore(state_dir, token=state_token)
+        if checkpointer is None:
+            checkpointer = CheckpointManager(every=DEFAULT_CHECKPOINT_EVERY)
+        if checkpointer.store is None:
+            checkpointer.store = CheckpointStore(state_dir, token=state_token)
+        # A supervised restart hands back the manager of the attempt that
+        # crashed: keep its store, whose generation count is current.
+        store = checkpointer.store
         if resume_from is None:
             resume_from = store.load()
-        if checkpointer is None:
-            checkpointer = CheckpointManager(
-                every=DEFAULT_CHECKPOINT_EVERY, store=store
-            )
-        elif checkpointer.store is None:
-            checkpointer.store = store
 
     store_writer = None
     if store_dir is not None:
@@ -274,7 +276,6 @@ def run_system(
     threshold: float = DEFAULT_THRESHOLD,
     incident_scale: float = 1.0,
     faults=None,
-    supervised: bool = False,
     restart_budget: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
     backpressure: Optional[BackpressureConfig] = None,
@@ -287,8 +288,9 @@ def run_system(
     """Generate one machine's log and run the full pipeline over it.
 
     Pass ``faults`` (a :class:`~repro.resilience.faults.FaultConfig`) or
-    ``supervised=True`` to run under the pipeline supervisor: injected or
-    real worker failures are caught, the run restarts from the latest
+    ``restart_budget`` to run under
+    :func:`~repro.resilience.supervisor.supervise`: injected or real
+    worker failures are caught, the run resumes from the latest
     checkpoint (at most ``restart_budget`` times, default
     :data:`DEFAULT_RESTART_BUDGET`), and the result reports
     ``degraded``/dead-letter state instead of raising.
@@ -297,25 +299,23 @@ def run_system(
     not the run is supervised: an unsupervised run attaches a real
     :class:`CheckpointManager` and exposes it as ``result.checkpoints``
     (``result.checkpoints.latest`` is the resume point after a crash).
-    ``restart_budget`` without supervision raises — there is nothing to
-    restart — instead of being silently ignored as it historically was.
 
-    ``backpressure``, ``parallel``, supervision, and checkpointing all
-    compose; see :data:`repro.engine.capabilities.CAPABILITY_TABLE` for
-    each combination's checkpoint barrier and equivalence guarantee.
+    ``backpressure``, ``parallel``, ``store_dir``, supervision, and
+    checkpointing all compose; see
+    :data:`repro.engine.capabilities.CAPABILITY_TABLE` for each
+    combination's checkpoint barrier and equivalence guarantee.
 
     With ``state_dir``, checkpoints persist to that directory and a
     re-invocation with the same arguments auto-resumes an interrupted
-    run (SIGKILL, host reboot) to a byte-identical result — the
-    generated stream is deterministic, so the durable checkpoint plus
-    the skipped prefix reconstruct the exact in-flight state.  The
-    directory is fingerprinted with the run configuration; changing
-    ``seed``/``scale``/... starts fresh rather than resuming the wrong
-    stream.
+    run (SIGKILL, host reboot, a supervised run out of restarts) to a
+    byte-identical result — the generated stream is deterministic, so
+    the durable checkpoint plus the skipped prefix reconstruct the exact
+    in-flight state.  The directory is fingerprinted with the run
+    configuration; changing ``seed``/``scale``/... starts fresh rather
+    than resuming the wrong stream.
     """
     validate_run_config(
-        parallel=parallel, backpressure=backpressure, faults=faults,
-        supervised=supervised, restart_budget=restart_budget,
+        parallel=parallel, backpressure=backpressure,
         checkpoint_every=checkpoint_every,
     )
     token = ""
@@ -326,21 +326,26 @@ def run_system(
             store="on" if store_dir is not None else "off",
             **generator_kwargs,
         )
-    if store_dir is not None and (faults is not None or supervised):
-        raise ValueError(
-            "store_dir does not compose with supervised runs yet: the "
-            "supervisor restarts runs internally and would re-open the "
-            "store mid-flight"
-        )
-    if faults is not None or supervised:
-        from .resilience.supervisor import PipelineSupervisor
+    latest = {}
 
-        store = None
-        if state_dir is not None:
-            from .resilience.durability import CheckpointStore
+    def generate():
+        # Afresh per presentation: the generator is deterministic.
+        latest["log"] = LogGenerator(
+            system, scale=scale, seed=seed, incident_scale=incident_scale,
+            **generator_kwargs,
+        ).generate()
+        return latest["log"].records
 
-            store = CheckpointStore(state_dir, token=token)
-        supervisor = PipelineSupervisor(
+    run = dict(
+        threshold=threshold, backpressure=backpressure, parallel=parallel,
+        state_dir=state_dir, state_token=token, predict=predict,
+        store_dir=store_dir,
+    )
+    if faults is not None or restart_budget is not None:
+        from .resilience.supervisor import supervise
+
+        result = supervise(
+            generate, system, faults=faults,
             restart_budget=(
                 DEFAULT_RESTART_BUDGET if restart_budget is None
                 else restart_budget
@@ -349,28 +354,19 @@ def run_system(
                 DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None
                 else checkpoint_every
             ),
-            store=store,
+            **run,
         )
-        return supervisor.run_system(
-            system, scale=scale, seed=seed, threshold=threshold,
-            incident_scale=incident_scale, faults=faults,
-            backpressure=backpressure, parallel=parallel, predict=predict,
-            **generator_kwargs,
-        )
-    generator = LogGenerator(
-        system, scale=scale, seed=seed, incident_scale=incident_scale,
-        **generator_kwargs,
-    )
-    generated = generator.generate()
+        if not result.degraded:
+            result.generated = latest["log"]
+        return result
     checkpointer = (
         CheckpointManager(every=checkpoint_every)
         if checkpoint_every is not None else None
     )
+    records = generate()
     return run_stream(
-        generated.records, system, threshold=threshold, generated=generated,
-        checkpointer=checkpointer, backpressure=backpressure,
-        parallel=parallel, state_dir=state_dir, state_token=token,
-        predict=predict, store_dir=store_dir,
+        records, system, generated=latest["log"], checkpointer=checkpointer,
+        **run,
     )
 
 
@@ -379,7 +375,6 @@ def run_all(
     seed: int = 2007,
     threshold: float = DEFAULT_THRESHOLD,
     faults=None,
-    supervised: bool = False,
     restart_budget: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
     backpressure: Optional[BackpressureConfig] = None,
@@ -391,13 +386,14 @@ def run_all(
 ) -> Dict[str, PipelineResult]:
     """Run the pipeline for all five machines (Table 2's full study).
 
-    With ``faults``/``supervised`` the whole study runs under supervision:
-    every system completes — possibly degraded, never raising — and each
-    result carries its dead-letter and restart accounting.  With
-    ``backpressure``, every system runs bounded; each gets its own queues
-    and accounting.  With ``parallel``, every system's tagging is sharded
-    across worker processes (each system gets its own pool).  The knobs
-    compose, per system, exactly as in :func:`run_system`.
+    With ``faults`` or ``restart_budget`` the whole study runs under
+    supervision: every system completes — possibly degraded, never
+    raising — and each result carries its dead-letter and restart
+    accounting.  With ``backpressure``, every system runs bounded; each
+    gets its own queues and accounting.  With ``parallel``, every
+    system's tagging is sharded across worker processes (each system
+    gets its own pool).  The knobs compose, per system, exactly as in
+    :func:`run_system`.
     """
     import os
 
@@ -406,9 +402,9 @@ def run_all(
     return {
         name: run_system(
             name, scale=scale, seed=seed, threshold=threshold,
-            faults=faults, supervised=supervised,
-            restart_budget=restart_budget, checkpoint_every=checkpoint_every,
-            backpressure=backpressure, parallel=parallel,
+            faults=faults, restart_budget=restart_budget,
+            checkpoint_every=checkpoint_every, backpressure=backpressure,
+            parallel=parallel,
             state_dir=(
                 os.path.join(state_dir, name) if state_dir is not None
                 else None
@@ -438,7 +434,7 @@ def run(
 
     Without ``records``, a calibrated synthetic log is generated first
     (all :func:`run_system` keywords apply: ``scale``, ``seed``,
-    ``faults``, ``supervised``, ``backpressure``, ``parallel``, ...).
+    ``faults``, ``restart_budget``, ``backpressure``, ``parallel``, ...).
     With ``records``, the stream is consumed directly (all
     :func:`run_stream` keywords apply: ``dead_letters``,
     ``checkpointer``/``resume_from``, ``backpressure``, ``parallel``,

@@ -123,17 +123,13 @@ def cmd_study(args: argparse.Namespace) -> int:
     # --faults/--max-buffer; the stage engine made those pairs legal.)
     try:
         validate_run_config(
-            parallel=parallel, backpressure=backpressure, faults=faults,
-            restart_budget=args.restart_budget,
+            parallel=parallel, backpressure=backpressure,
             checkpoint_every=args.checkpoint_every,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.store_dir and faults is not None:
-        print("error: --store-dir does not compose with --faults "
-              "(supervised restarts) yet", file=sys.stderr)
-        return 2
+    supervised = faults is not None or args.restart_budget is not None
     results = {}
     for system in SYSTEM_CHOICES:
         scale = args.scale * (100 if system == "bgl" else 1)
@@ -158,7 +154,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         store = getattr(result.checkpoints, "store", None)
         if store is not None and store.status.degraded:
             line += f" [DURABILITY DEGRADED: {store.status.reason}]"
-        if faults is not None:
+        if supervised:
             line += (f" [restarts: {result.restarts}, "
                      f"dead letters: {result.dead_letter_count}"
                      f"{', DEGRADED' if result.degraded else ''}]")
@@ -397,12 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed for the fault schedule (default: --seed)")
     p_study.add_argument("--restart-budget", type=int, default=None,
                          help="max supervisor restarts per system "
-                              "(requires --faults; default 3)")
+                              "(default under --faults: 3); giving it "
+                              "supervises the run even without --faults")
     p_study.add_argument("--checkpoint-every", type=int, default=None,
-                         help="checkpoint interval in records; without "
-                              "--faults the run still snapshots and the "
+                         help="checkpoint interval in records; an "
+                              "unsupervised run still snapshots and the "
                               "result keeps the latest resume point "
-                              "(default under --faults: 2000)")
+                              "(default when supervised: 2000)")
     p_study.add_argument("--state-dir", default=None,
                          help="persist checkpoints under this directory "
                               "(one subdirectory per system) and "

@@ -144,25 +144,17 @@ def build_driver(
 def validate_run_config(
     parallel: Optional[ParallelConfig] = None,
     backpressure: Optional[BackpressureConfig] = None,
-    faults=None,
-    supervised: bool = False,
-    restart_budget: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
 ) -> DriverCapabilities:
-    """Reject the knob combinations that remain meaningless; return the
+    """Reject the knob values that remain meaningless; return the
     capability row for the rest.
 
     This is deliberately short: the historical guards (parallel vs
-    backpressure, parallel vs checkpoint/resume, parallel vs supervision)
-    are gone because the engine made those pairs compose.  What is left
-    is a knob that would be *silently ignored* — a restart budget with
-    nothing supervising restarts — which we refuse rather than swallow.
+    backpressure, parallel vs checkpoint/resume, parallel vs supervision,
+    store vs supervision) are gone because the engine made those pairs
+    compose, and a restart budget is never ignored: it turns
+    supervision on.
     """
-    if restart_budget is not None and not (supervised or faults is not None):
-        raise ValueError(
-            "restart_budget only takes effect under supervision; pass "
-            "supervised=True or faults=... (or drop the budget)"
-        )
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1 record")
     return capabilities_for(parallel, backpressure)

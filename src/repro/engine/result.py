@@ -46,11 +46,12 @@ class PipelineResult:
     failure_log: List[str] = field(default_factory=list)
     overload: Optional[OverloadReport] = None
     shard_stats: Optional[ShardStats] = None
-    #: The checkpoint manager the run snapshotted into, when the caller
-    #: asked for unsupervised checkpointing (``run_system(checkpoint_every=
-    #: ...)``); ``checkpoints.latest`` is the resume point after a crash.
+    #: The checkpoint manager the run snapshotted into, when it
+    #: checkpointed (``checkpoint_every=``, ``state_dir=``, or a
+    #: supervised run that finished); ``checkpoints.latest`` is the
+    #: resume point after a crash.
     checkpoints: Optional["CheckpointManager"] = None
-    #: Dead-letter accounting as it stood the moment the supervisor's
+    #: Dead-letter accounting as it stood the moment ``supervise``'s
     #: restart budget ran out — *before* the degraded result rolled the
     #: queue back to the last checkpoint.  Quarantines that happened
     #: during failed attempts (after the final checkpoint) are only here,

@@ -49,9 +49,11 @@ class ParallelConfig:
         keep the order-preserving merge shallow.
     retry_failed_batches:
         When a worker process dies mid-batch, replay the batch **exactly
-        once** through an in-parent serial tagger (the supervisor path).
-        When ``False`` the crash propagates as
-        :class:`~repro.parallel.sharded.WorkerCrashError`.
+        once** through an in-parent serial tagger, so the run never
+        stops.  When ``False`` the crash propagates as
+        :class:`~repro.parallel.sharded.WorkerCrashError` — which a
+        supervised run then answers by resuming from its last
+        checkpoint.
     enable_test_faults:
         Test hook: workers recognize the kill sentinel
         (:data:`~repro.parallel.sharded.KILL_SENTINEL`) and die mid-batch,

@@ -8,16 +8,16 @@ paper catalogs, the way production HPC log-analytics stacks do:
 * :mod:`~repro.resilience.faults` — seed-deterministic fault injectors
   (crash, stall, clock skew, duplication, reordering, truncation) that
   wrap any record stream;
-* :mod:`~repro.resilience.retry` — backoff policies, per-channel circuit
-  breakers, and :class:`~repro.resilience.retry.ResilientChannel`, the
-  retrying wrapper around the transport models;
+* :mod:`~repro.resilience.retry` — the per-channel circuit breaker each
+  ingest-service tenant consults before admitting a run of records;
 * :mod:`~repro.resilience.deadletter` — the bounded quarantine for
   records the pipeline refuses, with exact per-reason accounting;
 * :mod:`~repro.resilience.checkpoint` — snapshot/restore of streaming
   pipeline state for exact crash/resume;
-* :mod:`~repro.resilience.supervisor` — bounded-restart supervision of
-  per-system pipeline workers, degrading to a partial result (never an
-  unhandled exception) when the budget runs out;
+* :mod:`~repro.resilience.supervisor` — :func:`supervise`, a bounded
+  retry loop around ``api.run_stream``'s resume path, degrading to a
+  partial result (never an unhandled exception) when the budget runs
+  out; import it from its module (it sits above :mod:`repro.api`);
 * :mod:`~repro.resilience.backpressure` — bounded inter-stage queues with
   watermarks, credit-based flow control, and the overload monitor behind
   bounded-memory runs;
@@ -50,18 +50,10 @@ from .faults import (
     RandomFaultInjector,
     ReorderInjector,
     StallTimeout,
-    TransientFault,
     TruncateInjector,
     compose,
 )
-from .retry import (
-    BreakerState,
-    CircuitBreaker,
-    ResilientChannel,
-    RetryError,
-    RetryPolicy,
-    with_retry,
-)
+from .retry import BreakerState, CircuitBreaker
 from .shedding import (
     BoundedIngest,
     ChatterOnlyShedPolicy,
@@ -71,19 +63,6 @@ from .shedding import (
     ShedPolicy,
     get_shed_policy,
 )
-
-
-def __getattr__(name: str):
-    # The supervisor sits above the pipeline, which sits above the
-    # simulation layer, which uses this package's dead-letter queue — so
-    # importing it eagerly here would close an import cycle.  PEP 562
-    # lazy loading keeps ``repro.resilience.PipelineSupervisor`` working
-    # without the cycle.
-    if name == "PipelineSupervisor":
-        from .supervisor import PipelineSupervisor
-
-        return PipelineSupervisor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CheckpointManager",
@@ -101,15 +80,10 @@ __all__ = [
     "RandomFaultInjector",
     "ReorderInjector",
     "StallTimeout",
-    "TransientFault",
     "TruncateInjector",
     "compose",
     "BreakerState",
     "CircuitBreaker",
-    "ResilientChannel",
-    "RetryError",
-    "RetryPolicy",
-    "with_retry",
     "BackpressureConfig",
     "BoundedQueue",
     "CreditGate",
@@ -124,5 +98,4 @@ __all__ = [
     "ShedAccounting",
     "ShedPolicy",
     "get_shed_policy",
-    "PipelineSupervisor",
 ]

@@ -18,9 +18,10 @@ mechanics of that choice:
   deterministic generators, a file reader) is slowed instead of shed;
 * :class:`OverloadMonitor` — samples queue occupancy, shed counts, and
   per-stage throughput, and raises the ``sustained_overload`` flag the
-  pipeline and supervisor use to enter degraded mode instead of OOM;
+  bounded driver uses to enter degraded mode instead of OOM;
 * :class:`BackpressureConfig` — one object describing all of the above,
-  accepted by :func:`repro.api.run_stream` and the supervisor.
+  accepted by :func:`repro.api.run_stream` (and so by every attempt of
+  :func:`repro.resilience.supervisor.supervise`).
 
 An *unpausable* source (a UDP fan-in cannot be slowed, only shed) goes
 through the door built from these parts,
@@ -192,10 +193,10 @@ class CreditGate:
 class OverloadMonitor:
     """Samples queue occupancy and raises the sustained-overload flag.
 
-    One monitor can outlive the queues it watches (the supervisor keeps a
+    One monitor can outlive the queues it watches (``supervise`` shares a
     single monitor across restart attempts): :meth:`attach` replaces a
     same-named queue but peaks persist, so the report covers the whole
-    supervised run.
+    supervised run, degraded partial included.
     """
 
     def __init__(self, sustain: int = 8):
@@ -363,9 +364,9 @@ class BackpressureConfig:
     ``degrade`` answers sustained overload with coarse stats and a
     raised filter ``T``.
 
-    ``monitor`` and ``accounting`` are normally created per run; the
-    supervisor injects shared instances so overload accounting survives
-    restarts.
+    ``monitor`` and ``accounting`` are normally created per run;
+    :func:`~repro.resilience.supervisor.supervise` binds shared instances
+    (:meth:`with_runtime`) so overload accounting survives restarts.
     """
 
     max_buffer: int = 1024
@@ -409,5 +410,6 @@ class BackpressureConfig:
     def with_runtime(
         self, monitor: OverloadMonitor, accounting: Any
     ) -> "BackpressureConfig":
-        """A copy bound to shared runtime state (supervisor restarts)."""
+        """A copy bound to shared runtime state: ``supervise`` hands the
+        same monitor and accounting to every attempt it runs."""
         return replace(self, monitor=monitor, accounting=accounting)

@@ -10,8 +10,10 @@ included, because the zlib compressor state is part of the snapshot.
 records) and retains the latest snapshot; :class:`PipelineCheckpoint` is
 the snapshot itself, deep enough that the live run mutating onward never
 contaminates it.  ``api.run_stream(..., checkpointer=...,
-resume_from=...)`` does the wiring; the supervisor drives it after an
-injected (or real) crash.
+resume_from=...)`` does the wiring, and is the only resume path:
+:func:`~repro.resilience.supervisor.supervise` restarts a crashed run by
+passing its manager's ``latest`` back in, and ``state_dir`` resumes load
+the same snapshot from disk.
 """
 
 from __future__ import annotations

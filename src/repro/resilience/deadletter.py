@@ -29,7 +29,6 @@ REASON_INVALID_RECORD = "invalid-record"
 REASON_TAGGER_ERROR = "tagger-error"
 REASON_OUT_OF_ORDER = "out-of-order"
 REASON_CIRCUIT_OPEN = "circuit-open"
-REASON_RETRIES_EXHAUSTED = "retries-exhausted"
 REASON_SHED_OVERLOAD = "shed-overload"
 #: Reasons used by the multi-tenant ingest service (:mod:`repro.service`).
 REASON_WORKER_CRASH = "worker-crash"

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import wire
-from .checkpoint import PipelineCheckpoint
 
 __all__ = [
     "CheckpointStore",
@@ -50,7 +49,6 @@ __all__ = [
     "RealFilesystem",
     "SegmentedWal",
     "default_filesystem",
-    "recover_checkpoint",
 ]
 
 
@@ -659,12 +657,3 @@ class CheckpointStore:
                 f"generation {name} corrupt ({why}) and could not be "
                 f"quarantined: {exc!r}"
             )
-
-
-def recover_checkpoint(
-    state_dir: str, token: str = ""
-) -> Optional[PipelineCheckpoint]:
-    """Convenience scanner: the newest verifiable pipeline checkpoint
-    under ``state_dir``, or ``None`` when there is nothing (valid) to
-    resume."""
-    return CheckpointStore(state_dir, token=token).load()

@@ -10,9 +10,11 @@ be tested against them:
   out-of-order delivery, truncation, clock-skew episodes;
 * **delivery faults** abort the stream — a collector crash
   (:class:`CollectorCrash`) or a stall that exceeds its timeout
-  (:class:`StallTimeout`);
-* **send-path faults** (:class:`TransientFault`) fail individual transmit
-  attempts, the failure mode retry policies exist for.
+  (:class:`StallTimeout`) — which
+  :func:`~repro.resilience.supervisor.supervise` answers by resuming
+  from the last checkpoint;
+* **storage faults** (:class:`FaultyFilesystem`) fail or kill the
+  durability layer's writes.
 
 Everything is driven by explicit rngs seeded from a
 :class:`FaultConfig`, so a fault schedule is exactly reproducible:
@@ -296,31 +298,6 @@ class RandomFaultInjector:
                     f"injected {self.label} (firing #{self.fired_count})"
                 )
             yield record
-
-
-# -- send-path faults --------------------------------------------------------
-
-
-class TransientFault:
-    """Per-attempt send failures: each :meth:`check` call independently
-    fails with probability ``rate``, so a retry can succeed where the
-    first attempt failed — the failure mode backoff policies exist for."""
-
-    def __init__(self, rng: np.random.Generator, rate: float):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.rng = rng
-        self.rate = rate
-        self.calls = 0
-        self.raised = 0
-
-    def check(self, record: LogRecord) -> None:
-        self.calls += 1
-        if self.rate and self.rng.random() < self.rate:
-            self.raised += 1
-            raise StallTimeout(
-                f"injected transient send failure at t={record.timestamp:.3f}"
-            )
 
 
 # -- storage faults ----------------------------------------------------------

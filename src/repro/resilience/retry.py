@@ -1,109 +1,21 @@
-"""Retry policies, circuit breaking, and a retrying transport wrapper.
+"""Per-channel circuit breaking.
 
-The collection paths of Section 3.1 fail transiently: a syslog relay
-stalls, a TCP connection to the SMW resets, a poll times out.  Production
-collectors retry with exponential backoff plus jitter and stop hammering a
-dead channel with a circuit breaker (the standard pattern in log-shipping
-daemons).  This module provides both, plus :class:`ResilientChannel`, a
-wrapper that gives any transport (:class:`~repro.simulation.transport.
-UdpSyslogChannel`, :class:`~repro.simulation.transport.TcpRasChannel`, ...)
-per-record retry semantics.
+The collection paths of Section 3.1 fail in runs: a syslog relay
+stalls, a TCP connection to the SMW resets, a worker keeps crashing on
+the same input.  Production collectors stop hammering a channel that
+keeps failing and probe it again later — a circuit breaker.  Each
+ingest-service tenant (:class:`repro.service.tenant.Tenant`) owns one
+and consults it before admitting a run of records.
 
-Time here is *simulated* time: the breaker's clock is the record
-timestamps flowing through it, and backoff delays are accumulated rather
-than slept, so tests and simulations run at full speed while preserving
-the temporal logic.
+The breaker keeps no clock of its own: every call passes ``now``
+(the tenant passes ``time.monotonic()``; a simulation can pass record
+timestamps and run at full speed).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
-
-import numpy as np
-
-from ..logmodel.record import LogRecord
-from .deadletter import (
-    DeadLetterQueue,
-    REASON_CIRCUIT_OPEN,
-    REASON_RETRIES_EXHAUSTED,
-)
-from .faults import FaultError, TransientFault
-
-
-class RetryError(RuntimeError):
-    """All retry attempts failed; carries the last underlying error."""
-
-    def __init__(self, attempts: int, last_error: BaseException):
-        super().__init__(
-            f"gave up after {attempts} attempts: "
-            f"{type(last_error).__name__}: {last_error}"
-        )
-        self.attempts = attempts
-        self.last_error = last_error
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with optional jitter.
-
-    Delay before retry ``k`` (0-based) is
-    ``min(max_delay, base_delay * multiplier**k)``, scaled by a uniform
-    jitter factor in ``[1 - jitter, 1]`` when an rng is supplied — the
-    jitter decorrelates retry storms across channels.
-    """
-
-    max_attempts: int = 4
-    base_delay: float = 0.1
-    multiplier: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay(self, attempt: int, rng: Optional[np.random.Generator] = None) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
-        if rng is not None and self.jitter > 0:
-            raw *= 1.0 - self.jitter * float(rng.random())
-        return raw
-
-
-def with_retry(
-    fn: Callable[[], object],
-    policy: RetryPolicy,
-    rng: Optional[np.random.Generator] = None,
-    retryable: Tuple[type, ...] = (FaultError,),
-    on_backoff: Optional[Callable[[int, float], None]] = None,
-):
-    """Call ``fn`` under ``policy``, retrying ``retryable`` failures.
-
-    ``on_backoff(attempt, delay)`` is invoked before each retry (the
-    simulation's stand-in for sleeping).  Raises :class:`RetryError` when
-    the budget is exhausted; non-retryable exceptions propagate untouched.
-    """
-    last: Optional[BaseException] = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return fn()
-        except retryable as exc:
-            last = exc
-            if attempt + 1 >= policy.max_attempts:
-                break
-            delay = policy.delay(attempt, rng)
-            if on_backoff is not None:
-                on_backoff(attempt, delay)
-    assert last is not None
-    raise RetryError(policy.max_attempts, last)
+from typing import Optional
 
 
 class BreakerState(enum.Enum):
@@ -113,11 +25,11 @@ class BreakerState(enum.Enum):
 
 
 class CircuitBreaker:
-    """Per-channel circuit breaker over simulated time.
+    """Per-channel circuit breaker over the caller's clock.
 
     ``failure_threshold`` consecutive failures open the circuit; while
-    open, :meth:`allow` rejects until ``reset_timeout`` simulated seconds
-    have passed, then one probe is allowed (half-open).  A probe success
+    open, :meth:`allow` rejects until ``reset_timeout`` seconds have
+    passed, then one probe is allowed (half-open).  A probe success
     closes the circuit; a probe failure re-opens it.
     """
 
@@ -135,7 +47,7 @@ class CircuitBreaker:
         self.rejected = 0
 
     def allow(self, now: float) -> bool:
-        """May a call proceed at simulated time ``now``?"""
+        """May a call proceed at time ``now``?"""
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
@@ -162,80 +74,3 @@ class CircuitBreaker:
                 self.times_opened += 1
             self.state = BreakerState.OPEN
             self.opened_at = now
-
-
-class ResilientChannel:
-    """Per-record retry + circuit breaking around any transport channel.
-
-    Each record is transmitted through the wrapped channel individually;
-    transient send failures (``FaultError``) are retried under ``policy``.
-    A record whose retries are exhausted is quarantined (when a dead-letter
-    queue is attached) and counted, never raised — and the breaker, fed by
-    the record timestamps as its clock, stops offering records to a
-    channel that keeps failing until ``reset_timeout`` of stream time has
-    passed.
-
-    Note that a *drop* by a lossy channel (UDP under contention) is normal
-    channel behavior, not a failure: it is not retried — retrying would
-    falsify the loss model.
-    """
-
-    def __init__(
-        self,
-        channel,
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        faults: Optional[TransientFault] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        seed: int = 0,
-    ):
-        self.channel = channel
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker
-        self.faults = faults
-        self.dead_letters = dead_letters
-        self._rng = np.random.default_rng(seed)
-        self.delivered = 0
-        self.failed = 0
-        self.rejected = 0
-        self.retries = 0
-        self.total_backoff = 0.0
-
-    def _send(self, record: LogRecord) -> List[LogRecord]:
-        if self.faults is not None:
-            self.faults.check(record)
-        return list(self.channel.transmit([record]))
-
-    def _on_backoff(self, attempt: int, delay: float) -> None:
-        self.retries += 1
-        self.total_backoff += delay
-
-    def transmit(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-        for record in records:
-            now = record.timestamp
-            if self.breaker is not None and not self.breaker.allow(now):
-                self.rejected += 1
-                if self.dead_letters is not None:
-                    self.dead_letters.put(record, REASON_CIRCUIT_OPEN)
-                continue
-            try:
-                out = with_retry(
-                    lambda: self._send(record),
-                    self.policy,
-                    rng=self._rng,
-                    on_backoff=self._on_backoff,
-                )
-            except RetryError as exc:
-                self.failed += 1
-                if self.breaker is not None:
-                    self.breaker.record_failure(now)
-                if self.dead_letters is not None:
-                    self.dead_letters.put(
-                        record, REASON_RETRIES_EXHAUSTED, str(exc)
-                    )
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            for delivered in out:
-                self.delivered += 1
-                yield delivered

@@ -85,14 +85,6 @@ class TestValidation:
                 )
                 assert caps.name == driver_name(parallel, backpressure)
 
-    def test_restart_budget_requires_supervision(self):
-        with pytest.raises(ValueError, match="restart_budget"):
-            validate_run_config(restart_budget=3)
-
-    def test_restart_budget_ok_when_supervised(self):
-        validate_run_config(restart_budget=3, supervised=True)
-        validate_run_config(restart_budget=3, faults=object())
-
     def test_checkpoint_every_must_be_positive(self):
         with pytest.raises(ValueError, match="checkpoint_every"):
             validate_run_config(checkpoint_every=0)

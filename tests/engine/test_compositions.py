@@ -30,7 +30,8 @@ from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.deadletter import DeadLetterQueue
 from repro.resilience.faults import FaultConfig
-from repro.resilience.supervisor import PipelineSupervisor
+from repro.resilience.supervisor import supervise
+from repro.simulation.generator import LogGenerator
 
 from .conftest import (
     ALL_SYSTEMS,
@@ -150,11 +151,9 @@ class TestCompositionMatrix:
         records = golden_records[system]
         crash_at = max(CHECKPOINT_EVERY + 1, (len(records) * 2) // 3)
         for parallel in drivers(env_workers).values():
-            supervisor = PipelineSupervisor(
-                restart_budget=2, checkpoint_every=CHECKPOINT_EVERY,
-            )
-            result = supervisor.run_records(
+            result = supervise(
                 lambda: list(records), system,
+                restart_budget=2, checkpoint_every=CHECKPOINT_EVERY,
                 faults=FaultConfig.crash_only(at=crash_at),
                 parallel=parallel,
             )
@@ -164,8 +163,8 @@ class TestCompositionMatrix:
 
 
 class TestRunSystemKnobs:
-    """The satellite bugfix: ``run_system`` checkpoint/restart knobs are
-    either wired or refused — never silently ignored."""
+    """``run_system`` checkpoint/restart knobs are wired, never silently
+    ignored."""
 
     def test_unsupervised_checkpointing_is_real(self, liberty_result):
         result = pipeline.run_system(
@@ -177,11 +176,30 @@ class TestRunSystemKnobs:
         assert result.checkpoints.latest.records_consumed > 0
         assert_equivalent(result, liberty_result)
 
-    def test_unsupervised_restart_budget_refused(self):
-        with pytest.raises(ValueError, match="restart_budget"):
-            pipeline.run_system(
-                "liberty", scale=2e-5, seed=20070625, restart_budget=2,
-            )
+    def test_restart_budget_alone_supervises(self, monkeypatch,
+                                             liberty_result):
+        """No ``faults``: a restart budget is what turns supervision on,
+        so a real crash in the first presentation of the stream is
+        survived instead of raised."""
+        generate = LogGenerator.generate
+        presentations = []
+
+        def crashes_once(self):
+            generated = generate(self)
+            presentations.append(generated)
+            if len(presentations) == 1:
+                generated.records = crash_after(generated.records, 1500)
+            return generated
+
+        monkeypatch.setattr(LogGenerator, "generate", crashes_once)
+        result = pipeline.run_system(
+            "liberty", scale=2e-5, seed=20070625, restart_budget=1,
+        )
+        assert len(presentations) == 2
+        assert not result.degraded
+        assert result.restarts == 1
+        assert "MidStreamCrash" in result.failure_log[0]
+        assert_equivalent(result, liberty_result)
 
     def test_supervised_parallel_composes(self, env_workers):
         result = pipeline.run_system(

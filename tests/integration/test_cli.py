@@ -107,6 +107,23 @@ class TestStudy:
         assert "restarts:" in captured.err
         assert "dead letters:" in captured.err
 
+    def test_faulted_study_store_replays(self, tmp_path, capsys):
+        """Supervision composes with ``--store-dir``: every system's
+        restarted run lands a store, and ``report`` renders the same
+        tables from disk alone."""
+        root = str(tmp_path / "stores")
+        code = main([
+            "study", "--scale", "1e-5", "--seed", "3", "--faults",
+            "--store-dir", root,
+        ])
+        assert code == 0
+        study = capsys.readouterr()
+        assert "restarts: 1" in study.err
+        assert main(["report", root]) == 0
+        report = capsys.readouterr()
+        assert report.out.startswith(study.out)
+        assert "Figure" in report.out[len(study.out):]
+
 
 class TestAnalyzeQuarantine:
     def test_quarantine_flag_accepted_on_clean_log(self, generated_log,

@@ -20,7 +20,6 @@ from repro.resilience.shedding import (
     CLASS_CHATTER,
     CLASS_DUPLICATE,
 )
-from repro.resilience.supervisor import PipelineSupervisor
 
 from ..conftest import SEED, SMALL_SCALE
 
@@ -199,11 +198,10 @@ class TestSupervisedOverload:
         config = BackpressureConfig.burst(
             factor=10.0, service_batch=32, max_buffer=128,
         )
-        supervisor = PipelineSupervisor(restart_budget=1, checkpoint_every=50)
-        result = supervisor.run_system(
+        result = pipeline.run_system(
             SYSTEM, scale=SMALL_SCALE, seed=SEED,
             faults=FaultConfig(seed=1, crash_rate=0.05),
-            backpressure=config,
+            restart_budget=1, checkpoint_every=50, backpressure=config,
         )
         assert result.degraded
         assert result.restarts == 1
@@ -224,11 +222,10 @@ class TestSupervisedOverload:
         config = BackpressureConfig.burst(
             factor=10.0, service_batch=32, max_buffer=256,
         )
-        supervisor = PipelineSupervisor(restart_budget=3, checkpoint_every=100)
-        result = supervisor.run_system(
+        result = pipeline.run_system(
             SYSTEM, scale=SMALL_SCALE, seed=SEED,
             faults=FaultConfig.crash_only(at=500, seed=SEED),
-            backpressure=config,
+            restart_budget=3, checkpoint_every=100, backpressure=config,
         )
         assert not result.degraded
         assert result.restarts == 1

@@ -24,7 +24,7 @@ import pytest
 
 from repro import api
 from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.durability import CheckpointStore, recover_checkpoint
+from repro.resilience.durability import CheckpointStore
 from repro.resilience.faults import (
     CollectorCrash,
     FaultConfig,
@@ -92,7 +92,7 @@ class TestPredictionCrashResume:
         state_dir = str(tmp_path / "state")
         with pytest.raises(CollectorCrash):
             run(state_dir, wrap=plan.wrap)
-        persisted = recover_checkpoint(state_dir, TOKEN)
+        persisted = CheckpointStore(state_dir, token=TOKEN).load()
         assert persisted is not None
         assert persisted.prediction_state is not None
         assert persisted.records_consumed <= KILL_AT
@@ -100,7 +100,7 @@ class TestPredictionCrashResume:
         resumed = run(state_dir, wrap=plan.wrap)
         assert_prediction_identical(resumed, baseline)
         # Clean finish consumed the durable state.
-        assert recover_checkpoint(state_dir, TOKEN) is None
+        assert CheckpointStore(state_dir, token=TOKEN).load() is None
 
     def test_sigkill_resume_is_exact(self, tmp_path, baseline):
         """The real thing: a worker process SIGKILLed mid-stream (no
@@ -116,7 +116,7 @@ class TestPredictionCrashResume:
             timeout=300,
         )
         assert child.returncode == -int(signal.SIGKILL), child.stderr
-        persisted = recover_checkpoint(state_dir, TOKEN)
+        persisted = CheckpointStore(state_dir, token=TOKEN).load()
         assert persisted is not None
         assert persisted.prediction_state is not None
 

@@ -20,7 +20,6 @@ from repro.resilience.durability import (
     RealFilesystem,
     SegmentedWal,
     default_filesystem,
-    recover_checkpoint,
 )
 from repro.resilience.faults import (
     CollectorCrash,
@@ -162,7 +161,6 @@ class TestCheckpointStore:
         assert loaded.raw_alerts == checkpoint.raw_alerts
         assert loaded.report == checkpoint.report
         assert loaded.dead_letters == checkpoint.dead_letters
-        assert recover_checkpoint(str(tmp_path), "run") is not None
 
     def test_keep_window_prunes_old_generations(self, tmp_path):
         store = dict_store(tmp_path, keep=2)
@@ -284,7 +282,7 @@ class TestDurableResume:
         state_dir = str(tmp_path / "state")
         with pytest.raises(CollectorCrash):
             self._run(state_dir, wrap=plan.wrap)
-        persisted = recover_checkpoint(state_dir, self.TOKEN)
+        persisted = CheckpointStore(state_dir, token=self.TOKEN).load()
         assert persisted is not None
         assert persisted.records_consumed <= 2000
 
@@ -300,7 +298,7 @@ class TestDurableResume:
         # clean finish consumes the durable state (manifest complete).
         assert resumed.checkpoints.taken == baseline.checkpoints.taken
         assert not resumed.checkpoints.store.status.degraded
-        assert recover_checkpoint(state_dir, self.TOKEN) is None
+        assert CheckpointStore(state_dir, token=self.TOKEN).load() is None
 
     def test_degraded_storage_never_perturbs_output(self, tmp_path):
         baseline = self._run(None)

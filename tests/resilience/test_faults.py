@@ -14,7 +14,6 @@ from repro.resilience.faults import (
     RandomFaultInjector,
     ReorderInjector,
     StallTimeout,
-    TransientFault,
     TruncateInjector,
     compose,
 )
@@ -147,25 +146,6 @@ class TestCrash:
         )
         with pytest.raises(StallTimeout):
             list(inj.apply(_records(100)))
-
-
-class TestTransient:
-    def test_rate_zero_never_raises(self):
-        fault = TransientFault(np.random.default_rng(0), rate=0.0)
-        for record in _records(100):
-            fault.check(record)
-        assert fault.raised == 0
-
-    def test_raises_at_rate(self):
-        fault = TransientFault(np.random.default_rng(0), rate=0.3)
-        raised = 0
-        for record in _records(1000):
-            try:
-                fault.check(record)
-            except StallTimeout:
-                raised += 1
-        assert raised == fault.raised
-        assert 200 < raised < 400
 
 
 class TestPlan:

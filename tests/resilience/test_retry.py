@@ -1,88 +1,6 @@
-"""Unit tests for retry policies, circuit breaking, and ResilientChannel."""
+"""Unit tests for the per-channel circuit breaker."""
 
-import numpy as np
-import pytest
-
-from repro.logmodel.record import LogRecord
-from repro.resilience.deadletter import DeadLetterQueue
-from repro.resilience.faults import StallTimeout, TransientFault
-from repro.resilience.retry import (
-    BreakerState,
-    CircuitBreaker,
-    ResilientChannel,
-    RetryError,
-    RetryPolicy,
-    with_retry,
-)
-from repro.simulation.transport import TcpRasChannel, UdpSyslogChannel
-
-
-def _records(times):
-    return [
-        LogRecord(timestamp=t, source="n1", facility="kernel", body="x")
-        for t in times
-    ]
-
-
-class TestPolicy:
-    def test_exponential_growth_capped(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=2.0, max_delay=5.0,
-                             jitter=0.0)
-        assert policy.delay(0) == 1.0
-        assert policy.delay(1) == 2.0
-        assert policy.delay(2) == 4.0
-        assert policy.delay(3) == 5.0  # capped
-
-    def test_jitter_shrinks_delay_deterministically(self):
-        policy = RetryPolicy(base_delay=1.0, jitter=0.5)
-        rng = np.random.default_rng(0)
-        delays = {policy.delay(0, rng) for _ in range(10)}
-        assert all(0.5 <= d <= 1.0 for d in delays)
-        assert len(delays) > 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-
-
-class TestWithRetry:
-    def test_succeeds_after_transient_failures(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise StallTimeout("transient")
-            return "ok"
-
-        backoffs = []
-        result = with_retry(
-            flaky, RetryPolicy(max_attempts=4, jitter=0.0),
-            on_backoff=lambda attempt, delay: backoffs.append(delay),
-        )
-        assert result == "ok"
-        assert calls["n"] == 3
-        assert len(backoffs) == 2
-
-    def test_exhaustion_raises_retry_error(self):
-        def always_fails():
-            raise StallTimeout("down")
-
-        with pytest.raises(RetryError) as excinfo:
-            with_retry(always_fails, RetryPolicy(max_attempts=3))
-        assert excinfo.value.attempts == 3
-        assert isinstance(excinfo.value.last_error, StallTimeout)
-
-    def test_non_retryable_propagates_untouched(self):
-        def bug():
-            raise KeyError("not a fault")
-
-        with pytest.raises(KeyError):
-            with_retry(bug, RetryPolicy())
+from repro.resilience.retry import BreakerState, CircuitBreaker
 
 
 class TestCircuitBreaker:
@@ -112,74 +30,3 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow(15.0)
         assert breaker.allow(20.0)
-
-
-class TestResilientChannel:
-    def test_all_records_delivered_despite_transient_faults(self):
-        """A 30% per-attempt send failure is absorbed entirely by
-        retries over a reliable channel: nothing is lost."""
-        fault = TransientFault(np.random.default_rng(0), rate=0.3)
-        channel = ResilientChannel(
-            TcpRasChannel(),
-            RetryPolicy(max_attempts=10, jitter=0.0),
-            faults=fault,
-        )
-        records = _records(np.arange(0, 200, 1.0))
-        delivered = list(channel.transmit(records))
-        assert len(delivered) == len(records)
-        assert channel.retries > 0
-        assert channel.total_backoff > 0
-        assert fault.raised == channel.retries
-
-    def test_exhausted_retries_dead_letter_not_raise(self):
-        fault = TransientFault(np.random.default_rng(0), rate=1.0)
-        dlq = DeadLetterQueue()
-        channel = ResilientChannel(
-            TcpRasChannel(), RetryPolicy(max_attempts=2),
-            faults=fault, dead_letters=dlq,
-        )
-        delivered = list(channel.transmit(_records([1.0, 2.0, 3.0])))
-        assert delivered == []
-        assert channel.failed == 3
-        assert dlq.by_reason == {"retries-exhausted": 3}
-
-    def test_breaker_stops_offering_to_dead_channel(self):
-        fault = TransientFault(np.random.default_rng(0), rate=1.0)
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=1000.0)
-        channel = ResilientChannel(
-            TcpRasChannel(), RetryPolicy(max_attempts=2),
-            breaker=breaker, faults=fault,
-        )
-        # 10 records over 10 seconds: after 2 failures the breaker opens
-        # and the remaining 8 are rejected without touching the channel.
-        list(channel.transmit(_records(np.arange(0, 10, 1.0))))
-        assert channel.failed == 2
-        assert channel.rejected == 8
-        assert breaker.state is BreakerState.OPEN
-
-    def test_breaker_recovers_when_channel_heals(self):
-        fault = TransientFault(np.random.default_rng(0), rate=1.0)
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0)
-        channel = ResilientChannel(
-            TcpRasChannel(), RetryPolicy(max_attempts=1),
-            breaker=breaker, faults=fault,
-        )
-        assert list(channel.transmit(_records([0.0]))) == []
-        fault.rate = 0.0  # channel heals
-        assert list(channel.transmit(_records([1.0]))) == []  # still open
-        out = list(channel.transmit(_records([6.0])))  # probe succeeds
-        assert len(out) == 1
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_udp_drops_are_not_retried(self):
-        """Channel loss is modeled behavior, not failure: the retry layer
-        must not resurrect records the lossy channel dropped."""
-        udp = UdpSyslogChannel(
-            np.random.default_rng(1), base_loss=1.0, congestion_loss=0.0
-        )
-        channel = ResilientChannel(udp, RetryPolicy(max_attempts=5))
-        delivered = list(channel.transmit(_records([1.0, 2.0])))
-        assert delivered == []
-        assert channel.retries == 0
-        assert udp.sent == 2
-        assert udp.dropped == 2

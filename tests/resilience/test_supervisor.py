@@ -5,13 +5,16 @@ random point in a supervised run recovers to byte-identical output, and
 ``run_all`` under default fault injection finishes all five systems.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import api as pipeline
 from repro.resilience.faults import FaultConfig
-from repro.resilience.supervisor import PipelineSupervisor
+from repro.resilience.supervisor import supervise
 from repro.simulation.generator import generate_log
+from repro.store import ColumnarStore, load_result
 from repro.systems.specs import SYSTEMS
 
 from ..conftest import SEED, SMALL_SCALE
@@ -31,10 +34,10 @@ class TestCrashRecovery:
         rng = np.random.default_rng(SEED)
         crash_at = int(rng.integers(100, stream_len - 10))
 
-        supervisor = PipelineSupervisor(restart_budget=3, checkpoint_every=500)
-        result = supervisor.run_system(
+        result = pipeline.run_system(
             "spirit", scale=SMALL_SCALE, seed=SEED,
             faults=FaultConfig.crash_only(at=crash_at, seed=SEED),
+            restart_budget=3, checkpoint_every=500,
         )
 
         assert result.restarts == 1
@@ -50,19 +53,41 @@ class TestCrashRecovery:
 
     def test_crash_before_first_checkpoint_restarts_from_scratch(self):
         baseline = pipeline.run_system("liberty", scale=SMALL_SCALE, seed=SEED)
-        supervisor = PipelineSupervisor(restart_budget=1, checkpoint_every=5000)
-        result = supervisor.run_system(
+        result = pipeline.run_system(
             "liberty", scale=SMALL_SCALE, seed=SEED,
             faults=FaultConfig.crash_only(at=40, seed=SEED),
+            restart_budget=1, checkpoint_every=5000,
         )
         assert result.restarts == 1
         assert result.stats == baseline.stats
         assert result.filtered_alerts == baseline.filtered_alerts
 
+    def test_restart_from_scratch_counts_each_quarantine_once(self):
+        """Regression: a crash before the first checkpoint, after a batch
+        that quarantined a record, restarts from scratch — and used to
+        keep that attempt's dead letters, so the record the restart met
+        again was counted twice."""
+        records = list(
+            generate_log("liberty", scale=SMALL_SCALE, seed=SEED).records
+        )
+        records[10] = replace(records[10], timestamp=float("nan"))
+        runs = [
+            supervise(lambda: records, "liberty", restart_budget=1,
+                      checkpoint_every=len(records), faults=faults)
+            for faults in (None, FaultConfig.crash_only(at=5000))
+        ]
+        plain, restarted = runs
+        assert restarted.restarts == 1
+        assert restarted.dead_letters.by_reason == {"invalid-record": 1}
+        assert (restarted.dead_letters.snapshot()
+                == plain.dead_letters.snapshot())
+
     def test_unfaulted_supervised_run_matches_plain(self):
         baseline = pipeline.run_system("liberty", scale=SMALL_SCALE, seed=SEED)
-        result = PipelineSupervisor().run_system(
-            "liberty", scale=SMALL_SCALE, seed=SEED
+        result = supervise(
+            lambda: generate_log("liberty", scale=SMALL_SCALE,
+                                 seed=SEED).records,
+            "liberty", restart_budget=3, checkpoint_every=2000,
         )
         assert result.restarts == 0
         assert not result.degraded
@@ -74,10 +99,10 @@ class TestDegradation:
     def test_budget_exhaustion_degrades_instead_of_raising(self):
         """A channel that crashes every ~20 records exhausts the budget;
         the supervisor hands back a flagged partial, not an exception."""
-        supervisor = PipelineSupervisor(restart_budget=2, checkpoint_every=10)
-        result = supervisor.run_system(
+        result = pipeline.run_system(
             "liberty", scale=SMALL_SCALE, seed=SEED,
             faults=FaultConfig(seed=1, crash_rate=0.05),
+            restart_budget=2, checkpoint_every=10,
         )
         assert result.degraded
         assert result.restarts == 2
@@ -93,10 +118,10 @@ class TestDegradation:
         ).stats.messages
 
     def test_zero_budget_degrades_on_first_crash(self):
-        supervisor = PipelineSupervisor(restart_budget=0, checkpoint_every=100)
-        result = supervisor.run_system(
+        result = pipeline.run_system(
             "liberty", scale=SMALL_SCALE, seed=SEED,
             faults=FaultConfig.crash_only(at=300, seed=SEED),
+            restart_budget=0, checkpoint_every=100,
         )
         assert result.degraded
         assert result.restarts == 0
@@ -120,7 +145,46 @@ class TestDegradation:
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            PipelineSupervisor(restart_budget=-1)
+            supervise(list, "liberty", restart_budget=-1, checkpoint_every=1)
+
+
+class TestDurableSupervision:
+    @pytest.mark.parametrize("with_store", [False, True],
+                             ids=["memory", "store"])
+    def test_exhausted_run_resumes_from_state_dir(self, tmp_path,
+                                                   spirit_result,
+                                                   with_store):
+        """A supervised run out of restarts never marks its state dir
+        complete: the same run re-invoked without faults resumes from
+        the last durable checkpoint and finishes byte-identical to an
+        uninterrupted run — its columnar store too, truncated back to
+        the checkpoint's watermark before the suffix is re-emitted."""
+        run = dict(
+            scale=SMALL_SCALE, seed=SEED, state_dir=str(tmp_path / "state"),
+            store_dir=str(tmp_path / "store") if with_store else None,
+        )
+        degraded = pipeline.run_system(
+            "spirit", faults=FaultConfig.crash_only(at=7000, seed=SEED),
+            restart_budget=0, checkpoint_every=500, **run,
+        )
+        assert degraded.degraded
+        assert degraded.stats.messages == 7000
+
+        resumed = pipeline.run_system("spirit", **run)
+        assert not resumed.degraded
+        # The snapshot count carries over from the supervised run's
+        # 500-record cadence: the re-invocation resumed, it did not
+        # start over.
+        assert resumed.checkpoints.taken > 7000 // 500
+        assert resumed.stats == spirit_result.stats
+        assert resumed.raw_alerts == spirit_result.raw_alerts
+        assert resumed.filtered_alerts == spirit_result.filtered_alerts
+        assert resumed.category_counts() == spirit_result.category_counts()
+        if with_store:
+            replayed = load_result(run["store_dir"])
+            assert replayed.raw_alerts == spirit_result.raw_alerts
+            assert replayed.filtered_alerts == spirit_result.filtered_alerts
+            assert not ColumnarStore(run["store_dir"]).degraded
 
 
 class TestRunAll:
@@ -130,7 +194,7 @@ class TestRunAll:
         and dead-letter counts instead of crashing."""
         results = pipeline.run_all(
             scale=SMALL_SCALE, seed=SEED, faults=FaultConfig.defaults(seed=11),
-            supervised=True, restart_budget=3, checkpoint_every=1000,
+            restart_budget=3, checkpoint_every=1000,
         )
         assert set(results) == set(SYSTEMS)
         for name, result in results.items():

@@ -166,15 +166,62 @@ class TestResumeMidPartition:
                       wrap=plan.wrap)
 
 
-class TestApiGuards:
-    def test_store_dir_rejects_supervised_runs(self, tmp_path):
-        with pytest.raises(ValueError, match="supervised"):
-            pipeline.run_system(
-                "liberty", scale=SMALL_SCALE, seed=SEED,
-                faults=FaultConfig.defaults(seed=SEED),
-                store_dir=str(tmp_path / "s"),
-            )
+class TestSupervisedStore:
+    """Supervision resumes through ``run_stream(resume_from=...)``, whose
+    store writer truncates back to the checkpoint's watermark, so a
+    crashed-and-restarted run lands the same store as one that never
+    crashed."""
 
+    RUN = dict(scale=1e-4, seed=11, checkpoint_every=2000)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self):
+        return pipeline.run_system("spirit", **self.RUN)
+
+    def test_crash_mid_stream_lands_uninterrupted_store(
+        self, tmp_path, uninterrupted
+    ):
+        root = str(tmp_path / "spirit")
+        result = pipeline.run_system(
+            "spirit", faults=FaultConfig.crash_only(at=15_000, seed=11),
+            store_dir=root, **self.RUN,
+        )
+        assert result.restarts == 1
+        assert not result.degraded
+
+        replayed = load_result(root)
+        assert replayed.raw_alert_count == 22_112
+        assert replayed.raw_alerts == uninterrupted.raw_alerts
+        assert replayed.filtered_alerts == uninterrupted.filtered_alerts
+        assert replayed.stats == uninterrupted.stats
+        assert tables.all_tables({"spirit": replayed}) == tables.all_tables(
+            {"spirit": uninterrupted}
+        )
+        assert not ColumnarStore(root).degraded
+
+    def test_exhausted_budget_finalizes_the_partial(
+        self, tmp_path, uninterrupted
+    ):
+        """Out of restarts, the degraded partial still lands a finalized
+        store: exactly the alerts up to the last checkpoint."""
+        root = str(tmp_path / "spirit")
+        result = pipeline.run_system(
+            "spirit", faults=FaultConfig.crash_only(at=15_000, seed=11),
+            restart_budget=0, store_dir=root, **self.RUN,
+        )
+        assert result.degraded
+        assert result.stats.messages == 14_000
+
+        replayed = load_result(root)
+        assert replayed.stats == result.stats
+        assert replayed.raw_alerts == result.raw_alerts
+        raw = list(replayed.raw_alerts)
+        assert 0 < len(raw) < uninterrupted.raw_alert_count
+        assert raw == uninterrupted.raw_alerts[:len(raw)]
+        assert not ColumnarStore(root).degraded
+
+
+class TestApiGuards:
     def test_run_all_writes_one_store_per_system(self, tmp_path):
         results = pipeline.run_all(
             scale=2e-5, seed=SEED, store_dir=str(tmp_path)

@@ -15,11 +15,12 @@ from repro import api
 from repro.core.correlated_filter import alias_key
 from repro.core.filtering import SpatioTemporalFilter, log_filter
 from repro.core.serial_filter import serial_filter
+from repro.engine.capabilities import validate_run_config
 from repro.logio.reader import LogReader, read_log
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.faults import FaultConfig
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.supervisor import supervise
 from repro.service.config import ServiceConfig
 from repro.simulation.collector import Collector
 from repro.streaming import PredictionConfig
@@ -37,13 +38,15 @@ CONFIG_FIELDS = [
     (ServiceConfig, 28),
     (PredictionConfig, 18),
     (FaultConfig, 11),
-    (RetryPolicy, 5),
 ]
 
 #: Parameter counts include ``self`` and ``**generator_kwargs`` where present.
 PARAMETERS = [
     (api.run_stream, 14),
-    (api.run_system, 15),
+    (api.run_system, 14),
+    (api.run_all, 12),
+    (validate_run_config, 3),
+    (supervise, 6),
     (LogReader.__init__, 4),
     (read_log, 3),
     (Collector.__init__, 5),
