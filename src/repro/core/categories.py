@@ -12,17 +12,21 @@ expert-supplied rules.  Every alert carries:
   be root cause" (Section 3.2, Table 3).
 
 This module defines the shared vocabulary; the per-system expert rules live
-in :mod:`repro.core.rules`.
+in :mod:`repro.core.rules`.  A tagged :class:`Alert` is, like the
+:class:`~repro.logmodel.record.LogRecord` it wraps, an immutable named
+tuple: every tagging path builds one per hit, and it compares and hashes
+by its four hot fields alone.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Pattern, Tuple
 
-from ..logmodel.record import Channel, LogRecord
+from ..logmodel.record import Channel, KeyedTuple, LogRecord
 
 
 class AlertType(enum.Enum):
@@ -109,31 +113,25 @@ class CategoryDef:
         return self.example
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(KeyedTuple, namedtuple(
+    "Alert", "timestamp source category alert_type record"
+)):
     """A log record tagged as an alert by an expert rule.
 
     Alerts are the unit the filtering algorithms operate on.  ``timestamp``,
     ``source``, and ``category`` are duplicated out of ``record`` because the
     filters touch only these three fields on every input and the hot path
-    should not chase attribute chains.
+    should not chase attribute chains.  Like a record, an alert is an
+    immutable named tuple; ``record`` rides along, outside equality and
+    hashing (:class:`~repro.logmodel.record.KeyedTuple`).
     """
 
-    timestamp: float
-    source: str
-    category: str
-    alert_type: AlertType
-    record: LogRecord = field(compare=False)
+    __slots__ = ()
 
     @classmethod
     def from_record(cls, record: LogRecord, category: CategoryDef) -> "Alert":
-        return cls(
-            timestamp=record.timestamp,
-            source=record.source,
-            category=category.name,
-            alert_type=category.alert_type,
-            record=record,
-        )
+        return cls(record.timestamp, record.source, category.name,
+                   category.alert_type, record)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """Log-volume statistics: the size/rate/compression columns of Table 2.
 
 One pass over a record stream accumulates everything Table 2 reports per
-log: message count, raw byte size (as rendered in the native format),
-gzip-compressed size, observation span, and bytes/second.
+log: message count, raw byte size (each line as read), gzip-compressed
+size, observation span, and bytes/second.
+
+A parsed record carries the line it was read from (``record.raw``), so
+the size columns measure the log's own bytes, and no line is rendered
+again.  A record that was never read — generated, anonymized, re-stamped
+by a fault injector, replayed from a store — is rendered in its
+system's native format instead.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from .writer import renderer_for
 
 @dataclass
 class LogStats:
-    """Accumulated volume statistics for one log."""
+    """Accumulated volume statistics for one log.
+
+    ``raw_bytes`` counts each line as read, UTF-8 encoded with its
+    newline; for a UTF-8, newline-terminated log with no blank lines that
+    is the file's (gunzipped) size.  ``compressed_bytes`` is those bytes
+    through one zlib level-6 stream.
+    """
 
     system: str
     messages: int = 0
@@ -114,10 +126,18 @@ class StatsCollector:
         #: only the records observed before coarsening.
         self.coarse = False
 
+    def _bytes(self, records: Sequence[LogRecord]) -> bytes:
+        """What Table 2 measures of ``records``: each one's line as read
+        (``raw``), or rendered when it has none, newline-terminated and
+        UTF-8 encoded."""
+        render = self._render
+        lines = [render(r) if r.raw is None else r.raw for r in records]
+        lines.append("")  # trailing separator = final newline
+        return "\n".join(lines).encode("utf-8", "replace")
+
     def observe_record(self, record: LogRecord) -> None:
         """Accumulate one record (the per-record form of :meth:`observe`)."""
-        line = self._render(record) + "\n"
-        data = line.encode("utf-8", "replace")
+        data = self._bytes((record,))
         self.stats.messages += 1
         self.stats.raw_bytes += len(data)
         if not self.coarse:
@@ -140,19 +160,17 @@ class StatsCollector:
         compressor fed the same bytes in different chunkings produces
         the same cumulative output *and* the same resumable state
         (``tests/engine`` pins both).  The batch form exists because the
-        per-record form pays a render + encode + compress call per line;
-        even batched this is most of the serial path on chatter-heavy
-        logs (``bench/``: ``logio.stats_us_per_rec`` 1.8 of
-        ``engine.serial_us_per_rec`` 2.4 us on ``liberty_file_serial``,
-        0.6 of it rendering), though not on Spirit's 64%-tagged stream
-        (1.5 of 7.0; tag 2.4).
+        per-record form pays an encode + compress call per line; even
+        batched, and reading each parsed line instead of rendering it,
+        this is most of the serial path on chatter-heavy logs
+        (``bench/``: ``logio.stats_us_per_rec`` 1.3 of
+        ``engine.serial_us_per_rec`` 2.1 us on ``liberty_file_serial``,
+        nearly all of it deflate), though not on Spirit's 64%-tagged
+        stream (1.0 of 5.9; tag 2.6).
         """
         if not records:
             return
-        render = self._render
-        lines = [render(record) for record in records]
-        lines.append("")  # trailing separator = final newline
-        data = "\n".join(lines).encode("utf-8", "replace")
+        data = self._bytes(records)
         stats = self.stats
         stats.messages += len(records)
         stats.raw_bytes += len(data)
@@ -227,8 +245,7 @@ class StatsCollector:
         """
         if self._replay_pending <= 0:
             return
-        line = self._render(record) + "\n"
-        data = line.encode("utf-8", "replace")
+        data = self._bytes((record,))
         if len(data) > self._replay_pending:
             self.replay_mismatch = True
             self._replay_pending = 0

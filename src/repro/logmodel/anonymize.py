@@ -135,14 +135,12 @@ class Pseudonymizer:
         spatial analyses — per-source counts, spatial correlation — are
         preserved on the anonymized stream.
         """
-        from dataclasses import replace
-
         body = self.scrub_text(record.body)
         source = (
             self._pseudo("host", record.source) if record.source else record.source
         )
         self._note_residuals(body)
-        return replace(record, body=body, source=source, raw=None)
+        return record._replace(body=body, source=source, raw=None)
 
     def scrub_stream(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
         """Lazily pseudonymize a record stream."""

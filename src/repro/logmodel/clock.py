@@ -1,8 +1,8 @@
 """Epoch <-> calendar conversion for every dialect, by lookup.
 
 The five machines say about a billion lines (paper, Table 2); each has
-its timestamp parsed once and — Table 2 reports the size of the
-*rendered* log — formatted once.  Calendar arithmetic per line
+its timestamp parsed once, and formatted once when a log is written.
+Calendar arithmetic per line
 (``calendar.timegm``, ``time.gmtime``, ``%``-formatting five fields) was
 most of that cost, so it is done here once per *day* and remembered:
 a log names a few hundred distinct days, and the time of day comes from

@@ -13,12 +13,19 @@ one-second granularity; BG/L's RAS database records microseconds (the paper,
 Section 3.1, notes "the time granularity for BG/L logs is down to the
 microsecond, unlike the one-second granularity of typical syslogs"), which a
 float represents exactly for the epochs involved.
+
+A record is an immutable named tuple (:class:`KeyedTuple`): every parse
+path builds one per line, so its construction is one allocation and one
+type check.  Pickles of the frozen-dataclass records of earlier versions
+do not load into it.  A parsed record keeps the line it was read from in
+``raw``, which Table 2's size columns measure (:mod:`repro.logio.stats`);
+``raw`` rides along and takes no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from typing import List, Optional, Sequence
 
 
@@ -83,8 +90,42 @@ class Channel(enum.Enum):
     DDN = "ddn"
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class KeyedTuple:
+    """Value semantics for a named tuple whose last field rides along.
+
+    Equality and hash cover every field but the last (a record's ``raw``
+    line, an alert's ``record``), and hold only between instances of the
+    same class: a plain tuple with the same items is unequal.  Instances
+    are unordered.  Mix in ahead of the ``namedtuple`` base.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:-1] == other[:-1]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    def __lt__(self, other):
+        raise TypeError(f"{type(self).__name__} instances are unordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+_new_tuple = tuple.__new__
+
+
+class LogRecord(KeyedTuple, namedtuple(
+    "LogRecord",
+    "timestamp source facility body system severity channel corrupted raw",
+)):
     """One log message, normalized across the five systems' formats.
 
     Attributes
@@ -117,23 +158,36 @@ class LogRecord:
         ``True`` when the generator injected corruption or a parser detected
         structural damage (truncation, splice, garbled fields).
     raw:
-        The original unparsed line when the record came from a parser, else
-        ``None``.
+        The line the record was parsed from, without its newline, or
+        ``None`` for a record that was never read (generated, anonymized,
+        re-stamped).  Excluded from equality and hashing.
+
+    Every construction path — the constructor, ``_make``, ``_replace``,
+    unpickling and copying — rejects a non-numeric timestamp with
+    ``TypeError``.
     """
 
-    timestamp: float
-    source: str
-    facility: str
-    body: str
-    system: str = ""
-    severity: Optional[str] = None
-    channel: Channel = Channel.SYSLOG_UDP
-    corrupted: bool = False
-    raw: Optional[str] = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, (int, float)):
-            raise TypeError(f"timestamp must be a number, got {type(self.timestamp).__name__}")
+    def __new__(
+        cls, timestamp, source, facility, body, system="", severity=None,
+        channel=Channel.SYSLOG_UDP, corrupted=False, raw=None,
+    ):
+        # Every parser passes a float: test for that first, it is cheaper.
+        if timestamp.__class__ is not float and not isinstance(
+            timestamp, (int, float)
+        ):
+            raise TypeError(
+                f"timestamp must be a number, got {type(timestamp).__name__}"
+            )
+        return _new_tuple(cls, (timestamp, source, facility, body, system,
+                                severity, channel, corrupted, raw))
+
+    @classmethod
+    def _make(cls, iterable) -> "LogRecord":
+        # The namedtuple ``_make`` (which ``_replace`` calls) builds the
+        # tuple directly; route it through the checked constructor.
+        return cls(*iterable)
 
     def syslog_severity(self) -> Optional[SyslogSeverity]:
         """The severity as a syslog level, or ``None`` if absent/foreign."""
@@ -155,10 +209,9 @@ class LogRecord:
 
     def with_corruption(self, body: str, source: Optional[str] = None) -> "LogRecord":
         """A copy of this record with damaged fields and ``corrupted=True``."""
-        fields = {"body": body, "corrupted": True}
-        if source is not None:
-            fields["source"] = source
-        return replace(self, **fields)
+        if source is None:
+            return self._replace(body=body, corrupted=True)
+        return self._replace(body=body, source=source, corrupted=True)
 
     def full_text(self) -> str:
         """The facility-prefixed body, as it would appear after the hostname

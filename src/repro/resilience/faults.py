@@ -28,7 +28,7 @@ from __future__ import annotations
 import errno
 import os
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -195,7 +195,9 @@ class ClockSkewInjector:
     """Start a skew episode with probability ``rate`` per record: the next
     ``span`` records carry timestamps shifted by a uniform offset in
     ``[-magnitude, +magnitude]`` (a node whose clock drifted, or a relay
-    stamping arrival time instead of event time)."""
+    stamping arrival time instead of event time).  A skewed record drops
+    the line it was read from, so it renders with its skewed stamp; a
+    corrupted one keeps its line, which is all it renders as."""
 
     def __init__(
         self,
@@ -222,7 +224,11 @@ class ClockSkewInjector:
             if remaining > 0:
                 remaining -= 1
                 self.skewed_records += 1
-                yield replace(record, timestamp=record.timestamp + offset)
+                timestamp = record.timestamp + offset
+                if record.corrupted:
+                    yield record._replace(timestamp=timestamp)
+                else:
+                    yield record._replace(timestamp=timestamp, raw=None)
                 continue
             yield record
 

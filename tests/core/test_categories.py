@@ -1,5 +1,8 @@
 """Unit tests for the alert/category vocabulary."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.categories import Alert, AlertType, CategoryDef, Ruleset
@@ -62,6 +65,65 @@ class TestAlert:
         assert alert.category == "TESTCAT"
         assert alert.alert_type is AlertType.SOFTWARE
         assert alert.record is record
+
+    @staticmethod
+    def _alert(body="boom happened", raw=None):
+        record = LogRecord(7.0, "n3", "kernel", body, "test", raw=raw)
+        return Alert.from_record(record, _category())
+
+    def test_equality_and_hash_ignore_the_record(self):
+        a = self._alert(body="boom one", raw="line a")
+        b = self._alert(body="boom two", raw="line b")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_hot_fields_take_part_in_equality(self):
+        alert = self._alert()
+        for name, value in [
+            ("timestamp", 8.0), ("source", "n4"), ("category", "OTHER"),
+            ("alert_type", AlertType.HARDWARE),
+        ]:
+            assert alert != alert._replace(**{name: value}), name
+
+    def test_unequal_to_a_plain_tuple_or_another_class(self):
+        alert = self._alert()
+        assert alert != tuple(alert)
+        assert tuple(alert) != alert
+        assert alert != alert.record
+
+    def test_alerts_are_unordered(self):
+        with pytest.raises(TypeError):
+            self._alert() < self._alert()
+
+    def test_assignment_raises_attribute_error(self):
+        alert = self._alert()
+        with pytest.raises(AttributeError):
+            alert.category = "OTHER"
+        with pytest.raises(AttributeError):
+            alert.extra = 1
+
+    def test_fields_and_repr(self):
+        alert = self._alert()
+        assert Alert._fields == (
+            "timestamp", "source", "category", "alert_type", "record",
+        )
+        assert repr(alert).startswith(
+            "Alert(timestamp=7.0, source='n3', category='TESTCAT', "
+            "alert_type=<AlertType.SOFTWARE: 'S'>, record=LogRecord("
+        )
+
+    def test_pickle_and_copy_round_trip(self):
+        alert = self._alert(raw="the line")
+        for clone in (
+            pickle.loads(pickle.dumps(alert, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.copy(alert),
+            copy.deepcopy(alert),
+        ):
+            assert type(clone) is Alert
+            assert clone == alert
+            assert clone.record == alert.record
+            assert clone.record.raw == "the line"
 
 
 class TestRuleset:

@@ -18,8 +18,6 @@ tagger pins that the verdict is the only match a record ever gets.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,11 +71,11 @@ def inject(records, faults):
     for position, kind in faults:
         at = position % (len(stream) + 1)
         if kind == REASON_INVALID_RECORD:
-            bad = replace(stream[at - 1], timestamp=float("nan"))
+            bad = stream[at - 1]._replace(timestamp=float("nan"))
         elif kind == REASON_TAGGER_ERROR:
-            bad = replace(stream[at - 1], body=f"{POISON} {position}")
+            bad = stream[at - 1]._replace(body=f"{POISON} {position}")
         else:
-            bad = replace(tagged, timestamp=tagged.timestamp - 1e6)
+            bad = tagged._replace(timestamp=tagged.timestamp - 1e6)
         stream.insert(at, bad)
     return stream
 

@@ -18,7 +18,7 @@ the refactor made legal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -294,14 +294,14 @@ class TestSerialCheckpointCadence:
         n = max(2 * every, 60)
         n -= n % every
         stream = [
-            replace(golden[i % len(golden)],
-                    timestamp=golden[i % len(golden)].timestamp
-                    + span * (i // len(golden)))
+            golden[i % len(golden)]._replace(
+                timestamp=golden[i % len(golden)].timestamp
+                + span * (i // len(golden)))
             for i in range(n)
         ]
         for consumed in (every, n - 1, n):
-            stream[consumed - 1] = replace(
-                stream[consumed - 1], timestamp=float("nan")
+            stream[consumed - 1] = stream[consumed - 1]._replace(
+                timestamp=float("nan")
             )
         return stream
 

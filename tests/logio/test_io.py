@@ -1,10 +1,12 @@
 """Unit tests for streaming log I/O and volume statistics."""
 
 import gzip
+import zlib
 from itertools import islice
 
 import pytest
 
+from repro import api
 from repro.logio.reader import count_lines, read_log
 from repro.logio.stats import StatsCollector, measure_stream
 from repro.logio.writer import (
@@ -121,6 +123,56 @@ class TestStatsCollector:
         assert collector.stats.messages == 10
         assert collector.stats.first_timestamp == 0.0
         assert collector.stats.last_timestamp == 9.0
+
+    #: Lines a renderer would not write back byte for byte: a ``[pid]``
+    #: tag and a one-space day.
+    PID_LINES = (
+        "Dec 2 10:00:01 ln12 sshd[4242]: session opened for user root\n"
+        "Dec 2 10:00:05 ln12 pbs_mom[977]: task_check, cannot tm_reply\n"
+        "Dec 2 10:01:17 ladmin1 ntpd[31]: synchronized to 10.0.0.1\n"
+    )
+
+    @staticmethod
+    def _gz_log(tmp_path, system):
+        """A generated log, written gzipped; returns path, year, bytes."""
+        gen = generate_log(system, scale=SCALE, seed=SEED)
+        path = tmp_path / f"{system}.log.gz"
+        write_log(gen.records, path, system, compress=True)
+        year = int(gen.scenario.start_date.split("-")[0])
+        return path, year, gzip.decompress(path.read_bytes())
+
+    @pytest.mark.parametrize("system", ["pid-lines", "bgl", "thunderbird",
+                                        "redstorm", "spirit", "liberty"])
+    def test_sizes_are_the_log_as_read(self, tmp_path, system):
+        """Table 2's size columns measure a UTF-8, newline-terminated log
+        with no blank lines exactly: raw bytes are the gunzipped file and
+        compressed bytes are that file through zlib level 6 — on the
+        per-record path and the pipeline's batch path alike."""
+        if system == "pid-lines":
+            data = self.PID_LINES.encode("utf-8")
+            path, year, system = tmp_path / "pid.log.gz", 2004, "liberty"
+            path.write_bytes(gzip.compress(data))
+        else:
+            path, year, data = self._gz_log(tmp_path, system)
+        per_record = measure_stream(read_log(path, system, year=year), system)
+        batched = api.run_stream(read_log(path, system, year=year), system)
+        for stats in (per_record, batched.stats):
+            assert stats.raw_bytes == len(data)
+            assert stats.compressed_bytes == len(zlib.compress(data, 6))
+
+    def test_records_never_read_are_rendered(self):
+        """A record without its line (generated, anonymized, re-stamped)
+        is measured as rendered."""
+        records = [
+            LogRecord(timestamp=float(i), source="n1", facility="f", body="x")
+            for i in range(3)
+        ]
+        data = "".join(
+            render_syslog_line(r) + "\n" for r in records
+        ).encode("utf-8")
+        stats = measure_stream(iter(records), "liberty")
+        assert stats.raw_bytes == len(data)
+        assert stats.compressed_bytes == len(zlib.compress(data, 6))
 
     def test_empty_stream(self):
         stats = measure_stream(iter([]), "liberty")

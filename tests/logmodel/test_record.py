@@ -1,5 +1,8 @@
 """Unit tests for the canonical log record model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.logmodel.record import (
@@ -107,6 +110,91 @@ class TestLogRecord:
 
     def test_default_channel(self):
         assert self._record().channel is Channel.SYSLOG_UDP
+
+    def test_hash_ignores_raw(self):
+        a = self._record(raw="line-a")
+        b = self._record(raw="line-b")
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_every_other_field_takes_part_in_equality(self):
+        record = self._record()
+        for name, value in [
+            ("timestamp", 101.0), ("source", "sn1"), ("facility", "pbs"),
+            ("body", "other"), ("system", "liberty"), ("severity", "CRIT"),
+            ("channel", Channel.DDN), ("corrupted", True),
+        ]:
+            assert record != record._replace(**{name: value}), name
+
+    def test_unequal_to_a_plain_tuple_or_another_class(self):
+        record = self._record()
+        assert record != tuple(record)
+        assert tuple(record) != record
+        assert not record == tuple(record)
+        assert record != list(record)
+
+        class Other(LogRecord):
+            __slots__ = ()
+
+        assert record != Other(*record)
+
+    def test_records_are_unordered(self):
+        record = self._record()
+        with pytest.raises(TypeError):
+            record < record
+        with pytest.raises(TypeError):
+            record >= tuple(record)
+
+    def test_assignment_raises_attribute_error(self):
+        record = self._record()
+        with pytest.raises(AttributeError):
+            record.body = "other"
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr_names_every_field(self):
+        assert repr(self._record(raw="x")) == (
+            "LogRecord(timestamp=100.0, source='sn373', facility='kernel', "
+            "body='EXT3-fs error', system='spirit', severity=None, "
+            "channel=<Channel.SYSLOG_UDP: 'syslog-udp'>, corrupted=False, "
+            "raw='x')"
+        )
+
+    def test_field_names_and_defaults(self):
+        assert LogRecord._fields == (
+            "timestamp", "source", "facility", "body", "system", "severity",
+            "channel", "corrupted", "raw",
+        )
+        record = LogRecord(1.0, "n1", "f", "b")
+        assert (record.system, record.severity, record.channel,
+                record.corrupted, record.raw) == (
+            "", None, Channel.SYSLOG_UDP, False, None)
+
+    def test_pickle_and_copy_round_trip(self):
+        record = self._record(severity="CRIT", raw="the line")
+        for clone in (
+            pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)),
+            pickle.loads(pickle.dumps(record, protocol=2)),
+            copy.copy(record),
+            copy.deepcopy(record),
+        ):
+            assert type(clone) is LogRecord
+            assert clone == record
+            assert clone.raw == record.raw
+
+    def test_every_construction_path_checks_the_timestamp(self):
+        record = self._record()
+        with pytest.raises(TypeError, match="timestamp"):
+            record._replace(timestamp="noon")
+        with pytest.raises(TypeError, match="timestamp"):
+            LogRecord._make(("noon",) + tuple(record)[1:])
+        with pytest.raises(TypeError, match="timestamp"):
+            LogRecord(None, "n1", "f", "b")
+
+    def test_with_corruption_keeps_the_line(self):
+        damaged = self._record(raw="the line").with_corruption(body="EXT3")
+        assert damaged.raw == "the line"
+        assert type(damaged) is LogRecord
 
 
 def test_system_names_order_matches_paper():

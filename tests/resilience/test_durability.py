@@ -6,11 +6,14 @@ without touching its output."""
 import errno
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro import api as pipeline
 from repro.engine.path import AlertPath
+from repro.logio.reader import read_log
 from repro.resilience import wire
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.deadletter import DeadLetterQueue
@@ -332,3 +335,45 @@ class TestDurableResume:
         assert status.degraded
         assert doomed.saved == 0
         assert status.unpersisted_checkpoints == manager_b.taken
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+class TestStateFromOlderCode:
+    """``fixtures/state/liberty-dataclass`` was written by commit da0fb03,
+    when records and alerts were frozen dataclasses: the golden Liberty
+    corpus, crashed after 130 records, checkpointing every 60.  Its
+    pickled alerts cannot load into today's tuples.  Resuming from it must
+    not raise: each generation is quarantined with a note, and the run
+    starts fresh and finishes as if the state dir had been empty."""
+
+    @staticmethod
+    def _run(state_dir):
+        return pipeline.run_stream(
+            read_log(FIXTURES / "golden" / "liberty.log", "liberty",
+                     year=2005),
+            "liberty",
+            dead_letters=DeadLetterQueue(),
+            checkpointer=CheckpointManager(every=60),
+            state_dir=state_dir,
+        )
+
+    def test_unloadable_generations_are_quarantined_and_the_run_restarts(
+        self, tmp_path
+    ):
+        state_dir = tmp_path / "state"
+        shutil.copytree(FIXTURES / "state" / "liberty-dataclass", state_dir)
+        result = self._run(str(state_dir))
+
+        notes = result.checkpoints.store.status.notes
+        assert sum("quarantined" in note for note in notes) == 2
+        assert {"gen-00000001.ckpt.corrupt", "gen-00000002.ckpt.corrupt"} <= \
+            set(os.listdir(state_dir))
+        baseline = self._run(None)
+        assert result.stats == baseline.stats
+        assert result.raw_alerts == baseline.raw_alerts
+        assert result.filtered_alerts == baseline.filtered_alerts
+        assert result.category_counts() == baseline.category_counts()
+        assert result.corrupted_messages == baseline.corrupted_messages
+        assert result.checkpoints.taken == baseline.checkpoints.taken

@@ -1,9 +1,13 @@
 """Unit tests for the fault injectors."""
 
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.logio import measure_stream, read_log, write_log
 from repro.logmodel.record import LogRecord
+from repro.logmodel.syslog import render_syslog_line
 from repro.resilience.faults import (
     ClockSkewInjector,
     CollectorCrash,
@@ -17,6 +21,7 @@ from repro.resilience.faults import (
     TruncateInjector,
     compose,
 )
+from repro.simulation.generator import generate_log
 
 
 def _records(n, start=0.0, step=1.0):
@@ -97,6 +102,40 @@ class TestClockSkew:
             (a, b) for a, b in zip(records, out) if a.timestamp != b.timestamp
         ]
         assert len(moved) == inj.skewed_records
+
+    def test_skewed_file_lines_are_measured_with_their_new_stamp(
+        self, tmp_path
+    ):
+        """A skewed record read from a file drops its old line, so Table 2
+        measures exactly what rendering each skewed record gives; a
+        corrupted record keeps its line."""
+        gen = generate_log("liberty", scale=1e-5, seed=5)
+        path = tmp_path / "liberty.log"
+        write_log(gen.records, path, "liberty")
+        year = int(gen.scenario.start_date.split("-")[0])
+        inj = ClockSkewInjector(
+            np.random.default_rng(3), rate=0.02, magnitude=100.0, span=10
+        )
+        skewed = list(inj.apply(read_log(path, "liberty", year=year)))
+        assert inj.skewed_records > 0
+        moved = [r for r in skewed if r.raw is None]
+        assert 0 < len(moved) <= inj.skewed_records
+        assert all(not r.corrupted for r in moved)
+
+        data = "".join(
+            render_syslog_line(r) + "\n" for r in skewed
+        ).encode("utf-8")
+        stats = measure_stream(iter(skewed), "liberty")
+        assert stats.raw_bytes == len(data)
+        assert stats.compressed_bytes == len(zlib.compress(data, 6))
+
+    def test_corrupted_records_keep_their_line(self):
+        record = LogRecord(0.0, "", "", "garbage", corrupted=True,
+                           raw="garbage")
+        inj = ClockSkewInjector(np.random.default_rng(0), rate=1.0, span=1)
+        (skewed,) = inj.apply([record])
+        assert skewed.timestamp != 0.0
+        assert skewed.raw == "garbage"
 
 
 class TestCrash:

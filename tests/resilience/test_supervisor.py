@@ -5,8 +5,6 @@ random point in a supervised run recovers to byte-identical output, and
 ``run_all`` under default fault injection finishes all five systems.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -70,7 +68,7 @@ class TestCrashRecovery:
         records = list(
             generate_log("liberty", scale=SMALL_SCALE, seed=SEED).records
         )
-        records[10] = replace(records[10], timestamp=float("nan"))
+        records[10] = records[10]._replace(timestamp=float("nan"))
         runs = [
             supervise(lambda: records, "liberty", restart_budget=1,
                       checkpoint_every=len(records), faults=faults)

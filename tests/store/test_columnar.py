@@ -116,10 +116,12 @@ class TestRoundtrip:
 
     def test_severity_roundtrips_per_row(self, tmp_path):
         alerts, flags = stream(n=10)
-        for i, alert in enumerate(alerts):
-            object.__setattr__(
-                alert.record, "severity", "FATAL" if i % 2 else None
-            )
+        alerts = [
+            alert._replace(record=alert.record._replace(
+                severity="FATAL" if i % 2 else None
+            ))
+            for i, alert in enumerate(alerts)
+        ]
         write_store(str(tmp_path / "s"), alerts, flags)
         disk = ColumnarStore(str(tmp_path / "s"))
         severities = [a.record.severity for a in disk.iter_alerts()]

@@ -3,7 +3,9 @@
 Every config field and entry-point parameter is a promise to keep two
 behaviours working.  The counts below are literals on purpose: adding an
 option fails this file until the number is raised beside it, in the same
-commit, by someone who can name the callers that need it.
+commit, by someone who can name the callers that need it.  The record and
+alert tuples are pinned the same way: a field is built on every parse path
+and carried by every pickle.
 """
 
 import dataclasses
@@ -12,11 +14,13 @@ import inspect
 import pytest
 
 from repro import api
+from repro.core.categories import Alert
 from repro.core.correlated_filter import alias_key
 from repro.core.filtering import SpatioTemporalFilter, log_filter
 from repro.core.serial_filter import serial_filter
 from repro.engine.capabilities import validate_run_config
 from repro.logio.reader import LogReader, read_log
+from repro.logmodel.record import LogRecord
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.faults import FaultConfig
@@ -64,6 +68,23 @@ def test_config_field_budget(config, budget):
     have = len(dataclasses.fields(config))
     assert have == budget, ADVICE.format(
         name=config.__name__, have=have, budget=budget
+    )
+
+
+#: Fields of the two tuples every record and alert is built as.
+RECORD_FIELDS = [
+    (LogRecord, 9),
+    (Alert, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "model, budget", RECORD_FIELDS, ids=lambda v: getattr(v, "__name__", None)
+)
+def test_record_field_budget(model, budget):
+    have = len(model._fields)
+    assert have == budget, ADVICE.format(
+        name=model.__name__, have=have, budget=budget
     )
 
 
