@@ -9,14 +9,20 @@ Two findings in the paper rest on correlation measurement:
 * **inter-tag correlation** — Liberty's ``GM_PAR``/``GM_LANAI`` pair
   (Figure 3): "GM_LANAI messages do not always follow GM_PAR messages, nor
   vice versa.  However, the correlation is clear."
+
+Both are computed by one kernel, the streaming
+:class:`~repro.streaming.miner.StreamingCorrelationMiner`: the functions
+here hand it every alert, time-sorted, and flush it once.  The miner is
+imported on first use, so importing this module never loads
+:mod:`repro.streaming`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from ..core.categories import Alert
 
@@ -36,39 +42,6 @@ class SpatialCorrelation:
         return self.multi_source_fraction > 0.5 and self.mean_distinct_sources > 2.0
 
 
-def spatial_correlation(
-    alerts: Iterable[Alert],
-    window: float = 60.0,
-) -> Dict[str, SpatialCorrelation]:
-    """Measure, per category, how many distinct nodes each burst touches.
-
-    Bursts are runs of same-category alerts with gaps <= ``window``
-    (tuple-style grouping).  A physical per-node process (ECC) yields
-    single-node bursts; a shared software trigger (the SMP clock bug)
-    yields multi-node bursts.
-    """
-    runs: Dict[str, List[List[Alert]]] = {}
-    last_time: Dict[str, float] = {}
-    for alert in alerts:
-        series = runs.setdefault(alert.category, [])
-        if not series or alert.timestamp - last_time[alert.category] > window:
-            series.append([])
-        series[-1].append(alert)
-        last_time[alert.category] = alert.timestamp
-
-    out: Dict[str, SpatialCorrelation] = {}
-    for category, bursts in runs.items():
-        distinct = [len({a.source for a in burst}) for burst in bursts]
-        multi = sum(1 for d in distinct if d > 1)
-        out[category] = SpatialCorrelation(
-            category=category,
-            incidents=len(bursts),
-            mean_distinct_sources=float(np.mean(distinct)),
-            multi_source_fraction=multi / len(bursts),
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class TagCorrelation:
     """Lagged co-occurrence between two categories (the Figure 3 pair)."""
@@ -84,6 +57,48 @@ class TagCorrelation:
     @property
     def is_correlated(self) -> bool:
         return self.coincidences >= 3 and self.coincidence_rate >= 0.5
+
+
+def _mine(
+    rows: List[Tuple[float, str, str]],
+    pair_window: float = 300.0,
+    spatial_window: float = 60.0,
+):
+    """A flushed miner over complete ``(time, category, source)`` rows,
+    fed in time order (a stable sort: equal timestamps keep their input
+    order).  Its caps are out of the input's reach — every category pair
+    and every row fits — so nothing is pruned and the whole input is
+    mined as one slice."""
+    from ..streaming.miner import StreamingCorrelationMiner
+
+    k = len({row[1] for row in rows})
+    miner = StreamingCorrelationMiner(
+        pair_window=pair_window,
+        spatial_window=spatial_window,
+        max_edges=k * (k - 1) // 2,
+        max_source_edges=len(rows),
+    )
+    rows.sort(key=itemgetter(0))
+    miner.extend_columns(
+        [row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows]
+    )
+    miner.advance(math.inf)
+    return miner
+
+
+def spatial_correlation(
+    alerts: Iterable[Alert],
+    window: float = 60.0,
+) -> Dict[str, SpatialCorrelation]:
+    """Measure, per category, how many distinct nodes each burst touches.
+
+    Bursts are time-ordered runs of same-category alerts with gaps <=
+    ``window`` (tuple-style grouping).  A physical per-node process (ECC)
+    yields single-node bursts; a shared software trigger (the SMP clock
+    bug) yields multi-node bursts.
+    """
+    rows = [(a.timestamp, a.category, a.source) for a in alerts]
+    return _mine(rows, spatial_window=window).spatial()
 
 
 def tag_correlation(
@@ -132,44 +147,32 @@ def tag_correlation_from_times(
 ) -> TagCorrelation:
     """The :func:`tag_correlation` computation over pre-extracted
     timestamp columns (what a chunked column scan hands over)."""
-    if not times_a or not times_b:
-        return TagCorrelation(category_a, category_b, len(times_a),
-                              len(times_b), 0, 0.0, 0.0)
-    base, other = (times_a, times_b) if len(times_a) <= len(times_b) else (times_b, times_a)
-    other_arr = np.asarray(other)
-    lags: List[float] = []
-    for t in base:
-        idx = int(np.searchsorted(other_arr, t))
-        best = None
-        for j in (idx - 1, idx):
-            if 0 <= j < other_arr.size:
-                lag = float(other_arr[j] - t)
-                if abs(lag) <= window and (best is None or abs(lag) < abs(best)):
-                    best = lag
-        if best is not None:
-            lags.append(best)
-    rarer = min(len(times_a), len(times_b))
-    return TagCorrelation(
-        category_a=category_a,
-        category_b=category_b,
-        count_a=len(times_a),
-        count_b=len(times_b),
-        coincidences=len(lags),
-        coincidence_rate=len(lags) / rarer if rarer else 0.0,
-        mean_lag=float(np.mean(lags)) if lags else 0.0,
-    )
+    rows = [(t, category_a, "") for t in times_a]
+    rows += [(t, category_b, "") for t in times_b]
+    return _mine(rows, pair_window=window).tag_correlation(category_a, category_b)
 
 
 def correlation_matrix(
-    alerts: Sequence[Alert],
+    alerts: Iterable[Alert],
     categories: Sequence[str],
     window: float = 300.0,
 ) -> Dict[Tuple[str, str], TagCorrelation]:
-    """Pairwise tag correlations over a category list (upper triangle)."""
-    if not callable(getattr(alerts, "category_timestamps", None)):
-        alerts = list(alerts)
-    out: Dict[Tuple[str, str], TagCorrelation] = {}
-    for i, cat_a in enumerate(categories):
-        for cat_b in categories[i + 1:]:
-            out[(cat_a, cat_b)] = tag_correlation(alerts, cat_a, cat_b, window)
-    return out
+    """Pairwise tag correlations over a category list (upper triangle),
+    from one mine over just those categories: an
+    :class:`~repro.store.query.AlertQuery` answers with one column scan
+    per category, anything else with one pass.  A category with no
+    alerts gets all-zero rows."""
+    pushdown = getattr(alerts, "category_timestamps", None)
+    if callable(pushdown):
+        rows = [(float(t), category, "") for category in dict.fromkeys(categories)
+                for t in pushdown(category)]
+    else:
+        wanted = set(categories)
+        rows = [(a.timestamp, a.category, "") for a in alerts
+                if a.category in wanted]
+    miner = _mine(rows, pair_window=window)
+    return {
+        (cat_a, cat_b): miner.tag_correlation(cat_a, cat_b)
+        for i, cat_a in enumerate(categories)
+        for cat_b in categories[i + 1:]
+    }

@@ -20,7 +20,7 @@ parts:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from .categories import Alert
 
@@ -68,7 +68,7 @@ def pair_cooccurrence(
 
 
 def learn_correlated_groups(
-    alerts: List[Alert],
+    alerts: Iterable[Alert],
     window: float = 60.0,
     min_cooccurrence: int = 3,
     min_rate: float = 0.5,
@@ -81,11 +81,17 @@ def learn_correlated_groups(
     to the other, which is the Figure 3 signature ("GM_LANAI messages do
     not always follow GM_PAR messages, nor vice versa.  However, the
     correlation is clear").  Qualifying pairs are merged transitively
-    (union-find) into groups.
+    (union-find) into groups.  The alerts are read once, so any iterable
+    works.
     """
     totals: Dict[str, int] = {}
-    for alert in alerts:
-        totals[alert.category] = totals.get(alert.category, 0) + 1
+
+    def counted() -> Iterator[Alert]:
+        for alert in alerts:
+            totals[alert.category] = totals.get(alert.category, 0) + 1
+            yield alert
+
+    pairs = pair_cooccurrence(counted(), window)
     parent: Dict[str, str] = {}
 
     def find(tag: str) -> str:
@@ -100,7 +106,7 @@ def learn_correlated_groups(
         if ra != rb:
             parent[ra] = rb
 
-    for (cat_a, cat_b), count in pair_cooccurrence(alerts, window).items():
+    for (cat_a, cat_b), count in pairs.items():
         rarer = min(totals.get(cat_a, 0), totals.get(cat_b, 0))
         if rarer == 0:
             continue

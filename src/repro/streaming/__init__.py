@@ -17,11 +17,12 @@ as a composable stage:
   watermark of the alert stream, attached to any driver's sink seam via
   ``api.run_stream(..., predict=True)``.
 
-The differential suites in ``tests/prediction/`` pin the miner to the
-offline :func:`~repro.analysis.correlation.tag_correlation` /
-:func:`~repro.analysis.correlation.spatial_correlation` baselines for
-any batch partition of the stream, including batch size 1 and
-out-of-order arrival within the reorder tolerance.
+The miner is also the kernel behind the offline
+:func:`~repro.analysis.correlation.tag_correlation` /
+:func:`~repro.analysis.correlation.spatial_correlation`.  The
+differential suites in ``tests/prediction/`` pin it to the per-alert
+reference loops for any batch partition of the stream, including batch
+size 1 and out-of-order arrival within the reorder tolerance.
 """
 
 from .miner import (

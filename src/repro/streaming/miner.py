@@ -1,11 +1,14 @@
 """Windowed co-occurrence correlation miner with exponential decay.
 
-The offline analyses (:func:`repro.analysis.correlation.tag_correlation`
-and :func:`~repro.analysis.correlation.spatial_correlation`) walk a
-complete, sorted alert list after the run.  The miner maintains the
-same statistics *incrementally* over the live stream so a correlation
-graph is available at any point of a run, survives checkpoint/resume,
-and costs a bounded amount of memory regardless of stream length:
+The one co-occurrence kernel behind the offline analyses
+(:func:`repro.analysis.correlation.tag_correlation`,
+:func:`~repro.analysis.correlation.spatial_correlation` and
+:func:`~repro.analysis.correlation.correlation_matrix`, which feed it a
+complete alert list and flush it once) and the live prediction stage.
+The miner maintains the statistics *incrementally* over the stream so a
+correlation graph is available at any point of a run, survives
+checkpoint/resume, and costs a bounded amount of memory regardless of
+stream length:
 
 * **Watermark-driven finalization.**  An alert at time ``t`` only
   participates in pair mining once the watermark passes
@@ -21,13 +24,15 @@ and costs a bounded amount of memory regardless of stream length:
   caps the lightest edges are dropped at fixed stream-time boundaries
   so pruning is independent of how the stream was batched.
 
-Exactness contract (pinned by ``tests/prediction/test_online_differential.py``):
+Exactness contract (pinned by ``tests/prediction/test_online_differential.py``
+against the per-alert nearest-partner and burst loops the offline
+analyses used to run):
 
 * coincidence counts, per-category counts, and spatial burst statistics
-  are integer-exact matches of the offline code for any batching;
+  are integer-exact matches of those loops for any batching;
 * per-edge lag sums are accumulated on a fixed ``2**-20`` second grid —
   each addend is an exact float, so the sum is order-independent and
-  ``mean_lag`` agrees with the offline value to < 1e-6 s;
+  ``mean_lag`` agrees with the per-alert mean to < 1e-6 s;
 * decayed weights use a closed form whose batch-to-batch variance is a
   few ulps; snapshots round them to ``WEIGHT_DIGITS`` decimals (and
   order edges by the rounded value) so exported graphs are stable.
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,21 +157,11 @@ class _SourceEdge:
 
 
 @dataclass(frozen=True)
-class CorrelationEdge:
-    """One (category, category) edge of the mined graph."""
+class CorrelationEdge(TagCorrelation):
+    """One (category, category) edge of the mined graph: the pair's
+    :class:`TagCorrelation` plus its decayed weight."""
 
-    category_a: str
-    category_b: str
-    count_a: int
-    count_b: int
-    coincidences: int
-    coincidence_rate: float
-    mean_lag: float
     weight: float
-
-    @property
-    def is_correlated(self) -> bool:
-        return self.coincidences >= 3 and self.coincidence_rate >= 0.5
 
 
 @dataclass(frozen=True)
@@ -223,10 +218,10 @@ class CorrelationGraph:
 class StreamingCorrelationMiner:
     """Incremental tag/spatial correlation over an alert stream.
 
-    Feed finalized-ordered alerts with :meth:`extend` and advance the
-    completeness frontier with :meth:`advance`; both are driven by
-    :class:`~repro.streaming.stage.PredictionStage`, which only hands
-    the miner alerts whose order can no longer change.
+    Feed finalized-ordered alerts with :meth:`extend_columns` and
+    advance the completeness frontier with :meth:`advance`; both are
+    driven by :class:`~repro.streaming.stage.PredictionStage`, which
+    only hands the miner alerts whose order can no longer change.
     """
 
     def __init__(
@@ -289,27 +284,16 @@ class StreamingCorrelationMiner:
             self._spatial.append([0, 0, 0, None, set()])
         return code
 
-    def extend(self, events: Iterable[Tuple[float, str, str]]) -> None:
-        """Ingest ``(time, category, source)`` events in ascending time order."""
-        events = list(events)
-        if not events:
-            return
-        self.extend_columns(
-            [e[0] for e in events],
-            [e[1] for e in events],
-            [e[2] for e in events],
-        )
-
     def extend_columns(
         self,
         times: List[float],
         categories: List[str],
         sources: List[str],
     ) -> None:
-        """Columnar :meth:`extend` — the hot ingest path.  Three parallel
-        lists let the queue append, the order check, and the per-category
-        index updates all run as bulk operations instead of a per-event
-        python loop."""
+        """Ingest events as three parallel columns in ascending time
+        order.  Columns let the queue append, the order check, and the
+        per-category index updates all run as bulk operations instead of
+        a per-event python loop."""
         n = len(times)
         if n == 0:
             return
@@ -621,14 +605,7 @@ class StreamingCorrelationMiner:
     def flushed(self) -> "StreamingCorrelationMiner":
         """A copy with every pending alert finalized (the live miner is
         untouched, so streaming can continue afterwards)."""
-        clone = StreamingCorrelationMiner(
-            pair_window=self.pair_window,
-            spatial_window=self.spatial_window,
-            decay_half_life=self.decay_half_life,
-            max_edges=self.max_edges,
-            max_source_edges=self.max_source_edges,
-            prune_interval=self.prune_interval,
-        )
+        clone = StreamingCorrelationMiner(*self.params)
         clone.load_state_dict(self.state_dict())
         clone.advance(math.inf)
         return clone
@@ -638,46 +615,46 @@ class StreamingCorrelationMiner:
             return self.flushed()
         return self
 
-    def tag_correlation(self, a: str, b: str) -> Optional[TagCorrelation]:
-        """The finalized streaming counterpart of
-        :func:`repro.analysis.correlation.tag_correlation`."""
+    def _base_side(
+        self, edge: Optional[_PairEdge], code_a: int, code_b: int
+    ) -> Tuple[int, float]:
+        """``edge``'s coincidences and lag units counted from the rarer
+        of its two categories (ties: ``code_a``), the side the
+        nearest-partner statistic is defined on."""
+        if edge is None:
+            return 0, 0.0
+        counts = self._counts
+        base = code_a if counts[code_a] <= counts[code_b] else code_b
+        side = 0 if base == min(code_a, code_b) else 1
+        return edge.co[side], edge.lag_units[side]
+
+    def tag_correlation(self, a: str, b: str) -> TagCorrelation:
+        """The finalized correlation of categories ``a`` and ``b`` (all
+        zeros when either never occurred), as
+        :func:`repro.analysis.correlation.tag_correlation` reports it."""
         snap = self._flushed_or_self()
         code_a = snap._vocab.get(a)
         code_b = snap._vocab.get(b)
-        if code_a is None or code_b is None:
-            return None
-        lo, hi = (code_a, code_b) if code_a < code_b else (code_b, code_a)
-        edge = snap._edges.get((lo, hi))
-        count_a = snap._counts[code_a]
-        count_b = snap._counts[code_b]
-        if count_a == 0 or count_b == 0:
-            return None
-        # Offline picks the rarer tag as the base (ties: the first
-        # argument); replicate with the final counts.
-        if count_a <= count_b:
-            base_code, base_count, other_count = code_a, count_a, count_b
-        else:
-            base_code, base_count, other_count = code_b, count_b, count_a
-        if edge is None:
-            co, lag_units = 0, 0.0
-        else:
-            side = 0 if base_code == lo else 1
-            co = edge.co[side]
-            lag_units = edge.lag_units[side]
-        mean_lag = (lag_units * LAG_GRID) / co if co else 0.0
+        count_a = 0 if code_a is None else snap._counts[code_a]
+        count_b = 0 if code_b is None else snap._counts[code_b]
+        co, lag_units = 0, 0.0
+        if count_a and count_b:
+            key = (min(code_a, code_b), max(code_a, code_b))
+            co, lag_units = snap._base_side(snap._edges.get(key), code_a, code_b)
         return TagCorrelation(
             category_a=a,
             category_b=b,
             count_a=count_a,
             count_b=count_b,
             coincidences=co,
-            coincidence_rate=co / min(count_a, count_b),
-            mean_lag=mean_lag,
+            coincidence_rate=co / min(count_a, count_b) if co else 0.0,
+            mean_lag=(lag_units * LAG_GRID) / co if co else 0.0,
         )
 
     def spatial(self) -> Dict[str, SpatialCorrelation]:
-        """The finalized streaming counterpart of
-        :func:`repro.analysis.correlation.spatial_correlation`."""
+        """The finalized per-category burst statistics, as
+        :func:`repro.analysis.correlation.spatial_correlation` reports
+        them."""
         snap = self._flushed_or_self()
         out: Dict[str, SpatialCorrelation] = {}
         for code, category in enumerate(snap._cats):
@@ -700,15 +677,11 @@ class StreamingCorrelationMiner:
         snap = self._flushed_or_self()
         rows: List[CorrelationEdge] = []
         for (lo, hi), edge in snap._edges.items():
-            count_a = snap._counts[lo]
-            count_b = snap._counts[hi]
-            if count_a <= count_b:
-                side, base, other = 0, count_a, count_b
-            else:
-                side, base, other = 1, count_b, count_a
-            co = edge.co[side]
+            co, lag_units = snap._base_side(edge, lo, hi)
             if co == 0:
                 continue
+            count_a = snap._counts[lo]
+            count_b = snap._counts[hi]
             rows.append(
                 CorrelationEdge(
                     category_a=snap._cats[lo],
@@ -717,7 +690,7 @@ class StreamingCorrelationMiner:
                     count_b=count_b,
                     coincidences=co,
                     coincidence_rate=co / min(count_a, count_b),
-                    mean_lag=round((edge.lag_units[side] * LAG_GRID) / co, 9),
+                    mean_lag=round((lag_units * LAG_GRID) / co, 9),
                     weight=round(edge.weight, WEIGHT_DIGITS),
                 )
             )
@@ -744,16 +717,21 @@ class StreamingCorrelationMiner:
 
     # -- durability --------------------------------------------------
 
+    @property
+    def params(self) -> Tuple[float, float, float, int, int, float]:
+        """The constructor arguments, in signature order."""
+        return (
+            self.pair_window,
+            self.spatial_window,
+            self.decay_half_life,
+            self.max_edges,
+            self.max_source_edges,
+            self.prune_interval,
+        )
+
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "params": (
-                self.pair_window,
-                self.spatial_window,
-                self.decay_half_life,
-                self.max_edges,
-                self.max_source_edges,
-                self.prune_interval,
-            ),
+            "params": self.params,
             "cats": list(self._cats),
             "counts": list(self._counts),
             "recent": [list(lst) for lst in self._recent],
@@ -778,18 +756,10 @@ class StreamingCorrelationMiner:
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         params = tuple(state["params"])
-        ours = (
-            self.pair_window,
-            self.spatial_window,
-            self.decay_half_life,
-            self.max_edges,
-            self.max_source_edges,
-            self.prune_interval,
-        )
-        if params != ours:
+        if params != self.params:
             raise ValueError(
                 "miner configuration mismatch: checkpoint %r vs current %r"
-                % (params, ours)
+                % (params, self.params)
             )
         self._cats = list(state["cats"])
         self._vocab = {cat: code for code, cat in enumerate(self._cats)}

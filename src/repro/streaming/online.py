@@ -3,7 +3,7 @@
 The offline :class:`~repro.prediction.ensemble.PredictorEnsemble` trains
 on one span and warns over another, both known up front.  Online, the
 stream is unbounded, so the ensemble is *refit on a doubling schedule*:
-after ``first_refit`` finalized alerts, then at 2x, 4x, 8x, ... that
+after :data:`FIRST_REFIT` finalized alerts, then at 2x, 4x, 8x, ... that
 count.  Count-based (rather than wall-clock) scheduling makes the refit
 points a deterministic function of the alert sequence — independent of
 batch sizes, drivers, and stream density — which is what lets the golden
@@ -11,7 +11,7 @@ suite demand byte-identical warning streams from serial and sharded
 runs, and keeps the number of fits logarithmic in stream length.
 
 Each refit runs the offline ensemble on the retained history (a training
-span and a validation span split ``validation_fraction`` from the end)
+span and a validation span split :data:`VALIDATION_FRACTION` from the end)
 and *translates* the selected members into cheap per-alert runtimes:
 
 * ``burst``   — trailing-window count against the trained threshold;
@@ -33,7 +33,7 @@ import copy
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import (
     Any,
     Deque,
@@ -46,14 +46,27 @@ from typing import (
 )
 
 from ..prediction.base import Warning_
-from ..prediction.dft import DftPredictor, _rules_fire
-from ..prediction.ensemble import PredictorEnsemble
+from ..prediction.dft import _rules_fire
+from ..prediction.ensemble import DEFAULT_FACTORIES, PredictorEnsemble
 from ..prediction.features import AlertHistory
-from ..prediction.predictors import (
-    BurstPredictor,
-    PrecursorPredictor,
-    SeverityPredictor,
-)
+from .miner import StreamingCorrelationMiner
+
+#: The refit schedule: first after this many finalized alerts, then
+#: each time the count has grown by ``REFIT_GROWTH``.
+FIRST_REFIT = 512
+REFIT_GROWTH = 2.0
+#: Refit cost is O(refits x fit window); 4096 recent alerts hold
+#: several validation failures for every calibrated scenario while
+#: keeping the doubling-schedule refits cheap on dense streams.
+FIT_MAX_ALERTS = 4096
+#: The trailing share of the fit window each refit validates on.
+VALIDATION_FRACTION = 1.0 / 3.0
+#: The burst runtime's trailing window: the one the ensemble's burst
+#: candidates are trained with.
+BURST_WINDOW = DEFAULT_FACTORIES["burst"]("").window
+#: Emitted warnings retained for the report (the full count is still
+#: reported).
+MAX_WARNINGS = 20000
 
 
 class SlimAlert(NamedTuple):
@@ -94,36 +107,33 @@ class OnlineWarning(Warning_):
 
 @dataclass(frozen=True)
 class PredictionConfig:
-    """Knobs for the streaming miner + online ensemble."""
+    """The actionable lead window of online warnings: a warning at ``t``
+    predicts a failure in ``[t + lead_min, t + lead_max]``, the window
+    refits score candidates on."""
 
-    # correlation miner
-    pair_window: float = 300.0
-    spatial_window: float = 60.0
-    decay_half_life: float = 3600.0
-    max_edges: int = 512
-    max_source_edges: int = 4096
-    prune_interval: float = 600.0
-    # ensemble refit schedule
-    kinds: Tuple[str, ...] = ("burst", "severity", "precursor", "dft")
-    first_refit: int = 512
-    refit_growth: float = 2.0
-    # Refit cost is O(refits x fit window); 4096 recent alerts hold
-    # several validation failures for every calibrated scenario while
-    # keeping the doubling-schedule refits cheap on dense streams.
-    fit_max_alerts: int = 4096
-    validation_fraction: float = 1.0 / 3.0
-    # selection thresholds (see PredictorEnsemble)
-    min_f1: float = 0.2
-    min_precision: float = 0.25
-    min_failures: int = 4
     lead_min: float = 10.0
     lead_max: float = 3600.0
-    burst_window: float = 600.0
-    # bounded retention of emitted warnings (full count still reported)
-    max_warnings: int = 20000
 
     def key(self) -> Tuple[Any, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        """Fingerprint of the effective settings, constants included, in
+        the order state has always been recorded under: state written
+        when all eighteen were fields still resumes, and changing any
+        constant refuses it."""
+        return (
+            *StreamingCorrelationMiner().params,
+            tuple(DEFAULT_FACTORIES),
+            FIRST_REFIT,
+            REFIT_GROWTH,
+            FIT_MAX_ALERTS,
+            VALIDATION_FRACTION,
+            PredictorEnsemble.min_f1,
+            PredictorEnsemble.min_precision,
+            PredictorEnsemble.min_failures,
+            self.lead_min,
+            self.lead_max,
+            BURST_WINDOW,
+            MAX_WARNINGS,
+        )
 
 
 @dataclass
@@ -146,13 +156,12 @@ class OnlineEnsemble:
 
     def __init__(self, config: Optional[PredictionConfig] = None) -> None:
         self.config = config or PredictionConfig()
-        cfg = self.config
-        self._history: Deque[SlimAlert] = deque(maxlen=cfg.fit_max_alerts)
+        self._history: Deque[SlimAlert] = deque(maxlen=FIT_MAX_ALERTS)
         self._processed = 0
-        self._next_refit = int(cfg.first_refit)
+        self._next_refit = FIRST_REFIT
         self.refits = 0
         self.members: Dict[str, Dict[str, Any]] = {}
-        self.warnings: Deque[OnlineWarning] = deque(maxlen=cfg.max_warnings)
+        self.warnings: Deque[OnlineWarning] = deque(maxlen=MAX_WARNINGS)
         self.warnings_emitted = 0
         # trailing-window buffer for burst counting: ascending times with
         # a consumed-prefix pointer (compacted periodically)
@@ -170,12 +179,13 @@ class OnlineEnsemble:
     def advance(self, alerts: Sequence[SlimAlert]) -> None:
         """Process finalized alerts (ascending timestamps).
 
-        Segmented: spans with no installed members and no refit boundary
-        take a bulk path (list extends; no per-alert work), which keeps
-        the no-signature case — most streams, and the throughput
-        benchmark — nearly free without changing a single emission:
-        the slow path recomputes its burst-window pointer from any
-        lower bound, so bulk and per-alert processing are equivalent.
+        Segmented at refit boundaries.  A span runs the per-alert burst
+        loop only while a burst-rate member is installed; otherwise it
+        bulk-appends and gates just the alerts some member watches, which
+        keeps the no-signature case — most streams, and the throughput
+        benchmark — nearly free without changing a single emission: the
+        burst loop recomputes its window pointer from any lower bound,
+        so bulk and per-alert processing are equivalent.
         """
         if not isinstance(alerts, list):
             alerts = list(alerts)
@@ -185,105 +195,64 @@ class OnlineEnsemble:
                 self._refit(alerts[i][0])
             until_refit = self._next_refit - self._processed
             stop = n if until_refit > n - i else i + until_refit
-            if self.members:
-                self._advance_slow(alerts[i:stop] if (i, stop) != (0, n) else alerts)
+            chunk = alerts[i:stop] if (i, stop) != (0, n) else alerts
+            if self._burst_members:
+                self._advance_slow(chunk)
             else:
-                chunk = alerts[i:stop] if (i, stop) != (0, n) else alerts
-                buf = self._burst_buf
-                buf.extend(a[0] for a in chunk)
-                self._history.extend(chunk)
-                self._processed += stop - i
-                # Keep the trailing-window pointer and compaction
-                # current so a later member install starts from a
-                # tight, bounded buffer.
-                start = bisect_left(
-                    buf, buf[-1] - self.config.burst_window, self._burst_start
-                )
-                self._burst_start = start
-                if start > 8192:
-                    del buf[:start]
-                    self._burst_start = 0
+                self._advance_no_burst(chunk)
             i = stop
 
     def _advance_slow(self, alerts: Sequence[SlimAlert]) -> None:
-        """Per-alert member gating (some specialist is installed)."""
-        if not self._burst_members:
-            self._advance_no_burst(alerts)
-            return
+        """Per-alert loop while a burst-rate member is installed: the
+        burst members on each alert's trailing-window count, then
+        :meth:`_gate`."""
         buf = self._burst_buf
-        window = self.config.burst_window
         burst_members = self._burst_members
         min_burst = self._min_burst_threshold
-        sev_members = self._sev_members
-        precursor_trigger = self._precursor_trigger
-        dft_members = self._dft_members
+        gated = self._sev_members or self._precursor_trigger or self._dft_members
+        gate = self._gate
         buf_append = buf.append
         history_append = self._history.append
         for alert in alerts:
             t = alert[0]
-            if burst_members:
-                # Trailing-window alert count over (t - window, ..., t);
-                # equals AlertHistory.count_between(t - window, t) plus
-                # this alert once appended — the burst runtime matches
-                # the offline predictor's "count at arrival" convention.
-                start = self._burst_start
-                lo = t - window
-                while start < len(buf) and buf[start] < lo:
-                    start += 1
-                self._burst_start = start
-                count = bisect_left(buf, t, start) - start
-                if count >= min_burst:
-                    for member in burst_members:
-                        if count >= member["threshold"]:
-                            self._try_emit(member, t, float(count))
-                if start > 8192:
-                    del buf[:start]
-                    self._burst_start = 0
-            if sev_members and alert[3] is not None:
-                for member in sev_members:
-                    if alert[3] in member["labels"]:
-                        self._try_emit(member, t, 1.0)
-            if precursor_trigger:
-                triggers = precursor_trigger.get(alert[1])
-                if triggers is not None:
-                    for member, lift in triggers:
-                        self._try_emit(member, t, lift)
-            dft = dft_members.get(alert[1]) if dft_members else None
-            if dft is not None:
-                times = dft["sources"].get(alert[2])
-                if times is None:
-                    times = dft["sources"][alert[2]] = []
-                times.append(t)
-                if len(times) > 6:
-                    del times[0]
-                if len(times) >= dft["min_history"]:
-                    fired = dft["last_fired"].get(alert[2])
-                    if fired is None or t - fired >= dft["refractory"]:
-                        if _rules_fire(times) is not None:
-                            dft["last_fired"][alert[2]] = t
-                            self._emit(dft, t, 1.0)
+            # Trailing-window alert count over (t - window, ..., t);
+            # equals AlertHistory.count_between(t - window, t) plus
+            # this alert once appended — the burst runtime matches
+            # the offline predictor's "count at arrival" convention.
+            start = self._burst_start
+            lo = t - BURST_WINDOW
+            while start < len(buf) and buf[start] < lo:
+                start += 1
+            self._burst_start = start
+            count = bisect_left(buf, t, start) - start
+            if count >= min_burst:
+                for member in burst_members:
+                    if count >= member["threshold"]:
+                        self._try_emit(member, t, float(count))
+            if start > 8192:
+                del buf[:start]
+                self._burst_start = 0
+            if gated:
+                gate(alert)
             buf_append(t)
             history_append(alert)
         self._processed += len(alerts)
 
     def _advance_no_burst(self, alerts: Sequence[SlimAlert]) -> None:
-        """Members installed, but none of them burst-rate: no per-alert
-        trailing-window upkeep is needed, so the stream bulk-appends and
-        member logic runs only over the alerts that could trigger one
-        (matching severity label or a watched category).  None of the
-        remaining member kinds reads the burst buffer or the history, so
-        skipping the others emits exactly what the per-alert loop would,
-        in the same stream order."""
+        """No burst-rate member installed: no per-alert trailing-window
+        upkeep is needed, so the stream bulk-appends and :meth:`_gate`
+        runs only over the alerts that could trigger a member (a
+        severity label or a watched category).  No gated kind reads the
+        burst buffer or the history, so skipping the others emits
+        exactly what the per-alert loop would, in the same stream
+        order."""
         buf = self._burst_buf
         buf.extend(a[0] for a in alerts)
         self._history.extend(alerts)
         self._processed += len(alerts)
-        sev_members = self._sev_members
-        precursor_trigger = self._precursor_trigger
-        dft_members = self._dft_members
-        hot = set(precursor_trigger)
-        hot.update(dft_members)
-        if sev_members:
+        hot = set(self._precursor_trigger)
+        hot.update(self._dft_members)
+        if self._sev_members:
             sel: Sequence[SlimAlert] = [
                 a for a in alerts if a[3] is not None or a[1] in hot
             ]
@@ -292,37 +261,41 @@ class OnlineEnsemble:
         else:
             sel = ()
         for alert in sel:
-            t = alert[0]
-            if sev_members and alert[3] is not None:
-                for member in sev_members:
-                    if alert[3] in member["labels"]:
-                        self._try_emit(member, t, 1.0)
-            if precursor_trigger:
-                triggers = precursor_trigger.get(alert[1])
-                if triggers is not None:
-                    for member, lift in triggers:
-                        self._try_emit(member, t, lift)
-            dft = dft_members.get(alert[1]) if dft_members else None
-            if dft is not None:
-                times = dft["sources"].get(alert[2])
-                if times is None:
-                    times = dft["sources"][alert[2]] = []
-                times.append(t)
-                if len(times) > 6:
-                    del times[0]
-                if len(times) >= dft["min_history"]:
-                    fired = dft["last_fired"].get(alert[2])
-                    if fired is None or t - fired >= dft["refractory"]:
-                        if _rules_fire(times) is not None:
-                            dft["last_fired"][alert[2]] = t
-                            self._emit(dft, t, 1.0)
-        start = bisect_left(
-            buf, buf[-1] - self.config.burst_window, self._burst_start
-        )
+            self._gate(alert)
+        # Keep the trailing-window pointer and compaction current so a
+        # later burst member starts from a tight, bounded buffer.
+        start = bisect_left(buf, buf[-1] - BURST_WINDOW, self._burst_start)
         self._burst_start = start
         if start > 8192:
             del buf[:start]
             self._burst_start = 0
+
+    def _gate(self, alert: Sequence[Any]) -> None:
+        """The severity, precursor and DFT members, in that order, on
+        one alert."""
+        t = alert[0]
+        if alert[3] is not None:
+            for member in self._sev_members:
+                if alert[3] in member["labels"]:
+                    self._try_emit(member, t, 1.0)
+        triggers = self._precursor_trigger.get(alert[1])
+        if triggers is not None:
+            for member, lift in triggers:
+                self._try_emit(member, t, lift)
+        dft = self._dft_members.get(alert[1])
+        if dft is not None:
+            times = dft["sources"].get(alert[2])
+            if times is None:
+                times = dft["sources"][alert[2]] = []
+            times.append(t)
+            if len(times) > 6:
+                del times[0]
+            if len(times) >= dft["min_history"]:
+                fired = dft["last_fired"].get(alert[2])
+                if fired is None or t - fired >= dft["refractory"]:
+                    if _rules_fire(times) is not None:
+                        dft["last_fired"][alert[2]] = t
+                        self._emit(dft, t, 1.0)
 
     def _try_emit(self, member: Dict[str, Any], t: float, score: float) -> None:
         last = member["last_warn"]
@@ -346,47 +319,26 @@ class OnlineEnsemble:
 
     # -- refitting ----------------------------------------------------
 
-    def _factories(self) -> Dict[str, Any]:
-        cfg = self.config
-        makers = {
-            "burst": lambda target: BurstPredictor(target, window=cfg.burst_window),
-            "severity": lambda target: SeverityPredictor(target),
-            "precursor": lambda target: PrecursorPredictor(target),
-            "dft": lambda target: DftPredictor(target),
-        }
-        out = {}
-        for kind in cfg.kinds:
-            if kind not in makers:
-                raise ValueError("unknown predictor kind: %r" % (kind,))
-            out[kind] = makers[kind]
-        return out
-
     def _refit(self, now: float) -> None:
-        cfg = self.config
         self._next_refit = max(
-            int(math.ceil(self._processed * cfg.refit_growth)),
+            int(math.ceil(self._processed * REFIT_GROWTH)),
             self._processed + 1,
         )
         # Wrap the plain-tuple history rows for the offline
         # predictors, which read named attributes.
         alerts = [SlimAlert(*a) for a in self._history]
-        if len(alerts) < 2 * cfg.min_failures:
+        ensemble = PredictorEnsemble(
+            lead_min=self.config.lead_min, lead_max=self.config.lead_max
+        )
+        if len(alerts) < 2 * ensemble.min_failures:
             return
         t0 = alerts[0].timestamp
         span = now - t0
         if span <= 0:
             return
-        cut = now - span * cfg.validation_fraction
+        cut = now - span * VALIDATION_FRACTION
         if cut <= t0:
             return
-        ensemble = PredictorEnsemble(
-            factories=self._factories(),
-            min_f1=cfg.min_f1,
-            min_precision=cfg.min_precision,
-            min_failures=cfg.min_failures,
-            lead_min=cfg.lead_min,
-            lead_max=cfg.lead_max,
-        )
         ensemble.fit(AlertHistory(alerts), (t0, cut), (cut, now))
         self.refits += 1
         self._install(ensemble)
@@ -489,13 +441,11 @@ class OnlineEnsemble:
                 "prediction configuration mismatch: checkpoint %r vs current %r"
                 % (params, self.config.key())
             )
-        cfg = self.config
         self._processed = int(state["processed"])
         self._next_refit = int(state["next_refit"])
         self.refits = int(state["refits"])
         self._history = deque(
-            (tuple(row) for row in state["history"]),
-            maxlen=cfg.fit_max_alerts,
+            (tuple(row) for row in state["history"]), maxlen=FIT_MAX_ALERTS
         )
         self._burst_buf = list(state["burst_buf"])
         self._burst_start = 0
@@ -512,7 +462,7 @@ class OnlineEnsemble:
                 )
                 for row in state["warnings"]
             ),
-            maxlen=cfg.max_warnings,
+            maxlen=MAX_WARNINGS,
         )
         self.warnings_emitted = int(state["warnings_emitted"])
         self._reindex()

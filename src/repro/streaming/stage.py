@@ -82,17 +82,9 @@ class PredictionStage:
         reorder_tolerance: float = DEFAULT_REORDER_TOLERANCE,
     ) -> None:
         self.config = config or PredictionConfig()
-        cfg = self.config
         self.reorder_tolerance = float(reorder_tolerance)
-        self.miner = StreamingCorrelationMiner(
-            pair_window=cfg.pair_window,
-            spatial_window=cfg.spatial_window,
-            decay_half_life=cfg.decay_half_life,
-            max_edges=cfg.max_edges,
-            max_source_edges=cfg.max_source_edges,
-            prune_interval=cfg.prune_interval,
-        )
-        self.ensemble = OnlineEnsemble(cfg)
+        self.miner = StreamingCorrelationMiner()
+        self.ensemble = OnlineEnsemble(self.config)
         # (timestamp, arrival seq, (t, category, source, severity));
         # plain tuples, not SlimAlerts — see the SlimAlert docstring.
         self._pending: List[Tuple[float, int, Tuple[Any, ...]]] = []
@@ -199,8 +191,8 @@ def prediction_stage(
     predict: Any, reorder_tolerance: float = DEFAULT_REORDER_TOLERANCE
 ) -> PredictionStage:
     """The stage a truthy ``predict`` knob asks for: ``True`` means the
-    defaults, a :class:`PredictionConfig` that configuration.  Callers
-    test the knob first, so predict-less runs never import this package
-    (or pay numpy's startup)."""
+    defaults, a :class:`PredictionConfig` that lead window.  Callers
+    test the knob first, so predict-less runs never import this
+    package."""
     config = predict if isinstance(predict, PredictionConfig) else None
     return PredictionStage(config=config, reorder_tolerance=reorder_tolerance)

@@ -59,6 +59,14 @@ class TestLearnGroups:
         groups = learn_correlated_groups(_figure3_style_alerts())
         assert frozenset({"GM_PAR", "GM_LANAI"}) in groups
 
+    def test_one_shot_iterable_learns_the_same_groups(self):
+        """The alerts are read once: an iterator, which a second pass
+        would find empty, learns what the list does."""
+        alerts = _figure3_style_alerts()
+        assert learn_correlated_groups(iter(alerts)) == \
+            learn_correlated_groups(alerts) == \
+            [frozenset({"GM_PAR", "GM_LANAI"})]
+
     def test_independent_categories_not_grouped(self):
         rng = np.random.default_rng(4)
         alerts = sorted_by_time(

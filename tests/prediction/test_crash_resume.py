@@ -15,6 +15,7 @@ perturbing any prediction output.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -31,7 +32,8 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultyFilesystem,
 )
-from repro.simulation.generator import generate_log
+from repro.simulation.generator import LogGenerator, generate_log
+from repro.streaming import PredictionConfig, PredictionStage, online
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -138,6 +140,75 @@ class TestPredictionCrashResume:
         assert_prediction_identical(degraded, baseline)
         assert store.status.degraded
         assert store.saved == 0
+
+
+class TestStateFromOlderCode:
+    """``fixtures/state/thunderbird-predict`` was written by commit
+    1385649, when ``PredictionConfig`` had eighteen fields: the golden
+    ``thunderbird-vapi-storm`` stream with ``predict=True``,
+    checkpointing every 26,000 records, crashed after 52,000 — past
+    three refits, with a burst member installed and one warning out.
+    The settings that became constants are still fingerprinted in the
+    old order, so the run resumes from it and lands byte-identical to an
+    uninterrupted run."""
+
+    FIXTURE = REPO / "tests" / "fixtures" / "state" / "thunderbird-predict"
+    #: ``repr(PredictionConfig(lead_min=600.0, lead_max=86400.0).key())``
+    #: at that commit: the ``predict`` part of ``run_system``'s state-dir
+    #: fingerprint.
+    OLD_TOKEN = (
+        "(300.0, 60.0, 3600.0, 512, 4096, 600.0, ('burst', 'severity', "
+        "'precursor', 'dft'), 512, 2.0, 4096, 0.3333333333333333, 0.2, "
+        "0.25, 4, 600.0, 86400.0, 600.0, 20000)"
+    )
+
+    @staticmethod
+    def _run(state_dir):
+        return api.run_stream(
+            LogGenerator("thunderbird", scale=3e-4, seed=11).generate().records,
+            "thunderbird",
+            checkpointer=CheckpointManager(every=26_000),
+            state_dir=state_dir,
+            predict=True,
+        )
+
+    def _copy(self, tmp_path):
+        state_dir = tmp_path / "state"
+        shutil.copytree(self.FIXTURE, state_dir)
+        return str(state_dir)
+
+    def test_resumes_byte_identical(self, tmp_path, monkeypatch):
+        state_dir = self._copy(tmp_path)
+        persisted = CheckpointStore(state_dir).load()
+        assert persisted.records_consumed == 52_000
+        ensemble = persisted.prediction_state["ensemble"]
+        assert (ensemble["refits"], ensemble["warnings_emitted"]) == (3, 1)
+        restored = []
+        load = PredictionStage.load_state_dict
+
+        def spy(stage, state):
+            restored.append(state["observed"])
+            load(stage, state)
+
+        monkeypatch.setattr(PredictionStage, "load_state_dict", spy)
+        resumed = self._run(state_dir)
+        assert restored == [persisted.prediction_state["observed"]]
+        assert resumed.checkpoints.store.status.notes == []
+
+        baseline = self._run(None)
+        assert resumed.stats == baseline.stats
+        assert resumed.raw_alerts == baseline.raw_alerts
+        assert resumed.filtered_alerts == baseline.filtered_alerts
+        assert_prediction_identical(resumed, baseline)
+
+    def test_a_changed_constant_refuses_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(online, "MAX_WARNINGS", 20_001)
+        with pytest.raises(ValueError, match="configuration mismatch"):
+            self._run(self._copy(tmp_path))
+
+    def test_state_dir_fingerprint_unchanged(self):
+        config = PredictionConfig(lead_min=600.0, lead_max=86400.0)
+        assert api._predict_token(config) == self.OLD_TOKEN
 
 
 #: Child body for the SIGKILL variant: identical stream and arguments

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.prediction.base import Predictor, Warning_
-from repro.prediction.ensemble import PredictorEnsemble
+from repro.prediction.ensemble import DEFAULT_FACTORIES, PredictorEnsemble
 from repro.prediction.features import AlertHistory
 
 from ..conftest import make_alert
@@ -172,8 +172,9 @@ class TestSelectionGuards:
 
     def test_online_refit_forwards_selection_thresholds(self, monkeypatch):
         """The streaming ensemble delegates selection to this offline
-        ensemble — its config must reach the constructor, or the online
-        path silently loses the cries-wolf guard."""
+        ensemble — the config's lead window must reach the constructor,
+        and the selection thresholds must stay this ensemble's own, or
+        the online path silently loses the cries-wolf guard."""
         from repro.streaming import PredictionConfig
         from repro.streaming import online as online_mod
 
@@ -182,19 +183,22 @@ class TestSelectionGuards:
 
         def spy(**kwargs):
             captured.update(kwargs)
-            return real(**kwargs)
+            captured["ensemble"] = real(**kwargs)
+            return captured["ensemble"]
 
         monkeypatch.setattr(online_mod, "PredictorEnsemble", spy)
-        config = PredictionConfig(
-            min_precision=0.9, min_f1=0.5, first_refit=8,
-        )
+        monkeypatch.setattr(online_mod, "FIRST_REFIT", 8)
+        config = PredictionConfig(lead_min=20.0, lead_max=900.0)
         ensemble = online_mod.OnlineEnsemble(config)
         ensemble.advance(
             [(float(i) * 100.0, "CAT", "n0", None) for i in range(1, 40)]
         )
         assert ensemble.refits >= 1
-        assert captured["min_precision"] == 0.9
-        assert captured["min_f1"] == 0.5
-        assert captured["min_failures"] == config.min_failures
-        assert captured["lead_min"] == config.lead_min
-        assert captured["lead_max"] == config.lead_max
+        assert set(captured) == {"lead_min", "lead_max", "ensemble"}
+        assert captured["lead_min"] == 20.0
+        assert captured["lead_max"] == 900.0
+        assert captured["ensemble"].min_precision == 0.25
+        assert captured["ensemble"].min_f1 == 0.2
+        assert sorted(captured["ensemble"].factories) == sorted(
+            DEFAULT_FACTORIES
+        )

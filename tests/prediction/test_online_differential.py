@@ -1,18 +1,23 @@
-"""Differential equivalence: streaming miner vs. offline correlation.
+"""Differential equivalence: streaming miner vs. per-alert reference loops.
 
-The streaming miner's license to exist is an exactness contract (see the
-``repro.streaming.miner`` module docstring): fed the same alert stream —
-in *any* batching — it must reproduce the offline analyses of
-``repro.analysis.correlation`` on the materialized list.  These
-property-based tests generate adversarial streams over each of the five
-systems' real rulesets (bursts, exact-tie lags, duplicate timestamps,
-window-straddling gaps) and assert:
+The miner is the one co-occurrence kernel: the offline analyses of
+``repro.analysis.correlation`` run on it too.  Its license is an
+exactness contract (see the ``repro.streaming.miner`` module docstring):
+fed an alert stream — in *any* batching — it must reproduce the
+per-alert nearest-partner loop and burst loop below, which are the
+offline kernels ``analysis/correlation.py`` ran before it delegated to
+the miner, kept verbatim as the reference.  These property-based tests
+generate adversarial streams over each of the five systems' real
+rulesets (bursts, exact-tie lags, duplicate timestamps, window-straddling
+gaps) and assert:
 
-* ``miner.tag_correlation`` equals offline ``tag_correlation`` for every
-  category pair present: counts, coincidences, and coincidence rate
-  integer-exact; ``mean_lag`` within the lag-grid quantum (< 1e-6 s);
-* ``miner.spatial`` equals offline ``spatial_correlation`` exactly
-  (burst statistics are ratios of integers on both sides);
+* ``miner.tag_correlation`` (and the offline ``tag_correlation`` built on
+  it) equals the reference for every category pair present: counts,
+  coincidences, and coincidence rate integer-exact; ``mean_lag`` within
+  the lag-grid quantum (< 1e-6 s);
+* ``miner.spatial`` (and the offline ``spatial_correlation``) equals the
+  reference exactly (burst statistics are ratios of integers on both
+  sides);
 * two different batch partitions of one stream — including the
   all-size-1 partition — produce identical graph snapshots;
 * the engine-facing :class:`~repro.streaming.stage.PredictionStage`
@@ -23,15 +28,22 @@ window-straddling gaps) and assert:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.correlation import spatial_correlation, tag_correlation
+from repro.analysis.correlation import (
+    SpatialCorrelation,
+    TagCorrelation,
+    spatial_correlation,
+    tag_correlation,
+)
 from repro.core.tagging import RulesetHandle
-from repro.streaming import PredictionConfig, PredictionStage
+from repro.streaming import PredictionStage
+from repro.streaming import online
 from repro.streaming.miner import StreamingCorrelationMiner
 from repro.streaming.online import SlimAlert
 
@@ -58,6 +70,95 @@ class FakeAlert(NamedTuple):
     timestamp: float
     category: str
     source: str
+
+
+# -- the reference: the per-alert offline kernels, verbatim ------------------
+
+
+def reference_spatial_correlation(
+    alerts: Iterable[FakeAlert],
+    window: float = 60.0,
+) -> Dict[str, SpatialCorrelation]:
+    runs: Dict[str, List[List[FakeAlert]]] = {}
+    last_time: Dict[str, float] = {}
+    for alert in alerts:
+        series = runs.setdefault(alert.category, [])
+        if not series or alert.timestamp - last_time[alert.category] > window:
+            series.append([])
+        series[-1].append(alert)
+        last_time[alert.category] = alert.timestamp
+
+    out: Dict[str, SpatialCorrelation] = {}
+    for category, bursts in runs.items():
+        distinct = [len({a.source for a in burst}) for burst in bursts]
+        multi = sum(1 for d in distinct if d > 1)
+        out[category] = SpatialCorrelation(
+            category=category,
+            incidents=len(bursts),
+            mean_distinct_sources=float(np.mean(distinct)),
+            multi_source_fraction=multi / len(bursts),
+        )
+    return out
+
+
+def reference_tag_correlation_from_times(
+    category_a: str,
+    category_b: str,
+    times_a: Sequence[float],
+    times_b: Sequence[float],
+    window: float = 300.0,
+) -> TagCorrelation:
+    if not times_a or not times_b:
+        return TagCorrelation(category_a, category_b, len(times_a),
+                              len(times_b), 0, 0.0, 0.0)
+    base, other = (times_a, times_b) if len(times_a) <= len(times_b) else (times_b, times_a)
+    other_arr = np.asarray(other)
+    lags: List[float] = []
+    for t in base:
+        idx = int(np.searchsorted(other_arr, t))
+        best = None
+        for j in (idx - 1, idx):
+            if 0 <= j < other_arr.size:
+                lag = float(other_arr[j] - t)
+                if abs(lag) <= window and (best is None or abs(lag) < abs(best)):
+                    best = lag
+        if best is not None:
+            lags.append(best)
+    rarer = min(len(times_a), len(times_b))
+    return TagCorrelation(
+        category_a=category_a,
+        category_b=category_b,
+        count_a=len(times_a),
+        count_b=len(times_b),
+        coincidences=len(lags),
+        coincidence_rate=len(lags) / rarer if rarer else 0.0,
+        mean_lag=float(np.mean(lags)) if lags else 0.0,
+    )
+
+
+def reference_tag_correlation(alerts, category_a, category_b, window=300.0):
+    times_a = [a.timestamp for a in alerts if a.category == category_a]
+    times_b = [a.timestamp for a in alerts if a.category == category_b]
+    return reference_tag_correlation_from_times(
+        category_a, category_b, times_a, times_b, window
+    )
+
+
+def assert_same_pair(got, expect):
+    assert got.count_a == expect.count_a
+    assert got.count_b == expect.count_b
+    assert got.coincidences == expect.coincidences
+    assert got.coincidence_rate == expect.coincidence_rate
+    assert abs(got.mean_lag - expect.mean_lag) < LAG_TOL
+
+
+def assert_same_spatial(got, expect):
+    assert set(got) == set(expect)
+    for category, row in expect.items():
+        # Both sides are ratios of the same integers: exact equality.
+        assert got[category].incidents == row.incidents
+        assert got[category].mean_distinct_sources == row.mean_distinct_sources
+        assert got[category].multi_source_fraction == row.multi_source_fraction
 
 
 @st.composite
@@ -96,10 +197,15 @@ def partitions(draw, n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def columns(events):
+    return ([e[0] for e in events], [e[1] for e in events],
+            [e[2] for e in events])
+
+
 def feed(events, batches, **miner_kwargs):
     miner = StreamingCorrelationMiner(**miner_kwargs)
     for lo, hi in batches:
-        miner.extend(events[lo:hi])
+        miner.extend_columns(*columns(events[lo:hi]))
         # Advance with the watermark a live run would have: the newest
         # ingested time.  Finalization lag never changes the flushed view.
         miner.advance(events[hi - 1][0])
@@ -113,7 +219,8 @@ def graph_key(miner):
 
 
 class TestMinerVsOffline:
-    """The streaming miner against the offline analyses, per system."""
+    """The streaming miner and the offline analyses against the
+    reference loops, per system."""
 
     @pytest.mark.parametrize("system", SYSTEMS)
     @settings(max_examples=25, deadline=None,
@@ -127,14 +234,11 @@ class TestMinerVsOffline:
         present = sorted({e[1] for e in events})
         for i, cat_a in enumerate(present):
             for cat_b in present[i + 1:]:
-                offline = tag_correlation(alerts, cat_a, cat_b, window=300.0)
-                online = miner.tag_correlation(cat_a, cat_b)
-                assert online is not None
-                assert online.count_a == offline.count_a
-                assert online.count_b == offline.count_b
-                assert online.coincidences == offline.coincidences
-                assert online.coincidence_rate == offline.coincidence_rate
-                assert abs(online.mean_lag - offline.mean_lag) < LAG_TOL
+                expect = reference_tag_correlation(alerts, cat_a, cat_b)
+                assert_same_pair(miner.tag_correlation(cat_a, cat_b), expect)
+                assert_same_pair(
+                    tag_correlation(alerts, cat_a, cat_b, window=300.0), expect
+                )
 
     @pytest.mark.parametrize("system", SYSTEMS)
     @settings(max_examples=25, deadline=None,
@@ -145,15 +249,9 @@ class TestMinerVsOffline:
         batches = data.draw(partitions(len(events)), label="batches")
         miner = feed(events, batches)
         alerts = [FakeAlert(*e) for e in events]
-        offline = spatial_correlation(alerts, window=60.0)
-        online = miner.spatial()
-        assert set(online) == set(offline)
-        for category, expect in offline.items():
-            got = online[category]
-            # Both sides are ratios of the same integers: exact equality.
-            assert got.incidents == expect.incidents
-            assert got.mean_distinct_sources == expect.mean_distinct_sources
-            assert got.multi_source_fraction == expect.multi_source_fraction
+        expect = reference_spatial_correlation(alerts, window=60.0)
+        assert_same_spatial(miner.spatial(), expect)
+        assert_same_spatial(spatial_correlation(alerts, window=60.0), expect)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     @settings(max_examples=25, deadline=None,
@@ -194,32 +292,32 @@ class TestMinerMechanics:
 
     def test_out_of_order_extend_rejected(self):
         miner = StreamingCorrelationMiner()
-        miner.extend([(10.0, "A", "n0")])
+        miner.extend_columns([10.0], ["A"], ["n0"])
         with pytest.raises(ValueError, match="time-ordered"):
-            miner.extend([(9.0, "A", "n0")])
+            miner.extend_columns([9.0], ["A"], ["n0"])
         with pytest.raises(ValueError, match="time-ordered"):
-            miner.extend([(11.0, "A", "n0"), (10.5, "B", "n1")])
+            miner.extend_columns([11.0, 10.5], ["A", "B"], ["n0", "n1"])
 
     def test_flushed_view_leaves_live_miner_untouched(self):
         miner = StreamingCorrelationMiner()
-        miner.extend([(0.0, "A", "n0"), (1.0, "B", "n1")])
+        miner.extend_columns([0.0, 1.0], ["A", "B"], ["n0", "n1"])
         snap = miner.flushed()
         assert snap.finalized == 2
         assert miner.finalized == 0  # still pending on the live miner
-        miner.extend([(2.0, "A", "n2")])  # stream continues
+        miner.extend_columns([2.0], ["A"], ["n2"])  # stream continues
         assert miner.flushed().finalized == 3
 
     def test_state_roundtrip_mid_stream(self):
         events = [(float(i) * 7.0, "AB"[i % 2], SOURCES[i % 3])
                   for i in range(200)]
         original = StreamingCorrelationMiner(prune_interval=100.0)
-        original.extend(events[:120])
+        original.extend_columns(*columns(events[:120]))
         original.advance(events[119][0])
 
         restored = StreamingCorrelationMiner(prune_interval=100.0)
         restored.load_state_dict(original.state_dict())
         for miner in (original, restored):
-            miner.extend(events[120:])
+            miner.extend_columns(*columns(events[120:]))
             miner.advance(math.inf)
         assert graph_key(original) == graph_key(restored)
         assert original.tag_correlation("A", "B") == restored.tag_correlation("A", "B")
@@ -231,12 +329,12 @@ class TestMinerMechanics:
             other.load_state_dict(state)
 
 
-def run_stage(arrivals, chunking, config):
+def run_stage(arrivals, chunking):
     """Feed ``arrivals`` through a PredictionStage in the given chunking
     (``observe_batch`` sizes; 1 is what the per-record path emits, and
     whatever the chunking leaves over goes in one pair at a time) and
     return its report."""
-    stage = PredictionStage(config=config, reorder_tolerance=1.0)
+    stage = PredictionStage(reorder_tolerance=1.0)
     i = 0
     for size in chunking:
         chunk = arrivals[i:i + size]
@@ -280,11 +378,12 @@ class TestStageReordering:
                              label="chunk_in")
         chunk_shuf = data.draw(st.lists(st.integers(1, 16), max_size=20),
                                label="chunk_shuf")
-        # first_refit low enough that generated streams cross at least
-        # one refit boundary, so the ensemble path is exercised too.
-        config = PredictionConfig(first_refit=32)
-        baseline = run_stage(alerts, chunk_in, config)
-        shuffled_report = run_stage(shuffled, chunk_shuf, config)
+        # A first refit early enough that generated streams cross at
+        # least one refit boundary, so the ensemble path is exercised too.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(online, "FIRST_REFIT", 32)
+            baseline = run_stage(alerts, chunk_in)
+            shuffled_report = run_stage(shuffled, chunk_shuf)
         assert shuffled_report.warnings == baseline.warnings
         assert shuffled_report.refits == baseline.refits
         assert shuffled_report.observed == baseline.observed

@@ -40,7 +40,7 @@ CONFIG_FIELDS = [
     (BackpressureConfig, 12),
     (ParallelConfig, 4),
     (ServiceConfig, 28),
-    (PredictionConfig, 18),
+    (PredictionConfig, 2),
     (FaultConfig, 11),
 ]
 

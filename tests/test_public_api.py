@@ -6,6 +6,10 @@ bit-for-bit reproducible from its seed.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,27 @@ def test_top_level_subpackages():
     for name in repro.__all__:
         if name != "__version__":
             assert hasattr(repro, name)
+
+
+def test_entry_points_do_not_import_streaming():
+    """Predict-less runs never import :mod:`repro.streaming`: the API and
+    CLI reach it, and the correlation analyses reach its miner, only
+    through imports deferred to the call that needs them."""
+    probe = (
+        "import sys, repro.api, repro.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['repro', 'streaming']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_quickstart_names_exist():
