@@ -21,7 +21,6 @@ DAY = 86400.0
 
 
 def test_figure1_operational_context(benchmark):
-    rng = np.random.default_rng(SEED)
     timeline = benchmark.pedantic(
         lambda: synthesize_timeline(
             np.random.default_rng(SEED), 0.0, 365 * DAY

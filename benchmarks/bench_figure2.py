@@ -9,7 +9,6 @@ of corrupted/unattributable sources at the bottom.
 from repro.analysis.phases import detect_phase_shifts
 from repro.analysis.timeseries import hourly_message_counts, messages_by_source
 from repro.reporting.figures import figure2a, figure2b
-from repro.simulation.cluster import NodeRole
 
 from _bench_utils import SEED, write_artifact
 

@@ -6,8 +6,6 @@ filtering "had little effect on the distribution" (raw ~ filtered for
 ECC), and ECC is *more* exponential than the bursty categories (VAPI).
 """
 
-import pytest
-
 from repro.analysis.distributions import (
     compare_models,
     exponentiality_score,

@@ -16,7 +16,7 @@ from repro.prediction.ensemble import PredictorEnsemble
 from repro.prediction.features import AlertHistory
 from repro.prediction.predictors import BurstPredictor
 
-from _bench_utils import SEED, write_artifact
+from _bench_utils import write_artifact
 
 
 def _spans(history):

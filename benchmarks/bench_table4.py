@@ -9,7 +9,6 @@ values (the filter recovers the incident structure mechanistically).
 import pytest
 
 from repro.reporting.tables import table4
-from repro.simulation.calibration import SCENARIOS
 
 from _bench_utils import write_artifact
 

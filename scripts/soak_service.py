@@ -152,7 +152,7 @@ def prepare_workloads(specs, scale: float, seed: int):
         render = renderer_for(system)
         tagger = Tagger(get_ruleset(system))
         lines = [render(r) for r in records]
-        parsed = [parse_native_line(l, system, year=2005) for l in lines]
+        parsed = [parse_native_line(line, system, year=2005) for line in lines]
         tagged = [tagger.match(p) is not None for p in parsed]
         index_of = {id(r): i for i, r in enumerate(records)}
         dialects[system] = (records, lines, parsed, tagged, index_of)

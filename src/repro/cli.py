@@ -58,7 +58,18 @@ def _parallel_config(args: argparse.Namespace) -> "ParallelConfig | None":
     """The ParallelConfig implied by --workers/--batch-size, if any."""
     if not args.workers:
         return None
-    return ParallelConfig(workers=args.workers, batch_size=args.batch_size)
+    batch_size = 1024 if args.batch_size is None else args.batch_size
+    return ParallelConfig(workers=args.workers, batch_size=batch_size)
+
+
+def _batch_size_ignored(args: argparse.Namespace) -> bool:
+    """True (after saying so) when --batch-size comes without --workers:
+    nothing is batched on a serial run, so the flag would be dropped."""
+    if args.workers or args.batch_size is None:
+        return False
+    print("error: --batch-size only takes effect on a sharded run; "
+          "pass --workers (or drop it)", file=sys.stderr)
+    return True
 
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
@@ -66,11 +77,14 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
                         help="shard tagging across this many worker "
                              "processes (0 = serial); the filter stays "
                              "sequential and output is identical")
-    parser.add_argument("--batch-size", type=int, default=1024,
-                        help="records per batch shipped to a worker")
+    parser.add_argument("--batch-size", type=int, default=None,
+                        help="records per batch shipped to a worker "
+                             "(requires --workers; default 1024)")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if _batch_size_ignored(args):
+        return 2
     records = read_log(args.path, args.system, year=args.year)
     dead_letters = DeadLetterQueue() if args.quarantine else None
     result = api.run_stream(records, args.system,
@@ -101,6 +115,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    if _batch_size_ignored(args):
+        return 2
     faults = None
     if args.faults:
         fault_seed = args.seed if args.fault_seed is None else args.fault_seed

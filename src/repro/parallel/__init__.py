@@ -5,9 +5,9 @@ package removes the one-core cap on our equivalent hot path.  Tagging is
 per-record and order-free, so it shards across worker processes
 (:class:`ShardedTagger`); the spatio-temporal filter (Algorithm 3.1) is
 order-*defined*, so it stays the single sequential consumer of the
-order-preserving merge.  Serial and parallel runs are therefore
-byte-for-byte equivalent — a claim the differential test harness
-(``tests/parallel/``) enforces, not just asserts.
+outcomes, collected in submission order.  Serial and parallel runs are
+therefore byte-for-byte equivalent — a claim the differential test
+harness (``tests/parallel/``) enforces, not just asserts.
 
 Entry points: ``api.run_stream(..., parallel=ParallelConfig(...))``,
 ``api.run_system(..., parallel=...)``, and the CLI's
@@ -15,25 +15,20 @@ Entry points: ``api.run_stream(..., parallel=ParallelConfig(...))``,
 """
 
 from .config import ParallelConfig, default_mp_context, default_workers
-from .merge import MergeOrderError, OrderedMerge
 from .sharded import (
     KILL_SENTINEL,
     ShardStats,
     ShardedTagger,
     TaggerErrorReplay,
-    WorkerCrashError,
     chunked,
 )
 
 __all__ = [
     "KILL_SENTINEL",
-    "MergeOrderError",
-    "OrderedMerge",
     "ParallelConfig",
     "ShardStats",
     "ShardedTagger",
     "TaggerErrorReplay",
-    "WorkerCrashError",
     "chunked",
     "default_mp_context",
     "default_workers",

@@ -1,11 +1,10 @@
 """Configuration for the parallel sharded-tagging execution layer.
 
 One frozen object describes how a run fans tagging out to worker
-processes: how many workers, how many records per shipped batch, and how
-a crashed worker's batch is handled; how many batches may be in flight
-at once (the memory bound) and which multiprocessing start method to use
-follow from those and the platform.  It travels through
-:func:`repro.api.run_stream` and the CLI (``study
+processes: how many workers and how many records per shipped batch; how
+many batches may be in flight at once (the memory bound) and which
+multiprocessing start method to use follow from those and the platform.
+It travels through :func:`repro.api.run_stream` and the CLI (``study
 --workers/--batch-size``) the same way
 :class:`~repro.resilience.backpressure.BackpressureConfig` does.
 """
@@ -45,15 +44,8 @@ class ParallelConfig:
         Worker process count; ``0`` means :func:`default_workers`.
     batch_size:
         Records per batch shipped to a worker.  Larger batches amortize
-        pickling; smaller batches bound the damage of a worker crash and
-        keep the order-preserving merge shallow.
-    retry_failed_batches:
-        When a worker process dies mid-batch, replay the batch **exactly
-        once** through an in-parent serial tagger, so the run never
-        stops.  When ``False`` the crash propagates as
-        :class:`~repro.parallel.sharded.WorkerCrashError` — which a
-        supervised run then answers by resuming from its last
-        checkpoint.
+        the boundary; smaller batches bound the damage of a worker crash
+        and the records held in flight.
     enable_test_faults:
         Test hook: workers recognize the kill sentinel
         (:data:`~repro.parallel.sharded.KILL_SENTINEL`) and die mid-batch,
@@ -63,7 +55,6 @@ class ParallelConfig:
 
     workers: int = 0
     batch_size: int = 1024
-    retry_failed_batches: bool = True
     enable_test_faults: bool = False
 
     def __post_init__(self) -> None:
@@ -78,6 +69,6 @@ class ParallelConfig:
     def resolved_inflight(self) -> int:
         """Batches submitted but not yet yielded, at most: two per
         worker.  This bounds parent-side memory — ``resolved_inflight()
-        * batch_size`` records buffered for the order-preserving merge,
+        * batch_size`` records awaiting collection in submission order,
         no matter how fast the source is."""
         return 2 * self.resolved_workers()

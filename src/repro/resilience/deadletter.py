@@ -123,6 +123,8 @@ class DeadLetterQueue:
         """Reset this queue to a previously taken snapshot.
 
         ``None`` resets to empty — the state before any snapshot existed.
+        A snapshot holding more letters than this queue's capacity keeps
+        the newest and counts the rest as evictions.
         """
         with self._lock:
             self._letters.clear()
@@ -137,6 +139,12 @@ class DeadLetterQueue:
             self.quarantined = snapshot.quarantined
             self.evicted = snapshot.evicted
             self.evicted_counts = dict(snapshot.evicted_counts)
+            overflow = snapshot.letters[:-self.capacity]
+            self.evicted += len(overflow)
+            for letter in overflow:
+                self.evicted_counts[letter.reason] = (
+                    self.evicted_counts.get(letter.reason, 0) + 1
+                )
 
     def summary(self) -> str:
         """One line: total plus per-reason counts, stable order."""

@@ -79,7 +79,8 @@ def reference_path(system, stream, **path_options):
 def letter_trace(dead_letters):
     """The ordered dead-letter list, by record identity — equality would
     lie: a NaN clock never compares equal to itself."""
-    return [(id(l.record), l.reason, l.detail) for l in dead_letters or ()]
+    return [(id(letter.record), letter.reason, letter.detail)
+            for letter in dead_letters or ()]
 
 
 def assert_equivalent(result, baseline):

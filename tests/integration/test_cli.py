@@ -136,6 +136,21 @@ class TestAnalyzeQuarantine:
         assert "alerts (filtered)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["analyze", "study"])
+def test_batch_size_without_workers_refused(command, generated_log, capsys):
+    """A serial run batches nothing, so --batch-size alone would be
+    silently ignored; the CLI refuses it instead."""
+    argv = {
+        "analyze": ["analyze", str(generated_log), "--system", "liberty",
+                    "--year", "2004"],
+        "study": ["study", "--scale", "1e-5"],
+    }[command]
+    assert main([*argv, "--batch-size", "64"]) == 2
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_system_rejected():
     with pytest.raises(SystemExit):
         main(["generate", "asci-red", "--out", "/tmp/x.log"])

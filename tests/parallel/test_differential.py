@@ -21,7 +21,7 @@ from repro import api as pipeline
 from repro.core.filtering import log_filter
 from repro.core.tagging import RulesetHandle, Tagger
 from repro.logmodel.record import LogRecord
-from repro.parallel import ParallelConfig, ShardedTagger, chunked
+from repro.parallel import ParallelConfig, chunked
 from repro.resilience.deadletter import DeadLetterQueue
 
 SYSTEM = "liberty"

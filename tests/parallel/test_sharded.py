@@ -1,12 +1,10 @@
-"""Unit tests for the sharded tagging layer: merge, chunking, pool."""
+"""Unit tests for the sharded tagging layer: chunking, config, pool."""
 
 import pytest
 
 from repro.core.tagging import RulesetHandle, Tagger
 from repro.logmodel.record import LogRecord
 from repro.parallel import (
-    MergeOrderError,
-    OrderedMerge,
     ParallelConfig,
     ShardedTagger,
     TaggerErrorReplay,
@@ -40,47 +38,6 @@ def _liberty_records(n=500):
                 _record(bodies[i % len(bodies)], t=float(i))
             )
     return records
-
-
-class TestOrderedMerge:
-    def test_releases_in_index_order(self):
-        merge = OrderedMerge(window=8)
-        merge.add(2, "c")
-        merge.add(0, "a")
-        assert list(merge.drain()) == ["a"]
-        merge.add(1, "b")
-        assert list(merge.drain()) == ["b", "c"]
-        merge.assert_empty()
-
-    def test_duplicate_index_raises(self):
-        merge = OrderedMerge(window=4)
-        merge.add(0, "a")
-        with pytest.raises(MergeOrderError):
-            merge.add(0, "again")
-
-    def test_released_index_cannot_return(self):
-        merge = OrderedMerge(window=4)
-        merge.add(0, "a")
-        assert list(merge.drain()) == ["a"]
-        with pytest.raises(MergeOrderError):
-            merge.add(0, "zombie")
-
-    def test_window_overflow_raises(self):
-        merge = OrderedMerge(window=2)
-        merge.add(1, "b")
-        merge.add(3, "d")
-        with pytest.raises(MergeOrderError):
-            merge.add(5, "f")
-
-    def test_assert_empty_reports_gap(self):
-        merge = OrderedMerge(window=4)
-        merge.add(1, "b")
-        with pytest.raises(MergeOrderError, match="index 0"):
-            merge.assert_empty()
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            OrderedMerge(window=0)
 
 
 class TestChunked:

@@ -1,7 +1,5 @@
 """Unit tests for the Dispersion Frame Technique."""
 
-import numpy as np
-
 from repro.prediction.dft import DftPredictor, dft_scan, _rules_fire
 from repro.prediction.features import AlertHistory
 
@@ -89,9 +87,7 @@ class TestPredictor:
         from repro.prediction.ensemble import PredictorEnsemble
         from repro.prediction.dft import DftPredictor
 
-        rng = np.random.default_rng(4)
         alerts = []
-        t = 0.0
         # Repeating degradation pattern on one device per epoch.
         for epoch in range(12):
             base = epoch * 30 * DAY

@@ -107,6 +107,17 @@ class TestEvictionAccounting:
         fresh.restore(None)
         assert fresh.evicted_counts == {}
 
+    def test_restore_into_smaller_queue_counts_overflow(self):
+        big = DeadLetterQueue(capacity=10)
+        for k, reason in enumerate(["a", "b", "a", "c", "b"]):
+            big.put(_record(t=float(k)), reason)
+        small = DeadLetterQueue(capacity=3)
+        small.restore(big.snapshot())
+        assert [letter.record.timestamp for letter in small] == [2.0, 3.0, 4.0]
+        assert small.quarantined == len(small) + small.evicted == 5
+        assert small.evicted_counts == {"a": 1, "b": 1}
+        assert small.by_reason == {"a": 2, "b": 2, "c": 1}
+
     def test_summary_reports_evictions(self):
         dlq = DeadLetterQueue(capacity=1)
         dlq.put(_record(), "a-reason")

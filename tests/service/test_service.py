@@ -195,8 +195,8 @@ class TestHostileFraming:
         lines = native_lines("liberty", 24)
         lines[3] = lines[3] + " " + POISON
         lines[17] = lines[17] + " " + POISON
-        records = [parse_native_line(l, "liberty", 2005) for l in lines]
-        wire = [format_envelope("t", "liberty", l) for l in lines]
+        records = [parse_native_line(line, "liberty", 2005) for line in lines]
+        wire = [format_envelope("t", "liberty", line) for line in lines]
 
         want = AlertPath(
             "liberty", dead_letters=DeadLetterQueue(),
@@ -232,8 +232,8 @@ class TestHostileFraming:
         assert tenant.counters.received == tenant.counters.processed == 24
         assert tenant.counters.conserves(0)
         assert [
-            (l.record, l.reason, l.detail) for l in tenant.dead_letters
-        ] == [(l.record, l.reason, l.detail) for l in want.dead_letters]
+            (d.record, d.reason, d.detail) for d in tenant.dead_letters
+        ] == [(d.record, d.reason, d.detail) for d in want.dead_letters]
         assert dict(tenant.dead_letters.by_reason) == {"tagger-error": 2}
         assert tenant.counters.alerts_raw == len(want.sink.raw_alerts)
 

@@ -250,7 +250,7 @@ class TestCrashGranularity:
         assert reasons["worker-crash"] == 3
         assert reasons["tenant-quarantined"] == len(records) - 7
         letters = list(tenant.dead_letters)
-        assert [l.record for l in letters] == records[4:]
+        assert [letter.record for letter in letters] == records[4:]
         assert conservation_ok(tenant) and not tenant.queue
         assert dict(tenant.final_dead_letters.by_reason) == {
             "worker-crash": 3, "tenant-quarantined": len(records) - 7,

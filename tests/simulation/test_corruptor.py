@@ -30,9 +30,6 @@ class TestCorruptOne:
         corruptor = Corruptor(np.random.default_rng(0), modes=(0, 1, 0))
         damaged = corruptor.corrupt_one(_records(1)[0])
         assert damaged.corrupted
-        prefix_len = len(damaged.body) - max(
-            len(damaged.body) - len(BODY), 0
-        )
         # Some prefix of the original survives, the tail diverges.
         assert damaged.body != BODY
         assert damaged.body[:10] == BODY[:10]

@@ -17,7 +17,6 @@ from repro.store import (
     partition_hour,
 )
 from repro.store.format import (
-    COLUMN_MAGIC,
     PageColumns,
     StoreFormatError,
     decode_page,

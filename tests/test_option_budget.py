@@ -38,7 +38,7 @@ ADVICE = (
 
 CONFIG_FIELDS = [
     (BackpressureConfig, 12),
-    (ParallelConfig, 4),
+    (ParallelConfig, 3),
     (ServiceConfig, 28),
     (PredictionConfig, 2),
     (FaultConfig, 11),
