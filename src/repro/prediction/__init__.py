@@ -2,7 +2,7 @@
 ensemble the paper recommends (Sections 4 and 5)."""
 
 from .base import PredictionScore, Predictor, Warning_, evaluate
-from .dft import DftFiring, DftPredictor, dft_scan
+from .dft import DftPredictor
 from .ensemble import (
     DEFAULT_FACTORIES,
     EnsembleMember,
@@ -16,9 +16,7 @@ __all__ = [
     "Predictor",
     "Warning_",
     "evaluate",
-    "DftFiring",
     "DftPredictor",
-    "dft_scan",
     "DEFAULT_FACTORIES",
     "EnsembleMember",
     "PredictorEnsemble",

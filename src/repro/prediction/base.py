@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .features import AlertHistory
 
@@ -32,20 +32,36 @@ class Warning_:
 
 
 class Predictor(abc.ABC):
-    """Base predictor: train on one span of history, warn over another."""
+    """Base predictor: train on one span of history, warn over another.
+
+    Its warning rule runs in :mod:`repro.prediction.runtime`, as the row
+    :meth:`member` builds — unless :meth:`warnings` is overridden."""
 
     #: The failure category this instance predicts.
     target: str
+    #: Seconds a warning silences the next one.
+    refractory: float
 
     @abc.abstractmethod
     def train(self, history: AlertHistory, t0: float, t1: float) -> None:
         """Fit on failures/alerts within [t0, t1)."""
 
-    @abc.abstractmethod
+    def member(self) -> Dict[str, Any]:
+        """A fresh runtime row carrying the trained rule."""
+        raise NotImplementedError(type(self).__name__ + " builds no runtime row")
+
+    def _row(self, kind: str, **rule: Any) -> Dict[str, Any]:
+        return {"target": self.target, "kind": kind, "last_warn": None,
+                "refractory": self.refractory, **rule}
+
     def warnings(
         self, history: AlertHistory, t0: float, t1: float
     ) -> List[Warning_]:
-        """Emit warnings for the evaluation span [t0, t1)."""
+        """Emit warnings for the evaluation span [t0, t1): the runtime
+        replayed over the span with this predictor's row alone."""
+        from .runtime import replay
+
+        return replay([self], history, t0, t1)[0]
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,12 @@ class PredictionScore:
         return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
 
 
+def check_lead_window(lead_min: float, lead_max: float) -> None:
+    """Reject a lead window no warning could be scored in."""
+    if lead_min < 0 or lead_max <= lead_min:
+        raise ValueError("need 0 <= lead_min < lead_max")
+
+
 def evaluate(
     warnings: Sequence[Warning_],
     failure_times: Sequence[float],
@@ -84,8 +106,7 @@ def evaluate(
     ``lead_min`` excludes warnings too late to act on; ``lead_max`` bounds
     how early a warning may claim credit.
     """
-    if lead_min < 0 or lead_max <= lead_min:
-        raise ValueError("need 0 <= lead_min < lead_max")
+    check_lead_window(lead_min, lead_max)
     fail_times = sorted(failure_times)
     warn_times = sorted(w.t for w in warnings if w.category == target)
 

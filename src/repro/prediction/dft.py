@@ -8,53 +8,45 @@ intermittent errors cluster increasingly tightly before a permanent
 failure, and fires on any of five rules over the last few error times.
 
 Definitions, following the original: the *i*-th **dispersion frame** is
-the interarrival time between error *i* and error *i-1*; a frame is
-applied as a window centered successively on previous errors, and the
-technique counts how many errors fall inside.  The rules (as commonly
-stated):
+the interarrival time between error *i* and error *i-1*.  The published
+rules read up to four frames; :func:`_rules_fire` evaluates at most the
+**three newest frames** (the last four errors), so the two rules named
+after four frames read three here:
 
-* **3.3 rule** — two consecutive frames each contain >= 3 errors in half
-  the frame;
-* **2-in-1 rule** — a frame (window = previous interarrival) contains two
-  errors;
-* **4-in-1 rule** — four errors within one frame of 24 hours;
-* **4 decreasing** — four monotonically decreasing frames, and at least
-  one halving step;
-* **2-of-4 rule** — two of the last four frames under one hour.
+* **2-in-1** — the newest frame is at most half the one before it;
+* **4-in-1** — the last four errors fall within 24 hours;
+* **"2-of-4"** — two of the three newest frames are under one hour;
+* **"4-decreasing"** — the three newest frames shrink strictly, and the
+  newest is at most half the oldest of them;
+* **3.3** — approximated: the last six errors fall within twice the
+  newest frame (the original: two successive frames each holding >= 3
+  errors in half the frame).
 
-Our implementation evaluates the rules per (source, category) pair, since
-DFT models per-device degradation — exactly the ECC-style categories the
-paper found to behave like physical processes.
+Widening the window to four frames would move the committed warning
+streams, so it is an open question rather than a fix.
+
+The rules are evaluated per (source, category) pair, since DFT models
+per-device degradation — exactly the ECC-style categories the paper
+found to behave like physical processes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from .base import Predictor, Warning_
+from .base import Predictor
 from .features import AlertHistory
 
 HOUR = 3600.0
 DAY = 86400.0
 
 
-@dataclass(frozen=True)
-class DftFiring:
-    """One DFT rule activation."""
-
-    t: float
-    source: str
-    rule: str
-
-
 def _rules_fire(times: Sequence[float]) -> Optional[str]:
     """Evaluate the DFT rules on a device's recent error times.
 
-    ``times`` must be ascending; the decision uses up to the last five
-    errors (four frames).  Returns the first firing rule's name or
-    ``None``.
+    ``times`` must be ascending.  The frame rules read the three newest
+    frames (the last four errors); the 3.3 approximation reads the last
+    six errors.  Returns the first firing rule's name or ``None``.
     """
     if len(times) < 2:
         return None
@@ -73,11 +65,11 @@ def _rules_fire(times: Sequence[float]) -> Optional[str]:
     if len(times) >= 4 and times[-1] - times[-4] <= DAY:
         return "4-in-1"
 
-    # 2-of-4: two of the last four frames under one hour.
+    # "2-of-4": two of the (at most three) newest frames under one hour.
     if len(frames) >= 2 and sum(1 for f in frames[-4:] if f < HOUR) >= 2:
         return "2-of-4"
 
-    # 4 decreasing: monotone shrink across four frames with a halving.
+    # "4-decreasing": the three newest frames shrink, overall by half.
     if len(frames) >= 3:
         last = frames[-3:]
         if all(b < a for a, b in zip(last, last[1:])) and last[-1] <= last[0] / 2:
@@ -91,33 +83,6 @@ def _rules_fire(times: Sequence[float]) -> Optional[str]:
         if times[-1] - times[-6] <= span:
             return "3.3"
     return None
-
-
-def dft_scan(
-    events: Sequence[Tuple[float, str]],
-    min_history: int = 2,
-    refractory: float = 12 * HOUR,
-) -> List[DftFiring]:
-    """Scan (time, source) error events and report DFT firings.
-
-    One firing per source per ``refractory`` period: DFT is a replacement
-    advisory, not a pager.
-    """
-    by_source: Dict[str, List[float]] = {}
-    last_fired: Dict[str, float] = {}
-    firings: List[DftFiring] = []
-    for t, source in sorted(events):
-        history = by_source.setdefault(source, [])
-        history.append(t)
-        if len(history) < min_history:
-            continue
-        if source in last_fired and t - last_fired[source] < refractory:
-            continue
-        rule = _rules_fire(history[-6:])
-        if rule is not None:
-            last_fired[source] = t
-            firings.append(DftFiring(t=t, source=source, rule=rule))
-    return firings
 
 
 class DftPredictor(Predictor):
@@ -136,20 +101,7 @@ class DftPredictor(Predictor):
     def train(self, history: AlertHistory, t0: float, t1: float) -> None:
         """Parameter-free heuristic; nothing to fit."""
 
-    def warnings(
-        self, history: AlertHistory, t0: float, t1: float
-    ) -> List[Warning_]:
-        # Span-slice the target category's alerts (ascending) rather than
-        # scanning the whole history; dft_scan re-sorts, so this is
-        # output-identical to the old full-history filter.
-        alerts = history.category_alerts(self.target)
-        times = [a.timestamp for a in alerts]
-        i0 = bisect_left(times, t0)
-        i1 = bisect_left(times, t1)
-        events = [
-            (alert.timestamp, alert.source) for alert in alerts[i0:i1]
-        ]
-        return [
-            Warning_(firing.t, self.target, 1.0)
-            for firing in dft_scan(events, refractory=self.refractory)
-        ]
+    def member(self) -> Dict[str, Any]:
+        # Per-source error times and advisory clocks: each source is
+        # refractory on its own (a replacement advisory, not a pager).
+        return self._row("dft", min_history=2, sources={}, last_fired={})

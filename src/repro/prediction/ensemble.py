@@ -13,12 +13,13 @@ than none).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .base import PredictionScore, Predictor, Warning_, evaluate
 from .dft import DftPredictor
 from .features import AlertHistory
 from .predictors import BurstPredictor, PrecursorPredictor, SeverityPredictor
+from .runtime import replay
 
 #: A factory building a fresh predictor for a target category.
 PredictorFactory = Callable[[str], Predictor]
@@ -49,7 +50,7 @@ class PredictorEnsemble:
     ----------
     factories:
         Candidate predictor families by name (default: burst, severity,
-        precursor).
+        precursor, dft).
     min_f1:
         Validation F1 below which a category gets *no* predictor — the
     "some failure types have no predictive signature" case (Section 1:
@@ -87,41 +88,51 @@ class PredictorEnsemble:
         validation_span: "tuple[float, float]",
         categories: Optional[Sequence[str]] = None,
     ) -> "PredictorEnsemble":
-        """Select the best candidate per category on validation F1."""
-        self.members = {}
-        targets = list(categories) if categories else history.categories
-        for target in targets:
-            v_failures = [
-                t
-                for t in history.category_times(target)
-                if validation_span[0] <= t < validation_span[1]
-            ]
+        """Select the best candidate per category on validation F1, all
+        candidates scored from one replay of the warning runtime."""
+        v0, v1 = validation_span
+        failures: Dict[str, List[float]] = {}
+        candidates: List[Tuple[str, str, Predictor]] = []
+        for target in list(categories) if categories else history.categories:
+            v_failures = [t for t in history.category_times(target) if v0 <= t < v1]
             if len(v_failures) < self.min_failures:
                 continue
-            best: Optional[EnsembleMember] = None
+            failures[target] = v_failures
             for kind in sorted(self.factories):
                 predictor = self.factories[kind](target)
                 predictor.train(history, *train_span)
-                warnings = predictor.warnings(history, *validation_span)
-                score = evaluate(
-                    warnings, v_failures, target,
-                    lead_min=self.lead_min, lead_max=self.lead_max,
-                )
-                if score.warnings and score.precision < self.min_precision:
-                    continue  # cries wolf on validation: never selectable
-                if best is None or score.f1 > best.validation.f1:
-                    best = EnsembleMember(target, kind, predictor, score)
-            if best is not None and best.validation.f1 >= self.min_f1:
-                self.members[target] = best
+                candidates.append((target, kind, predictor))
+        warned = replay([c[2] for c in candidates], history, v0, v1)
+        best: Dict[str, EnsembleMember] = {}
+        for (target, kind, predictor), warnings in zip(candidates, warned):
+            score = self._evaluate(warnings, failures[target], target)
+            if score.warnings and score.precision < self.min_precision:
+                continue  # cries wolf on validation: never selectable
+            if target not in best or score.f1 > best[target].validation.f1:
+                best[target] = EnsembleMember(target, kind, predictor, score)
+        self.members = {
+            target: best[target]
+            for target in failures
+            if target in best and best[target].validation.f1 >= self.min_f1
+        }
         return self
+
+    def _evaluate(self, warnings, failures, target) -> PredictionScore:
+        return evaluate(warnings, failures, target,
+                        lead_min=self.lead_min, lead_max=self.lead_max)
+
+    def _replay(
+        self, history: AlertHistory, t0: float, t1: float
+    ) -> List[List[Warning_]]:
+        members = [m.predictor for m in self.members.values()]
+        return replay(members, history, t0, t1)
 
     def warnings(
         self, history: AlertHistory, t0: float, t1: float
     ) -> List[Warning_]:
-        """All specialists' warnings over a span, time-ordered."""
-        out: List[Warning_] = []
-        for member in self.members.values():
-            out.extend(member.predictor.warnings(history, t0, t1))
+        """All specialists' warnings over a span, time-ordered (ties in
+        member order)."""
+        out = [w for warned in self._replay(history, t0, t1) for w in warned]
         out.sort(key=lambda w: w.t)
         return out
 
@@ -129,17 +140,14 @@ class PredictorEnsemble:
         self, history: AlertHistory, t0: float, t1: float
     ) -> Dict[str, PredictionScore]:
         """Per-category evaluation over a test span."""
-        scores: Dict[str, PredictionScore] = {}
-        for target, member in self.members.items():
-            failures = [
-                t for t in history.category_times(target) if t0 <= t < t1
-            ]
-            warnings = member.predictor.warnings(history, t0, t1)
-            scores[target] = evaluate(
-                warnings, failures, target,
-                lead_min=self.lead_min, lead_max=self.lead_max,
+        return {
+            target: self._evaluate(
+                warnings,
+                [t for t in history.category_times(target) if t0 <= t < t1],
+                target,
             )
-        return scores
+            for target, warnings in zip(self.members, self._replay(history, t0, t1))
+        }
 
     def summary(self) -> str:
         lines = ["Ensemble members (category -> specialist):"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -44,20 +44,13 @@ class AlertHistory:
         self.alerts = sorted(alerts, key=lambda a: a.timestamp)
         self._times = [a.timestamp for a in self.alerts]
         self._by_category: Dict[str, List[float]] = {}
-        self._alerts_by_category: Dict[str, List[Alert]] = {}
         for alert in self.alerts:
             self._by_category.setdefault(alert.category, []).append(
                 alert.timestamp
             )
-            self._alerts_by_category.setdefault(alert.category, []).append(
-                alert
-            )
-        # Memoized ndarray mirrors of the time indexes, for the
-        # vectorized predictors (np.searchsorted side='left' is exactly
-        # bisect_left, so the vector paths stay output-identical).
-        self._times_np: Optional[np.ndarray] = None
+        # Memoized ndarray mirrors of the category time indexes, for
+        # vectorized training (np.searchsorted side='left' is bisect_left).
         self._by_category_np: Dict[str, np.ndarray] = {}
-        self._severity_times: Dict[FrozenSet[str], List[float]] = {}
 
     @property
     def categories(self) -> List[str]:
@@ -74,22 +67,13 @@ class AlertHistory:
     def category_times(self, category: str) -> List[float]:
         return list(self._by_category.get(category, []))
 
-    def category_alerts(self, category: str) -> List[Alert]:
-        """The category's alerts, ascending (a shared list: do not mutate)."""
-        return self._alerts_by_category.get(category, [])
-
     def between(self, t0: float, t1: float) -> List[Alert]:
         """Alerts with timestamp in [t0, t1), ascending (a fresh slice)."""
         i0 = bisect_left(self._times, t0)
         i1 = bisect_left(self._times, t1)
         return self.alerts[i0:i1]
 
-    def times_array(self) -> np.ndarray:
-        if self._times_np is None:
-            self._times_np = np.asarray(self._times, dtype=np.float64)
-        return self._times_np
-
-    def category_times_array(self, category: str) -> np.ndarray:
+    def category_times_np(self, category: str) -> np.ndarray:
         arr = self._by_category_np.get(category)
         if arr is None:
             arr = np.asarray(
@@ -97,20 +81,6 @@ class AlertHistory:
             )
             self._by_category_np[category] = arr
         return arr
-
-    def severity_times(self, labels: FrozenSet[str]) -> List[float]:
-        """Timestamps of alerts whose record severity is in ``labels``,
-        ascending; memoized per label set (every severity predictor in a
-        refit shares one pass over the history)."""
-        cached = self._severity_times.get(labels)
-        if cached is None:
-            cached = [
-                alert.timestamp
-                for alert in self.alerts
-                if alert.record.severity in labels
-            ]
-            self._severity_times[labels] = cached
-        return cached
 
     def features_at(self, t: float, window: float) -> WindowFeatures:
         """Trailing-window features for the interval [t - window, t)."""

@@ -7,30 +7,18 @@ or message bursts)."  Both of those single-feature baselines are here —
 :class:`BurstPredictor` (message bursts) and :class:`SeverityPredictor`
 (high-severity messages) — alongside :class:`PrecursorPredictor`, which
 learns per-target precursor categories, the per-class specialization the
-paper recommends.
+paper recommends.  Each trains vectorised over an :class:`AlertHistory`
+and warns through the row it hands :mod:`repro.prediction.runtime`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from .base import Predictor, Warning_
+from .base import Predictor
 from .features import AlertHistory
-
-
-def _dedupe(warnings: List[Warning_], refractory: float) -> List[Warning_]:
-    """Suppress warnings within ``refractory`` seconds of the previous one
-    (an un-throttled predictor spams the operator during every burst)."""
-    out: List[Warning_] = []
-    last: Optional[float] = None
-    for warning in sorted(warnings, key=lambda w: w.t):
-        if last is None or warning.t - last >= refractory:
-            out.append(warning)
-            last = warning.t
-    return out
 
 
 class BurstPredictor(Predictor):
@@ -60,31 +48,9 @@ class BurstPredictor(Predictor):
         total = history.count_between(t0, t1)
         self._expected_per_window = total * self.window / span
 
-    def warnings(
-        self, history: AlertHistory, t0: float, t1: float
-    ) -> List[Warning_]:
+    def member(self) -> Dict[str, Any]:
         threshold = max(3.0, self._expected_per_window * self.sigma)
-        # Evaluate at each alert arrival (bursts only begin at alerts).
-        # Vectorized: searchsorted(side='left') is bisect_left, so the
-        # trailing-window counts equal count_between(t - window, t)
-        # exactly; the greedy in-order refractory pass below is _dedupe.
-        full = history.times_array()
-        i0 = int(np.searchsorted(full, t0))
-        i1 = int(np.searchsorted(full, t1))
-        if i0 >= i1:
-            return []
-        t_arr = full[i0:i1]
-        counts = np.searchsorted(full, t_arr) - np.searchsorted(
-            full, t_arr - self.window
-        )
-        out: List[Warning_] = []
-        last: Optional[float] = None
-        for i in np.nonzero(counts >= threshold)[0]:
-            t = float(t_arr[i])
-            if last is None or t - last >= self.refractory:
-                out.append(Warning_(t, self.target, float(counts[i])))
-                last = t
-        return out
+        return self._row("burst", threshold=threshold)
 
 
 class SeverityPredictor(Predictor):
@@ -108,16 +74,8 @@ class SeverityPredictor(Predictor):
     def train(self, history: AlertHistory, t0: float, t1: float) -> None:
         """Stateless baseline; nothing to fit."""
 
-    def warnings(
-        self, history: AlertHistory, t0: float, t1: float
-    ) -> List[Warning_]:
-        # One shared pass builds the high-severity time index (memoized
-        # on the history); each target then just slices its span.
-        times = history.severity_times(self.alert_labels)
-        i0 = bisect_left(times, t0)
-        i1 = bisect_left(times, t1)
-        out = [Warning_(t, self.target, 1.0) for t in times[i0:i1]]
-        return _dedupe(out, self.refractory)
+    def member(self) -> Dict[str, Any]:
+        return self._row("severity", labels=sorted(self.alert_labels))
 
 
 class PrecursorPredictor(Predictor):
@@ -151,7 +109,7 @@ class PrecursorPredictor(Predictor):
 
     def train(self, history: AlertHistory, t0: float, t1: float) -> None:
         span = max(t1 - t0, 1.0)
-        target_all = history.category_times_array(self.target)
+        target_all = history.category_times_np(self.target)
         n_target = int(np.searchsorted(target_all, t1)) - int(
             np.searchsorted(target_all, t0)
         )
@@ -160,14 +118,11 @@ class PrecursorPredictor(Predictor):
         if not n_target or base_rate <= 0:
             return
         # Vectorized per candidate category: a "hit" is a candidate alert
-        # with at least one target alert in [ct, ct + lead), i.e.
-        # bisect_left(target, ct + lead) > bisect_left(target, ct) —
-        # searchsorted(side='left') keeps this bit-identical to the old
-        # per-candidate category_count_between loop.
+        # with at least one target alert in [ct, ct + lead).
         for category in history.categories:
             if category == self.target:
                 continue
-            cand_all = history.category_times_array(category)
+            cand_all = history.category_times_np(category)
             c0 = int(np.searchsorted(cand_all, t0))
             c1 = int(np.searchsorted(cand_all, t1))
             if c0 >= c1:
@@ -182,18 +137,5 @@ class PrecursorPredictor(Predictor):
             if hits >= self.min_support and lift >= self.min_lift:
                 self.precursors[category] = lift
 
-    def warnings(
-        self, history: AlertHistory, t0: float, t1: float
-    ) -> List[Warning_]:
-        if not self.precursors:
-            return []
-        # Per-precursor span slices instead of a full-history scan;
-        # _dedupe re-sorts, so the merge order does not matter.
-        out: List[Warning_] = []
-        for category in sorted(self.precursors):
-            lift = self.precursors[category]
-            times = history.category_times(category)
-            i0 = bisect_left(times, t0)
-            i1 = bisect_left(times, t1)
-            out.extend(Warning_(t, self.target, lift) for t in times[i0:i1])
-        return _dedupe(out, self.refractory)
+    def member(self) -> Dict[str, Any]:
+        return self._row("precursor", precursors=dict(self.precursors))

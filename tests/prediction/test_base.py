@@ -83,3 +83,33 @@ class TestScoreProperties:
         assert score.precision == 1.0
         assert score.recall == 0.5
         assert score.f1 == pytest.approx(2 / 3)
+
+
+class TestLeadWindowUpFront:
+    """An online lead window is checked with ``evaluate``'s rule when it
+    is built, not at the first refit thousands of records in."""
+
+    @pytest.mark.parametrize("lead", [(100.0, 50.0), (60.0, 60.0), (-1.0, 60.0)])
+    def test_construction_rejects_a_window_evaluate_rejects(self, lead):
+        from repro.streaming import PredictionConfig
+
+        with pytest.raises(ValueError, match="lead_min < lead_max"):
+            PredictionConfig(*lead)
+
+    def test_run_stream_fails_before_the_stream_is_consumed(self):
+        from repro import api
+        from repro.simulation.generator import generate_log
+        from repro.streaming import PredictionConfig
+
+        consumed = []
+
+        def stream():
+            for record in generate_log("spirit", scale=1e-5, seed=3).records:
+                consumed.append(record)
+                yield record
+
+        with pytest.raises(ValueError, match="lead_min < lead_max"):
+            api.run_stream(
+                stream(), "spirit", predict=PredictionConfig(100.0, 50.0)
+            )
+        assert consumed == []

@@ -1,6 +1,6 @@
 """Unit tests for the Dispersion Frame Technique."""
 
-from repro.prediction.dft import DftPredictor, dft_scan, _rules_fire
+from repro.prediction.dft import DftPredictor, _rules_fire
 from repro.prediction.features import AlertHistory
 
 from ..conftest import make_alert
@@ -34,32 +34,47 @@ class TestRules:
         times = [0.0, 30 * HOUR, 47 * HOUR, 56.5 * HOUR]
         assert _rules_fire(times) == "4-decreasing"
 
+    def test_frame_rules_read_three_frames(self):
+        # Frames 0.5 h, 30 h, 0.5 h, 30 h: two of the last *four* are
+        # under an hour, but only the fourth-newest joins the newest
+        # three's one, so the "2-of-4" rule as implemented stays quiet
+        # (and no other rule fires).
+        times = [0.0, 0.5 * HOUR, 30.5 * HOUR, 31 * HOUR, 61 * HOUR]
+        assert _rules_fire(times) is None
 
-class TestScan:
-    def test_accelerating_device_flagged(self):
-        events = [(float(t), "dimm2") for t in
-                  [0, 50 * HOUR, 80 * HOUR, 90 * HOUR, 93 * HOUR]]
-        firings = dft_scan(events)
-        assert firings
-        assert firings[0].source == "dimm2"
 
-    def test_refractory_limits_advisories(self):
-        events = [(float(k) * 100.0, "n1") for k in range(50)]
-        firings = dft_scan(events, refractory=1e9)
-        assert len(firings) <= 1
-
-    def test_devices_tracked_independently(self):
-        burst = [(float(t), "bad") for t in
-                 [0, 50 * HOUR, 80 * HOUR, 90 * HOUR, 93 * HOUR]]
-        steady = [(float(i) * 5 * DAY, "good") for i in range(6)]
-        firings = dft_scan(sorted(burst + steady))
-        assert {f.source for f in firings} == {"bad"}
-
-    def test_empty(self):
-        assert dft_scan([]) == []
+def _device_history(events, category="ECC"):
+    return AlertHistory(
+        [make_alert(t, source=source, category=category) for t, source in events]
+    )
 
 
 class TestPredictor:
+    def test_accelerating_device_flagged(self):
+        times = [0.0, 50 * HOUR, 80 * HOUR, 90 * HOUR, 93 * HOUR]
+        history = _device_history([(t, "dimm2") for t in times])
+        warnings = DftPredictor("ECC").warnings(history, 0.0, 100 * HOUR)
+        assert warnings
+        assert all(w.t in times for w in warnings)
+
+    def test_refractory_limits_advisories(self):
+        history = _device_history([(k * 100.0, "n1") for k in range(50)])
+        predictor = DftPredictor("ECC", refractory=1e9)
+        assert len(predictor.warnings(history, 0.0, 1e4)) == 1
+
+    def test_devices_tracked_independently(self):
+        bad = [0.0, 50 * HOUR, 80 * HOUR, 90 * HOUR, 93 * HOUR]
+        steady = [i * 5 * DAY + 0.5 * HOUR for i in range(6)]
+        history = _device_history(
+            [(t, "bad") for t in bad] + [(t, "good") for t in steady]
+        )
+        warnings = DftPredictor("ECC").warnings(history, 0.0, 30 * DAY)
+        assert warnings
+        assert all(w.t in bad for w in warnings)
+
+    def test_empty(self):
+        assert DftPredictor("ECC").warnings(AlertHistory([]), 0.0, 1e9) == []
+
     def test_warns_before_planted_failure(self):
         # A DIMM whose correctable errors accelerate into a failure.
         error_times = [0.0, 40 * HOUR, 65 * HOUR, 75 * HOUR, 79 * HOUR]
