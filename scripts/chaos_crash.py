@@ -57,7 +57,6 @@ import argparse
 import hashlib
 import json
 import os
-import pickle
 import random
 import signal
 import socket
@@ -596,20 +595,6 @@ def rlimit_phase(args, baselines, failures):
 # ---------------------------------------------------------------------------
 
 
-def _fuzz_encode(payload, meta):
-    from repro.resilience import wire
-
-    return wire.encode_frame(pickle.dumps(
-        {"meta": dict(meta), "payload": payload},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    ))
-
-
-def _fuzz_decode(data):
-    obj = pickle.loads(data)
-    return obj["payload"], obj["meta"]
-
-
 def fuzz_phase(args, rng, failures):
     from repro.resilience.durability import CheckpointStore, SegmentedWal
 
@@ -656,10 +641,7 @@ def fuzz_phase(args, rng, failures):
     flips = 0
     for trial in range(max(8, trials // 4)):
         directory = root / f"ckpt-{trial:03d}"
-        store = CheckpointStore(
-            str(directory), token="fuzz",
-            encode=_fuzz_encode, decode=_fuzz_decode,
-        )
+        store = CheckpointStore(str(directory), token="fuzz")
         for generation in range(1, 4):
             store.save({"generation": generation, "trial": trial})
         newest = sorted(
@@ -671,12 +653,9 @@ def fuzz_phase(args, rng, failures):
         i = rng.randrange(len(data))
         path.write_bytes(data[:i] + bytes((data[i] ^ 0xFF,)) + data[i + 1:])
         flips += 1
-        fresh = CheckpointStore(
-            str(directory), token="fuzz",
-            encode=_fuzz_encode, decode=_fuzz_decode,
-        )
+        fresh = CheckpointStore(str(directory), token="fuzz")
         try:
-            payload = fresh.load()
+            payload = fresh.load(dict)
         except Exception as exc:  # noqa: BLE001 - the contract under test
             failures.append(f"ckpt fuzz {trial}: load raised {exc!r}")
             continue

@@ -166,7 +166,7 @@ def run_stream(
         # crashed: keep its store, whose generation count is current.
         store = checkpointer.store
         if resume_from is None:
-            resume_from = store.load()
+            resume_from = store.load(PipelineCheckpoint)
 
     store_writer = None
     if store_dir is not None:
@@ -237,10 +237,11 @@ def _skip_resumed_prefix(source, path: AlertPath):
 
     An in-memory resume is a plain ``islice``.  A *durable* resume also
     owes the rebuilt stats compressor the prefix bytes it had been fed
-    (the pickled checkpoint cannot carry live zlib state — see
-    :class:`~repro.logio.stats.StatsSnapshot`), so each skipped record
-    that was originally observed is replayed through
-    ``StatsCollector.replay_record`` while being discarded.
+    (a checkpoint loaded through :mod:`repro.resilience.wire`, the one
+    durable codec, carries no live zlib state — the snapshot's pickling
+    hook drops it; see :class:`~repro.logio.stats.StatsSnapshot`), so
+    each skipped record that was originally observed is replayed
+    through ``StatsCollector.replay_record`` while being discarded.
     """
     collector = path.stats_collector
     if collector.pending_replay_bytes <= 0:

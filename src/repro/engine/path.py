@@ -138,12 +138,11 @@ class AlertPath:
             if dead_letters is not None:
                 dead_letters.restore(resume_from.dead_letters)
             self.resumed_shed_state = resume_from.shed_state
-            if prediction is not None:
-                # getattr: checkpoints pickled before the field existed
-                # restore as a fresh (empty) prediction stage.
-                state = getattr(resume_from, "prediction_state", None)
-                if state is not None:
-                    prediction.load_state_dict(state)
+            if (
+                prediction is not None
+                and resume_from.prediction_state is not None
+            ):
+                prediction.load_state_dict(resume_from.prediction_state)
         else:
             self.stats_collector = StatsCollector(system)
             self.filter = SpatioTemporalFilter(
@@ -161,20 +160,19 @@ class AlertPath:
 
             resume_seq = 0
             if resume_from is not None:
-                # getattr: checkpoints pickled before the field existed.
-                state = getattr(resume_from, "store_state", None)
-                if state is None:
+                if resume_from.store_state is None:
                     raise ValueError(
                         "checkpoint was taken without a columnar store; "
                         "resume it without store_dir"
                     )
-                resume_seq = state["seq"]
+                resume_seq = resume_from.store_state["seq"]
             store_writer.begin(resume_seq)
             self.sink = ColumnarSink(self.report, store_writer)
         else:
-            if resume_from is not None and getattr(
-                resume_from, "store_state", None
-            ) is not None:
+            if (
+                resume_from is not None
+                and resume_from.store_state is not None
+            ):
                 raise ValueError(
                     "checkpoint was taken with a columnar store; "
                     "resume it with the same store_dir"

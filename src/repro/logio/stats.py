@@ -75,14 +75,17 @@ class StatsSnapshot:
     uninterrupted run.  The stored compressor is never mutated: every
     restore copies it again, so one snapshot supports many resumes.
 
-    A live compressor cannot be pickled, so the *durable* form of a
-    snapshot (``repro.resilience.wire``) stores ``compressor=None`` and
-    relies on ``fed_bytes`` — the exact count of bytes the compressor had
-    been fed — to rebuild equivalent state: deflate's cumulative output
-    depends only on the byte sequence fed, not its chunking (the engine
-    equivalence tests pin this), so replaying the resumed stream's
-    observed prefix through a fresh compressor via :meth:`StatsCollector.
-    replay_record` lands on byte-identical compressed sizes.
+    A live compressor cannot be pickled, so pickling a snapshot stores
+    ``compressor=None`` (the one rule for crossing a process boundary,
+    here in ``__getstate__``).  The durable codec,
+    :mod:`repro.resilience.wire`, lists this class in its allowed
+    ``STATE_TYPES`` and relies on ``fed_bytes`` — the exact count of
+    bytes the compressor had been fed — to rebuild equivalent state:
+    deflate's cumulative output depends only on the byte sequence fed,
+    not its chunking (the engine equivalence tests pin this), so
+    replaying the resumed stream's observed prefix through a fresh
+    compressor via :meth:`StatsCollector.replay_record` lands on
+    byte-identical compressed sizes.
     """
 
     stats: LogStats
@@ -91,8 +94,11 @@ class StatsSnapshot:
     #: Total bytes fed to the compressor when the snapshot was taken.
     fed_bytes: int = 0
     #: Coarse mode (overload degradation) at snapshot time, so a resumed
-    #: run stays degraded; the default reads back from older pickles.
+    #: run stays degraded.
     coarse: bool = False
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "compressor": None}
 
 
 class StatsCollector:

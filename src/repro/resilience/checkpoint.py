@@ -76,17 +76,14 @@ class PipelineCheckpoint:
     #: Online-prediction state (the miner's correlation graph, the
     #: ensemble's members/warnings, and the stage's reorder buffer) when
     #: the run had ``predict=`` enabled — see
-    #: :meth:`repro.streaming.stage.PredictionStage.state_dict`.  Read
-    #: via ``getattr`` with a ``None`` default so checkpoints pickled
-    #: before this field existed still restore.
+    #: :meth:`repro.streaming.stage.PredictionStage.state_dict`.
     prediction_state: Optional[Dict[str, Any]] = None
     #: Columnar-store watermark when the run spilled alerts to disk
     #: (``run_stream(store_dir=...)``): ``{"seq": n}`` means every alert
     #: with sequence < n was durably committed at this barrier, and the
     #: alert tuples above travel empty — the column files are the
     #: durable copy.  Resume truncates the store back to this watermark
-    #: before the re-presented stream re-emits the suffix.  Read via
-    #: ``getattr`` for checkpoints pickled before the field existed.
+    #: before the re-presented stream re-emits the suffix.
     store_state: Optional[Dict[str, Any]] = None
 
     def restore_stats(self) -> StatsCollector:

@@ -26,6 +26,14 @@ Three layers:
   the manifest's pick and falls back generation by generation,
   quarantining what fails its CRC.
 
+The journal and the store write through :mod:`repro.resilience.wire`,
+the one durable codec: a journal entry is one ``wire.dumps`` frame, and
+a generation or MANIFEST is one ``wire.dump_file``.  Loading accepts
+only the state types ``wire.STATE_TYPES`` names, so a tampered state
+dir is quarantined or dropped, never executed; and
+:meth:`CheckpointStore.load` takes the payload type its caller expects,
+so a generation holding anything else is quarantined too.
+
 Durability failures never take the pipeline down: any OSError from the
 storage layer latches :class:`DurabilityStatus` into *degraded* mode —
 the run continues in-memory, exactly as before this module existed,
@@ -37,9 +45,8 @@ that was never at risk in memory.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import wire
 
@@ -197,10 +204,10 @@ class DurabilityStatus:
 class SegmentedWal:
     """An append-only journal of ``(kind, object)`` entries.
 
-    Entries are pickled, CRC32-framed (:mod:`repro.resilience.wire`),
-    and appended to ``wal-<n>.seg`` files that rotate at
-    ``segment_bytes``.  ``sync_every=1`` fsyncs after every append (the
-    default: an acknowledged entry is a durable entry);
+    Each entry is one :func:`repro.resilience.wire.dumps` frame of the
+    ``(kind, object)`` pair, appended to ``wal-<n>.seg`` files that
+    rotate at ``segment_bytes``.  ``sync_every=1`` fsyncs after every
+    append (the default: an acknowledged entry is a durable entry);
     ``sync_every=0`` leaves fsync to explicit :meth:`sync` calls at the
     caller's batch boundaries.
 
@@ -285,7 +292,7 @@ class SegmentedWal:
         the in-memory pipeline never blocks on a broken disk.
         """
         self.appended += 1
-        frame = wire.encode_entry(kind, obj)
+        frame = wire.dumps((kind, obj))
         try:
             if (
                 self._handle is None
@@ -395,12 +402,16 @@ class SegmentedWal:
     ) -> Iterator[Tuple[str, Any]]:
         for payload in payloads:
             try:
-                yield wire.decode_entry(payload)
+                entry = wire.loads(payload, tuple)
+                if len(entry) != 2 or not isinstance(entry[0], str):
+                    raise wire.WireError("not a (kind, object) entry")
             except wire.WireError as exc:
-                # CRC passed but the pickle did not decode: corruption
-                # the frame cannot see (e.g. a class that moved).  Skip
-                # the entry, keep the note.
+                # CRC passed but the payload did not decode: corruption
+                # the frame cannot see (a class that moved, a global
+                # outside the state types).  Skip the entry, keep the note.
                 self.status.note(f"wal entry in {name} dropped: {exc}")
+                continue
+            yield entry
 
     def _quarantine(self, name: str, why: str) -> None:
         path = os.path.join(self.directory, name)
@@ -428,21 +439,13 @@ class SegmentedWal:
 # -- the checkpoint store ----------------------------------------------------
 
 
-def _encode_pipeline_checkpoint(obj: Any, meta: Dict[str, Any]) -> bytes:
-    return wire.encode_checkpoint(obj, meta)
-
-
-def _decode_pipeline_checkpoint(payload: bytes) -> Tuple[Any, Dict[str, Any]]:
-    return wire.decode_checkpoint(payload)
-
-
 class CheckpointStore:
     """Atomic, generational persistence for full-state snapshots.
 
     Layout inside ``directory``::
 
         MANIFEST            -> newest generation (framed, CRC-protected)
-        gen-00000007.ckpt   -> header + one framed payload
+        gen-00000007.ckpt   -> {"meta": ..., "checkpoint": payload}
         gen-00000006.ckpt   -> previous generation (fallback)
         gen-00000005.ckpt.corrupt   -> quarantined by a failed load
 
@@ -456,9 +459,10 @@ class CheckpointStore:
 
     ``token`` fingerprints the run configuration (system, seed, scale,
     ...): state recorded under a different token is ignored rather than
-    resumed into the wrong stream.  By default payloads are
-    :class:`PipelineCheckpoint`\\ s; pass ``encode``/``decode`` to store
-    other state bundles (the service's parked tenants do).
+    resumed into the wrong stream.  A payload is any state object the
+    codec carries; :meth:`load` names the type it expects (a
+    ``PipelineCheckpoint`` for a batch run, a ``ParkedTenant`` for the
+    service) and quarantines a generation that holds anything else.
     """
 
     MANIFEST = "MANIFEST"
@@ -471,12 +475,6 @@ class CheckpointStore:
         keep: int = 2,
         fs: Optional[RealFilesystem] = None,
         status: Optional[DurabilityStatus] = None,
-        encode: Callable[[Any, Dict[str, Any]], bytes] = (
-            _encode_pipeline_checkpoint
-        ),
-        decode: Callable[[bytes], Tuple[Any, Dict[str, Any]]] = (
-            _decode_pipeline_checkpoint
-        ),
     ):
         if keep < 1:
             raise ValueError("keep must be at least 1 generation")
@@ -485,8 +483,6 @@ class CheckpointStore:
         self.keep = keep
         self.fs = fs if fs is not None else default_filesystem()
         self.status = status if status is not None else DurabilityStatus()
-        self._encode = encode
-        self._decode = decode
         self.generation = self._newest_generation()
         self.saved = 0
 
@@ -525,9 +521,8 @@ class CheckpointStore:
         generation = self.generation + 1
         meta = {"token": self.token, "generation": generation}
         try:
-            blob = (
-                wire.file_header(wire.CHECKPOINT_MAGIC)
-                + self._encode(payload, meta)
+            blob = wire.dump_file(
+                wire.CHECKPOINT_MAGIC, {"meta": meta, "checkpoint": payload}
             )
         except Exception as exc:
             self.status.latch("checkpoint encode", exc)
@@ -560,7 +555,7 @@ class CheckpointStore:
         return True
 
     def _write_manifest(self, fields: Dict[str, Any]) -> None:
-        blob = wire.encode_manifest(fields)
+        blob = wire.dump_file(wire.CHECKPOINT_MAGIC, fields)
         tmp_path = os.path.join(self.directory, f".{self.MANIFEST}.tmp")
         self.fs.write_bytes(tmp_path, blob, sync=True)
         self.fs.replace(tmp_path, os.path.join(self.directory, self.MANIFEST))
@@ -599,18 +594,22 @@ class CheckpointStore:
         try:
             if not self.fs.exists(path):
                 return None
-            return wire.decode_manifest(self.fs.read_bytes(path))
+            return wire.load_file(
+                self.fs.read_bytes(path), wire.CHECKPOINT_MAGIC, dict
+            )
         except (OSError, wire.WireError) as exc:
             self.status.note(f"manifest unreadable ({exc!r}); "
                              "falling back to a directory scan")
             return None
 
-    def load(self) -> Optional[Any]:
-        """The newest verifiable payload, or ``None`` (fresh start).
+    def load(self, expect: type) -> Optional[Any]:
+        """The newest verifiable ``expect``-typed payload, or ``None``
+        (fresh start).
 
-        Wrong-token state is ignored; corrupt generations are renamed
-        ``*.corrupt`` and the previous generation is tried — exactly the
-        fallback the manifest's ``keep`` window exists for.
+        Wrong-token state is ignored; corrupt generations — including one
+        whose payload is not an ``expect`` — are renamed ``*.corrupt``
+        and the previous generation is tried: exactly the fallback the
+        manifest's ``keep`` window exists for.
         """
         manifest = self._read_manifest()
         if manifest is not None and manifest.get("token") != self.token:
@@ -626,15 +625,13 @@ class CheckpointStore:
             name = self._generation_name(generation)
             path = os.path.join(self.directory, name)
             try:
-                data = self.fs.read_bytes(path)
-                wire.check_header(data, wire.CHECKPOINT_MAGIC)
-                payloads, _end, error = wire.scan_frames(data)
-                if error is not None or len(payloads) != 1:
-                    raise wire.WireError(
-                        error or f"{len(payloads)} frames in one generation"
-                    )
-                payload, meta = self._decode(payloads[0])
-            except (OSError, wire.WireError, pickle.UnpicklingError) as exc:
+                meta, payload = self._unwrap(
+                    wire.load_file(
+                        self.fs.read_bytes(path), wire.CHECKPOINT_MAGIC, dict
+                    ),
+                    expect,
+                )
+            except (OSError, wire.WireError) as exc:
                 self._quarantine(name, exc)
                 continue
             if meta.get("token") != self.token:
@@ -646,6 +643,26 @@ class CheckpointStore:
             self.generation = max(self.generation, generation)
             return payload
         return None
+
+    @staticmethod
+    def _unwrap(
+        wrapper: Dict[str, Any], expect: type
+    ) -> Tuple[Dict[str, Any], Any]:
+        """A generation's ``(meta, payload)``; :class:`wire.WireError`
+        unless the wrapper has both and the payload is an ``expect``."""
+        # Service generations written before the one codec named their
+        # payload "parked".
+        key = "checkpoint" if "checkpoint" in wrapper else "parked"
+        meta = wrapper.get("meta")
+        if not isinstance(meta, dict) or key not in wrapper:
+            raise wire.WireError("not a {meta, checkpoint} generation")
+        payload = wrapper[key]
+        if not isinstance(payload, expect):
+            raise wire.WireError(
+                f"generation holds {type(payload).__name__}, "
+                f"not {expect.__name__}"
+            )
+        return meta, payload
 
     def _quarantine(self, name: str, why: BaseException) -> None:
         path = os.path.join(self.directory, name)

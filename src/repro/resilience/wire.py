@@ -1,7 +1,9 @@
-"""The durable on-disk format: CRC32-framed records and file headers.
+"""The durable on-disk format and its one codec.
 
-Everything the durability layer persists — write-ahead journal entries
-and checkpoint generations — goes through one framing::
+Every byte under ``--state-dir`` and ``--store-dir`` that is not a store
+column page goes through this module: write-ahead journal entries,
+checkpoint generations, the checkpoint MANIFEST, a tenant's ``TENANT``
+identity, and a store's MANIFEST and SUMMARY.  They share one framing::
 
     +----------+----------+====================+
     | crc32    | length   | payload            |
@@ -18,25 +20,24 @@ quarantine the file, fall back a generation — lives in
 :mod:`repro.resilience.durability`; this module only encodes, decodes,
 and reports exactly where the bytes stopped being trustworthy.
 
-Checkpoint payloads are pickled :class:`PipelineCheckpoint` objects with
-one transformation: the live zlib compressor inside ``StatsSnapshot``
-cannot be pickled, so the durable form stores ``compressor=None`` and
-relies on the snapshot's ``fed_bytes`` watermark —
-:meth:`repro.logio.stats.StatsCollector.from_snapshot` rebuilds the
-compressor state by replaying the resumed stream's prefix (see
-``replay_record``), which deflate's chunking-invariant output makes
-byte-exact.
+The codec is two pairs: :func:`dumps`/:func:`loads` for one frame (a
+journal entry) and :func:`dump_file`/:func:`load_file` for a header
+plus exactly one frame (every other file).  A payload is a pickle, and
+:func:`loads` unpickles it with :data:`STATE_TYPES` as the only globals
+it may name, so a tampered or foreign file fails with
+:class:`WireError` instead of running code.  The live zlib compressor
+inside a :class:`~repro.logio.stats.StatsSnapshot` never reaches disk:
+the snapshot's pickling hook drops it, and resume rebuilds it from the
+``fed_bytes`` watermark.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
-
-from .checkpoint import PipelineCheckpoint
+from typing import Any, List, Optional, Tuple
 
 #: File magics: the journal and the checkpoint store refuse each other's
 #: files (and anything else) instead of misparsing them.
@@ -55,10 +56,35 @@ MAX_FRAME_PAYLOAD = 256 * 1024 * 1024
 HEADER_SIZE = _HEADER.size
 FRAME_HEADER_SIZE = _FRAME.size
 
+#: The only globals a payload may name.  Pipeline checkpoints, parked
+#: tenants, journal entries and store summaries are built from these
+#: classes and from builtins (dict, list, tuple, str, int, float, bool,
+#: None), which pickle encodes without naming a global: the set is what
+#: ``pickletools`` shows in the committed state fixtures plus the
+#: service's bundles.  A pickle can only call what it can name, so
+#: refusing every other global is what keeps a hostile state dir or
+#: store from running code on load.  A class that joins durable state
+#: must be added here, or its files are refused as corrupt.
+STATE_TYPES = frozenset({
+    ("repro.analysis.severity_eval", "SeverityCrossTab"),
+    ("repro.core.categories", "Alert"),
+    ("repro.core.categories", "AlertType"),
+    ("repro.core.filtering", "FilterReport"),
+    ("repro.logio.stats", "LogStats"),
+    ("repro.logio.stats", "StatsSnapshot"),
+    ("repro.logmodel.record", "Channel"),
+    ("repro.logmodel.record", "LogRecord"),
+    ("repro.resilience.checkpoint", "PipelineCheckpoint"),
+    ("repro.resilience.deadletter", "DeadLetter"),
+    ("repro.resilience.deadletter", "DeadLetterSnapshot"),
+    ("repro.service.accounting", "TenantCounters"),
+    ("repro.service.tenant", "ParkedTenant"),
+})
+
 
 class WireError(ValueError):
     """A file or frame that cannot be decoded (wrong magic, bad version,
-    unpicklable payload)."""
+    unpicklable payload, a global outside :data:`STATE_TYPES`)."""
 
 
 def file_header(magic: bytes) -> bytes:
@@ -121,90 +147,48 @@ def scan_frames(
     return payloads, offset, None
 
 
-# -- journal entries ---------------------------------------------------------
+# -- the codec ---------------------------------------------------------------
 
 
-def encode_entry(kind: str, obj: Any) -> bytes:
-    """One journal entry: a ``(kind, obj)`` pair, pickled then framed."""
-    return encode_frame(
-        pickle.dumps((kind, obj), protocol=pickle.HIGHEST_PROTOCOL)
-    )
+class _StateUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in STATE_TYPES:
+            raise WireError(f"payload names {module}.{name}, not a state type")
+        return super().find_class(module, name)
 
 
-def decode_entry(payload: bytes) -> Tuple[str, Any]:
+def dumps(obj: Any) -> bytes:
+    """One CRC32 frame around ``obj``, pickled."""
+    return encode_frame(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def loads(payload: bytes, expect: type) -> Any:
+    """The ``expect``-typed object in one verified frame payload (as
+    :func:`scan_frames` returns it); :class:`WireError` otherwise."""
     try:
-        kind, obj = pickle.loads(payload)
-    except Exception as exc:
-        raise WireError(f"undecodable journal entry: {exc!r}") from exc
-    if not isinstance(kind, str):
-        raise WireError(f"journal entry kind is {type(kind).__name__}, "
-                        "not str")
-    return kind, obj
-
-
-# -- checkpoint payloads -----------------------------------------------------
-
-
-def durable_checkpoint(checkpoint: PipelineCheckpoint) -> PipelineCheckpoint:
-    """The persistable twin of a checkpoint: identical except the live
-    zlib compressor is dropped (it cannot cross a process boundary); the
-    ``fed_bytes`` watermark it leaves behind is what resume uses to
-    rebuild the compressor by prefix replay."""
-    stats = checkpoint.stats
-    if stats.compressor is None:
-        return checkpoint
-    return replace(
-        checkpoint,
-        stats=replace(stats, stats=replace(stats.stats), compressor=None),
-    )
-
-
-def encode_checkpoint(
-    checkpoint: PipelineCheckpoint, meta: Optional[Dict[str, Any]] = None
-) -> bytes:
-    """Frame a checkpoint (plus a small metadata dict) for disk."""
-    return encode_frame(pickle.dumps(
-        {"meta": dict(meta or {}), "checkpoint": durable_checkpoint(checkpoint)},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    ))
-
-
-def decode_checkpoint(
-    payload: bytes,
-) -> Tuple[PipelineCheckpoint, Dict[str, Any]]:
-    try:
-        wrapper = pickle.loads(payload)
-        checkpoint = wrapper["checkpoint"]
-        meta = wrapper["meta"]
-    except Exception as exc:
-        raise WireError(f"undecodable checkpoint payload: {exc!r}") from exc
-    if not isinstance(checkpoint, PipelineCheckpoint):
+        obj = _StateUnpickler(io.BytesIO(payload)).load()
+    except WireError:
+        raise
+    except Exception as exc:  # a damaged pickle raises many types
+        raise WireError(f"undecodable payload: {exc!r}") from exc
+    if not isinstance(obj, expect):
         raise WireError(
-            f"checkpoint payload holds {type(checkpoint).__name__}, "
-            "not PipelineCheckpoint"
+            f"payload holds {type(obj).__name__}, not {expect.__name__}"
         )
-    return checkpoint, dict(meta)
+    return obj
 
 
-# -- manifests ---------------------------------------------------------------
+def dump_file(magic: bytes, obj: Any) -> bytes:
+    """A whole durable file: the ``magic`` header, then ``obj`` in one
+    frame."""
+    return file_header(magic) + dumps(obj)
 
 
-def encode_manifest(fields: Dict[str, Any]) -> bytes:
-    """A whole manifest file: header + one framed, pickled dict."""
-    return file_header(CHECKPOINT_MAGIC) + encode_frame(
-        pickle.dumps(dict(fields), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
-
-def decode_manifest(data: bytes) -> Dict[str, Any]:
-    check_header(data, CHECKPOINT_MAGIC)
+def load_file(data: bytes, magic: bytes, expect: type) -> Any:
+    """The object in a :func:`dump_file` file; :class:`WireError` for a
+    wrong header, anything but exactly one good frame, or a bad payload."""
+    check_header(data, magic)
     payloads, _end, error = scan_frames(data)
     if error is not None or len(payloads) != 1:
-        raise WireError(error or f"manifest holds {len(payloads)} frames")
-    try:
-        fields = pickle.loads(payloads[0])
-    except Exception as exc:
-        raise WireError(f"undecodable manifest: {exc!r}") from exc
-    if not isinstance(fields, dict):
-        raise WireError("manifest payload is not a dict")
-    return fields
+        raise WireError(error or f"file holds {len(payloads)} frames, not 1")
+    return loads(payloads[0], expect)

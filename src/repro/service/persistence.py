@@ -35,6 +35,12 @@ back to the checkpoint.  That is exactly the service's documented
 shedding-tolerance equivalence class; the quiesce-then-kill case
 (drained queues, checkpoint taken) restores byte-identically.
 
+Every file here — generations, MANIFEST, journal segments and the
+``TENANT`` identity — is written and read by the one durable codec,
+:mod:`repro.resilience.wire`, which loads only the state types in
+``wire.STATE_TYPES`` (:class:`~repro.service.tenant.ParkedTenant` and
+:class:`~repro.service.accounting.TenantCounters` among them).
+
 Storage failures never take a tenant down: every store and journal in
 one service shares a single :class:`DurabilityStatus`, so ENOSPC/EIO
 latch degraded mode with an exact count of unpersisted state while the
@@ -44,7 +50,6 @@ in-memory service keeps serving.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import urllib.parse
 from dataclasses import replace as dc_replace
@@ -108,37 +113,6 @@ def tenant_dirname(tenant_id: str) -> str:
     return name
 
 
-# -- the parked-bundle codec -------------------------------------------------
-
-
-def encode_parked(bundle: ParkedTenant, meta: Dict[str, Any]) -> bytes:
-    """Frame a parked-tenant bundle for the checkpoint store (the live
-    zlib compressor inside the pipeline checkpoint is dropped, exactly
-    as :func:`repro.resilience.wire.durable_checkpoint` does)."""
-    if bundle.checkpoint is not None:
-        bundle = dc_replace(
-            bundle, checkpoint=wire.durable_checkpoint(bundle.checkpoint)
-        )
-    return wire.encode_frame(pickle.dumps(
-        {"meta": dict(meta), "parked": bundle},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    ))
-
-
-def decode_parked(payload: bytes) -> Tuple[ParkedTenant, Dict[str, Any]]:
-    try:
-        wrapper = pickle.loads(payload)
-        bundle = wrapper["parked"]
-        meta = wrapper["meta"]
-    except Exception as exc:
-        raise wire.WireError(f"undecodable parked tenant: {exc!r}") from exc
-    if not isinstance(bundle, ParkedTenant):
-        raise wire.WireError(
-            f"parked payload holds {type(bundle).__name__}, not ParkedTenant"
-        )
-    return bundle, dict(meta)
-
-
 # -- the journaled dead-letter queue -----------------------------------------
 
 
@@ -188,8 +162,6 @@ class TenantPersistence:
             token=token,
             fs=self.fs,
             status=self.status,
-            encode=encode_parked,
-            decode=decode_parked,
         )
         # sync_every=0: the worker fsyncs once per served batch, not per
         # alert — the torn tail a crash can cost is one batch's entries,
@@ -208,8 +180,9 @@ class TenantPersistence:
         try:
             self.fs.ensure_dir(self.directory)
             if not self.fs.exists(path):
-                self.fs.write_bytes(path, wire.encode_manifest(
-                    {"tenant": self.tenant_id, "system": self.system}
+                self.fs.write_bytes(path, wire.dump_file(
+                    wire.CHECKPOINT_MAGIC,
+                    {"tenant": self.tenant_id, "system": self.system},
                 ))
         except OSError as exc:
             self.status.latch("tenant identity", exc)
@@ -223,7 +196,9 @@ class TenantPersistence:
         try:
             if not fs.exists(path):
                 return None
-            fields = wire.decode_manifest(fs.read_bytes(path))
+            fields = wire.load_file(
+                fs.read_bytes(path), wire.CHECKPOINT_MAGIC, dict
+            )
         except (OSError, wire.WireError):
             return None
         if "tenant" not in fields or "system" not in fields:
@@ -258,7 +233,7 @@ class TenantPersistence:
         """The tenant's recovered state: newest verifiable bundle plus
         the journal tail replayed on top (see module docstring), or
         ``None`` when this tenant left no durable trace."""
-        bundle = self.store.load()
+        bundle = self.store.load(ParkedTenant)
         entries = list(self.wal.replay())
         cut = 0
         marker_generation: Optional[int] = None

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -65,26 +64,6 @@ def _write_atomic(path: str, data: bytes) -> None:
     with open(tmp, "wb") as handle:
         handle.write(data)
     os.replace(tmp, path)
-
-
-def _encode_blob(fields: Dict[str, Any]) -> bytes:
-    return wire.file_header(COLUMN_MAGIC) + wire.encode_frame(
-        pickle.dumps(dict(fields), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
-
-def _decode_blob(data: bytes) -> Dict[str, Any]:
-    wire.check_header(data, COLUMN_MAGIC)
-    payloads, _end, error = wire.scan_frames(data)
-    if error is not None or len(payloads) != 1:
-        raise wire.WireError(error or f"blob holds {len(payloads)} frames")
-    try:
-        fields = pickle.loads(payloads[0])
-    except Exception as exc:  # pickle raises many types
-        raise wire.WireError(f"undecodable store blob: {exc!r}") from exc
-    if not isinstance(fields, dict):
-        raise wire.WireError("store blob payload is not a dict")
-    return fields
 
 
 @dataclass
@@ -267,7 +246,7 @@ class ColumnarStoreWriter:
         except FileNotFoundError:
             return None
         try:
-            fields = _decode_blob(data)
+            fields = wire.load_file(data, COLUMN_MAGIC, dict)
         except wire.WireError as exc:
             raise StoreError(f"corrupt store manifest at {path!r}: {exc}")
         if fields.get("store_format") != STORE_FORMAT:
@@ -477,7 +456,8 @@ class ColumnarStoreWriter:
                 if part.meta.rows > 0
             ],
         }
-        _write_atomic(os.path.join(self.root, MANIFEST_NAME), _encode_blob(fields))
+        _write_atomic(os.path.join(self.root, MANIFEST_NAME),
+                      wire.dump_file(COLUMN_MAGIC, fields))
 
     def finalize(self, summary: Optional[Dict[str, Any]] = None) -> None:
         """Commit outstanding rows, persist the run summary (the
@@ -489,7 +469,7 @@ class ColumnarStoreWriter:
             fields.setdefault("system", self.system)
             fields["store_format"] = STORE_FORMAT
             _write_atomic(os.path.join(self.root, SUMMARY_NAME),
-                          _encode_blob(fields))
+                          wire.dump_file(COLUMN_MAGIC, fields))
         self._write_manifest(complete=True)
 
     def reader(self) -> "ColumnarStore":
@@ -562,7 +542,7 @@ class ColumnarStore:
         path = os.path.join(root, MANIFEST_NAME)
         try:
             with open(path, "rb") as handle:
-                fields = _decode_blob(handle.read())
+                fields = wire.load_file(handle.read(), COLUMN_MAGIC, dict)
         except FileNotFoundError:
             raise StoreError(f"no columnar store at {root!r} (missing MANIFEST)")
         except wire.WireError as exc:
@@ -734,7 +714,7 @@ class ColumnarStore:
                 "(run did not finalize)"
             )
         try:
-            return _decode_blob(data)
+            return wire.load_file(data, COLUMN_MAGIC, dict)
         except wire.WireError as exc:
             raise StoreError(f"corrupt run summary at {path!r}: {exc}")
 

@@ -100,3 +100,15 @@ def make_alert(
         alert_type=alert_type,
         record=record,
     )
+
+
+class Hostile:
+    """Pickles to ``os.system("touch <sentinel>")``: loading it would run
+    a shell command, which is what a tampered state file could do before
+    the durable codec confined payloads to ``wire.STATE_TYPES``."""
+
+    def __init__(self, sentinel):
+        self.sentinel = sentinel
+
+    def __reduce__(self):
+        return (os.system, (f"touch {self.sentinel}",))

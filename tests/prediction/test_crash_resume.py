@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.checkpoint import CheckpointManager, PipelineCheckpoint
 from repro.resilience.durability import CheckpointStore
 from repro.resilience.faults import (
     CollectorCrash,
@@ -94,7 +94,9 @@ class TestPredictionCrashResume:
         state_dir = str(tmp_path / "state")
         with pytest.raises(CollectorCrash):
             run(state_dir, wrap=plan.wrap)
-        persisted = CheckpointStore(state_dir, token=TOKEN).load()
+        persisted = CheckpointStore(state_dir, token=TOKEN).load(
+            PipelineCheckpoint
+        )
         assert persisted is not None
         assert persisted.prediction_state is not None
         assert persisted.records_consumed <= KILL_AT
@@ -102,7 +104,8 @@ class TestPredictionCrashResume:
         resumed = run(state_dir, wrap=plan.wrap)
         assert_prediction_identical(resumed, baseline)
         # Clean finish consumed the durable state.
-        assert CheckpointStore(state_dir, token=TOKEN).load() is None
+        store = CheckpointStore(state_dir, token=TOKEN)
+        assert store.load(PipelineCheckpoint) is None
 
     def test_sigkill_resume_is_exact(self, tmp_path, baseline):
         """The real thing: a worker process SIGKILLed mid-stream (no
@@ -118,7 +121,9 @@ class TestPredictionCrashResume:
             timeout=300,
         )
         assert child.returncode == -int(signal.SIGKILL), child.stderr
-        persisted = CheckpointStore(state_dir, token=TOKEN).load()
+        persisted = CheckpointStore(state_dir, token=TOKEN).load(
+            PipelineCheckpoint
+        )
         assert persisted is not None
         assert persisted.prediction_state is not None
 
@@ -179,7 +184,7 @@ class TestStateFromOlderCode:
 
     def test_resumes_byte_identical(self, tmp_path, monkeypatch):
         state_dir = self._copy(tmp_path)
-        persisted = CheckpointStore(state_dir).load()
+        persisted = CheckpointStore(state_dir).load(PipelineCheckpoint)
         assert persisted.records_consumed == 52_000
         ensemble = persisted.prediction_state["ensemble"]
         assert (ensemble["refits"], ensemble["warnings_emitted"]) == (3, 1)

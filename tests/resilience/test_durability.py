@@ -4,6 +4,7 @@ quarantined instead of trusted, and a broken disk degrades the run
 without touching its output."""
 
 import errno
+import importlib
 import os
 import pickle
 import shutil
@@ -15,7 +16,7 @@ from repro import api as pipeline
 from repro.engine.path import AlertPath
 from repro.logio.reader import read_log
 from repro.resilience import wire
-from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.checkpoint import CheckpointManager, PipelineCheckpoint
 from repro.resilience.deadletter import DeadLetterQueue
 from repro.resilience.durability import (
     CheckpointStore,
@@ -36,7 +37,7 @@ from repro.resilience.faults import (
 )
 from repro.simulation.generator import generate_log
 
-from ..conftest import SEED, SMALL_SCALE
+from ..conftest import SEED, SMALL_SCALE, Hostile
 
 ENTRIES = [("alert", {"n": i, "body": "x" * (i % 7)}) for i in range(40)]
 
@@ -135,20 +136,8 @@ class TestSegmentedWal:
         assert list(SegmentedWal(str(tmp_path)).replay()) == []
 
 
-def _encode_dict(payload, meta):
-    return wire.encode_frame(pickle.dumps({"meta": meta, "payload": payload}))
-
-
-def _decode_dict(data):
-    bundle = pickle.loads(data)
-    return bundle["payload"], bundle["meta"]
-
-
 def dict_store(directory, token="t", **kwargs):
-    return CheckpointStore(
-        str(directory), token=token,
-        encode=_encode_dict, decode=_decode_dict, **kwargs,
-    )
+    return CheckpointStore(str(directory), token=token, **kwargs)
 
 
 class TestCheckpointStore:
@@ -158,7 +147,9 @@ class TestCheckpointStore:
         assert store.save(checkpoint)
         assert store.saved == 1
 
-        loaded = CheckpointStore(str(tmp_path), token="run").load()
+        loaded = CheckpointStore(str(tmp_path), token="run").load(
+            PipelineCheckpoint
+        )
         assert loaded is not None
         assert loaded.records_consumed == checkpoint.records_consumed
         assert loaded.raw_alerts == checkpoint.raw_alerts
@@ -171,7 +162,7 @@ class TestCheckpointStore:
             assert store.save({"generation": generation})
         names = [n for n in os.listdir(tmp_path) if n.endswith(".ckpt")]
         assert sorted(names) == ["gen-00000004.ckpt", "gen-00000005.ckpt"]
-        assert dict_store(tmp_path).load() == {"generation": 4}
+        assert dict_store(tmp_path).load(dict) == {"generation": 4}
 
     def test_corrupt_newest_falls_back_a_generation(self, tmp_path):
         store = dict_store(tmp_path)
@@ -183,14 +174,14 @@ class TestCheckpointStore:
         newest.write_bytes(bytes(data))
 
         fresh = dict_store(tmp_path)
-        assert fresh.load() == {"generation": 0}
+        assert fresh.load(dict) == {"generation": 0}
         assert (tmp_path / "gen-00000002.ckpt.corrupt").exists()
         assert any("quarantined" in n for n in fresh.status.notes)
 
     def test_wrong_token_starts_fresh(self, tmp_path):
         dict_store(tmp_path, token="seed=1").save({"generation": 0})
         other = dict_store(tmp_path, token="seed=2")
-        assert other.load() is None
+        assert other.load(dict) is None
         assert any("different run configuration" in n
                    for n in other.status.notes)
 
@@ -198,7 +189,7 @@ class TestCheckpointStore:
         store = dict_store(tmp_path)
         store.save({"generation": 0})
         assert store.mark_complete()
-        assert dict_store(tmp_path).load() is None
+        assert dict_store(tmp_path).load(dict) is None
 
     def test_enospc_save_degrades_with_exact_accounting(self, tmp_path):
         status = DurabilityStatus()
@@ -210,7 +201,7 @@ class TestCheckpointStore:
         assert status.degraded
         assert status.unpersisted_checkpoints == 2
         assert store.saved == 0
-        assert dict_store(tmp_path).load() is None  # nothing half-written
+        assert dict_store(tmp_path).load(dict) is None  # nothing half-written
 
     def test_eio_uses_requested_errno(self, tmp_path):
         status = DurabilityStatus()
@@ -225,6 +216,86 @@ class TestCheckpointStore:
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointStore(str(tmp_path), keep=0)
+
+
+def hostile_frame(obj):
+    """One CRC-valid frame around a plain pickle, as an attacker (or any
+    pickle-writing tool) would build it."""
+    return wire.encode_frame(pickle.dumps(obj))
+
+
+class TestUntrustedState:
+    def test_every_state_type_resolves(self):
+        for module, name in sorted(wire.STATE_TYPES):
+            cls = getattr(importlib.import_module(module), name)
+            assert isinstance(cls, type), (module, name)
+
+    def test_foreign_global_raises_wire_error(self, tmp_path):
+        sentinel = tmp_path / "ran"
+        with pytest.raises(wire.WireError, match="not a state type"):
+            wire.loads(pickle.dumps(Hostile(sentinel)), object)
+        assert not sentinel.exists()
+
+    def test_crafted_generation_is_quarantined(self, tmp_path):
+        sentinel = tmp_path / "ran"
+        state = tmp_path / "state"
+        dict_store(state).save({"generation": 0})
+        (state / "gen-00000002.ckpt").write_bytes(
+            wire.file_header(wire.CHECKPOINT_MAGIC) + hostile_frame({
+                "meta": {"token": "t", "generation": 2},
+                "checkpoint": Hostile(sentinel),
+            })
+        )
+
+        fresh = dict_store(state)
+        assert fresh.load(dict) == {"generation": 0}
+        assert not sentinel.exists()
+        assert (state / "gen-00000002.ckpt.corrupt").exists()
+        assert any("quarantined" in note and "not a state type" in note
+                   for note in fresh.status.notes)
+
+    @pytest.mark.parametrize("wrapper", [
+        {"meta": {"token": "run", "generation": 2}, "checkpoint": "not one"},
+        {"meta": {"token": "run", "generation": 2}, "checkpoint": {}},
+        {"meta": {"token": "run", "generation": 2}},
+        {"meta": "run", "checkpoint": "not one"},
+    ])
+    def test_generation_of_the_wrong_shape_is_quarantined(
+        self, tmp_path, wrapper
+    ):
+        """Only allowed types, right token, wrong payload: the store
+        falls back a generation instead of handing the caller a
+        non-checkpoint."""
+        checkpoint = small_checkpoint()
+        CheckpointStore(str(tmp_path), token="run").save(checkpoint)
+        (tmp_path / "gen-00000002.ckpt").write_bytes(
+            wire.dump_file(wire.CHECKPOINT_MAGIC, wrapper)
+        )
+
+        fresh = CheckpointStore(str(tmp_path), token="run")
+        loaded = fresh.load(PipelineCheckpoint)
+        assert isinstance(loaded, PipelineCheckpoint)
+        assert loaded.records_consumed == checkpoint.records_consumed
+        assert (tmp_path / "gen-00000002.ckpt.corrupt").exists()
+        assert any("gen-00000002.ckpt quarantined" in note
+                   for note in fresh.status.notes)
+
+    def test_crafted_wal_entry_is_dropped(self, tmp_path):
+        sentinel = tmp_path / "ran"
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        (wal_dir / "wal-00000000.seg").write_bytes(
+            wire.file_header(wire.WAL_MAGIC)
+            + hostile_frame(("alert", 1))
+            + hostile_frame(("letter", Hostile(sentinel)))
+            + hostile_frame(("alert", 2))
+        )
+
+        wal = SegmentedWal(str(wal_dir))
+        assert list(wal.replay()) == [("alert", 1), ("alert", 2)]
+        assert not sentinel.exists()
+        assert any("dropped" in note and "not a state type" in note
+                   for note in wal.status.notes)
 
 
 class TestEnvArming:
@@ -285,7 +356,9 @@ class TestDurableResume:
         state_dir = str(tmp_path / "state")
         with pytest.raises(CollectorCrash):
             self._run(state_dir, wrap=plan.wrap)
-        persisted = CheckpointStore(state_dir, token=self.TOKEN).load()
+        persisted = CheckpointStore(state_dir, token=self.TOKEN).load(
+            PipelineCheckpoint
+        )
         assert persisted is not None
         assert persisted.records_consumed <= 2000
 
@@ -301,7 +374,8 @@ class TestDurableResume:
         # clean finish consumes the durable state (manifest complete).
         assert resumed.checkpoints.taken == baseline.checkpoints.taken
         assert not resumed.checkpoints.store.status.degraded
-        assert CheckpointStore(state_dir, token=self.TOKEN).load() is None
+        store = CheckpointStore(state_dir, token=self.TOKEN)
+        assert store.load(PipelineCheckpoint) is None
 
     def test_degraded_storage_never_perturbs_output(self, tmp_path):
         baseline = self._run(None)

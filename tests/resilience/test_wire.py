@@ -25,7 +25,9 @@ from repro.core.tagging import RulesetHandle  # noqa: E402
 from repro.engine.path import AlertPath  # noqa: E402
 from repro.logmodel.record import LogRecord  # noqa: E402
 from repro.resilience import wire  # noqa: E402
+from repro.resilience.checkpoint import PipelineCheckpoint  # noqa: E402
 from repro.resilience.deadletter import DeadLetterQueue  # noqa: E402
+from repro.resilience.durability import SegmentedWal  # noqa: E402
 from repro.systems.specs import SYSTEMS  # noqa: E402
 
 COMMON = settings(
@@ -146,24 +148,24 @@ class TestEntries:
         ),
     )
     def test_round_trip(self, kind, obj):
-        decoded_kind, decoded_obj = wire.decode_entry(
+        decoded_kind, decoded_obj = wire.loads(
             wire.scan_frames(
-                wire.file_header(wire.WAL_MAGIC)
-                + wire.encode_entry(kind, obj)
-            )[0][0]
+                wire.file_header(wire.WAL_MAGIC) + wire.dumps((kind, obj))
+            )[0][0],
+            tuple,
         )
         assert decoded_kind == kind
         assert decoded_obj == obj
 
-    def test_non_string_kind_rejected(self):
-        frame = wire.encode_frame(
-            __import__("pickle").dumps((42, "payload"))
+    def test_non_string_kind_rejected(self, tmp_path):
+        (tmp_path / "wal-00000000.seg").write_bytes(
+            wire.file_header(wire.WAL_MAGIC)
+            + wire.dumps((42, "payload"))
+            + wire.dumps(("alert", 1))
         )
-        payload = wire.scan_frames(
-            wire.file_header(wire.WAL_MAGIC) + frame
-        )[0][0]
-        with pytest.raises(wire.WireError):
-            wire.decode_entry(payload)
+        wal = SegmentedWal(str(tmp_path))
+        assert list(wal.replay()) == [("alert", 1)]
+        assert "not a (kind, object) entry" in wal.status.notes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +226,14 @@ class TestCheckpointRoundTrip:
             ), label="shed_state"),
         )
 
-        blob = wire.file_header(wire.CHECKPOINT_MAGIC) + \
-            wire.encode_checkpoint(checkpoint, {"token": "prop", "gen": 3})
+        blob = wire.dump_file(wire.CHECKPOINT_MAGIC, checkpoint)
         wire.check_header(blob, wire.CHECKPOINT_MAGIC)
         payloads, end, error = wire.scan_frames(blob)
         assert error is None and len(payloads) == 1 and end == len(blob)
-        restored, meta = wire.decode_checkpoint(payloads[0])
+        restored = wire.load_file(
+            blob, wire.CHECKPOINT_MAGIC, PipelineCheckpoint
+        )
 
-        assert meta == {"token": "prop", "gen": 3}
         assert restored.system == checkpoint.system
         assert restored.records_consumed == checkpoint.records_consumed
         assert restored.raw_alerts == checkpoint.raw_alerts
@@ -242,9 +244,11 @@ class TestCheckpointRoundTrip:
         assert restored.dead_letters == checkpoint.dead_letters
         assert restored.shed_state == checkpoint.shed_state
         assert restored.filter_state == checkpoint.filter_state
-        # The durable twin drops the live compressor but keeps its
-        # fed-bytes watermark and the volume statistics byte-for-byte.
+        # Pickling drops the live compressor but keeps its fed-bytes
+        # watermark and the volume statistics byte-for-byte; the live
+        # snapshot keeps its compressor.
         assert restored.stats.compressor is None
+        assert checkpoint.stats.compressor is not None
         assert restored.stats.fed_bytes == checkpoint.stats.fed_bytes
         assert restored.stats.stats == checkpoint.stats.stats
 
@@ -260,11 +264,9 @@ class TestCheckpointRoundTrip:
         for record in records:
             if path.admit(record):
                 path.process(record)
-        blob = wire.encode_checkpoint(path.snapshot(), {})
-        restored, _meta = wire.decode_checkpoint(
-            wire.scan_frames(
-                wire.file_header(wire.CHECKPOINT_MAGIC) + blob
-            )[0][0]
+        restored = wire.load_file(
+            wire.dump_file(wire.CHECKPOINT_MAGIC, path.snapshot()),
+            wire.CHECKPOINT_MAGIC, PipelineCheckpoint,
         )
         stf = restored.restore_filter()
         assert stf.state_dict() == restored.filter_state
@@ -275,18 +277,16 @@ class TestCheckpointRoundTrip:
 
 
 def test_checkpoint_payload_type_enforced():
-    frame = wire.encode_frame(
-        __import__("pickle").dumps({"meta": {}, "checkpoint": "not one"})
-    )
-    payload = wire.scan_frames(
-        wire.file_header(wire.CHECKPOINT_MAGIC) + frame
-    )[0][0]
-    with pytest.raises(wire.WireError):
-        wire.decode_checkpoint(payload)
+    blob = wire.dump_file(wire.CHECKPOINT_MAGIC, "not one")
+    with pytest.raises(wire.WireError, match="not PipelineCheckpoint"):
+        wire.load_file(blob, wire.CHECKPOINT_MAGIC, PipelineCheckpoint)
 
 
 def test_manifest_round_trip_and_rejection():
     fields = {"token": "t", "generation": 7, "complete": False}
-    assert wire.decode_manifest(wire.encode_manifest(fields)) == fields
+    blob = wire.dump_file(wire.CHECKPOINT_MAGIC, fields)
+    assert wire.load_file(blob, wire.CHECKPOINT_MAGIC, dict) == fields
     with pytest.raises(wire.WireError):
-        wire.decode_manifest(wire.encode_manifest(fields)[:-3])
+        wire.load_file(blob[:-3], wire.CHECKPOINT_MAGIC, dict)
+    with pytest.raises(wire.WireError, match="2 frames"):
+        wire.load_file(blob + wire.dumps(fields), wire.CHECKPOINT_MAGIC, dict)

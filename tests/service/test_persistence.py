@@ -5,9 +5,12 @@ quarantined across the restart, and degrade — not crash — when the
 state directory's disk fails."""
 
 import asyncio
+import hashlib
 import os
+import shutil
 import time
 import urllib.parse
+from pathlib import Path
 
 import pytest
 
@@ -15,14 +18,9 @@ from repro.logio.writer import renderer_for
 from repro.resilience import wire
 from repro.resilience.faults import FaultyFilesystem
 from repro.service.config import ServiceConfig
-from repro.service.persistence import (
-    TenantStateStore,
-    decode_parked,
-    encode_parked,
-    tenant_dirname,
-)
+from repro.service.persistence import TenantStateStore, tenant_dirname
 from repro.service.router import TenantRouter, format_envelope
-from repro.service.tenant import Tenant
+from repro.service.tenant import ParkedTenant, Tenant
 from repro.simulation.generator import generate_log
 
 from ..conftest import SEED, SMALL_SCALE
@@ -93,13 +91,11 @@ class TestParkedCodec:
 
     def test_round_trip_drops_live_compressor(self):
         bundle = self._parked()
-        blob = encode_parked(bundle, {"generation": 4})
-        payloads, _end, error = wire.scan_frames(
-            wire.file_header(wire.CHECKPOINT_MAGIC) + blob
+        decoded = wire.load_file(
+            wire.dump_file(wire.CHECKPOINT_MAGIC, bundle),
+            wire.CHECKPOINT_MAGIC, ParkedTenant,
         )
-        assert error is None
-        decoded, meta = decode_parked(payloads[0])
-        assert meta == {"generation": 4}
+        assert bundle.checkpoint.stats.compressor is not None
         assert decoded.tenant_id == bundle.tenant_id
         assert decoded.counters.as_dict() == bundle.counters.as_dict()
         assert decoded.dead_letters == bundle.dead_letters
@@ -111,10 +107,10 @@ class TestParkedCodec:
     def test_wrong_payload_type_rejected(self):
         import pickle
 
+        with pytest.raises(wire.WireError, match="not ParkedTenant"):
+            wire.loads(pickle.dumps("not one"), ParkedTenant)
         with pytest.raises(wire.WireError):
-            decode_parked(pickle.dumps({"meta": {}, "parked": "not one"}))
-        with pytest.raises(wire.WireError):
-            decode_parked(b"\x00 not a pickle at all")
+            wire.loads(b"\x00 not a pickle at all", ParkedTenant)
 
 
 class TestDirnames:
@@ -295,3 +291,122 @@ class TestRouterRoundTrip:
         # And nothing half-written is trusted on the next startup.
         fresh = TenantStateStore(str(tmp_path / "state"), config)
         assert fresh.load_all() == {}
+
+
+def _tail_digest(alerts):
+    lines = (f"{a.timestamp!r} {a.source} {a.category}" for a in alerts)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestStateFromOlderCode:
+    """``fixtures/state/serve-tenants`` was written by commit 0e83a8d,
+    the last commit whose parked bundles had their own codec::
+
+        repro serve --no-udp --tcp-port 0 --stats-port 0 \\
+            --state-dir tests/fixtures/state/serve-tenants \\
+            --checkpoint-every 200 --max-buffer 16
+
+    fed over one TCP connection with ``@acme:bgl`` and
+    ``@zenith:spirit`` envelopes around the lines of the golden
+    ``bgl.log`` and ``spirit.log``: lines 1-240 of each paced (four per
+    tenant every 20 ms), a 1 s pause, then lines 241-320 of each in one
+    blast, and SIGKILLed 1.5 s later.  Each tenant left its ``TENANT``
+    identity, generation 1 (taken at 200 records) and a journal of
+    ``alert``, shed-overload ``letter`` and ``counters`` entries past
+    it.  Recovery must land on what that commit recovered: the counters
+    below, alert tails of the given lengths and digests, and the
+    journaled dead letters."""
+
+    FIXTURE = (
+        Path(__file__).resolve().parents[1]
+        / "fixtures" / "state" / "serve-tenants"
+    )
+    #: tenant -> (counters, raw tail, filtered tail, dead letters)
+    RECOVERED = {
+        "acme": (
+            {"received": 320, "shed": 59,
+             "shed_by_class": {"info-chatter": 59},
+             "refused": 5, "refused_tagged": 5,
+             "refused_by_reason": {"shed-overload": 5},
+             "processed": 256, "alerts_raw": 57, "alerts_filtered": 57,
+             "crashes": 0, "evictions": 0, "resumes": 0},
+            (57, "79ff8f94ab68c851"), (57, "79ff8f94ab68c851"), 5,
+        ),
+        "zenith": (
+            {"received": 320, "shed": 21,
+             "shed_by_class": {"duplicate-alert": 6, "info-chatter": 15},
+             "refused": 43, "refused_tagged": 43,
+             "refused_by_reason": {"shed-overload": 43},
+             "processed": 256, "alerts_raw": 201, "alerts_filtered": 165,
+             "crashes": 0, "evictions": 0, "resumes": 0},
+            (201, "d07c96ddbca706b3"), (165, "be7bf1066d68b034"), 43,
+        ),
+    }
+
+    def test_load_all_recovers_the_recorded_tenants(self, tmp_path):
+        state_dir = tmp_path / "state"
+        shutil.copytree(self.FIXTURE, state_dir)
+        store = TenantStateStore(
+            str(state_dir), ServiceConfig(state_dir=str(state_dir))
+        )
+        parked = store.load_all()
+
+        assert sorted(parked) == sorted(self.RECOVERED)
+        assert store.status.notes == [] and not store.status.degraded
+        for tenant_id, bundle in parked.items():
+            counters, raw, filtered, letters = self.RECOVERED[tenant_id]
+            assert bundle.system == {"acme": "bgl", "zenith": "spirit"}[
+                tenant_id
+            ]
+            assert bundle.counters.as_dict() == counters
+            assert bundle.counters.conserves(0)
+            checkpoint = bundle.checkpoint
+            assert checkpoint.records_consumed == 200
+            assert (len(checkpoint.raw_alerts),
+                    _tail_digest(checkpoint.raw_alerts)) == raw
+            assert (len(checkpoint.filtered_alerts),
+                    _tail_digest(checkpoint.filtered_alerts)) == filtered
+            assert bundle.dead_letters.quarantined == letters
+            assert bundle.dead_letters.by_reason == (
+                ("shed-overload", letters),
+            )
+            assert checkpoint.dead_letters == bundle.dead_letters
+
+    def test_generation_of_the_wrong_type_is_quarantined(self, tmp_path):
+        """A newer generation with the right token but no parked bundle
+        inside (a string, or a batch run's ``PipelineCheckpoint``) is
+        quarantined, and each tenant recovers from generation 1 as
+        recorded."""
+        state_dir = tmp_path / "state"
+        shutil.copytree(self.FIXTURE, state_dir)
+        for tenant_id in self.RECOVERED:
+            checkpoints = state_dir / "tenants" / tenant_id / "checkpoints"
+            wrapper = wire.load_file(
+                (checkpoints / "gen-00000001.ckpt").read_bytes(),
+                wire.CHECKPOINT_MAGIC, dict,
+            )
+            foreign = {"acme": "not one",
+                       "zenith": wrapper["parked"].checkpoint}[tenant_id]
+            (checkpoints / "gen-00000002.ckpt").write_bytes(wire.dump_file(
+                wire.CHECKPOINT_MAGIC,
+                {"meta": dict(wrapper["meta"], generation=2),
+                 "checkpoint": foreign},
+            ))
+
+        store = TenantStateStore(
+            str(state_dir), ServiceConfig(state_dir=str(state_dir))
+        )
+        parked = store.load_all()
+
+        assert sorted(parked) == sorted(self.RECOVERED)
+        for tenant_id, bundle in parked.items():
+            counters, raw, _filtered, _letters = self.RECOVERED[tenant_id]
+            assert isinstance(bundle, ParkedTenant)
+            assert bundle.counters.as_dict() == counters
+            assert (len(bundle.checkpoint.raw_alerts),
+                    _tail_digest(bundle.checkpoint.raw_alerts)) == raw
+            checkpoints = state_dir / "tenants" / tenant_id / "checkpoints"
+            assert (checkpoints / "gen-00000002.ckpt.corrupt").exists()
+        notes = [n for n in store.status.notes if "quarantined" in n]
+        assert len(notes) == 2
+        assert any("not ParkedTenant" in note for note in notes)

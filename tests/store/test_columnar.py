@@ -3,10 +3,14 @@ write/read roundtrips, barrier-aligned resume that never double-writes a
 partition, and corruption that degrades instead of crashing."""
 
 import os
+import pickle
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.categories import AlertType
+from repro.reporting import figures, tables
 from repro.resilience import wire
 from repro.store import (
     ColumnarStore,
@@ -14,9 +18,11 @@ from repro.store import (
     MemoryAlertStore,
     StoreError,
     is_store_dir,
+    load_result,
     partition_hour,
 )
 from repro.store.format import (
+    COLUMN_MAGIC,
     PageColumns,
     StoreFormatError,
     decode_page,
@@ -24,7 +30,9 @@ from repro.store.format import (
     partition_relpath,
 )
 
-from ..conftest import make_alert
+from ..conftest import Hostile, make_alert
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def stream(n=300, categories=("DISK", "NET", "ECC"), spacing=60.0):
@@ -265,3 +273,64 @@ class TestCorruption:
         assert not disk.complete
         with pytest.raises(StoreError):
             disk.load_summary()
+
+
+class TestUntrustedStore:
+    @pytest.mark.parametrize("name, complaint", [
+        ("SUMMARY", "corrupt run summary"),
+        ("MANIFEST", "corrupt store manifest"),
+    ])
+    def test_crafted_file_is_refused_without_running(
+        self, tmp_path, capsys, name, complaint
+    ):
+        """A SUMMARY or MANIFEST whose pickle names a global outside
+        ``wire.STATE_TYPES`` is corrupt: the store and ``repro report``
+        refuse it, and the pickle never runs."""
+        root = str(tmp_path / "s")
+        alerts, flags = stream(n=20)
+        write_store(root, alerts, flags)
+        sentinel = tmp_path / "ran"
+        with open(os.path.join(root, name), "wb") as handle:
+            handle.write(wire.file_header(COLUMN_MAGIC) + wire.encode_frame(
+                pickle.dumps({"system": "test", "stats": Hostile(sentinel)})
+            ))
+
+        with pytest.raises(StoreError, match=complaint):
+            ColumnarStore(root).load_summary()
+        assert main(["report", root]) != 0
+        assert complaint in capsys.readouterr().err
+        assert not sentinel.exists()
+
+
+class TestStoreFromOlderCode:
+    """``fixtures/store/spirit`` was written by commit 0e83a8d, the last
+    commit whose store files were pickled by their own codec::
+
+        api.run_stream(
+            read_log("tests/fixtures/golden/spirit.log", "spirit",
+                     year=2005),
+            "spirit", store_dir="tests/fixtures/store/spirit",
+        )
+
+    and ``fixtures/store/spirit.report.txt`` is what
+    ``repro report tests/fixtures/store/spirit`` printed over it at that
+    commit.  A finalized store written then must replay to the same
+    tables and figures now."""
+
+    FIXTURE = FIXTURES / "store" / "spirit"
+
+    def test_load_result_renders_the_recorded_report(self):
+        result = load_result(str(self.FIXTURE))
+        assert (result.message_count, result.raw_alert_count) == (400, 308)
+        results = {"spirit": result}
+        text = tables.all_tables(results) + "\n"
+        figure_text = figures.all_figures(results)
+        if figure_text:
+            text += "\n" + figure_text + "\n"
+        recorded = (FIXTURES / "store" / "spirit.report.txt").read_text()
+        assert text == recorded
+
+    def test_repro_report_prints_the_recorded_report(self, capsys):
+        assert main(["report", str(self.FIXTURE)]) == 0
+        recorded = (FIXTURES / "store" / "spirit.report.txt").read_text()
+        assert capsys.readouterr().out == recorded

@@ -23,6 +23,7 @@ from repro.logio.reader import LogReader, read_log
 from repro.logmodel.record import LogRecord
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
+from repro.resilience.durability import CheckpointStore
 from repro.resilience.faults import FaultConfig
 from repro.resilience.supervisor import supervise
 from repro.service.config import ServiceConfig
@@ -58,6 +59,7 @@ PARAMETERS = [
     (log_filter, 2),
     (serial_filter, 2),
     (alias_key, 1),
+    (CheckpointStore.__init__, 6),
 ]
 
 
