@@ -74,8 +74,11 @@ class Driver(Protocol):
 
 
 #: Records per batch on the serial fast path: large enough to amortize
-#: the per-batch joins/compress calls, small enough to keep the working
-#: set (records + rendered lines + encoded bytes) in cache.
+#: the per-batch ruleset pass and line joins, small enough to keep the
+#: working set (records + joined lines + encoded bytes) in cache.  A
+#: batch's bytes pass the stats collector's 64 KiB block size, so each
+#: batch is one deflate block, compressed (where a second CPU is free)
+#: while the next one is read.
 SERIAL_BATCH_SIZE = 4096
 
 

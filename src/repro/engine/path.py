@@ -270,8 +270,12 @@ class AlertPath:
         processed.  Every other batch takes the vectorised body — one
         ruleset pass, one stats observation, one severity tally, one
         in-order run of filter offers — because per-record call overhead
-        (render, encode, compress, severity bookkeeping) dominates the
-        hot path.  The two are byte-identical, which
+        (the tagger call, line join and encode, severity bookkeeping)
+        dominates the hot path.  Deflate is not among it: the stats
+        collector compresses in blocks of at least 64 KiB, beside the
+        caller where a second CPU is free
+        (:class:`~repro.logio.stats.StatsCollector`).  The two are
+        byte-identical, which
         ``tests/engine/test_batch_flow.py`` pins for any partition.
 
         ``outcome`` is the tag outcome already computed (by a worker

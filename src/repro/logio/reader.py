@@ -15,6 +15,7 @@ around to a generator abandoned by an early ``break``.
 from __future__ import annotations
 
 import gzip
+import io
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Union
@@ -27,9 +28,25 @@ from ..logmodel.syslog import parse_syslog_stream
 PathLike = Union[str, Path]
 
 
+class _TolerantGzipFile(gzip.GzipFile):
+    """A gzip file that may have been cut short (a copy interrupted, a
+    disk filled).  ``read1``, which a ``TextIOWrapper`` reads through,
+    ends the stream at the last byte gzip can recover instead of raising
+    ``EOFError``, so a partial last line reaches the tolerant parser
+    like any other damaged line."""
+
+    def read1(self, size=-1):
+        try:
+            return super().read1(size)
+        except EOFError:
+            return b""
+
+
 def _open_text(path: Path):
     if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
+        return io.TextIOWrapper(
+            _TolerantGzipFile(path, "rb"), encoding="utf-8", errors="replace"
+        )
     return open(path, "rt", encoding="utf-8", errors="replace")
 
 

@@ -13,12 +13,21 @@ system's native format instead.
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..logmodel.record import LogRecord
 from .writer import renderer_for
+
+#: Table 2's compressed column: gzip's default level.
+GZIP_DEFAULT_LEVEL = 6
+
+#: Measured bytes a collector gathers before handing them to deflate as
+#: one block.
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -105,20 +114,51 @@ class StatsCollector:
     """Streaming Table 2 accumulator.
 
     Wrap a record stream with :meth:`observe`; statistics are live on
-    :attr:`stats` as the stream is consumed.  Compression is measured with
-    a true incremental zlib stream (gzip's codec) rather than per-line
-    compression, so the ratio matches what ``gzip`` on the whole file
-    achieves.
+    :attr:`stats` as the stream is consumed, except ``compressed_bytes``,
+    which is exact at :meth:`snapshot` and :meth:`finish`.  Compression
+    is measured with a true incremental zlib stream (gzip's codec)
+    rather than per-line compression, so the ratio matches what ``gzip``
+    on the whole file achieves.
+
+    Deflate is most of what a collector costs (``bench/``'s
+    ``logio.stats_us_per_rec`` was ~1.5 us per Liberty record, ~1.1 of
+    it deflate), and zlib releases the GIL while it compresses.  So the
+    measured bytes gather in a pending buffer, and each time that
+    reaches :data:`BLOCK_BYTES` it goes to the compressor as one block
+    (a batch bigger than that is one block) on a short-lived helper
+    thread, while the caller goes on parsing, tagging and filtering.
+    At most one block is in flight: the next block, :meth:`snapshot`
+    and :meth:`finish` settle it (join the thread, count its output,
+    re-raise what it raised), and the last two also compress what is
+    still pending.  Deflate's output depends only on the byte sequence
+    fed, not its chunking, so every settled count, ``fed_bytes`` and
+    snapshot compressor are those of a collector that compresses each
+    record as it comes.  The helper runs only when the calling thread
+    may use two CPUs (:func:`_two_cpus`); on one it would only take
+    turns with its caller, so the block is compressed inline.  A worker
+    pool forked while a block is in flight is unaffected: the helper
+    touches only its own block and this collector's compressor, and no
+    worker uses either.
     """
 
-    def __init__(self, system: str, compression_level: int = 6):
+    def __init__(self, system: str):
         self.stats = LogStats(system=system)
         self._render = renderer_for(system)
-        self._compressor = zlib.compressobj(compression_level)
+        self._compressor = zlib.compressobj(GZIP_DEFAULT_LEVEL)
         self._flushed = False
-        #: Bytes fed to the compressor so far (the durable-resume
-        #: watermark), and how many of them a durable resume still owes
-        #: the rebuilt compressor via :meth:`replay_record`.
+        #: Measured bytes not yet handed to the compressor, and whether
+        #: they count towards ``compressed_bytes`` (a durable resume's
+        #: replayed prefix does not; a block never mixes the two).
+        self._pending = bytearray()
+        self._pending_counted = True
+        #: The block being compressed on the helper thread:
+        #: ``(thread, result, counted)``, ``result`` receiving the
+        #: output's length or the exception raised.
+        self._inflight: Optional[tuple] = None
+        #: Bytes measured for the compressor so far, pending ones
+        #: included (the durable-resume watermark), and how many of them
+        #: a durable resume still owes the rebuilt compressor via
+        #: :meth:`replay_record`.
         self._fed = 0
         self._replay_pending = 0
         #: Latched when a durable resume's replayed prefix did not line
@@ -141,13 +181,65 @@ class StatsCollector:
         lines.append("")  # trailing separator = final newline
         return "\n".join(lines).encode("utf-8", "replace")
 
+    def _feed(self, data: bytes, counted: bool = True) -> None:
+        """Queue ``data`` for the compressor; hand off a full block."""
+        if self._pending and counted != self._pending_counted:
+            self._dispatch()
+        self._pending_counted = counted
+        self._pending += data
+        if len(self._pending) >= BLOCK_BYTES:
+            self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Compress the pending bytes as one block: on a helper thread
+        when :func:`_two_cpus`, else inline.  The block in flight is
+        settled first, so the compressor sees the bytes in order."""
+        block, counted = self._pending, self._pending_counted
+        self._pending = bytearray()
+        self._settle()
+        if _two_cpus():
+            result: list = []
+            thread = threading.Thread(
+                target=_deflate,
+                args=(self._compressor, block, result),
+                name="stats-deflate",
+                daemon=True,
+            )
+            thread.start()
+            self._inflight = (thread, result, counted)
+        else:
+            out = len(self._compressor.compress(block))
+            if counted:
+                self.stats.compressed_bytes += out
+
+    def _settle(self) -> None:
+        """Wait for the block in flight, if any, and count its output;
+        an exception the helper raised is raised here."""
+        if self._inflight is None:
+            return
+        thread, result, counted = self._inflight
+        self._inflight = None
+        thread.join()
+        (outcome,) = result
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if counted:
+            self.stats.compressed_bytes += outcome
+
+    def _drain(self) -> None:
+        """Leave nothing in flight or pending: the compressor has been
+        fed every measured byte and ``compressed_bytes`` is current."""
+        if self._pending:
+            self._dispatch()
+        self._settle()
+
     def observe_record(self, record: LogRecord) -> None:
         """Accumulate one record (the per-record form of :meth:`observe`)."""
         data = self._bytes((record,))
         self.stats.messages += 1
         self.stats.raw_bytes += len(data)
         if not self.coarse:
-            self.stats.compressed_bytes += len(self._compressor.compress(data))
+            self._feed(data)
             self._fed += len(data)
         if self.stats.first_timestamp is None:
             self.stats.first_timestamp = record.timestamp
@@ -158,21 +250,16 @@ class StatsCollector:
             self.stats.last_timestamp = record.timestamp
 
     def observe_batch(self, records: Sequence[LogRecord]) -> None:
-        """Accumulate a whole batch with one join/encode/compress.
+        """Accumulate a whole batch with one join and one encode.
 
         Byte-identical to calling :meth:`observe_record` per record:
         UTF-8 is stateless, so encoding the concatenated lines equals
-        concatenating per-line encodings, and a streaming zlib
-        compressor fed the same bytes in different chunkings produces
-        the same cumulative output *and* the same resumable state
-        (``tests/engine`` pins both).  The batch form exists because the
-        per-record form pays an encode + compress call per line; even
-        batched, and reading each parsed line instead of rendering it,
-        this is most of the serial path on chatter-heavy logs
-        (``bench/``: ``logio.stats_us_per_rec`` 1.3 of
-        ``engine.serial_us_per_rec`` 2.1 us on ``liberty_file_serial``,
-        nearly all of it deflate), though not on Spirit's 64%-tagged
-        stream (1.0 of 5.9; tag 2.6).
+        concatenating per-line encodings, and the bytes join the same
+        pending buffer in the same order (``tests/engine`` and
+        ``tests/logio`` pin both the counts and the resumable state).
+        The batch form exists because the per-record form pays a join
+        and an encode per line; the deflate both feed runs beside the
+        caller (see the class docstring).
         """
         if not records:
             return
@@ -181,7 +268,7 @@ class StatsCollector:
         stats.messages += len(records)
         stats.raw_bytes += len(data)
         if not self.coarse:
-            stats.compressed_bytes += len(self._compressor.compress(data))
+            self._feed(data)
             self._fed += len(data)
         if stats.first_timestamp is None:
             stats.first_timestamp = records[0].timestamp
@@ -199,12 +286,14 @@ class StatsCollector:
     def finish(self) -> LogStats:
         """Flush the compressor and return the final statistics."""
         if not self._flushed:
+            self._drain()
             self.stats.compressed_bytes += len(self._compressor.flush())
             self._flushed = True
         return self.stats
 
     def snapshot(self) -> StatsSnapshot:
         """Capture resumable mid-stream state (see :class:`StatsSnapshot`)."""
+        self._drain()
         return StatsSnapshot(
             stats=replace(self.stats),
             compressor=self._compressor.copy(),
@@ -256,8 +345,27 @@ class StatsCollector:
             self.replay_mismatch = True
             self._replay_pending = 0
             return
-        self._compressor.compress(data)
+        self._feed(data, counted=False)
         self._replay_pending -= len(data)
+
+
+def _two_cpus() -> bool:
+    """Whether the calling thread may run on two CPUs or more, so a
+    helper thread can deflate beside it."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _deflate(compressor, block: bytearray, result: list) -> None:
+    """The helper thread's body: compress one block and put its output
+    length, or the exception raised, in ``result``."""
+    try:
+        result.append(len(compressor.compress(block)))
+    except Exception as exc:  # handed to the caller, raised at settle
+        result.append(exc)
 
 
 def measure_stream(records: Iterable[LogRecord], system: str) -> LogStats:

@@ -63,6 +63,27 @@ def test_count_lines(tmp_path):
     assert count_lines(path) == written
 
 
+@pytest.mark.parametrize("system", ["liberty", "bgl"])
+@pytest.mark.parametrize("cut", [0.25, 0.5, 0.9])
+def test_truncated_gzip_reads_its_recoverable_prefix(tmp_path, system, cut):
+    """A ``.gz`` log cut mid-stream reads to the last byte gzip can
+    recover, without raising: every record but the last equals the
+    untruncated file's, the last is a prefix of its line, and
+    ``count_lines`` sees as many lines as the reader yields."""
+    gen = generate_log(system, scale=SCALE, seed=SEED, corruption=0.0)
+    whole = tmp_path / f"{system}.log.gz"
+    write_log(gen.records, whole, system, compress=True)
+    data = whole.read_bytes()
+    cut_path = tmp_path / f"{system}.cut.log.gz"
+    cut_path.write_bytes(data[: int(len(data) * cut)])
+    full = list(read_log(whole, system))
+    records = list(read_log(cut_path, system))
+    assert 0 < len(records) < len(full)
+    assert records[:-1] == full[: len(records) - 1]
+    assert full[len(records) - 1].raw.startswith(records[-1].raw)
+    assert count_lines(cut_path) == len(records)
+
+
 def test_renderer_for_dispatch():
     assert renderer_for("bgl") is render_bgl_line
     assert renderer_for("redstorm") is render_redstorm_line

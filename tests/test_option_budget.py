@@ -20,6 +20,7 @@ from repro.core.filtering import SpatioTemporalFilter, log_filter
 from repro.core.serial_filter import serial_filter
 from repro.engine.capabilities import validate_run_config
 from repro.logio.reader import LogReader, read_log
+from repro.logio.stats import StatsCollector
 from repro.logmodel.record import LogRecord
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
@@ -60,6 +61,7 @@ PARAMETERS = [
     (serial_filter, 2),
     (alias_key, 1),
     (CheckpointStore.__init__, 6),
+    (StatsCollector.__init__, 2),
 ]
 
 
