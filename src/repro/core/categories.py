@@ -87,8 +87,10 @@ class CategoryDef:
         category definitions compare by identity-relevant fields only.
     flags:
         ``re`` flags (e.g. ``re.IGNORECASE``) applied when compiling
-        ``pattern``.  The tagger's combined prefilter must preserve these
-        per-rule — see ``repro.core.tagging.scoped_pattern``.
+        ``pattern``.  They apply to this rule alone: the tagger never
+        combines rule patterns, and its literal gate reads them to
+        extract the rule's required literal (see
+        ``repro.core.rules.compiled.required_literal``).
     """
 
     name: str

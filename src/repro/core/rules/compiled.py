@@ -1,29 +1,27 @@
-"""Compiled-ruleset fast path: one alternation, dispatched by branch.
+"""Compiled-ruleset fast path: a literal gate, then the ordered scan.
 
-The per-record tagger historically ran a combined alternation as a
-*reject* filter and, on a hit, re-scanned every rule in order to find the
-winner (first-rule-wins, logsurfer semantics — an alternation alone
-implements earliest-*position* match, a different priority rule).  This
-module compiles a ruleset once into a form where the alternation itself
-reports *which branch* matched, so the ordered re-scan shrinks from "all
-rules" to "the rules ahead of the branch the regex engine already found":
+The tagger's rules are ordered and the first rule that matches wins
+(logsurfer semantics, Section 3.2).  Almost every record in a real log
+matches no rule, so the cost that matters is rejecting chaff.  This
+module compiles a ruleset once into that shape, without ever combining
+rule regexes (a combined pattern renumbers backreferences and collides
+group names):
 
-* each rule becomes a named wrapper branch ``(?P<_cK>...)`` carrying its
-  scoped inline flags (:func:`scoped_pattern`), so one ``search`` both
-  rejects chaff and names a candidate rule;
-* the candidate is the branch matching at the *leftmost position*; rules
-  ``0..K-1`` are then tested individually — only they could outrank it
-  under first-rule-wins — and the first hit (or the candidate) wins;
-* an optional literal prefilter — one alternation of plain literals
-  required by the rules (the cheap gate of the semi-supervised
-  log-processing fast path; see PAPERS.md) — runs before the dispatch
-  when every rule contributes a usable literal.
+* every rule keeps its own compiled pattern and its *skip literal* — a
+  plain substring every match must contain (:func:`required_literal`),
+  or ``None`` when the rule has none or is case-insensitive;
+* one *literal gate* — the rules' required literals compiled as a
+  single regex with common prefixes shared like a trie, case-insensitive
+  literals under ``(?i:...)`` — rejects a text in one C-level search
+  when no rule's literal is present (the cheap gate of the
+  semi-supervised log-processing fast path; see PAPERS.md);
+* a text that passes runs the ordered scan, which skips a rule whose
+  skip literal is not a substring of the text (a rule cannot match
+  without its required literal) and otherwise runs that rule's own
+  ``search``.  The first hit wins, exactly as the naive loop picks.
 
-Rules whose pattern text could interfere with the combined compile
-(named groups, backreferences, conditionals) drop the whole ruleset to a
-fallback mode that is exactly the historical behavior: anonymous-group
-alternation as a reject filter plus the full ordered scan.  All five
-system rulesets compile in dispatch mode.
+When any rule has no required literal there is no gate and every text
+takes the scan.  All five system rulesets have a gate.
 
 Compiled state is cached per process for the registered system rulesets
 (:func:`compiled_ruleset`), which is what makes
@@ -34,78 +32,30 @@ worker initializers and batch paths alike.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Pattern, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Pattern, Sequence, Tuple
 
 from ..categories import CategoryDef, Ruleset
-
-#: Global inline-flag groups a pattern may open with, e.g. ``(?i)``.
-_GLOBAL_FLAG_GROUP = re.compile(r"\(\?([aiLmsux]+)\)")
-
-#: Flags expressible as scoped inline-flag letters (``(?i:...)``).
-#: ``re.L`` needs a bytes pattern and ``re.U`` is the str default, so
-#: neither can reach a str-pattern ruleset; both are dropped if present.
-_FLAG_LETTERS = (
-    (re.ASCII, "a"),
-    (re.IGNORECASE, "i"),
-    (re.MULTILINE, "m"),
-    (re.DOTALL, "s"),
-    (re.VERBOSE, "x"),
-)
-
-#: Pattern constructs that make combining rules into one alternation
-#: unsafe: named groups collide with the ``_cK`` wrappers, and numeric or
-#: named backreferences/conditionals break when group numbering shifts
-#: inside the combined pattern.
-_UNSAFE_CONSTRUCT = re.compile(r"\(\?P[<=]|\\[1-9]|\\g<|\(\?\(")
 
 #: A literal shorter than this filters nothing worth the extra pass.
 _MIN_LITERAL = 4
 
 
-def _lift_global_flags(pattern: str, flags: int) -> Tuple[str, int]:
-    """Strip leading ``(?i)``-style global flag groups into ``flags``."""
-    while True:
-        head = _GLOBAL_FLAG_GROUP.match(pattern)
-        if head is None:
-            return pattern, flags
-        for flag, letter in _FLAG_LETTERS:
-            if letter in head.group(1):
-                flags |= flag
-        pattern = pattern[head.end():]
-
-
-def scoped_pattern(category: CategoryDef) -> str:
-    """The category's pattern as a self-contained alternation branch.
-
-    Joining raw patterns with ``|`` loses per-rule flags: ``(?i)`` inside
-    a branch is a *global* flag (an error since Python 3.11, silently
-    applied to every branch before that), and ``CategoryDef.flags`` never
-    reached the combined regex at all.  Scoped inline-flag groups
-    (``(?i:...)``) carry each rule's flags without leaking them to the
-    other branches.
-    """
-    pattern, flags = _lift_global_flags(category.pattern, category.flags)
-    letters = "".join(
-        letter for flag, letter in _FLAG_LETTERS if flags & flag
-    )
-    if letters:
-        return f"(?{letters}:{pattern})"
-    return f"(?:{pattern})"
-
-
 def required_literal(pattern: str, flags: int = 0) -> Optional[str]:
     """A plain substring every match of ``pattern`` must contain.
 
-    Walks the parsed pattern's top-level concatenation: a maximal run of
+    Parses ``pattern`` with its real flags (inline ``(?x)``-style groups
+    included, so a ``VERBOSE`` rule's layout whitespace is not part of
+    the literal) and walks the top-level concatenation: a maximal run of
     LITERAL nodes there is required in every match (each concatenation
-    element must be consumed).  Returns the longest such run, or ``None``
-    when the pattern yields nothing usable (pure alternation, too-short
-    literals, unparsable text) — callers must treat ``None`` as "cannot
-    prefilter", never as "matches nothing".
+    element must be consumed).  Returns the longest such run, or
+    ``None`` when the pattern yields nothing usable (pure alternation,
+    literals too short once edge whitespace is stripped, unparsable
+    text) — callers must treat ``None`` as "cannot prefilter", never as
+    "matches nothing".  Under ``IGNORECASE`` the run is required only
+    up to case.
     """
-    pattern, flags = _lift_global_flags(pattern, flags)
     try:
-        parsed = re._parser.parse(pattern, flags & ~re.VERBOSE)
+        parsed = re._parser.parse(pattern, flags)
     except Exception:
         return None
     best: List[int] = []
@@ -119,9 +69,39 @@ def required_literal(pattern: str, flags: int = 0) -> Optional[str]:
             run = []
     if len(run) > len(best):
         best = run
-    if len(best) < _MIN_LITERAL:
-        return None
-    return "".join(map(chr, best))
+    # Edge spaces are dropped: a gate literal that opens with the
+    # commonest character in a log line wakes at every word.
+    literal = "".join(map(chr, best)).strip()
+    return literal if len(literal) >= _MIN_LITERAL else None
+
+
+def _trie_pattern(literals: Sequence[str]) -> str:
+    """A regex matching any of ``literals``, common prefixes shared.
+
+    The gate only asks whether *some* literal is present, so a literal
+    that extends a shorter one is dropped: the shorter one is in the
+    text whenever the longer one is.
+    """
+    trie: dict = {}
+    for literal in sorted(set(literals), key=len):
+        node = trie
+        for ch in literal[:-1]:
+            node = node.setdefault(ch, {})
+            if node is None:  # a shorter literal is a prefix of this one
+                break
+        else:
+            node[literal[-1]] = None
+
+    def render(node: dict) -> str:
+        branches = [
+            re.escape(ch) + ("" if child is None else render(child))
+            for ch, child in sorted(node.items())
+        ]
+        if len(branches) == 1:
+            return branches[0]
+        return "(?:" + "|".join(branches) + ")"
+
+    return render(trie)
 
 
 class CompiledRuleset:
@@ -130,7 +110,7 @@ class CompiledRuleset:
     :meth:`match_index` / :meth:`match_text` preserve first-rule-wins
     semantics exactly (the hypothesis differential suite in
     ``tests/core/test_compiled_rules.py`` pins this against the naive
-    ordered scan for all five system rulesets).
+    ordered scan for all five system rulesets and ad-hoc rulesets).
     """
 
     def __init__(self, ruleset: Ruleset):
@@ -140,75 +120,39 @@ class CompiledRuleset:
         self._ordered: Tuple[Tuple[Pattern[str], CategoryDef], ...] = tuple(
             (cat.compiled(), cat) for cat in categories
         )
-        self.prefilter: Optional[Pattern[str]] = None
-        self.dispatch: Optional[Pattern[str]] = None
-        self.literal_gate: Optional[Pattern[str]] = None
-        self._branch_of: Dict[int, int] = {}
-        if not categories:
-            return
-
-        self.prefilter = re.compile(
-            "|".join(scoped_pattern(cat) for cat in categories)
-        )
-        if any(_UNSAFE_CONSTRUCT.search(cat.pattern) for cat in categories):
-            return  # fallback mode: prefilter + full ordered scan
-
-        dispatch = re.compile("|".join(
-            f"(?P<_c{k}>{scoped_pattern(cat)})"
-            for k, cat in enumerate(categories)
-        ))
-        self.dispatch = dispatch
-        self._branch_of = {
-            dispatch.groupindex[f"_c{k}"]: k for k in range(len(categories))
-        }
-
-        literals = []
-        for cat in categories:
+        cased: List[str] = []
+        caseless: List[str] = []
+        scan = []
+        for k, (pattern, cat) in enumerate(self._ordered):
             literal = required_literal(cat.pattern, cat.flags)
-            if literal is None:
-                return  # one rule without a cheap gate disables the gate
-            branch = re.escape(literal)
-            if (cat.flags | _lift_global_flags(cat.pattern, 0)[1]) & re.IGNORECASE:
-                branch = f"(?i:{branch})"
-            literals.append(branch)
-        self.literal_gate = re.compile("|".join(literals))
+            ignorecase = bool(pattern.flags & re.IGNORECASE)
+            if literal is not None:
+                (caseless if ignorecase else cased).append(literal)
+            scan.append((None if ignorecase else literal, pattern.search, k))
+        #: ``(skip literal, rule search, rule index)`` in rule order.
+        self._scan: Tuple[Tuple[Optional[str], Callable, int], ...] = tuple(scan)
+        self.literal_gate: Optional[Pattern[str]] = None
+        if categories and len(cased) + len(caseless) == len(categories):
+            branches = [_trie_pattern(cased)] if cased else []
+            if caseless:
+                branches.append(f"(?i:{_trie_pattern(caseless)})")
+            self.literal_gate = re.compile("|".join(branches))
 
     # -- matching ----------------------------------------------------------
 
     def match_index(self, text: str) -> Optional[int]:
         """Index of the first rule matching ``text``, or ``None``."""
-        dispatch = self.dispatch
-        if dispatch is None:
-            return self._scan_index(text)
         gate = self.literal_gate
         if gate is not None and gate.search(text) is None:
             return None
-        found = dispatch.search(text)
-        if found is None:
-            return None
-        # The dispatch found the leftmost-position winner; under
-        # first-rule-wins only the rules *ahead* of that branch can
-        # outrank it, so test exactly those.
-        candidate = self._branch_of.get(found.lastindex)
-        if candidate is None:  # defensive: resolve by wrapper group scan
-            for gid, k in self._branch_of.items():
-                if found.group(gid) is not None:
-                    candidate = k
-                    break
-            else:  # pragma: no cover - a branch always owns the match
-                return self._scan_index(text)
-        ordered = self._ordered
-        for k in range(candidate):
-            if ordered[k][0].search(text):
-                return k
-        return candidate
+        return self._scan_index(text)
 
     def _scan_index(self, text: str) -> Optional[int]:
-        """Fallback: historical prefilter + ordered scan."""
-        if self.prefilter is None or self.prefilter.search(text) is None:
-            return None
-        for k, (pattern, _cat) in enumerate(self._ordered):
-            if pattern.search(text):
+        """The ordered first-rule-wins scan, skipping absent literals."""
+        for literal, search, k in self._scan:
+            if literal is not None and literal not in text:
+                continue
+            if search(text) is not None:
                 return k
         return None
 
@@ -227,21 +171,16 @@ class CompiledRuleset:
         everything before it has already been resolved.
         """
         hits: List[Tuple[int, CategoryDef]] = []
-        match_index = self.match_index
         categories = self.categories
-        dispatch = self.dispatch
+        scan_index = self._scan_index
+        # The gate inlined, so the ~no-alert majority costs one C call
+        # per text; with no gate every text takes the scan.
         gate = self.literal_gate
-        if dispatch is not None and gate is None:
-            # Common shape (no literal gate): inline the reject test so
-            # the ~no-alert majority costs one C call per text.
-            search = dispatch.search
-            for i, text in enumerate(texts):
-                if search(text) is None:
-                    continue
-                hits.append((i, categories[match_index(text)]))
-            return hits
+        search = gate.search if gate is not None else None
         for i, text in enumerate(texts):
-            index = match_index(text)
+            if search is not None and search(text) is None:
+                continue
+            index = scan_index(text)
             if index is not None:
                 hits.append((i, categories[index]))
         return hits
@@ -271,5 +210,4 @@ __all__ = [
     "CompiledRuleset",
     "compiled_ruleset",
     "required_literal",
-    "scoped_pattern",
 ]

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Pattern, Sequence, 
 
 from ..logmodel.record import LogRecord, full_texts
 from .categories import Alert, CategoryDef, Ruleset
-from .rules.compiled import CompiledRuleset, compiled_ruleset, scoped_pattern
+from .rules.compiled import CompiledRuleset, compiled_ruleset
 
 __all__ = [
     "BatchOutcome",
@@ -30,7 +30,6 @@ __all__ = [
     "count_by_category",
     "count_by_type",
     "observed_categories",
-    "scoped_pattern",
 ]
 
 
@@ -48,28 +47,28 @@ class Tagger:
     system rulesets).  :meth:`tag` is the hot path: almost every record
     in a real log matches *no* rule (Liberty: 2,452 alerts in 265 M
     messages), so matching runs through the
-    :class:`~repro.core.rules.compiled.CompiledRuleset` — a single
-    branch-dispatched alternation (behind a literal prefilter where the
-    rules allow one) whose hit names a candidate rule, after which only
-    the rules *ahead* of the candidate are re-tested, preserving
-    logsurfer's first-rule-wins semantics exactly (an alternation alone
-    would implement earliest-*position* match, a different priority
-    rule).
+    :class:`~repro.core.rules.compiled.CompiledRuleset` — one literal
+    gate over the rules' required literals rejects chaff in a single
+    search, and a text that passes runs the ordered scan, which skips
+    every rule whose literal is absent and otherwise runs that rule's
+    own regex.  Rule regexes are never combined, so each keeps its own
+    flags and groups, and logsurfer's first-rule-wins semantics hold
+    exactly.
     """
 
     def __init__(self, ruleset: Ruleset):
         self.ruleset = ruleset
         self._fast: CompiledRuleset = compiled_ruleset(ruleset)
-        #: The per-rule (pattern, category) scan the fast path shortcuts;
-        #: kept because the equivalence tests (and the fallback when
-        #: ``_prefilter`` is cleared) run it directly.
+        #: The per-rule (pattern, category) list in rule order: the plain
+        #: ordered scan, with no gate and no literal skips.
         self._compiled: List[Tuple[Pattern[str], CategoryDef]] = list(
             self._fast._ordered
         )
-        #: The combined reject-filter pattern.  Setting this to ``None``
-        #: disables the fast path entirely (the differential tests use
-        #: that to build a reference tagger); an empty ruleset has none.
-        self._prefilter: Optional[Pattern[str]] = self._fast.prefilter
+        #: The compiled fast path the match methods delegate to.  Setting
+        #: this to ``None`` makes them run the plain scan over
+        #: ``_compiled`` instead (the differential tests use that to
+        #: build a reference tagger).
+        self._prefilter: Optional[CompiledRuleset] = self._fast
 
     def match_text(self, text: str) -> Optional[CategoryDef]:
         """The first rule matching ``text``, or ``None``."""
@@ -78,7 +77,7 @@ class Tagger:
                 if pattern.search(text):
                     return category
             return None
-        return self._fast.match_text(text)
+        return self._prefilter.match_text(text)
 
     def match_texts(self, texts: Sequence[str]) -> List[Tuple[int, CategoryDef]]:
         """Batch form of :meth:`match_text`: ``(position, category)`` for
@@ -93,7 +92,7 @@ class Tagger:
                         hits.append((i, category))
                         break
             return hits
-        return self._fast.match_texts(texts)
+        return self._prefilter.match_texts(texts)
 
     def match(self, record: LogRecord) -> Optional[CategoryDef]:
         """The first rule matching this record, or ``None``."""

@@ -9,7 +9,6 @@ from repro.core.tagging import (
     count_by_category,
     count_by_type,
     observed_categories,
-    scoped_pattern,
 )
 from repro.logmodel.record import LogRecord
 
@@ -131,11 +130,13 @@ class TestPrefilterEquivalence:
 
 
 class TestPrefilterFlags:
-    """Regression: the combined prefilter must carry per-rule flags.
+    """Regression: each rule's flags and groups stay its own.
 
-    Joining raw pattern strings with ``|`` dropped ``CategoryDef.flags``
-    entirely, and a ``(?i)``-prefixed rule in any non-first position is a
-    compile error on Python 3.11+ (global flags mid-expression).
+    Joining raw pattern strings with ``|`` once dropped
+    ``CategoryDef.flags`` entirely, a ``(?i)``-prefixed rule in any
+    non-first position is a compile error on Python 3.11+ (global flags
+    mid-expression), and a group name two rules share cannot be defined
+    twice in one pattern.  The tagger now never combines rule patterns.
     """
 
     def _flagged_ruleset(self):
@@ -196,17 +197,71 @@ class TestPrefilterFlags:
         assert tagger.match(_record("panic")).name == "STRICT"
 
     def test_scoped_pattern_shapes(self):
-        plain = CategoryDef(name="A", system="t",
-                            alert_type=AlertType.HARDWARE, pattern=r"x+")
-        flagged = CategoryDef(name="B", system="t",
-                              alert_type=AlertType.HARDWARE, pattern=r"x+",
-                              flags=re.IGNORECASE | re.DOTALL)
-        inlined = CategoryDef(name="C", system="t",
-                              alert_type=AlertType.HARDWARE,
-                              pattern=r"(?im)x+")
-        assert scoped_pattern(plain) == "(?:x+)"
-        assert scoped_pattern(flagged) == "(?is:x+)"
-        assert scoped_pattern(inlined) == "(?im:x+)"
+        """``flags=`` and inline flag groups reach their own rule only,
+        through the tagger's fast path and its plain-scan reference."""
+        ruleset = Ruleset(
+            system="test",
+            categories=(
+                CategoryDef(name="A", system="test",
+                            alert_type=AlertType.HARDWARE,
+                            pattern=r"plain.end"),
+                CategoryDef(name="B", system="test",
+                            alert_type=AlertType.HARDWARE,
+                            pattern=r"fold.end",
+                            flags=re.IGNORECASE | re.DOTALL),
+                CategoryDef(name="C", system="test",
+                            alert_type=AlertType.HARDWARE,
+                            pattern=r"(?im)^line end$"),
+            ),
+        )
+        fast = Tagger(ruleset)
+        reference = Tagger(ruleset)
+        reference._prefilter = None
+        cases = {
+            "plain end": "A", "PLAIN END": None, "plain\nend": None,
+            "FOLD\nEND": "B", "x\nLINE END\ny": "C", "x LINE END y": None,
+        }
+        for text, expected in cases.items():
+            for tagger in (fast, reference):
+                found = tagger.match_text(text)
+                assert (found and found.name) == expected, text
+
+    def test_rules_sharing_a_group_name(self):
+        """Regression: two rules that compile alone but share a group
+        name made ``Tagger(ruleset)`` raise ``redefinition of group
+        name``."""
+        ruleset = Ruleset(
+            system="test",
+            categories=(
+                CategoryDef(name="DOWN", system="test",
+                            alert_type=AlertType.HARDWARE,
+                            pattern=r"(?P<host>sn\d+) down"),
+                CategoryDef(name="PANIC", system="test",
+                            alert_type=AlertType.SOFTWARE,
+                            pattern=r"(?P<host>ln\d+) panic"),
+            ),
+        )
+        tagger = Tagger(ruleset)
+        assert tagger.match(_record("sn12 down", facility="")).name == "DOWN"
+        assert tagger.match(_record("ln3 panic", facility="")).name == "PANIC"
+        assert tagger.match(_record("sn12 panic", facility="")) is None
+
+    def test_verbose_rule_is_tagged(self):
+        """Regression: a ``VERBOSE`` rule's gate literal kept its layout
+        whitespace, so the fast path missed texts the rule matches."""
+        ruleset = Ruleset(
+            system="test",
+            categories=(
+                CategoryDef(name="TLB", system="test",
+                            alert_type=AlertType.HARDWARE,
+                            pattern=r"data  TLB  error", flags=re.VERBOSE),
+            ),
+        )
+        tagger = Tagger(ruleset)
+        assert tagger.match_text("dataTLBerror").name == "TLB"
+        assert tagger.match_texts(["quiet", "dataTLBerror"]) == [
+            (1, ruleset.get("TLB")),
+        ]
 
 
 class TestBatchAPI:
