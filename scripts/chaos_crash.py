@@ -1,45 +1,37 @@
 #!/usr/bin/env python
-"""Crash-chaos harness: SIGKILL the pipeline at deterministic-random
-points — including *inside* durability writes — and prove recovery is
-byte-identical to an uninterrupted run.
+"""Crash-chaos harness: SIGKILL real pipeline processes at
+deterministic-random points — including *inside* durability writes —
+and prove recovery is byte-identical to an uninterrupted run.
+
+Only what needs a real process is checked here.  Tier-1 checks the
+rest in-process: kills, full disks (ENOSPC/EIO) and damaged generations
+or MANIFESTs on the durable batch path in the hypothesis fault model
+``tests/resilience/test_crash_model.py``, and torn or bit-rotten journal
+segments in ``tests/resilience/test_durability.py``'s WAL property.
 
 Phases (all seeded from ``--seed``; every failure is collected, the
 process exits 1 if any phase saw one):
 
-1. **Baselines** — each driver (serial / sharded / bounded, one paper
-   dialect each) runs uninterrupted twice: once in-memory and once with
-   a ``--state-dir``, proving durability itself does not perturb the
-   output, and learning the run's record and filesystem-op counts so
-   kill points can be drawn inside them.
-2. **Kill cycles** (``--cycles``, default 25) — each cycle runs a fresh
-   state dir through one or two SIGKILLs and a final restart.  Even
-   cycles kill after a random *record* (the stream dies between
-   checkpoints); odd cycles arm ``REPRO_FAULT_FS_KILL_AT`` so the
-   injected :class:`~repro.resilience.faults.FaultyFilesystem` tears a
-   checkpoint write in half, fsyncs the torn prefix, and SIGKILLs the
-   process mid-write.  The final run must complete and fingerprint
-   byte-identical to the baseline.
-3. **Online-prediction kill cycles** (``--predict-cycles``, default 6)
-   — the kill-and-restart contract of phase 2, with the streaming
-   correlation miner + online predictor ensemble riding the run
-   (``predict=True``).  The fingerprint widens to cover the full
-   warning stream, ensemble membership, refit count, and correlation
-   graph, so a resumed run that drops, duplicates, or re-times a single
-   warning — or resumes the miner ahead of the filter clocks — fails.
-4. **ENOSPC / EIO** — ``REPRO_FAULT_FS_FAIL_AFTER`` makes the disk fail
-   mid-run and stay failed.  The run must still complete with the
-   baseline fingerprint (zero alert loss) while the durability status
-   accounts for every unpersisted checkpoint exactly:
-   ``taken == saved + unpersisted``.
-5. **RLIMIT_FSIZE** — the real OS refuses writes over a tiny file-size
-   cap (EFBIG with SIGXFSZ ignored); same contract as phase 4, no
-   injection involved.
-6. **Torn-tail / bit-rot fuzz** — in-process: random truncations and
-   byte flips over WAL segments must replay to a clean *prefix* (never
-   an exception, never reordered or invented entries); a corrupted
-   checkpoint generation must quarantine and fall back to the previous
-   generation.
-7. **Service kill** (skippable with ``--skip-service``) — a 10-tenant
+1. **Baselines** — each matrix row runs uninterrupted twice, in-memory
+   and with a ``--state-dir``, proving durability does not perturb the
+   output and learning the record and filesystem-op counts that kill
+   points are drawn from.  The plain rows cover the serial / sharded /
+   bounded drivers; the prediction rows add the streaming miner and
+   online predictor ensemble (``predict=True``) and must emit warnings.
+2. **Kill cycles** (``--cycles`` over the plain rows, default 25, and a
+   quarter as many over the prediction rows) — each cycle takes a fresh
+   state dir through one or two SIGKILLs and a final restart.  Each row
+   alternates kills after a random *record* with kills inside a random
+   filesystem op, where the worker's
+   :class:`~repro.resilience.faults.FaultyFilesystem` tears a checkpoint
+   write in half and SIGKILLs the process mid-write.  The final run
+   must fingerprint byte-identical to the baseline; with prediction the
+   fingerprint covers warnings, ensemble members, refits and the
+   correlation graph.
+3. **RLIMIT_FSIZE** — the real OS refuses writes over a tiny file-size
+   cap (EFBIG with SIGXFSZ ignored): the run must complete degraded
+   with the baseline fingerprint.
+4. **Service kill** (skippable with ``--skip-service``) — a 10-tenant
    ``repro serve`` session over loopback TCP is SIGKILLed between
    quiesced bursts and restarted from its ``--state-dir``; the drained
    final report (counters and alert tails) must match an uninterrupted
@@ -71,13 +63,22 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-#: Driver matrix: (driver, paper dialect, generator scale).  Scales are
-#: tuned so every run holds 10k-20k records — enough for a dozen
-#: checkpoints at CHECKPOINT_EVERY without slowing the cycle loop.
+#: Plain rows: (driver, paper dialect, generator scale, seed, predict).
+#: Scales are tuned so every run holds 10k-20k records — enough for a
+#: dozen checkpoints at CHECKPOINT_EVERY without slowing the cycle loop.
+#: A ``None`` seed is ``--seed``.
 DRIVER_MATRIX = (
-    ("serial", "bgl", 2e-3),
-    ("sharded", "thunderbird", 5e-5),
-    ("bounded", "liberty", 5e-5),
+    ("serial", "bgl", 2e-3, None, False),
+    ("sharded", "thunderbird", 5e-5, None, False),
+    ("bounded", "liberty", 5e-5, None, False),
+)
+#: Prediction rows, run with ``predict=True``.  These are the calibrated
+#: golden scenarios (see scripts/make_golden.py) at the same seeds, so
+#: every run installs ensemble members and emits a non-trivial warning
+#: stream for the widened fingerprint to pin.
+PREDICT_MATRIX = (
+    ("serial", "thunderbird", 3e-4, 11, True),
+    ("sharded", "redstorm", 1e-4, 11, True),
 )
 CHECKPOINT_EVERY = 400
 SIGKILL_RC = -int(signal.SIGKILL)
@@ -93,10 +94,8 @@ REPORT_PREFIX = "REPORT "
 def _kill_after(records, n: int):
     """Yield records, then SIGKILL our own process after the n-th one —
     the 'power cord' failure the durable state must survive."""
-    count = 0
-    for record in records:
+    for count, record in enumerate(records, 1):
         yield record
-        count += 1
         if count >= n:
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -120,41 +119,22 @@ def _driver_knobs(driver: str):
 
 def result_fingerprint(result) -> str:
     """A digest over everything the run *claims* about the log: volume
-    statistics, both alert streams, the Table-4 category counts, and the
-    dead-letter tally.  Runtime dynamics (throughput, queue peaks) are
-    deliberately excluded — a resumed run legitimately differs there."""
-    parts = [
-        repr(result.stats),
-        repr([(a.timestamp, a.source, a.category) for a in result.raw_alerts]),
-        repr([
-            (a.timestamp, a.source, a.category)
-            for a in result.filtered_alerts
-        ]),
-        repr(sorted(result.category_counts().items())),
-        repr(result.corrupted_messages),
-        repr(result.dead_letters.quarantined if result.dead_letters else 0),
-    ]
-    prediction = getattr(result, "prediction", None)
-    if prediction is not None:
-        # A predict-enabled run widens the claim: the exact warning
-        # stream, ensemble membership, refit schedule, and correlation
-        # graph must all survive kill/recover.
-        parts += [
-            repr([
-                (w.t, w.category, w.score, w.kind, w.valid_from, w.valid_until)
-                for w in prediction.warnings
-            ]),
-            repr(prediction.warnings_emitted),
-            repr([
-                (m.target, m.kind, m.precision, m.recall, m.f1)
-                for m in prediction.members
-            ]),
-            repr(prediction.refits),
-            repr(prediction.observed),
-            repr(prediction.graph),
-        ]
-    payload = "\n".join(parts)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    statistics, both alert streams, the Table-4 category counts, the
+    dead-letter tally and, with prediction, the whole report (warnings,
+    ensemble members, refits, correlation graph).  Runtime dynamics
+    (throughput, queue peaks) are deliberately excluded — a resumed run
+    legitimately differs there."""
+    def alerts(stream):
+        return [(a.timestamp, a.source, a.category) for a in stream]
+
+    claims = (
+        result.stats, alerts(result.raw_alerts),
+        alerts(result.filtered_alerts),
+        sorted(result.category_counts().items()), result.corrupted_messages,
+        result.dead_letters.quarantined if result.dead_letters else 0,
+        result.prediction,
+    )
+    return hashlib.sha256(repr(claims).encode("utf-8")).hexdigest()
 
 
 def batch_worker(args) -> int:
@@ -176,6 +156,8 @@ def batch_worker(args) -> int:
     from repro import api
     from repro.resilience.checkpoint import CheckpointManager
     from repro.resilience.deadletter import DeadLetterQueue
+    from repro.resilience.durability import CheckpointStore
+    from repro.resilience.faults import FaultyFilesystem
     from repro.simulation.generator import generate_log
 
     records = list(
@@ -185,79 +167,63 @@ def batch_worker(args) -> int:
     if args.kill_at_record:
         source = _kill_after(source, args.kill_at_record)
     parallel, backpressure = _driver_knobs(args.driver)
-    checkpointer = (
-        CheckpointManager(every=args.checkpoint_every)
-        if args.state_dir else None
-    )
-    token = (
-        f"chaos|driver={args.driver}|system={args.system}"
-        f"|scale={args.scale!r}|seed={args.seed}"
-        f"|predict={'on' if args.predict else 'off'}"
-    )
+    checkpointer = store = None
+    if args.state_dir:
+        token = (
+            f"chaos|driver={args.driver}|system={args.system}"
+            f"|scale={args.scale!r}|seed={args.seed}"
+            f"|predict={'on' if args.predict else 'off'}"
+        )
+        # Unarmed, the fault filesystem only counts ops for the baselines.
+        store = CheckpointStore(
+            args.state_dir, token=token,
+            fs=FaultyFilesystem(kill_at=args.fs_kill_at),
+        )
+        checkpointer = CheckpointManager(
+            every=args.checkpoint_every, store=store
+        )
     result = api.run_stream(
         source, args.system,
         dead_letters=DeadLetterQueue(capacity=len(records) + 1),
         checkpointer=checkpointer,
         backpressure=backpressure, parallel=parallel,
-        state_dir=args.state_dir or None, state_token=token,
+        state_dir=args.state_dir or None,
         predict=bool(args.predict),
     )
     if restore_fsize is not None:
         restore_fsize()
-    store = checkpointer.store if checkpointer is not None else None
     print(RESULT_PREFIX + json.dumps({
         "fingerprint": result_fingerprint(result),
         "records": len(records),
         "raw_alerts": len(result.raw_alerts),
-        "filtered_alerts": len(result.filtered_alerts),
         "warnings": (
             result.prediction.warnings_emitted
             if result.prediction is not None else None
         ),
-        "taken": checkpointer.taken if checkpointer is not None else 0,
         "saved": store.saved if store is not None else 0,
-        "fs_ops": (
-            getattr(store.fs, "ops", None) if store is not None else None
-        ),
+        "fs_ops": store.fs.ops if store is not None else None,
         "durability": store.status.as_dict() if store is not None else None,
     }), flush=True)
     return 0
 
 
-def _worker_env(extra: dict = None) -> dict:
-    from repro.resilience import faults
-
+def _worker_env() -> dict:
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    # Hygiene: a fault armed in *our* environment must not leak into
-    # workers that did not ask for it.
-    for key in (faults.ENV_FAULT_FS_KILL_AT, faults.ENV_FAULT_FS_FAIL_AFTER,
-                faults.ENV_FAULT_FS_ERRNO):
-        env.pop(key, None)
-    if extra:
-        env.update(extra)
     return env
 
 
-class _WorkerOutput:
-    """What a finished batch worker left behind (mirrors the two
-    ``subprocess`` attributes the phase code reads)."""
-
-    def __init__(self, stdout: str, stderr: str):
-        self.stdout = stdout
-        self.stderr = stderr
-
-
 def run_batch_worker(
-    driver: str, system: str, scale: float, seed: int,
-    state_dir=None, kill_at_record=None, fault_env=None, rlimit_fsize=0,
-    predict=False,
+    row, seed: int, state_dir=None, kill_at_record=None, fs_kill_at=None,
+    rlimit_fsize=0,
 ):
+    driver, system, scale, row_seed, predict = row
     cmd = [
         sys.executable, str(Path(__file__).resolve()), "--worker", "batch",
         "--driver", driver, "--system", system, "--scale", repr(scale),
-        "--seed", str(seed), "--checkpoint-every", str(CHECKPOINT_EVERY),
+        "--seed", str(seed if row_seed is None else row_seed),
+        "--checkpoint-every", str(CHECKPOINT_EVERY),
     ]
     if predict:
         cmd += ["--predict"]
@@ -265,6 +231,8 @@ def run_batch_worker(
         cmd += ["--state-dir", str(state_dir)]
     if kill_at_record:
         cmd += ["--kill-at-record", str(kill_at_record)]
+    if fs_kill_at is not None:
+        cmd += ["--fs-kill-at", str(fs_kill_at)]
     if rlimit_fsize:
         cmd += ["--rlimit-fsize", str(rlimit_fsize)]
     # File-backed output and a fresh process group: a SIGKILLed sharded
@@ -274,7 +242,7 @@ def run_batch_worker(
     with tempfile.TemporaryFile(mode="w+") as stdout, \
             tempfile.TemporaryFile(mode="w+") as stderr:
         proc = subprocess.Popen(
-            cmd, env=_worker_env(fault_env), stdout=stdout, stderr=stderr,
+            cmd, env=_worker_env(), stdout=stdout, stderr=stderr,
             text=True, start_new_session=True,
         )
         try:
@@ -291,71 +259,89 @@ def run_batch_worker(
     for line in out_text.splitlines():
         if line.startswith(RESULT_PREFIX):
             result = json.loads(line[len(RESULT_PREFIX):])
-    return returncode, result, _WorkerOutput(out_text, err_text)
+    return returncode, result, err_text
 
 
 # ---------------------------------------------------------------------------
-# phases 1-5: baselines, kill cycles (plain + prediction), full-disk,
-# file-size cap
+# phases 1-3: baselines, kill cycles, file-size cap
 # ---------------------------------------------------------------------------
+
+
+def _label(row) -> str:
+    return row[0] + ("+predict" if row[4] else "")
 
 
 def compute_baselines(args, failures):
-    """Uninterrupted fingerprints per driver, in-memory vs durable, plus
-    the record / fs-op counts the kill phases draw their points from."""
-    from repro.resilience import faults
-
+    """Uninterrupted fingerprints per row, in-memory vs durable, plus
+    the record / fs-op counts the kill cycles draw their points from."""
     baselines = {}
-    for driver, system, scale in DRIVER_MATRIX:
-        rc, plain, proc = run_batch_worker(driver, system, scale, args.seed)
+    for row in DRIVER_MATRIX + PREDICT_MATRIX:
+        label = _label(row)
+        rc, plain, stderr = run_batch_worker(row, args.seed)
         if rc != 0 or plain is None:
-            failures.append(
-                f"baseline {driver}: rc={rc}: {proc.stderr[-500:]}"
-            )
+            failures.append(f"baseline {label}: rc={rc}: {stderr[-500:]}")
             continue
-        probe_dir = Path(args.tmp) / f"probe-{driver}"
-        # fail_after far beyond any real op count: the FaultyFilesystem
-        # arms (so ops are counted) but never actually fails.
-        rc, durable, proc = run_batch_worker(
-            driver, system, scale, args.seed, state_dir=probe_dir,
-            fault_env={faults.ENV_FAULT_FS_FAIL_AFTER: "1000000000"},
+        probe_dir = Path(args.tmp) / f"probe-{label}"
+        rc, durable, stderr = run_batch_worker(
+            row, args.seed, state_dir=probe_dir
         )
         if rc != 0 or durable is None:
             failures.append(
-                f"baseline {driver} (durable): rc={rc}: {proc.stderr[-500:]}"
+                f"baseline {label} (durable): rc={rc}: {stderr[-500:]}"
             )
             continue
         if durable["fingerprint"] != plain["fingerprint"]:
             failures.append(
-                f"baseline {driver}: durable run diverged from in-memory run"
+                f"baseline {label}: durable run diverged from in-memory run"
             )
         if durable["saved"] < 2:
             failures.append(
-                f"baseline {driver}: only {durable['saved']} checkpoints "
+                f"baseline {label}: only {durable['saved']} checkpoints "
                 f"persisted over {plain['records']} records; kill cycles "
                 "need at least 2"
             )
-        baselines[driver] = {
-            "system": system, "scale": scale,
+        if row[-1] and not plain["warnings"]:
+            failures.append(
+                f"baseline {label} ({row[1]}): no warnings emitted — the "
+                "prediction fingerprint would pin nothing"
+            )
+        baselines[label] = {
+            "row": row,
             "fingerprint": plain["fingerprint"],
             "records": plain["records"],
             "fs_ops": durable["fs_ops"],
-            "raw_alerts": plain["raw_alerts"],
         }
-        print(f"  baseline {driver:8s} ({system}): "
+        warnings = (f", {plain['warnings']} warnings"
+                    if plain["warnings"] is not None else "")
+        print(f"  baseline {label:16s} ({row[1]}): "
               f"{plain['records']:,} records, {plain['raw_alerts']:,} "
-              f"alerts, {durable['fs_ops']} fs ops, "
+              f"alerts{warnings}, {durable['fs_ops']} fs ops, "
               f"{durable['saved']} checkpoints")
     return baselines
 
 
-def kill_cycle_phase(args, rng, baselines, failures):
-    from repro.resilience import faults
+def cycle_plan(cycles: int):
+    """``(label, fs_kill)`` per cycle: ``cycles`` over the plain rows,
+    then a quarter as many (at least one per row) over the prediction
+    rows.  Row r's k-th cycle kills inside a write when r + k is odd, so
+    each row alternates and neighbouring rows start differently."""
+    plan = []
+    for matrix, count in (
+        (DRIVER_MATRIX, cycles),
+        (PREDICT_MATRIX, max(len(PREDICT_MATRIX), cycles // 4)),
+    ):
+        for cycle in range(count):
+            r, k = cycle % len(matrix), cycle // len(matrix)
+            plan.append((_label(matrix[r]), (r + k) % 2 == 1))
+    return plan
 
-    kills = record_kills = fs_kills = 0
-    for cycle in range(args.cycles):
-        driver, system, scale = DRIVER_MATRIX[cycle % len(DRIVER_MATRIX)]
-        base = baselines.get(driver)
+
+def kill_cycle_phase(args, rng, baselines, failures):
+    plan = cycle_plan(args.cycles)
+    # [between records, inside durability writes] per row
+    kills = {_label(row): [0, 0] for row in DRIVER_MATRIX + PREDICT_MATRIX}
+    for cycle, (label, fs_kill) in enumerate(plan):
+        base = baselines.get(label)
         if base is None:
             continue
         state_dir = Path(args.tmp) / f"cycle-{cycle:03d}"
@@ -364,218 +350,70 @@ def kill_cycle_phase(args, rng, baselines, failures):
         # planned armed attempts, then up to 2 clean restarts to finish.
         for attempt in range(planned + 2):
             armed = attempt < planned
-            kill_at_record, fault_env = None, None
-            if armed and cycle % 2 == 0:
+            kill_at_record = fs_kill_at = None
+            if armed and fs_kill:
+                fs_kill_at = rng.randrange(0, max(1, base["fs_ops"]))
+            elif armed:
                 kill_at_record = rng.randrange(
                     CHECKPOINT_EVERY // 2, base["records"]
                 )
-            elif armed:
-                fault_env = {
-                    faults.ENV_FAULT_FS_KILL_AT:
-                        str(rng.randrange(0, max(1, base["fs_ops"]))),
-                }
-            rc, out, proc = run_batch_worker(
-                driver, system, scale, args.seed, state_dir=state_dir,
-                kill_at_record=kill_at_record, fault_env=fault_env,
+            rc, out, stderr = run_batch_worker(
+                base["row"], args.seed, state_dir=state_dir,
+                kill_at_record=kill_at_record, fs_kill_at=fs_kill_at,
             )
             if rc == 0 and out is not None:
                 final = out
                 break
             if rc != SIGKILL_RC:
                 failures.append(
-                    f"cycle {cycle} ({driver}): worker died rc={rc} "
-                    f"(not SIGKILL): {proc.stderr[-500:]}"
+                    f"cycle {cycle} ({label}): worker died rc={rc} "
+                    f"(not SIGKILL): {stderr[-500:]}"
                 )
                 break
-            kills += 1
-            if fault_env is not None:
-                fs_kills += 1
-            else:
-                record_kills += 1
+            kills[label][fs_kill_at is not None] += 1
         if final is None:
             if not failures or f"cycle {cycle}" not in failures[-1]:
                 failures.append(
-                    f"cycle {cycle} ({driver}): never completed after "
+                    f"cycle {cycle} ({label}): never completed after "
                     f"{planned + 2} attempts"
                 )
             continue
         if final["fingerprint"] != base["fingerprint"]:
             failures.append(
-                f"cycle {cycle} ({driver}): recovered output diverged "
+                f"cycle {cycle} ({label}): recovered output diverged "
                 "from the uninterrupted baseline"
             )
         if final["durability"] and final["durability"]["degraded"]:
             failures.append(
-                f"cycle {cycle} ({driver}): unexpected degraded "
+                f"cycle {cycle} ({label}): unexpected degraded "
                 f"durability: {final['durability']['reason']}"
             )
-    print(f"  {args.cycles} cycles, {kills} SIGKILLs "
-          f"({record_kills} between records, {fs_kills} inside durability "
-          "writes), all recoveries byte-identical"
-          if not failures else
-          f"  {args.cycles} cycles, {kills} SIGKILLs, "
-          f"{len(failures)} failures so far")
-    if kills < args.cycles:
-        failures.append(
-            f"only {kills} kills landed across {args.cycles} cycles; "
-            "every cycle's first armed attempt should die"
-        )
-    if args.cycles >= 2 and not fs_kills:
+    for label, (record_kills, fs_kills) in kills.items():
+        cycles = sum(name == label for name, _fs_kill in plan)
+        landed = record_kills + fs_kills
+        print(f"  {label:16s} {cycles:2d} cycles, {landed:2d} SIGKILLs "
+              f"({record_kills} between records, {fs_kills} inside "
+              "durability writes)")
+        if landed < cycles:
+            failures.append(
+                f"{label}: only {landed} kills landed across {cycles} "
+                "cycles; every cycle's first armed attempt should die"
+            )
+    if args.cycles >= 2 and not any(fs for _rec, fs in kills.values()):
         failures.append("no SIGKILL landed inside a durability write")
 
 
-#: Online-prediction matrix: (driver, system, scale, generator seed).
-#: These are the calibrated golden scenarios (see scripts/make_golden.py)
-#: at the same seeds, so every run installs ensemble members and emits a
-#: non-trivial warning stream for the widened fingerprint to pin.
-PREDICT_MATRIX = (
-    ("serial", "thunderbird", 3e-4, 11),
-    ("sharded", "redstorm", 1e-4, 11),
-)
-
-
-def prediction_kill_phase(args, rng, failures):
-    """Kill/recover with the prediction stage riding the run: the
-    recovered warning stream, members, refits, and correlation graph
-    must be byte-identical to the uninterrupted baseline's."""
-    baselines = {}
-    for driver, system, scale, seed in PREDICT_MATRIX:
-        rc, base, proc = run_batch_worker(
-            driver, system, scale, seed, predict=True
-        )
-        if rc != 0 or base is None:
-            failures.append(
-                f"predict baseline {driver}: rc={rc}: {proc.stderr[-500:]}"
-            )
-            continue
-        if not base["warnings"]:
-            failures.append(
-                f"predict baseline {driver} ({system}): no warnings "
-                "emitted — the prediction fingerprint would pin nothing"
-            )
-        baselines[driver] = base
-        print(f"  baseline {driver:8s} ({system}): "
-              f"{base['records']:,} records, {base['warnings']} warnings")
-
-    kills = 0
-    for cycle in range(args.predict_cycles):
-        driver, system, scale, seed = PREDICT_MATRIX[
-            cycle % len(PREDICT_MATRIX)
-        ]
-        base = baselines.get(driver)
-        if base is None:
-            continue
-        state_dir = Path(args.tmp) / f"predict-{cycle:03d}"
-        kill_at = rng.randrange(CHECKPOINT_EVERY // 2, base["records"])
-        final = None
-        for attempt in range(3):  # one armed attempt, two clean restarts
-            rc, out, proc = run_batch_worker(
-                driver, system, scale, seed, state_dir=state_dir,
-                kill_at_record=kill_at if attempt == 0 else None,
-                predict=True,
-            )
-            if rc == 0 and out is not None:
-                final = out
-                break
-            if rc != SIGKILL_RC:
-                failures.append(
-                    f"predict cycle {cycle} ({driver}): worker died "
-                    f"rc={rc} (not SIGKILL): {proc.stderr[-500:]}"
-                )
-                break
-            kills += 1
-        if final is None:
-            if not failures or f"predict cycle {cycle}" not in failures[-1]:
-                failures.append(
-                    f"predict cycle {cycle} ({driver}): never completed"
-                )
-            continue
-        if final["fingerprint"] != base["fingerprint"]:
-            failures.append(
-                f"predict cycle {cycle} ({driver}, killed at record "
-                f"{kill_at}): recovered prediction output diverged from "
-                "the uninterrupted baseline"
-            )
-        if final["durability"] and final["durability"]["degraded"]:
-            failures.append(
-                f"predict cycle {cycle} ({driver}): unexpected degraded "
-                f"durability: {final['durability']['reason']}"
-            )
-    print(f"  {args.predict_cycles} cycles, {kills} SIGKILLs, warning "
-          "streams and correlation graphs recovered byte-identical"
-          if not failures else
-          f"  {args.predict_cycles} cycles, {kills} SIGKILLs, "
-          f"{len(failures)} failures so far")
-    if kills < args.predict_cycles and baselines:
-        failures.append(
-            f"only {kills} prediction kills landed across "
-            f"{args.predict_cycles} cycles"
-        )
-
-
-def full_disk_phase(args, rng, baselines, failures):
-    from repro.resilience import faults
-
-    for i, errno_name in enumerate(("ENOSPC", "EIO", "ENOSPC")):
-        driver, system, scale = DRIVER_MATRIX[i % len(DRIVER_MATRIX)]
-        base = baselines.get(driver)
-        if base is None:
-            continue
-        state_dir = Path(args.tmp) / f"enospc-{i}"
-        fail_after = rng.randrange(0, max(1, base["fs_ops"] // 2))
-        rc, out, proc = run_batch_worker(
-            driver, system, scale, args.seed, state_dir=state_dir,
-            fault_env={
-                faults.ENV_FAULT_FS_FAIL_AFTER: str(fail_after),
-                faults.ENV_FAULT_FS_ERRNO: errno_name,
-            },
-        )
-        label = f"{errno_name} at op {fail_after} ({driver})"
-        if rc != 0 or out is None:
-            failures.append(
-                f"full-disk {label}: run crashed rc={rc}: "
-                f"{proc.stderr[-500:]}"
-            )
-            continue
-        if out["fingerprint"] != base["fingerprint"]:
-            failures.append(
-                f"full-disk {label}: output diverged — a storage failure "
-                "lost pipeline data"
-            )
-        status = out["durability"] or {}
-        if not status.get("degraded"):
-            failures.append(f"full-disk {label}: degraded mode not latched")
-        unpersisted = status.get("unpersisted_checkpoints", 0)
-        if out["taken"] != out["saved"] + unpersisted:
-            failures.append(
-                f"full-disk {label}: accounting broken — taken "
-                f"{out['taken']} != saved {out['saved']} + unpersisted "
-                f"{unpersisted}"
-            )
-        if unpersisted < 1:
-            failures.append(
-                f"full-disk {label}: nothing was unpersisted; the fault "
-                "never landed"
-            )
-        print(f"  {label}: completed degraded, {out['saved']} saved + "
-              f"{unpersisted} unpersisted = {out['taken']} taken, "
-              "output intact")
-
-
 def rlimit_phase(args, baselines, failures):
-    driver, system, scale = DRIVER_MATRIX[0]
-    base = baselines.get(driver)
+    row = DRIVER_MATRIX[0]
+    base = baselines.get(_label(row))
     if base is None:
         return
     state_dir = Path(args.tmp) / "rlimit"
-    rc, out, proc = run_batch_worker(
-        driver, system, scale, args.seed, state_dir=state_dir,
-        rlimit_fsize=512,
+    rc, out, stderr = run_batch_worker(
+        row, args.seed, state_dir=state_dir, rlimit_fsize=512,
     )
     if rc != 0 or out is None:
-        failures.append(
-            f"rlimit-fsize: run crashed rc={rc}: {proc.stderr[-500:]}"
-        )
+        failures.append(f"rlimit-fsize: run crashed rc={rc}: {stderr[-500:]}")
         return
     if out["fingerprint"] != base["fingerprint"]:
         failures.append("rlimit-fsize: output diverged under EFBIG")
@@ -591,90 +429,7 @@ def rlimit_phase(args, baselines, failures):
 
 
 # ---------------------------------------------------------------------------
-# phase 6: torn-tail / bit-rot fuzz (in-process)
-# ---------------------------------------------------------------------------
-
-
-def fuzz_phase(args, rng, failures):
-    from repro.resilience.durability import CheckpointStore, SegmentedWal
-
-    root = Path(args.tmp) / "fuzz"
-    trials = args.fuzz_trials
-    for trial in range(trials):
-        directory = root / f"wal-{trial:03d}"
-        segment_bytes = rng.choice((128, 256, 1 << 20))
-        wal = SegmentedWal(
-            str(directory), segment_bytes=segment_bytes, sync_every=1
-        )
-        entries = [
-            ("op", (trial, i, "x" * rng.randrange(0, 64)))
-            for i in range(rng.randrange(1, 24))
-        ]
-        for kind, obj in entries:
-            wal.append(kind, obj)
-        wal.close()
-        names = wal.segments()
-        if names:
-            path = directory / rng.choice(names)
-            data = path.read_bytes()
-            if len(data) > 7 and rng.random() < 0.5:
-                path.write_bytes(data[:rng.randrange(1, len(data))])
-            elif data:
-                i = rng.randrange(len(data))
-                path.write_bytes(
-                    data[:i] + bytes((data[i] ^ 0xFF,)) + data[i + 1:]
-                )
-        fresh = SegmentedWal(
-            str(directory), segment_bytes=segment_bytes, sync_every=1
-        )
-        try:
-            replayed = list(fresh.replay())
-        except Exception as exc:  # noqa: BLE001 - the contract under test
-            failures.append(f"wal fuzz {trial}: replay raised {exc!r}")
-            continue
-        if replayed != entries[:len(replayed)]:
-            failures.append(
-                f"wal fuzz {trial}: replay is not a clean prefix "
-                f"({len(replayed)} of {len(entries)} entries)"
-            )
-
-    flips = 0
-    for trial in range(max(8, trials // 4)):
-        directory = root / f"ckpt-{trial:03d}"
-        store = CheckpointStore(str(directory), token="fuzz")
-        for generation in range(1, 4):
-            store.save({"generation": generation, "trial": trial})
-        newest = sorted(
-            n for n in os.listdir(directory)
-            if n.startswith("gen-") and n.endswith(".ckpt")
-        )[-1]
-        path = directory / newest
-        data = path.read_bytes()
-        i = rng.randrange(len(data))
-        path.write_bytes(data[:i] + bytes((data[i] ^ 0xFF,)) + data[i + 1:])
-        flips += 1
-        fresh = CheckpointStore(str(directory), token="fuzz")
-        try:
-            payload = fresh.load(dict)
-        except Exception as exc:  # noqa: BLE001 - the contract under test
-            failures.append(f"ckpt fuzz {trial}: load raised {exc!r}")
-            continue
-        if payload != {"generation": 2, "trial": trial}:
-            failures.append(
-                f"ckpt fuzz {trial}: corrupt newest generation did not "
-                f"fall back to the previous one (got {payload!r})"
-            )
-        if not (directory / (newest + ".corrupt")).exists():
-            failures.append(
-                f"ckpt fuzz {trial}: corrupt generation not quarantined"
-            )
-    print(f"  {trials} WAL mutations + {flips} checkpoint bit-flips: "
-          "every replay a clean prefix, every corrupt generation "
-          "quarantined with fallback")
-
-
-# ---------------------------------------------------------------------------
-# phase 7 + worker: SIGKILL a live multi-tenant serve session
+# phase 4 + worker: SIGKILL a live multi-tenant serve session
 # ---------------------------------------------------------------------------
 
 
@@ -942,12 +697,10 @@ def main() -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--cycles", type=int, default=25,
-                        help="SIGKILL/recover cycles across the drivers")
-    parser.add_argument("--predict-cycles", type=int, default=6,
-                        help="SIGKILL/recover cycles with online "
-                             "prediction riding the run")
+                        help="SIGKILL/recover cycles across the drivers "
+                             "(a quarter as many again run with online "
+                             "prediction)")
     parser.add_argument("--seed", type=int, default=2007)
-    parser.add_argument("--fuzz-trials", type=int, default=60)
     parser.add_argument("--service-tenants", type=int, default=10)
     parser.add_argument("--service-scale", type=float, default=6e-6)
     parser.add_argument("--service-kills", type=int, default=2)
@@ -965,6 +718,8 @@ def main() -> int:
     parser.add_argument("--checkpoint-every", type=int,
                         default=CHECKPOINT_EVERY, help=argparse.SUPPRESS)
     parser.add_argument("--kill-at-record", type=int, default=0,
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--fs-kill-at", type=int, default=None,
                         help=argparse.SUPPRESS)
     parser.add_argument("--rlimit-fsize", type=int, default=0,
                         help=argparse.SUPPRESS)
@@ -986,24 +741,15 @@ def main() -> int:
         print("phase 1: uninterrupted baselines")
         baselines = compute_baselines(args, failures)
 
-        print(f"phase 2: {args.cycles} SIGKILL/recover cycles")
+        print(f"phase 2: {len(cycle_plan(args.cycles))} SIGKILL/recover "
+              "cycles")
         kill_cycle_phase(args, rng, baselines, failures)
 
-        print(f"phase 3: {args.predict_cycles} online-prediction "
-              "SIGKILL/recover cycles")
-        prediction_kill_phase(args, rng, failures)
-
-        print("phase 4: full-disk (ENOSPC / EIO) degradation")
-        full_disk_phase(args, rng, baselines, failures)
-
-        print("phase 5: kernel file-size cap (RLIMIT_FSIZE / EFBIG)")
+        print("phase 3: kernel file-size cap (RLIMIT_FSIZE / EFBIG)")
         rlimit_phase(args, baselines, failures)
 
-        print("phase 6: torn-tail / bit-rot fuzz")
-        fuzz_phase(args, rng, failures)
-
         if not args.skip_service:
-            print("phase 7: serve-session SIGKILL / resurrection")
+            print("phase 4: serve-session SIGKILL / resurrection")
             try:
                 failures.extend(kill_service_check(
                     args.service_tenants, args.service_scale, args.seed,
@@ -1020,8 +766,7 @@ def main() -> int:
             print(f"  - {failure}")
         return 1
     print(f"\nOK ({elapsed:.1f}s): every SIGKILL recovered byte-identical; "
-          "storage failures degraded with exact accounting; corruption "
-          "replayed to clean prefixes")
+          "the kernel's file-size cap degraded without losing output")
     return 0
 
 

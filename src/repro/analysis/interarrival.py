@@ -33,9 +33,9 @@ def interarrival_times(alerts: Iterable[Alert]) -> np.ndarray:
     """Gaps (seconds) between consecutive alerts of a time-sorted stream.
 
     Single pass over ``alerts`` — a generator is consumed exactly once.
-    An :class:`~repro.store.query.AlertQuery` takes the column fast
-    path: timestamps decode straight from column pages with no per-alert
-    objects.  Callers that need the pooled *and* the per-category gaps
+    An :class:`~repro.store.query.AlertQuery` takes the column path:
+    its ``timestamps()`` array replaces the alerts, though a spilled
+    store still builds that array from one Python tuple per row.  Callers that need the pooled *and* the per-category gaps
     from one non-restartable stream must use :func:`interarrival_series`
     (calling this *and* :func:`interarrivals_by_category` on the same
     generator would find it already exhausted).

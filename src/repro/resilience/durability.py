@@ -12,19 +12,20 @@ survives SIGKILL, torn writes, and bit-rot.
 Three layers:
 
 * :class:`RealFilesystem` — the narrow syscall surface everything else
-  uses (write/fsync/replace/remove/...).  Narrow on purpose: the chaos
-  harness swaps in :class:`~repro.resilience.faults.FaultyFilesystem`
-  to land ENOSPC/EIO or a SIGKILL mid-fsync at a deterministic
-  operation index.
+  uses (write/fsync/replace/remove/...).  Narrow on purpose: passing a
+  :class:`~repro.resilience.faults.FaultyFilesystem` as ``fs=`` lands
+  ENOSPC/EIO or a kill mid-fsync at a deterministic operation index.
 * :class:`SegmentedWal` — an append-only journal of CRC32-framed
   entries across rotating segment files.  Replay truncates a torn tail
-  (the crash case), quarantines a mid-journal CRC failure (the bit-rot
-  case) rather than trusting anything after it, and never raises.
+  (the crash case), cuts a mid-journal CRC failure (the bit-rot case)
+  the same way and quarantines every later segment rather than trusting
+  it, and never raises.
 * :class:`CheckpointStore` — full-state snapshots written as
   generations: serialize → temp file → fsync → ``os.replace``, then a
-  manifest (same dance) naming the newest generation.  Load verifies
-  the manifest's pick and falls back generation by generation,
-  quarantining what fails its CRC.
+  manifest (same dance) naming the newest generation.  Load reads the
+  manifest only for its token and completion mark, then tries the
+  generations on disk newest first, quarantining each one that fails
+  its CRC or type check.
 
 The journal and the store write through :mod:`repro.resilience.wire`,
 the one durable codec: a journal entry is one ``wire.dumps`` frame, and
@@ -55,7 +56,6 @@ __all__ = [
     "DurabilityStatus",
     "RealFilesystem",
     "SegmentedWal",
-    "default_filesystem",
 ]
 
 
@@ -88,7 +88,7 @@ class _AppendHandle:
 
 class RealFilesystem:
     """The narrow filesystem surface the durability layer is written
-    against.  Every mutating operation the chaos harness might want to
+    against.  Every mutating operation a fault schedule might want to
     fail or kill inside goes through a named method here."""
 
     def ensure_dir(self, path: str) -> None:
@@ -132,18 +132,6 @@ class RealFilesystem:
             pass
         finally:
             os.close(fd)
-
-
-def default_filesystem() -> RealFilesystem:
-    """The filesystem the stores use when none is injected explicitly.
-
-    Honors the ``REPRO_FAULT_FS_*`` environment contract so a chaos
-    harness can arm fault injection inside a subprocess it is about to
-    run — see :func:`repro.resilience.faults.fault_filesystem_from_env`.
-    """
-    from .faults import fault_filesystem_from_env
-
-    return fault_filesystem_from_env() or RealFilesystem()
 
 
 # -- degraded-mode accounting ------------------------------------------------
@@ -212,12 +200,13 @@ class SegmentedWal:
     caller's batch boundaries.
 
     :meth:`replay` yields every trustworthy entry in append order and
-    classifies everything else: a bad frame at the tail of the *last*
-    segment is a torn write — the tail is truncated and the journal
-    continues from the clean prefix; a bad frame or header anywhere
-    earlier is bit-rot — that segment is renamed ``*.corrupt`` and
-    replay stops there, because append order after a rotten segment
-    cannot be vouched for.  Replay never raises.
+    ends the journal at the first bad frame or header: a torn write at
+    the tail of the last segment and bit-rot anywhere earlier are
+    repaired alike.  Every later segment is renamed ``*.corrupt``,
+    because append order after the damage cannot be vouched for, and
+    the damaged segment is cut back to its clean prefix (renamed too
+    when even its header is bad).  So a second replay yields exactly
+    what the first did.  Replay never raises.
     """
 
     SEGMENT_PREFIX = "wal-"
@@ -234,7 +223,7 @@ class SegmentedWal:
         self.directory = str(directory)
         self.segment_bytes = segment_bytes
         self.sync_every = sync_every
-        self.fs = fs if fs is not None else default_filesystem()
+        self.fs = fs if fs is not None else RealFilesystem()
         self.status = status if status is not None else DurabilityStatus()
         self.appended = 0  # entries accepted by append()
         self.persisted = 0  # entries written without an OSError
@@ -349,12 +338,11 @@ class SegmentedWal:
         names = self.segments()
         for position, name in enumerate(names):
             path = os.path.join(self.directory, name)
-            last = position == len(names) - 1
             try:
                 data = self.fs.read_bytes(path)
             except OSError as exc:
                 self.status.note(f"wal segment {name} unreadable: {exc!r}")
-                if not last:
+                if position < len(names) - 1:
                     self.status.note(
                         f"wal replay stopped; {len(names) - position - 1} "
                         "later segments skipped (append order not provable)"
@@ -363,39 +351,42 @@ class SegmentedWal:
             try:
                 wire.check_header(data, wire.WAL_MAGIC)
             except wire.WireError as exc:
-                self._quarantine(name, f"bad header: {exc}")
-                if not last:
-                    self.status.note(
-                        f"wal replay stopped at {name}; "
-                        f"{len(names) - position - 1} later segments skipped"
-                    )
-                return
-            payloads, clean_end, error = wire.scan_frames(data)
-            if error is not None and not last:
-                # Bit-rot mid-journal: nothing after this segment can be
-                # trusted to be in append order.
-                for payload in self._decode(payloads, name):
-                    yield payload
-                self._quarantine(name, error)
-                self.status.note(
-                    f"wal replay stopped at {name}; "
-                    f"{len(names) - position - 1} later segments skipped"
-                )
-                return
+                payloads, clean_end, error = [], None, f"bad header: {exc}"
+            else:
+                payloads, clean_end, error = wire.scan_frames(data)
             if error is not None:
-                # Torn tail of the newest segment: the crash case.  Keep
-                # the clean prefix, cut the tail so future appends start
-                # from a trustworthy boundary.
-                self.status.note(f"wal torn tail in {name}: {error}; "
-                                 f"truncated to {clean_end} bytes")
-                try:
-                    self.fs.truncate(path, clean_end)
-                except OSError as exc:
-                    self.status.note(
-                        f"wal tail truncate failed on {name}: {exc!r}"
-                    )
-            for payload in self._decode(payloads, name):
-                yield payload
+                # Repair before yielding, so a consumer that stops early
+                # still leaves a journal that replays the same way.
+                self._end_at(names[position:], clean_end, error)
+            yield from self._decode(payloads, name)
+            if error is not None:
+                return
+
+    def _end_at(
+        self, names: List[str], clean_end: Optional[int], error: str
+    ) -> None:
+        """Make ``names[0]`` the journal's last segment: move the later
+        ``names`` aside, then cut it back to ``clean_end`` (or move it
+        aside too when ``clean_end`` is ``None``: a bad header)."""
+        name, later = names[0], names[1:]
+        for other in later:
+            self._quarantine(other, f"follows {error} in {name}")
+        if later:
+            self.status.note(
+                f"wal replay stopped at {name}; {len(later)} later "
+                "segments skipped"
+            )
+        if clean_end is None:
+            self._quarantine(name, error)
+            return
+        self.status.note(
+            f"wal {'corrupt frame' if later else 'torn tail'} in {name}: "
+            f"{error}; truncated to {clean_end} bytes"
+        )
+        try:
+            self.fs.truncate(os.path.join(self.directory, name), clean_end)
+        except OSError as exc:
+            self.status.note(f"wal truncate failed on {name}: {exc!r}")
 
     def _decode(
         self, payloads: List[bytes], name: str
@@ -453,9 +444,8 @@ class CheckpointStore:
     fsyncs, ``os.replace``\\ s it into place, then updates MANIFEST the
     same way — a crash at any instruction leaves either the old state
     or the new state fully intact, never a half state.  :meth:`load`
-    verifies whatever the manifest names and walks backward through
-    older generations when verification fails, quarantining each
-    corrupt file as it goes.
+    tries the generations on disk newest first (the manifest's ``file``
+    field is not consulted) and quarantines each corrupt one as it goes.
 
     ``token`` fingerprints the run configuration (system, seed, scale,
     ...): state recorded under a different token is ignored rather than
@@ -481,7 +471,7 @@ class CheckpointStore:
         self.directory = str(directory)
         self.token = token
         self.keep = keep
-        self.fs = fs if fs is not None else default_filesystem()
+        self.fs = fs if fs is not None else RealFilesystem()
         self.status = status if status is not None else DurabilityStatus()
         self.generation = self._newest_generation()
         self.saved = 0

@@ -326,11 +326,10 @@ class FaultyFilesystem(RealFilesystem):
       is known durable, a replace dies before happening.
 
     Both schedules are plain op counts, so a deterministic workload
-    replays them exactly — the property the chaos harness needs to land
-    a kill inside a specific checkpoint write on every run.  The
-    ``REPRO_FAULT_FS_*`` environment variables (see
-    :func:`fault_filesystem_from_env`) arm the same schedules inside a
-    subprocess.
+    replays them exactly — the property that lands a kill inside a
+    specific checkpoint write on every run.  Pass one as the ``fs`` of
+    a :class:`~repro.resilience.durability.CheckpointStore` or
+    :class:`~repro.resilience.durability.SegmentedWal`.
     """
 
     def __init__(
@@ -422,32 +421,6 @@ class _FaultyAppendHandle(_AppendHandle):
     def sync(self) -> None:
         self._fs._gate("fsync", self.path)
         super().sync()
-
-
-#: Environment contract for arming storage faults inside a subprocess.
-ENV_FAULT_FS_KILL_AT = "REPRO_FAULT_FS_KILL_AT"
-ENV_FAULT_FS_FAIL_AFTER = "REPRO_FAULT_FS_FAIL_AFTER"
-ENV_FAULT_FS_ERRNO = "REPRO_FAULT_FS_ERRNO"
-
-
-def fault_filesystem_from_env(
-    environ: Optional[dict] = None,
-) -> Optional[FaultyFilesystem]:
-    """A :class:`FaultyFilesystem` armed from ``REPRO_FAULT_FS_*``
-    environment variables, or ``None`` when none are set.  This is how
-    the chaos harness lands a kill inside a durability write of a
-    subprocess it cannot otherwise reach into."""
-    env = os.environ if environ is None else environ
-    kill_at = env.get(ENV_FAULT_FS_KILL_AT)
-    fail_after = env.get(ENV_FAULT_FS_FAIL_AFTER)
-    if kill_at is None and fail_after is None:
-        return None
-    code = env.get(ENV_FAULT_FS_ERRNO, "ENOSPC")
-    return FaultyFilesystem(
-        fail_after=int(fail_after) if fail_after is not None else None,
-        fail_errno=getattr(errno, code, errno.EIO),
-        kill_at=int(kill_at) if kill_at is not None else None,
-    )
 
 
 # -- composition -------------------------------------------------------------

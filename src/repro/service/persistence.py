@@ -72,7 +72,6 @@ from ..resilience.durability import (
     DurabilityStatus,
     RealFilesystem,
     SegmentedWal,
-    default_filesystem,
 )
 from .accounting import TenantCounters
 from .config import ServiceConfig
@@ -151,7 +150,7 @@ class TenantPersistence:
         self.tenant_id = tenant_id
         self.system = system
         self.config = config
-        self.fs = fs if fs is not None else default_filesystem()
+        self.fs = fs if fs is not None else RealFilesystem()
         self.status = status if status is not None else DurabilityStatus()
         token = (
             f"service:v1|tenant={tenant_id}|system={system}"
@@ -378,7 +377,7 @@ class TenantStateStore:
     ):
         self.state_dir = str(state_dir)
         self.config = config
-        self.fs = fs if fs is not None else default_filesystem()
+        self.fs = fs if fs is not None else RealFilesystem()
         self.status = DurabilityStatus()
 
     @property

@@ -233,8 +233,11 @@ class ColumnarStoreWriter:
                     f"resume watermark {watermark} exceeds committed "
                     f"store seq {manifest['seq']}"
                 )
-            self._adopt(manifest, watermark)
+            # _adopt rewrites the manifest: it must already carry the
+            # watermark, or a crash before the next commit leaves a
+            # manifest at seq 0 that no checkpoint can resume into.
             self.seq = watermark
+            self._adopt(manifest, watermark)
         self._began = True
         return self.seq
 

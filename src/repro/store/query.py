@@ -13,8 +13,10 @@ Three tiers of access, cheapest first:
   ``time_bounds``, ``categories``) answer from the partition manifest
   without touching a column file;
 * **column scans** (``timestamps``, ``category_timestamps``,
-  ``chunks``) decode pages straight into numpy arrays — 8 bytes per
-  alert, never a Python object per row;
+  ``chunks``) return numpy arrays and parallel lists instead of
+  :class:`Alert` values.  Only the result is columnar: on a spilled
+  store the two timestamp scans still merge the partitions as one
+  Python tuple per row, and ``chunks`` iterates whole alerts;
 * **object scans** (iteration) reconstruct :class:`Alert` values in
   exact emit order for the analyses that need full rows, one decoded
   page per partition in memory at a time.
@@ -36,8 +38,8 @@ from ..core.categories import Alert, AlertType
 
 @dataclass
 class AlertChunk:
-    """One chunk of a chunked column scan: parallel columns, no
-    per-alert Python objects."""
+    """One chunk of a chunked column scan: parallel columns instead of
+    :class:`Alert` values."""
 
     timestamps: "np.ndarray"  # float64
     categories: List[str]

@@ -1,0 +1,232 @@
+"""The durable batch path as one fault model.
+
+One hypothesis property drives ``api.run_stream(..., state_dir=...)``
+through a drawn list of faults, then resumes it to completion.  The
+faults are a kill after record k, a kill inside filesystem op j (after
+that op's torn half-write, exactly what SIGKILL leaves on disk), a disk
+that fills from op j with ENOSPC or EIO, and a truncated or bit-flipped
+newest generation or MANIFEST.  The checks:
+
+* every run that completes fingerprints like the uninterrupted run;
+* a damaged generation is quarantined as ``*.corrupt``, never loaded;
+* a run whose disk fills finishes degraded; every checkpoint it took is
+  either saved or counted as unpersisted, and one that started on the
+  full disk is unpersisted.
+
+The axes are drawn once per example: driver (serial, sharded, or
+bounded with room enough that nothing sheds), ``predict`` on or off,
+and ``store_dir`` on or off.  Store writes do not go through the
+filesystem seam, so filesystem faults land only in checkpoint writes.
+"""
+
+import errno
+import glob
+import os
+import tempfile
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro.parallel.config import ParallelConfig
+from repro.resilience import wire
+from repro.resilience.backpressure import BackpressureConfig
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.deadletter import DeadLetterQueue
+from repro.resilience.durability import CheckpointStore
+from repro.resilience.faults import FaultyFilesystem
+from repro.simulation.generator import generate_log
+
+from ..conftest import SEED
+
+#: The first weeks of a Spirit log: most lines are alerts, the
+#: predictor installs members and warns, so every fingerprint field
+#: carries data, and the store's category-by-hour partitions stay few.
+SYSTEM = "spirit"
+RECORDS = tuple(generate_log(SYSTEM, scale=2e-4, seed=SEED).records)[:5000]
+EVERY = 400
+
+DRIVERS = {
+    "serial": {},
+    "sharded": {"parallel": ParallelConfig(workers=2, batch_size=256)},
+    "bounded": {"backpressure": BackpressureConfig(
+        max_buffer=1024, arrival_batch=256, service_batch=256,
+    )},
+}
+
+#: Kill points are drawn from the filesystem ops of one whole run.
+RUN_FS_OPS = 60
+
+
+class Killed(BaseException):
+    """The process died.  A ``BaseException``, so no ``except
+    Exception`` in the program can absorb it."""
+
+
+class KillableFilesystem(FaultyFilesystem):
+    """``FaultyFilesystem`` whose kill unwinds the run instead of ending
+    the process (the torn half-write has already reached the disk).  It
+    also notes the op index each checkpoint save starts at."""
+
+    def __init__(self, **schedule):
+        super().__init__(**schedule)
+        self.saves = []
+
+    def write_bytes(self, path, data, sync=True):
+        if path.endswith(".ckpt.tmp"):
+            self.saves.append(self.ops)
+        super().write_bytes(path, data, sync=sync)
+
+    def _kill(self, op, path):
+        raise Killed(f"{op} {path}")
+
+
+class ResumeStore(CheckpointStore):
+    """Remembers the checkpoint the run resumed from; the attribute is
+    unset when the run died while loading."""
+
+    def load(self, expect):
+        self.resumed = super().load(expect)
+        return self.resumed
+
+
+def killed_after(records, k):
+    for count, record in enumerate(records, 1):
+        yield record
+        if count >= k:
+            raise Killed(f"after record {k}")
+
+
+def fingerprint(result):
+    """What the run claims about the log: the fields
+    ``scripts/chaos_crash.py`` hashes, compared whole (every warning,
+    ensemble member, refit count and the correlation graph included)."""
+    return (
+        result.stats, list(result.raw_alerts), list(result.filtered_alerts),
+        result.category_counts(), result.corrupted_messages,
+        result.dead_letters.quarantined, result.prediction,
+    )
+
+
+def run(source, predict, driver="serial", checkpointer=None,
+        state_dir=None, store_dir=None):
+    return api.run_stream(
+        source, SYSTEM,
+        dead_letters=DeadLetterQueue(capacity=len(RECORDS) + 1),
+        checkpointer=checkpointer, state_dir=state_dir,
+        predict=predict, store_dir=store_dir, **DRIVERS[driver],
+    )
+
+
+@lru_cache(maxsize=None)
+def baseline(predict):
+    """The uninterrupted in-memory serial run.  Every driver, with or
+    without a store, must land on it."""
+    result = run(iter(RECORDS), predict)
+    if predict:
+        assert result.prediction.warnings_emitted > 0
+    return fingerprint(result)
+
+
+def complete(state):
+    """Whether the state dir's MANIFEST marks a finished run."""
+    try:
+        with open(os.path.join(state, "MANIFEST"), "rb") as f:
+            return wire.load_file(f.read(), wire.CHECKPOINT_MAGIC, dict)[
+                "complete"]
+    except (OSError, wire.WireError):
+        return False
+
+
+def damage(state, target, flip, at):
+    """Truncate or flip one byte of the newest generation or the
+    MANIFEST; the name of a damaged generation, else ``None``."""
+    pattern = "gen-*.ckpt" if target == "generation" else "MANIFEST"
+    paths = sorted(glob.glob(os.path.join(state, pattern)))
+    if not paths or not os.path.getsize(paths[-1]):
+        return None
+    with open(paths[-1], "rb") as f:
+        data = f.read()
+    at %= len(data)
+    with open(paths[-1], "wb") as f:
+        f.write(data[:at] + bytes((data[at] ^ 0xFF,)) + data[at + 1:]
+                if flip else data[:at])
+    return os.path.basename(paths[-1]) if target == "generation" else None
+
+
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("kill after record"), st.integers(1, len(RECORDS))),
+    st.tuples(st.just("kill in op"), st.integers(0, RUN_FS_OPS)),
+    st.tuples(st.just("disk full"), st.integers(0, RUN_FS_OPS),
+              st.sampled_from((errno.ENOSPC, errno.EIO))),
+    st.tuples(st.just("damage"), st.sampled_from(("generation", "MANIFEST")),
+              st.booleans(), st.integers(0, 1 << 16)),
+    st.tuples(st.just("resume")),
+), max_size=5)
+
+
+def test_an_uninterrupted_durable_run_spans_the_drawn_ops():
+    with tempfile.TemporaryDirectory() as directory:
+        store = CheckpointStore(directory, fs=FaultyFilesystem())
+        result = run(iter(RECORDS), False, state_dir=directory,
+                     checkpointer=CheckpointManager(EVERY, store=store))
+    assert fingerprint(result) == baseline(False)
+    assert store.saved == result.checkpoints.taken >= 10
+    assert store.fs.ops >= RUN_FS_OPS
+
+
+@settings(max_examples=30, deadline=None)
+@given(driver=st.sampled_from(sorted(DRIVERS)), predict=st.booleans(),
+       with_store=st.booleans(), steps=STEPS)
+def test_every_recovery_matches_the_uninterrupted_run(
+    driver, predict, with_store, steps
+):
+    expected = baseline(predict)
+    with tempfile.TemporaryDirectory() as directory:
+        state = os.path.join(directory, "state")
+        store_dir = os.path.join(directory, "store") if with_store else None
+        damaged = None
+        for step in steps + [("resume",)]:
+            if step[0] == "damage":
+                damaged = damage(state, *step[1:])
+                continue
+            source, schedule = iter(RECORDS), {}
+            if step[0] == "kill after record":
+                source = killed_after(source, step[1])
+            elif step[0] == "kill in op":
+                schedule = {"kill_at": step[1]}
+            elif step[0] == "disk full":
+                schedule = {"fail_after": step[1], "fail_errno": step[2]}
+            fs = KillableFilesystem(**schedule)
+            store = ResumeStore(state, token="model", fs=fs)
+            resumable = not complete(state)
+            try:
+                result = run(
+                    source, predict, driver,
+                    checkpointer=CheckpointManager(EVERY, store=store),
+                    state_dir=state, store_dir=store_dir,
+                )
+            except Killed:
+                result = None
+
+            if (damaged and resumable and hasattr(store, "resumed")
+                    and fs.fail_after is None):
+                assert not os.path.exists(os.path.join(state, damaged))
+                assert os.path.exists(os.path.join(state, damaged + ".corrupt"))
+            damaged = None
+            if result is None:
+                continue
+
+            assert fingerprint(result) == expected
+            status = store.status
+            if step[0] != "disk full":
+                assert not status.degraded, status.reason
+                continue
+            assert status.degraded == (fs.ops > fs.fail_after)
+            prior = store.resumed.snapshots_taken if store.resumed else 0
+            taken = result.checkpoints.taken - prior
+            assert taken == store.saved + status.unpersisted_checkpoints
+            if fs.saves and fs.saves[-1] >= fs.fail_after:
+                # The last save started on a full disk.
+                assert status.unpersisted_checkpoints >= 1

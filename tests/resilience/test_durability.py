@@ -8,9 +8,12 @@ import importlib
 import os
 import pickle
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api as pipeline
 from repro.engine.path import AlertPath
@@ -23,17 +26,12 @@ from repro.resilience.durability import (
     DurabilityStatus,
     RealFilesystem,
     SegmentedWal,
-    default_filesystem,
 )
 from repro.resilience.faults import (
     CollectorCrash,
-    ENV_FAULT_FS_ERRNO,
-    ENV_FAULT_FS_FAIL_AFTER,
-    ENV_FAULT_FS_KILL_AT,
     FaultConfig,
     FaultPlan,
     FaultyFilesystem,
-    fault_filesystem_from_env,
 )
 from repro.simulation.generator import generate_log
 
@@ -111,8 +109,11 @@ class TestSegmentedWal:
         # Everything before the rot survives; nothing after it is trusted.
         assert replayed == ENTRIES[:len(replayed)]
         assert len(replayed) < len(ENTRIES)
-        assert (tmp_path / (segments[1] + ".corrupt")).exists()
+        # The rotten segment keeps its clean prefix; later ones move aside.
+        assert victim.exists()
+        assert (tmp_path / (segments[2] + ".corrupt")).exists()
         assert any("skipped" in note for note in recovered.status.notes)
+        assert list(SegmentedWal(str(tmp_path)).replay()) == replayed
 
     def test_enospc_degrades_with_exact_accounting(self, tmp_path):
         status = DurabilityStatus()
@@ -134,6 +135,57 @@ class TestSegmentedWal:
         wal.reset()
         assert wal.segments() == []
         assert list(SegmentedWal(str(tmp_path)).replay()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    segment_bytes=st.sampled_from([128, 256, 1 << 20]),
+    sizes=st.lists(st.integers(0, 63), min_size=1, max_size=24),
+    flip=st.booleans(),
+    segment=st.integers(0, 1 << 16),
+    at=st.integers(0, 1 << 16),
+)
+def test_damaged_journal_replays_a_prefix_twice(
+    segment_bytes, sizes, flip, segment, at
+):
+    """Truncate or flip one byte of any segment: replay never raises,
+    yields exactly the entries before the damage, and a second replay
+    yields the same."""
+    entries = [("op", (i, "x" * n)) for i, n in enumerate(sizes)]
+    with tempfile.TemporaryDirectory() as directory:
+        wal = SegmentedWal(directory, segment_bytes=segment_bytes)
+        for kind, obj in entries:
+            wal.append(kind, obj)
+        wal.close()
+        names = wal.segments()
+        frames = [
+            wire.scan_frames((Path(directory) / name).read_bytes())[0]
+            for name in names
+        ]
+        segment %= len(names)
+        path = Path(directory) / names[segment]
+        data = path.read_bytes()
+        at %= len(data)
+        path.write_bytes(
+            data[:at] + bytes((data[at] ^ 0xFF,)) + data[at + 1:]
+            if flip else data[:at]
+        )
+
+        ends = [wire.HEADER_SIZE]
+        for payload in frames[segment]:
+            ends.append(ends[-1] + wire.FRAME_HEADER_SIZE + len(payload))
+        before = sum(map(len, frames[:segment]))
+        kept = before + sum(end <= at for end in ends[1:])
+        expected = entries[:kept]
+        if not flip and at in ends:
+            # A cut on a frame boundary leaves a well-formed, shorter
+            # segment.  Entries carry no sequence numbers, so the format
+            # cannot see the loss and replay goes on to later segments.
+            expected += entries[before + len(frames[segment]):]
+
+        first = list(SegmentedWal(directory).replay())
+        assert first == expected
+        assert list(SegmentedWal(directory).replay()) == first
 
 
 def dict_store(directory, token="t", **kwargs):
@@ -298,39 +350,6 @@ class TestUntrustedState:
                    for note in wal.status.notes)
 
 
-class TestEnvArming:
-    def test_unarmed_environment_yields_none(self):
-        assert fault_filesystem_from_env({}) is None
-
-    def test_kill_and_fail_schedules_parse(self):
-        fs = fault_filesystem_from_env({
-            ENV_FAULT_FS_KILL_AT: "7",
-            ENV_FAULT_FS_FAIL_AFTER: "3",
-            ENV_FAULT_FS_ERRNO: "EIO",
-        })
-        assert isinstance(fs, FaultyFilesystem)
-        assert fs.kill_at == 7
-        assert fs.fail_after == 3
-        assert fs.fail_errno == errno.EIO
-
-    def test_unknown_errno_name_falls_back_to_eio(self):
-        fs = fault_filesystem_from_env({
-            ENV_FAULT_FS_FAIL_AFTER: "0",
-            ENV_FAULT_FS_ERRNO: "ENOSUCHTHING",
-        })
-        assert fs.fail_errno == errno.EIO
-
-    def test_default_filesystem_honors_env(self, monkeypatch):
-        for name in (ENV_FAULT_FS_KILL_AT, ENV_FAULT_FS_FAIL_AFTER,
-                     ENV_FAULT_FS_ERRNO):
-            monkeypatch.delenv(name, raising=False)
-        assert type(default_filesystem()) is RealFilesystem
-        monkeypatch.setenv(ENV_FAULT_FS_FAIL_AFTER, "12")
-        armed = default_filesystem()
-        assert isinstance(armed, FaultyFilesystem)
-        assert armed.fail_after == 12
-
-
 class TestDurableResume:
     """The api-level contract: ``state_dir`` turns an exception-crashed
     run into one that resumes byte-identical from disk alone — no
@@ -409,6 +428,16 @@ class TestDurableResume:
         assert status.degraded
         assert doomed.saved == 0
         assert status.unpersisted_checkpoints == manager_b.taken
+
+    def test_the_environment_arms_no_faults(self, tmp_path, monkeypatch):
+        """Faults are armed by passing a ``FaultyFilesystem``, never by
+        the environment a run inherits."""
+        monkeypatch.setenv("REPRO_FAULT_FS_FAIL_AFTER", "0")
+        result = self._run(str(tmp_path / "state"))
+        store = result.checkpoints.store
+        assert type(store.fs) is RealFilesystem
+        assert store.saved == result.checkpoints.taken > 0
+        assert not store.status.degraded
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

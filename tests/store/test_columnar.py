@@ -164,6 +164,20 @@ class TestResume:
             MemoryAlertStore("test", alerts, flags).count_by_category()
         )
 
+    def test_a_resume_that_dies_before_committing_can_resume_again(
+        self, tmp_path
+    ):
+        alerts, flags = stream()
+        root = str(tmp_path / "s")
+        write_store(root, alerts[:200], flags[:200], commits=(140,))
+        # The first resume truncates to the checkpoint, then dies.
+        ColumnarStoreWriter(root, "test", page_rows=16).begin(140)
+        resumed = ColumnarStoreWriter(root, "test", page_rows=16)
+        assert resumed.begin(140) == 140
+        resumed.append_batch(list(zip(alerts, flags))[140:])
+        resumed.finalize()
+        assert list(ColumnarStore(root).iter_alerts()) == alerts
+
     def test_watermark_ahead_of_manifest_is_refused(self, tmp_path):
         alerts, flags = stream(n=50)
         root = str(tmp_path / "s")
