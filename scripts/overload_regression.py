@@ -3,8 +3,9 @@
 
 Runs a scaled five-system study unbounded (the accounting baseline) and
 bounded under a 10x burst from an unpausable source — once per tag seam,
-in process and through a two-worker pool — with the process's address
-space hard-capped via ``resource.setrlimit``.  The cap is generous
+in process and through a two-worker pool, and once supervised through a
+crash at the stream's midpoint — with the process's address space
+hard-capped via ``resource.setrlimit``.  The cap is generous
 (numpy and the interpreter need real room); the point is that a *runaway
 queue* would blow through it and the job would die, while the bounded
 pipeline must stay comfortably inside.
@@ -19,7 +20,12 @@ Failure conditions (any -> exit 1):
   run's message count;
 * the overload metrics fail to appear in ``PipelineResult.summary()``;
 * the two tag seams disagree on the offered/shed/spilled-by-class counts
-  (they share one pump, so they must choose the same losses).
+  (they share one pump, so they must choose the same losses);
+* the supervised row's offered/shed/spilled-by-class counts differ from
+  the uncrashed row's (the tallies ride the checkpoint, so a resumed run
+  counts the suffix after it once);
+* records offered plus records quarantined as invalid is not the number
+  of records presented.
 
 Usage: PYTHONPATH=src python scripts/overload_regression.py [--scale S]
 """
@@ -59,30 +65,60 @@ def main() -> int:
     from repro import api
     from repro.parallel.config import ParallelConfig
     from repro.resilience.backpressure import BackpressureConfig
-    from repro.resilience.deadletter import REASON_SHED_OVERLOAD
+    from repro.resilience.deadletter import (
+        REASON_INVALID_RECORD,
+        REASON_SHED_OVERLOAD,
+    )
+    from repro.resilience.faults import FaultConfig
     from repro.resilience.shedding import CLASS_ALERT
+    from repro.simulation.generator import LogGenerator
     from repro.systems.specs import SYSTEMS
 
     failures = []
-    seams = (("bounded", None), ("bounded-sharded", ParallelConfig(workers=2)))
+    rows = (
+        ("bounded", {}),
+        ("bounded-sharded", {"parallel": ParallelConfig(workers=2)}),
+        ("bounded-supervised", None),  # crash_only at the midpoint
+    )
     config = BackpressureConfig.burst(
         factor=10.0, service_batch=32, max_buffer=args.max_buffer,
     )
     for system in sorted(SYSTEMS):
         scale = args.scale * (100 if system == "bgl" else 1)
         baseline = api.run_system(system, scale=scale, seed=args.seed)
+        presented = sum(1 for _ in LogGenerator(
+            system, scale=scale, seed=args.seed,
+        ).generate().records)
         by_class = {}
-        for seam, parallel in seams:
-            label = f"{system}/{seam}"
+        for row, options in rows:
+            label = f"{system}/{row}"
+            if options is None:
+                options = dict(
+                    faults=FaultConfig.crash_only(at=presented // 2),
+                    restart_budget=1, checkpoint_every=presented // 10,
+                )
             result = api.run_system(
                 system, scale=scale, seed=args.seed, backpressure=config,
-                parallel=parallel,
+                **options,
             )
             report = result.overload
-            by_class[seam] = (
+            by_class[row] = (
                 report.offered_by_class, report.shed_by_class,
                 report.spilled_by_class,
             )
+            if row == "bounded-supervised" and result.restarts != 1:
+                failures.append(
+                    f"{label}: {result.restarts} restarts, expected 1"
+                )
+            invalid = result.dead_letters.by_reason.get(
+                REASON_INVALID_RECORD, 0
+            )
+            offered = sum(report.offered_by_class.values())
+            if offered + invalid != presented:
+                failures.append(
+                    f"{label}: {offered} offered + {invalid} invalid != "
+                    f"{presented} records presented"
+                )
 
             for name, peak in report.queue_peaks.items():
                 bound = report.queue_capacities[name]
@@ -119,15 +155,16 @@ def main() -> int:
                 for name, peak in sorted(report.queue_peaks.items())
             )
             print(
-                f"{label:>27}: {result.message_count:,} admitted, "
+                f"{label:>30}: {result.message_count:,} admitted, "
                 f"{report.total_shed:,} shed, {report.total_spilled:,} spilled "
                 f"(of {baseline.message_count:,}); peaks: {peaks}"
             )
-        if by_class["bounded"] != by_class["bounded-sharded"]:
-            failures.append(
-                f"{system}: the tag seams disagree on offered/shed/spilled "
-                f"by class — {by_class}"
-            )
+        for row in ("bounded-sharded", "bounded-supervised"):
+            if by_class[row] != by_class["bounded"]:
+                failures.append(
+                    f"{system}: {row} disagrees with bounded on "
+                    f"offered/shed/spilled by class — {by_class}"
+                )
 
     if failures:
         print("\nOVERLOAD REGRESSION FAILURES:", file=sys.stderr)

@@ -148,7 +148,6 @@ def run_stream(
     ``result.prediction``.  Prediction state rides the checkpoint wire,
     so crash/resume and ``state_dir`` auto-resume restore it exactly.
     """
-    validate_run_config(parallel=parallel, backpressure=backpressure)
     if backpressure is not None and dead_letters is None:
         # Bounded mode must never lose a tagged alert silently: the spill
         # path needs somewhere accounted to land.

@@ -30,7 +30,7 @@ from .reporting import tables
 from .resilience.backpressure import BackpressureConfig
 from .resilience.deadletter import DeadLetterQueue
 from .resilience.faults import FaultConfig
-from .resilience.shedding import SHED_POLICIES
+from .resilience.shedding import SHED_DECISIONS
 from .reporting.format import render_table
 from .simulation.generator import generate_log
 from .systems.specs import SYSTEMS
@@ -123,16 +123,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         faults = FaultConfig.defaults(seed=fault_seed)
     backpressure = None
     if args.max_buffer is not None:
-        backpressure = BackpressureConfig(
-            max_buffer=args.max_buffer,
-            shed_policy=args.shed_policy or "priority",
-            degrade=args.overload_degrade,
-        )
-    elif args.shed_policy is not None or args.overload_degrade:
-        print("error: --shed-policy and --overload-degrade only take "
-              "effect on a bounded run; pass --max-buffer (or drop them)",
-              file=sys.stderr)
-        return 2
+        backpressure = BackpressureConfig(max_buffer=args.max_buffer)
     parallel = _parallel_config(args)
     # One authority for what composes: the engine's capability table.
     # (Historically this was an ad-hoc check that forbade --workers with
@@ -427,19 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run bounded: cap the generate->tag queue at "
                               "this many records (backpressure + load "
                               "shedding instead of unbounded memory)")
-    p_study.add_argument("--shed-policy", choices=sorted(SHED_POLICIES),
-                         help="what to lose first under overload "
-                              "(requires --max-buffer; default priority)")
     p_study.add_argument("--predict", action="store_true",
                          help="run the streaming correlation miner + "
                               "online predictor ensemble alongside each "
                               "system and print its warning/graph summary "
                               "(see the README's Online prediction section)")
-    p_study.add_argument("--overload-degrade", action="store_true",
-                         help="on sustained overload, degrade gracefully: "
-                              "coarser stats and a larger filter threshold "
-                              "instead of unbounded queue growth (requires "
-                              "--max-buffer)")
     p_study.add_argument("--store-dir", default=None,
                          help="spill every system's alerts to a columnar "
                               "store under this directory (one "
@@ -507,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--threshold", type=float, default=5.0)
     p_serve.add_argument("--max-buffer", type=int, default=1024,
                          help="per-tenant ingest queue capacity")
-    p_serve.add_argument("--shed-policy", choices=sorted(SHED_POLICIES),
+    p_serve.add_argument("--shed-policy", choices=sorted(SHED_DECISIONS),
                          default="priority")
     p_serve.add_argument("--restart-budget", type=int, default=3,
                          help="worker crashes tolerated per tenant before "

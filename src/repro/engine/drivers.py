@@ -39,15 +39,10 @@ from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 from ..logmodel.record import LogRecord
 from ..parallel.config import ParallelConfig
 from ..parallel.sharded import ShardedTagger, chunked
-from ..resilience.backpressure import (
-    BackpressureConfig,
-    CreditGate,
-    OverloadMonitor,
-    OverloadReport,
-)
+from ..resilience.backpressure import BackpressureConfig, OverloadReport
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.deadletter import DeadLetterQueue, REASON_SHED_OVERLOAD
-from ..resilience.shedding import BoundedIngest, ShedAccounting
+from ..resilience.shedding import BoundedIngest
 from .path import AlertPath
 
 
@@ -171,6 +166,10 @@ class ShardedDriver:
 #: How far sustained overload raises the filter ``T`` in degraded mode.
 DEGRADE_THRESHOLD_FACTOR = 4.0
 
+#: The bounded run's counted tallies: records offered, shed and spilled
+#: by shed class, and records through each pump stage.
+_COUNTED = ("offered", "shed", "spilled", "throughput")
+
 
 class BoundedDriver:
     """One bounded ingest queue ahead of the batch kernel, driven in ticks.
@@ -189,16 +188,19 @@ class BoundedDriver:
     to :meth:`AlertPath.process_batch` as a finished outcome.  A
     record the rules engine fails on classes as a tagged alert (may
     spill, never shed) and the kernel's replay dead-letters it
-    ``tagger-error`` in stream order.  Sustained overload (the monitor's
-    high-watermark flag) optionally degrades the run — coarse stats,
-    larger filter ``T`` — instead of growing without bound.
+    ``tagger-error`` in stream order.  Sustained overload (the queue
+    clock's latch) optionally degrades the run — coarse stats, larger
+    filter ``T`` — instead of growing without bound.
 
     Checkpoints are taken only at drained-queue barriers, where every
     consumed record has been processed, quarantined, or shed; shedding
     makes resumed results equivalent within shedding tolerance rather
-    than byte-identical.  The shed policy's dedup lookback is part of
-    the snapshot, and degraded mode rides it as its effects (the raised
-    ``T``, the coarse-stats flag), so a resumed pump keeps both.
+    than byte-identical.  The shed policy's dedup lookback and the
+    overload tallies (the queue's ledger and clock, the per-class
+    counts, stage throughput and events) are part of the snapshot, and
+    degraded mode rides it as its effects (the raised ``T``, the
+    coarse-stats flag), so a resumed pump keeps all three and its
+    report covers exactly the records its result covers.
     """
 
     name = "bounded"
@@ -224,18 +226,26 @@ class BoundedDriver:
             # Bounded mode must never lose a tagged alert silently: the
             # spill path needs somewhere accounted to land.
             path.dead_letters = DeadLetterQueue()
-        accounting = (
-            config.accounting if config.accounting is not None else ShedAccounting()
-        )
-        monitor = (
-            config.monitor if config.monitor is not None
-            else OverloadMonitor(sustain=config.sustain)
-        )
         ingest = BoundedIngest(
             "ingest", config, path.threshold, path.resumed_shed_state
         )
-        ingest_q = monitor.attach(ingest.queue)
-        gate = CreditGate(ingest_q)
+        queue, clock = ingest.queue, ingest.queue.clock
+        resumed = path.resumed_overload
+        if resumed is not None:
+            queue.load_state_dict(resumed["queue"])
+        counts = [Counter(resumed[key] if resumed else ()) for key in _COUNTED]
+        offered, shed, spilled, throughput = counts
+        events = list(resumed["events"]) if resumed else []
+
+        def tallies():
+            """The overload tallies as plain data: the checkpoint's
+            ``overload_state``, and what the report is built from."""
+            return {
+                "queue": queue.state_dict(),
+                **{key: dict(count) for key, count in zip(_COUNTED, counts)},
+                "events": list(events),
+            }
+
         sharded = (
             ShardedTagger(path.system, self.parallel)
             if self.parallel is not None else None
@@ -243,14 +253,14 @@ class BoundedDriver:
         exhausted = False
 
         with sharded if sharded is not None else nullcontext():
-            while not exhausted or ingest_q:
+            while not exhausted or queue:
                 if not exhausted:
                     want = config.arrival_batch
                     if config.source_pausable:
-                        want = gate.acquire(want)
+                        want = queue.acquire(want)
                     arrivals = list(islice(source, want))
                     exhausted = len(arrivals) < want
-                    monitor.note_throughput("arrive", len(arrivals))
+                    throughput["arrive"] += len(arrivals)
                     if all(map(path.valid, arrivals)):
                         path.consumed += len(arrivals)
                     else:
@@ -264,7 +274,6 @@ class BoundedDriver:
                             chunked(arrivals, self.parallel.batch_size)
                         )
                     )
-                    offered, shed, spilled = Counter(), Counter(), Counter()
                     for part, outcome in tagged:
                         classes, dropped, refused = ingest.offer(part, outcome)
                         offered.update(classes)
@@ -274,43 +283,45 @@ class BoundedDriver:
                             path.dead_letters.put(
                                 record, REASON_SHED_OVERLOAD, klass
                             )
-                    for count, tally in ((accounting.count_offered, offered),
-                                         (accounting.count_shed, shed),
-                                         (accounting.count_spilled, spilled)):
-                        for klass, n in tally.items():
-                            count(klass, n)
 
-                batch = ingest_q.take(config.service_batch)
+                batch = queue.take(config.service_batch)
                 alerts = path.process_tagged(batch)
-                monitor.note_throughput("tag", len(batch))
-                monitor.note_throughput("filter", len(alerts))
-                monitor.sample()
+                throughput["tag"] += len(batch)
+                throughput["filter"] += len(alerts)
+                latched = clock.latched
+                queue.sample()
+                if clock.latched and not latched:
+                    events.append(
+                        f"sustained overload: {clock.hot} consecutive "
+                        f"samples above the high watermark "
+                        f"(sample {clock.samples})"
+                    )
                 # Degraded mode is path state, not a pump local: it rides
                 # the checkpoint, so a resumed pump is in it already.
-                if (config.degrade and monitor.sustained_overload
+                if (config.degrade and clock.latched
                         and not path.stats_collector.coarse):
                     path.stats_collector.coarse = True
                     path.filter.threshold = (
                         path.threshold * DEGRADE_THRESHOLD_FACTOR
                     )
-                    monitor.events.append(
+                    events.append(
                         f"degraded mode entered: filter T raised to "
                         f"{path.filter.threshold:g}s, stats coarsened"
                     )
-                if checkpointer is not None and not ingest_q:
+                if checkpointer is not None and not queue:
                     # A true barrier: the tick's drain was fully processed
                     # and offered, nothing is queued or in flight.
                     checkpointer.maybe(
                         path.consumed,
                         lambda: path.snapshot(
-                            shed_state=ingest.policy.state_dict()
+                            shed_state=ingest.policy.state_dict(),
+                            overload_state=tallies(),
                         ),
                     )
 
         return DriverReport(
             shard_stats=sharded.stats if sharded is not None else None,
-            overload=OverloadReport.from_parts(
-                monitor=monitor, accounting=accounting, gate=gate,
-                degraded=path.stats_collector.coarse,
+            overload=OverloadReport.build(
+                queue, tallies(), degraded=path.stats_collector.coarse
             ),
         )

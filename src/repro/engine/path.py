@@ -32,7 +32,7 @@ checkpoint/resume works identically under every driver.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.filtering import (
     DEFAULT_THRESHOLD,
@@ -138,6 +138,7 @@ class AlertPath:
             if dead_letters is not None:
                 dead_letters.restore(resume_from.dead_letters)
             self.resumed_shed_state = resume_from.shed_state
+            self.resumed_overload = resume_from.overload_state
             if (
                 prediction is not None
                 and resume_from.prediction_state is not None
@@ -155,6 +156,7 @@ class AlertPath:
             self.corrupted = 0
             self.consumed = 0
             self.resumed_shed_state = None
+            self.resumed_overload = None
         if store_writer is not None:
             from ..store.sink import ColumnarSink
 
@@ -362,7 +364,9 @@ class AlertPath:
     # -- resumability ------------------------------------------------------
 
     def snapshot(
-        self, shed_state: Optional[Dict[str, float]] = None
+        self,
+        shed_state: Optional[Dict[str, float]] = None,
+        overload_state: Optional[Dict[str, Any]] = None,
     ) -> PipelineCheckpoint:
         """Complete resumable state at the current record boundary.
         Drivers must only call this when every consumed record is fully
@@ -398,6 +402,7 @@ class AlertPath:
                 self.dead_letters.snapshot() if self.dead_letters else None
             ),
             shed_state=shed_state,
+            overload_state=overload_state,
             prediction_state=(
                 self.prediction.state_dict()
                 if self.prediction is not None

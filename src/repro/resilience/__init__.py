@@ -18,24 +18,22 @@ paper catalogs, the way production HPC log-analytics stacks do:
   retry loop around ``api.run_stream``'s resume path, degrading to a
   partial result (never an unhandled exception) when the budget runs
   out; import it from its module (it sits above :mod:`repro.api`);
-* :mod:`~repro.resilience.backpressure` — bounded inter-stage queues with
-  watermarks, credit-based flow control, and the overload monitor behind
-  bounded-memory runs;
-* :mod:`~repro.resilience.shedding` — priority-aware load-shedding
-  policies that degrade in paper order: INFO chatter first, duplicate
-  alerts next, tagged alerts never (they spill to the dead-letter queue),
-  and :class:`~repro.resilience.shedding.BoundedIngest`, the bounded
-  door the driver and the service's tenants both admit through.
+* :mod:`~repro.resilience.backpressure` — the bounded queue with its
+  watermarks, credit-based flow control and the one pressure clock, and
+  the overload report of bounded-memory runs;
+* :mod:`~repro.resilience.shedding` — the load-shedding decision table,
+  which degrades in paper order: INFO chatter first, duplicate alerts
+  next, tagged alerts never (they spill to the dead-letter queue), and
+  :class:`~repro.resilience.shedding.BoundedIngest`, the bounded door
+  the driver and the service's tenants both admit through.
 """
 
 from .backpressure import (
     BackpressureConfig,
     BoundedQueue,
-    CreditGate,
-    OverloadMonitor,
     OverloadReport,
+    PressureClock,
     PressureLevel,
-    Watermarks,
 )
 from .checkpoint import CheckpointManager, PipelineCheckpoint
 from .deadletter import DeadLetter, DeadLetterQueue, DeadLetterSnapshot
@@ -54,15 +52,7 @@ from .faults import (
     compose,
 )
 from .retry import BreakerState, CircuitBreaker
-from .shedding import (
-    BoundedIngest,
-    ChatterOnlyShedPolicy,
-    NoShedPolicy,
-    PriorityShedPolicy,
-    ShedAccounting,
-    ShedPolicy,
-    get_shed_policy,
-)
+from .shedding import SHED_DECISIONS, BoundedIngest, ShedPolicy
 
 __all__ = [
     "CheckpointManager",
@@ -86,16 +76,10 @@ __all__ = [
     "CircuitBreaker",
     "BackpressureConfig",
     "BoundedQueue",
-    "CreditGate",
-    "OverloadMonitor",
     "OverloadReport",
+    "PressureClock",
     "PressureLevel",
-    "Watermarks",
     "BoundedIngest",
-    "ChatterOnlyShedPolicy",
-    "NoShedPolicy",
-    "PriorityShedPolicy",
-    "ShedAccounting",
+    "SHED_DECISIONS",
     "ShedPolicy",
-    "get_shed_policy",
 ]

@@ -1,4 +1,4 @@
-"""Bounded inter-stage queues, credit-based flow control, overload metrics.
+"""The bounded queue, its one pressure clock, and the overload report.
 
 The paper's collection paths lose data precisely when the system is most
 interesting: bursty failure cascades overwhelm UDP syslog and the central
@@ -8,18 +8,21 @@ pipelines instead bound every buffer and *choose* what to lose (Park et
 al., "Big Data Meets HPC Log Analytics").  This module supplies the
 mechanics of that choice:
 
-* :class:`BoundedQueue` — a bounded inter-stage buffer with high/low
-  watermarks and hysteresis: pressure rises to ``ELEVATED`` when
-  occupancy crosses the high watermark and does not relax until it drains
-  below the low watermark, so shedding does not flap at the boundary;
-* :class:`CreditGate` — credit-based flow control: an upstream producer
-  may push only as many records as the downstream queue has free space
-  below its high watermark, which is how a *pausable* source (our
-  deterministic generators, a file reader) is slowed instead of shed;
-* :class:`OverloadMonitor` — samples queue occupancy, shed counts, and
-  per-stage throughput, and raises the ``sustained_overload`` flag the
-  bounded driver uses to enter degraded mode instead of OOM;
-* :class:`BackpressureConfig` — one object describing all of the above,
+* :class:`PressureClock` — the one pressure rule: rise to ``ELEVATED``
+  at the high watermark, relax only at the low one (hysteresis, so
+  shedding does not flap at the boundary), ``CRITICAL`` at the limit,
+  and latch after ``sustain`` consecutive hot samples.  The bounded run
+  latches for good; the service's memory governor
+  (:class:`repro.service.router.MemoryGovernor`) clears after as many
+  calm samples;
+* :class:`BoundedQueue` — the bounded buffer in front of the tag ->
+  filter kernel, with its watermarks, its clock, an exact peak, and
+  credit-based flow control: a *pausable* source (our deterministic
+  generators, a file reader) is granted only the free space below the
+  high watermark, so it is slowed instead of shed;
+* :class:`OverloadReport` — what a bounded run's overload handling did,
+  built over the run's one queue and the driver's tallies;
+* :class:`BackpressureConfig` — one object describing a bounded run,
   accepted by :func:`repro.api.run_stream` (and so by every attempt of
   :func:`repro.resilience.supervisor.supervise`).
 
@@ -27,7 +30,9 @@ An *unpausable* source (a UDP fan-in cannot be slowed, only shed) goes
 through the door built from these parts,
 :class:`repro.resilience.shedding.BoundedIngest`: the queue, its shed
 policy, and the one admission loop, owned by the bounded driver (one per
-run) and by the ingest service (one per tenant).
+run) and by the ingest service (one per tenant).  The queue's ledger and
+the driver's tallies ride the run's checkpoint, so the report covers
+exactly what the result covers, resumed or not.
 
 Everything here is deliberately free of imports from the rest of the
 package (records, policies, and dead-letter queues are duck-typed), so
@@ -38,8 +43,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Shed-decision verbs shared with :mod:`repro.resilience.shedding`.
 #: Plain strings so policy objects stay duck-typed.
@@ -49,69 +54,105 @@ SPILL = "spill"
 
 
 class PressureLevel(enum.IntEnum):
-    """Queue pressure, ordered so ``max()`` over queues is meaningful."""
+    """Queue pressure, ordered so ``max()`` over levels is meaningful."""
 
     NORMAL = 0
     ELEVATED = 1   # above the high watermark (with hysteresis)
     CRITICAL = 2   # at capacity: nothing more fits
 
 
-@dataclass(frozen=True)
-class Watermarks:
-    """High/low occupancy thresholds for a bounded queue.
+class PressureClock:
+    """Rise at ``high``, relax at ``low``, latch after ``sustain`` hot
+    samples.
 
-    Crossing ``high`` raises pressure; pressure does not relax until
-    occupancy drains back to ``low`` (hysteresis), so a queue hovering at
-    the boundary does not toggle shedding on and off per record.
+    :meth:`level` is the hysteresis alone, asked once per record by the
+    shed policy's caller: ``ELEVATED`` from the moment occupancy reaches
+    ``high`` until it drains to ``low``, ``CRITICAL`` at ``limit``.
+    :meth:`sample` is one periodic observation: it counts samples, hot
+    (non-``NORMAL``) samples and the hot streak, and ``sustain``
+    consecutive hot samples set :attr:`latched`.  With ``clears``, as
+    many consecutive calm samples clear it again; without, it holds.
     """
 
-    high: int
-    low: int
+    #: The mutable fields (a queue's :meth:`BoundedQueue.state_dict`
+    #: carries them).
+    STATE = ("elevated", "samples", "hot_samples", "hot", "calm", "latched")
 
-    def __post_init__(self) -> None:
-        if self.low < 0:
-            raise ValueError("low watermark must be non-negative")
-        if self.high <= self.low:
-            raise ValueError("high watermark must exceed low watermark")
+    def __init__(
+        self, high: int, low: int, limit: int, sustain: int = 1,
+        clears: bool = False,
+    ):
+        if sustain < 1:
+            raise ValueError("sustain must be at least 1")
+        self.high, self.low, self.limit = high, low, limit
+        self.sustain, self.clears = sustain, clears
+        self.elevated = False
+        self.samples = 0
+        self.hot_samples = 0
+        self.hot = 0    # consecutive hot samples
+        self.calm = 0   # consecutive calm samples
+        self.latched = False
 
-    @classmethod
-    def for_capacity(
-        cls, capacity: int, high_fraction: float = 0.8, low_fraction: float = 0.5
-    ) -> "Watermarks":
-        """Watermarks at the conventional fractions of ``capacity``."""
-        high = max(1, min(capacity, int(capacity * high_fraction)))
-        low = max(0, min(high - 1, int(capacity * low_fraction)))
-        return cls(high=high, low=low)
+    def level(self, n: int) -> PressureLevel:
+        """Pressure at occupancy ``n``, with high/low hysteresis."""
+        if n >= self.high:
+            self.elevated = True
+        elif n <= self.low:
+            self.elevated = False
+        if n >= self.limit:
+            return PressureLevel.CRITICAL
+        return PressureLevel.ELEVATED if self.elevated else PressureLevel.NORMAL
+
+    def sample(self, n: int) -> PressureLevel:
+        """One observation at occupancy ``n``: the level, folded into the
+        streaks and the latch."""
+        level = self.level(n)
+        self.samples += 1
+        if level:
+            self.hot_samples += 1
+            self.hot += 1
+            self.calm = 0
+            if self.hot >= self.sustain:
+                self.latched = True
+        else:
+            self.calm += 1
+            self.hot = 0
+            if self.clears and self.calm >= self.sustain:
+                self.latched = False
+        return level
 
 
 class BoundedQueue:
-    """A bounded FIFO between two pipeline stages, with pressure state.
+    """A bounded FIFO in front of the tag -> filter kernel.
 
     Unlike ``deque(maxlen=...)`` — which silently evicts — a full
     :class:`BoundedQueue` *refuses* (:meth:`put` returns ``False``) so the
-    caller must decide what to lose.  Occupancy, peak occupancy, and
-    throughput counters are tracked for the overload monitor.
+    caller must decide what to lose.  The watermarks sit at
+    ``high_fraction``/``low_fraction`` of ``capacity`` and drive
+    :attr:`clock`; :attr:`peak_occupancy` is exact (tracked per put, so
+    no intra-tick maximum is missed); :meth:`acquire` grants credits and
+    counts what it withheld — exactly how much the source was slowed.
     """
 
     def __init__(
         self,
         name: str,
         capacity: int,
-        watermarks: Optional[Watermarks] = None,
+        high_fraction: float = 0.8,
+        low_fraction: float = 0.5,
+        sustain: int = 1,
     ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.name = name
         self.capacity = capacity
-        self.watermarks = watermarks or Watermarks.for_capacity(capacity)
-        if self.watermarks.high > capacity:
-            raise ValueError("high watermark cannot exceed capacity")
+        self.high = max(1, min(capacity, int(capacity * high_fraction)))
+        self.low = max(0, min(self.high - 1, int(capacity * low_fraction)))
+        self.clock = PressureClock(self.high, self.low, capacity, sustain)
         self._items: Deque[Any] = deque()
-        self._elevated = False
         self.peak_occupancy = 0
-        self.total_in = 0
-        self.total_out = 0
-        self.refused = 0
+        self.credits_requested = 0
+        self.credits_withheld = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -119,138 +160,59 @@ class BoundedQueue:
     def __bool__(self) -> bool:
         return bool(self._items)
 
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
     def credits(self) -> int:
         """Free space below the high watermark — what a credit-controlled
         upstream may push before backpressure engages."""
-        return max(0, self.watermarks.high - len(self._items))
+        return max(0, self.high - len(self._items))
+
+    def acquire(self, n: int) -> int:
+        """Grant up to ``n`` credits; returns the number granted."""
+        grant = min(n, self.credits())
+        self.credits_requested += n
+        self.credits_withheld += n - grant
+        return grant
 
     def put(self, item: Any) -> bool:
         """Append ``item``; ``False`` (and no append) when full."""
         items = self._items
         if len(items) >= self.capacity:
-            self.refused += 1
             return False
         items.append(item)
-        self.total_in += 1
         if len(items) > self.peak_occupancy:
             self.peak_occupancy = len(items)
         return True
-
-    def get(self) -> Any:
-        """Pop the oldest item; raises ``IndexError`` when empty."""
-        item = self._items.popleft()
-        self.total_out += 1
-        return item
 
     def take(self, n: int) -> List[Any]:
         """Pop up to ``n`` oldest items as a list (a service-stage drain
         that hands one tick's worth to a batch consumer)."""
         popleft = self._items.popleft
-        out = [popleft() for _ in range(min(n, len(self._items)))]
-        self.total_out += len(out)
-        return out
+        return [popleft() for _ in range(min(n, len(self._items)))]
 
     def pressure(self) -> PressureLevel:
         """Current pressure, with high/low hysteresis."""
-        n = len(self._items)
-        if n >= self.watermarks.high:
-            self._elevated = True
-        elif n <= self.watermarks.low:
-            self._elevated = False
-        if n >= self.capacity:
-            return PressureLevel.CRITICAL
-        return PressureLevel.ELEVATED if self._elevated else PressureLevel.NORMAL
-
-
-class CreditGate:
-    """Credit-based flow control over one downstream queue.
-
-    The producer asks for ``n`` slots; the gate grants at most the
-    queue's free space below its high watermark and accounts for the
-    difference — ``withheld`` is exactly how much the upstream generator
-    was slowed by backpressure.
-    """
-
-    def __init__(self, queue: BoundedQueue):
-        self.queue = queue
-        self.requested = 0
-        self.granted = 0
-        self.withheld = 0
-
-    def acquire(self, n: int) -> int:
-        """Grant up to ``n`` credits; returns the number granted."""
-        self.requested += n
-        grant = min(n, self.queue.credits())
-        self.granted += grant
-        self.withheld += n - grant
-        return grant
-
-
-class OverloadMonitor:
-    """Samples queue occupancy and raises the sustained-overload flag.
-
-    One monitor can outlive the queues it watches (``supervise`` shares a
-    single monitor across restart attempts): :meth:`attach` replaces a
-    same-named queue but peaks persist, so the report covers the whole
-    supervised run, degraded partial included.
-    """
-
-    def __init__(self, sustain: int = 8):
-        if sustain < 1:
-            raise ValueError("sustain must be at least 1")
-        self.sustain = sustain
-        self._queues: Dict[str, BoundedQueue] = {}
-        self.peak_by_queue: Dict[str, int] = {}
-        self.capacity_by_queue: Dict[str, int] = {}
-        self.stage_throughput: Dict[str, int] = {}
-        self.samples = 0
-        self.overloaded_samples = 0
-        self.sustained_overload = False
-        self.events: List[str] = []
-        self._consecutive = 0
-
-    def attach(self, queue: BoundedQueue) -> BoundedQueue:
-        self._queues[queue.name] = queue
-        self.peak_by_queue.setdefault(queue.name, 0)
-        self.capacity_by_queue[queue.name] = queue.capacity
-        return queue
-
-    def note_throughput(self, stage: str, count: int) -> None:
-        if count:
-            self.stage_throughput[stage] = (
-                self.stage_throughput.get(stage, 0) + count
-            )
+        return self.clock.level(len(self._items))
 
     def sample(self) -> PressureLevel:
-        """Record one observation of every attached queue; returns the
-        worst pressure seen.  ``sustain`` consecutive non-NORMAL samples
-        latch :attr:`sustained_overload`."""
-        self.samples += 1
-        level = PressureLevel.NORMAL
-        for name, queue in self._queues.items():
-            # The queue's own peak is exact (tracked per put); sampling
-            # len() here would miss intra-tick maxima.
-            if queue.peak_occupancy > self.peak_by_queue[name]:
-                self.peak_by_queue[name] = queue.peak_occupancy
-            queue_level = queue.pressure()
-            if queue_level > level:
-                level = queue_level
-        if level is not PressureLevel.NORMAL:
-            self.overloaded_samples += 1
-            self._consecutive += 1
-            if not self.sustained_overload and self._consecutive >= self.sustain:
-                self.sustained_overload = True
-                self.events.append(
-                    f"sustained overload: {self._consecutive} consecutive "
-                    f"samples above the high watermark (sample {self.samples})"
-                )
-        else:
-            self._consecutive = 0
-        return level
+        """One observation of the queue by :attr:`clock`."""
+        return self.clock.sample(len(self._items))
+
+    def state_dict(self) -> Dict[str, int]:
+        """The ledger and the clock (the items are not state: snapshots
+        are taken with the queue drained)."""
+        state = {name: getattr(self.clock, name) for name in PressureClock.STATE}
+        state.update(
+            peak_occupancy=self.peak_occupancy,
+            credits_requested=self.credits_requested,
+            credits_withheld=self.credits_withheld,
+        )
+        return state
+
+    def load_state_dict(self, state: Mapping[str, int]) -> None:
+        for name in PressureClock.STATE:
+            setattr(self.clock, name, state[name])
+        self.peak_occupancy = state["peak_occupancy"]
+        self.credits_requested = state["credits_requested"]
+        self.credits_withheld = state["credits_withheld"]
 
 
 @dataclass
@@ -285,35 +247,31 @@ class OverloadReport:
         return sum(self.spilled_by_class.values())
 
     @classmethod
-    def from_parts(
-        cls,
-        monitor: Optional[OverloadMonitor] = None,
-        accounting: Optional[Any] = None,
-        gate: Optional[CreditGate] = None,
+    def build(
+        cls, queue: BoundedQueue, tallies: Mapping[str, Any],
         degraded: bool = False,
     ) -> "OverloadReport":
-        """Assemble a report from whichever parts a caller holds.
-
-        ``accounting`` is a :class:`repro.resilience.shedding.ShedAccounting`
-        (duck-typed: ``offered``/``shed``/``spilled`` count dicts).
-        """
-        report = cls(degraded=degraded)
-        if monitor is not None:
-            report.queue_peaks = dict(monitor.peak_by_queue)
-            report.queue_capacities = dict(monitor.capacity_by_queue)
-            report.samples = monitor.samples
-            report.overloaded_samples = monitor.overloaded_samples
-            report.sustained_overload = monitor.sustained_overload
-            report.stage_throughput = dict(monitor.stage_throughput)
-            report.events = tuple(monitor.events)
-        if accounting is not None:
-            report.offered_by_class = dict(accounting.offered)
-            report.shed_by_class = dict(accounting.shed)
-            report.spilled_by_class = dict(accounting.spilled)
-        if gate is not None:
-            report.credits_requested = gate.requested
-            report.credits_withheld = gate.withheld
-        return report
+        """The report over a run's one queue and the driver's
+        ``tallies`` (``offered``/``shed``/``spilled`` by class,
+        ``throughput`` by stage, and ``events``)."""
+        clock = queue.clock
+        return cls(
+            queue_peaks={queue.name: queue.peak_occupancy},
+            queue_capacities={queue.name: queue.capacity},
+            samples=clock.samples,
+            overloaded_samples=clock.hot_samples,
+            sustained_overload=clock.latched,
+            degraded=degraded,
+            offered_by_class=dict(tallies["offered"]),
+            shed_by_class=dict(tallies["shed"]),
+            spilled_by_class=dict(tallies["spilled"]),
+            stage_throughput={
+                stage: n for stage, n in tallies["throughput"].items() if n
+            },
+            credits_requested=queue.credits_requested,
+            credits_withheld=queue.credits_withheld,
+            events=tuple(tallies["events"]),
+        )
 
     def summary_lines(self) -> List[str]:
         """Lines in the style of :meth:`PipelineResult.summary`."""
@@ -361,12 +319,8 @@ class BackpressureConfig:
     than the service rate.  With a ``source_pausable`` source,
     credit-based flow control slows arrivals instead (nothing is shed);
     an unpausable source (UDP fan-in) engages the shed policy.
-    ``degrade`` answers sustained overload with coarse stats and a
-    raised filter ``T``.
-
-    ``monitor`` and ``accounting`` are normally created per run;
-    :func:`~repro.resilience.supervisor.supervise` binds shared instances
-    (:meth:`with_runtime`) so overload accounting survives restarts.
+    ``degrade`` answers sustained overload (``sustain`` consecutive hot
+    samples) with coarse stats and a raised filter ``T``.
     """
 
     max_buffer: int = 1024
@@ -379,8 +333,6 @@ class BackpressureConfig:
     dedup_window: Optional[float] = None
     degrade: bool = False
     sustain: int = 8
-    monitor: Optional[OverloadMonitor] = field(default=None, compare=False)
-    accounting: Optional[Any] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("max_buffer", "arrival_batch", "service_batch",
@@ -406,10 +358,3 @@ class BackpressureConfig:
         return cls(
             service_batch=service_batch, source_pausable=False, **kwargs
         )
-
-    def with_runtime(
-        self, monitor: OverloadMonitor, accounting: Any
-    ) -> "BackpressureConfig":
-        """A copy bound to shared runtime state: ``supervise`` hands the
-        same monitor and accounting to every attempt it runs."""
-        return replace(self, monitor=monitor, accounting=accounting)

@@ -68,6 +68,13 @@ class PipelineCheckpoint:
     #: timestamp), captured by bounded runs so a resumed policy keeps its
     #: duplicate memory; ``None`` for unbounded runs.
     shed_state: Optional[Dict[str, float]] = None
+    #: The bounded run's overload tallies, beside ``shed_state``: the
+    #: queue's ledger and pressure clock (peak, credits, samples, the
+    #: sustain streak and latch), records offered/shed/spilled by class,
+    #: stage throughput and events — plain dicts, ints and strings.  A
+    #: resumed run's report so covers the same records as its stats;
+    #: ``None`` for unbounded runs.
+    overload_state: Optional[Dict[str, Any]] = None
     #: How many snapshots the run had taken when this one was stamped
     #: (this one included).  Resuming restores the manager's ``taken``
     #: from it, so the snapshot count a resumed run reports covers the

@@ -16,34 +16,28 @@ paper-aware priority order —
    dead-letter path with exact accounting — degraded, audited, never
    silently lost.
 
-Policies are pluggable (``--shed-policy`` on the CLI): the registry also
-offers ``chatter-only`` (sheds nothing that any rule tags) and ``none``
-(sheds nothing at all; overflow spills, turning arbitrary transport loss
-into accounted loss).  All decisions and their outcomes are counted in
-:class:`ShedAccounting`, whose totals feed the overload report on
-:meth:`repro.api.PipelineResult.summary`.
+That order is the ``priority`` row of :data:`SHED_DECISIONS`, the one
+table every :class:`ShedPolicy` decides from; its other rows are
+``chatter-only`` (sheds nothing that any rule tags) and ``none`` (sheds
+nothing at all; overflow spills, turning arbitrary transport loss into
+accounted loss), and its keys are the ``--shed-policy`` choices of
+``repro serve``.
 
 :class:`BoundedIngest` is the door itself — the bounded queue, its
 policy, and the one loop that puts each tagged arrival to the policy
 against the live queue depth.  The bounded driver owns one per run and
-the ingest service one per tenant; each keeps only its own bookkeeping
-for what the door refuses.
+tallies what it sheds and spills into the run's checkpoint; the ingest
+service owns one per tenant and counts the same into the tenant's
+counters.
 """
 
 from __future__ import annotations
 
 import threading
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .backpressure import (
-    KEEP,
-    SHED,
-    SPILL,
-    BoundedQueue,
-    PressureLevel,
-    Watermarks,
-)
+from .backpressure import KEEP, SHED, SPILL, BoundedQueue, PressureLevel
 
 #: Shed classes, in degradation order (first shed first).
 CLASS_CHATTER = "info-chatter"
@@ -52,66 +46,20 @@ CLASS_ALERT = "tagged-alert"
 
 Decision = Tuple[str, str]  # (KEEP | SHED | SPILL, shed class)
 
-
-class ShedAccounting:
-    """Exact counters for every shed decision, by class.
-
-    ``offered`` counts every record a policy classified; ``shed`` the
-    records dropped at the door; ``spilled`` the records routed to the
-    dead-letter path instead.  ``offered - shed - spilled`` records were
-    admitted, so conservation is checkable end to end.
-    """
-
-    def __init__(self) -> None:
-        self.offered: Dict[str, int] = {}
-        self.shed: Dict[str, int] = {}
-        self.spilled: Dict[str, int] = {}
-        # Counter updates are read-modify-write; keep them exact when one
-        # accounting object is shared across threads or tenant tasks.
-        self._lock = threading.Lock()
-
-    def count_offered(self, klass: str, n: int = 1) -> None:
-        with self._lock:
-            self.offered[klass] = self.offered.get(klass, 0) + n
-
-    def count_shed(self, klass: str, n: int = 1) -> None:
-        with self._lock:
-            self.shed[klass] = self.shed.get(klass, 0) + n
-
-    def count_spilled(self, klass: str, n: int = 1) -> None:
-        with self._lock:
-            self.spilled[klass] = self.spilled.get(klass, 0) + n
-
-    @property
-    def total_offered(self) -> int:
-        return sum(self.offered.values())
-
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed.values())
-
-    @property
-    def total_spilled(self) -> int:
-        return sum(self.spilled.values())
-
-    @property
-    def admitted(self) -> int:
-        return self.total_offered - self.total_shed - self.total_spilled
-
-    def summary(self) -> str:
-        if not self.total_shed and not self.total_spilled:
-            return "nothing shed"
-        parts = [
-            f"{klass}: {count}" for klass, count in sorted(self.shed.items())
-        ]
-        text = f"{self.total_shed} shed ({', '.join(parts)})" if parts else "0 shed"
-        if self.total_spilled:
-            text += f", {self.total_spilled} spilled to dead-letter"
-        return text
+#: What each policy does to each class (chatter, duplicate, tagged alert)
+#: at each pressure level.  At NORMAL every policy keeps everything, and
+#: no policy ever sheds a fresh tagged alert.
+SHED_DECISIONS = {
+    #               NORMAL              ELEVATED            CRITICAL
+    "priority":     ((KEEP, KEEP, KEEP), (SHED, KEEP, KEEP), (SHED, SHED, SPILL)),
+    "chatter-only": ((KEEP, KEEP, KEEP), (SHED, KEEP, KEEP), (SHED, SPILL, SPILL)),
+    "none":         ((KEEP, KEEP, KEEP), (KEEP, KEEP, KEEP), (SPILL, SPILL, SPILL)),
+}
 
 
 class ShedPolicy:
-    """Base policy: classification plus a (subclass-supplied) decision.
+    """One row of :data:`SHED_DECISIONS`, plus the classification it
+    decides from.
 
     Classification needs the system's expert ruleset — the tagger *is*
     the priority oracle — so the caller, who tags every record anyway,
@@ -126,12 +74,20 @@ class ShedPolicy:
     suppress anyway".
     """
 
-    name = "base"
-
-    def __init__(self, dedup_window: float = 5.0):
+    def __init__(self, name: str, dedup_window: float = 5.0):
+        if name not in SHED_DECISIONS:
+            raise ValueError(
+                f"unknown shed policy {name!r}; known: {sorted(SHED_DECISIONS)}"
+            )
         if dedup_window < 0:
             raise ValueError("dedup_window must be non-negative")
+        self.name = name
         self.dedup_window = dedup_window
+        # Indexed by level, then by class.
+        self._decisions = tuple(
+            dict(zip((CLASS_CHATTER, CLASS_DUPLICATE, CLASS_ALERT), verbs))
+            for verbs in SHED_DECISIONS[name]
+        )
         self._last_seen: Dict[str, float] = {}
         # The duplicate-lookback table is read-modify-written per record;
         # the ingest service multiplexes policies across tenant tasks (and
@@ -153,6 +109,10 @@ class ShedPolicy:
             return CLASS_DUPLICATE
         return CLASS_ALERT
 
+    def decide(self, record, level: PressureLevel, verdict) -> Decision:
+        klass = self.classify(record, verdict)
+        return self._decisions[level][klass], klass
+
     def state_dict(self) -> Dict[str, float]:
         """The duplicate-lookback state (category -> last seen timestamp),
         checkpointed by bounded runs so a resumed policy makes the same
@@ -164,88 +124,15 @@ class ShedPolicy:
         with self._lock:
             self._last_seen = dict(state) if state else {}
 
-    def decide(self, record, level: PressureLevel, verdict) -> Decision:
-        raise NotImplementedError
-
-
-class PriorityShedPolicy(ShedPolicy):
-    """The paper-aware default: chatter at ELEVATED, duplicates at
-    CRITICAL, tagged alerts never — they spill to the dead-letter path."""
-
-    name = "priority"
-
-    def decide(self, record, level: PressureLevel, verdict) -> Decision:
-        klass = self.classify(record, verdict)
-        if level is PressureLevel.NORMAL:
-            return KEEP, klass
-        if klass == CLASS_CHATTER:
-            return SHED, klass
-        if level is PressureLevel.CRITICAL:
-            if klass == CLASS_DUPLICATE:
-                return SHED, klass
-            return SPILL, klass
-        return KEEP, klass
-
-
-class ChatterOnlyShedPolicy(ShedPolicy):
-    """Sheds only untagged chatter; anything any rule tags — duplicate or
-    not — is kept while room exists and spilled (never shed) at CRITICAL."""
-
-    name = "chatter-only"
-
-    def decide(self, record, level: PressureLevel, verdict) -> Decision:
-        klass = self.classify(record, verdict)
-        if level is PressureLevel.NORMAL:
-            return KEEP, klass
-        if klass == CLASS_CHATTER:
-            return SHED, klass
-        if level is PressureLevel.CRITICAL:
-            return SPILL, klass
-        return KEEP, klass
-
-
-class NoShedPolicy(ShedPolicy):
-    """Never sheds: overflow spills with accounting.  The contrast case —
-    bounded memory with *accounted* (not arbitrary) loss and no priority."""
-
-    name = "none"
-
-    def decide(self, record, level: PressureLevel, verdict) -> Decision:
-        klass = self.classify(record, verdict)
-        if level is PressureLevel.CRITICAL:
-            return SPILL, klass
-        return KEEP, klass
-
-
-SHED_POLICIES = {
-    policy.name: policy
-    for policy in (PriorityShedPolicy, ChatterOnlyShedPolicy, NoShedPolicy)
-}
-
-
-def get_shed_policy(
-    policy: Union[str, ShedPolicy], dedup_window: Optional[float] = None
-) -> ShedPolicy:
-    """Resolve a policy name (or pass an instance through)."""
-    if isinstance(policy, ShedPolicy):
-        return policy
-    try:
-        cls = SHED_POLICIES[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown shed policy {policy!r}; known: {sorted(SHED_POLICIES)}"
-        ) from None
-    if dedup_window is None:
-        return cls()
-    return cls(dedup_window=dedup_window)
-
 
 class BoundedIngest:
     """The one door for overload: a bounded queue, the shed policy that
     guards it, and the loop that puts tagged arrivals to that policy.
 
     ``config`` is anything with ``max_buffer``, ``high_fraction``,
-    ``low_fraction``, ``shed_policy`` and ``dedup_window``
+    ``low_fraction``, ``sustain``, ``shed_policy`` (a
+    :data:`SHED_DECISIONS` key, or a :class:`ShedPolicy` to use as is)
+    and ``dedup_window``
     (:class:`~repro.resilience.backpressure.BackpressureConfig`,
     :class:`~repro.service.config.ServiceConfig`); ``threshold`` is the
     filter ``T``, the dedup window's default; ``shed_state`` is a
@@ -261,16 +148,17 @@ class BoundedIngest:
         threshold: float,
         shed_state: Optional[Dict[str, float]] = None,
     ):
-        window = threshold if config.dedup_window is None else config.dedup_window
-        self.policy = get_shed_policy(config.shed_policy, dedup_window=window)
+        policy = config.shed_policy
+        if not isinstance(policy, ShedPolicy):
+            window = (threshold if config.dedup_window is None
+                      else config.dedup_window)
+            policy = ShedPolicy(policy, dedup_window=window)
+        self.policy = policy
         if shed_state is not None:
             self.policy.load_state_dict(shed_state)
         self.queue = BoundedQueue(
-            name,
-            config.max_buffer,
-            Watermarks.for_capacity(
-                config.max_buffer, config.high_fraction, config.low_fraction
-            ),
+            name, config.max_buffer, config.high_fraction,
+            config.low_fraction, config.sustain,
         )
 
     def offer(

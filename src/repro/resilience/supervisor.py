@@ -23,6 +23,10 @@ production log-analytics stacks keep (Park et al., "Big Data Meets HPC
 Log Analytics"; Zhou et al., "LogMaster"): keep serving what you have,
 report what you lost.  A ``state_dir`` is never marked complete then, so
 re-invoking the same run resumes it.
+
+A bounded run needs nothing from the loop: its overload tallies ride the
+checkpoint, so a resumed attempt, and a degraded partial built from the
+last checkpoint, report exactly the records their stats cover.
 """
 
 from __future__ import annotations
@@ -31,16 +35,18 @@ from typing import List
 
 from .. import api as _pipeline
 from ..engine.stages import SourceFactory
-from .backpressure import OverloadMonitor, OverloadReport
 from .checkpoint import CheckpointManager
 from .deadletter import DeadLetterQueue
 from .faults import FaultPlan
-from .shedding import ShedAccounting
 
-#: The ``run_stream`` keywords that shape a degraded partial.  The rest
-#: (drivers, durable state, the generated log) only matter to a live
-#: attempt, and a ``state_dir`` must stay resumable.
-_PARTIAL_KEYWORDS = ("threshold", "reorder_tolerance", "predict", "store_dir")
+#: The ``run_stream`` keywords that shape a degraded partial (with
+#: ``backpressure`` it is bounded, and its report is the checkpoint's
+#: tallies).  The rest (parallel tagging, durable state, the generated
+#: log) only matter to a live attempt, and a ``state_dir`` must stay
+#: resumable.
+_PARTIAL_KEYWORDS = (
+    "threshold", "reorder_tolerance", "predict", "store_dir", "backpressure",
+)
 
 
 def supervise(
@@ -61,22 +67,13 @@ def supervise(
     :class:`~repro.resilience.faults.FaultConfig`) is injected into every
     presentation.  ``run`` takes any other :func:`repro.api.run_stream`
     keyword; ``dead_letters``, ``checkpointer`` and ``resume_from``
-    belong to the loop.  With ``backpressure``, the overload monitor and
-    shed accounting are shared across attempts, so the final (possibly
-    degraded) result reports the whole run's overload behaviour.
+    belong to the loop.
     """
     if restart_budget < 0:
         raise ValueError("restart_budget must be non-negative")
     plan = FaultPlan(faults) if faults is not None else None
     manager = CheckpointManager(every=checkpoint_every)
     dead_letters = DeadLetterQueue()
-    backpressure = run.pop("backpressure", None)
-    if backpressure is not None:
-        backpressure = backpressure.with_runtime(
-            monitor=backpressure.monitor
-            or OverloadMonitor(sustain=backpressure.sustain),
-            accounting=backpressure.accounting or ShedAccounting(),
-        )
     failure_log: List[str] = []
 
     for attempt in range(restart_budget + 1):
@@ -91,8 +88,7 @@ def supervise(
         try:
             result = _pipeline.run_stream(
                 records, system, dead_letters=dead_letters,
-                checkpointer=manager, resume_from=manager.latest,
-                backpressure=backpressure, **run,
+                checkpointer=manager, resume_from=manager.latest, **run,
             )
         except Exception as exc:  # worker died: restart from checkpoint
             failure_log.append(
@@ -121,11 +117,4 @@ def supervise(
     result.restarts = restart_budget
     result.failure_log = failure_log
     result.final_dead_letters = final_dead_letters
-    if backpressure is not None:
-        # The shared monitor/accounting saw every attempt; surface the
-        # overload picture even though the run never completed.
-        result.overload = OverloadReport.from_parts(
-            monitor=backpressure.monitor,
-            accounting=backpressure.accounting,
-        )
     return result

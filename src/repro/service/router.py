@@ -34,7 +34,7 @@ from ..logmodel.bgl import parse_bgl_line
 from ..logmodel.record import LogRecord
 from ..logmodel.redstorm import parse_redstorm_line
 from ..logmodel.syslog import parse_syslog_line
-from ..resilience.backpressure import PressureLevel
+from ..resilience.backpressure import PressureClock, PressureLevel
 from ..resilience.deadletter import DeadLetterQueue, REASON_UNROUTABLE
 from ..systems.specs import SYSTEMS
 from .config import ServiceConfig
@@ -83,47 +83,34 @@ class MemoryGovernor:
     chatter *everywhere* while tagged alerts still spill to dead-letter
     queues rather than vanish.  ``sustain`` consecutive overloaded
     samples latch degraded mode (coarse stats); the same count of calm
-    samples clears it.
+    samples clears it.  The rule is the bounded queue's
+    :class:`~repro.resilience.backpressure.PressureClock`, over the
+    budget's own rounding of the watermarks and set to clear.
     """
 
     def __init__(self, config: ServiceConfig):
         self.budget = config.global_queue_budget
-        self.high = max(1, int(self.budget * config.high_fraction))
-        self.low = int(self.budget * config.low_fraction)
-        self.sustain = config.sustain
-        self.degraded = False
+        self.clock = PressureClock(
+            high=max(1, int(self.budget * config.high_fraction)),
+            low=int(self.budget * config.low_fraction),
+            limit=self.budget, sustain=config.sustain, clears=True,
+        )
         self.degraded_entered = 0
         self._level = PressureLevel.NORMAL
-        self._elevated = False
-        self._hot_streak = 0
-        self._calm_streak = 0
+
+    @property
+    def degraded(self) -> bool:
+        return self.clock.latched
 
     def level(self) -> PressureLevel:
         return self._level
 
     def sample(self, total_queued: int) -> PressureLevel:
         """Fold one housekeeping observation into the global level."""
-        if total_queued >= self.high:
-            self._elevated = True
-        elif total_queued <= self.low:
-            self._elevated = False
-        if total_queued >= self.budget:
-            self._level = PressureLevel.CRITICAL
-        elif self._elevated:
-            self._level = PressureLevel.ELEVATED
-        else:
-            self._level = PressureLevel.NORMAL
-        if self._level >= PressureLevel.ELEVATED:
-            self._hot_streak += 1
-            self._calm_streak = 0
-            if not self.degraded and self._hot_streak >= self.sustain:
-                self.degraded = True
-                self.degraded_entered += 1
-        else:
-            self._calm_streak += 1
-            self._hot_streak = 0
-            if self.degraded and self._calm_streak >= self.sustain:
-                self.degraded = False
+        degraded = self.degraded
+        self._level = self.clock.sample(total_queued)
+        if self.degraded and not degraded:
+            self.degraded_entered += 1
         return self._level
 
     def stats(self) -> dict:

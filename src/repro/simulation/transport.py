@@ -99,7 +99,7 @@ class UdpSyslogChannel:
         q = self.receiver_queue
         if q is None:
             return 0.0
-        high = q.watermarks.high
+        high = q.high
         headroom = q.capacity - high
         if headroom <= 0:
             return self.pressure_loss if len(q) >= high else 0.0

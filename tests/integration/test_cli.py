@@ -159,9 +159,7 @@ def test_unknown_system_rejected():
 class TestStudyBounded:
     def test_bounded_study_reports_shedding(self, capsys):
         code = main([
-            "study", "--scale", "1e-5", "--seed", "3",
-            "--max-buffer", "128", "--shed-policy", "priority",
-            "--overload-degrade",
+            "study", "--scale", "1e-5", "--seed", "3", "--max-buffer", "128",
         ])
         assert code == 0
         captured = capsys.readouterr()
@@ -169,16 +167,7 @@ class TestStudyBounded:
         assert "shed:" in captured.err
 
     def test_unknown_shed_policy_rejected(self):
+        """``--shed-policy`` lives on ``serve``, whose tenants cannot
+        pause their sources; its choices are the decision table's keys."""
         with pytest.raises(SystemExit):
-            main(["study", "--max-buffer", "128", "--shed-policy", "yolo"])
-
-    @pytest.mark.parametrize("knob", [
-        ["--shed-policy", "chatter-only"], ["--overload-degrade"],
-    ], ids=["shed-policy", "overload-degrade"])
-    def test_overload_knob_without_max_buffer_refused(self, knob, capsys):
-        """Nothing is bounded without --max-buffer, so the knob would be
-        silently ignored; the CLI refuses it instead."""
-        assert main(["study", "--scale", "1e-5", *knob]) == 2
-        captured = capsys.readouterr()
-        assert "--max-buffer" in captured.err
-        assert captured.out == ""
+            main(["serve", "--shed-policy", "yolo"])

@@ -15,7 +15,7 @@ from repro import api as pipeline
 from repro.core.filtering import DEFAULT_THRESHOLD
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.deadletter import REASON_SHED_OVERLOAD
-from repro.resilience.shedding import SHED_POLICIES
+from repro.resilience.shedding import SHED_DECISIONS, ShedPolicy
 from repro.service.config import ServiceConfig
 from repro.service.tenant import Tenant
 
@@ -28,7 +28,7 @@ from ..engine.conftest import (
 ARRIVAL, SERVICE, BUFFER = 320, 32, 64
 
 
-@pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+@pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_driver_and_tenant_lose_the_same_records(
     golden_records, system, policy_name  # noqa: F811
@@ -36,7 +36,7 @@ def test_driver_and_tenant_lose_the_same_records(
     records = golden_records[system]
 
     # The driver's policy as an instance, so the test can read its state.
-    policy = SHED_POLICIES[policy_name](dedup_window=DEFAULT_THRESHOLD)
+    policy = ShedPolicy(policy_name, dedup_window=DEFAULT_THRESHOLD)
     result = pipeline.run_stream(
         iter(records), system,
         backpressure=BackpressureConfig.burst(

@@ -8,6 +8,8 @@ or spill accounting), and overload metrics surfaced in
 ``PipelineResult.summary()``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import api as pipeline
@@ -187,6 +189,8 @@ class TestDegradedMode:
     def test_without_degrade_flag_no_degradation(self, burst):
         assert burst.overload.sustained_overload
         assert not burst.overload.degraded
+        assert [event.startswith("sustained overload") for event
+                in burst.overload.events] == [True]
 
 
 class TestSupervisedOverload:
@@ -212,8 +216,11 @@ class TestSupervisedOverload:
         assert report is not None
         for name, peak in report.queue_peaks.items():
             assert peak <= report.queue_capacities[name], name
-        # The shared accounting covered all attempts, and the degraded
-        # summary still surfaces the overload picture.
+        # The partial reports the checkpoint's tallies: the same records
+        # its stats cover, and the summary still surfaces them.
+        shed = report.total_shed + report.total_spilled
+        assert sum(report.offered_by_class.values()) - shed \
+            == result.message_count
         assert "queues (peak)" in result.summary()
 
     def test_supervised_burst_recovers_with_overload_report(self):
@@ -233,3 +240,21 @@ class TestSupervisedOverload:
         assert report.total_shed > 0  # burst shedding happened
         for name, peak in report.queue_peaks.items():
             assert peak <= report.queue_capacities[name], name
+
+    def test_crash_and_resume_reports_the_uncrashed_run(self, burst):
+        """The overload tallies ride the checkpoint, so a crashed and
+        resumed burst reports what the uncrashed run reports, field by
+        field — the suffix after the checkpoint is counted once."""
+        result = pipeline.run_system(
+            SYSTEM, scale=SMALL_SCALE, seed=SEED,
+            faults=FaultConfig.crash_only(at=500, seed=SEED),
+            restart_budget=3, checkpoint_every=100,
+            backpressure=BackpressureConfig.burst(
+                factor=10.0, service_batch=32, max_buffer=256,
+            ),
+        )
+        assert result.restarts == 1
+        for name in dataclasses.fields(burst.overload):
+            assert getattr(result.overload, name.name) \
+                == getattr(burst.overload, name.name), name.name
+        assert result.message_count == burst.message_count

@@ -1,68 +1,70 @@
-"""Unit tests for bounded queues, credits, the monitor, the config."""
+"""Unit tests for the bounded queue, its pressure clock, credits, the
+report, and the config."""
 
 import pytest
 
 from repro.resilience.backpressure import (
     BackpressureConfig,
     BoundedQueue,
-    CreditGate,
-    OverloadMonitor,
     OverloadReport,
+    PressureClock,
     PressureLevel,
-    Watermarks,
 )
-from repro.resilience.shedding import ShedAccounting
+
+
+def _tallies(**counts):
+    tallies = {key: {} for key in ("offered", "shed", "spilled", "throughput")}
+    tallies.update(counts, events=[])
+    return tallies
 
 
 class TestWatermarks:
     def test_for_capacity_defaults(self):
-        wm = Watermarks.for_capacity(100)
-        assert wm.high == 80
-        assert wm.low == 50
+        q = BoundedQueue("q", capacity=100)
+        assert (q.high, q.low) == (80, 50)
 
     def test_tiny_capacity_stays_ordered(self):
-        wm = Watermarks.for_capacity(1)
-        assert 0 <= wm.low < wm.high <= 1
+        q = BoundedQueue("q", capacity=1)
+        assert 0 <= q.low < q.high <= 1
 
     def test_invalid_ordering_rejected(self):
+        """The fractions are checked where they are configured: a run's
+        watermarks can neither meet nor invert."""
         with pytest.raises(ValueError):
-            Watermarks(high=5, low=5)
+            BackpressureConfig(high_fraction=0.5, low_fraction=0.5)
         with pytest.raises(ValueError):
-            Watermarks(high=5, low=-1)
+            BackpressureConfig(low_fraction=-0.1)
 
 
 class TestBoundedQueue:
     def test_put_get_fifo_and_counters(self):
         q = BoundedQueue("q", capacity=4)
         assert q.put("a") and q.put("b")
-        assert q.get() == "a"
-        assert q.total_in == 2
-        assert q.total_out == 1
+        assert q.take(1) == ["a"]
+        assert len(q) == 1
         assert q.peak_occupancy == 2
 
     def test_full_queue_refuses_instead_of_evicting(self):
         q = BoundedQueue("q", capacity=2)
         assert q.put(1) and q.put(2)
         assert not q.put(3)
-        assert q.refused == 1
-        assert [q.get(), q.get()] == [1, 2]  # nothing was evicted
+        assert q.take(3) == [1, 2]  # nothing was evicted
 
     def test_pressure_hysteresis(self):
-        q = BoundedQueue("q", capacity=10, watermarks=Watermarks(high=8, low=4))
+        q = BoundedQueue("q", capacity=10, high_fraction=0.8, low_fraction=0.4)
         for k in range(8):
             q.put(k)
         assert q.pressure() is PressureLevel.ELEVATED
-        q.get()  # 7: between low and high -> stays elevated
+        q.take(1)  # 7: between low and high -> stays elevated
         assert q.pressure() is PressureLevel.ELEVATED
-        for _ in range(3):
-            q.get()  # down to 4 = low watermark
+        q.take(3)  # down to 4 = low watermark
         assert q.pressure() is PressureLevel.NORMAL
         for k in range(6):
             q.put(k)  # back to capacity
         assert q.pressure() is PressureLevel.CRITICAL
 
     def test_credits_are_headroom_below_high_watermark(self):
-        q = BoundedQueue("q", capacity=10, watermarks=Watermarks(high=8, low=4))
+        q = BoundedQueue("q", capacity=10, high_fraction=0.8, low_fraction=0.4)
         assert q.credits() == 8
         for k in range(6):
             q.put(k)
@@ -74,62 +76,92 @@ class TestBoundedQueue:
 
 class TestCreditGate:
     def test_grants_bounded_by_headroom(self):
-        q = BoundedQueue("q", capacity=10, watermarks=Watermarks(high=8, low=4))
-        gate = CreditGate(q)
-        assert gate.acquire(5) == 5
+        q = BoundedQueue("q", capacity=10, high_fraction=0.8, low_fraction=0.4)
+        assert q.acquire(5) == 5
         for k in range(5):
             q.put(k)
-        assert gate.acquire(5) == 3  # only 3 slots below high remain
-        assert gate.requested == 10
-        assert gate.granted == 8
-        assert gate.withheld == 2
+        assert q.acquire(5) == 3  # only 3 slots below high remain
+        assert q.credits_requested == 10
+        assert q.credits_requested - q.credits_withheld == 8  # granted
+        assert q.credits_withheld == 2
 
 
 class TestOverloadMonitor:
+    """The pressure clock's streak and latch, as a queue samples it."""
+
     def test_sustain_latches_after_consecutive_overload(self):
-        monitor = OverloadMonitor(sustain=3)
-        q = monitor.attach(BoundedQueue("q", capacity=4,
-                                        watermarks=Watermarks(high=2, low=1)))
+        q = BoundedQueue("q", capacity=4, high_fraction=0.5,
+                         low_fraction=0.25, sustain=3)
         q.put(1), q.put(2)
-        assert monitor.sample() is PressureLevel.ELEVATED
-        assert monitor.sample() is PressureLevel.ELEVATED
-        assert not monitor.sustained_overload
-        monitor.sample()
-        assert monitor.sustained_overload
-        assert monitor.overloaded_samples == 3
-        assert monitor.events
+        assert q.sample() is PressureLevel.ELEVATED
+        assert q.sample() is PressureLevel.ELEVATED
+        assert not q.clock.latched
+        q.sample()
+        assert q.clock.latched
+        assert q.clock.hot_samples == q.clock.samples == 3
 
     def test_normal_sample_resets_the_streak(self):
-        monitor = OverloadMonitor(sustain=2)
-        q = monitor.attach(BoundedQueue("q", capacity=4,
-                                        watermarks=Watermarks(high=2, low=1)))
+        q = BoundedQueue("q", capacity=4, high_fraction=0.5,
+                         low_fraction=0.25, sustain=2)
         q.put(1), q.put(2)
-        monitor.sample()
-        q.get()  # drain to low watermark -> NORMAL
-        assert monitor.sample() is PressureLevel.NORMAL
+        q.sample()
+        q.take(1)  # drain to the low watermark -> NORMAL
+        assert q.sample() is PressureLevel.NORMAL
         q.put(2)
-        monitor.sample()
-        assert not monitor.sustained_overload  # streak restarted
+        q.sample()
+        assert not q.clock.latched  # streak restarted
+        for _ in range(5):
+            q.take(1)
+            q.sample()
+        assert not q.clock.latched  # calm samples never latch
 
     def test_peaks_are_exact_not_sampled(self):
-        monitor = OverloadMonitor()
-        q = monitor.attach(BoundedQueue("q", capacity=8))
+        q = BoundedQueue("q", capacity=8)
         for k in range(6):
             q.put(k)
-        while q:
-            q.get()
-        monitor.sample()  # queue empty now, but peak was 6
-        assert monitor.peak_by_queue["q"] == 6
+        q.take(6)
+        q.sample()  # queue empty now, but peak was 6
+        report = OverloadReport.build(q, _tallies())
+        assert report.queue_peaks == {"q": 6}
 
     def test_peaks_survive_reattach(self):
-        monitor = OverloadMonitor()
-        q1 = monitor.attach(BoundedQueue("q", capacity=8))
-        for k in range(5):
+        """A resumed run's queue is a new one, loaded from the
+        checkpointed ledger: peak, credits and clock carry over."""
+        q1 = BoundedQueue("q", capacity=8, sustain=2)
+        for k in range(7):
             q1.put(k)
-        monitor.sample()
-        monitor.attach(BoundedQueue("q", capacity=8))  # supervisor restart
-        monitor.sample()
-        assert monitor.peak_by_queue["q"] == 5
+        q1.acquire(3)
+        q1.sample(), q1.sample()
+        q1.take(7)
+        q1.sample()
+        q2 = BoundedQueue("q", capacity=8, sustain=2)
+        q2.load_state_dict(q1.state_dict())
+        assert q2.state_dict() == q1.state_dict()
+        assert q2.peak_occupancy == 7
+        assert q2.clock.latched
+        assert OverloadReport.build(q2, _tallies()) \
+            == OverloadReport.build(q1, _tallies())
+
+
+class TestPressureClock:
+    def test_run_latch_holds_governor_latch_clears(self):
+        held = PressureClock(high=2, low=1, limit=4, sustain=2)
+        cleared = PressureClock(high=2, low=1, limit=4, sustain=2, clears=True)
+        for clock in (held, cleared):
+            for n in (3, 3, 0, 0):
+                clock.sample(n)
+        assert held.latched
+        assert not cleared.latched
+
+    def test_level_is_hysteresis_only(self):
+        clock = PressureClock(high=2, low=1, limit=4, sustain=1)
+        assert clock.level(3) is PressureLevel.ELEVATED
+        assert clock.level(4) is PressureLevel.CRITICAL
+        assert (clock.samples, clock.latched) == (0, False)
+
+    def test_sustain_validated(self):
+        with pytest.raises(ValueError):
+            PressureClock(high=2, low=1, limit=4, sustain=0)
 
 
 class TestBackpressureConfig:
@@ -146,35 +178,26 @@ class TestBackpressureConfig:
         with pytest.raises(ValueError):
             BackpressureConfig.burst(factor=0.5)
 
-    def test_with_runtime_preserves_other_fields(self):
-        cfg = BackpressureConfig(max_buffer=77)
-        monitor, accounting = OverloadMonitor(), ShedAccounting()
-        bound = cfg.with_runtime(monitor=monitor, accounting=accounting)
-        assert bound.max_buffer == 77
-        assert bound.monitor is monitor
-        assert bound.accounting is accounting
-
 
 class TestOverloadReport:
     def test_from_parts_and_summary(self):
-        monitor = OverloadMonitor(sustain=1)
-        q = monitor.attach(BoundedQueue("ingest", capacity=4,
-                                        watermarks=Watermarks(high=2, low=1)))
+        q = BoundedQueue("ingest", capacity=4, high_fraction=0.5,
+                         low_fraction=0.25, sustain=1)
         q.put(1), q.put(2)
-        monitor.sample()
-        accounting = ShedAccounting()
-        accounting.count_offered("info-chatter")
-        accounting.count_shed("info-chatter")
-        accounting.count_spilled("tagged-alert")
-        gate = CreditGate(q)
-        gate.acquire(5)
-        report = OverloadReport.from_parts(monitor=monitor,
-                                           accounting=accounting,
-                                           gate=gate, degraded=True)
+        q.sample()
+        q.acquire(5)
+        report = OverloadReport.build(q, _tallies(
+            offered={"info-chatter": 1, "tagged-alert": 1},
+            shed={"info-chatter": 1},
+            spilled={"tagged-alert": 1},
+            throughput={"arrive": 2, "filter": 0},
+        ), degraded=True)
         assert report.queue_peaks["ingest"] == 2
         assert report.total_shed == 1
         assert report.total_spilled == 1
         assert report.sustained_overload
+        assert report.credits_requested == 5
+        assert report.stage_throughput == {"arrive": 2}  # no zero stages
         text = "\n".join(report.summary_lines())
         assert "ingest 2/4" in text
         assert "shed" in text and "spilled" in text

@@ -1,9 +1,8 @@
 """Thread/task-safety of the shared resilience primitives.
 
 The ingest service interleaves many tenant tasks (and the stats server,
-and tests' helper threads) over :class:`DeadLetterQueue`,
-:class:`ShedPolicy`, and :class:`ShedAccounting`.  Conservation
-accounting is only meaningful if these counters stay exact under that
+and tests' helper threads) over :class:`DeadLetterQueue` and
+:class:`ShedPolicy`.  Conservation accounting is only meaningful if these counters stay exact under that
 interleaving — so these tests hammer them from real threads (a strictly
 stronger schedule than asyncio task interleaving) and assert the counts
 partition perfectly.
@@ -16,7 +15,7 @@ from repro.core.tagging import Tagger
 from repro.logmodel.record import LogRecord
 from repro.resilience.backpressure import KEEP, SHED, SPILL, PressureLevel
 from repro.resilience.deadletter import DeadLetterQueue
-from repro.resilience.shedding import ShedAccounting, get_shed_policy
+from repro.resilience.shedding import ShedPolicy
 
 THREADS = 8
 PER_THREAD = 2000
@@ -128,7 +127,7 @@ class TestShedPolicyConcurrency:
         """Many threads sharing one policy: every decision is a valid
         verb and nothing raises; duplicate state stays a sane dict."""
         tagger = Tagger(get_ruleset("liberty"))
-        policy = get_shed_policy("priority", dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         decisions = [[] for _ in range(THREADS)]
 
         def worker(tid):
@@ -148,7 +147,7 @@ class TestShedPolicyConcurrency:
 
     def test_state_dict_round_trip_during_decides(self):
         tagger = Tagger(get_ruleset("liberty"))
-        policy = get_shed_policy("priority", dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         stop = threading.Event()
         errors = []
 
@@ -170,31 +169,3 @@ class TestShedPolicyConcurrency:
         run_threads(decider)
         watcher.join()
         assert not errors
-
-
-class TestShedAccountingConcurrency:
-    def test_counters_partition_exactly(self):
-        accounting = ShedAccounting()
-
-        def worker(tid):
-            for i in range(PER_THREAD):
-                klass = ("a", "b", "c")[i % 3]
-                accounting.count_offered(klass)
-                if i % 5 == 0:
-                    accounting.count_shed(klass)
-                elif i % 5 == 1:
-                    accounting.count_spilled(klass)
-
-        run_threads(worker)
-        total = THREADS * PER_THREAD
-        assert accounting.total_offered == total
-        assert accounting.total_shed == sum(
-            1 for i in range(PER_THREAD) if i % 5 == 0
-        ) * THREADS
-        assert accounting.total_spilled == sum(
-            1 for i in range(PER_THREAD) if i % 5 == 1
-        ) * THREADS
-        assert (
-            accounting.admitted
-            == total - accounting.total_shed - accounting.total_spilled
-        )

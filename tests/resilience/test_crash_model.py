@@ -7,7 +7,8 @@ that op's torn half-write, exactly what SIGKILL leaves on disk), a disk
 that fills from op j with ENOSPC or EIO, and a truncated or bit-flipped
 newest generation or MANIFEST.  The checks:
 
-* every run that completes fingerprints like the uninterrupted run;
+* every run that completes fingerprints like the uninterrupted run, and
+  a bounded one reports the uninterrupted bounded run's overload;
 * a damaged generation is quarantined as ``*.corrupt``, never loaded;
 * a run whose disk fills finishes degraded; every checkpoint it took is
   either saved or counted as unpersisted, and one that started on the
@@ -129,6 +130,13 @@ def baseline(predict):
     return fingerprint(result)
 
 
+@lru_cache(maxsize=None)
+def bounded_overload():
+    """The uninterrupted bounded run's overload report.  A resumed
+    bounded run's report must equal it: its tallies ride the checkpoint."""
+    return run(iter(RECORDS), False, "bounded").overload
+
+
 def complete(state):
     """Whether the state dir's MANIFEST marks a finished run."""
     try:
@@ -219,6 +227,8 @@ def test_every_recovery_matches_the_uninterrupted_run(
                 continue
 
             assert fingerprint(result) == expected
+            if driver == "bounded":
+                assert result.overload == bounded_overload()
             status = store.status
             if step[0] != "disk full":
                 assert not status.degraded, status.reason

@@ -1,4 +1,4 @@
-"""Unit tests for the priority-aware load-shedding policies."""
+"""Unit tests for the shed decision table and the door."""
 
 import pytest
 
@@ -11,19 +11,17 @@ from repro.resilience.backpressure import (
     SHED,
     SPILL,
     BackpressureConfig,
+    OverloadReport,
     PressureLevel,
 )
+from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.shedding import (
     CLASS_ALERT,
     CLASS_CHATTER,
     CLASS_DUPLICATE,
-    SHED_POLICIES,
+    SHED_DECISIONS,
     BoundedIngest,
-    ChatterOnlyShedPolicy,
-    NoShedPolicy,
-    PriorityShedPolicy,
-    ShedAccounting,
-    get_shed_policy,
+    ShedPolicy,
 )
 
 from ..engine.conftest import ALL_SYSTEMS, GOLDEN_DIR, load_expected
@@ -68,13 +66,13 @@ def _decide(policy, tagger, record, level):
 
 class TestClassification:
     def test_chatter_vs_alert(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy(dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         assert _classify(policy, tagger, _record(0.0, "healthd: uneventful")) \
             == CLASS_CHATTER
         assert _classify(policy, tagger, make_alert_record(100.0)) == CLASS_ALERT
 
     def test_repeat_within_window_is_duplicate(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy(dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         assert _classify(policy, tagger, make_alert_record(0.0)) == CLASS_ALERT
         assert _classify(policy, tagger, make_alert_record(2.0)) \
             == CLASS_DUPLICATE
@@ -82,14 +80,14 @@ class TestClassification:
         assert _classify(policy, tagger, make_alert_record(20.0)) == CLASS_ALERT
 
     def test_backwards_timestamp_is_not_duplicate(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy(dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         _classify(policy, tagger, make_alert_record(10.0))
         assert _classify(policy, tagger, make_alert_record(3.0)) == CLASS_ALERT
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 @pytest.mark.parametrize("level", list(PressureLevel))
-@pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+@pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
 def test_told_the_verdict_equals_matching_it(policy_name, level, system):
     """The door is told a whole run's verdicts as one batch outcome;
     that must choose exactly what matching and deciding record by
@@ -99,7 +97,7 @@ def test_told_the_verdict_equals_matching_it(policy_name, level, system):
         GOLDEN_DIR / f"{system}.log", system, year=load_expected(system)["year"]
     ))
     system_tagger = Tagger(get_ruleset(system))
-    matching = get_shed_policy(policy_name, dedup_window=5.0)
+    matching = ShedPolicy(policy_name, dedup_window=5.0)
     decisions = [
         (r, *matching.decide(r, level, system_tagger.tag(r))) for r in records
     ]
@@ -123,7 +121,7 @@ class TestToldVerdict:
     def test_tagger_error_is_unclassifiable(self, make_alert_record):
         """What the rules engine failed on may spill, never be shed,
         and leaves the duplicate lookback alone."""
-        policy = PriorityShedPolicy(dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         error = repr(RuntimeError("regex engine fell over"))
         for level, decision in (
             (PressureLevel.NORMAL, KEEP), (PressureLevel.ELEVATED, KEEP),
@@ -134,20 +132,20 @@ class TestToldVerdict:
         assert policy.state_dict() == {}
 
     def test_no_verdict_is_chatter_even_unbound(self):
-        policy = PriorityShedPolicy()
+        policy = ShedPolicy("priority")
         assert policy.decide(_record(0.0, "x"), PressureLevel.ELEVATED, None) \
             == (SHED, CLASS_CHATTER)
 
 
 class TestPriorityPolicy:
     def test_normal_pressure_keeps_everything(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy()
+        policy = ShedPolicy("priority")
         for record in (_record(0.0, "chatter line"), make_alert_record(0.0)):
             decision, _ = _decide(policy, tagger, record, PressureLevel.NORMAL)
             assert decision == KEEP
 
     def test_elevated_sheds_only_chatter(self, tagger, make_alert_record):
-        policy = PriorityShedPolicy()
+        policy = ShedPolicy("priority")
         decision, klass = _decide(policy, tagger, _record(0.0, "chatter"),
                                   PressureLevel.ELEVATED)
         assert (decision, klass) == (SHED, CLASS_CHATTER)
@@ -158,7 +156,7 @@ class TestPriorityPolicy:
     def test_critical_sheds_duplicates_spills_fresh_alerts(
         self, tagger, make_alert_record
     ):
-        policy = PriorityShedPolicy(dedup_window=5.0)
+        policy = ShedPolicy("priority", dedup_window=5.0)
         decision, klass = _decide(policy, tagger, make_alert_record(0.0),
                                   PressureLevel.CRITICAL)
         assert (decision, klass) == (SPILL, CLASS_ALERT)
@@ -169,7 +167,7 @@ class TestPriorityPolicy:
 
 class TestOtherPolicies:
     def test_chatter_only_never_sheds_tagged(self, tagger, make_alert_record):
-        policy = ChatterOnlyShedPolicy(dedup_window=5.0)
+        policy = ShedPolicy("chatter-only", dedup_window=5.0)
         _classify(policy, tagger, make_alert_record(0.0))  # prime a duplicate
         decision, klass = _decide(policy, tagger, make_alert_record(1.0),
                                   PressureLevel.CRITICAL)
@@ -177,7 +175,7 @@ class TestOtherPolicies:
         assert klass == CLASS_DUPLICATE
 
     def test_none_policy_only_spills_at_critical(self, tagger):
-        policy = NoShedPolicy()
+        policy = ShedPolicy("none")
         decision, _ = _decide(policy, tagger, _record(0.0, "chatter"),
                               PressureLevel.ELEVATED)
         assert decision == KEEP
@@ -188,45 +186,87 @@ class TestOtherPolicies:
 
 class TestRegistry:
     def test_known_names(self):
-        assert set(SHED_POLICIES) == {"priority", "chatter-only", "none"}
-        for name in SHED_POLICIES:
-            assert get_shed_policy(name).name == name
+        assert set(SHED_DECISIONS) == {"priority", "chatter-only", "none"}
+        for name in SHED_DECISIONS:
+            assert ShedPolicy(name).name == name
 
     def test_dedup_window_passthrough(self):
-        assert get_shed_policy("priority", dedup_window=9.0).dedup_window == 9.0
+        assert ShedPolicy("priority", dedup_window=9.0).dedup_window == 9.0
+        door = BoundedIngest("door", BackpressureConfig(dedup_window=9.0),
+                             threshold=1.0)
+        assert door.policy.dedup_window == 9.0
+        assert _door().policy.dedup_window == 5.0  # the filter T
 
     def test_instance_passthrough(self):
-        policy = PriorityShedPolicy()
-        assert get_shed_policy(policy) is policy
+        policy = ShedPolicy("priority")
+        door = BoundedIngest("door", BackpressureConfig(shed_policy=policy),
+                             threshold=5.0)
+        assert door.policy is policy
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown shed policy"):
-            get_shed_policy("yolo")
+            ShedPolicy("yolo")
+        with pytest.raises(ValueError, match="unknown shed policy"):
+            _door(shed_policy="yolo")
+
+    @pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
+    def test_the_table_never_sheds_a_fresh_alert(self, policy_name):
+        """At NORMAL everything is kept; a fresh tagged alert may spill
+        at worst."""
+        normal, *pressured = SHED_DECISIONS[policy_name]
+        assert normal == (KEEP, KEEP, KEEP)
+        assert all(verbs[2] in (KEEP, SPILL) for verbs in pressured)
 
 
 class TestAccounting:
-    def test_conservation_identity(self):
-        accounting = ShedAccounting()
-        for _ in range(5):
-            accounting.count_offered(CLASS_CHATTER)
-        accounting.count_shed(CLASS_CHATTER)
-        accounting.count_offered(CLASS_ALERT)
-        accounting.count_spilled(CLASS_ALERT)
-        assert accounting.total_offered == 6
-        assert accounting.admitted == 4
-        assert "shed" in accounting.summary()
+    """The bounded run's per-class tallies, over a whole burst."""
 
-    def test_counts_take_a_count(self):
-        """A tick hands over one count per class, not one call per record."""
-        accounting = ShedAccounting()
-        accounting.count_offered(CLASS_CHATTER, 64)
-        accounting.count_shed(CLASS_CHATTER, 60)
-        accounting.count_spilled(CLASS_ALERT, 3)
-        accounting.count_offered(CLASS_ALERT, 3)
-        assert (accounting.total_offered, accounting.admitted) == (67, 4)
+    @pytest.fixture(scope="class")
+    def burst(self):
+        from repro import api
+
+        records = list(read_log(
+            GOLDEN_DIR / "spirit.log", "spirit",
+            year=load_expected("spirit")["year"],
+        ))
+        manager = CheckpointManager(every=64)
+        return len(records), manager, api.run_stream(
+            iter(records), "spirit", checkpointer=manager,
+            backpressure=BackpressureConfig.burst(
+                factor=10.0, service_batch=8, max_buffer=32,
+            ),
+        )
+
+    def test_conservation_identity(self, burst):
+        presented, _, result = burst
+        report = result.overload
+        offered = sum(report.offered_by_class.values())
+        assert offered == presented
+        admitted = offered - report.total_shed - report.total_spilled
+        assert admitted == result.message_count
+        assert "shed:" in "\n".join(report.summary_lines())
+
+    def test_counts_take_a_count(self, burst):
+        """The checkpoint carries one plain count per class, never
+        more than the whole run's."""
+        _, manager, result = burst
+        state = manager.latest.overload_state
+        report = result.overload
+        for key, final in (("offered", report.offered_by_class),
+                           ("shed", report.shed_by_class),
+                           ("spilled", report.spilled_by_class)):
+            assert type(state[key]) is dict and state[key]
+            for klass, n in state[key].items():
+                assert type(n) is int and 0 < n <= final[klass]
 
     def test_empty_summary(self):
-        assert ShedAccounting().summary() == "nothing shed"
+        door = BoundedIngest("ingest", BackpressureConfig(), threshold=5.0)
+        report = OverloadReport.build(door.queue, {
+            "offered": {}, "shed": {}, "spilled": {}, "throughput": {},
+            "events": [],
+        })
+        assert (report.total_shed, report.total_spilled) == (0, 0)
+        assert report.summary_lines() == ["queues (peak):     ingest 0/1024"]
 
 
 def _door(max_buffer=8, shed_policy="priority", shed_state=None):
@@ -273,7 +313,7 @@ class TestBoundedIngest:
         door.policy.decide = lambda record, level, verdict: (KEEP, CLASS_CHATTER)
         _, _, refused = door.offer(records[:3], tagger.tag_batch(records[:3]))
         assert [r for r, _, _ in refused] == records[1:3]
-        assert door.queue.refused == 2
+        assert len(door.queue) == 1
 
     def test_floor_sheds_chatter_on_an_empty_queue(self, tagger):
         door = _door()
@@ -287,7 +327,7 @@ class TestBoundedIngest:
         ) == ([CLASS_CHATTER], [CLASS_CHATTER], [])
         assert not door.queue
 
-    @pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+    @pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
     def test_tagger_error_is_a_tagged_alert_never_shed(self, policy_name):
         error = repr(RuntimeError("regex engine fell over"))
         records = [_record(float(i), "anything") for i in range(3)]
@@ -318,10 +358,10 @@ class TestBoundedIngest:
         assert fresh.offer(repeat, outcome) == ([CLASS_ALERT], [], [])
         assert rebuilt.policy.state_dict() == first.policy.state_dict()
 
-    @pytest.mark.parametrize("policy_name", sorted(SHED_POLICIES))
+    @pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
     def test_a_forgotten_verdict_is_a_type_error(self, policy_name):
         """Not a silent ``tagged-alert``: the verdict is required."""
-        policy = get_shed_policy(policy_name)
+        policy = ShedPolicy(policy_name)
         with pytest.raises(TypeError):
             policy.decide(_record(0.0, "x"), PressureLevel.CRITICAL)
         with pytest.raises(TypeError):

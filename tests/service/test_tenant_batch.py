@@ -24,7 +24,7 @@ from repro.resilience.deadletter import (
     REASON_OUT_OF_ORDER,
     REASON_TAGGER_ERROR,
 )
-from repro.resilience.shedding import SHED_POLICIES
+from repro.resilience.shedding import SHED_DECISIONS
 from repro.service.config import ServiceConfig
 from repro.service.router import TenantRouter, format_envelope
 from repro.service.tenant import Tenant
@@ -101,7 +101,7 @@ def test_any_partition_equals_the_reference(
     assert tenant.counters.conserves(0)
 
 
-@pytest.mark.parametrize("policy", sorted(SHED_POLICIES))
+@pytest.mark.parametrize("policy", sorted(SHED_DECISIONS))
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_offer_batch_sheds_as_offers_one_by_one(
     golden_records, system, policy  # noqa: F811

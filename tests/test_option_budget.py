@@ -26,6 +26,7 @@ from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.durability import CheckpointStore
 from repro.resilience.faults import FaultConfig
+from repro.resilience.shedding import BoundedIngest
 from repro.resilience.supervisor import supervise
 from repro.service.config import ServiceConfig
 from repro.simulation.collector import Collector
@@ -39,7 +40,7 @@ ADVICE = (
 )
 
 CONFIG_FIELDS = [
-    (BackpressureConfig, 12),
+    (BackpressureConfig, 10),
     (ParallelConfig, 3),
     (ServiceConfig, 28),
     (PredictionConfig, 2),
@@ -62,6 +63,7 @@ PARAMETERS = [
     (alias_key, 1),
     (CheckpointStore.__init__, 6),
     (StatsCollector.__init__, 2),
+    (BoundedIngest.__init__, 5),
 ]
 
 
