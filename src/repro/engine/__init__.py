@@ -5,7 +5,7 @@ One :class:`AlertPath` expresses the per-record semantics of Sections
 filter -> report/dead-letter — and pluggable drivers
 (:class:`SerialDriver`, :class:`ShardedDriver`, :class:`BoundedDriver`)
 decide the execution schedule.  :mod:`repro.engine.capabilities` is the
-single composition table the API and the CLI both validate against.
+single composition table the drivers are picked from.
 """
 
 from .capabilities import (
@@ -14,10 +14,8 @@ from .capabilities import (
     SHED_TOLERANCE,
     DriverCapabilities,
     build_driver,
-    capabilities_for,
     capability_lines,
     driver_name,
-    validate_run_config,
 )
 from .drivers import BoundedDriver, Driver, DriverReport, SerialDriver, ShardedDriver
 from .path import DEFAULT_REORDER_TOLERANCE, AlertPath
@@ -42,8 +40,6 @@ __all__ = [
     "Source",
     "SourceFactory",
     "build_driver",
-    "capabilities_for",
     "capability_lines",
     "driver_name",
-    "validate_run_config",
 ]

@@ -5,9 +5,8 @@ clauses in ``run_stream``, guard clauses in ``run_system``, and an
 ad-hoc argument check in the CLI — and they disagreed about wording and
 occasionally about substance.  This module is the one table everything
 consults: :func:`build_driver` picks the execution driver for a knob
-combination, :func:`validate_run_config` rejects the (few) combinations
-that remain meaningless, and :func:`capability_lines` renders the table
-for ``--help`` text and docs.
+combination (every combination is legal), and :func:`capability_lines`
+renders the table for ``--help`` text and docs.
 
 Every driver now supports checkpoint/resume and dead-letter quarantine;
 the columns that differ are *where* the consistency barrier sits and how
@@ -121,13 +120,6 @@ def driver_name(
     return "sharded" if parallel is not None else "serial"
 
 
-def capabilities_for(
-    parallel: Optional[ParallelConfig] = None,
-    backpressure: Optional[BackpressureConfig] = None,
-) -> DriverCapabilities:
-    return CAPABILITY_TABLE[driver_name(parallel, backpressure)]
-
-
 def build_driver(
     parallel: Optional[ParallelConfig] = None,
     backpressure: Optional[BackpressureConfig] = None,
@@ -139,25 +131,6 @@ def build_driver(
     if parallel is not None:
         return ShardedDriver(parallel)
     return SerialDriver()
-
-
-def validate_run_config(
-    parallel: Optional[ParallelConfig] = None,
-    backpressure: Optional[BackpressureConfig] = None,
-    checkpoint_every: Optional[int] = None,
-) -> DriverCapabilities:
-    """Reject the knob values that remain meaningless; return the
-    capability row for the rest.
-
-    This is deliberately short: the historical guards (parallel vs
-    backpressure, parallel vs checkpoint/resume, parallel vs supervision,
-    store vs supervision) are gone because the engine made those pairs
-    compose, and a restart budget is never ignored: it turns
-    supervision on.
-    """
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1 record")
-    return capabilities_for(parallel, backpressure)
 
 
 def capability_lines() -> List[str]:

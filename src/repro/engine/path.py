@@ -95,7 +95,6 @@ class AlertPath:
         system: str,
         threshold: float = DEFAULT_THRESHOLD,
         dead_letters: Optional[DeadLetterQueue] = None,
-        reorder_tolerance: float = DEFAULT_REORDER_TOLERANCE,
         resume_from: Optional[PipelineCheckpoint] = None,
         tagger: Optional[Tagger] = None,
         prediction: Optional[object] = None,
@@ -104,7 +103,6 @@ class AlertPath:
         self.system = system
         self.threshold = threshold
         self.dead_letters = dead_letters
-        self.reorder_tolerance = reorder_tolerance
         self.tagger = tagger if tagger is not None else Tagger(get_ruleset(system))
         #: Optional prediction stage (duck-typed:
         #: :class:`repro.streaming.stage.PredictionStage`); when present
@@ -147,7 +145,7 @@ class AlertPath:
         else:
             self.stats_collector = StatsCollector(system)
             self.filter = SpatioTemporalFilter(
-                threshold, reorder_tolerance=reorder_tolerance
+                threshold, reorder_tolerance=DEFAULT_REORDER_TOLERANCE
             )
             self.report = FilterReport(threshold=threshold)
             self.severity_tab = SeverityCrossTab()

@@ -44,13 +44,23 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Mapping, Tuple, Union
 
 #: Shed-decision verbs shared with :mod:`repro.resilience.shedding`.
 #: Plain strings so policy objects stay duck-typed.
 KEEP = "keep"
 SHED = "shed"
 SPILL = "spill"
+
+#: The door's watermarks, as fractions of its capacity: pressure rises
+#: to ``ELEVATED`` at the high one and relaxes only at the low one.
+#: Every bounded run, every service tenant and the service's memory
+#: governor use these.
+HIGH_FRACTION = 0.8
+LOW_FRACTION = 0.5
+#: Consecutive hot samples that latch sustained overload (and, for the
+#: governor, consecutive calm samples that clear it).
+SUSTAIN = 8
 
 
 class PressureLevel(enum.IntEnum):
@@ -138,8 +148,8 @@ class BoundedQueue:
         self,
         name: str,
         capacity: int,
-        high_fraction: float = 0.8,
-        low_fraction: float = 0.5,
+        high_fraction: float = HIGH_FRACTION,
+        low_fraction: float = LOW_FRACTION,
         sustain: int = 1,
     ):
         if capacity < 1:
@@ -318,32 +328,23 @@ class BackpressureConfig:
     ``service_batch`` — a burst is simply an ``arrival_batch`` larger
     than the service rate.  With a ``source_pausable`` source,
     credit-based flow control slows arrivals instead (nothing is shed);
-    an unpausable source (UDP fan-in) engages the shed policy.
-    ``degrade`` answers sustained overload (``sustain`` consecutive hot
-    samples) with coarse stats and a raised filter ``T``.
+    an unpausable source (UDP fan-in) engages the shed policy, whose
+    duplicate lookback is the filter ``T``.  ``degrade`` answers
+    sustained overload (:data:`SUSTAIN` consecutive hot samples) with
+    coarse stats and a raised filter ``T``.
     """
 
     max_buffer: int = 1024
-    high_fraction: float = 0.8
-    low_fraction: float = 0.5
     arrival_batch: int = 64
     service_batch: int = 64
     source_pausable: bool = True
     shed_policy: Union[str, Any] = "priority"
-    dedup_window: Optional[float] = None
     degrade: bool = False
-    sustain: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("max_buffer", "arrival_batch", "service_batch",
-                     "sustain"):
+        for name in ("max_buffer", "arrival_batch", "service_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.low_fraction < self.high_fraction <= 1.0:
-            raise ValueError(
-                "need 0 < low_fraction < high_fraction <= 1, got "
-                f"{self.low_fraction}/{self.high_fraction}"
-            )
 
     @classmethod
     def burst(

@@ -61,7 +61,10 @@ class FaultConfig:
     deterministic crash after exactly that many records (it fires once,
     mirroring a real crash: the restarted collector does not re-die at the
     same spot); ``crash_rate``/``stall_rate`` draw crash/stall points
-    stochastically but deterministically from ``seed``.
+    stochastically but deterministically from ``seed``.  A skew episode
+    and a reordered record take the injectors' own shapes
+    (:class:`ClockSkewInjector`: up to 45 s for 20 records;
+    :class:`ReorderInjector`: up to 4 slots late).
     """
 
     seed: int = 2007
@@ -69,11 +72,8 @@ class FaultConfig:
     crash_rate: float = 0.0
     stall_rate: float = 0.0
     skew_rate: float = 0.0
-    skew_magnitude: float = 45.0
-    skew_span: int = 20
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
-    reorder_window: int = 4
     truncate_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -84,8 +84,6 @@ class FaultConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.crash_at is not None and self.crash_at < 0:
             raise ValueError("crash_at must be non-negative")
-        if self.skew_span < 1 or self.reorder_window < 1:
-            raise ValueError("skew_span and reorder_window must be >= 1")
 
     @classmethod
     def defaults(cls, seed: int = 2007) -> "FaultConfig":
@@ -482,7 +480,7 @@ class FaultPlan:
         if config.reorder_rate > 0:
             mutators.append(
                 ReorderInjector(np.random.default_rng(children[1]),
-                                config.reorder_rate, config.reorder_window)
+                                config.reorder_rate)
             )
         if config.truncate_rate > 0:
             mutators.append(
@@ -492,8 +490,7 @@ class FaultPlan:
         if config.skew_rate > 0:
             mutators.append(
                 ClockSkewInjector(np.random.default_rng(children[3]),
-                                  config.skew_rate, config.skew_magnitude,
-                                  config.skew_span)
+                                  config.skew_rate)
             )
         return mutators
 

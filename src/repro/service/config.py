@@ -5,11 +5,12 @@ One object describes everything the service needs: per-tenant bounds
 eviction, drain timeout), global memory governance, and the listener
 endpoints.  Per-tenant knobs deliberately reuse the vocabulary of
 :class:`~repro.resilience.backpressure.BackpressureConfig` — a tenant is
-a bounded pipeline run that never ends, and the five they share
-(``max_buffer``, ``high_fraction``, ``low_fraction``, ``shed_policy``,
-``dedup_window``) are exactly what either config hands
+a bounded pipeline run that never ends, and either config hands
 :class:`~repro.resilience.shedding.BoundedIngest`, the one door both
-admit through.
+admit through, the same two fields (``max_buffer``, ``shed_policy``).
+The door's watermarks and its sustained-overload latch are constants of
+:mod:`repro.resilience.backpressure`, and the shed policy's duplicate
+lookback is ``threshold``.
 """
 
 from __future__ import annotations
@@ -46,11 +47,8 @@ class ServiceConfig:
     # -- per-tenant pipeline ----------------------------------------------
     threshold: float = DEFAULT_THRESHOLD
     max_buffer: int = 1024     #: per-tenant ingest queue capacity
-    high_fraction: float = 0.8
-    low_fraction: float = 0.5
     service_batch: int = 64    #: records a tenant worker serves per wakeup
     shed_policy: str = "priority"
-    dedup_window: Optional[float] = None
     dead_letter_capacity: int = 1000
     alert_tail: int = 256      #: retained newest alerts per tenant (counts
                                #: are exact regardless; see ServiceAlertSink)
@@ -90,11 +88,9 @@ class ServiceConfig:
 
     # -- global memory governance ----------------------------------------
     #: Total queued records across every tenant before global pressure
-    #: engages (ELEVATED at high_fraction, CRITICAL at the budget).
+    #: engages (ELEVATED at the door's high watermark, CRITICAL at the
+    #: budget; see :class:`~repro.service.router.MemoryGovernor`).
     global_queue_budget: int = 65536
-    #: Consecutive overloaded housekeeping samples before the service
-    #: enters degraded mode (coarse stats on every tenant).
-    sustain: int = 8
 
     # -- test instrumentation --------------------------------------------
     fault_hook: Optional[FaultHook] = field(default=None, compare=False)
@@ -102,16 +98,11 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         for name in ("max_buffer", "service_batch", "dead_letter_capacity",
                      "alert_tail", "checkpoint_every", "global_queue_budget",
-                     "sustain", "breaker_threshold"):
+                     "breaker_threshold"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.restart_budget < 0:
             raise ValueError("restart_budget must be non-negative")
-        if not 0.0 < self.low_fraction < self.high_fraction <= 1.0:
-            raise ValueError(
-                "need 0 < low_fraction < high_fraction <= 1, got "
-                f"{self.low_fraction}/{self.high_fraction}"
-            )
         for name in ("idle_ttl", "housekeeping_interval", "drain_timeout",
                      "breaker_reset"):
             if getattr(self, name) < 0:

@@ -189,10 +189,10 @@ class ColumnarStoreWriter:
         self.root = root
         self.system = system
         self.page_rows = page_rows
-        #: When no checkpointer drives barriers, commit on our own every
-        #: this many buffered rows so memory stays bounded anyway.
+        #: Commit on our own every this many buffered rows, between the
+        #: caller's barriers (or with none at all), so memory stays
+        #: bounded whatever the checkpoint cadence.
         self.autoflush_rows = autoflush_rows
-        self.auto_barriers = True
         self.seq = 0
         self._buffered_rows = 0
         self._partitions: Dict[Tuple[str, int], _WriterPartition] = {}
@@ -391,7 +391,7 @@ class ColumnarStoreWriter:
         if len(part.buffer) >= self.page_rows:
             part.pending.append(part.buffer.seal())
             part.buffer = _PageBuffer()
-        if self.auto_barriers and self._buffered_rows >= self.autoflush_rows:
+        if self._buffered_rows >= self.autoflush_rows:
             self.commit()
 
     def append_batch(self, pairs: Iterable[Tuple[Alert, bool]]) -> None:

@@ -32,8 +32,7 @@ from .online import (
 )
 
 #: Matches repro.engine.path.DEFAULT_REORDER_TOLERANCE (not imported to
-#: keep this package independent of the engine; the path passes its own
-#: value explicitly when it builds the stage).
+#: keep this package independent of the engine).
 DEFAULT_REORDER_TOLERANCE = 1.0
 
 #: Observers defer draining until this many alerts are pending; the
@@ -187,12 +186,10 @@ class PredictionStage:
         self._finished = bool(state["finished"])
 
 
-def prediction_stage(
-    predict: Any, reorder_tolerance: float = DEFAULT_REORDER_TOLERANCE
-) -> PredictionStage:
+def prediction_stage(predict: Any) -> PredictionStage:
     """The stage a truthy ``predict`` knob asks for: ``True`` means the
     defaults, a :class:`PredictionConfig` that lead window.  Callers
     test the knob first, so predict-less runs never import this
     package."""
     config = predict if isinstance(predict, PredictionConfig) else None
-    return PredictionStage(config=config, reorder_tolerance=reorder_tolerance)
+    return PredictionStage(config=config)

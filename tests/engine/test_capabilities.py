@@ -9,14 +9,13 @@ from repro.engine.capabilities import (
     CAPABILITY_TABLE,
     SHED_TOLERANCE,
     build_driver,
-    capabilities_for,
     capability_lines,
     driver_name,
-    validate_run_config,
 )
 from repro.engine.drivers import BoundedDriver, SerialDriver, ShardedDriver
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
+from repro.resilience.checkpoint import CheckpointManager
 
 PAR = ParallelConfig(workers=2, batch_size=64)
 BP = BackpressureConfig()
@@ -31,7 +30,6 @@ class TestDriverSelection:
     ])
     def test_driver_name(self, parallel, backpressure, expected):
         assert driver_name(parallel, backpressure) == expected
-        assert capabilities_for(parallel, backpressure).name == expected
         assert build_driver(parallel, backpressure).name == expected
 
     def test_driver_types(self):
@@ -80,12 +78,13 @@ class TestValidation:
     def test_all_driver_combinations_legal(self):
         for parallel in (None, PAR):
             for backpressure in (None, BP):
-                caps = validate_run_config(
+                driver = build_driver(
                     parallel=parallel, backpressure=backpressure,
                 )
-                assert caps.name == driver_name(parallel, backpressure)
+                assert driver.name == driver_name(parallel, backpressure)
 
     def test_checkpoint_every_must_be_positive(self):
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            validate_run_config(checkpoint_every=0)
-        validate_run_config(checkpoint_every=1)
+        """The one check, where the cadence is used."""
+        with pytest.raises(ValueError, match="at least 1"):
+            CheckpointManager(every=0)
+        CheckpointManager(every=1)

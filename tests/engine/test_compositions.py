@@ -44,10 +44,12 @@ from .conftest import (
 CHECKPOINT_EVERY = 50
 
 
-#: A 10x burst from an unpausable source over a small buffer, degrading
-#: early enough (``sustain=2``) that the 400-record corpora get there.
+#: A 10x burst from an unpausable source over a small buffer, served
+#: slowly enough (8 records a tick) that the queue stays above its high
+#: watermark for the door's ``SUSTAIN`` samples: the 400-record corpora
+#: degrade.
 DEGRADING_BURST = BackpressureConfig.burst(
-    factor=10, service_batch=32, max_buffer=256, degrade=True, sustain=2,
+    factor=10, service_batch=8, max_buffer=256, degrade=True,
 )
 
 

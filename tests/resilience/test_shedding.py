@@ -103,8 +103,8 @@ def test_told_the_verdict_equals_matching_it(policy_name, level, system):
     ]
     # Room for every record: the queue itself never raises the pressure.
     told = BoundedIngest("door", BackpressureConfig(
-        max_buffer=10 * len(records), shed_policy=policy_name, dedup_window=5.0,
-    ), threshold=1.0)
+        max_buffer=10 * len(records), shed_policy=policy_name,
+    ), threshold=5.0)
     offered, shed, refused = told.offer(
         records, system_tagger.tag_batch(records), floor=level
     )
@@ -191,11 +191,11 @@ class TestRegistry:
             assert ShedPolicy(name).name == name
 
     def test_dedup_window_passthrough(self):
+        """The door's duplicate lookback is always the filter ``T``."""
         assert ShedPolicy("priority", dedup_window=9.0).dedup_window == 9.0
-        door = BoundedIngest("door", BackpressureConfig(dedup_window=9.0),
-                             threshold=1.0)
+        door = BoundedIngest("door", BackpressureConfig(), threshold=9.0)
         assert door.policy.dedup_window == 9.0
-        assert _door().policy.dedup_window == 5.0  # the filter T
+        assert _door().policy.dedup_window == 5.0
 
     def test_instance_passthrough(self):
         policy = ShedPolicy("priority")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logio.writer import renderer_for
-from repro.resilience.backpressure import PressureLevel
+from repro.resilience.backpressure import SUSTAIN, PressureLevel
 from repro.service.config import ServiceConfig
 from repro.service.router import (
     MemoryGovernor,
@@ -58,10 +58,8 @@ class TestNativeDispatch:
 
 
 class TestMemoryGovernor:
-    def make(self, budget=100, sustain=3):
-        return MemoryGovernor(ServiceConfig(
-            global_queue_budget=budget, sustain=sustain,
-        ))
+    def make(self):
+        return MemoryGovernor(ServiceConfig(global_queue_budget=100))
 
     def test_levels_with_hysteresis(self):
         gov = self.make()
@@ -74,8 +72,8 @@ class TestMemoryGovernor:
         assert gov.sample(10) == PressureLevel.NORMAL
 
     def test_degraded_latches_after_sustain_and_clears(self):
-        gov = self.make(sustain=3)
-        for _ in range(2):
+        gov = self.make()
+        for _ in range(SUSTAIN - 1):
             gov.sample(90)
         assert not gov.degraded
         gov.sample(90)
@@ -84,7 +82,9 @@ class TestMemoryGovernor:
         gov.sample(0)
         assert gov.degraded
         gov.sample(90)
-        for _ in range(3):
+        for _ in range(SUSTAIN - 1):
             gov.sample(0)
+        assert gov.degraded
+        gov.sample(0)
         assert not gov.degraded
         assert gov.degraded_entered == 1

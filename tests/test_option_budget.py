@@ -18,7 +18,7 @@ from repro.core.categories import Alert
 from repro.core.correlated_filter import alias_key
 from repro.core.filtering import SpatioTemporalFilter, log_filter
 from repro.core.serial_filter import serial_filter
-from repro.engine.capabilities import validate_run_config
+from repro.engine.path import AlertPath
 from repro.logio.reader import LogReader, read_log
 from repro.logio.stats import StatsCollector
 from repro.logmodel.record import LogRecord
@@ -40,19 +40,18 @@ ADVICE = (
 )
 
 CONFIG_FIELDS = [
-    (BackpressureConfig, 10),
+    (BackpressureConfig, 6),
     (ParallelConfig, 3),
-    (ServiceConfig, 28),
+    (ServiceConfig, 24),
     (PredictionConfig, 2),
-    (FaultConfig, 11),
+    (FaultConfig, 8),
 ]
 
 #: Parameter counts include ``self`` and ``**generator_kwargs`` where present.
 PARAMETERS = [
-    (api.run_stream, 14),
+    (api.run_stream, 13),
     (api.run_system, 14),
     (api.run_all, 12),
-    (validate_run_config, 3),
     (supervise, 6),
     (LogReader.__init__, 4),
     (read_log, 3),
@@ -64,6 +63,7 @@ PARAMETERS = [
     (CheckpointStore.__init__, 6),
     (StatsCollector.__init__, 2),
     (BoundedIngest.__init__, 5),
+    (AlertPath.__init__, 8),
 ]
 
 
