@@ -170,7 +170,10 @@ def run_stream(
     if store_dir is not None:
         from .store import ColumnarStoreWriter
 
-        store_writer = ColumnarStoreWriter(store_dir, system)
+        # One filesystem for every durable byte of the run.
+        store_writer = ColumnarStoreWriter(
+            store_dir, system, fs=store.fs if store is not None else None
+        )
 
     prediction = None
     if predict:

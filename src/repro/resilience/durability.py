@@ -11,8 +11,9 @@ survives SIGKILL, torn writes, and bit-rot.
 
 Three layers:
 
-* :class:`RealFilesystem` — the narrow syscall surface everything else
-  uses (write/fsync/replace/remove/...).  Narrow on purpose: passing a
+* :class:`RealFilesystem` — the narrow syscall surface everything else,
+  the columnar store included, uses (write/fsync/replace/remove/...).
+  Narrow on purpose: passing a
   :class:`~repro.resilience.faults.FaultyFilesystem` as ``fs=`` lands
   ENOSPC/EIO or a kill mid-fsync at a deterministic operation index.
 * :class:`SegmentedWal` — an append-only journal of CRC32-framed
@@ -21,8 +22,9 @@ Three layers:
   the same way and quarantines every later segment rather than trusting
   it, and never raises.
 * :class:`CheckpointStore` — full-state snapshots written as
-  generations: serialize → temp file → fsync → ``os.replace``, then a
-  manifest (same dance) naming the newest generation.  Load reads the
+  generations: serialize → temp file → fsync → ``os.replace``
+  (:meth:`RealFilesystem.atomic_write`, the one temp-then-replace), then
+  a manifest (same dance) naming the newest generation.  Load reads the
   manifest only for its token and completion mark, then tries the
   generations on disk newest first, quarantining each one that fails
   its CRC or type check.
@@ -45,6 +47,7 @@ that was never at risk in memory.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -87,9 +90,10 @@ class _AppendHandle:
 
 
 class RealFilesystem:
-    """The narrow filesystem surface the durability layer is written
-    against.  Every mutating operation a fault schedule might want to
-    fail or kill inside goes through a named method here."""
+    """The narrow filesystem surface every durable byte is written
+    through: journals, checkpoints, the columnar store and the tenant
+    identity file.  Every mutating operation a fault schedule might want
+    to fail or kill inside goes through a named method here."""
 
     def ensure_dir(self, path: str) -> None:
         os.makedirs(path, exist_ok=True)
@@ -123,6 +127,38 @@ class RealFilesystem:
     def truncate(self, path: str, length: int) -> None:
         with open(path, "rb+") as handle:
             handle.truncate(length)
+
+    def append_at(self, path: str, offset: int, data: bytes) -> None:
+        """Cut ``path`` back to ``offset`` bytes, then append ``data``
+        (unsynced, as :meth:`open_append` writes are until a sync)."""
+        self.truncate(path, offset)
+        handle = self.open_append(path)
+        try:
+            handle.write(data)
+        finally:
+            handle.close()
+
+    def files_under(self, path: str) -> List[str]:
+        """Every file below ``path``, sorted (none when it is absent)."""
+        return sorted(
+            os.path.join(dirpath, name)
+            for dirpath, _dirnames, names in os.walk(path)
+            for name in names
+        )
+
+    def atomic_write(self, path: str, data: bytes, sync: bool = True) -> None:
+        """Write ``path`` whole or not at all: a dot-prefixed temp file
+        beside it, then :meth:`replace`.  A failed write removes the
+        temp file; a kill leaves it, never a half-written ``path``."""
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.tmp")
+        try:
+            self.write_bytes(tmp, data, sync=sync)
+            self.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                self.remove(tmp)
+            raise
 
     def fsync_dir(self, path: str) -> None:
         fd = os.open(path, os.O_RDONLY)
@@ -518,40 +554,37 @@ class CheckpointStore:
             self.status.latch("checkpoint encode", exc)
             self.status.unpersisted_checkpoints += 1
             return False
-        name = self._generation_name(generation)
-        final_path = os.path.join(self.directory, name)
-        tmp_path = os.path.join(self.directory, f".{name}.tmp")
         try:
             self.fs.ensure_dir(self.directory)
-            self.fs.write_bytes(tmp_path, blob, sync=True)
-            self.fs.replace(tmp_path, final_path)
-            self._write_manifest(
-                {"token": self.token, "generation": generation,
-                 "file": name, "complete": False}
+            self.fs.atomic_write(
+                os.path.join(self.directory, self._generation_name(generation)),
+                blob,
             )
+            self._write_manifest(generation, complete=False)
             self.fs.fsync_dir(self.directory)
         except OSError as exc:
             self.status.latch("checkpoint save", exc)
             self.status.unpersisted_checkpoints += 1
-            try:
-                if self.fs.exists(tmp_path):
-                    self.fs.remove(tmp_path)
-            except OSError:
-                pass
             return False
         self.generation = generation
         self.saved += 1
-        self._prune()
+        self._prune(self.keep)
         return True
 
-    def _write_manifest(self, fields: Dict[str, Any]) -> None:
-        blob = wire.dump_file(wire.CHECKPOINT_MAGIC, fields)
-        tmp_path = os.path.join(self.directory, f".{self.MANIFEST}.tmp")
-        self.fs.write_bytes(tmp_path, blob, sync=True)
-        self.fs.replace(tmp_path, os.path.join(self.directory, self.MANIFEST))
+    def _write_manifest(self, generation: int, complete: bool) -> None:
+        self.fs.atomic_write(
+            os.path.join(self.directory, self.MANIFEST),
+            wire.dump_file(wire.CHECKPOINT_MAGIC, {
+                "token": self.token, "generation": generation,
+                "file": self._generation_name(generation),
+                "complete": complete,
+            }),
+        )
 
-    def _prune(self) -> None:
-        for generation in self._generations_on_disk()[:-self.keep]:
+    def _prune(self, keep: int) -> None:
+        """Remove all but the newest ``keep`` generations."""
+        found = self._generations_on_disk()
+        for generation in found[:len(found) - keep]:
             path = os.path.join(
                 self.directory, self._generation_name(generation)
             )
@@ -564,14 +597,11 @@ class CheckpointStore:
 
     def mark_complete(self) -> bool:
         """Record that the run this state belongs to finished cleanly;
-        :meth:`load` then reports nothing to resume."""
+        the next :meth:`load` reports nothing to resume and removes this
+        run's generations (until then they stay readable)."""
         try:
             self.fs.ensure_dir(self.directory)
-            self._write_manifest(
-                {"token": self.token, "generation": self.generation,
-                 "file": self._generation_name(self.generation),
-                 "complete": True}
-            )
+            self._write_manifest(self.generation, complete=True)
         except OSError as exc:
             self.status.latch("checkpoint mark-complete", exc)
             return False
@@ -609,6 +639,10 @@ class CheckpointStore:
             )
             return None
         if manifest is not None and manifest.get("complete"):
+            # The finished run's generations go with it: a later run that
+            # dies before saving, over a damaged MANIFEST, must not resume
+            # them into a store it has already started over.
+            self._prune(0)
             return None
         candidates = self._generations_on_disk()[::-1]  # newest first
         for generation in candidates:

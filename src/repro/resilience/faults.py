@@ -29,7 +29,7 @@ import errno
 import os
 import signal
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -326,8 +326,10 @@ class FaultyFilesystem(RealFilesystem):
     Both schedules are plain op counts, so a deterministic workload
     replays them exactly — the property that lands a kill inside a
     specific checkpoint write on every run.  Pass one as the ``fs`` of
-    a :class:`~repro.resilience.durability.CheckpointStore` or
-    :class:`~repro.resilience.durability.SegmentedWal`.
+    a :class:`~repro.resilience.durability.CheckpointStore`,
+    :class:`~repro.resilience.durability.SegmentedWal` or
+    :class:`~repro.store.ColumnarStoreWriter`; ``run_stream`` hands its
+    checkpoint store's ``fs`` to its store writer.
     """
 
     def __init__(
@@ -341,10 +343,16 @@ class FaultyFilesystem(RealFilesystem):
         self.kill_at = kill_at
         self.ops = 0
 
-    def _gate(self, op: str, path: str) -> None:
+    def _gate(self, op: str, path: str,
+              torn: Optional[Callable[[], None]] = None) -> None:
+        """Count one mutating op and apply the schedule to it; a kill of
+        a write first calls ``torn``, which puts half the payload on
+        disk (the torn-write case the CRC framing exists for)."""
         index = self.ops
         self.ops += 1
         if self.kill_at is not None and index == self.kill_at:
+            if torn is not None:  # pragma: no cover - dies
+                torn()
             self._kill(op, path)
         if self.fail_after is not None and index >= self.fail_after:
             raise OSError(
@@ -359,23 +367,9 @@ class FaultyFilesystem(RealFilesystem):
     # -- mutating ops, each gated -----------------------------------------
 
     def write_bytes(self, path: str, data: bytes, sync: bool = True) -> None:
-        index = self.ops
-        self.ops += 1
-        if self.kill_at is not None and index == self.kill_at:
-            # Torn write: half the payload reaches the file, then the
-            # process dies.  pragma: the surviving half is what the
-            # recovery tests read back.
-            with open(path, "wb") as handle:  # pragma: no cover - dies
-                handle.write(data[: len(data) // 2])
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._kill("write", path)  # pragma: no cover - dies
-        if self.fail_after is not None and index >= self.fail_after:
-            raise OSError(
-                self.fail_errno,
-                f"injected write failure at fs op {index} ({path})",
-            )
-        super().write_bytes(path, data, sync=sync)
+        real = super().write_bytes
+        self._gate("write", path, lambda: real(path, data[: len(data) // 2]))
+        real(path, data, sync=sync)
 
     def open_append(self, path: str) -> "_FaultyAppendHandle":
         return _FaultyAppendHandle(self, path)
@@ -402,18 +396,11 @@ class _FaultyAppendHandle(_AppendHandle):
         self._fs = fs
 
     def write(self, data: bytes) -> None:
-        index = self._fs.ops
-        self._fs.ops += 1
-        if self._fs.kill_at is not None and index == self._fs.kill_at:
-            # Torn append: half the frame lands, then SIGKILL.
-            super().write(data[: len(data) // 2])  # pragma: no cover - dies
-            super().sync()  # pragma: no cover - dies
-            self._fs._kill("append", self.path)  # pragma: no cover - dies
-        if self._fs.fail_after is not None and index >= self._fs.fail_after:
-            raise OSError(
-                self._fs.fail_errno,
-                f"injected append failure at fs op {index} ({self.path})",
-            )
+        def torn() -> None:  # pragma: no cover - dies
+            super(_FaultyAppendHandle, self).write(data[: len(data) // 2])
+            super(_FaultyAppendHandle, self).sync()
+
+        self._fs._gate("append", self.path, torn)
         super().write(data)
 
     def sync(self) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..core.filtering import DEFAULT_THRESHOLD
+from ..resilience.shedding import SHED_DECISIONS
 
 #: ``fault_hook(tenant_id, record)`` is called on each record, once and in
 #: order, ahead of the worker batch's kernel call; raising simulates a
@@ -103,6 +104,11 @@ class ServiceConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.restart_budget < 0:
             raise ValueError("restart_budget must be non-negative")
+        if self.shed_policy not in SHED_DECISIONS:
+            raise ValueError(
+                f"unknown shed policy {self.shed_policy!r}; "
+                f"known: {sorted(SHED_DECISIONS)}"
+            )
         for name in ("idle_ttl", "housekeeping_interval", "drain_timeout",
                      "breaker_reset"):
             if getattr(self, name) < 0:

@@ -95,8 +95,8 @@ REFUSAL_REASONS = frozenset({
 })
 
 #: The per-tenant identity file naming the stream a directory belongs to
-#: (written once; lets startup reconstruct the parked map from disk
-#: without guessing dialects from directory names).
+#: (written once, whole or not at all; lets startup reconstruct the
+#: parked map from disk without guessing dialects from directory names).
 IDENTITY_FILE = "TENANT"
 
 
@@ -179,7 +179,7 @@ class TenantPersistence:
         try:
             self.fs.ensure_dir(self.directory)
             if not self.fs.exists(path):
-                self.fs.write_bytes(path, wire.dump_file(
+                self.fs.atomic_write(path, wire.dump_file(
                     wire.CHECKPOINT_MAGIC,
                     {"tenant": self.tenant_id, "system": self.system},
                 ))

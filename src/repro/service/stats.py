@@ -87,7 +87,11 @@ class StatsServer:
                 return {"error": f"unknown tenant {parts[1]!r}"}
             return row
         if verb == "alerts" and len(parts) >= 2:
-            limit = int(parts[2]) if len(parts) >= 3 else 20
+            limit = parts[2] if len(parts) >= 3 else "20"
+            if not (limit.isdecimal() and int(limit) > 0):
+                return {"error": f"alert count {limit!r} is not a "
+                                 "positive integer"}
+            limit = int(limit)
             tail = self.service.alert_tail(parts[1])
             if tail is None:
                 return {"error": f"unknown tenant {parts[1]!r}"}

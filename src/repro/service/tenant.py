@@ -142,8 +142,9 @@ class Tenant:
         self.governor = governor
         #: Optional durable backend (:class:`~repro.service.persistence.
         #: TenantPersistence` or anything with ``journal``/``sync``/
-        #: ``save_parked``/``dead_letter_queue``).  Duck-typed so this
-        #: module never imports the persistence layer.
+        #: ``save_parked``/``dead_letter_queue`` and the ``fs`` the
+        #: store writes through).  Duck-typed so this module never
+        #: imports the persistence layer.
         self._persist = persistence
 
         self.dead_letters = (
@@ -173,6 +174,7 @@ class Tenant:
             self._store_writer = ColumnarStoreWriter(
                 os.path.join(config.store_dir, tenant_dirname(tenant_id)),
                 system,
+                fs=persistence.fs if persistence is not None else None,
             )
             self._store(self._store_writer.begin, None)
             held, counted = self._store_writer.seq, self.counters.alerts_raw

@@ -14,10 +14,14 @@ The invariants that make crash/resume exact:
 * the manifest itself is replaced atomically, so the store always
   describes some barrier-consistent state.
 
-On resume the writer truncates each partition back to pages whose rows
-all precede the checkpoint's sequence watermark; the re-run stream then
+On resume the writer cuts each partition back to pages whose rows all
+precede the checkpoint's sequence watermark; the re-run stream then
 re-emits exactly the dropped suffix.  ``state_dir`` resume therefore
 never double-writes a partition.
+
+Every byte goes through the filesystem seam ``fs``, so a
+:class:`~repro.resilience.faults.FaultyFilesystem` can tear a page
+append, fill the disk or kill the process inside a store write.
 
 The reader (:class:`ColumnarStore`) exposes bounded-memory scans: one
 decoded page per partition is alive at a time, and cross-partition
@@ -28,6 +32,7 @@ alert cross an hour boundary backwards.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import os
 from dataclasses import dataclass
@@ -38,6 +43,7 @@ import numpy as np
 from ..core.categories import Alert, AlertType
 from ..logmodel.record import LogRecord
 from ..resilience import wire
+from ..resilience.durability import RealFilesystem
 from .format import (
     COLUMN_MAGIC,
     MANIFEST_NAME,
@@ -59,11 +65,26 @@ class StoreError(RuntimeError):
     summary, incompatible format)."""
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+def _read_fields(fs: RealFilesystem, path: str,
+                 what: str) -> Optional[Dict[str, Any]]:
+    """A store file's fields; ``None`` if absent."""
+    try:
+        return wire.load_file(fs.read_bytes(path), COLUMN_MAGIC, dict)
+    except FileNotFoundError:
+        return None
+    except wire.WireError as exc:
+        raise StoreError(f"corrupt {what} at {path!r}: {exc}")
+
+
+def _read_manifest(fs: RealFilesystem, root: str) -> Optional[Dict[str, Any]]:
+    """The store MANIFEST's fields, format-checked; ``None`` if absent."""
+    fields = _read_fields(fs, os.path.join(root, MANIFEST_NAME),
+                          "store manifest")
+    if fields is not None and fields.get("store_format") != STORE_FORMAT:
+        raise StoreError(
+            f"unsupported store format {fields.get('store_format')!r}"
+        )
+    return fields
 
 
 @dataclass
@@ -83,26 +104,49 @@ class PartitionMeta:
     kept_ts_max: Optional[float]
 
     def to_fields(self) -> Dict[str, Any]:
-        return {
-            "category": self.category,
-            "hour": self.hour,
-            "path": self.path,
-            "bytes": self.bytes,
-            "rows": self.rows,
-            "kept": self.kept,
-            "alert_type": self.alert_type,
-            "ts_min": self.ts_min,
-            "ts_max": self.ts_max,
-            "kept_ts_min": self.kept_ts_min,
-            "kept_ts_max": self.kept_ts_max,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_fields(cls, fields: Dict[str, Any]) -> "PartitionMeta":
-        return cls(**{k: fields[k] for k in (
-            "category", "hour", "path", "bytes", "rows", "kept",
-            "alert_type", "ts_min", "ts_max", "kept_ts_min", "kept_ts_max",
-        )})
+        return cls(**{f.name: fields[f.name] for f in dataclasses.fields(cls)})
+
+    def add_page(self, page: PageColumns, frame_bytes: int) -> None:
+        """Account one committed page, ``frame_bytes`` long on disk."""
+        self.bytes += frame_bytes
+        self.rows += len(page)
+        self.kept += int(page.kept.sum())
+        self.ts_min = min(self.ts_min, float(page.timestamps.min()))
+        self.ts_max = max(self.ts_max, float(page.timestamps.max()))
+        kept = page.timestamps[page.kept.astype(bool)]
+        if kept.size:
+            lo, hi = float(kept.min()), float(kept.max())
+            if self.kept_ts_min is None:
+                self.kept_ts_min, self.kept_ts_max = lo, hi
+            else:
+                self.kept_ts_min = min(self.kept_ts_min, lo)
+                self.kept_ts_max = max(self.kept_ts_max, hi)
+
+
+#: The row accounting of a partition that holds no page yet.
+_NO_ROWS = dict(rows=0, kept=0, ts_min=np.inf, ts_max=-np.inf,
+                kept_ts_min=None, kept_ts_max=None)
+
+
+def _committed_frames(
+    fs: RealFilesystem, root: str, meta: PartitionMeta
+) -> Tuple[List[bytes], Optional[str]]:
+    """The page payloads in a partition's committed bytes, and what is
+    wrong with those bytes (``None`` when nothing is)."""
+    try:
+        data = fs.read_bytes(os.path.join(root, meta.path))[:meta.bytes]
+    except FileNotFoundError:
+        return [], f"missing partition file {meta.path}"
+    try:
+        wire.check_header(data, COLUMN_MAGIC)
+    except wire.WireError as exc:
+        return [], f"{meta.path}: {exc}"
+    payloads, _clean_end, error = wire.scan_frames(data)
+    return payloads, None if error is None else f"{meta.path}: {error}"
 
 
 class _PageBuffer:
@@ -185,9 +229,11 @@ class ColumnarStoreWriter:
 
     def __init__(self, root: str, system: str, *,
                  page_rows: int = PAGE_ROWS,
-                 autoflush_rows: int = 16 * PAGE_ROWS) -> None:
+                 autoflush_rows: int = 16 * PAGE_ROWS,
+                 fs: Optional[RealFilesystem] = None) -> None:
         self.root = root
         self.system = system
+        self.fs = fs if fs is not None else RealFilesystem()
         self.page_rows = page_rows
         #: Commit on our own every this many buffered rows, between the
         #: caller's barriers (or with none at all), so memory stays
@@ -206,22 +252,30 @@ class ColumnarStoreWriter:
         ``resume_seq=0`` starts fresh (any prior store content at this
         root is discarded).  A positive watermark resumes a checkpointed
         run: every committed page whose rows all precede the watermark
-        survives, everything else is truncated away, and the watermark
+        survives, everything else is dropped, and the watermark
         becomes the next sequence number.  ``None`` appends after
         whatever the manifest committed (the service's journal-resume
         mode, where the manifest seq *is* the authority).
         """
         if self._began:
             raise StoreError("writer already begun")
-        os.makedirs(self.root, exist_ok=True)
-        manifest = self._load_manifest()
+        self.fs.ensure_dir(self.root)
+        manifest = _read_manifest(self.fs, self.root)
+        if manifest is not None and manifest.get("system") != self.system:
+            raise StoreError(
+                f"store at {self.root!r} holds system "
+                f"{manifest.get('system')!r}, not {self.system!r}"
+            )
         if resume_seq == 0 or manifest is None:
             if resume_seq not in (0, None) and manifest is None:
                 raise StoreError(
                     f"resume watermark {resume_seq} but no store manifest "
                     f"at {self.root!r}"
                 )
-            self._wipe()
+            # The MANIFEST goes first: a crash mid-wipe leaves no store,
+            # never a manifest naming removed files.
+            self._remove(MANIFEST_NAME, SUMMARY_NAME)
+            self._remove_unnamed()
             self.seq = 0
         else:
             watermark = manifest["seq"] if resume_seq is None else resume_seq
@@ -241,75 +295,27 @@ class ColumnarStoreWriter:
         self._began = True
         return self.seq
 
-    def _load_manifest(self) -> Optional[Dict[str, Any]]:
-        path = os.path.join(self.root, MANIFEST_NAME)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return None
-        try:
-            fields = wire.load_file(data, COLUMN_MAGIC, dict)
-        except wire.WireError as exc:
-            raise StoreError(f"corrupt store manifest at {path!r}: {exc}")
-        if fields.get("store_format") != STORE_FORMAT:
-            raise StoreError(
-                f"unsupported store format {fields.get('store_format')!r}"
-            )
-        if fields.get("system") != self.system:
-            raise StoreError(
-                f"store at {self.root!r} holds system "
-                f"{fields.get('system')!r}, not {self.system!r}"
-            )
-        return fields
-
-    def _wipe(self) -> None:
-        """Remove any previous store content under the root."""
-        for name in (MANIFEST_NAME, SUMMARY_NAME):
-            try:
-                os.remove(os.path.join(self.root, name))
-            except FileNotFoundError:
-                pass
-        parts = os.path.join(self.root, PARTS_DIR)
-        if os.path.isdir(parts):
-            for dirpath, _dirnames, filenames in os.walk(parts, topdown=False):
-                for filename in filenames:
-                    os.remove(os.path.join(dirpath, filename))
-                try:
-                    os.rmdir(dirpath)
-                except OSError:
-                    pass
-        self._partitions = {}
-
     def _adopt(self, manifest: Dict[str, Any], watermark: int) -> None:
-        """Resume from a committed manifest, truncating rows >= watermark."""
-        for name in (SUMMARY_NAME,):
-            # A resumed run is no longer complete; drop any stale summary.
-            try:
-                os.remove(os.path.join(self.root, name))
-            except FileNotFoundError:
-                pass
+        """Resume from a committed manifest, dropping rows >= watermark.
+
+        The new manifest lands before any column file changes, so a
+        crash at any point leaves a store the same watermark resumes:
+        bytes past a partition's committed length are a torn tail the
+        next commit clips, and files the manifest does not name are
+        removed after it."""
+        # A resumed run is no longer complete; drop any stale summary.
+        self._remove(SUMMARY_NAME)
         for fields in manifest["partitions"]:
-            meta = PartitionMeta.from_fields(fields)
-            path = os.path.join(self.root, meta.path)
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read(meta.bytes)
-            except FileNotFoundError:
-                raise StoreError(f"manifest names missing partition {meta.path!r}")
-            wire.check_header(data, COLUMN_MAGIC)
-            payloads, clean_end, error = wire.scan_frames(data)
-            if error is not None:
+            committed = PartitionMeta.from_fields(fields)
+            payloads, problem = _committed_frames(self.fs, self.root, committed)
+            if problem is not None:
                 raise StoreError(
-                    f"committed bytes of partition {meta.path!r} are "
-                    f"corrupt: {error}"
+                    f"committed bytes of partition {committed.path!r} are "
+                    f"corrupt: {problem}"
                 )
-            keep_end = wire.HEADER_SIZE
-            rows = kept = 0
-            ts_min = np.inf
-            ts_max = -np.inf
-            k_min = np.inf
-            k_max = -np.inf
+            meta = dataclasses.replace(
+                committed, bytes=wire.HEADER_SIZE, **_NO_ROWS
+            )
             for payload in payloads:
                 page = decode_page(payload)
                 if page.first_seq >= watermark:
@@ -322,44 +328,27 @@ class ColumnarStoreWriter:
                         f"checkpoint watermark {watermark} splits a "
                         f"committed page in {meta.path!r}"
                     )
-                keep_end += wire.FRAME_HEADER_SIZE + len(payload)
-                rows += len(page)
-                kept += int(page.kept.sum())
-                ts_min = min(ts_min, float(page.timestamps.min()))
-                ts_max = max(ts_max, float(page.timestamps.max()))
-                kept_mask = page.kept.astype(bool)
-                if kept_mask.any():
-                    k_min = min(k_min, float(page.timestamps[kept_mask].min()))
-                    k_max = max(k_max, float(page.timestamps[kept_mask].max()))
-            if rows == 0:
-                os.remove(path)
-                continue
-            if keep_end < os.path.getsize(path):
-                with open(path, "r+b") as handle:
-                    handle.truncate(keep_end)
-            meta.bytes = keep_end
-            meta.rows = rows
-            meta.kept = kept
-            meta.ts_min = float(ts_min)
-            meta.ts_max = float(ts_max)
-            meta.kept_ts_min = None if kept == 0 else float(k_min)
-            meta.kept_ts_max = None if kept == 0 else float(k_max)
-            self._partitions[(meta.category, meta.hour)] = _WriterPartition(meta)
-        # Drop column files the (possibly older) manifest never committed.
-        committed = {os.path.join(self.root, p.meta.path)
-                     for p in self._partitions.values()}
-        parts = os.path.join(self.root, PARTS_DIR)
-        if os.path.isdir(parts):
-            for dirpath, _dirnames, filenames in os.walk(parts, topdown=False):
-                for filename in filenames:
-                    full = os.path.join(dirpath, filename)
-                    if full not in committed:
-                        os.remove(full)
-                try:
-                    os.rmdir(dirpath)
-                except OSError:
-                    pass
+                meta.add_page(page, wire.FRAME_HEADER_SIZE + len(payload))
+            if meta.rows:
+                self._partitions[(meta.category, meta.hour)] = (
+                    _WriterPartition(meta)
+                )
         self._write_manifest(complete=False)
+        self._remove_unnamed()
+
+    def _remove(self, *names: str) -> None:
+        for name in names:
+            path = os.path.join(self.root, name)
+            if self.fs.exists(path):
+                self.fs.remove(path)
+
+    def _remove_unnamed(self) -> None:
+        """Remove every column file no partition in memory names."""
+        named = {os.path.join(self.root, part.meta.path)
+                 for part in self._partitions.values()}
+        for path in self.fs.files_under(os.path.join(self.root, PARTS_DIR)):
+            if path not in named:
+                self.fs.remove(path)
 
     # -- ingest ----------------------------------------------------------
 
@@ -373,13 +362,8 @@ class ColumnarStoreWriter:
                 hour=key[1],
                 path=partition_relpath(alert.category, key[1]),
                 bytes=0,
-                rows=0,
-                kept=0,
                 alert_type=alert.alert_type.value,
-                ts_min=np.inf,
-                ts_max=-np.inf,
-                kept_ts_min=None,
-                kept_ts_max=None,
+                **_NO_ROWS,
             )
             part = self._partitions[key] = _WriterPartition(meta)
         part.buffer.add(
@@ -410,38 +394,23 @@ class ColumnarStoreWriter:
                 part.buffer = _PageBuffer()
             if not part.pending:
                 continue
-            path = os.path.join(self.root, part.meta.path)
-            if part.meta.bytes == 0:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                with open(path, "wb") as handle:
-                    handle.write(wire.file_header(COLUMN_MAGIC))
-                part.meta.bytes = wire.HEADER_SIZE
-            with open(path, "r+b") as handle:
-                # Clip any torn tail from a crash between commits before
-                # appending, so committed bytes stay contiguous.
-                handle.truncate(part.meta.bytes)
-                handle.seek(part.meta.bytes)
-                for payload in part.pending:
-                    frame = wire.encode_frame(payload)
-                    handle.write(frame)
-                    part.meta.bytes += len(frame)
-                    page = decode_page(payload)
-                    part.meta.rows += len(page)
-                    part.meta.kept += int(page.kept.sum())
-                    part.meta.ts_min = min(part.meta.ts_min,
-                                           float(page.timestamps.min()))
-                    part.meta.ts_max = max(part.meta.ts_max,
-                                           float(page.timestamps.max()))
-                    kept_mask = page.kept.astype(bool)
-                    if kept_mask.any():
-                        lo = float(page.timestamps[kept_mask].min())
-                        hi = float(page.timestamps[kept_mask].max())
-                        if part.meta.kept_ts_min is None:
-                            part.meta.kept_ts_min = lo
-                            part.meta.kept_ts_max = hi
-                        else:
-                            part.meta.kept_ts_min = min(part.meta.kept_ts_min, lo)
-                            part.meta.kept_ts_max = max(part.meta.kept_ts_max, hi)
+            meta = part.meta
+            path = os.path.join(self.root, meta.path)
+            frames = b"".join(map(wire.encode_frame, part.pending))
+            if meta.bytes == 0:
+                self.fs.ensure_dir(os.path.dirname(path))
+                self.fs.write_bytes(
+                    path, wire.file_header(COLUMN_MAGIC) + frames, sync=False
+                )
+                meta.bytes = wire.HEADER_SIZE
+            else:
+                # Starting at the committed length clips any torn tail a
+                # crash between commits left, so committed bytes stay
+                # contiguous.
+                self.fs.append_at(path, meta.bytes, frames)
+            for payload in part.pending:
+                meta.add_page(decode_page(payload),
+                              wire.FRAME_HEADER_SIZE + len(payload))
             part.pending = []
         self._buffered_rows = 0
         self._write_manifest(complete=False)
@@ -459,8 +428,8 @@ class ColumnarStoreWriter:
                 if part.meta.rows > 0
             ],
         }
-        _write_atomic(os.path.join(self.root, MANIFEST_NAME),
-                      wire.dump_file(COLUMN_MAGIC, fields))
+        self.fs.atomic_write(os.path.join(self.root, MANIFEST_NAME),
+                             wire.dump_file(COLUMN_MAGIC, fields), sync=False)
 
     def finalize(self, summary: Optional[Dict[str, Any]] = None) -> None:
         """Commit outstanding rows, persist the run summary (the
@@ -471,13 +440,14 @@ class ColumnarStoreWriter:
             fields = dict(summary)
             fields.setdefault("system", self.system)
             fields["store_format"] = STORE_FORMAT
-            _write_atomic(os.path.join(self.root, SUMMARY_NAME),
-                          wire.dump_file(COLUMN_MAGIC, fields))
+            self.fs.atomic_write(os.path.join(self.root, SUMMARY_NAME),
+                                 wire.dump_file(COLUMN_MAGIC, fields),
+                                 sync=False)
         self._write_manifest(complete=True)
 
     def reader(self) -> "ColumnarStore":
         """A reader over this store's committed state."""
-        return ColumnarStore(self.root)
+        return ColumnarStore(self.root, fs=self.fs)
 
 
 # -- reader ------------------------------------------------------------------
@@ -494,21 +464,11 @@ class Partition:
 
     def pages(self) -> Iterator[PageColumns]:
         """Decode committed pages one at a time (bounded memory)."""
-        path = os.path.join(self.store.root, self.meta.path)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read(self.meta.bytes)
-        except FileNotFoundError:
-            self.store.degraded.append(f"missing partition file {self.meta.path}")
-            return
-        try:
-            wire.check_header(data, COLUMN_MAGIC)
-        except wire.WireError as exc:
-            self.store.degraded.append(f"{self.meta.path}: {exc}")
-            return
-        payloads, _clean_end, error = wire.scan_frames(data)
-        if error is not None:
-            self.store.degraded.append(f"{self.meta.path}: {error}")
+        payloads, problem = _committed_frames(
+            self.store.fs, self.store.root, self.meta
+        )
+        if problem is not None:
+            self.store.degraded.append(problem)
         for payload in payloads:
             try:
                 yield decode_page(payload)
@@ -539,21 +499,13 @@ class ColumnarStore:
     in :attr:`degraded`; everything the CRCs vouch for stays queryable.
     """
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, fs: Optional[RealFilesystem] = None) -> None:
         self.root = root
+        self.fs = fs if fs is not None else RealFilesystem()
         self.degraded: List[str] = []
-        path = os.path.join(root, MANIFEST_NAME)
-        try:
-            with open(path, "rb") as handle:
-                fields = wire.load_file(handle.read(), COLUMN_MAGIC, dict)
-        except FileNotFoundError:
+        fields = _read_manifest(self.fs, root)
+        if fields is None:
             raise StoreError(f"no columnar store at {root!r} (missing MANIFEST)")
-        except wire.WireError as exc:
-            raise StoreError(f"corrupt store manifest at {path!r}: {exc}")
-        if fields.get("store_format") != STORE_FORMAT:
-            raise StoreError(
-                f"unsupported store format {fields.get('store_format')!r}"
-            )
         self.system: str = fields["system"]
         self.committed_seq: int = fields["seq"]
         self.complete: bool = bool(fields.get("complete"))
@@ -707,19 +659,14 @@ class ColumnarStore:
         cross-tab...).  Raises :class:`StoreError` when the run never
         finalized — an incomplete store can be scanned but not replayed
         as a full ``PipelineResult``."""
-        path = os.path.join(self.root, SUMMARY_NAME)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
+        fields = _read_fields(self.fs, os.path.join(self.root, SUMMARY_NAME),
+                              "run summary")
+        if fields is None:
             raise StoreError(
                 f"store at {self.root!r} has no run summary "
                 "(run did not finalize)"
             )
-        try:
-            return wire.load_file(data, COLUMN_MAGIC, dict)
-        except wire.WireError as exc:
-            raise StoreError(f"corrupt run summary at {path!r}: {exc}")
+        return fields
 
 
 def is_store_dir(path: str) -> bool:

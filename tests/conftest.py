@@ -14,6 +14,7 @@ import pytest
 from repro import api as pipeline
 from repro.core.categories import Alert, AlertType
 from repro.logmodel.record import LogRecord
+from repro.resilience.faults import FaultyFilesystem
 
 #: Scales small enough for unit-test speed, large enough for structure.
 SMALL_SCALE = 2e-5
@@ -112,3 +113,17 @@ class Hostile:
 
     def __reduce__(self):
         return (os.system, (f"touch {self.sentinel}",))
+
+
+class Killed(BaseException):
+    """The process died.  A ``BaseException``, so no ``except
+    Exception`` in the program can absorb it."""
+
+
+class KillableFilesystem(FaultyFilesystem):
+    """``FaultyFilesystem`` whose kill unwinds the caller instead of
+    ending the process (the torn half-write has already reached the
+    disk)."""
+
+    def _kill(self, op, path):
+        raise Killed(f"{op} {path}")

@@ -5,19 +5,23 @@ through a drawn list of faults, then resumes it to completion.  The
 faults are a kill after record k, a kill inside filesystem op j (after
 that op's torn half-write, exactly what SIGKILL leaves on disk), a disk
 that fills from op j with ENOSPC or EIO, and a truncated or bit-flipped
-newest generation or MANIFEST.  The checks:
+newest generation or MANIFEST.  The checkpoint store and the columnar
+store write through one filesystem, so op j may be a checkpoint write,
+a store page write or append, or a store MANIFEST replace.  The checks:
 
 * every run that completes fingerprints like the uninterrupted run, and
   a bounded one reports the uninterrupted bounded run's overload;
-* a damaged generation is quarantined as ``*.corrupt``, never loaded;
-* a run whose disk fills finishes degraded; every checkpoint it took is
-  either saved or counted as unpersisted, and one that started on the
-  full disk is unpersisted.
+* a generation whose bytes differ from what the run wrote is
+  quarantined as ``*.corrupt``, never loaded;
+* without a store, a run whose disk fills finishes degraded; every
+  checkpoint it took is either saved or counted as unpersisted, and one
+  that started on the full disk is unpersisted.  With a store, the store
+  is the run's result: a full disk ends the run with the ``OSError``,
+  and the next step resumes it.
 
 The axes are drawn once per example: driver (serial, sharded, or
 bounded with room enough that nothing sheds), ``predict`` on or off,
-and ``store_dir`` on or off.  Store writes do not go through the
-filesystem seam, so filesystem faults land only in checkpoint writes.
+and ``store_dir`` on or off.
 """
 
 import errno
@@ -26,7 +30,7 @@ import os
 import tempfile
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
@@ -39,7 +43,7 @@ from repro.resilience.durability import CheckpointStore
 from repro.resilience.faults import FaultyFilesystem
 from repro.simulation.generator import generate_log
 
-from ..conftest import SEED
+from ..conftest import SEED, Killed, KillableFilesystem
 
 #: The first weeks of a Spirit log: most lines are alerts, the
 #: predictor installs members and warns, so every fingerprint field
@@ -56,19 +60,14 @@ DRIVERS = {
     )},
 }
 
-#: Kill points are drawn from the filesystem ops of one whole run.
-RUN_FS_OPS = 60
+#: Kill points are drawn from the filesystem ops of one whole run,
+#: without and with a store (each new column file, page append and
+#: store MANIFEST replace is an op too).
+RUN_FS_OPS = {False: 60, True: 550}
 
 
-class Killed(BaseException):
-    """The process died.  A ``BaseException``, so no ``except
-    Exception`` in the program can absorb it."""
-
-
-class KillableFilesystem(FaultyFilesystem):
-    """``FaultyFilesystem`` whose kill unwinds the run instead of ending
-    the process (the torn half-write has already reached the disk).  It
-    also notes the op index each checkpoint save starts at."""
+class ModelFilesystem(KillableFilesystem):
+    """Notes the op index each checkpoint save starts at."""
 
     def __init__(self, **schedule):
         super().__init__(**schedule)
@@ -78,9 +77,6 @@ class KillableFilesystem(FaultyFilesystem):
         if path.endswith(".ckpt.tmp"):
             self.saves.append(self.ops)
         super().write_bytes(path, data, sync=sync)
-
-    def _kill(self, op, path):
-        raise Killed(f"{op} {path}")
 
 
 class ResumeStore(CheckpointStore):
@@ -147,58 +143,108 @@ def complete(state):
         return False
 
 
+def read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def damage(state, target, flip, at):
     """Truncate or flip one byte of the newest generation or the
-    MANIFEST; the name of a damaged generation, else ``None``."""
+    MANIFEST; the generation's path and its bytes before the damage,
+    else ``None``."""
     pattern = "gen-*.ckpt" if target == "generation" else "MANIFEST"
     paths = sorted(glob.glob(os.path.join(state, pattern)))
     if not paths or not os.path.getsize(paths[-1]):
         return None
-    with open(paths[-1], "rb") as f:
-        data = f.read()
+    data = read(paths[-1])
     at %= len(data)
     with open(paths[-1], "wb") as f:
         f.write(data[:at] + bytes((data[at] ^ 0xFF,)) + data[at + 1:]
                 if flip else data[:at])
-    return os.path.basename(paths[-1]) if target == "generation" else None
+    return (paths[-1], data) if target == "generation" else None
 
 
-STEPS = st.lists(st.one_of(
-    st.tuples(st.just("kill after record"), st.integers(1, len(RECORDS))),
-    st.tuples(st.just("kill in op"), st.integers(0, RUN_FS_OPS)),
-    st.tuples(st.just("disk full"), st.integers(0, RUN_FS_OPS),
-              st.sampled_from((errno.ENOSPC, errno.EIO))),
-    st.tuples(st.just("damage"), st.sampled_from(("generation", "MANIFEST")),
-              st.booleans(), st.integers(0, 1 << 16)),
-    st.tuples(st.just("resume")),
-), max_size=5)
+def steps(fs_ops):
+    return st.lists(st.one_of(
+        st.tuples(st.just("kill after record"), st.integers(1, len(RECORDS))),
+        st.tuples(st.just("kill in op"), st.integers(0, fs_ops)),
+        st.tuples(st.just("disk full"), st.integers(0, fs_ops),
+                  st.sampled_from((errno.ENOSPC, errno.EIO))),
+        st.tuples(st.just("damage"),
+                  st.sampled_from(("generation", "MANIFEST")),
+                  st.booleans(), st.integers(0, 1 << 16)),
+        st.tuples(st.just("resume")),
+    ), max_size=5)
+
+
+#: ``(with_store, steps)``: the kill and full-disk points span the ops
+#: of a run with that store setting.
+PLANS = st.booleans().flatmap(
+    lambda with_store: st.tuples(st.just(with_store),
+                                 steps(RUN_FS_OPS[with_store]))
+)
 
 
 def test_an_uninterrupted_durable_run_spans_the_drawn_ops():
-    with tempfile.TemporaryDirectory() as directory:
-        store = CheckpointStore(directory, fs=FaultyFilesystem())
-        result = run(iter(RECORDS), False, state_dir=directory,
-                     checkpointer=CheckpointManager(EVERY, store=store))
-    assert fingerprint(result) == baseline(False)
-    assert store.saved == result.checkpoints.taken >= 10
-    assert store.fs.ops >= RUN_FS_OPS
+    for with_store in (False, True):
+        with tempfile.TemporaryDirectory() as directory:
+            state = os.path.join(directory, "state")
+            store = CheckpointStore(state, fs=FaultyFilesystem())
+            result = run(iter(RECORDS), False, state_dir=state,
+                         checkpointer=CheckpointManager(EVERY, store=store),
+                         store_dir=(os.path.join(directory, "store")
+                                    if with_store else None))
+            assert fingerprint(result) == baseline(False)
+        assert store.saved == result.checkpoints.taken >= 10
+        assert store.fs.ops >= RUN_FS_OPS[with_store]
 
 
 @settings(max_examples=30, deadline=None)
 @given(driver=st.sampled_from(sorted(DRIVERS)), predict=st.booleans(),
-       with_store=st.booleans(), steps=STEPS)
-def test_every_recovery_matches_the_uninterrupted_run(
-    driver, predict, with_store, steps
-):
+       plan=PLANS)
+# Store faults: a kill tearing a page appended to an existing column
+# file, a kill at the store MANIFEST replace, and a disk that fills
+# inside a store commit.
+@example(driver="serial", predict=False, plan=(True, [("kill in op", 164)]))
+@example(driver="serial", predict=False, plan=(True, [("kill in op", 58)]))
+@example(driver="bounded", predict=False,
+         plan=(True, [("disk full", 100, errno.ENOSPC)]))
+# A finished run's generations must not outlive it.  Here the next run
+# is killed early and the MANIFEST is damaged; had the generations
+# stayed, the resume would load the finished run's older one into a
+# store the next run had wiped (``StoreError: resume watermark ...
+# exceeds committed store seq``).
+@example(driver="bounded", predict=True, plan=(True, [
+    ("kill after record", 16), ("resume",), ("kill in op", 0),
+    ("damage", "generation", True, 100), ("damage", "MANIFEST", True, 7),
+]))
+# Likewise when the next run's first generation is the damaged one: the
+# fallback generation must not be the finished run's.
+@example(driver="bounded", predict=False, plan=(True, [
+    ("resume",), ("kill after record", 620),
+    ("damage", "generation", False, 0),
+]))
+# Two flips of one byte restore the generation: nothing to quarantine.
+@example(driver="bounded", predict=False, plan=(False, [
+    ("kill in op", 2), ("damage", "generation", True, 100),
+    ("damage", "generation", True, 100),
+]))
+def test_every_recovery_matches_the_uninterrupted_run(driver, predict, plan):
+    with_store, steps = plan
     expected = baseline(predict)
     with tempfile.TemporaryDirectory() as directory:
         state = os.path.join(directory, "state")
         store_dir = os.path.join(directory, "store") if with_store else None
-        damaged = None
+        written = {}  # damaged generation -> the bytes the run wrote
         for step in steps + [("resume",)]:
             if step[0] == "damage":
-                damaged = damage(state, *step[1:])
+                hit = damage(state, *step[1:])
+                if hit is not None:
+                    written.setdefault(*hit)
                 continue
+            damaged = [path for path, data in written.items()
+                       if os.path.exists(path) and read(path) != data]
+            written = {}
             source, schedule = iter(RECORDS), {}
             if step[0] == "kill after record":
                 source = killed_after(source, step[1])
@@ -206,7 +252,7 @@ def test_every_recovery_matches_the_uninterrupted_run(
                 schedule = {"kill_at": step[1]}
             elif step[0] == "disk full":
                 schedule = {"fail_after": step[1], "fail_errno": step[2]}
-            fs = KillableFilesystem(**schedule)
+            fs = ModelFilesystem(**schedule)
             store = ResumeStore(state, token="model", fs=fs)
             resumable = not complete(state)
             try:
@@ -217,12 +263,16 @@ def test_every_recovery_matches_the_uninterrupted_run(
                 )
             except Killed:
                 result = None
+            except OSError:
+                assert with_store and step[0] == "disk full"
+                assert fs.ops > fs.fail_after
+                result = None
 
-            if (damaged and resumable and hasattr(store, "resumed")
+            if (resumable and hasattr(store, "resumed")
                     and fs.fail_after is None):
-                assert not os.path.exists(os.path.join(state, damaged))
-                assert os.path.exists(os.path.join(state, damaged + ".corrupt"))
-            damaged = None
+                for path in damaged:
+                    assert not os.path.exists(path)
+                    assert os.path.exists(path + ".corrupt")
             if result is None:
                 continue
 

@@ -243,6 +243,22 @@ class TestCheckpointStore:
         assert store.mark_complete()
         assert dict_store(tmp_path).load(dict) is None
 
+    def test_a_finished_runs_generations_go_at_the_next_load(self, tmp_path):
+        """A damaged MANIFEST must not bring a finished run back: the
+        load that sees it complete drops that run's generations.  They
+        stay readable until then (the benchmark sizes them)."""
+        store = dict_store(tmp_path)
+        store.save({"generation": 1})
+        store.save({"generation": 2})
+        assert store.mark_complete()
+        assert (tmp_path / "gen-00000002.ckpt").exists()
+
+        assert dict_store(tmp_path).load(dict) is None
+        manifest = tmp_path / "MANIFEST"
+        manifest.write_bytes(manifest.read_bytes()[:-3])
+        assert dict_store(tmp_path).load(dict) is None
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".ckpt")]
+
     def test_enospc_save_degrades_with_exact_accounting(self, tmp_path):
         status = DurabilityStatus()
         store = dict_store(

@@ -17,13 +17,14 @@ import pytest
 from repro.logio.writer import renderer_for
 from repro.resilience import wire
 from repro.resilience.faults import FaultyFilesystem
+from repro.service.accounting import TenantCounters
 from repro.service.config import ServiceConfig
 from repro.service.persistence import TenantStateStore, tenant_dirname
 from repro.service.router import TenantRouter, format_envelope
 from repro.service.tenant import ParkedTenant, Tenant
 from repro.simulation.generator import generate_log
 
-from ..conftest import SEED, SMALL_SCALE
+from ..conftest import SEED, SMALL_SCALE, Killed, KillableFilesystem
 
 #: Counters that must survive a kill/resurrect cycle exactly.  Lifecycle
 #: counters (``resumes``, ``evictions``) legitimately differ between an
@@ -259,6 +260,23 @@ class TestRouterRoundTrip:
             assert tenant.counters.refused == final["refused"] + 1
 
         asyncio.run(come_back())
+
+    def test_a_torn_identity_is_written_again(self, tmp_path):
+        """A kill inside the ``TENANT`` write used to leave a torn file
+        that was never rewritten, so every later start skipped the
+        tenant ("no readable identity") and dropped its journal."""
+        state = str(tmp_path / "state")
+        config = roomy_config(state)
+        dying = TenantStateStore(state, config, fs=KillableFilesystem(kill_at=0))
+        with pytest.raises(Killed):
+            dying.for_tenant("acme", "bgl")
+
+        # The tenant comes back and journals, then the service restarts.
+        persistence = TenantStateStore(state, config).for_tenant("acme", "bgl")
+        persistence.journal("counters", TenantCounters(received=7).as_dict())
+        persistence.sync()
+        parked = TenantStateStore(state, config).load_all()
+        assert parked["acme"].counters.received == 7
 
     def test_degraded_storage_keeps_the_tenant_serving(self, tmp_path):
         """ENOSPC on every state write: the tenant's output and

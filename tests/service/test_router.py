@@ -4,6 +4,7 @@ import pytest
 
 from repro.logio.writer import renderer_for
 from repro.resilience.backpressure import SUSTAIN, PressureLevel
+from repro.resilience.shedding import SHED_DECISIONS
 from repro.service.config import ServiceConfig
 from repro.service.router import (
     MemoryGovernor,
@@ -88,3 +89,14 @@ class TestMemoryGovernor:
         gov.sample(0)
         assert not gov.degraded
         assert gov.degraded_entered == 1
+
+
+class TestServiceConfig:
+    def test_unknown_shed_policy_is_refused(self):
+        """Accepted, a bad name raised inside every tenant's first
+        ``ingest_lines``: the line was counted in ``lines_seen`` but
+        neither routed nor dead-lettered."""
+        for name in SHED_DECISIONS:
+            assert ServiceConfig(shed_policy=name).shed_policy == name
+        with pytest.raises(ValueError, match="unknown shed policy 'bogus'"):
+            ServiceConfig(shed_policy="bogus")

@@ -327,10 +327,15 @@ class TestStatsEndpoint:
             alerts = await loop.run_in_executor(None, ask, "alerts acme 5")
             missing = await loop.run_in_executor(None, ask, "tenant nope")
             bogus = await loop.run_in_executor(None, ask, "frobnicate")
+            bad_counts = [
+                await loop.run_in_executor(None, ask, f"alerts acme {n}")
+                for n in ("x", "-3", "0", "2.5")
+            ]
             await service.drain()
-            return stats, health, tenant, alerts, missing, bogus
+            return stats, health, tenant, alerts, missing, bogus, bad_counts
 
-        stats, health, tenant, alerts, missing, bogus = asyncio.run(main())
+        (stats, health, tenant, alerts, missing, bogus,
+         bad_counts) = asyncio.run(main())
         assert stats["state"] == "running"
         assert "acme" in stats["tenants"]
         assert health["conserving"]
@@ -342,6 +347,11 @@ class TestStatsEndpoint:
                 <= set(alert)
         assert "error" in missing
         assert "error" in bogus and "commands" in bogus
+        # A count that is not a positive integer is answered, not raised
+        # out of the handler (which left the client an empty reply) nor
+        # read as a slice start (``-3`` returned all but three alerts).
+        for answer in bad_counts:
+            assert "positive integer" in answer["error"]
 
 
 def full_disk(self, *args):

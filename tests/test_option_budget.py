@@ -30,6 +30,7 @@ from repro.resilience.shedding import BoundedIngest
 from repro.resilience.supervisor import supervise
 from repro.service.config import ServiceConfig
 from repro.simulation.collector import Collector
+from repro.store import ColumnarStore, ColumnarStoreWriter
 from repro.streaming import PredictionConfig
 
 ADVICE = (
@@ -61,6 +62,8 @@ PARAMETERS = [
     (serial_filter, 2),
     (alias_key, 1),
     (CheckpointStore.__init__, 6),
+    (ColumnarStoreWriter.__init__, 6),
+    (ColumnarStore.__init__, 3),
     (StatsCollector.__init__, 2),
     (BoundedIngest.__init__, 5),
     (AlertPath.__init__, 8),
