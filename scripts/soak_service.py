@@ -139,7 +139,9 @@ def prepare_workloads(specs, scale: float, seed: int):
     from repro.logio.writer import renderer_for
     from repro.core.rules import get_ruleset
     from repro.core.tagging import Tagger
-    from repro.service.router import format_envelope, parse_native_line
+    from repro.logmodel.clock import roll_years
+    from repro.logmodel.dialects import DIALECTS
+    from repro.service.router import format_envelope
     from repro.simulation.generator import generate_log
     from repro.simulation.transport import UdpSyslogChannel
 
@@ -152,7 +154,9 @@ def prepare_workloads(specs, scale: float, seed: int):
         render = renderer_for(system)
         tagger = Tagger(get_ruleset(system))
         lines = [render(r) for r in records]
-        parsed = [parse_native_line(line, system, year=2005) for line in lines]
+        # A tenant parses its lines as one stream (the year moves on at
+        # New Year), so the expectation does too.
+        parsed = list(roll_years(lines, DIALECTS[system].parse, 2005))
         tagged = [tagger.match(p) is not None for p in parsed]
         index_of = {id(r): i for i, r in enumerate(records)}
         dialects[system] = (records, lines, parsed, tagged, index_of)

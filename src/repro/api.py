@@ -486,18 +486,18 @@ def tag_lines(
     ``lines`` is any iterable of strings in the machine's on-disk format
     (what :mod:`repro.logio` writes and the five real machines emit);
     blank lines are skipped, damaged lines parse tolerantly as corrupted
-    records rather than raising.  ``year`` seeds the syslog timestamp
-    parser (BSD syslog lines carry no year).  Returns the tagged alerts
-    in input order.
+    records rather than raising.  ``year`` is the first stamp's year (BSD
+    syslog carries none); the stream moves on at New Year as a file read
+    does.  Returns the tagged alerts in input order.
 
     Example::
 
         from repro import api
         alerts = api.tag_lines(open("liberty.log"), "liberty")
     """
-    from .logio.reader import _parse_records
+    from .logmodel.dialects import parse_lines
 
-    records = _parse_records(iter(lines), system, year)
+    records = parse_lines(lines, system, year)
     return list(iter_alerts(records, system, workers=workers))
 
 

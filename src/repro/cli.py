@@ -484,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stats endpoint port (0 = ephemeral)")
     p_serve.add_argument("--no-udp", action="store_true",
                          help="disable the UDP listener")
-    p_serve.add_argument("--year", type=int, default=2005)
+    p_serve.add_argument("--year", type=int, default=2005,
+                         help="year of a new tenant's first BSD-syslog "
+                              "line; its later lines move to the next "
+                              "year at New Year")
     p_serve.add_argument("--threshold", type=float, default=5.0)
     p_serve.add_argument("--max-buffer", type=int, default=1024,
                          help="per-tenant ingest queue capacity")

@@ -1,9 +1,9 @@
 """Streaming log readers: native on-disk formats back to records.
 
 The inverse of :mod:`repro.logio.writer`: opens a (possibly gzipped) log
-file and lazily parses each line with the system's format parser in
-tolerant mode, so a damaged file reads completely with corrupted records
-flagged rather than raising mid-stream.
+file and lazily parses it with the system's stream parser from the dialect
+table, so a damaged file reads completely with corrupted records flagged
+rather than raising mid-stream.
 
 :func:`read_log` returns a :class:`LogReader`, a closeable iterator: the
 file handle is released deterministically when the stream is exhausted,
@@ -20,10 +20,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterator, Union
 
-from ..logmodel.bgl import parse_bgl_stream
+from ..logmodel.dialects import parse_lines
 from ..logmodel.record import LogRecord
-from ..logmodel.redstorm import parse_redstorm_line
-from ..logmodel.syslog import parse_syslog_stream
 
 PathLike = Union[str, Path]
 
@@ -50,37 +48,6 @@ def _open_text(path: Path):
     return open(path, "rt", encoding="utf-8", errors="replace")
 
 
-def _parse_redstorm_records(lines, year: int) -> Iterator[LogRecord]:
-    previous = None
-    current_year = year
-    for line in lines:
-        if not line.strip():
-            continue
-        record = parse_redstorm_line(line, current_year)
-        # BSD-syslog lines carry no year: detect rollover the way
-        # syslog daemons do (a >half-year backwards jump).
-        if (
-            previous is not None
-            and not record.corrupted
-            and previous - record.timestamp > 182 * 86400.0
-        ):
-            current_year += 1
-            record = parse_redstorm_line(line, current_year)
-        if not record.corrupted:
-            previous = record.timestamp
-        yield record
-
-
-def _parse_records(handle, system: str, year: int) -> Iterator[LogRecord]:
-    """The system's stream parser over ``handle``'s lines: the generator
-    itself, so a consumer pulls from it with no frame in between."""
-    if system == "bgl":
-        return parse_bgl_stream(handle)
-    if system == "redstorm":
-        return _parse_redstorm_records(handle, year)
-    return parse_syslog_stream(handle, year, system=system)
-
-
 class LogReader:
     """Closeable record iterator over one native-format log file.
 
@@ -95,13 +62,17 @@ class LogReader:
     temporary ``for record in read_log(...)`` reader): a driver's
     ``islice`` pulls records without a Python call per record.  Records
     are parsed strictly on demand: nothing is read ahead of the consumer.
+
+    ``year`` is the year of the first stamp where lines carry none; a log
+    that runs across New Year moves to the next year there, by the rule
+    every parse path shares (:func:`~repro.logmodel.clock.roll_years`).
     """
 
     def __init__(self, path: PathLike, system: str, year: int = 2005):
         self.path = Path(path)
         self.system = system
         self._handle = _open_text(self.path)
-        self._source = _parse_records(self._handle, system, year)
+        self._source = parse_lines(self._handle, system, year)
         # Past the last record the chain pulls from an iterator whose one
         # step closes the handle (``close()`` returns the sentinel).
         self._records = chain(self._source, iter(self._handle.close, None))
@@ -131,9 +102,9 @@ class LogReader:
 def read_log(path: PathLike, system: str, year: int = 2005) -> LogReader:
     """Lazily parse a native-format log file into records.
 
-    ``year`` seeds the syslog timestamp parser (BSD syslog carries no
-    year; the stream parser handles rollover when a log spans New Year).
-    BG/L lines carry full dates and ignore it.
+    ``year`` is the year of the first line's stamp (BSD syslog carries
+    none); later lines move to the next year at New Year.  BG/L lines
+    carry full dates and ignore it.
 
     Returns a :class:`LogReader`; see there for handle-lifetime
     semantics.

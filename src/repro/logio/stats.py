@@ -37,7 +37,8 @@ class LogStats:
     ``raw_bytes`` counts each line as read, UTF-8 encoded with its
     newline; for a UTF-8, newline-terminated log with no blank lines that
     is the file's (gunzipped) size.  ``compressed_bytes`` is those bytes
-    through one zlib level-6 stream.
+    through one zlib level-6 stream.  A corrupted record's stamp (``0.0``
+    on a line with none) never moves the span.
     """
 
     system: str
@@ -241,13 +242,12 @@ class StatsCollector:
         if not self.coarse:
             self._feed(data)
             self._fed += len(data)
-        if self.stats.first_timestamp is None:
-            self.stats.first_timestamp = record.timestamp
-        if (
-            self.stats.last_timestamp is None
-            or record.timestamp > self.stats.last_timestamp
-        ):
-            self.stats.last_timestamp = record.timestamp
+        if not record.corrupted:
+            stats = self.stats
+            if stats.first_timestamp is None:
+                stats.first_timestamp = record.timestamp
+            if stats.last_timestamp is None or record.timestamp > stats.last_timestamp:
+                stats.last_timestamp = record.timestamp
 
     def observe_batch(self, records: Sequence[LogRecord]) -> None:
         """Accumulate a whole batch with one join and one encode.
@@ -270,12 +270,13 @@ class StatsCollector:
         if not self.coarse:
             self._feed(data)
             self._fed += len(data)
-        if stats.first_timestamp is None:
-            stats.first_timestamp = records[0].timestamp
-        last = stats.last_timestamp
-        peak = max(record.timestamp for record in records)
-        if last is None or peak > last:
-            stats.last_timestamp = peak
+        stamps = [r.timestamp for r in records if not r.corrupted]
+        if stamps:
+            if stats.first_timestamp is None:
+                stats.first_timestamp = stamps[0]
+            peak = max(stamps)
+            if stats.last_timestamp is None or peak > stats.last_timestamp:
+                stats.last_timestamp = peak
 
     def observe(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
         for record in records:

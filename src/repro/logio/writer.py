@@ -14,21 +14,16 @@ import io
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
-from ..logmodel.bgl import render_bgl_line
+from ..logmodel.dialects import DIALECTS
 from ..logmodel.record import LogRecord
-from ..logmodel.redstorm import render_redstorm_line
-from ..logmodel.syslog import render_syslog_line
 
 PathLike = Union[str, Path]
 
 
 def renderer_for(system: str) -> Callable[[LogRecord], str]:
-    """The line renderer for a system's native format."""
-    if system == "bgl":
-        return render_bgl_line
-    if system == "redstorm":
-        return render_redstorm_line
-    return render_syslog_line
+    """The line renderer for a system's native format (its row in the
+    dialect table)."""
+    return DIALECTS[system].render
 
 
 def write_log(

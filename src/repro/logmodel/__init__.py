@@ -8,25 +8,23 @@ from .record import (
     SyslogSeverity,
 )
 from .syslog import (
-    SyslogParseError,
     parse_syslog_line,
     parse_syslog_stream,
     render_syslog_line,
 )
 from .bgl import (
-    BglParseError,
     parse_bgl_line,
     parse_bgl_stream,
     render_bgl_line,
 )
 from .redstorm import (
-    RedStormParseError,
     parse_redstorm_line,
     parse_redstorm_ras_line,
     parse_redstorm_stream,
     parse_redstorm_syslog_line,
     render_redstorm_line,
 )
+from .dialects import DIALECTS, Dialect, parse_lines
 from .anonymize import Pseudonymizer
 from .corruption import (
     CorruptionKind,
@@ -39,21 +37,21 @@ from .corruption import (
 )
 
 __all__ = [
+    "DIALECTS",
+    "Dialect",
+    "parse_lines",
     "Pseudonymizer",
     "SYSTEM_NAMES",
     "Channel",
     "LogRecord",
     "RasSeverity",
     "SyslogSeverity",
-    "SyslogParseError",
     "parse_syslog_line",
     "parse_syslog_stream",
     "render_syslog_line",
-    "BglParseError",
     "parse_bgl_line",
     "parse_bgl_stream",
     "render_bgl_line",
-    "RedStormParseError",
     "parse_redstorm_line",
     "parse_redstorm_ras_line",
     "parse_redstorm_stream",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-from .clock import DOT_MINUTES, SECOND_TEXT, DayPrefixes, epoch
+from .clock import DOT_MINUTES, SECOND_TEXT, DayPrefixes, epoch, parse_stream
 from .record import Channel, LogRecord, RasSeverity
 
 #: year, month, day, hh, mm, ss, micros, location, facility, severity, body.
@@ -53,41 +53,39 @@ FACILITIES = (
 """RAS-reporting facilities observed in BG/L logs."""
 
 
-class BglParseError(ValueError):
-    """Raised in strict mode when a line is not a valid BG/L RAS event."""
-
-
 def _corrupt_record(line: str) -> LogRecord:
     return LogRecord(
         0.0, "", "", line, "bgl", None, Channel.JTAG_MAILBOX, True, line
     )
 
 
-def parse_bgl_line(line: str, strict: bool = False) -> LogRecord:
-    """Parse one BG/L RAS event line.
+def bgl_parser(line: str, _year: int) -> LogRecord:
+    """Parse one BG/L RAS event line in the dialect table's ``(line,
+    year)`` form; the year goes unused, since a BG/L stamp has its own.
 
-    In tolerant mode (default) malformed lines come back as records with
-    ``corrupted=True`` rather than raising: even "highly engineered RAS
-    systems, like BG/L", produce corrupted entries (paper, Section 3.2.1).
+    Malformed lines come back as records with ``corrupted=True`` rather
+    than raising: even "highly engineered RAS systems, like BG/L",
+    produce corrupted entries (paper, Section 3.2.1).
     """
     line = line.rstrip("\n")
     match = _BGL_RE.match(line)
     if match is None or match.group(10) not in _SEVERITY_LABELS:
-        if strict:
-            raise BglParseError(f"not a BG/L RAS line: {line!r}")
         return _corrupt_record(line)
     (year, month, day, hh, mi, ss, micros,
      location, facility, severity, body) = match.groups()
     try:
         timestamp = epoch(year, month, day, hh, mi, ss) + int(micros) / 1e6
     except ValueError:
-        if strict:
-            raise BglParseError(f"bad timestamp in: {line!r}") from None
         return _corrupt_record(line)
     return LogRecord(
         timestamp, "" if location == "NULL" else location, facility, body,
         "bgl", severity, Channel.JTAG_MAILBOX, False, line,
     )
+
+
+def parse_bgl_line(line: str) -> LogRecord:
+    """Parse one BG/L RAS event line (see :func:`bgl_parser`)."""
+    return bgl_parser(line, 0)
 
 
 #: Day number -> ``"YYYY-MM-DD-"``.
@@ -113,7 +111,5 @@ def render_bgl_line(record: LogRecord) -> str:
 
 
 def parse_bgl_stream(lines: Iterable[str]) -> Iterator[LogRecord]:
-    """Parse an iterable of BG/L RAS lines lazily, skipping blanks."""
-    for line in lines:
-        if line.strip():
-            yield parse_bgl_line(line)
+    """The one stream parser, :func:`.clock.parse_stream`, for BG/L."""
+    return parse_stream(lines, bgl_parser, 0)

@@ -30,7 +30,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-from .clock import COLON_MINUTES, MONTHS, SECOND_TEXT, DayPrefixes, epoch, split
+from .clock import (
+    COLON_MINUTES, MONTHS, SECOND_TEXT, DayPrefixes, epoch, parse_stream, split,
+)
 from .record import Channel, LogRecord, SyslogSeverity
 from .syslog import BSD_DAYS, FACILITY_PATTERN
 
@@ -50,33 +52,23 @@ _RS_RAS_RE = re.compile(
 )
 
 
-class RedStormParseError(ValueError):
-    """Raised in strict mode when a line matches no Red Storm format."""
-
-
 def _corrupt_record(line: str, channel: Channel) -> LogRecord:
     return LogRecord(0.0, "", "", line, "redstorm", None, channel, True, line)
 
 
-def parse_redstorm_syslog_line(line: str, year: int, strict: bool = False) -> LogRecord:
+def parse_redstorm_syslog_line(line: str, year: int) -> LogRecord:
     """Parse a severity-bearing Red Storm syslog line (DDN or Linux node)."""
     line = line.rstrip("\n")
     match = _RS_SYSLOG_RE.match(line)
     if match is None:
-        if strict:
-            raise RedStormParseError(f"not a Red Storm syslog line: {line!r}")
         return _corrupt_record(line, Channel.SYSLOG_UDP)
     month, day, hh, mm, ss, host, severity, facility, body = match.groups()
     mon = MONTHS.get(month)
     if mon is None:
-        if strict:
-            raise RedStormParseError(f"bad month in: {line!r}")
         return _corrupt_record(line, Channel.SYSLOG_UDP)
     try:
         timestamp = float(epoch(year, mon, day, hh, mm, ss))
     except (ValueError, OverflowError):
-        if strict:
-            raise RedStormParseError(f"bad timestamp in: {line!r}") from None
         return _corrupt_record(line, Channel.SYSLOG_UDP)
     ddn = facility is None and body.startswith("DMT_")
     return LogRecord(
@@ -85,13 +77,11 @@ def parse_redstorm_syslog_line(line: str, year: int, strict: bool = False) -> Lo
     )
 
 
-def _ras_record(line: str, match, strict: bool) -> LogRecord:
+def _ras_record(line: str, match) -> LogRecord:
     year, month, day, hh, mm, ss, event, src, svc, trailing = match.groups()
     try:
         timestamp = float(epoch(year, month, day, hh, mm, ss))
     except ValueError:
-        if strict:
-            raise RedStormParseError(f"bad timestamp in: {line!r}") from None
         return _corrupt_record(line, Channel.RAS_TCP)
     body = f"src:::{src} svc:::{svc}"
     if trailing:
@@ -102,23 +92,21 @@ def _ras_record(line: str, match, strict: bool) -> LogRecord:
     )
 
 
-def parse_redstorm_ras_line(line: str, strict: bool = False) -> LogRecord:
+def parse_redstorm_ras_line(line: str) -> LogRecord:
     """Parse a Red Storm RAS (TCP/SMW) event line.  No severity field."""
     line = line.rstrip("\n")
     match = _RS_RAS_RE.match(line)
     if match is None:
-        if strict:
-            raise RedStormParseError(f"not a Red Storm RAS line: {line!r}")
         return _corrupt_record(line, Channel.RAS_TCP)
-    return _ras_record(line, match, strict)
+    return _ras_record(line, match)
 
 
-def parse_redstorm_line(line: str, year: int, strict: bool = False) -> LogRecord:
+def parse_redstorm_line(line: str, year: int) -> LogRecord:
     """Dispatch a line to the matching Red Storm format parser."""
     match = _RS_RAS_RE.match(line)
     if match is not None:
-        return _ras_record(line.rstrip("\n"), match, strict)
-    return parse_redstorm_syslog_line(line, year, strict=strict)
+        return _ras_record(line.rstrip("\n"), match)
+    return parse_redstorm_syslog_line(line, year)
 
 
 #: Day number -> ``"YYYY-MM-DD "``.
@@ -140,7 +128,5 @@ def render_redstorm_line(record: LogRecord) -> str:
 
 
 def parse_redstorm_stream(lines: Iterable[str], year: int) -> Iterator[LogRecord]:
-    """Parse an iterable of mixed Red Storm lines lazily, skipping blanks."""
-    for line in lines:
-        if line.strip():
-            yield parse_redstorm_line(line, year)
+    """The one stream parser, :func:`.clock.parse_stream`, for Red Storm."""
+    return parse_stream(lines, parse_redstorm_line, year)

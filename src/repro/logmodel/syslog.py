@@ -8,9 +8,9 @@ forwarded over UDP to a central logging server.  The on-disk format is::
 
 BSD syslog timestamps carry no year and have one-second granularity, so
 parsing requires a reference year.  Because UDP forwarding loses and mangles
-messages under contention, the parser never raises on malformed input in
-tolerant mode — it produces a best-effort :class:`~repro.logmodel.record.LogRecord`
-with ``corrupted=True``, mirroring how the paper had to cope with truncated
+messages under contention, the parser never raises on malformed input —
+it produces a best-effort :class:`~repro.logmodel.record.LogRecord` with
+``corrupted=True``, mirroring how the paper had to cope with truncated
 and spliced lines (Section 3.2.1, "Corruption").
 
 One regex match per line; the calendar arithmetic on both sides lives in
@@ -20,10 +20,11 @@ One regex match per line; the calendar arithmetic on both sides lives in
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .clock import (
-    COLON_MINUTES, MONTH_ABBR, MONTHS, SECOND_TEXT, DayPrefixes, epoch, split,
+    COLON_MINUTES, MONTH_ABBR, MONTHS, SECOND_TEXT, DayPrefixes, epoch,
+    parse_stream, split,
 )
 from .record import Channel, LogRecord
 
@@ -37,57 +38,38 @@ _SYSLOG_RE = re.compile(
 )
 
 
-class SyslogParseError(ValueError):
-    """Raised in strict mode when a line is not valid BSD syslog."""
+def syslog_parser(system: str) -> Callable[[str, int], LogRecord]:
+    """The ``(line, year) -> LogRecord`` BSD-syslog parser stamping
+    ``system`` on its records; ``year`` is the one the format omits."""
 
-
-def parse_syslog_line(
-    line: str,
-    year: int,
-    system: str = "",
-    strict: bool = False,
-) -> LogRecord:
-    """Parse one BSD syslog line into a :class:`LogRecord`.
-
-    Parameters
-    ----------
-    line:
-        The raw line, without trailing newline.
-    year:
-        Reference year (BSD syslog timestamps omit it).
-    system:
-        Short machine name to stamp on the record.
-    strict:
-        When ``True``, raise :class:`SyslogParseError` on malformed lines.
-        When ``False`` (the default), return a best-effort record flagged
-        ``corrupted=True`` — the behaviour a production pipeline needs.
-    """
-    line = line.rstrip("\n")
-    match = _SYSLOG_RE.match(line)
-    if match is None:
-        if strict:
-            raise SyslogParseError(f"not a syslog line: {line!r}")
+    def parse(line: str, year: int) -> LogRecord:
+        line = line.rstrip("\n")
+        match = _SYSLOG_RE.match(line)
+        if match is None:
+            return LogRecord(
+                0.0, "", "", line, system, None, Channel.SYSLOG_UDP, True, line
+            )
+        month, day, hh, mm, ss, host, facility, body = match.groups()
+        mon = MONTHS.get(month)
+        if mon is None:
+            mon, damaged = 1, True
+        else:
+            damaged = False
+        try:
+            timestamp = float(epoch(year, mon, day, hh, mm, ss))
+        except (ValueError, OverflowError):
+            timestamp, damaged = 0.0, True
         return LogRecord(
-            0.0, "", "", line, system, None, Channel.SYSLOG_UDP, True, line
+            timestamp, host, facility or "", body, system, None,
+            Channel.SYSLOG_UDP, damaged, line,
         )
-    month, day, hh, mm, ss, host, facility, body = match.groups()
-    mon = MONTHS.get(month)
-    if mon is None:
-        if strict:
-            raise SyslogParseError(f"bad month in: {line!r}")
-        mon, damaged = 1, True
-    else:
-        damaged = False
-    try:
-        timestamp = float(epoch(year, mon, day, hh, mm, ss))
-    except (ValueError, OverflowError):
-        if strict:
-            raise SyslogParseError(f"bad timestamp in: {line!r}") from None
-        timestamp, damaged = 0.0, True
-    return LogRecord(
-        timestamp, host, facility or "", body, system, None,
-        Channel.SYSLOG_UDP, damaged, line,
-    )
+
+    return parse
+
+
+def parse_syslog_line(line: str, year: int, system: str = "") -> LogRecord:
+    """Parse one BSD syslog line (see :func:`syslog_parser`)."""
+    return syslog_parser(system)(line, year)
 
 
 #: Day number -> ``"Mmm dd "``; Red Storm's syslog lines share it.
@@ -119,26 +101,5 @@ def parse_syslog_stream(
     year: int,
     system: str = "",
 ) -> Iterator[LogRecord]:
-    """Parse an iterable of syslog lines lazily, skipping blank lines.
-
-    Year rollover is handled the way syslog daemons do: if a parsed
-    timestamp jumps backwards by more than half a year relative to the
-    previous record, the year is assumed to have incremented.
-    """
-    current_year = year
-    previous = None
-    half_year = 182 * 86400.0
-    for line in lines:
-        if not line.strip():
-            continue
-        record = parse_syslog_line(line, current_year, system=system)
-        if (
-            previous is not None
-            and not record.corrupted
-            and previous - record.timestamp > half_year
-        ):
-            current_year += 1
-            record = parse_syslog_line(line, current_year, system=system)
-        if not record.corrupted:
-            previous = record.timestamp
-        yield record
+    """The one stream parser, :func:`.clock.parse_stream`, for syslog."""
+    return parse_stream(lines, syslog_parser(system), year)

@@ -43,7 +43,7 @@ class ServiceConfig:
     udp_port: int = 0          #: 0 = ephemeral; None disables via enable_udp
     stats_port: int = 0        #: 0 = ephemeral
     enable_udp: bool = True
-    year: int = 2005           #: reference year for BSD-syslog timestamps
+    year: int = 2005           #: year of a new tenant's first BSD-syslog stamp
 
     # -- per-tenant pipeline ----------------------------------------------
     threshold: float = DEFAULT_THRESHOLD

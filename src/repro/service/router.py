@@ -6,12 +6,11 @@ The wire protocol is one envelope per line (or datagram)::
 
 ``tenant`` names the stream; ``system`` names the dialect (one of the
 five paper systems) so the router knows which parser and tagger ruleset
-the tenant's :class:`AlertPath` needs.  The native remainder is parsed
-in tolerant mode — a corrupted line becomes a flagged record the
-tenant's own path accounts for, never an exception in the listener.
-Lines arrive by the chunk (:meth:`TenantRouter.ingest_lines`), are
-grouped per tenant in arrival order, and each tenant is offered its run
-once (:meth:`Tenant.offer_batch`, where the run is tagged).
+the tenant's :class:`AlertPath` needs.  Lines arrive by the chunk
+(:meth:`TenantRouter.ingest_lines`), are grouped per tenant in arrival
+order, parsed by the tenant as the next stretch of its one stream
+(:meth:`Tenant.parse_lines`; a damaged line is a corrupted record), and
+offered to it once (:meth:`Tenant.offer_batch`, where the run is tagged).
 
 Lines the router cannot attribute to a tenant at all (no envelope, an
 unknown dialect, or a dialect clash with an existing tenant) go to a
@@ -30,10 +29,8 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..logmodel.bgl import parse_bgl_line
+from ..logmodel.dialects import DIALECTS
 from ..logmodel.record import LogRecord
-from ..logmodel.redstorm import parse_redstorm_line
-from ..logmodel.syslog import parse_syslog_line
 from ..resilience.backpressure import (
     HIGH_FRACTION, LOW_FRACTION, SUSTAIN, PressureClock, PressureLevel,
 )
@@ -65,12 +62,9 @@ def format_envelope(tenant: str, system: str, line: str) -> str:
 
 
 def parse_native_line(line: str, system: str, year: int) -> LogRecord:
-    """Parse one native-format line in tolerant mode (never raises)."""
-    if system == "bgl":
-        return parse_bgl_line(line)
-    if system == "redstorm":
-        return parse_redstorm_line(line, year)
-    return parse_syslog_line(line, year, system=system)
+    """Parse one native-format line by the dialect table (never raises),
+    in ``year``: stateless, no rollover (see :meth:`Tenant.parse_lines`)."""
+    return DIALECTS[system].parse(line, year)
 
 
 class MemoryGovernor:
@@ -162,7 +156,7 @@ class TenantRouter:
         """Route a chunk of wire lines: each to its tenant (created or
         resurrected on first sight) or to the unroutable dead-letter
         queue; then one offer per tenant, its records in arrival order."""
-        runs: Dict[str, List[LogRecord]] = {}
+        runs: Dict[str, List[str]] = {}
         for line in lines:
             self.lines_seen += 1
             envelope = parse_envelope(line)
@@ -183,11 +177,10 @@ class TenantRouter:
                     f"{tenant.system}, line says {system}",
                 )
                 continue
-            runs.setdefault(tenant_id, []).append(
-                parse_native_line(rest, system, self.config.year)
-            )
-        for tenant_id, records in runs.items():
-            self.tenants[tenant_id].offer_batch(records)
+            runs.setdefault(tenant_id, []).append(rest)
+        for tenant_id, native in runs.items():
+            tenant = self.tenants[tenant_id]
+            tenant.offer_batch(tenant.parse_lines(native))
 
     def _unroutable(self, line: str, detail: str) -> None:
         # Wrap the raw line in a minimal corrupted record so the letter

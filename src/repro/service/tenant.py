@@ -41,13 +41,15 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, Deque, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..core.categories import Alert
 from ..core.filtering import FilterReport
 from ..engine.path import AlertPath
 from ..engine.stages import ObservingSink
+from ..logmodel.clock import roll_years
+from ..logmodel.dialects import DIALECTS
 from ..logmodel.record import LogRecord
 from ..resilience.backpressure import PressureLevel
 from ..resilience.checkpoint import PipelineCheckpoint
@@ -188,6 +190,14 @@ class Tenant:
         # the handoff, not a rollback.
         self.checkpoint = checkpoint
         self.path = self._new_path()
+        # The tenant's lines are one stream, years rolled as in a file
+        # read; one brought back continues from its restored last stamp.
+        last = self.path.stats_collector.stats.last_timestamp
+        self._lines: Deque[str] = deque()
+        self._parsed = roll_years(
+            iter(self._lines.popleft, None), DIALECTS[system].parse,
+            config.year if last is None else time.gmtime(last).tm_year, last,
+        )
         self._install_sink(
             raw_seed=tuple(self.path.sink.raw_alerts),
             filtered_seed=tuple(self.path.sink.filtered_alerts),
@@ -305,6 +315,12 @@ class Tenant:
         return self.breaker.state.name.lower()
 
     # -- ingest (called in-loop by the router/listeners) -------------------
+
+    def parse_lines(self, lines: Sequence[str]) -> List[LogRecord]:
+        """Parse a run of native lines as the next stretch of this
+        tenant's stream (which pulls exactly the lines fed to it)."""
+        self._lines.extend(lines)
+        return list(islice(self._parsed, len(lines)))
 
     def offer(self, record: LogRecord) -> None:
         """Admit, shed, or refuse one arriving record — never silently."""

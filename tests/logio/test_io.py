@@ -17,6 +17,7 @@ from repro.logio.writer import (
     write_log,
 )
 from repro.logmodel.bgl import render_bgl_line
+from repro.logmodel.dialects import parse_lines
 from repro.logmodel.record import LogRecord
 from repro.logmodel.redstorm import render_redstorm_line
 from repro.logmodel.syslog import render_syslog_line
@@ -122,6 +123,47 @@ class TestStatsCollector:
         assert 0 < stats.compressed_bytes < stats.raw_bytes
         assert stats.days > 200  # Liberty's window is 315 days
         assert stats.rate_bytes_per_second > 0
+
+    def test_a_garbled_first_line_leaves_table2s_span_alone(self):
+        """A line with no stamp parses as a corrupted record at
+        ``timestamp 0.0``; at the head of a log it once stretched
+        Liberty's 315 days to 13,000 and cut its bytes/s with them."""
+        gen = generate_log("liberty", scale=SCALE, seed=SEED, corruption=0.0)
+        year = int(gen.scenario.start_date.split("-")[0])
+        render = renderer_for("liberty")
+        lines = [render(r) for r in gen.records]
+        clean = api.run_stream(parse_lines(lines, "liberty", year), "liberty")
+        garbled = api.run_stream(
+            parse_lines(["garbled line with no stamp"] + lines, "liberty", year),
+            "liberty",
+        )
+        assert garbled.stats.messages == clean.stats.messages + 1
+        assert garbled.stats.days == clean.stats.days < 320
+        assert (garbled.stats.first_timestamp, garbled.stats.last_timestamp) == (
+            clean.stats.first_timestamp, clean.stats.last_timestamp,
+        )
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["record", "batch"])
+    def test_corrupted_records_never_move_the_span(self, batch):
+        def record(timestamp, corrupted=False):
+            return LogRecord(timestamp=timestamp, source="n1", facility="f",
+                             body="x", corrupted=corrupted)
+
+        records = [
+            record(0.0, corrupted=True), record(100.0), record(50.0),
+            record(9e9, corrupted=True), record(200.0),
+            record(0.0, corrupted=True),
+        ]
+        collector = StatsCollector("liberty")
+        if batch:
+            collector.observe_batch(records[:3])
+            collector.observe_batch(records[3:])
+        else:
+            for each in records:
+                collector.observe_record(each)
+        stats = collector.finish()
+        assert stats.messages == 6
+        assert (stats.first_timestamp, stats.last_timestamp) == (100.0, 200.0)
 
     def test_compression_matches_real_gzip(self, tmp_path):
         """The incremental zlib estimate must track an actual gzip file."""

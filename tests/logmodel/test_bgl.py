@@ -4,7 +4,6 @@ import pytest
 
 from repro.logmodel.bgl import (
     FACILITIES,
-    BglParseError,
     parse_bgl_line,
     parse_bgl_stream,
     render_bgl_line,
@@ -51,8 +50,13 @@ class TestParse:
         assert record.raw == "VAPI_EAGAI"
 
     def test_garbage_strict(self):
-        with pytest.raises(BglParseError):
-            parse_bgl_line("VAPI_EAGAI", strict=True)
+        """Garbage is a corrupted record, never an exception: there is
+        no strict mode."""
+        record = parse_bgl_line("VAPI_EAGAI")
+        assert record.corrupted
+        assert record.timestamp == 0.0
+        assert record.channel is Channel.JTAG_MAILBOX
+        assert render_bgl_line(record) == "VAPI_EAGAI"
 
     def test_bad_calendar_date_tolerant(self):
         line = GOOD_LINE.replace("2005-06-03", "2005-02-31")

@@ -1,12 +1,10 @@
 """Unit and property tests for BSD syslog parsing/rendering."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logmodel.record import LogRecord
 from repro.logmodel.syslog import (
-    SyslogParseError,
     parse_syslog_line,
     parse_syslog_stream,
     render_syslog_line,
@@ -52,8 +50,13 @@ class TestParse:
         assert record.raw == "complete garbage"
 
     def test_malformed_line_strict_raises(self):
-        with pytest.raises(SyslogParseError):
-            parse_syslog_line("complete garbage", 2005, strict=True)
+        """Garbage is a corrupted record stamped with its system, never an
+        exception: there is no strict mode."""
+        record = parse_syslog_line("complete garbage", 2005, system="liberty")
+        assert record.corrupted
+        assert record.timestamp == 0.0
+        assert record.system == "liberty"
+        assert record.raw == "complete garbage"
 
     def test_bad_month_tolerant(self):
         record = parse_syslog_line("Xxx  9 12:00:00 n kernel: hi", 2005)

@@ -14,17 +14,15 @@ import random
 import pytest
 
 from repro.logio.writer import renderer_for
+from repro.logmodel.clock import roll_years
+from repro.logmodel.dialects import DIALECTS
 from repro.service import IngestService, ServiceConfig
 from repro.service.listeners import (
     MAX_LINE_BYTES,
     TcpIngestListener,
     UdpIngestProtocol,
 )
-from repro.service.router import (
-    format_envelope,
-    parse_envelope,
-    parse_native_line,
-)
+from repro.service.router import format_envelope, parse_envelope
 from repro.simulation.generator import generate_log
 from repro.systems.specs import SYSTEMS
 
@@ -184,12 +182,18 @@ class TestRealSockets:
         """The same payload through a real socket in small ragged
         writes: every tenant is offered its lines, in order."""
         payload = wire_payload()
-        want = {}
+        native = {}
         for line in reference_lines(payload):
             tenant, system, rest = parse_envelope(line)
-            want.setdefault(tenant, []).append(
-                parse_native_line(rest, system, ServiceConfig().year)
-            )
+            native.setdefault((tenant, system), []).append(rest)
+        # Each tenant's lines are one stream, years rolled as in a file
+        # read (Red Storm's RAS stamps carry a year its syslog ones take).
+        want = {
+            tenant: list(roll_years(
+                lines, DIALECTS[system].parse, ServiceConfig().year,
+            ))
+            for (tenant, system), lines in native.items()
+        }
 
         async def main():
             service = IngestService(quick_config())

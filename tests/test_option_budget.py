@@ -21,7 +21,10 @@ from repro.core.serial_filter import serial_filter
 from repro.engine.path import AlertPath
 from repro.logio.reader import LogReader, read_log
 from repro.logio.stats import StatsCollector
+from repro.logmodel.bgl import parse_bgl_line
 from repro.logmodel.record import LogRecord
+from repro.logmodel.redstorm import parse_redstorm_line
+from repro.logmodel.syslog import parse_syslog_line
 from repro.parallel.config import ParallelConfig
 from repro.resilience.backpressure import BackpressureConfig
 from repro.resilience.durability import CheckpointStore
@@ -67,6 +70,9 @@ PARAMETERS = [
     (StatsCollector.__init__, 2),
     (BoundedIngest.__init__, 5),
     (AlertPath.__init__, 8),
+    (parse_syslog_line, 3),
+    (parse_bgl_line, 1),
+    (parse_redstorm_line, 2),
 ]
 
 
