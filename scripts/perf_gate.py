@@ -28,9 +28,12 @@ quietly re-baseline the compiled-ruleset fast path away.  Second, the
 measured sharded/serial ratio must clear a floor keyed off the host's
 cores: near-parity (the byte-buffer boundary is cheap) even on one
 core, a real win once four or more cores are available.  Third, the
-measured bounded/serial ratio must clear ``BOUNDED_MIN_RATIO``: with
-nothing shed the bounded pump may cost a queue and a shed decision per
-record, not a second pass through the rules engine.
+measured bounded/serial ratio must clear ``BOUNDED_MIN_RATIO``: with a
+pausable source and roomy buffers nothing can be shed, and the pump
+serves each run of its ticks as one kernel batch, so it may cost the
+per-tick bookkeeping and a shed class per tagger hit — neither a queue
+and a shed decision per record nor a second pass through the rules
+engine.
 
 Exit 1 on any violated floor or ratchet, any equivalence break, or a
 baseline/matrix mismatch (a driver added to the engine but missing from
@@ -101,10 +104,13 @@ SHARDED_MULTI_CORE_RATIO = 1.5
 SHARDED_MULTI_CORE_AT = 4
 
 #: Measured bounded/serial ratio floor (before tolerance) on the same
-#: stream: with roomy buffers nothing is shed, so what separates the two
-#: is the pump — admission, one tag pass and the shed decision at
-#: arrival, the queue, the per-tick kernel call.  Before the verdict
-#: rode the queue every record was matched twice and this read 0.48x.
+#: stream: with roomy buffers and a pausable source nothing is shed,
+#: and the pump serves each run of its uneventful ticks as one kernel
+#: batch, so what separates the two is the per-tick bookkeeping
+#: (credits, samples) and the shed class of each tagger hit.  Before the
+#: verdict rode the queue every record was matched twice and this read
+#: 0.48x; with a queue, a shed decision and a kernel call per tick it
+#: read 0.54-0.63x.
 BOUNDED_MIN_RATIO = 0.7
 
 #: Timing runs per driver; the best is scored.  Benchmark noise on a

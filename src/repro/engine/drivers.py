@@ -16,7 +16,8 @@ three hand-forked loops the pipeline used to carry:
 * :class:`BoundedDriver` — one tick loop over one bounded ingest queue,
   with credit-based flow control and priority-aware load shedding at
   arrival, where each tick's arrivals are tagged once and the verdict
-  rides the queue; give it a :class:`~repro.parallel.config.
+  rides the queue; a run of ticks that cannot shed or queue anything is
+  served as one kernel batch; give it a :class:`~repro.parallel.config.
   ParallelConfig` too and that one tag pass goes through the worker pool.
 
 Checkpointing is orthogonal to all three: every driver accepts a
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from typing import Deque, Iterator, List, Optional, Protocol, runtime_checkable
 
 from ..logmodel.record import LogRecord
@@ -42,7 +43,7 @@ from ..parallel.sharded import ShardedTagger, chunked
 from ..resilience.backpressure import BackpressureConfig, OverloadReport
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.deadletter import DeadLetterQueue, REASON_SHED_OVERLOAD
-from ..resilience.shedding import BoundedIngest
+from ..resilience.shedding import BoundedIngest, marks
 from .path import AlertPath
 
 
@@ -192,6 +193,20 @@ class BoundedDriver:
     clock's latch) optionally degrades the run — coarse stats, larger
     filter ``T`` — instead of growing without bound.
 
+    Some ticks are decided before they run.  With a pausable source,
+    ``arrival_batch <= service_batch`` and the tag seam in process, a
+    tick that starts on an empty queue (no degrade entry pending) is
+    granted at most the high watermark, keeps every record, drains the
+    queue and samples it calm.  A run of such ticks — up to
+    :data:`SERIAL_BATCH_SIZE` records, cut where a checkpoint falls due
+    — is served as one: tagged once, classed by the door's
+    :meth:`~repro.resilience.shedding.BoundedIngest.classes` (hits and
+    errors only, in order), one :meth:`AlertPath.process_batch` call,
+    and the per-tick tallies (credits, peak, samples, throughput)
+    advanced by the tick count.  A run holding an invalid record goes
+    tick by tick, since its admission letter is written at arrival, ahead
+    of the kernel letters of its own tick.
+
     Checkpoints are taken only at drained-queue barriers, where every
     consumed record has been processed, quarantined, or shed; shedding
     makes resumed results equivalent within shedding tolerance rather
@@ -246,19 +261,81 @@ class BoundedDriver:
                 "events": list(events),
             }
 
+        def degrade_due():
+            return (config.degrade and clock.latched
+                    and not path.stats_collector.coarse)
+
+        def barrier():
+            return path.snapshot(
+                shed_state=ingest.policy.state_dict(),
+                overload_state=tallies(),
+            )
+
         sharded = (
             ShardedTagger(path.system, self.parallel)
             if self.parallel is not None else None
         )
+        # Credit-paced arrivals no larger than a drain, tagged in process:
+        # a tick that starts on an empty queue keeps every record and ends
+        # on an empty queue again, so a run of them is fused (see below).
+        fusable = (
+            config.source_pausable and sharded is None
+            and config.arrival_batch <= config.service_batch
+        )
+        grant = min(config.arrival_batch, queue.high)
+        # The tick loop reads ``feed``: the source, or a fused run it
+        # handed back, ahead of the source, to serve by ticks up to
+        # ``consumed == tick_until``.
+        feed, tick_until = source, 0
         exhausted = False
 
         with sharded if sharded is not None else nullcontext():
             while not exhausted or queue:
+                if (
+                    fusable and not exhausted and not queue
+                    and path.consumed >= tick_until and not degrade_due()
+                ):
+                    # A run of uneventful ticks as one kernel batch: cut
+                    # where the tick loop would checkpoint, so snapshots
+                    # land on the same ``consumed``.
+                    ticks = max(1, SERIAL_BATCH_SIZE // grant)
+                    if checkpointer is not None:
+                        due = checkpointer.due_in(path.consumed)
+                        ticks = min(ticks, -(-due // grant))
+                    chunk = list(islice(source, ticks * grant))
+                    if not all(map(path.valid, chunk)):
+                        # Admission letters are written at arrival, ahead
+                        # of the tick's kernel letters: serve it by ticks.
+                        feed = chain(chunk, source)
+                        tick_until = path.consumed + len(chunk)
+                        continue
+                    # The ticks the loop would run, the last one partial
+                    # or (on an empty chunk) empty; a full last tick does
+                    # not yet know the source is done.
+                    ticks = -(-len(chunk) // grant) or 1
+                    exhausted = len(chunk) < ticks * grant
+                    throughput["arrive"] += len(chunk)
+                    path.consumed += len(chunk)
+                    outcome = path.tagger.tag_batch(chunk)
+                    offered.update(ingest.classes(chunk, marks(outcome)))
+                    queue.peak_occupancy = max(
+                        queue.peak_occupancy, min(len(chunk), grant)
+                    )
+                    alerts = path.process_batch(chunk, outcome, admitted=True)
+                    throughput["tag"] += len(chunk)
+                    throughput["filter"] += len(alerts)
+                    for _ in range(ticks):
+                        queue.acquire(config.arrival_batch)
+                        queue.sample()  # occupancy 0: calm
+                    if checkpointer is not None:
+                        checkpointer.maybe(path.consumed, barrier)
+                    continue
+
                 if not exhausted:
                     want = config.arrival_batch
                     if config.source_pausable:
                         want = queue.acquire(want)
-                    arrivals = list(islice(source, want))
+                    arrivals = list(islice(feed, want))
                     exhausted = len(arrivals) < want
                     throughput["arrive"] += len(arrivals)
                     if all(map(path.valid, arrivals)):
@@ -298,8 +375,7 @@ class BoundedDriver:
                     )
                 # Degraded mode is path state, not a pump local: it rides
                 # the checkpoint, so a resumed pump is in it already.
-                if (config.degrade and clock.latched
-                        and not path.stats_collector.coarse):
+                if degrade_due():
                     path.stats_collector.coarse = True
                     path.filter.threshold = (
                         path.threshold * DEGRADE_THRESHOLD_FACTOR
@@ -311,13 +387,7 @@ class BoundedDriver:
                 if checkpointer is not None and not queue:
                     # A true barrier: the tick's drain was fully processed
                     # and offered, nothing is queued or in flight.
-                    checkpointer.maybe(
-                        path.consumed,
-                        lambda: path.snapshot(
-                            shed_state=ingest.policy.state_dict(),
-                            overload_state=tallies(),
-                        ),
-                    )
+                    checkpointer.maybe(path.consumed, barrier)
 
         return DriverReport(
             shard_stats=sharded.stats if sharded is not None else None,

@@ -32,6 +32,7 @@ checkpoint/resume works identically under every driver.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.filtering import (
@@ -292,6 +293,11 @@ class AlertPath:
             and not all(map(_valid_record, records))
         ):
             return self._replay_batch(records, outcome, admitted)
+        return self._process_valid(records, outcome, admitted)
+
+    def _process_valid(self, records, outcome, admitted) -> List[Alert]:
+        """:meth:`process_batch` past its admission check: every record
+        is valid (or the run is strict)."""
         if outcome is None:
             try:
                 matches = self.tagger.match_texts(full_texts(records))
@@ -318,15 +324,25 @@ class AlertPath:
         the alert, ``None``, or the tagger error's ``repr``) as a finished
         outcome.  For a caller that has not admitted them (a tenant
         worker: invalid-record letters belong in drain order) the verdicts
-        of invalid records are dropped, as the kernel's indexing wants."""
+        of invalid records are dropped, as the kernel's indexing wants.
+        Each record is checked once, here; the kernel is not asked
+        again."""
+        if not pairs:
+            return []
         records = [record for record, _ in pairs]
+        replay = False
         if not admitted and self.dead_letters is not None:
-            pairs = [pair for pair in pairs if _valid_record(pair[0])]
+            valid = list(map(_valid_record, records))
+            replay = not all(valid)
+            if replay:
+                pairs = list(compress(pairs, valid))
         marks = [(i, v) for i, (_, v) in enumerate(pairs) if v is not None]
         hits = tuple(m for m in marks if not isinstance(m[1], str))
         errors = tuple(m for m in marks if isinstance(m[1], str))
         outcome = BatchOutcome(len(pairs), hits, errors)
-        return self.process_batch(records, outcome, admitted=admitted)
+        if replay:
+            return self._replay_batch(records, outcome, admitted)
+        return self._process_valid(records, outcome, admitted)
 
     def _replay_batch(self, records, outcome, admitted) -> List[Alert]:
         """The batch as the per-record reference loop, with a worker

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Tuple, Union
 
 #: Shed-decision verbs shared with :mod:`repro.resilience.shedding`.
 #: Plain strings so policy objects stay duck-typed.
@@ -191,6 +191,14 @@ class BoundedQueue:
         if len(items) > self.peak_occupancy:
             self.peak_occupancy = len(items)
         return True
+
+    def extend(self, items: Iterable[Any]) -> None:
+        """Append every item of ``items``; the caller has counted that
+        they fit (the door's calm stretch, which ends at the high
+        watermark)."""
+        self._items.extend(items)
+        if len(self._items) > self.peak_occupancy:
+            self.peak_occupancy = len(self._items)
 
     def take(self, n: int) -> List[Any]:
         """Pop up to ``n`` oldest items as a list (a service-stage drain

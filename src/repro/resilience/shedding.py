@@ -25,16 +25,20 @@ accounted loss), and its keys are the ``--shed-policy`` choices of
 
 :class:`BoundedIngest` is the door itself — the bounded queue, its
 policy, and the one loop that puts each tagged arrival to the policy
-against the live queue depth.  The bounded driver owns one per run and
-tallies what it sheds and spills into the run's checkpoint; the ingest
-service owns one per tenant and counts the same into the tenant's
-counters.
+against the live queue depth.  Below the high watermark, at ``NORMAL``,
+every policy keeps everything, so the door takes that stretch of a run
+in one step and decides record by record only from the watermark on.
+The bounded driver owns one per run and tallies what it sheds and
+spills into the run's checkpoint; the ingest service owns one per
+tenant and counts the same into the tenant's counters.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .backpressure import KEEP, SHED, SPILL, SUSTAIN, BoundedQueue, PressureLevel
@@ -55,6 +59,13 @@ SHED_DECISIONS = {
     "chatter-only": ((KEEP, KEEP, KEEP), (SHED, KEEP, KEEP), (SHED, SPILL, SPILL)),
     "none":         ((KEEP, KEEP, KEEP), (KEEP, KEEP, KEEP), (SPILL, SPILL, SPILL)),
 }
+
+
+def marks(outcome: Any) -> List[Tuple[int, Any]]:
+    """A tag outcome's hits and errors as one list of ``(index,
+    verdict)`` pairs in index order: every record a shed class needs a
+    look at (any other is chatter)."""
+    return sorted(chain(outcome.hits, outcome.errors), key=itemgetter(0))
 
 
 class ShedPolicy:
@@ -129,6 +140,13 @@ class BoundedIngest:
     """The one door for overload: a bounded queue, the shed policy that
     guards it, and the loop that puts tagged arrivals to that policy.
 
+    A run that meets a ``NORMAL`` queue is admitted by the stretch: up
+    to the high watermark it is counted by class (only the tagger's hits
+    and errors are classified) and queued in one step; the records past
+    the watermark are decided one by one, as the pressure they meet
+    rises.  The bounded driver's fused pump counts a run it never queues
+    with the same :meth:`classes`.
+
     ``config`` is anything with ``max_buffer`` and ``shed_policy`` (a
     :data:`SHED_DECISIONS` key, or a :class:`ShedPolicy` to use as is):
     :class:`~repro.resilience.backpressure.BackpressureConfig` or
@@ -156,32 +174,74 @@ class BoundedIngest:
             self.policy.load_state_dict(shed_state)
         self.queue = BoundedQueue(name, config.max_buffer, sustain=SUSTAIN)
 
+    def classes(
+        self, records: Sequence[Any], marked: Sequence[Tuple[int, Any]]
+    ) -> Counter:
+        """The shed classes of ``records``, counted in first-occurrence
+        order.  ``marked`` is the run's :func:`marks`; every other record
+        is chatter.  Only the marked records are classified, so chatter
+        never touches the duplicate lookback, which moves exactly as a
+        per-record pass would move it."""
+        counts: Counter = Counter()
+        classify = self.policy.classify
+        chatter = len(records) - len(marked)
+        for seen, (at, verdict) in enumerate(marked):
+            if chatter and at > seen:  # record ``seen`` is the first chatter
+                counts[CLASS_CHATTER] = chatter
+                chatter = 0
+            counts[classify(records[at], verdict)] += 1
+        if chatter:
+            counts[CLASS_CHATTER] = chatter
+        return counts
+
     def offer(
         self,
         records: Sequence[Any],
         outcome: Any,
         floor: PressureLevel = PressureLevel.NORMAL,
-    ) -> Tuple[List[str], List[str], List[Tuple[Any, Any, str]]]:
-        """Put a tagged run of arrivals to the policy, one decision per
-        record against the live queue depth (never below ``floor``), and
-        queue what it keeps as ``(record, verdict)``.
+    ) -> Tuple[Counter, Counter, List[Tuple[Any, Any, str]]]:
+        """Put a tagged run of arrivals to the policy against the live
+        queue depth (never below ``floor``), and queue what it keeps as
+        ``(record, verdict)``.
+
+        Within one call the queue grows only by the run's own puts, so
+        the pressure is a step function of how many have been put.  When
+        it is ``NORMAL`` at the start depth and so is ``floor``, every
+        policy keeps every record up to the high watermark: that stretch
+        is counted by :meth:`classes` and queued in one ``extend``.  From
+        the high watermark on, each record is decided on its own against
+        the pressure its predecessors left.
 
         ``outcome`` is the run's tag outcome (``hits`` and ``errors`` as
-        ``(index, verdict)`` pairs).  Returns the class of every record
-        offered, the classes shed, and ``(record, verdict, class)`` for
-        each record refused — spilled by the policy, or kept by it with
-        the queue full — in arrival order, for the owner to dead-letter.
+        ``(index, verdict)`` pairs).  Returns the classes offered and the
+        classes shed, as counts in first-occurrence order, and ``(record,
+        verdict, class)`` for each record refused — spilled by the
+        policy, or kept by it with the queue full — in arrival order, for
+        the owner to dead-letter.
         """
+        queue = self.queue
+        marked = marks(outcome)
+        calm = 0
+        if records and max(queue.pressure(), floor) == PressureLevel.NORMAL:
+            calm = min(len(records), queue.high - len(queue))
+        split = sum(1 for at, _ in marked if at < calm)
+        offered = self.classes(records[:calm], marked[:split])
+        verdicts = [None] * calm
+        for at, verdict in marked[:split]:
+            verdicts[at] = verdict
+        queue.extend(zip(records[:calm], verdicts))
+
         decide = self.policy.decide
-        pressure, put = self.queue.pressure, self.queue.put
-        offered, shed, refused = [], [], []
-        found = dict(chain(outcome.hits, outcome.errors))
-        for item in zip(records, map(found.get, range(len(records)))):
-            record, verdict = item
+        pressure, put = queue.pressure, queue.put
+        shed: Counter = Counter()
+        refused = []
+        found = dict(marked[split:])
+        for at in range(calm, len(records)):
+            record, verdict = item = records[at], found.get(at)
             decision, klass = decide(record, max(pressure(), floor), verdict)
-            offered.append(klass)
+            offered[klass] += 1
             if decision == SHED:
-                shed.append(klass)
+                shed[klass] += 1
             elif decision == SPILL or not put(item):
                 refused.append((record, verdict, klass))
         return offered, shed, refused

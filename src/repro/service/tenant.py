@@ -354,7 +354,7 @@ class Tenant:
             else PressureLevel.NORMAL
         )
         _offered, shed, refused = self.ingest.offer(records, outcome, floor)
-        for klass in shed:
+        for klass in shed.elements():
             self.counters.count_shed(klass)
         for record, verdict, klass in refused:
             self._refuse(record, REASON_SHED_OVERLOAD, verdict, klass)

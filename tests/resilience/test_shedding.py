@@ -1,7 +1,13 @@
 """Unit tests for the shed decision table and the door."""
 
-import pytest
+from collections import Counter
+from itertools import chain
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.categories import Alert
 from repro.core.rules import get_ruleset
 from repro.core.tagging import BatchOutcome, Tagger
 from repro.logio.reader import read_log
@@ -50,6 +56,12 @@ def make_alert_record(tagger):
 
             return factory
     raise AssertionError("no liberty category matches its own body")
+
+
+def in_order(classes):
+    """Counts by class, in first-occurrence order: what the door returns
+    for the classes it offered and shed."""
+    return list(Counter(classes).items())
 
 
 def _record(t, body):
@@ -108,8 +120,9 @@ def test_told_the_verdict_equals_matching_it(policy_name, level, system):
     offered, shed, refused = told.offer(
         records, system_tagger.tag_batch(records), floor=level
     )
-    assert offered == [klass for _, _, klass in decisions]
-    assert shed == [klass for _, verb, klass in decisions if verb == SHED]
+    assert in_order(offered) == in_order(klass for _, _, klass in decisions)
+    assert in_order(shed) \
+        == in_order(klass for _, verb, klass in decisions if verb == SHED)
     assert [(r, klass) for r, _, klass in refused] \
         == [(r, klass) for r, verb, klass in decisions if verb == SPILL]
     assert [r for r, _ in told.queue.take(len(records))] \
@@ -290,8 +303,8 @@ class TestBoundedIngest:
         offered, shed, refused = door.offer(
             records, outcome, floor=PressureLevel.CRITICAL
         )
-        assert offered == [CLASS_CHATTER, CLASS_ALERT] * 4
-        assert shed == [CLASS_CHATTER] * 4
+        assert in_order(offered) == [(CLASS_CHATTER, 4), (CLASS_ALERT, 4)]
+        assert in_order(shed) == [(CLASS_CHATTER, 4)]
         assert [r for r, _, _ in refused] == records[1::2]
         assert [v for _, v, _ in refused] == [a for _, a in outcome.hits]
         assert {k for _, _, k in refused} == {CLASS_ALERT}
@@ -304,7 +317,7 @@ class TestBoundedIngest:
         door = _door(max_buffer=4, shed_policy="none")
         records = [_record(float(i), "chatter") for i in range(6)]
         offered, shed, refused = door.offer(records, tagger.tag_batch(records))
-        assert (len(offered), shed) == (6, [])
+        assert (offered, shed) == ({CLASS_CHATTER: 6}, {})
         assert [r for r, _ in door.queue.take(6)] == records[:4]
         assert [(r, v, k) for r, v, k in refused] \
             == [(r, None, CLASS_CHATTER) for r in records[4:]]
@@ -319,12 +332,12 @@ class TestBoundedIngest:
         door = _door()
         records = [_record(0.0, "chatter")]
         assert door.offer(records, tagger.tag_batch(records)) \
-            == ([CLASS_CHATTER], [], [])
+            == ({CLASS_CHATTER: 1}, {}, [])
         assert len(door.queue) == 1
         door.queue.take(1)
         assert door.offer(
             records, tagger.tag_batch(records), floor=PressureLevel.CRITICAL
-        ) == ([CLASS_CHATTER], [CLASS_CHATTER], [])
+        ) == ({CLASS_CHATTER: 1}, {CLASS_CHATTER: 1}, [])
         assert not door.queue
 
     @pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
@@ -335,8 +348,7 @@ class TestBoundedIngest:
         for floor in PressureLevel:
             door = _door(shed_policy=policy_name)
             offered, shed, refused = door.offer(records, outcome, floor=floor)
-            assert offered == [CLASS_ALERT] * 3
-            assert shed == []
+            assert (offered, shed) == ({CLASS_ALERT: 3}, {})
             queued = door.queue.take(3)
             assert queued + [(r, v) for r, v, _ in refused] \
                 == [(r, error) for r in records]
@@ -354,8 +366,8 @@ class TestBoundedIngest:
         repeat = [make_alert_record(2.0)]
         outcome = tagger.tag_batch(repeat)
         assert rebuilt.offer(repeat, outcome) == first.offer(repeat, outcome) \
-            == ([CLASS_DUPLICATE], [], [])
-        assert fresh.offer(repeat, outcome) == ([CLASS_ALERT], [], [])
+            == ({CLASS_DUPLICATE: 1}, {}, [])
+        assert fresh.offer(repeat, outcome) == ({CLASS_ALERT: 1}, {}, [])
         assert rebuilt.policy.state_dict() == first.policy.state_dict()
 
     @pytest.mark.parametrize("policy_name", sorted(SHED_DECISIONS))
@@ -366,3 +378,84 @@ class TestBoundedIngest:
             policy.decide(_record(0.0, "x"), PressureLevel.CRITICAL)
         with pytest.raises(TypeError):
             policy.classify(_record(0.0, "x"))
+
+
+def per_record_offer(door, records, outcome, floor=PressureLevel.NORMAL):
+    """The door's loop before it took a calm stretch in one step: one
+    decision per record against the live depth, classes as lists.  The
+    reference the segmented :meth:`BoundedIngest.offer` must match."""
+    decide = door.policy.decide
+    pressure, put = door.queue.pressure, door.queue.put
+    offered, shed, refused = [], [], []
+    found = dict(chain(outcome.hits, outcome.errors))
+    for item in zip(records, map(found.get, range(len(records)))):
+        record, verdict = item
+        decision, klass = decide(record, max(pressure(), floor), verdict)
+        offered.append(klass)
+        if decision == SHED:
+            shed.append(klass)
+        elif decision == SPILL or not put(item):
+            refused.append((record, verdict, klass))
+    return offered, shed, refused
+
+
+#: One arrival: what the tagger said (``None`` chatter, an alert of one
+#: of three categories, or an error) and how far its clock moves.
+arrivals = st.lists(
+    st.tuples(
+        st.sampled_from([None, 0, 1, 2, "error"]),
+        st.sampled_from([0.0, 0.5, 2.0, 7.0, -1.0]),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    capacity=st.integers(1, 40),
+    depth=st.integers(0, 45),
+    elevated=st.booleans(),
+    floor=st.sampled_from(list(PressureLevel)),
+    policy_name=st.sampled_from(sorted(SHED_DECISIONS)),
+    warm=st.booleans(),
+    run=arrivals,
+)
+def test_segmented_offer_equals_the_per_record_loop(
+    tagger, capacity, depth, elevated, floor, policy_name, warm, run
+):
+    """Whatever depth, hysteresis, floor, policy and verdict mix a run
+    meets, taking its calm stretch in one step decides exactly what
+    deciding each record does: the same counts in the same order, the
+    same refusals, queue, clock, ledger and duplicate lookback."""
+    categories = list(tagger.ruleset)[:3]
+    records, hits, errors, t = [], [], [], 100.0
+    for at, (verdict, step) in enumerate(run):
+        t += step
+        record = _record(t, f"line {at}")
+        records.append(record)
+        if verdict == "error":
+            errors.append((at, repr(RuntimeError("regex engine fell over"))))
+        elif verdict is not None:
+            hits.append((at, Alert.from_record(record, categories[verdict])))
+    outcome = BatchOutcome(len(records), tuple(hits), tuple(errors))
+    state = {categories[0].name: 99.0} if warm else None
+    doors = []
+    for _ in range(2):
+        door = _door(capacity, policy_name, shed_state=state)
+        for n in range(min(depth, capacity)):
+            door.queue.put(("queued", n))
+        door.queue.clock.elevated = elevated
+        doors.append(door)
+    segmented, reference = doors
+
+    offered, shed, refused = segmented.offer(records, outcome, floor)
+    want_offered, want_shed, want_refused = per_record_offer(
+        reference, records, outcome, floor
+    )
+    assert list(offered.items()) == in_order(want_offered)
+    assert list(shed.items()) == in_order(want_shed)
+    assert refused == want_refused
+    assert segmented.queue.state_dict() == reference.queue.state_dict()
+    assert segmented.queue.clock.elevated == reference.queue.clock.elevated
+    assert segmented.queue.take(100) == reference.queue.take(100)
+    assert segmented.policy.state_dict() == reference.policy.state_dict()

@@ -163,3 +163,35 @@ def test_one_match_per_received_line(golden_records, system):  # noqa: F811
     assert router.lines_seen == tenant.counters.received == len(wire)
     assert tenant.counters.processed == len(wire)
     assert tenant.path.tagger.texts_matched == len(wire)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_each_served_record_is_checked_once(
+    golden_records, system, monkeypatch  # noqa: F811
+):
+    """The drain checks each record's structure once and hands the
+    kernel the verdict; the kernel does not check the same records
+    again."""
+    import repro.engine.path as engine_path
+
+    checked = []
+    check = engine_path._valid_record
+
+    def counting(record):
+        checked.append(record)
+        return check(record)
+
+    monkeypatch.setattr(engine_path, "_valid_record", counting)
+    records = golden_records[system]
+
+    async def main():
+        tenant = Tenant("t", system, roomy_config())
+        tenant.start()
+        for run in partitions(records, random.Random(3)):
+            tenant.offer_batch(run)
+        await tenant.drain()
+        return tenant
+
+    tenant = asyncio.run(main())
+    assert tenant.counters.processed == len(records)
+    assert len(checked) == len(records)
