@@ -86,7 +86,9 @@ def run_stream(
 
     Single pass: volume statistics, severity cross-tab, tagging, and
     filtering all happen as the stream flows through, so an arbitrarily
-    large log needs constant memory beyond the alert lists.
+    large log needs constant memory beyond the alert lists — checkpoints
+    included, since a checkpoint holds those lists by reference, never a
+    copy.
 
     With ``store_dir``, the alert lists go away too: every ruled-on
     alert spills to a columnar store under that directory (see
@@ -132,11 +134,16 @@ def run_stream(
     configuration fingerprint) by an interrupted run, it is adopted as
     ``resume_from`` and the re-presented stream's consumed prefix is
     skipped — so a SIGKILLed run re-invoked with the same arguments
-    completes byte-identical to one that was never interrupted.
-    Storage failures (ENOSPC, EIO, bit-rot) degrade rather than crash:
-    the run continues in-memory and
-    ``result.checkpoints.store.status`` carries the exact unpersisted
-    accounting.
+    completes byte-identical to one that was never interrupted.  A
+    checkpoint on disk is a ``seq`` plus a log: the generation carries
+    the watermark, and the alerts are in ``store_dir``'s store or,
+    without one, in ``state_dir/alerts.log``, a copy each save extends
+    by the alerts since the last, so a save's cost does not grow with
+    the run.  Storage failures (ENOSPC, EIO, bit-rot)
+    degrade rather than crash: the run continues in-memory (the result's
+    alert lists stay in memory; a failed copy write is a failed save)
+    and ``result.checkpoints.store.status`` carries the exact
+    unpersisted accounting.
 
     With ``predict`` (``True`` for defaults, or a
     :class:`~repro.streaming.PredictionConfig`), a streaming correlation

@@ -130,8 +130,6 @@ class AlertPath:
             self.filter = resume_from.restore_filter()
             self.report = resume_from.restore_report()
             self.severity_tab = resume_from.restore_severity()
-            raw = list(resume_from.raw_alerts)
-            filtered = list(resume_from.filtered_alerts)
             self.corrupted = resume_from.corrupted_messages
             self.consumed = resume_from.records_consumed
             if dead_letters is not None:
@@ -150,35 +148,19 @@ class AlertPath:
             )
             self.report = FilterReport(threshold=threshold)
             self.severity_tab = SeverityCrossTab()
-            raw = []
-            filtered = []
             self.corrupted = 0
             self.consumed = 0
             self.resumed_shed_state = None
             self.resumed_overload = None
+        #: The run's alert log: the store, else the in-memory lists.
         if store_writer is not None:
             from ..store.sink import ColumnarSink
 
-            resume_seq = 0
-            if resume_from is not None:
-                if resume_from.store_state is None:
-                    raise ValueError(
-                        "checkpoint was taken without a columnar store; "
-                        "resume it without store_dir"
-                    )
-                resume_seq = resume_from.store_state["seq"]
-            store_writer.begin(resume_seq)
-            self.sink = ColumnarSink(self.report, store_writer)
+            self.log = ColumnarSink(self.report, store_writer)
         else:
-            if (
-                resume_from is not None
-                and resume_from.store_state is not None
-            ):
-                raise ValueError(
-                    "checkpoint was taken with a columnar store; "
-                    "resume it with the same store_dir"
-                )
-            self.sink = AlertListSink(self.report, raw, filtered)
+            self.log = AlertListSink(self.report, [], [])
+        self.log.begin(resume_from)
+        self.sink = self.log
         if prediction is not None:
             self.sink = ObservingSink(self.sink, prediction.observe_batch)
 
@@ -388,19 +370,10 @@ class AlertPath:
         driver trivially always is; batch/queue drivers call it at their
         barriers.
 
-        A store-backed path commits the writer here, so every checkpoint
-        is also a store commit barrier: the checkpoint's ``store_state``
-        watermark never lands inside a committed page, which is what
-        makes resume truncation page-granular.  The alert tuples travel
-        empty in that mode — the column files are the durable copy."""
-        if self.store_writer is not None:
-            store_state = {"seq": self.store_writer.commit()}
-            raw_alerts: tuple = ()
-            filtered_alerts: tuple = ()
-        else:
-            store_state = None
-            raw_alerts = tuple(self.sink.raw_alerts)
-            filtered_alerts = tuple(self.sink.filtered_alerts)
+        The checkpoint holds no alerts: it commits the run's alert log
+        and carries the log's watermark, plus the in-memory lists by
+        reference.  A store commits here, so its watermark never lands
+        inside a page and resume truncation is page-granular."""
         return PipelineCheckpoint(
             system=self.system,
             threshold=self.threshold,
@@ -409,8 +382,6 @@ class AlertPath:
             filter_state=self.filter.state_dict(),
             report=copy_report(self.report),
             severity=copy_severity(self.severity_tab),
-            raw_alerts=raw_alerts,
-            filtered_alerts=filtered_alerts,
             corrupted_messages=self.corrupted,
             dead_letters=(
                 self.dead_letters.snapshot() if self.dead_letters else None
@@ -422,7 +393,8 @@ class AlertPath:
                 if self.prediction is not None
                 else None
             ),
-            store_state=store_state,
+            store_state=self.log.commit(),
+            alert_log=self.log.lists,
         )
 
     # -- finishing ---------------------------------------------------------
@@ -440,8 +412,8 @@ class AlertPath:
         return PipelineResult(
             system=self.system,
             stats=self.stats_collector.finish(),
-            raw_alerts=self.sink.raw_alerts,
-            filtered_alerts=self.sink.filtered_alerts,
+            raw_alerts=self.log.raw_alerts,
+            filtered_alerts=self.log.filtered_alerts,
             filter_report=self.report,
             severity_tab=self.severity_tab,
             corrupted_messages=self.corrupted,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import (
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -63,10 +64,12 @@ class Sink(Protocol):
 
 
 class AlertListSink:
-    """The default sink: raw/filtered alert lists plus the Table 4 report.
+    """The default sink and in-memory alert log: raw/filtered alert
+    lists plus the Table 4 report.
 
-    Resume support: a restored run hands in the lists recovered from the
-    checkpoint and the sink keeps appending to them in place.
+    The lists only ever grow, so a checkpoint holds them by reference
+    (:attr:`lists`) plus their two lengths (:meth:`commit`), and a
+    resume copies those prefixes once (:meth:`begin`).
     """
 
     def __init__(
@@ -78,6 +81,29 @@ class AlertListSink:
         self.report = report
         self.raw_alerts = raw_alerts
         self.filtered_alerts = filtered_alerts
+
+    @property
+    def lists(self) -> Tuple[List[Alert], List[Alert]]:
+        return self.raw_alerts, self.filtered_alerts
+
+    def begin(self, checkpoint) -> None:
+        """Resume at ``checkpoint``'s watermark: the prefixes of the
+        lists it holds (none, or a tenant's: empty)."""
+        if checkpoint is None:
+            return
+        seq, kept = checkpoint.watermark(store=False)
+        if checkpoint.alert_log is not None:
+            raw, filtered = checkpoint.alert_log
+            self.raw_alerts, self.filtered_alerts = raw[:seq], filtered[:kept]
+        elif seq:
+            raise ValueError(
+                "checkpoint holds a watermark, not its alerts: resume it "
+                "with the state_dir it was saved to"
+            )
+
+    def commit(self) -> Dict[str, int]:
+        """The watermark: both lists' lengths."""
+        return {"seq": len(self.raw_alerts), "kept": len(self.filtered_alerts)}
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
         raw_append = self.raw_alerts.append

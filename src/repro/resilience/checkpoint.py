@@ -13,14 +13,15 @@ contaminates it.  ``api.run_stream(..., checkpointer=...,
 resume_from=...)`` does the wiring, and is the only resume path:
 :func:`~repro.resilience.supervisor.supervise` restarts a crashed run by
 passing its manager's ``latest`` back in, and ``state_dir`` resumes load
-the same snapshot from disk.
+the same snapshot from disk, its alerts read back from the state dir's
+:class:`~repro.resilience.durability.AlertCopy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.severity_eval import SeverityCrossTab
 from ..core.categories import Alert
@@ -51,6 +52,12 @@ class PipelineCheckpoint:
     ``records_consumed`` counts records pulled from the *input* stream
     (including any that were quarantined), which is exactly how many to
     skip when the deterministic stream is re-presented.
+
+    A checkpoint is a watermark, not a history: it holds no alerts, only
+    ``store_state``, the ``seq`` its run's alert log had reached.  The
+    log holds the alerts: the columnar store of a ``store_dir`` run, a
+    ``state_dir``'s ``alerts.log``, or in memory the run's append-only
+    alert lists, which ``alert_log`` references.
     """
 
     system: str
@@ -60,8 +67,6 @@ class PipelineCheckpoint:
     filter_state: Dict[str, Any]
     report: FilterReport
     severity: SeverityCrossTab
-    raw_alerts: Tuple[Alert, ...]
-    filtered_alerts: Tuple[Alert, ...]
     corrupted_messages: int
     dead_letters: Optional[DeadLetterSnapshot] = None
     #: The shed policy's duplicate-lookback state (category -> last seen
@@ -85,13 +90,43 @@ class PipelineCheckpoint:
     #: the run had ``predict=`` enabled — see
     #: :meth:`repro.streaming.stage.PredictionStage.state_dict`.
     prediction_state: Optional[Dict[str, Any]] = None
-    #: Columnar-store watermark when the run spilled alerts to disk
-    #: (``run_stream(store_dir=...)``): ``{"seq": n}`` means every alert
-    #: with sequence < n was durably committed at this barrier, and the
-    #: alert tuples above travel empty — the column files are the
-    #: durable copy.  Resume truncates the store back to this watermark
-    #: before the re-presented stream re-emits the suffix.
+    #: The alert log's watermark: the first ``seq`` alerts the run
+    #: emitted are in its log.  A columnar store's (``store_dir``) is
+    #: ``{"seq": n}``, and resume truncates the store back to it before
+    #: the re-presented stream re-emits the suffix.  Alert lists' is
+    #: ``{"seq": n, "kept": m}``, their two lengths; resume copies those
+    #: prefixes.  ``None`` only in state written before watermarks.
     store_state: Optional[Dict[str, Any]] = None
+    #: The in-memory log: the ``(raw, filtered)`` lists themselves, which
+    #: only ever grow, so holding them costs no copy.  Never on disk
+    #: (:meth:`__getstate__` drops it); a state dir's ``AlertCopy`` puts
+    #: the lists it reads back here on load.
+    alert_log: Optional[Tuple[List[Alert], List[Alert]]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != "alert_log"}
+
+    @property
+    def in_store(self) -> bool:
+        """Whether the run's alert log is a columnar store, not its
+        alert lists (in memory or a state dir's copy)."""
+        return self.store_state is not None and "kept" not in self.store_state
+
+    def watermark(self, store: bool) -> Tuple[int, int]:
+        """``(seq, kept)``: how far the run's alert log had reached
+        (``kept`` is 0 for a store).  ``ValueError`` when a run whose
+        log is a store (``store``) or not resumes the other kind."""
+        if self.in_store != store:
+            raise ValueError(
+                "checkpoint was taken with a columnar store; resume it "
+                "with the same store_dir" if self.in_store else
+                "checkpoint was taken without a columnar store; resume it "
+                "without store_dir"
+            )
+        mark = self.store_state or {}
+        return mark.get("seq", 0), mark.get("kept", 0)
 
     def restore_stats(self) -> StatsCollector:
         """A live stats collector continuing from the snapshot."""

@@ -50,11 +50,16 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass, field
+from dataclasses import replace as dc_replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..core.categories import Alert
+from ..logmodel.record import LogRecord
 from . import wire
+from .checkpoint import PipelineCheckpoint
 
 __all__ = [
+    "AlertCopy",
     "CheckpointStore",
     "DurabilityStatus",
     "RealFilesystem",
@@ -463,6 +468,108 @@ class SegmentedWal:
         self._next_segment = 0
 
 
+# -- the state dir's alert copy ---------------------------------------------
+
+
+class AlertCopy:
+    """A state dir's copy of its run's alert lists, so that a generation
+    on disk is a watermark, not a history.
+
+    ``alerts.log`` is framed like the journal: a frame naming the run's
+    token, then one frame per save, ``(seq, kept, rows, kept_at)``: the
+    alerts the lists gained past lengths ``seq`` and ``kept``, as plain
+    tuples (which pickle several times faster than the named ones), and
+    the new filtered alerts as indices into those rows.
+    :meth:`write` fsyncs the frame before the generation naming the new
+    lengths is written, and :meth:`attach` reads the lists back on load.
+    A copy ahead of the generation loaded (a save died between the two)
+    needs no repair: the next frame starts at the loaded lengths, and a
+    replay cuts the lists back to where each frame starts."""
+
+    NAME = "alerts.log"
+
+    def __init__(self, directory: str, token: str, fs: RealFilesystem):
+        self.path = os.path.join(directory, self.NAME)
+        self.token = token
+        self.fs = fs
+        #: The list lengths the copy holds, and its trusted byte length
+        #: (``None``: the next write starts the file over).
+        self.mark: Tuple[int, int] = (0, 0)
+        self.end: Optional[int] = None
+
+    def attach(self, checkpoint: Any) -> Any:
+        """A loaded checkpoint with its alert lists attached from the
+        copy; :class:`~repro.resilience.wire.WireError` (or ``OSError``)
+        when the copy cannot serve its watermark."""
+        if not isinstance(checkpoint, PipelineCheckpoint) or \
+                checkpoint.in_store:
+            return checkpoint
+        if checkpoint.store_state is None:  # older state, alerts and all
+            raw, filtered = (list(vars(checkpoint).get(name, ()))
+                             for name in ("raw_alerts", "filtered_alerts"))
+            self.mark, self.end = (0, 0), None
+            return dc_replace(
+                checkpoint, alert_log=(raw, filtered),
+                store_state={"seq": len(raw), "kept": len(filtered)},
+            )
+        seq, kept = checkpoint.watermark(store=False)
+        data = self.fs.read_bytes(self.path)
+        wire.check_header(data, wire.WAL_MAGIC)
+        # Bytes past ``end`` (a torn tail) go at the next write.
+        payloads, end, _error = wire.scan_frames(data)
+        if not payloads or wire.loads(payloads[0], str) != self.token:
+            raise wire.WireError("alert copy belongs to another run")
+        raw: List[Any] = []
+        filtered: List[Any] = []
+        for payload in payloads[1:]:
+            if len(raw) >= seq:
+                break
+            try:
+                at, at_kept, rows, kept_at = wire.loads(payload, tuple)
+                new = [Alert(*row[:4], LogRecord(*row[4])) for row in rows]
+                new_kept = [new[i] for i in kept_at]
+            except Exception as exc:  # a damaged frame raises many types
+                raise wire.WireError(f"alert copy frame: {exc!r}") from exc
+            if at > len(raw) or at_kept > len(filtered):
+                raise wire.WireError(f"alert copy skips from {len(raw)} "
+                                     f"to {at}")
+            raw[at:], filtered[at_kept:] = new, new_kept
+        if len(raw) < seq or len(filtered) < kept:
+            raise wire.WireError(f"alert copy holds {len(raw)} of the "
+                                 f"{seq} alerts its checkpoint names")
+        del raw[seq:], filtered[kept:]
+        self.mark, self.end = (seq, kept), end
+        return dc_replace(checkpoint, alert_log=(raw, filtered))
+
+    def write(self, checkpoint: PipelineCheckpoint) -> None:
+        """Append, fsynced, the alerts ``checkpoint`` names that the
+        copy lacks; ``OSError`` when the disk refuses them."""
+        raw, filtered = checkpoint.alert_log
+        seq, kept = checkpoint.watermark(store=False)
+        new = raw[self.mark[0]:seq]
+        # A filtered alert is the very object its raw entry is.
+        index = {id(alert): i for i, alert in enumerate(new)}
+        frame = wire.dumps((
+            *self.mark, [(*alert[:4], tuple(alert.record)) for alert in new],
+            [index[id(alert)] for alert in filtered[self.mark[1]:kept]],
+        ))
+        if self.end is None:
+            head = wire.file_header(wire.WAL_MAGIC) + wire.dumps(self.token)
+            self.fs.write_bytes(self.path, head + frame)
+            self.fs.fsync_dir(os.path.dirname(self.path))  # its name
+            self.end = len(head)
+        else:
+            # From the trusted length: a failed append's torn bytes go.
+            self.fs.truncate(self.path, self.end)
+            handle = self.fs.open_append(self.path)
+            try:
+                handle.write(frame)
+                handle.sync()
+            finally:
+                handle.close()
+        self.mark, self.end = (seq, kept), self.end + len(frame)
+
+
 # -- the checkpoint store ----------------------------------------------------
 
 
@@ -475,6 +582,7 @@ class CheckpointStore:
         gen-00000007.ckpt   -> {"meta": ..., "checkpoint": payload}
         gen-00000006.ckpt   -> previous generation (fallback)
         gen-00000005.ckpt.corrupt   -> quarantined by a failed load
+        alerts.log          -> the alert copy the generations' seqs name
 
     :meth:`save` writes the new generation to a dot-prefixed temp file,
     fsyncs, ``os.replace``\\ s it into place, then updates MANIFEST the
@@ -489,6 +597,9 @@ class CheckpointStore:
     codec carries; :meth:`load` names the type it expects (a
     ``PipelineCheckpoint`` for a batch run, a ``ParkedTenant`` for the
     service) and quarantines a generation that holds anything else.
+    A pipeline checkpoint's in-memory alert lists go to the
+    :class:`AlertCopy` in ``alerts.log``; a generation its copy cannot
+    serve is quarantined on load.
     """
 
     MANIFEST = "MANIFEST"
@@ -511,6 +622,7 @@ class CheckpointStore:
         self.status = status if status is not None else DurabilityStatus()
         self.generation = self._newest_generation()
         self.saved = 0
+        self.alert_copy = AlertCopy(self.directory, token, self.fs)
 
     # -- naming ------------------------------------------------------------
 
@@ -556,6 +668,8 @@ class CheckpointStore:
             return False
         try:
             self.fs.ensure_dir(self.directory)
+            if getattr(payload, "alert_log", None) is not None:
+                self.alert_copy.write(payload)  # what the generation names
             self.fs.atomic_write(
                 os.path.join(self.directory, self._generation_name(generation)),
                 blob,
@@ -582,23 +696,26 @@ class CheckpointStore:
         )
 
     def _prune(self, keep: int) -> None:
-        """Remove all but the newest ``keep`` generations."""
+        """Remove all but the newest ``keep`` generations (none: and the
+        alert copy)."""
         found = self._generations_on_disk()
-        for generation in found[:len(found) - keep]:
-            path = os.path.join(
-                self.directory, self._generation_name(generation)
-            )
+        doomed = [
+            os.path.join(self.directory, self._generation_name(generation))
+            for generation in found[:len(found) - keep]
+        ]
+        if not keep and self.fs.exists(self.alert_copy.path):
+            doomed.append(self.alert_copy.path)
+        for path in doomed:
             try:
                 self.fs.remove(path)
             except OSError as exc:
-                self.status.note(
-                    f"could not prune generation {generation}: {exc!r}"
-                )
+                self.status.note(f"could not prune {path}: {exc!r}")
 
     def mark_complete(self) -> bool:
         """Record that the run this state belongs to finished cleanly;
         the next :meth:`load` reports nothing to resume and removes this
-        run's generations (until then they stay readable)."""
+        run's generations and alert copy (until then they stay
+        readable)."""
         try:
             self.fs.ensure_dir(self.directory)
             self._write_manifest(self.generation, complete=True)
@@ -631,6 +748,8 @@ class CheckpointStore:
         and the previous generation is tried: exactly the fallback the
         manifest's ``keep`` window exists for.
         """
+        # What the copy holds is known again once a generation is loaded.
+        self.alert_copy = AlertCopy(self.directory, self.token, self.fs)
         manifest = self._read_manifest()
         if manifest is not None and manifest.get("token") != self.token:
             self.status.note(
@@ -655,6 +774,8 @@ class CheckpointStore:
                     ),
                     expect,
                 )
+                if meta.get("token") == self.token:
+                    payload = self.alert_copy.attach(payload)
             except (OSError, wire.WireError) as exc:
                 self._quarantine(name, exc)
                 continue

@@ -21,7 +21,7 @@ reported.  This module persists each tenant's resumable state under
 
 Recovery composes the two: load the newest verifiable bundle, then
 replay the journal's tail on top of it.  Alert and letter entries
-re-enter the alert tails and the dead-letter snapshot; entries *after*
+re-enter the alert tail and the dead-letter snapshot; entries *after*
 the last counters entry additionally top up the counters (an alert
 entry implies one received+processed record, a refusal-reason letter
 one received+refused record), so the restored tenant still satisfies
@@ -233,6 +233,11 @@ class TenantPersistence:
         the journal tail replayed on top (see module docstring), or
         ``None`` when this tenant left no durable trace."""
         bundle = self.store.load(ParkedTenant)
+        if bundle is not None and "tail" not in vars(bundle):
+            # Written while the tail rode the checkpoint.
+            bundle = dc_replace(bundle, tail=tuple(
+                vars(bundle.checkpoint).get("raw_alerts", ())
+            ))
         entries = list(self.wal.replay())
         cut = 0
         marker_generation: Optional[int] = None
@@ -297,8 +302,7 @@ class TenantPersistence:
     ) -> ParkedTenant:
         checkpoint = bundle.checkpoint
         counters = bundle.counters
-        raw = list(checkpoint.raw_alerts)
-        filtered = list(checkpoint.filtered_alerts)
+        tail = list(bundle.tail)
         letters = DeadLetterQueue(
             capacity=max(
                 self.config.dead_letter_capacity,
@@ -319,9 +323,7 @@ class TenantPersistence:
             top_up = index > last_counters
             if kind == "alert":
                 alert, kept = obj
-                raw.append(alert)
-                if kept:
-                    filtered.append(alert)
+                tail.append(alert)
                 if top_up:
                     counters.received += 1
                     counters.processed += 1
@@ -342,19 +344,13 @@ class TenantPersistence:
             # "counters" was consumed above; unknown kinds are skipped
             # (a newer writer's entries must not break an older reader).
 
-        tail = self.config.alert_tail
         dead_letters = letters.snapshot()
-        checkpoint = dc_replace(
-            checkpoint,
-            raw_alerts=tuple(raw[-tail:]),
-            filtered_alerts=tuple(filtered[-tail:]),
-            dead_letters=dead_letters,
-        )
         return dc_replace(
             bundle,
-            checkpoint=checkpoint,
+            checkpoint=dc_replace(checkpoint, dead_letters=dead_letters),
             counters=counters,
             dead_letters=dead_letters,
+            tail=tuple(tail[-self.config.alert_tail:]),
         )
 
 

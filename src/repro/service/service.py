@@ -225,7 +225,7 @@ class IngestService:
             return tenant.alert_tail
         parked = self.router.parked.get(tenant_id)
         if parked is not None:
-            return parked.checkpoint.raw_alerts
+            return parked.tail
         return None
 
     def final_report(self) -> Dict[str, dict]:

@@ -71,27 +71,26 @@ class ServiceAlertSink:
     """Bounded-retention alert sink with monotonic journal counts.
 
     The batch pipeline keeps every alert in memory because a run ends; a
-    service must not.  This sink keeps the newest ``tail`` alerts for the
-    live ``alerts`` endpoint and counts *every* emit in the tenant's
+    service must not.  This sink appends each alert to the tenant's
+    ``tail`` (a deque of the newest ``alert_tail`` alerts, for the live
+    ``alerts`` endpoint) and counts *every* emit in the tenant's
     :class:`TenantCounters` — the counts are the conservation authority
     and survive crash-restores of path state (a restart can never
-    un-report an alert).  ``raw_alerts``/``filtered_alerts`` satisfy the
-    sink shape :meth:`AlertPath.snapshot` expects.
+    un-report an alert).  The path's own alert log stays empty, so a
+    tenant checkpoint names ``seq`` 0 and holds no alerts; the tail
+    rides :class:`ParkedTenant`.
     """
 
     def __init__(
         self,
         report: FilterReport,
         counters: TenantCounters,
-        tail: int,
-        raw_seed: Tuple[Alert, ...] = (),
-        filtered_seed: Tuple[Alert, ...] = (),
+        tail: Deque[Alert],
         journal: Optional[Callable[[str, Any], Any]] = None,
     ):
         self.report = report
         self.counters = counters
-        self.raw_alerts: Deque[Alert] = deque(raw_seed, maxlen=tail)
-        self.filtered_alerts: Deque[Alert] = deque(filtered_seed, maxlen=tail)
+        self.tail = tail
         #: Optional write-ahead journal hook (``journal(kind, obj)``):
         #: with a ``--state-dir``, every emit is journaled before it is
         #: counted so a crash can never un-report an alert.
@@ -99,19 +98,17 @@ class ServiceAlertSink:
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
         counters = self.counters
-        raw_append = self.raw_alerts.append
-        kept_append = self.filtered_alerts.append
+        append = self.tail.append
         record = self.report.record
         journal = self.journal
         for alert, kept in pairs:
             if journal is not None:
                 journal("alert", (alert, kept))
             counters.alerts_raw += 1
-            raw_append(alert)
+            append(alert)
             record(alert, kept)
             if kept:
                 counters.alerts_filtered += 1
-                kept_append(alert)
 
 
 @dataclass
@@ -124,6 +121,8 @@ class ParkedTenant:
     counters: TenantCounters
     dead_letters: DeadLetterSnapshot
     parked_at: float
+    #: The newest ``alert_tail`` alerts (the ``alerts`` endpoint's).
+    tail: Tuple[Alert, ...] = ()
 
 
 class Tenant:
@@ -157,6 +156,9 @@ class Tenant:
         checkpoint = parked.checkpoint if parked is not None else None
         self.counters = parked.counters if parked is not None else (
             TenantCounters()
+        )
+        self.tail: Deque[Alert] = deque(
+            parked.tail if parked is not None else (), maxlen=config.alert_tail
         )
         #: Per-tenant columnar alert store (``config.store_dir``): the
         #: alert flow is teed into it and committed at the same barriers
@@ -198,10 +200,7 @@ class Tenant:
             iter(self._lines.popleft, None), DIALECTS[system].parse,
             config.year if last is None else time.gmtime(last).tm_year, last,
         )
-        self._install_sink(
-            raw_seed=tuple(self.path.sink.raw_alerts),
-            filtered_seed=tuple(self.path.sink.filtered_alerts),
-        )
+        self._install_sink()
 
         #: The door (shared with the bounded driver); its queue and
         #: policy are this tenant's to drain and to checkpoint.
@@ -255,7 +254,7 @@ class Tenant:
             prediction=self._prediction_stage(),
         )
 
-    def _install_sink(self, raw_seed=(), filtered_seed=()) -> None:
+    def _install_sink(self) -> None:
         # A restored path carries its checkpoint's stats mode; in the
         # service that mode is the governor's call, as of now.
         self.path.stats_collector.coarse = (
@@ -264,9 +263,7 @@ class Tenant:
         self._sink = ServiceAlertSink(
             self.path.report,
             self.counters,
-            self.config.alert_tail,
-            raw_seed=raw_seed,
-            filtered_seed=filtered_seed,
+            self.tail,
             journal=(
                 self._persist.journal if self._persist is not None else None
             ),
@@ -308,7 +305,7 @@ class Tenant:
 
     @property
     def alert_tail(self) -> Tuple[Alert, ...]:
-        return tuple(self._sink.raw_alerts)
+        return tuple(self.tail)
 
     @property
     def breaker_state(self) -> str:
@@ -476,10 +473,7 @@ class Tenant:
         live_letters = self.dead_letters.snapshot()
         self.path = self._new_path()
         self.dead_letters.restore(live_letters)
-        self._install_sink(
-            raw_seed=tuple(self._sink.raw_alerts),
-            filtered_seed=tuple(self._sink.filtered_alerts),
-        )
+        self._install_sink()
         self._since_checkpoint = 0
 
     def _flush_quarantined(self, in_flight) -> None:
@@ -526,6 +520,7 @@ class Tenant:
                 checkpoint.dead_letters or self.dead_letters.snapshot()
             ),
             parked_at=time.monotonic(),
+            tail=tuple(self.tail),
         )
 
     # -- lifecycle ---------------------------------------------------------

@@ -10,7 +10,7 @@ bounded memory.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..core.categories import Alert
 from ..core.filtering import FilterReport
@@ -19,11 +19,24 @@ from .query import StoredAlertSequence
 
 
 class ColumnarSink:
-    """The spill-to-disk sink: verdicts go to column pages, not lists."""
+    """The spill-to-disk sink: verdicts go to column pages, not lists.
+    It is its run's alert log; a checkpoint names its committed seq."""
+
+    lists = None  # nothing for a checkpoint to hold: the store has it
 
     def __init__(self, report: FilterReport, writer: ColumnarStoreWriter):
         self.report = report
         self.writer = writer
+
+    def begin(self, checkpoint) -> None:
+        """Open the store fresh, or cut back to ``checkpoint``'s seq."""
+        self.writer.begin(
+            0 if checkpoint is None else checkpoint.watermark(store=True)[0]
+        )
+
+    def commit(self) -> Dict[str, int]:
+        """Commit the writer: a barrier no page spans."""
+        return {"seq": self.writer.commit()}
 
     @property
     def raw_alerts(self) -> StoredAlertSequence:

@@ -7,6 +7,7 @@ keeps the suite fast — the big systems are only generated once.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from repro import api as pipeline
 from repro.core.categories import Alert, AlertType
 from repro.logmodel.record import LogRecord
+from repro.resilience import wire
+from repro.resilience.durability import AlertCopy
 from repro.resilience.faults import FaultyFilesystem
 
 #: Scales small enough for unit-test speed, large enough for structure.
@@ -127,3 +130,17 @@ class KillableFilesystem(FaultyFilesystem):
 
     def _kill(self, op, path):
         raise Killed(f"{op} {path}")
+
+
+def copy_frames(state):
+    """The token and the frames of a state dir's alert copy, each as
+    ``(seq, kept, raw, filtered)``: where it starts, and its alerts."""
+    data = (Path(state) / AlertCopy.NAME).read_bytes()
+    payloads, _end, error = wire.scan_frames(data)
+    assert error is None
+    frames = []
+    for payload in payloads[1:]:
+        at, at_kept, rows, kept_at = wire.loads(payload, tuple)
+        raw = [Alert(*row[:4], LogRecord(*row[4])) for row in rows]
+        frames.append((at, at_kept, raw, [raw[i] for i in kept_at]))
+    return wire.loads(payloads[0], str), frames

@@ -35,6 +35,8 @@ from repro.resilience.faults import (
 from repro.simulation.generator import LogGenerator, generate_log
 from repro.streaming import PredictionConfig, PredictionStage, online
 
+from ..conftest import copy_frames
+
 REPO = Path(__file__).resolve().parent.parent.parent
 
 #: The smallest calibrated scenario that still installs ensemble
@@ -168,11 +170,11 @@ class TestStateFromOlderCode:
     )
 
     @staticmethod
-    def _run(state_dir):
+    def _run(state_dir, every=26_000):
         return api.run_stream(
             LogGenerator("thunderbird", scale=3e-4, seed=11).generate().records,
             "thunderbird",
-            checkpointer=CheckpointManager(every=26_000),
+            checkpointer=CheckpointManager(every=every),
             state_dir=state_dir,
             predict=True,
         )
@@ -205,6 +207,28 @@ class TestStateFromOlderCode:
         assert resumed.raw_alerts == baseline.raw_alerts
         assert resumed.filtered_alerts == baseline.filtered_alerts
         assert_prediction_identical(resumed, baseline)
+
+    def test_its_alert_tuples_seed_the_copy_once(self, tmp_path):
+        """The generations hold alert tuples and no watermark: the
+        tuples become the resumed lists, and the first save copies them
+        into the state dir's alert copy, each alert once and whole."""
+        state_dir = self._copy(tmp_path)
+        persisted = CheckpointStore(state_dir).load(PipelineCheckpoint)
+        raw, filtered = persisted.alert_log
+        assert persisted.store_state == {"seq": len(raw),
+                                         "kept": len(filtered)}
+        resumed = self._run(state_dir, every=5_000)
+        mark = resumed.checkpoints.latest.store_state
+        assert mark["seq"] > len(raw) > 0
+        copied, kept = [], []
+        for at, at_kept, new_raw, new_filtered in copy_frames(state_dir)[1]:
+            assert (at, at_kept) == (len(copied), len(kept))
+            copied += new_raw
+            kept += new_filtered
+        assert copied == resumed.raw_alerts[:mark["seq"]]
+        assert kept == resumed.filtered_alerts[:mark["kept"]]
+        assert [tuple(a.record) for a in copied[:len(raw)]] == \
+            [tuple(a.record) for a in raw]
 
     def test_a_changed_constant_refuses_it(self, tmp_path, monkeypatch):
         monkeypatch.setattr(online, "MAX_WARNINGS", 20_001)

@@ -5,14 +5,16 @@ through a drawn list of faults, then resumes it to completion.  The
 faults are a kill after record k, a kill inside filesystem op j (after
 that op's torn half-write, exactly what SIGKILL leaves on disk), a disk
 that fills from op j with ENOSPC or EIO, and a truncated or bit-flipped
-newest generation or MANIFEST.  The checkpoint store and the columnar
-store write through one filesystem, so op j may be a checkpoint write,
-a store page write or append, or a store MANIFEST replace.  The checks:
+newest generation or MANIFEST.  The checkpoint store, its alert copy
+and the columnar store write through one filesystem, so op j may be a
+checkpoint write, a write, truncate, append or fsync of the copy, a
+store page write or append, or a store MANIFEST replace.  The checks:
 
 * every run that completes fingerprints like the uninterrupted run, and
   a bounded one reports the uninterrupted bounded run's overload;
 * a generation whose bytes differ from what the run wrote is
-  quarantined as ``*.corrupt``, never loaded;
+  quarantined as ``*.corrupt``, never loaded, and no other generation
+  is (without a store, one whose alert copy fell short would be);
 * without a store, a run whose disk fills finishes degraded; every
   checkpoint it took is either saved or counted as unpersisted, and one
   that started on the full disk is unpersisted.  With a store, the store
@@ -61,9 +63,10 @@ DRIVERS = {
 }
 
 #: Kill points are drawn from the filesystem ops of one whole run,
-#: without and with a store (each new column file, page append and
-#: store MANIFEST replace is an op too).
-RUN_FS_OPS = {False: 60, True: 550}
+#: without and with a store (without one, each save's alert-copy write,
+#: or truncate, append and fsync, is an op too; with one, each new
+#: column file, page append and store MANIFEST replace is).
+RUN_FS_OPS = {False: 94, True: 550}
 
 
 class ModelFilesystem(KillableFilesystem):
@@ -209,6 +212,19 @@ def test_an_uninterrupted_durable_run_spans_the_drawn_ops():
 @example(driver="serial", predict=False, plan=(True, [("kill in op", 58)]))
 @example(driver="bounded", predict=False,
          plan=(True, [("disk full", 100, errno.ENOSPC)]))
+# Alert-copy faults, without a store: a kill between the second save's
+# copy frame and its generation write (the copy is then ahead of the
+# generation loaded), then the same kill in the resumed run (whose
+# first frame repeats the stale frame's range); a kill tearing the
+# copy's first write; and a disk that fills inside a copy append or
+# fsync.
+@example(driver="serial", predict=False,
+         plan=(False, [("kill in op", 8), ("kill in op", 10)]))
+@example(driver="serial", predict=False, plan=(False, [("kill in op", 0)]))
+@example(driver="serial", predict=False,
+         plan=(False, [("disk full", 13, errno.ENOSPC)]))
+@example(driver="bounded", predict=False,
+         plan=(False, [("disk full", 14, errno.EIO)]))
 # A finished run's generations must not outlive it.  Here the next run
 # is killed early and the MANIFEST is damaged; had the generations
 # stayed, the resume would load the finished run's older one into a
@@ -236,11 +252,13 @@ def test_every_recovery_matches_the_uninterrupted_run(driver, predict, plan):
         state = os.path.join(directory, "state")
         store_dir = os.path.join(directory, "store") if with_store else None
         written = {}  # damaged generation -> the bytes the run wrote
+        hit = set()  # every generation a step damaged
         for step in steps + [("resume",)]:
             if step[0] == "damage":
-                hit = damage(state, *step[1:])
-                if hit is not None:
-                    written.setdefault(*hit)
+                target = damage(state, *step[1:])
+                if target is not None:
+                    written.setdefault(*target)
+                    hit.add(target[0] + ".corrupt")
                 continue
             damaged = [path for path, data in written.items()
                        if os.path.exists(path) and read(path) != data]
@@ -273,6 +291,9 @@ def test_every_recovery_matches_the_uninterrupted_run(driver, predict, plan):
                 for path in damaged:
                     assert not os.path.exists(path)
                     assert os.path.exists(path + ".corrupt")
+            # Only damage is quarantined: no generation names alerts its
+            # copy lacks.
+            assert set(glob.glob(os.path.join(state, "*.corrupt"))) <= hit
             if result is None:
                 continue
 

@@ -9,6 +9,7 @@ import os
 import pickle
 import shutil
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from repro.resilience import wire
 from repro.resilience.checkpoint import CheckpointManager, PipelineCheckpoint
 from repro.resilience.deadletter import DeadLetterQueue
 from repro.resilience.durability import (
+    AlertCopy,
     CheckpointStore,
     DurabilityStatus,
     RealFilesystem,
@@ -35,7 +37,7 @@ from repro.resilience.faults import (
 )
 from repro.simulation.generator import generate_log
 
-from ..conftest import SEED, SMALL_SCALE, Hostile
+from ..conftest import SEED, SMALL_SCALE, Hostile, copy_frames
 
 ENTRIES = [("alert", {"n": i, "body": "x" * (i % 7)}) for i in range(40)]
 
@@ -204,7 +206,11 @@ class TestCheckpointStore:
         )
         assert loaded is not None
         assert loaded.records_consumed == checkpoint.records_consumed
-        assert loaded.raw_alerts == checkpoint.raw_alerts
+        # The generation carries the watermark; the alerts come back
+        # from the state dir's copy.
+        assert loaded.store_state == checkpoint.store_state
+        assert loaded.store_state["seq"] > 0
+        assert loaded.alert_log == checkpoint.alert_log
         assert loaded.report == checkpoint.report
         assert loaded.dead_letters == checkpoint.dead_letters
 
@@ -454,6 +460,183 @@ class TestDurableResume:
         assert type(store.fs) is RealFilesystem
         assert store.saved == result.checkpoints.taken > 0
         assert not store.status.degraded
+
+
+@lru_cache(maxsize=None)
+def spirit_bench_records():
+    """The default-seed Spirit bench log: 30,338 records, ~64% alerts."""
+    return tuple(generate_log(
+        "spirit", scale=1.1e-4, seed=0, incident_scale=0.08
+    ).records)
+
+
+def records_of(alerts):
+    """Every field of each alert's record (alert equality skips them)."""
+    return [tuple(alert.record) for alert in alerts]
+
+
+class TestWatermarks:
+    """A checkpoint is a watermark, not a history: it names the ``seq``
+    its run's alert log reached, and the log holds the alerts."""
+
+    RECORDS = 7_500
+
+    @staticmethod
+    def _run(records, state_dir=None, checkpointer=None, **kwargs):
+        return pipeline.run_stream(
+            iter(records), "spirit", checkpointer=checkpointer,
+            state_dir=state_dir, **kwargs,
+        )
+
+    def _interrupted(self, state, **kwargs):
+        """A state dir left by a run killed at record 5,000."""
+        with pytest.raises(CollectorCrash):
+            self._run(FaultPlan(FaultConfig.crash_only(at=5_000, seed=SEED))
+                      .wrap(iter(spirit_bench_records()[:self.RECORDS])),
+                      str(state), **kwargs)
+
+    @staticmethod
+    def _load(state):
+        """What a run over ``state`` resumes from, and the load's status."""
+        store = CheckpointStore(str(state))
+        return store.load(PipelineCheckpoint), store.status
+
+    def _assert_baseline(self, result):
+        baseline = self._run(spirit_bench_records()[:self.RECORDS])
+        assert result.raw_alerts == baseline.raw_alerts
+        assert result.filtered_alerts == baseline.filtered_alerts
+        assert result.stats == baseline.stats
+        assert records_of(result.raw_alerts) == \
+            records_of(baseline.raw_alerts)
+
+    def test_generation_bytes_do_not_grow_with_the_run(self, tmp_path):
+        def generation_bytes(n):
+            state = tmp_path / str(n)
+            self._run(spirit_bench_records()[:n], str(state))
+            return sum(path.stat().st_size for path in state.glob("*.ckpt"))
+
+        short, long = generation_bytes(7_500), generation_bytes(30_000)
+        assert long <= 1.5 * short, (short, long)
+
+    def test_each_save_copies_only_the_alerts_since_the_last(self, tmp_path):
+        state = tmp_path / "state"
+        result = self._run(spirit_bench_records()[:self.RECORDS], str(state))
+        latest = result.checkpoints.latest
+        seq, kept = latest.store_state["seq"], latest.store_state["kept"]
+        token, frames = copy_frames(state)
+        assert token == "" and len(frames) == result.checkpoints.taken > 1
+        raw, filtered = [], []
+        for at, at_kept, new_raw, new_filtered in frames:
+            assert (at, at_kept) == (len(raw), len(filtered))
+            raw += new_raw
+            filtered += new_filtered
+        assert raw == result.raw_alerts[:seq]
+        assert filtered == result.filtered_alerts[:kept]
+        assert records_of(raw) == records_of(result.raw_alerts[:seq])
+
+    def test_an_in_memory_checkpoint_holds_the_lists_not_a_copy(self):
+        manager = CheckpointManager(every=2_000)
+        result = self._run(spirit_bench_records()[:self.RECORDS],
+                           checkpointer=manager)
+        raw, filtered = manager.latest.alert_log
+        assert raw is result.raw_alerts
+        assert filtered is result.filtered_alerts
+        # The run went on past its latest checkpoint: a prefix is named.
+        mark = manager.latest.store_state
+        assert 0 < mark["seq"] < len(raw) and 0 < mark["kept"] <= len(filtered)
+
+    def test_a_resume_keeps_every_record_field(self, tmp_path):
+        state = tmp_path / "state"
+        self._interrupted(state)
+        checkpoint, _status = self._load(state)
+        assert checkpoint.store_state["seq"] > 0
+        resumed = self._run(spirit_bench_records()[:self.RECORDS], str(state))
+        assert not resumed.checkpoints.store.status.degraded
+        self._assert_baseline(resumed)
+
+    def test_without_its_state_dir_a_watermark_does_not_resume(
+        self, tmp_path
+    ):
+        state = tmp_path / "state"
+        self._interrupted(state)
+        newest = max(state.glob("gen-*.ckpt"))
+        checkpoint = wire.load_file(
+            newest.read_bytes(), wire.CHECKPOINT_MAGIC, dict
+        )["checkpoint"]
+        assert checkpoint.alert_log is None
+        assert checkpoint.store_state["seq"] > 0
+        with pytest.raises(ValueError, match="with the state_dir"):
+            self._run(spirit_bench_records()[:self.RECORDS],
+                      resume_from=checkpoint)
+
+    def test_a_finished_runs_copy_goes_at_the_next_load(self, tmp_path):
+        state = tmp_path / "state"
+        self._run(spirit_bench_records()[:self.RECORDS], str(state))
+        assert (state / AlertCopy.NAME).exists()
+        assert CheckpointStore(str(state)).load(PipelineCheckpoint) is None
+        assert not (state / AlertCopy.NAME).exists()
+        assert not list(state.glob("gen-*.ckpt"))
+
+    @pytest.mark.parametrize("damage",
+                             ["missing", "header", "frame", "malformed"])
+    def test_a_copy_short_of_its_watermark_restarts_the_run(
+        self, tmp_path, damage
+    ):
+        """Every generation the copy cannot serve is quarantined, and
+        the fresh run's first save starts the copy over."""
+        state = tmp_path / "state"
+        self._interrupted(state)
+        path = state / AlertCopy.NAME
+        data = path.read_bytes()
+        if damage == "missing":
+            path.unlink()
+        elif damage == "malformed":  # a well-framed row that is no alert
+            path.write_bytes(wire.file_header(wire.WAL_MAGIC)
+                             + wire.dumps("") + wire.dumps((0, 0, [(1,)], [])))
+        else:  # flip a byte of the magic, or of the first alert frame
+            at = 0 if damage == "header" else len(data) // 4
+            path.write_bytes(data[:at] + bytes((data[at] ^ 0xFF,))
+                             + data[at + 1:])
+        checkpoint, status = self._load(state)
+        assert checkpoint is None
+        assert sum("quarantined" in note for note in status.notes) == 2
+        resumed = self._run(spirit_bench_records()[:self.RECORDS], str(state))
+        assert not resumed.checkpoints.store.status.degraded
+        self._assert_baseline(resumed)
+        assert copy_frames(state)[1][0][:2] == (0, 0)
+
+    def test_a_torn_tail_past_the_watermark_is_cut(self, tmp_path):
+        state = tmp_path / "state"
+        self._interrupted(state)
+        with open(state / AlertCopy.NAME, "ab") as copy:
+            copy.write(b"\x00torn")
+        checkpoint, status = self._load(state)
+        assert checkpoint.store_state["seq"] > 0 and status.notes == []
+        resumed = self._run(spirit_bench_records()[:self.RECORDS], str(state))
+        assert resumed.checkpoints.store.status.notes == []
+        self._assert_baseline(resumed)
+        copy_frames(state)  # scans clean to the end
+
+    def test_another_runs_copy_is_started_over(self, tmp_path):
+        """A state dir an interrupted run left, reused by a run of other
+        settings (another system here): the new run starts fresh, and
+        its first save replaces the copy instead of failing on it."""
+        state = tmp_path / "state"
+        self._interrupted(state, state_token="spirit")
+        records = list(generate_log("liberty", scale=SMALL_SCALE,
+                                    seed=SEED).records)
+        result = pipeline.run_stream(
+            iter(records), "liberty", state_dir=str(state),
+            checkpointer=CheckpointManager(every=max(1, len(records) // 4)),
+            state_token="liberty",
+        )
+        status = result.checkpoints.store.status
+        assert any("starting fresh" in note for note in status.notes)
+        assert not status.degraded
+        assert result.raw_alerts == pipeline.run_stream(
+            iter(records), "liberty").raw_alerts
+        token, frames = copy_frames(state)
+        assert token == "liberty" and frames[0][:2] == (0, 0)
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

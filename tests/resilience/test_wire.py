@@ -236,8 +236,9 @@ class TestCheckpointRoundTrip:
 
         assert restored.system == checkpoint.system
         assert restored.records_consumed == checkpoint.records_consumed
-        assert restored.raw_alerts == checkpoint.raw_alerts
-        assert restored.filtered_alerts == checkpoint.filtered_alerts
+        # The watermark travels; the in-memory lists it names never do.
+        assert restored.store_state == checkpoint.store_state
+        assert checkpoint.alert_log is not None and restored.alert_log is None
         assert restored.report == checkpoint.report
         assert restored.severity == checkpoint.severity
         assert restored.corrupted_messages == checkpoint.corrupted_messages

@@ -100,7 +100,7 @@ class TestParkedCodec:
         assert decoded.tenant_id == bundle.tenant_id
         assert decoded.counters.as_dict() == bundle.counters.as_dict()
         assert decoded.dead_letters == bundle.dead_letters
-        assert decoded.checkpoint.raw_alerts == bundle.checkpoint.raw_alerts
+        assert decoded.tail == bundle.tail and bundle.tail
         assert decoded.checkpoint.stats.compressor is None
         assert (decoded.checkpoint.stats.stats
                 == bundle.checkpoint.stats.stats)
@@ -217,7 +217,7 @@ class TestRouterRoundTrip:
             assert bundle.counters.as_dict()[key] == counters[key], key
         assert bundle.counters.conserves(0)
         # The full tail fits in a roomy alert_tail, so it survives whole.
-        assert bundle.checkpoint.raw_alerts == tail
+        assert bundle.tail == tail
 
     def test_quarantine_survives_the_restart(self, tmp_path):
         """A tenant that spent its restart budget must come back
@@ -339,7 +339,7 @@ class TestStateFromOlderCode:
         Path(__file__).resolve().parents[1]
         / "fixtures" / "state" / "serve-tenants"
     )
-    #: tenant -> (counters, raw tail, filtered tail, dead letters)
+    #: tenant -> (counters, raw tail, dead letters)
     RECOVERED = {
         "acme": (
             {"received": 320, "shed": 59,
@@ -348,7 +348,7 @@ class TestStateFromOlderCode:
              "refused_by_reason": {"shed-overload": 5},
              "processed": 256, "alerts_raw": 57, "alerts_filtered": 57,
              "crashes": 0, "evictions": 0, "resumes": 0},
-            (57, "79ff8f94ab68c851"), (57, "79ff8f94ab68c851"), 5,
+            (57, "79ff8f94ab68c851"), 5,
         ),
         "zenith": (
             {"received": 320, "shed": 21,
@@ -357,7 +357,7 @@ class TestStateFromOlderCode:
              "refused_by_reason": {"shed-overload": 43},
              "processed": 256, "alerts_raw": 201, "alerts_filtered": 165,
              "crashes": 0, "evictions": 0, "resumes": 0},
-            (201, "d07c96ddbca706b3"), (165, "be7bf1066d68b034"), 43,
+            (201, "d07c96ddbca706b3"), 43,
         ),
     }
 
@@ -372,7 +372,7 @@ class TestStateFromOlderCode:
         assert sorted(parked) == sorted(self.RECOVERED)
         assert store.status.notes == [] and not store.status.degraded
         for tenant_id, bundle in parked.items():
-            counters, raw, filtered, letters = self.RECOVERED[tenant_id]
+            counters, raw, letters = self.RECOVERED[tenant_id]
             assert bundle.system == {"acme": "bgl", "zenith": "spirit"}[
                 tenant_id
             ]
@@ -380,10 +380,7 @@ class TestStateFromOlderCode:
             assert bundle.counters.conserves(0)
             checkpoint = bundle.checkpoint
             assert checkpoint.records_consumed == 200
-            assert (len(checkpoint.raw_alerts),
-                    _tail_digest(checkpoint.raw_alerts)) == raw
-            assert (len(checkpoint.filtered_alerts),
-                    _tail_digest(checkpoint.filtered_alerts)) == filtered
+            assert (len(bundle.tail), _tail_digest(bundle.tail)) == raw
             assert bundle.dead_letters.quarantined == letters
             assert bundle.dead_letters.by_reason == (
                 ("shed-overload", letters),
@@ -418,11 +415,10 @@ class TestStateFromOlderCode:
 
         assert sorted(parked) == sorted(self.RECOVERED)
         for tenant_id, bundle in parked.items():
-            counters, raw, _filtered, _letters = self.RECOVERED[tenant_id]
+            counters, raw, _letters = self.RECOVERED[tenant_id]
             assert isinstance(bundle, ParkedTenant)
             assert bundle.counters.as_dict() == counters
-            assert (len(bundle.checkpoint.raw_alerts),
-                    _tail_digest(bundle.checkpoint.raw_alerts)) == raw
+            assert (len(bundle.tail), _tail_digest(bundle.tail)) == raw
             checkpoints = state_dir / "tenants" / tenant_id / "checkpoints"
             assert (checkpoints / "gen-00000002.ckpt.corrupt").exists()
         notes = [n for n in store.status.notes if "quarantined" in n]
