@@ -143,7 +143,7 @@ def main(argv=None) -> int:
             print(
                 f"SKIPPED: perf gate requires >= {args.require_cores} cores "
                 f"but this host has {cores}; the multi-core sharded floor "
-                "(ROADMAP item 1a) stays unarmed on this runner"
+                "(ROADMAP item 1(c)) stays unarmed on this runner"
             )
             return 0
 

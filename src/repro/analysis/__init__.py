@@ -11,10 +11,8 @@ cross-tabulation (Tables 5-6), and context-aware RAS metrics (Section 5).
 from .checkpointing import (
     CheckpointOutcome,
     daly_interval,
-    empirical_optimum,
     interval_sweep,
     simulate_lost_work,
-    synthetic_exponential_failures,
     young_interval,
 )
 from .correlation import (
@@ -45,11 +43,10 @@ from .interarrival import (
 from .patterns import (
     Template,
     mine_templates,
-    ruleset_from_templates,
     suggest_rules,
     template_coverage,
 )
-from .phases import PhaseShift, detect_phase_shifts, segment_means
+from .phases import PhaseShift, detect_phase_shifts
 from .ras import (
     LostWorkEntry,
     LostWorkReport,
@@ -61,7 +58,6 @@ from .severity_eval import (
     DetectorScore,
     SeverityCrossTab,
     score_severity_detector,
-    severity_cross_tab,
 )
 from .timeseries import (
     RateSeries,
@@ -75,10 +71,8 @@ from .timeseries import (
 __all__ = [
     "CheckpointOutcome",
     "daly_interval",
-    "empirical_optimum",
     "interval_sweep",
     "simulate_lost_work",
-    "synthetic_exponential_failures",
     "young_interval",
     "SpatialCorrelation",
     "TagCorrelation",
@@ -101,12 +95,10 @@ __all__ = [
     "summary_statistics",
     "Template",
     "mine_templates",
-    "ruleset_from_templates",
     "suggest_rules",
     "template_coverage",
     "PhaseShift",
     "detect_phase_shifts",
-    "segment_means",
     "LostWorkEntry",
     "LostWorkReport",
     "lost_work_report",
@@ -115,7 +107,6 @@ __all__ = [
     "DetectorScore",
     "SeverityCrossTab",
     "score_severity_detector",
-    "severity_cross_tab",
     "RateSeries",
     "SourceDistribution",
     "bucket_counts",

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 
 def young_interval(mtbf: float, checkpoint_cost: float) -> float:
@@ -150,29 +148,3 @@ def interval_sweep(
         )
         for interval in intervals
     }
-
-
-def empirical_optimum(
-    outcomes: Dict[float, CheckpointOutcome]
-) -> float:
-    """The swept interval with the best efficiency."""
-    if not outcomes:
-        raise ValueError("no outcomes to compare")
-    return max(outcomes, key=lambda interval: outcomes[interval].efficiency)
-
-
-def synthetic_exponential_failures(
-    rng: np.random.Generator,
-    mtbf: float,
-    horizon: float,
-    start: float = 0.0,
-) -> List[float]:
-    """A Poisson failure sequence — the assumption Daly/Young encode —
-    for comparing against measured (correlated) failure sequences."""
-    times: List[float] = []
-    t = start
-    while True:
-        t += float(rng.exponential(mtbf))
-        if t >= start + horizon:
-            return times
-        times.append(t)

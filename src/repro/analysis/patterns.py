@@ -111,55 +111,6 @@ def template_coverage(
     return matched / len(bodies)
 
 
-def ruleset_from_templates(
-    system: str,
-    templates: Sequence[Template],
-    alert_keywords: Sequence[str] = (
-        "error", "fail", "failed", "failure", "panic", "fatal", "abort",
-        "refused", "cannot", "timeout", "assert",
-    ),
-    max_rules: int = 32,
-):
-    """Bootstrap an expert-style ruleset from mined templates.
-
-    The bridge from unsupervised mining to the paper's tagging workflow
-    for a machine *without* administrator rules: templates whose literal
-    words contain failure-indicating keywords become candidate categories
-    (``MINED_001`` ...), compiled into a :class:`~repro.core.categories.Ruleset`
-    the ordinary :class:`~repro.core.tagging.Tagger` can run.  The output
-    is a starting point for expert review, not a replacement for it — the
-    paper is emphatic that automatic identification alone is insufficient.
-    """
-    import re as _re
-
-    from ..core.categories import AlertType, CategoryDef, Ruleset
-
-    keywords = tuple(k.lower() for k in alert_keywords)
-    categories = []
-    for index, template in enumerate(templates):
-        literals = " ".join(
-            token for token in template.tokens if token != WILDCARD
-        ).lower()
-        if not any(keyword in literals for keyword in keywords):
-            continue
-        pattern = " ".join(
-            _re.escape(token) if token != WILDCARD else r"\S+"
-            for token in template.tokens
-        )
-        categories.append(
-            CategoryDef(
-                name=f"MINED_{index + 1:03d}",
-                system=system,
-                alert_type=AlertType.INDETERMINATE,
-                pattern=pattern,
-                example=template.example,
-            )
-        )
-        if len(categories) >= max_rules:
-            break
-    return Ruleset(system=system, categories=tuple(categories))
-
-
 def suggest_rules(
     templates: Sequence[Template],
     max_rules: int = 20,

@@ -16,7 +16,7 @@ free, and effective on step-shaped shifts like Figure 2(a)'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -107,15 +107,3 @@ def detect_phase_shifts(
     recurse(0, len(values), max_shifts)
     found.sort(key=lambda shift: shift.bucket_index)
     return found
-
-
-def segment_means(
-    series: RateSeries, shifts: Sequence[PhaseShift]
-) -> List[float]:
-    """Mean rate of each phase delimited by the detected shifts."""
-    values = series.counts.astype(float)
-    cuts = [0] + [shift.bucket_index for shift in shifts] + [len(values)]
-    return [
-        float(values[cuts[i]: cuts[i + 1]].mean()) if cuts[i + 1] > cuts[i] else 0.0
-        for i in range(len(cuts) - 1)
-    ]

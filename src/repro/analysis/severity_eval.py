@@ -89,17 +89,6 @@ class SeverityCrossTab:
         return out
 
 
-def severity_cross_tab(
-    records: Iterable[LogRecord],
-    tagger: Tagger,
-) -> SeverityCrossTab:
-    """Build the severity/alert cross-tabulation in one pass."""
-    tab = SeverityCrossTab()
-    for record in records:
-        tab.add(record, tagger.match(record) is not None)
-    return tab
-
-
 @dataclass(frozen=True)
 class DetectorScore:
     """Confusion counts of a severity-based detector vs expert tags."""

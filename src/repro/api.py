@@ -172,6 +172,16 @@ def run_stream(
         store = checkpointer.store
         if resume_from is None:
             resume_from = store.load(PipelineCheckpoint)
+            # The default token names no system and no threshold: an
+            # interrupted run of other settings may have left this state.
+            if resume_from is not None and (
+                resume_from.system, resume_from.threshold
+            ) != (system, threshold):
+                store.start_fresh(
+                    f"system {resume_from.system!r}, "
+                    f"threshold {resume_from.threshold!r}"
+                )
+                resume_from = None
 
     store_writer = None
     if store_dir is not None:

@@ -18,7 +18,7 @@ Public surface:
   correlation-aware keys (:func:`~repro.core.correlated_filter.alias_key`)
   — the extensions the paper recommends as future work;
 * :mod:`repro.core.tupling` — Tsao-style tuple clustering baseline;
-* :class:`~repro.core.severity.SeverityTagger` — the severity-field
+* :class:`~repro.core.severity.SeverityTaggerConfig` — the severity-field
   baseline the paper evaluates (Tables 5 and 6).
 """
 
@@ -37,21 +37,21 @@ from .filtering import (
     log_filter,
     sorted_by_time,
 )
-from .serial_filter import compare_filters, serial_filter
+from .serial_filter import serial_filter
 from .adaptive_filter import suggest_thresholds
 from .correlated_filter import (
     alias_key,
     learn_correlated_groups,
     pair_cooccurrence,
 )
-from .tupling import AlertTuple, tuple_alerts, tuple_statistics
+from .tupling import AlertTuple, tuple_alerts
 from .attribution import (
     FailureReport,
     attribution_summary,
     build_failure_reports,
 )
 from .monitor import Disposition, LogMonitor, MonitorStats, OperatorEvent
-from .severity import SeverityTagger, SeverityTaggerConfig
+from .severity import SeverityTaggerConfig
 from .rules import RULESETS, get_ruleset
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "SpatioTemporalFilter",
     "log_filter",
     "sorted_by_time",
-    "compare_filters",
     "serial_filter",
     "suggest_thresholds",
     "alias_key",
@@ -77,7 +76,6 @@ __all__ = [
     "pair_cooccurrence",
     "AlertTuple",
     "tuple_alerts",
-    "tuple_statistics",
     "FailureReport",
     "attribution_summary",
     "build_failure_reports",
@@ -85,7 +83,6 @@ __all__ = [
     "LogMonitor",
     "MonitorStats",
     "OperatorEvent",
-    "SeverityTagger",
     "SeverityTaggerConfig",
     "RULESETS",
     "get_ruleset",

@@ -31,7 +31,7 @@ on the Spirit logs).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 from .categories import Alert
 from .filtering import DEFAULT_THRESHOLD, SpatioTemporalFilter, log_filter
@@ -48,36 +48,3 @@ def serial_filter(
         threshold, key=attrgetter("source", "category")
     )
     return log_filter(filter(temporal.offer, alerts), threshold)
-
-
-def compare_filters(
-    alerts: List[Alert],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Dict[str, object]:
-    """Run both algorithms on the same stream and diff their outputs.
-
-    Returns a dict with the surviving alert lists and the two asymmetric
-    differences, keyed:
-
-    * ``"simultaneous"`` / ``"serial"`` — the survivor lists;
-    * ``"removed_only_by_simultaneous"`` — alerts the serial pipeline keeps
-      but Algorithm 3.1 removes.  Per the paper these "tend to indicate
-      failures in shared resources that were previously noticed by another
-      node" — mostly extra false positives, occasionally a coincident
-      independent failure (a lost true positive);
-    * ``"removed_only_by_serial"`` — alerts Algorithm 3.1 keeps but the
-      serial pipeline removes.  This is provably empty (the simultaneous
-      suppression condition is strictly broader at every step — see the
-      containment property test); an unsorted input raises
-      :class:`~repro.core.filtering.OutOfOrderError` instead.
-    """
-    simultaneous = list(log_filter(alerts, threshold))
-    serial = list(serial_filter(alerts, threshold))
-    sim_ids = {id(a) for a in simultaneous}
-    ser_ids = {id(a) for a in serial}
-    return {
-        "simultaneous": simultaneous,
-        "serial": serial,
-        "removed_only_by_simultaneous": [a for a in serial if id(a) not in sim_ids],
-        "removed_only_by_serial": [a for a in simultaneous if id(a) not in ser_ids],
-    }

@@ -9,16 +9,15 @@ for this failure case, these data suggest that syslog severity is not a
 reliable failure indicator" (Table 6).  Three of the five machines
 (Thunderbird, Spirit, Liberty) do not even record severity.
 
-This module implements the baseline so its error rates can be measured
-against the expert tags — the comparison behind Tables 5 and 6.
+This module names the baseline's alert labels so its error rates can be
+measured against the expert tags (``analysis/severity_eval.py``) — the
+comparison behind Tables 5 and 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional
-
-from ..logmodel.record import LogRecord, RasSeverity, SyslogSeverity
+from typing import FrozenSet
 
 #: The tagging rule evaluated in the paper's Table 5 discussion.
 BGL_ALERT_SEVERITIES: FrozenSet[str] = frozenset({"FATAL", "FAILURE"})
@@ -35,43 +34,3 @@ class SeverityTaggerConfig:
         """The Table 5 rule: severity in {FATAL, FAILURE} => alert."""
         return cls(alert_labels=BGL_ALERT_SEVERITIES)
 
-    @classmethod
-    def syslog_at_least(cls, worst_allowed: SyslogSeverity) -> "SeverityTaggerConfig":
-        """All syslog severities at least as severe as ``worst_allowed``.
-
-        Severity enums order most-severe-first, so "at least as severe"
-        means a numerically smaller-or-equal value.
-        """
-        labels = frozenset(
-            level.name for level in SyslogSeverity if level <= worst_allowed
-        )
-        return cls(alert_labels=labels)
-
-    @classmethod
-    def ras_at_least(cls, worst_allowed: RasSeverity) -> "SeverityTaggerConfig":
-        """All RAS severities at least as severe as ``worst_allowed``."""
-        labels = frozenset(
-            level.name for level in RasSeverity if level <= worst_allowed
-        )
-        return cls(alert_labels=labels)
-
-
-class SeverityTagger:
-    """Tags a record as an alert iff its severity label is in the config.
-
-    Records without a severity field are never tagged — which is the
-    baseline's fundamental weakness on the three machines that do not
-    record one.
-    """
-
-    def __init__(self, config: Optional[SeverityTaggerConfig] = None):
-        self.config = config or SeverityTaggerConfig.bgl_fatal_failure()
-
-    def is_alert(self, record: LogRecord) -> bool:
-        return record.severity is not None and record.severity in self.config.alert_labels
-
-    def tag_stream(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-        """Lazily yield the records this baseline would call alerts."""
-        for record in records:
-            if self.is_alert(record):
-                yield record

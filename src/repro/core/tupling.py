@@ -16,7 +16,7 @@ filters in the ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .categories import Alert
 
@@ -84,41 +84,3 @@ def tuple_alerts(
         current.append(alert)
     if current:
         yield AlertTuple(current)
-
-
-def tuple_statistics(tuples: Iterable[AlertTuple]) -> Dict[str, float]:
-    """Summary statistics over a tuple stream.
-
-    Returns count, mean/max size, mean/max duration, and the *collision
-    rate* — the fraction of tuples containing more than one category, which
-    measures how often a window-based grouper merges distinct failure
-    classes (Buckley & Siewiorek's central concern when comparing tupling
-    schemes).
-    """
-    count = 0
-    total_size = 0
-    max_size = 0
-    total_duration = 0.0
-    max_duration = 0.0
-    collisions = 0
-    for tup in tuples:
-        count += 1
-        total_size += tup.size
-        max_size = max(max_size, tup.size)
-        total_duration += tup.duration
-        max_duration = max(max_duration, tup.duration)
-        if len(tup.categories()) > 1:
-            collisions += 1
-    if count == 0:
-        return {
-            "count": 0, "mean_size": 0.0, "max_size": 0,
-            "mean_duration": 0.0, "max_duration": 0.0, "collision_rate": 0.0,
-        }
-    return {
-        "count": count,
-        "mean_size": total_size / count,
-        "max_size": max_size,
-        "mean_duration": total_duration / count,
-        "max_duration": max_duration,
-        "collision_rate": collisions / count,
-    }

@@ -15,7 +15,6 @@ from .capabilities import (
     DriverCapabilities,
     build_driver,
     capability_lines,
-    driver_name,
 )
 from .drivers import BoundedDriver, Driver, DriverReport, SerialDriver, ShardedDriver
 from .path import DEFAULT_REORDER_TOLERANCE, AlertPath
@@ -41,5 +40,4 @@ __all__ = [
     "SourceFactory",
     "build_driver",
     "capability_lines",
-    "driver_name",
 ]

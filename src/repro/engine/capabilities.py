@@ -110,16 +110,6 @@ CAPABILITY_TABLE = {
 }
 
 
-def driver_name(
-    parallel: Optional[ParallelConfig] = None,
-    backpressure: Optional[BackpressureConfig] = None,
-) -> str:
-    """Which driver a knob combination selects."""
-    if backpressure is not None:
-        return "bounded-sharded" if parallel is not None else "bounded"
-    return "sharded" if parallel is not None else "serial"
-
-
 def build_driver(
     parallel: Optional[ParallelConfig] = None,
     backpressure: Optional[BackpressureConfig] = None,

@@ -1,24 +1,16 @@
 """Streaming log I/O in each machine's native on-disk format."""
 
-from .reader import count_lines, read_log
-from .stats import LogStats, StatsCollector, measure_stream
+from .reader import read_log
+from .stats import LogStats, StatsCollector
 from .writer import (
-    compressed_ratio,
-    log_bytes,
-    render_lines,
     renderer_for,
     write_log,
 )
 
 __all__ = [
-    "count_lines",
     "read_log",
     "LogStats",
     "StatsCollector",
-    "measure_stream",
-    "compressed_ratio",
-    "log_bytes",
-    "render_lines",
     "renderer_for",
     "write_log",
 ]

@@ -110,14 +110,3 @@ def read_log(path: PathLike, system: str, year: int = 2005) -> LogReader:
     semantics.
     """
     return LogReader(path, system, year=year)
-
-
-def count_lines(path: PathLike) -> int:
-    """Number of non-blank lines in a (possibly gzipped) log file."""
-    path = Path(path)
-    count = 0
-    with _open_text(path) as handle:
-        for line in handle:
-            if line.strip():
-                count += 1
-    return count

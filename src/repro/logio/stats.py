@@ -367,11 +367,3 @@ def _deflate(compressor, block: bytearray, result: list) -> None:
         result.append(len(compressor.compress(block)))
     except Exception as exc:  # handed to the caller, raised at settle
         result.append(exc)
-
-
-def measure_stream(records: Iterable[LogRecord], system: str) -> LogStats:
-    """Eagerly consume a stream and return its volume statistics."""
-    collector = StatsCollector(system)
-    for _ in collector.observe(records):
-        pass
-    return collector.finish()

@@ -10,7 +10,6 @@ so full-scale generation never holds a log in memory.
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -48,31 +47,3 @@ def write_log(
             handle.write("\n")
             count += 1
     return count
-
-
-def render_lines(records: Iterable[LogRecord], system: str) -> Iterable[str]:
-    """Lazily render records to native-format lines (no newlines)."""
-    render = renderer_for(system)
-    for record in records:
-        yield render(record)
-
-
-def log_bytes(records: Iterable[LogRecord], system: str) -> int:
-    """Total byte size of the rendered log without touching disk."""
-    render = renderer_for(system)
-    return sum(len(render(record).encode("utf-8", "replace")) + 1 for record in records)
-
-
-def compressed_ratio(sample_lines: Iterable[str]) -> float:
-    """gzip compression ratio (compressed / raw) of a line sample.
-
-    Table 2 shows logs compress 5-25x; a ratio from a sample extrapolates
-    the compressed-size column without writing the full log.
-    """
-    raw = "\n".join(sample_lines).encode("utf-8", "replace")
-    if not raw:
-        return 1.0
-    buffer = io.BytesIO()
-    with gzip.GzipFile(fileobj=buffer, mode="wb") as handle:
-        handle.write(raw)
-    return len(buffer.getvalue()) / len(raw)

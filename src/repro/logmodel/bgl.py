@@ -25,9 +25,8 @@ the same rule as every other dialect's.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
 
-from .clock import DOT_MINUTES, SECOND_TEXT, DayPrefixes, epoch, parse_stream
+from .clock import DOT_MINUTES, SECOND_TEXT, DayPrefixes, epoch
 from .record import Channel, LogRecord, RasSeverity
 
 #: year, month, day, hh, mm, ss, micros, location, facility, severity, body.
@@ -37,20 +36,6 @@ _BGL_RE = re.compile(
 )
 
 _SEVERITY_LABELS = frozenset(sev.name for sev in RasSeverity)
-
-FACILITIES = (
-    "KERNEL",
-    "APP",
-    "DISCOVERY",
-    "MMCS",
-    "BGLMASTER",
-    "LINKCARD",
-    "MONITOR",
-    "HARDWARE",
-    "CMCS",
-    "SERV_NET",
-)
-"""RAS-reporting facilities observed in BG/L logs."""
 
 
 def _corrupt_record(line: str) -> LogRecord:
@@ -83,11 +68,6 @@ def bgl_parser(line: str, _year: int) -> LogRecord:
     )
 
 
-def parse_bgl_line(line: str) -> LogRecord:
-    """Parse one BG/L RAS event line (see :func:`bgl_parser`)."""
-    return bgl_parser(line, 0)
-
-
 #: Day number -> ``"YYYY-MM-DD-"``.
 _DAYS = DayPrefixes(lambda *ymd: "%04d-%02d-%02d-" % ymd)
 
@@ -108,8 +88,3 @@ def render_bgl_line(record: LogRecord) -> str:
         f"{_DAYS[day]}{DOT_MINUTES[second // 60]}{SECOND_TEXT[second % 60]}"
         f".{micros:06d} {location} RAS {record.facility} {severity} {record.body}"
     )
-
-
-def parse_bgl_stream(lines: Iterable[str]) -> Iterator[LogRecord]:
-    """The one stream parser, :func:`.clock.parse_stream`, for BG/L."""
-    return parse_stream(lines, bgl_parser, 0)

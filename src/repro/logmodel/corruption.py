@@ -1,118 +1,19 @@
-"""Detection and classification of corrupted log lines.
+"""Garbled-field detection for corrupted log lines.
 
 The paper (Section 3.2.1, "Corruption") observed that "even on
 supercomputers with highly engineered RAS systems, like BG/L and Red Storm,
 log entries can be corrupted.  We saw messages truncated, partially
-overwritten, and incorrectly timestamped."  The Thunderbird VAPI example
-shows three corruption modes on a single message template:
-
-* **truncation** — the line stops mid-token (``...VAPI_EAGAI``);
-* **splice / partial overwrite** — the tail of one message is overwritten
-  by the head of another (``...VAPI_EAure = no``,
-  ``...VAPI_EAGSys/mosal_iobuf.c [126]: dump iobuf at ...``);
-* **timestamp damage** — fields that should parse as dates do not.
-
-This module classifies a damaged line relative to a set of known-good
-message templates, which is what an analyst does by eye when deciding that
-``VAPI_EAure = no`` is "that VAPI message, corrupted" rather than a new
-category.  The classifier is intentionally conservative: it never labels a
-line corrupted unless a structural check fails.
+overwritten, and incorrectly timestamped."  A line whose header does not
+parse, or whose stamp names no real instant, comes back from its parser
+as ``corrupted=True``; this module recognises a field overwritten with
+binary junk, which is what Figure 2(b)'s unattributable sources are.
 """
 
 from __future__ import annotations
 
-import enum
 import string
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from .record import LogRecord
 
 _PRINTABLE = frozenset(string.printable)
-
-
-class CorruptionKind(enum.Enum):
-    """The structural damage modes the paper reports."""
-
-    NONE = "none"
-    TRUNCATED = "truncated"
-    SPLICED = "spliced"
-    GARBLED_SOURCE = "garbled-source"
-    BAD_TIMESTAMP = "bad-timestamp"
-    UNPARSEABLE = "unparseable"
-
-
-@dataclass(frozen=True)
-class CorruptionVerdict:
-    """Result of classifying one record.
-
-    Attributes
-    ----------
-    kind:
-        The detected damage mode (``NONE`` for clean records).
-    template:
-        The known-good template the damaged body most plausibly derives
-        from, when one was identified.
-    matched_prefix:
-        Length in characters of the common prefix with ``template``.
-    """
-
-    kind: CorruptionKind
-    template: Optional[str] = None
-    matched_prefix: int = 0
-
-    @property
-    def is_corrupted(self) -> bool:
-        return self.kind is not CorruptionKind.NONE
-
-
-def common_prefix_length(a: str, b: str) -> int:
-    """Length of the longest common prefix of two strings."""
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return i
-    return limit
-
-
-def best_template_match(body: str, templates: Sequence[str]) -> tuple[Optional[str], int]:
-    """The template sharing the longest prefix with ``body``.
-
-    Returns ``(template, prefix_length)``; ``(None, 0)`` when no template
-    shares any prefix.
-    """
-    best: Optional[str] = None
-    best_len = 0
-    for template in templates:
-        length = common_prefix_length(body, template)
-        if length > best_len:
-            best, best_len = template, length
-    return best, best_len
-
-
-def classify_body(
-    body: str,
-    templates: Sequence[str],
-    min_prefix: int = 16,
-) -> CorruptionVerdict:
-    """Classify a message body against known-good templates.
-
-    A body that exactly equals a template (or extends one at a template's
-    variable tail) is clean.  A body that matches a long prefix of a
-    template but then stops is *truncated*; one that matches a long prefix
-    and then diverges into different text is *spliced*.
-
-    ``min_prefix`` guards against coincidental short prefixes ("kernel:"
-    is shared by thousands of unrelated messages).
-    """
-    template, prefix = best_template_match(body, templates)
-    if template is None or prefix < min_prefix:
-        return CorruptionVerdict(CorruptionKind.NONE)
-    if prefix >= len(template):
-        return CorruptionVerdict(CorruptionKind.NONE, template, prefix)
-    if prefix >= len(body):
-        return CorruptionVerdict(CorruptionKind.TRUNCATED, template, prefix)
-    return CorruptionVerdict(CorruptionKind.SPLICED, template, prefix)
 
 
 def looks_garbled(text: str, max_unprintable_fraction: float = 0.05) -> bool:
@@ -126,31 +27,3 @@ def looks_garbled(text: str, max_unprintable_fraction: float = 0.05) -> bool:
         return False
     unprintable = sum(1 for ch in text if ch not in _PRINTABLE)
     return unprintable / len(text) > max_unprintable_fraction
-
-
-def classify_record(
-    record: LogRecord,
-    templates: Sequence[str] = (),
-    epoch_lo: float = 0.0,
-    epoch_hi: float = 4102444800.0,  # 2100-01-01
-) -> CorruptionVerdict:
-    """Full structural classification of a parsed record.
-
-    Checks, in order of diagnostic confidence: parser-flagged damage,
-    garbled source field, out-of-range timestamp, then body-vs-template
-    truncation/splice analysis.
-    """
-    if record.corrupted and not record.source and record.timestamp == 0.0:
-        return CorruptionVerdict(CorruptionKind.UNPARSEABLE)
-    if looks_garbled(record.source):
-        return CorruptionVerdict(CorruptionKind.GARBLED_SOURCE)
-    if not (epoch_lo <= record.timestamp <= epoch_hi):
-        return CorruptionVerdict(CorruptionKind.BAD_TIMESTAMP)
-    if templates:
-        verdict = classify_body(record.full_text(), templates)
-        if verdict.is_corrupted:
-            return verdict
-    if record.corrupted:
-        # Parser saw damage but none of the specific checks fired.
-        return CorruptionVerdict(CorruptionKind.UNPARSEABLE)
-    return CorruptionVerdict(CorruptionKind.NONE)

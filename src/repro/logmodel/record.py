@@ -228,7 +228,3 @@ def full_texts(records: Sequence[LogRecord]) -> List[str]:
     return [
         f"{r.facility}: {r.body}" if r.facility else r.body for r in records
     ]
-
-
-SYSTEM_NAMES = ("bgl", "thunderbird", "redstorm", "spirit", "liberty")
-"""Canonical short names for the five machines, in the paper's Table 1 order."""

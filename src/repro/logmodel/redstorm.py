@@ -28,10 +28,9 @@ on Liberty or BG/L, not a valid line some days later.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
 
 from .clock import (
-    COLON_MINUTES, MONTHS, SECOND_TEXT, DayPrefixes, epoch, parse_stream, split,
+    COLON_MINUTES, MONTHS, SECOND_TEXT, DayPrefixes, epoch, split,
 )
 from .record import Channel, LogRecord, SyslogSeverity
 from .syslog import BSD_DAYS, FACILITY_PATTERN
@@ -92,15 +91,6 @@ def _ras_record(line: str, match) -> LogRecord:
     )
 
 
-def parse_redstorm_ras_line(line: str) -> LogRecord:
-    """Parse a Red Storm RAS (TCP/SMW) event line.  No severity field."""
-    line = line.rstrip("\n")
-    match = _RS_RAS_RE.match(line)
-    if match is None:
-        return _corrupt_record(line, Channel.RAS_TCP)
-    return _ras_record(line, match)
-
-
 def parse_redstorm_line(line: str, year: int) -> LogRecord:
     """Dispatch a line to the matching Red Storm format parser."""
     match = _RS_RAS_RE.match(line)
@@ -125,8 +115,3 @@ def render_redstorm_line(record: LogRecord) -> str:
     severity = record.severity if record.severity else SyslogSeverity.INFO.name
     text = f"{record.facility}: {record.body}" if record.facility else record.body
     return f"{BSD_DAYS[day]}{time_of_day} {record.source} {severity} {text}"
-
-
-def parse_redstorm_stream(lines: Iterable[str], year: int) -> Iterator[LogRecord]:
-    """The one stream parser, :func:`.clock.parse_stream`, for Red Storm."""
-    return parse_stream(lines, parse_redstorm_line, year)

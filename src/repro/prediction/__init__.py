@@ -8,7 +8,7 @@ from .ensemble import (
     EnsembleMember,
     PredictorEnsemble,
 )
-from .features import AlertHistory, WindowFeatures
+from .features import AlertHistory
 from .predictors import BurstPredictor, PrecursorPredictor, SeverityPredictor
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "EnsembleMember",
     "PredictorEnsemble",
     "AlertHistory",
-    "WindowFeatures",
     "BurstPredictor",
     "PrecursorPredictor",
     "SeverityPredictor",

@@ -11,29 +11,11 @@ applied uniformly (Section 4).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..core.categories import Alert
-
-
-@dataclass(frozen=True)
-class WindowFeatures:
-    """Features of one trailing window ending at ``t``."""
-
-    t: float
-    window: float
-    total: int
-    by_category: Dict[str, int]
-
-    def rate(self) -> float:
-        """Alerts per second in the window."""
-        return self.total / self.window if self.window > 0 else 0.0
-
-    def count(self, category: str) -> int:
-        return self.by_category.get(category, 0)
 
 
 class AlertHistory:
@@ -81,21 +63,6 @@ class AlertHistory:
             )
             self._by_category_np[category] = arr
         return arr
-
-    def features_at(self, t: float, window: float) -> WindowFeatures:
-        """Trailing-window features for the interval [t - window, t)."""
-        t0 = t - window
-        by_category = {
-            category: self.category_count_between(category, t0, t)
-            for category in self._by_category
-        }
-        by_category = {c: n for c, n in by_category.items() if n > 0}
-        return WindowFeatures(
-            t=t,
-            window=window,
-            total=self.count_between(t0, t),
-            by_category=by_category,
-        )
 
     def first_time(self) -> float:
         return self._times[0] if self._times else 0.0

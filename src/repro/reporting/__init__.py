@@ -29,7 +29,6 @@ from .figures import (
     figure4,
     figure5,
     figure6,
-    liberty_figures,
 )
 
 __all__ = [
@@ -56,6 +55,5 @@ __all__ = [
     "figure4",
     "figure5",
     "figure6",
-    "liberty_figures",
     "system_report",
 ]

@@ -26,8 +26,6 @@ from ..analysis.phases import PhaseShift, detect_phase_shifts
 from ..analysis.timeseries import (
     RateSeries,
     SourceDistribution,
-    hourly_message_counts,
-    messages_by_source,
 )
 from ..core.categories import Alert
 from ..simulation.opcontext import ContextTimeline
@@ -278,22 +276,6 @@ def figure6(
         lines.extend("    " + row for row in histogram_rows(labels, hist.counts.tolist()))
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def liberty_figures(result, records=None) -> str:
-    """Figures 2(a), 2(b), 3, and 4 from one Liberty pipeline result.
-
-    ``records`` supplies the full message stream for the traffic figures
-    when the caller kept it; alert-only figures come from the result.
-    """
-    sections = []
-    if records is not None:
-        records = list(records)
-        sections.append(figure2a(hourly_message_counts(records)))
-        sections.append(figure2b(messages_by_source(records)))
-    sections.append(figure3(result.raw_alerts))
-    sections.append(figure4(result.filtered_alerts))
-    return "\n\n".join(sections)
 
 
 def all_figures(results: Dict[str, object]) -> str:

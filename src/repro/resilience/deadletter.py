@@ -104,10 +104,6 @@ class DeadLetterQueue:
     def __iter__(self) -> Iterator[DeadLetter]:
         return iter(self._letters)
 
-    def letters_for(self, reason: str) -> Tuple[DeadLetter, ...]:
-        """The retained letters quarantined under one reason."""
-        return tuple(letter for letter in self._letters if letter.reason == reason)
-
     def snapshot(self) -> DeadLetterSnapshot:
         """An immutable copy of the current state."""
         with self._lock:

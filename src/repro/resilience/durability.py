@@ -752,10 +752,7 @@ class CheckpointStore:
         self.alert_copy = AlertCopy(self.directory, self.token, self.fs)
         manifest = self._read_manifest()
         if manifest is not None and manifest.get("token") != self.token:
-            self.status.note(
-                "state belongs to a different run configuration "
-                f"(token {manifest.get('token')!r}); starting fresh"
-            )
+            self.start_fresh(f"token {manifest.get('token')!r}")
             return None
         if manifest is not None and manifest.get("complete"):
             # The finished run's generations go with it: a later run that
@@ -788,6 +785,15 @@ class CheckpointStore:
             self.generation = max(self.generation, generation)
             return payload
         return None
+
+    def start_fresh(self, why: str) -> None:
+        """Treat the state on disk as another run's: note ``why``, and let
+        the first save start the alert copy over."""
+        self.status.note(
+            f"state belongs to a different run configuration ({why}); "
+            "starting fresh"
+        )
+        self.alert_copy = AlertCopy(self.directory, self.token, self.fs)
 
     @staticmethod
     def _unwrap(

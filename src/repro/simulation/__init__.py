@@ -22,7 +22,7 @@ from .cluster import Cluster, Node, NodeRole
 from .collector import Collector, merge_streams
 from .corruptor import Corruptor, CorruptorStats
 from .failures import Incident, IncidentPlanner, zipf_split
-from .generator import GeneratedLog, LogGenerator, generate_all, generate_log
+from .generator import GeneratedLog, LogGenerator, generate_log
 from .opcontext import (
     ContextTimeline,
     OperationalState,
@@ -30,19 +30,11 @@ from .opcontext import (
     disambiguate,
     synthesize_timeline,
 )
-from .swf import (
-    Flurry,
-    detect_flurries,
-    read_swf,
-    sanitize_workload,
-    write_swf,
-)
-from .transport import JtagMailbox, TcpRasChannel, UdpSyslogChannel
+from .transport import UdpSyslogChannel
 from .workload import (
     Job,
     WorkloadModel,
     communication_intensive,
-    jobs_running_at,
     lost_node_seconds,
 )
 
@@ -66,24 +58,15 @@ __all__ = [
     "zipf_split",
     "GeneratedLog",
     "LogGenerator",
-    "generate_all",
     "generate_log",
     "ContextTimeline",
     "OperationalState",
     "StateTransition",
     "disambiguate",
     "synthesize_timeline",
-    "Flurry",
-    "detect_flurries",
-    "read_swf",
-    "sanitize_workload",
-    "write_swf",
-    "JtagMailbox",
-    "TcpRasChannel",
     "UdpSyslogChannel",
     "Job",
     "WorkloadModel",
     "communication_intensive",
-    "jobs_running_at",
     "lost_node_seconds",
 ]

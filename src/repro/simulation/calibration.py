@@ -151,16 +151,8 @@ class SystemScenario:
         return sum(cat.raw for cat in self.categories)
 
     @property
-    def filtered_alert_total(self) -> int:
-        return sum(cat.filtered for cat in self.categories)
-
-    @property
     def background_total(self) -> int:
         return sum(spec.count for spec in self.background)
-
-    @property
-    def message_total(self) -> int:
-        return self.background_total + self.raw_alert_total
 
     def get_category(self, name: str) -> CategoryCalibration:
         for cat in self.categories:

@@ -112,12 +112,6 @@ class Cluster:
     def compute_nodes(self) -> List[Node]:
         return self.by_role(NodeRole.COMPUTE)
 
-    def node_named(self, name: str) -> Node:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(f"no node named {name!r} in {self.spec.name} cluster")
-
     def chattiness(self) -> List[Tuple[Node, float]]:
         """Background-traffic weight per node.
 

@@ -313,15 +313,3 @@ def generate_log(
     return LogGenerator(
         system, scale=scale, seed=seed, incident_scale=incident_scale, **kwargs
     ).generate()
-
-
-def generate_all(
-    scale: float = 1e-4, seed: int = 2007, **kwargs
-) -> Dict[str, GeneratedLog]:
-    """Generate all five machines' logs (lazily; streams unconsumed)."""
-    from ..systems.specs import SYSTEMS
-
-    return {
-        name: generate_log(name, scale=scale, seed=seed, **kwargs)
-        for name in SYSTEMS
-    }

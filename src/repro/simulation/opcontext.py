@@ -34,10 +34,6 @@ class OperationalState(enum.Enum):
     ENGINEERING_TIME = "engineering-time"
 
     @property
-    def is_production(self) -> bool:
-        return self is OperationalState.PRODUCTION_UPTIME
-
-    @property
     def is_downtime(self) -> bool:
         return self in (
             OperationalState.SCHEDULED_DOWNTIME,

@@ -1,21 +1,17 @@
-"""Log transport models: lossy UDP syslog, reliable RAS TCP, JTAG polling.
+"""Log transport model: lossy UDP syslog.
 
 The paper is explicit that the collection path shapes the data
-(Section 3.1):
+(Section 3.1): Thunderbird/Spirit/Liberty forward syslog over **UDP** —
+"as is standard syslog practice, the UDP protocol is used for
+transmission, resulting in some messages being lost during network
+contention".  (Red Storm's reliable RAS TCP path and BG/L's JTAG-mailbox
+polling lose nothing; they appear only as each record's
+:class:`~repro.logmodel.record.Channel`.)
 
-* Thunderbird/Spirit/Liberty forward syslog over **UDP** — "as is standard
-  syslog practice, the UDP protocol is used for transmission, resulting in
-  some messages being lost during network contention";
-* Red Storm's RAS network uses "the reliable **TCP** protocol" to the SMW;
-* BG/L compute chips "store errors locally until they are polled" over the
-  **JTAG-mailbox** protocol (~1 ms polling period), so delivery timestamps
-  are quantized to poll boundaries while the event keeps its microsecond
-  origin stamp.
-
-Transports are stream transformers over time-ordered records.  Loss in the
-UDP channel is *load-dependent*: the drop probability rises with the
-instantaneous message rate, which is exactly when bursts (the interesting
-part of the log) are being generated.
+The channel is a stream transformer over time-ordered records.  Its loss
+is *load-dependent*: the drop probability rises with the instantaneous
+message rate, which is exactly when bursts (the interesting part of the
+log) are being generated.
 """
 
 from __future__ import annotations
@@ -130,55 +126,3 @@ class UdpSyslogChannel:
     @property
     def loss_fraction(self) -> float:
         return self.dropped / self.sent if self.sent else 0.0
-
-
-class TcpRasChannel:
-    """Reliable, order-preserving channel (Red Storm RAS network).
-
-    Nothing is lost; a small constant delivery latency models the hop to
-    the SMW but original event timestamps are preserved — logs record the
-    event time, not the arrival time, on this path.
-    """
-
-    def __init__(self, latency: float = 0.02):
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.latency = latency
-        self.delivered = 0
-
-    def transmit(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-        for record in records:
-            self.delivered += 1
-            yield record
-
-
-class JtagMailbox:
-    """BG/L's polled collection: chips buffer events until the next poll.
-
-    Events are delivered in batches at multiples of ``poll_period`` (the
-    paper's logs used ~1 ms).  The record keeps its microsecond origin
-    timestamp; :attr:`max_delivery_delay` tracks the worst buffering delay,
-    which bounds the staleness detection-time analyses must assume.
-    """
-
-    def __init__(self, poll_period: float = 0.001):
-        if poll_period <= 0:
-            raise ValueError("poll_period must be positive")
-        self.poll_period = poll_period
-        self.delivered = 0
-        self.max_delivery_delay = 0.0
-
-    def next_poll_after(self, timestamp: float) -> float:
-        """The first poll instant at or after ``timestamp``."""
-        polls = int(timestamp / self.poll_period)
-        poll_time = polls * self.poll_period
-        if poll_time < timestamp:
-            poll_time += self.poll_period
-        return poll_time
-
-    def transmit(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-        for record in records:
-            delay = self.next_poll_after(record.timestamp) - record.timestamp
-            self.max_delivery_delay = max(self.max_delivery_delay, delay)
-            self.delivered += 1
-            yield record

@@ -32,7 +32,7 @@ class Job:
     duration: float
     nodes: Sequence[Node]
     comm_intensity: float  # 0..1; >0.7 is "communication-intensive"
-    user: str = ""         # submitting user (drives flurry structure)
+    user: str = ""         # submitting user
 
     @property
     def end(self) -> float:
@@ -45,10 +45,6 @@ class Job:
     def node_seconds(self) -> float:
         """Work content of the job, for lost-work accounting."""
         return self.duration * self.width
-
-    def overlaps(self, t0: float, t1: float) -> bool:
-        """Whether the job's run interval intersects [t0, t1)."""
-        return self.start < t1 and t0 < self.end
 
 
 class WorkloadModel:
@@ -124,11 +120,6 @@ class WorkloadModel:
 def communication_intensive(jobs: Sequence[Job], threshold: float = 0.7) -> List[Job]:
     """The jobs whose network load can trigger the SMP clock bug."""
     return [job for job in jobs if job.comm_intensity >= threshold]
-
-
-def jobs_running_at(jobs: Sequence[Job], t: float) -> List[Job]:
-    """Jobs whose run interval contains time ``t``."""
-    return [job for job in jobs if job.start <= t < job.end]
 
 
 def lost_node_seconds(jobs: Sequence[Job], failure_time: float,

@@ -12,7 +12,6 @@ from .specs import (
     THUNDERBIRD,
     LogSpec,
     SystemSpec,
-    get_log_spec,
     get_system,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "THUNDERBIRD",
     "LogSpec",
     "SystemSpec",
-    "get_log_spec",
     "get_system",
 ]

@@ -164,12 +164,3 @@ def get_system(name: str) -> SystemSpec:
     except KeyError:
         valid = ", ".join(sorted(SYSTEMS))
         raise KeyError(f"unknown system {name!r}; valid names: {valid}") from None
-
-
-def get_log_spec(name: str) -> LogSpec:
-    """Look up the paper's Table 2 row for a system short name."""
-    try:
-        return LOG_SPECS[name]
-    except KeyError:
-        valid = ", ".join(sorted(LOG_SPECS))
-        raise KeyError(f"unknown system {name!r}; valid names: {valid}") from None

@@ -7,10 +7,8 @@ import pytest
 
 from repro.analysis.checkpointing import (
     daly_interval,
-    empirical_optimum,
     interval_sweep,
     simulate_lost_work,
-    synthetic_exponential_failures,
     young_interval,
 )
 
@@ -82,7 +80,7 @@ class TestSimulation:
 
     def test_efficiency_between_zero_and_one(self):
         rng = np.random.default_rng(0)
-        failures = synthetic_exponential_failures(rng, 2 * HOUR, 48 * HOUR)
+        failures = np.cumsum(rng.exponential(2 * HOUR, size=48)).tolist()
         outcome = simulate_lost_work(
             failures, interval=HOUR, checkpoint_cost=60.0,
             work_target=24 * HOUR,
@@ -102,13 +100,15 @@ class TestSweep:
         rng = np.random.default_rng(7)
         mtbf = 4 * HOUR
         cost = 120.0
-        failures = synthetic_exponential_failures(rng, mtbf, 4000 * HOUR)
+        # Poisson failures, the assumption Daly/Young encode, well past
+        # the end of the run.
+        failures = np.cumsum(rng.exponential(mtbf, size=1000)).tolist()
         daly = daly_interval(mtbf, cost)
         intervals = [daly / 4, daly / 2, daly, daly * 2, daly * 4, daly * 8]
         outcomes = interval_sweep(
             failures, intervals, cost, work_target=2000 * HOUR,
         )
-        best = empirical_optimum(outcomes)
+        best = max(outcomes, key=lambda i: outcomes[i].efficiency)
         # Daly's choice is within one sweep step of the empirical best.
         assert best in (daly / 2, daly, daly * 2)
 
@@ -132,7 +132,3 @@ class TestSweep:
             failures, [naive, informed], cost, work_target=1000 * HOUR,
         )
         assert outcomes[informed].efficiency > outcomes[naive].efficiency
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_optimum({})

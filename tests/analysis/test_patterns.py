@@ -94,45 +94,6 @@ class TestSuggestRules:
         assert suggest_rules([template], min_literal_words=3) == []
 
 
-class TestRulesetFromTemplates:
-    def test_bootstrapped_ruleset_tags_failure_lines(self):
-        from repro.analysis.patterns import ruleset_from_templates
-        from repro.core.tagging import Tagger
-        from repro.logmodel.record import LogRecord
-
-        templates = mine_templates(_corpus(), min_support=10)
-        ruleset = ruleset_from_templates("mystery", templates)
-        assert len(ruleset) >= 1
-        tagger = Tagger(ruleset)
-        hit = LogRecord(
-            timestamp=1.0, source="n1", facility="",
-            body="pbs_mom: task_check, cannot tm_reply to 777.admin task 1",
-            system="mystery",
-        )
-        miss = LogRecord(
-            timestamp=1.0, source="n1", facility="",
-            body="session opened for user root", system="mystery",
-        )
-        assert tagger.match(hit) is not None
-        assert tagger.match(miss) is None
-
-    def test_benign_templates_excluded(self):
-        from repro.analysis.patterns import ruleset_from_templates
-
-        bodies = ["ntpd: synchronized to 10.0.0.1, stratum 2"] * 50
-        templates = mine_templates(bodies, min_support=10)
-        ruleset = ruleset_from_templates("mystery", templates)
-        assert len(ruleset) == 0
-
-    def test_mined_names_are_sequential(self):
-        from repro.analysis.patterns import ruleset_from_templates
-
-        templates = mine_templates(_corpus(), min_support=10)
-        ruleset = ruleset_from_templates("mystery", templates)
-        for category in ruleset:
-            assert category.name.startswith("MINED_")
-
-
 class TestOnGeneratedLog:
     def test_mined_templates_align_with_calibrated_categories(self):
         """Unsupervised mining over a generated Liberty log recovers the

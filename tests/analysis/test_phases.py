@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.phases import detect_phase_shifts, segment_means
+from repro.analysis.phases import detect_phase_shifts
 from repro.analysis.timeseries import RateSeries
 
 
@@ -57,18 +57,3 @@ class TestDetection:
 
     def test_short_series_is_quiet(self):
         assert detect_phase_shifts(_series([5, 6, 5, 7])) == []
-
-
-class TestSegmentMeans:
-    def test_means_per_phase(self, rng):
-        values = np.concatenate([np.full(100, 10.0), np.full(100, 30.0)])
-        series = _series(values)
-        shifts = detect_phase_shifts(series)
-        means = segment_means(series, shifts)
-        assert len(means) == len(shifts) + 1
-        assert means[0] == pytest.approx(10.0, abs=1.0)
-        assert means[-1] == pytest.approx(30.0, abs=1.0)
-
-    def test_no_shifts_single_segment(self):
-        series = _series([5.0, 5.0, 5.0])
-        assert segment_means(series, []) == [pytest.approx(5.0)]

@@ -6,7 +6,6 @@ from repro.analysis.severity_eval import (
     DetectorScore,
     SeverityCrossTab,
     score_severity_detector,
-    severity_cross_tab,
 )
 from repro.core.categories import AlertType, CategoryDef, Ruleset
 from repro.core.severity import SeverityTaggerConfig
@@ -54,13 +53,6 @@ class TestCrossTab:
         rows = tab.rows(["FATAL", "INFO"])
         assert rows[0] == ("FATAL", 1, 50.0, 1, 100.0)
         assert rows[1] == ("INFO", 1, 50.0, 0, 0.0)
-
-    def test_cross_tab_builder(self):
-        tagger = Tagger(_ruleset())
-        records = [_record("boom", "FATAL"), _record("calm", "INFO")]
-        tab = severity_cross_tab(records, tagger)
-        assert tab.total_messages == 2
-        assert tab.total_alerts == 1
 
 
 class TestDetectorScore:

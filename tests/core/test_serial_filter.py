@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.filtering import SpatioTemporalFilter, log_filter, sorted_by_time
-from repro.core.serial_filter import compare_filters, serial_filter
+from repro.core.serial_filter import serial_filter
 
 from ..conftest import make_alert
 
@@ -66,13 +66,15 @@ class TestPaperDivergenceExample:
         kept = list(log_filter(self._alerts()))
         assert [(a.timestamp, a.source) for a in kept] == [(0.0, "n1")]
 
-    def test_compare_filters_reports_the_difference(self):
-        outcome = compare_filters(self._alerts())
-        assert len(outcome["simultaneous"]) == 1
-        assert len(outcome["serial"]) == 2
-        removed = outcome["removed_only_by_simultaneous"]
+    def test_simultaneous_alone_removes_n2(self):
+        alerts = self._alerts()
+        simultaneous = list(log_filter(alerts))
+        serial = list(serial_filter(alerts))
+        assert len(simultaneous) == 1
+        assert len(serial) == 2
+        removed = [a for a in serial if a not in simultaneous]
         assert [a.source for a in removed] == ["n2"]
-        assert outcome["removed_only_by_serial"] == []
+        assert [a for a in simultaneous if a not in serial] == []
 
 
 alert_streams = st.lists(

@@ -1,52 +1,9 @@
 """Unit tests for the severity-based tagging baseline."""
 
-from repro.core.severity import SeverityTagger, SeverityTaggerConfig
-from repro.logmodel.record import LogRecord, RasSeverity, SyslogSeverity
-
-
-def _record(severity=None):
-    return LogRecord(
-        timestamp=1.0, source="n1", facility="kernel", body="x",
-        severity=severity,
-    )
+from repro.core.severity import SeverityTaggerConfig
 
 
 class TestConfigs:
     def test_bgl_fatal_failure(self):
         config = SeverityTaggerConfig.bgl_fatal_failure()
         assert config.alert_labels == frozenset({"FATAL", "FAILURE"})
-
-    def test_syslog_at_least(self):
-        config = SeverityTaggerConfig.syslog_at_least(SyslogSeverity.CRIT)
-        assert config.alert_labels == frozenset({"EMERG", "ALERT", "CRIT"})
-
-    def test_ras_at_least(self):
-        config = SeverityTaggerConfig.ras_at_least(RasSeverity.SEVERE)
-        assert config.alert_labels == frozenset({"FATAL", "FAILURE", "SEVERE"})
-
-
-class TestTagger:
-    def test_default_is_bgl_rule(self):
-        tagger = SeverityTagger()
-        assert tagger.is_alert(_record("FATAL"))
-        assert tagger.is_alert(_record("FAILURE"))
-        assert not tagger.is_alert(_record("SEVERE"))
-
-    def test_records_without_severity_never_tagged(self):
-        """Three of the five machines record no severity — the baseline is
-        structurally blind there (Section 3.2)."""
-        tagger = SeverityTagger()
-        assert not tagger.is_alert(_record(None))
-
-    def test_tag_stream(self):
-        tagger = SeverityTagger()
-        records = [_record("FATAL"), _record("INFO"), _record(None)]
-        assert len(list(tagger.tag_stream(records))) == 1
-
-    def test_custom_config(self):
-        tagger = SeverityTagger(
-            SeverityTaggerConfig.syslog_at_least(SyslogSeverity.ERR)
-        )
-        assert tagger.is_alert(_record("CRIT"))
-        assert tagger.is_alert(_record("ERR"))
-        assert not tagger.is_alert(_record("WARNING"))

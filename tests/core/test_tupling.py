@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.filtering import sorted_by_time
-from repro.core.tupling import tuple_alerts, tuple_statistics
+from repro.core.tupling import tuple_alerts
 
 from ..conftest import make_alert
 
@@ -52,26 +52,6 @@ class TestTupleAlerts:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             list(tuple_alerts([make_alert(0.0)], window=-1.0))
-
-
-class TestStatistics:
-    def test_empty(self):
-        stats = tuple_statistics([])
-        assert stats["count"] == 0
-        assert stats["collision_rate"] == 0.0
-
-    def test_collision_rate(self):
-        alerts = sorted_by_time(
-            [
-                make_alert(0.0, category="A"),
-                make_alert(1.0, category="B"),   # collision tuple
-                make_alert(100.0, category="A"),  # clean tuple
-            ]
-        )
-        stats = tuple_statistics(tuple_alerts(alerts, window=5.0))
-        assert stats["count"] == 2
-        assert stats["collision_rate"] == pytest.approx(0.5)
-        assert stats["max_size"] == 2
 
 
 @st.composite

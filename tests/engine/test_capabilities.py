@@ -10,7 +10,6 @@ from repro.engine.capabilities import (
     SHED_TOLERANCE,
     build_driver,
     capability_lines,
-    driver_name,
 )
 from repro.engine.drivers import BoundedDriver, SerialDriver, ShardedDriver
 from repro.parallel.config import ParallelConfig
@@ -29,7 +28,6 @@ class TestDriverSelection:
         (PAR, BP, "bounded-sharded"),
     ])
     def test_driver_name(self, parallel, backpressure, expected):
-        assert driver_name(parallel, backpressure) == expected
         assert build_driver(parallel, backpressure).name == expected
 
     def test_driver_types(self):
@@ -81,7 +79,7 @@ class TestValidation:
                 driver = build_driver(
                     parallel=parallel, backpressure=backpressure,
                 )
-                assert driver.name == driver_name(parallel, backpressure)
+                assert driver.name in CAPABILITY_TABLE
 
     def test_checkpoint_every_must_be_positive(self):
         """The one check, where the cadence is used."""

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.logio.reader import count_lines
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +18,7 @@ def generated_log(tmp_path_factory):
 
 class TestGenerate:
     def test_writes_lines(self, generated_log):
-        assert count_lines(generated_log) > 1000
+        assert len(generated_log.read_text().splitlines()) > 1000
 
     def test_gzip(self, tmp_path):
         path = tmp_path / "lib.log.gz"
@@ -69,9 +68,9 @@ class TestAnonymize:
             "--out", str(out_path), "--key", "s3cret", "--year", "2004",
         ])
         assert code == 0
-        assert count_lines(out_path) == count_lines(generated_log)
         original = generated_log.read_text()
         anonymized = out_path.read_text()
+        assert len(anonymized.splitlines()) == len(original.splitlines())
         assert "ladmin1" in original
         assert "ladmin1" not in anonymized
 

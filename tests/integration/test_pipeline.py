@@ -41,7 +41,7 @@ def test_filtered_counts_track_paper_table4(fixture_name, tolerance, request):
     real filter over the generated stream recovers the paper's filtered
     counts (within tolerance for incident collisions)."""
     result = request.getfixturevalue(fixture_name)
-    expected = SCENARIOS[result.system].filtered_alert_total
+    expected = sum(cat.filtered for cat in SCENARIOS[result.system].categories)
     assert result.filtered_alert_count == pytest.approx(
         expected, rel=tolerance
     )

@@ -7,15 +7,9 @@ from itertools import islice
 import pytest
 
 from repro import api
-from repro.logio.reader import count_lines, read_log
-from repro.logio.stats import StatsCollector, measure_stream
-from repro.logio.writer import (
-    compressed_ratio,
-    log_bytes,
-    render_lines,
-    renderer_for,
-    write_log,
-)
+from repro.logio.reader import read_log
+from repro.logio.stats import StatsCollector
+from repro.logio.writer import renderer_for, write_log
 from repro.logmodel.bgl import render_bgl_line
 from repro.logmodel.dialects import parse_lines
 from repro.logmodel.record import LogRecord
@@ -59,18 +53,12 @@ def test_gzip_round_trip(tmp_path):
         assert handle.readline().strip()
 
 
-def test_count_lines(tmp_path):
-    _, _, written, path = _roundtrip(tmp_path, "liberty")
-    assert count_lines(path) == written
-
-
 @pytest.mark.parametrize("system", ["liberty", "bgl"])
 @pytest.mark.parametrize("cut", [0.25, 0.5, 0.9])
 def test_truncated_gzip_reads_its_recoverable_prefix(tmp_path, system, cut):
     """A ``.gz`` log cut mid-stream reads to the last byte gzip can
     recover, without raising: every record but the last equals the
-    untruncated file's, the last is a prefix of its line, and
-    ``count_lines`` sees as many lines as the reader yields."""
+    untruncated file's, and the last is a prefix of its line."""
     gen = generate_log(system, scale=SCALE, seed=SEED, corruption=0.0)
     whole = tmp_path / f"{system}.log.gz"
     write_log(gen.records, whole, system, compress=True)
@@ -82,7 +70,6 @@ def test_truncated_gzip_reads_its_recoverable_prefix(tmp_path, system, cut):
     assert 0 < len(records) < len(full)
     assert records[:-1] == full[: len(records) - 1]
     assert full[len(records) - 1].raw.startswith(records[-1].raw)
-    assert count_lines(cut_path) == len(records)
 
 
 def test_renderer_for_dispatch():
@@ -91,33 +78,17 @@ def test_renderer_for_dispatch():
     assert renderer_for("spirit") is render_syslog_line
 
 
-def test_render_lines_lazy():
-    records = [
-        LogRecord(timestamp=0.0, source="n1", facility="f", body="x"),
-    ]
-    lines = list(render_lines(records, "liberty"))
-    assert lines == ["Jan  1 00:00:00 n1 f: x"]
-
-
-def test_log_bytes_matches_rendered_length():
-    records = [
-        LogRecord(timestamp=0.0, source="n1", facility="f", body="x"),
-    ]
-    line = "Jan  1 00:00:00 n1 f: x"
-    assert log_bytes(records, "liberty") == len(line) + 1
-
-
-def test_compressed_ratio_repetitive_text_compresses_well():
-    lines = ["kernel: EXT3-fs error (device sda5)"] * 500
-    assert compressed_ratio(lines) < 0.1
-    assert compressed_ratio([]) == 1.0
-
-
 class TestStatsCollector:
+    @staticmethod
+    def _stats(records, system="liberty"):
+        collector = StatsCollector(system)
+        collector.observe_batch(records)
+        return collector.finish()
+
     def test_measure_stream(self):
         gen = generate_log("liberty", scale=SCALE, seed=SEED)
         records = list(gen.records)
-        stats = measure_stream(iter(records), "liberty")
+        stats = self._stats(records)
         assert stats.messages == len(records)
         assert stats.raw_bytes > 0
         assert 0 < stats.compressed_bytes < stats.raw_bytes
@@ -169,7 +140,7 @@ class TestStatsCollector:
         """The incremental zlib estimate must track an actual gzip file."""
         gen = generate_log("liberty", scale=SCALE, seed=SEED)
         records = list(gen.records)
-        stats = measure_stream(iter(records), "liberty")
+        stats = self._stats(records)
         path = tmp_path / "lib.log.gz"
         write_log(records, path, "liberty", compress=True)
         actual = path.stat().st_size
@@ -217,7 +188,10 @@ class TestStatsCollector:
             path.write_bytes(gzip.compress(data))
         else:
             path, year, data = self._gz_log(tmp_path, system)
-        per_record = measure_stream(read_log(path, system, year=year), system)
+        collector = StatsCollector(system)
+        for record in read_log(path, system, year=year):
+            collector.observe_record(record)
+        per_record = collector.finish()
         batched = api.run_stream(read_log(path, system, year=year), system)
         for stats in (per_record, batched.stats):
             assert stats.raw_bytes == len(data)
@@ -233,12 +207,12 @@ class TestStatsCollector:
         data = "".join(
             render_syslog_line(r) + "\n" for r in records
         ).encode("utf-8")
-        stats = measure_stream(iter(records), "liberty")
+        stats = self._stats(records)
         assert stats.raw_bytes == len(data)
         assert stats.compressed_bytes == len(zlib.compress(data, 6))
 
     def test_empty_stream(self):
-        stats = measure_stream(iter([]), "liberty")
+        stats = self._stats([])
         assert stats.messages == 0
         assert stats.span_seconds == 0.0
         assert stats.rate_bytes_per_second == 0.0

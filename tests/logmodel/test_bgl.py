@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.logmodel.bgl import (
-    FACILITIES,
-    parse_bgl_line,
-    parse_bgl_stream,
-    render_bgl_line,
-)
+from repro.logmodel.bgl import bgl_parser, render_bgl_line
+from repro.logmodel.dialects import parse_lines
 from repro.logmodel.record import Channel, LogRecord
 
 GOOD_LINE = (
@@ -18,7 +14,7 @@ GOOD_LINE = (
 
 class TestParse:
     def test_fields(self):
-        record = parse_bgl_line(GOOD_LINE)
+        record = bgl_parser(GOOD_LINE, 0)
         assert not record.corrupted
         assert record.source == "R02-M1-N0-C:J12-U11"
         assert record.facility == "KERNEL"
@@ -28,7 +24,7 @@ class TestParse:
         assert record.channel is Channel.JTAG_MAILBOX
 
     def test_microsecond_timestamps(self):
-        record = parse_bgl_line(GOOD_LINE)
+        record = bgl_parser(GOOD_LINE, 0)
         assert record.timestamp == pytest.approx(1117813370.363779, abs=1e-6)
 
     def test_null_location_becomes_empty_source(self):
@@ -36,23 +32,23 @@ class TestParse:
             "2005-06-03-15.42.50.363779 NULL RAS BGLMASTER FAILURE "
             "ciodb exited normally with exit code 0"
         )
-        record = parse_bgl_line(line)
+        record = bgl_parser(line, 0)
         assert record.source == ""
         assert record.severity == "FAILURE"
 
     def test_unknown_severity_is_corruption(self):
         line = GOOD_LINE.replace("FATAL", "CRITICAL")
-        assert parse_bgl_line(line).corrupted
+        assert bgl_parser(line, 0).corrupted
 
     def test_garbage_tolerant(self):
-        record = parse_bgl_line("VAPI_EAGAI")
+        record = bgl_parser("VAPI_EAGAI", 0)
         assert record.corrupted
         assert record.raw == "VAPI_EAGAI"
 
     def test_garbage_strict(self):
         """Garbage is a corrupted record, never an exception: there is
         no strict mode."""
-        record = parse_bgl_line("VAPI_EAGAI")
+        record = bgl_parser("VAPI_EAGAI", 0)
         assert record.corrupted
         assert record.timestamp == 0.0
         assert record.channel is Channel.JTAG_MAILBOX
@@ -60,17 +56,17 @@ class TestParse:
 
     def test_bad_calendar_date_tolerant(self):
         line = GOOD_LINE.replace("2005-06-03", "2005-02-31")
-        assert parse_bgl_line(line).corrupted
+        assert bgl_parser(line, 0).corrupted
 
 
 class TestRender:
     def test_round_trip(self):
-        record = parse_bgl_line(GOOD_LINE)
+        record = bgl_parser(GOOD_LINE, 0)
         assert render_bgl_line(record) == GOOD_LINE
 
     def test_round_trip_preserves_microseconds(self):
-        record = parse_bgl_line(GOOD_LINE)
-        again = parse_bgl_line(render_bgl_line(record))
+        record = bgl_parser(GOOD_LINE, 0)
+        again = bgl_parser(render_bgl_line(record), 0)
         assert again.timestamp == record.timestamp
 
     def test_empty_source_renders_null(self):
@@ -87,7 +83,7 @@ class TestRender:
         assert " NULL RAS MMCS INFO x" in line
 
     def test_corrupted_renders_raw(self):
-        record = parse_bgl_line("junk")
+        record = bgl_parser("junk", 0)
         assert render_bgl_line(record) == "junk"
 
     def test_microsecond_rounding_never_overflows(self):
@@ -101,14 +97,10 @@ class TestRender:
             channel=Channel.JTAG_MAILBOX,
         )
         line = render_bgl_line(record)
-        assert parse_bgl_line(line).timestamp == pytest.approx(10.0)
+        assert bgl_parser(line, 0).timestamp == pytest.approx(10.0)
 
 
 def test_stream_skips_blanks():
-    records = list(parse_bgl_stream(["", GOOD_LINE, "  "]))
+    records = list(parse_lines(["", GOOD_LINE, "  "], "bgl", 0))
     assert len(records) == 1
 
-
-def test_known_facilities_include_papers_examples():
-    for facility in ("KERNEL", "APP", "BGLMASTER", "MMCS"):
-        assert facility in FACILITIES

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logmodel import clock
-from repro.logmodel.bgl import parse_bgl_line, render_bgl_line
+from repro.logmodel.bgl import bgl_parser, render_bgl_line
 from repro.logmodel.record import Channel, LogRecord
 from repro.logmodel.redstorm import parse_redstorm_line, render_redstorm_line
 from repro.logmodel.syslog import (
@@ -124,7 +124,7 @@ def reference_record(line, system, year):
 
 def parse(line, system, year):
     if system == "bgl":
-        return parse_bgl_line(line)
+        return bgl_parser(line, year)
     if system == "redstorm":
         return parse_redstorm_line(line, year)
     return parse_syslog_line(line, year, system=system)
@@ -279,7 +279,7 @@ def test_feb_29(year, leap):
     assert record.corrupted is not leap
     if leap:
         assert record.timestamp == calendar.timegm((year, 2, 29, 12, 0, 0))
-    bgl = parse_bgl_line(f"{year}-02-29-12.00.00.000000 R00 RAS KERNEL INFO x")
+    bgl = bgl_parser(f"{year}-02-29-12.00.00.000000 R00 RAS KERNEL INFO x", year)
     assert bgl.corrupted is not leap
 
 

@@ -1,67 +1,6 @@
-"""Unit tests for corruption detection and classification."""
+"""Unit tests for garbled-field detection."""
 
-from repro.logmodel.corruption import (
-    CorruptionKind,
-    best_template_match,
-    classify_body,
-    classify_record,
-    common_prefix_length,
-    looks_garbled,
-)
-from repro.logmodel.record import LogRecord
-
-# The paper's canonical corruption example (Section 3.2.1).
-VAPI_TEMPLATE = (
-    "kernel: VIPKL(1): [create_mr] MM_bld_hh_mr failed (-253:VAPI_EAGAIN)"
-)
-VAPI_TRUNCATED = (
-    "kernel: VIPKL(1): [create_mr] MM_bld_hh_mr failed (-253:VAPI_EAGAI"
-)
-VAPI_SPLICED = (
-    "kernel: VIPKL(1): [create_mr] MM_bld_hh_mr failed (-253:VAPI_EAure = no"
-)
-
-
-class TestPrefixMatching:
-    def test_common_prefix_length(self):
-        assert common_prefix_length("abcdef", "abcxyz") == 3
-        assert common_prefix_length("abc", "abc") == 3
-        assert common_prefix_length("", "abc") == 0
-
-    def test_best_template_match(self):
-        template, length = best_template_match(
-            VAPI_TRUNCATED, [VAPI_TEMPLATE, "unrelated message"]
-        )
-        assert template == VAPI_TEMPLATE
-        assert length == len(VAPI_TRUNCATED)
-
-    def test_no_match(self):
-        template, length = best_template_match("zzz", ["abc"])
-        assert template is None
-        assert length == 0
-
-
-class TestClassifyBody:
-    def test_clean_exact(self):
-        verdict = classify_body(VAPI_TEMPLATE, [VAPI_TEMPLATE])
-        assert verdict.kind is CorruptionKind.NONE
-
-    def test_truncation_detected(self):
-        verdict = classify_body(VAPI_TRUNCATED, [VAPI_TEMPLATE])
-        assert verdict.kind is CorruptionKind.TRUNCATED
-        assert verdict.template == VAPI_TEMPLATE
-
-    def test_splice_detected(self):
-        verdict = classify_body(VAPI_SPLICED, [VAPI_TEMPLATE])
-        assert verdict.kind is CorruptionKind.SPLICED
-
-    def test_short_coincidental_prefix_ignored(self):
-        verdict = classify_body("kernel: hello", [VAPI_TEMPLATE])
-        assert verdict.kind is CorruptionKind.NONE
-
-    def test_is_corrupted_property(self):
-        assert classify_body(VAPI_TRUNCATED, [VAPI_TEMPLATE]).is_corrupted
-        assert not classify_body(VAPI_TEMPLATE, [VAPI_TEMPLATE]).is_corrupted
+from repro.logmodel.corruption import looks_garbled
 
 
 class TestLooksGarbled:
@@ -74,43 +13,3 @@ class TestLooksGarbled:
 
     def test_empty_is_not_garbled(self):
         assert not looks_garbled("")
-
-
-class TestClassifyRecord:
-    def _record(self, **overrides):
-        defaults = dict(
-            timestamp=1131537662.0,
-            source="tn231",
-            facility="kernel",
-            body="VIPKL(1): [create_mr] MM_bld_hh_mr failed (-253:VAPI_EAGAIN)",
-            system="thunderbird",
-        )
-        defaults.update(overrides)
-        return LogRecord(**defaults)
-
-    def test_clean_record(self):
-        verdict = classify_record(self._record(), templates=[VAPI_TEMPLATE])
-        assert verdict.kind is CorruptionKind.NONE
-
-    def test_garbled_source(self):
-        verdict = classify_record(self._record(source="\x00\x01\x02"))
-        assert verdict.kind is CorruptionKind.GARBLED_SOURCE
-
-    def test_bad_timestamp(self):
-        verdict = classify_record(self._record(timestamp=5e9))
-        assert verdict.kind is CorruptionKind.BAD_TIMESTAMP
-
-    def test_unparseable(self):
-        record = LogRecord(
-            timestamp=0.0, source="", facility="", body="x", corrupted=True,
-        )
-        verdict = classify_record(record)
-        assert verdict.kind is CorruptionKind.UNPARSEABLE
-
-    def test_truncated_body_against_templates(self):
-        record = self._record(
-            body="VIPKL(1): [create_mr] MM_bld_hh_mr failed (-253:VAPI_EAGAI",
-            corrupted=True,
-        )
-        verdict = classify_record(record, templates=[VAPI_TEMPLATE])
-        assert verdict.kind is CorruptionKind.TRUNCATED

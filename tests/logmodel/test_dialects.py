@@ -17,10 +17,7 @@ from repro import api
 from repro.core.tagging import RulesetHandle
 from repro.logio.reader import read_log
 from repro.logio.writer import renderer_for
-from repro.logmodel import DIALECTS, SYSTEM_NAMES, parse_lines
-from repro.logmodel.bgl import parse_bgl_stream
-from repro.logmodel.redstorm import parse_redstorm_stream
-from repro.logmodel.syslog import parse_syslog_stream
+from repro.logmodel import DIALECTS, parse_lines
 from repro.service.config import ServiceConfig
 from repro.service.router import TenantRouter, format_envelope, parse_native_line
 from repro.simulation.generator import generate_log
@@ -30,17 +27,6 @@ from ..conftest import SEED, SMALL_SCALE
 YEAR = 2005
 #: Half an hour before New Year 2006: the stream crosses it midway.
 START = float(calendar.timegm((YEAR, 12, 31, 23, 30, 0)))
-
-STREAM_PARSERS = {
-    "bgl": parse_bgl_stream,
-    "redstorm": lambda lines: parse_redstorm_stream(lines, YEAR),
-    **{
-        system: (lambda lines, system=system:
-                 parse_syslog_stream(lines, YEAR, system=system))
-        for system in ("thunderbird", "spirit", "liberty")
-    },
-}
-
 
 def crossing_stream(system, each=20):
     """``each`` alerts and ``each`` quiet records of a generated log,
@@ -71,7 +57,7 @@ async def through_tenant(system, lines):
     return [a.timestamp for a in tenant.alert_tail], len(tenant.dead_letters)
 
 
-@pytest.mark.parametrize("system", sorted(SYSTEM_NAMES))
+@pytest.mark.parametrize("system", sorted(DIALECTS))
 def test_new_year_reads_the_same_on_every_path(tmp_path, system):
     records = crossing_stream(system)
     stamps = [r.timestamp for r in records]
@@ -81,7 +67,7 @@ def test_new_year_reads_the_same_on_every_path(tmp_path, system):
     render = renderer_for(system)
     lines = [render(r) for r in records]
 
-    assert [r.timestamp for r in STREAM_PARSERS[system](lines)] == stamps
+    assert [r.timestamp for r in parse_lines(lines, system, YEAR)] == stamps
 
     path = tmp_path / f"{system}.log"
     path.write_text("".join(line + "\n" for line in lines))
@@ -96,16 +82,13 @@ def test_new_year_reads_the_same_on_every_path(tmp_path, system):
 
 
 class TestTable:
-    def test_one_row_per_system(self):
-        assert sorted(DIALECTS) == sorted(SYSTEM_NAMES)
-
     def test_unknown_system_is_refused(self):
         with pytest.raises(KeyError, match="vax"):
             parse_lines([], "vax", YEAR)
         with pytest.raises(KeyError, match="vax"):
             renderer_for("vax")
 
-    @pytest.mark.parametrize("system", sorted(SYSTEM_NAMES))
+    @pytest.mark.parametrize("system", sorted(DIALECTS))
     def test_every_user_of_a_dialect_reads_the_table(self, system):
         row = DIALECTS[system]
         assert renderer_for(system) is row.render

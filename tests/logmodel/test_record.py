@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.logmodel.record import (
-    SYSTEM_NAMES,
     Channel,
     LogRecord,
     RasSeverity,
@@ -196,8 +195,3 @@ class TestLogRecord:
         assert damaged.raw == "the line"
         assert type(damaged) is LogRecord
 
-
-def test_system_names_order_matches_paper():
-    assert SYSTEM_NAMES == (
-        "bgl", "thunderbird", "redstorm", "spirit", "liberty",
-    )

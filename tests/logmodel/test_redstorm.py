@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.logmodel.dialects import parse_lines
 from repro.logmodel.record import Channel
 from repro.logmodel.redstorm import (
     parse_redstorm_line,
-    parse_redstorm_ras_line,
-    parse_redstorm_stream,
     parse_redstorm_syslog_line,
     render_redstorm_line,
 )
@@ -60,7 +59,7 @@ class TestSyslogPath:
 
 class TestRasPath:
     def test_fields(self):
-        record = parse_redstorm_ras_line(RAS_LINE)
+        record = parse_redstorm_line(RAS_LINE, 2006)
         assert record.source == "c0-0c1s2n3"
         assert record.facility == "ec_heartbeat_stop"
         assert record.channel is Channel.RAS_TCP
@@ -68,18 +67,18 @@ class TestRasPath:
     def test_no_severity_analog(self):
         # "the Red Storm TCP log path is not syslog and has no severity
         # analog" (Section 3.2)
-        assert parse_redstorm_ras_line(RAS_LINE).severity is None
+        assert parse_redstorm_line(RAS_LINE, 2006).severity is None
 
     def test_full_text_carries_event_code(self):
-        record = parse_redstorm_ras_line(RAS_LINE)
+        record = parse_redstorm_line(RAS_LINE, 2006)
         assert record.full_text().startswith("ec_heartbeat_stop:")
 
     def test_round_trip(self):
-        record = parse_redstorm_ras_line(RAS_LINE)
+        record = parse_redstorm_line(RAS_LINE, 2006)
         assert render_redstorm_line(record) == RAS_LINE
 
     def test_garbage_tolerant(self):
-        assert parse_redstorm_ras_line("2006-03-21 oops").corrupted
+        assert parse_redstorm_line("2006-03-21 oops", 2006).corrupted
 
 
 class TestDispatch:
@@ -92,7 +91,7 @@ class TestDispatch:
 
     def test_stream_mixed_formats(self):
         records = list(
-            parse_redstorm_stream([SYSLOG_LINE, RAS_LINE, DDN_LINE], 2006)
+            parse_lines([SYSLOG_LINE, RAS_LINE, DDN_LINE], "redstorm", 2006)
         )
         assert [r.channel for r in records] == [
             Channel.SYSLOG_UDP, Channel.RAS_TCP, Channel.DDN,
@@ -130,17 +129,16 @@ class TestImpossibleTimestamps:
     @pytest.mark.parametrize("stamp", RAS_STAMPS)
     def test_ras_path(self, stamp):
         line = f"{stamp} ec_heartbeat_stop src:::c0-0c1s2n3 svc:::c0-0c1s2n3"
-        for record in (parse_redstorm_ras_line(line),
-                       parse_redstorm_line(line, 2006)):
-            assert record.corrupted
-            assert record.timestamp == 0.0
-            assert record.channel is Channel.RAS_TCP
-            assert record.raw == line
+        record = parse_redstorm_line(line, 2006)
+        assert record.corrupted
+        assert record.timestamp == 0.0
+        assert record.channel is Channel.RAS_TCP
+        assert record.raw == line
 
     def test_leap_second_and_leap_day_stay_valid(self):
         assert not parse_redstorm_syslog_line(
             "Feb 29 23:59:60 c0-0c0s0n0 CRIT kernel: hello", 2004
         ).corrupted
-        assert not parse_redstorm_ras_line(
-            "2004-02-29 23:59:60 ec_x src:::c0 svc:::c0"
+        assert not parse_redstorm_line(
+            "2004-02-29 23:59:60 ec_x src:::c0 svc:::c0", 2004
         ).corrupted

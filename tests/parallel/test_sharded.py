@@ -115,7 +115,9 @@ class TestShardedTagger:
         with ShardedTagger("liberty", config) as sharded:
             alerts = list(sharded.tag_stream(records, dead_letters=dlq))
         assert dlq.by_reason == {REASON_TAGGER_ERROR: 1}
-        assert dlq.letters_for(REASON_TAGGER_ERROR)[0].record is not None
+        (letter,) = dlq
+        assert letter.reason == REASON_TAGGER_ERROR
+        assert letter.record is not None
         serial_ok = [r for i, r in enumerate(records) if i != 31]
         serial = list(Tagger(RulesetHandle("liberty").resolve())
                       .tag_stream(serial_ok))

@@ -48,21 +48,3 @@ class TestAlertHistory:
         empty = AlertHistory([])
         assert empty.first_time() == 0.0
         assert empty.last_time() == 0.0
-
-
-class TestWindowFeatures:
-    def test_trailing_window(self):
-        features = _history().features_at(31.0, window=15.0)
-        # [16, 31): alerts at 20 and 30, both category A.
-        assert features.total == 2
-        assert features.by_category == {"A": 2}
-        assert features.count("A") == 2
-        assert features.count("B") == 0
-
-    def test_rate(self):
-        features = _history().features_at(31.0, window=15.0)
-        assert features.rate() == 2 / 15.0
-
-    def test_zero_count_categories_omitted(self):
-        features = _history().features_at(31.0, window=15.0)
-        assert "B" not in features.by_category

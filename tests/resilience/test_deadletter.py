@@ -19,7 +19,7 @@ class TestQueue:
         assert dlq.quarantined == 3
         assert len(dlq) == 3
         assert dlq.by_reason == {"bad-parse": 2, "out-of-order": 1}
-        assert len(dlq.letters_for("bad-parse")) == 2
+        assert [letter.reason for letter in dlq].count("bad-parse") == 2
 
     def test_capacity_bounds_retention_not_counts(self):
         dlq = DeadLetterQueue(capacity=5)

@@ -638,6 +638,32 @@ class TestWatermarks:
         token, frames = copy_frames(state)
         assert token == "liberty" and frames[0][:2] == (0, 0)
 
+    def test_another_systems_state_is_another_runs(self, tmp_path):
+        """The default token names no system: a Liberty run over the
+        state an interrupted Spirit run left starts fresh, as a token
+        mismatch does, instead of adopting the Spirit checkpoint."""
+        state = tmp_path / "state"
+        self._interrupted(state)
+        _, spirit_frames = copy_frames(state)
+        records = list(generate_log("liberty", scale=SMALL_SCALE,
+                                    seed=SEED).records)
+        result = pipeline.run_stream(
+            iter(records), "liberty", state_dir=str(state),
+            checkpointer=CheckpointManager(every=max(1, len(records) // 4)),
+        )
+        status = result.checkpoints.store.status
+        assert any("starting fresh" in note for note in status.notes)
+        assert not status.degraded
+        clean = pipeline.run_stream(iter(records), "liberty")
+        assert result.raw_alerts == clean.raw_alerts
+        assert result.filtered_alerts == clean.filtered_alerts
+        assert result.stats == clean.stats
+        token, frames = copy_frames(state)
+        assert token == "" and frames[0][:2] == (0, 0)
+        assert frames[0][2] != spirit_frames[0][2]
+        copied = [a for frame in frames for a in frame[2]]
+        assert copied and copied == result.raw_alerts[:len(copied)]
+
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

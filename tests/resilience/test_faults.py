@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.logio import measure_stream, read_log, write_log
+from repro.logio import StatsCollector, read_log, write_log
 from repro.logmodel.record import LogRecord
 from repro.logmodel.syslog import render_syslog_line
 from repro.resilience.faults import (
@@ -125,7 +125,9 @@ class TestClockSkew:
         data = "".join(
             render_syslog_line(r) + "\n" for r in skewed
         ).encode("utf-8")
-        stats = measure_stream(iter(skewed), "liberty")
+        collector = StatsCollector("liberty")
+        collector.observe_batch(skewed)
+        stats = collector.finish()
         assert stats.raw_bytes == len(data)
         assert stats.compressed_bytes == len(zlib.compress(data, 6))
 

@@ -43,13 +43,6 @@ def test_other_systems_have_no_controllers(clusters):
     assert clusters["spirit"].by_role(NodeRole.CONTROLLER) == []
 
 
-def test_node_named_lookup(clusters):
-    node = clusters["spirit"].node_named("sadmin2")
-    assert node.role is NodeRole.ADMIN
-    with pytest.raises(KeyError):
-        clusters["spirit"].node_named("nonexistent")
-
-
 def test_node_names_unique(clusters):
     for cluster in clusters.values():
         names = [n.name for n in cluster.nodes]

@@ -14,10 +14,6 @@ DAY = 86400.0
 
 
 class TestStates:
-    def test_production_flag(self):
-        assert OperationalState.PRODUCTION_UPTIME.is_production
-        assert not OperationalState.SCHEDULED_DOWNTIME.is_production
-
     def test_downtime_flag(self):
         assert OperationalState.SCHEDULED_DOWNTIME.is_downtime
         assert OperationalState.UNSCHEDULED_DOWNTIME.is_downtime

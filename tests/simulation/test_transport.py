@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.logmodel.record import LogRecord
-from repro.simulation.transport import (
-    JtagMailbox,
-    TcpRasChannel,
-    UdpSyslogChannel,
-)
+from repro.simulation.transport import UdpSyslogChannel
 
 
 def _records(times):
@@ -82,42 +78,6 @@ class TestUdp:
             probs.append(channel._loss_probability(record.timestamp))
         assert probs == sorted(probs)
         assert probs[0] == pytest.approx(0.05)  # 1/10 utilization, not 0
-
-
-class TestTcp:
-    def test_lossless(self):
-        channel = TcpRasChannel()
-        records = _records(np.arange(0, 100, 0.001))  # heavy load
-        delivered = list(channel.transmit(records))
-        assert len(delivered) == len(records)
-        assert channel.delivered == len(records)
-
-    def test_preserves_event_timestamps(self):
-        channel = TcpRasChannel(latency=0.5)
-        (record,) = channel.transmit(_records([42.0]))
-        assert record.timestamp == 42.0
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            TcpRasChannel(latency=-0.1)
-
-
-class TestJtag:
-    def test_next_poll_after(self):
-        mailbox = JtagMailbox(poll_period=0.001)
-        assert mailbox.next_poll_after(0.0015) == pytest.approx(0.002)
-        assert mailbox.next_poll_after(0.002) == pytest.approx(0.002)
-
-    def test_delivery_delay_bounded_by_poll_period(self):
-        mailbox = JtagMailbox(poll_period=0.001)
-        rng = np.random.default_rng(2)
-        records = _records(rng.uniform(0, 1, size=500))
-        list(mailbox.transmit(records))
-        assert 0 < mailbox.max_delivery_delay <= 0.001
-
-    def test_invalid_poll_period(self):
-        with pytest.raises(ValueError):
-            JtagMailbox(poll_period=0)
 
 
 class TestReceiverPressure:

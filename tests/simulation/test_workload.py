@@ -1,5 +1,7 @@
 """Unit tests for the workload model."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro.simulation.cluster import Cluster
 from repro.simulation.workload import (
     WorkloadModel,
     communication_intensive,
-    jobs_running_at,
     lost_node_seconds,
 )
 from repro.systems.specs import LIBERTY
@@ -68,31 +69,21 @@ def test_invalid_parameters_rejected(cluster):
         WorkloadModel(cluster, mean_duration=-5)
 
 
+def test_generated_jobs_have_skewed_users():
+    cluster = Cluster(LIBERTY, max_nodes=64)
+    model = WorkloadModel(cluster, mean_interarrival=300.0)
+    jobs = model.generate_list(np.random.default_rng(3), 0.0, 20 * 86400.0)
+    users = Counter(j.user for j in jobs)
+    assert len(users) > 3
+    top_share = users.most_common(1)[0][1] / len(jobs)
+    assert top_share > 0.2  # heavy-hitter users exist
+
+
 def test_communication_intensive_subset(jobs):
     hot = communication_intensive(jobs, threshold=0.7)
     assert all(j.comm_intensity >= 0.7 for j in hot)
     assert len(hot) < len(jobs)
     assert len(hot) > 0
-
-
-def test_jobs_running_at(jobs):
-    job = jobs[0]
-    mid = job.start + job.duration / 2
-    running = jobs_running_at(jobs, mid)
-    assert job in running
-    assert all(j.start <= mid < j.end for j in running)
-
-
-def test_overlaps():
-    job = next(iter(jobs_gen()))
-    assert job.overlaps(job.start, job.end)
-    assert not job.overlaps(job.end, job.end + 10)
-
-
-def jobs_gen():
-    cluster = Cluster(LIBERTY, max_nodes=64)
-    model = WorkloadModel(cluster)
-    return model.generate(np.random.default_rng(2), 0.0, 86400.0 * 3)
 
 
 class TestLostWork:

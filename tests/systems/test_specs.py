@@ -7,7 +7,6 @@ from repro.systems.specs import (
     PAPER_TOTAL_ALERTS,
     PAPER_TOTAL_CATEGORIES,
     SYSTEMS,
-    get_log_spec,
     get_system,
 )
 
@@ -64,11 +63,9 @@ def test_alert_and_category_totals_match_abstract():
 
 def test_lookups():
     assert get_system("bgl").vendor == "IBM"
-    assert get_log_spec("redstorm").days == 104
+    assert LOG_SPECS["redstorm"].days == 104
     with pytest.raises(KeyError, match="valid"):
         get_system("earth-simulator")
-    with pytest.raises(KeyError, match="valid"):
-        get_log_spec("earth-simulator")
 
 
 def test_log_servers_are_cluster_members():

@@ -23,7 +23,6 @@ from repro.core.serial_filter import serial_filter
 from repro.engine.path import AlertPath
 from repro.logio.reader import LogReader, read_log
 from repro.logio.stats import StatsCollector
-from repro.logmodel.bgl import parse_bgl_line
 from repro.logmodel.record import LogRecord
 from repro.logmodel.redstorm import parse_redstorm_line
 from repro.logmodel.syslog import parse_syslog_line
@@ -80,7 +79,6 @@ PARAMETERS = [
     (BoundedIngest.__init__, 5),
     (AlertPath.__init__, 8),
     (parse_syslog_line, 3),
-    (parse_bgl_line, 1),
     (parse_redstorm_line, 2),
 ]
 

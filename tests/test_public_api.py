@@ -5,31 +5,128 @@ feature: the documented names exist and resolve, and every experiment is
 bit-for-bit reproducible from its seed.
 """
 
+import ast
 import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
 
+ROOT = Path(__file__).resolve().parents[1]
 
-@pytest.mark.parametrize(
-    "module_name",
-    [
-        "repro.core",
-        "repro.logmodel",
-        "repro.analysis",
-        "repro.simulation",
-        "repro.prediction",
-        "repro.logio",
-        "repro.reporting",
-        "repro.service",
-        "repro.systems",
-    ],
-)
+#: Every package under ``repro``, found by walking it, so a new package
+#: cannot be left out of the ``__all__`` check.
+PACKAGES = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
+
+#: Where the system lives: a name defined in ``src/repro`` that no file
+#: here mentions (package ``__init__``s aside) is reached only by tests.
+SYSTEM_DIRS = ("src", "scripts", "benchmarks", "bench", "examples", ".github")
+SYSTEM_SUFFIXES = {".py", ".yml", ".yaml", ".toml", ".cfg"}
+
+#: Names kept although only tests reach them, each with its reason.
+REACHED_ONLY_BY_TESTS = {
+    "PAPER_TOTAL_ALERTS": "the abstract's 178,081,459 alerts, which the "
+                          "calibration and spec tests hold Table 4 to",
+    "PAPER_TOTAL_CATEGORIES": "the abstract's 77 categories, which the "
+                              "rule and spec tests hold the rulesets to",
+}
+
+WORD = re.compile(r"\w+")
+
+
+def top_level_definitions(source):
+    """``(name, first line, last line)`` of each top-level def, class and
+    assignment in a module, decorators included."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        first = min([node.lineno] + [
+            d.lineno for d in getattr(node, "decorator_list", ())
+        ])
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, first, node.end_lineno
+
+
+def names_reached_only_by_tests(root=ROOT):
+    """Top-level names in ``src/repro`` that nothing in the system uses.
+
+    A name is used when its word appears in a system file outside its own
+    definition.  A definition found unused stops counting as a use of the
+    names it mentions, and the scan repeats until nothing changes, so a
+    helper only dead code calls is found too.
+    """
+    files = {
+        path: path.read_text(encoding="utf-8").splitlines()
+        for top in SYSTEM_DIRS if (root / top).is_dir()
+        for path in sorted((root / top).rglob("*"))
+        if path.suffix in SYSTEM_SUFFIXES and path.name != "__init__.py"
+        and path.is_file()
+    }
+    package = root / "src" / "repro"
+    uses = Counter()
+    for lines in files.values():
+        uses.update(WORD.findall("\n".join(lines)))
+    live = {}  # (name, path) -> the words of its definition
+    for path, lines in files.items():
+        if path.suffix == ".py" and package in path.parents:
+            for name, first, last in top_level_definitions("\n".join(lines)):
+                if name not in REACHED_ONLY_BY_TESTS:
+                    live[name, path] = WORD.findall(
+                        "\n".join(lines[first - 1:last])
+                    )
+    dead = []
+    while True:
+        found = [
+            key for key, words in live.items()
+            if uses[key[0]] == words.count(key[0])
+        ]
+        if not found:
+            return sorted(
+                f"{path.relative_to(package)}::{name}" for name, path in dead
+            )
+        for key in found:
+            uses.subtract(live.pop(key))
+            dead.append(key)
+
+
+def test_no_public_name_is_reached_only_by_tests():
+    """The supported surface is :mod:`repro.api`, the CLI, the service and
+    what ``scripts/``, ``benchmarks/`` and ``bench/`` import; code that only
+    tests reach makes every module look load-bearing."""
+    dead = names_reached_only_by_tests()
+    assert not dead, (
+        "reached only by tests; delete them (and the tests that test only "
+        "them) or add them to REACHED_ONLY_BY_TESTS with a reason: "
+        + ", ".join(dead)
+    )
+    sources = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+    )
+    for name in REACHED_ONLY_BY_TESTS:
+        assert re.search(rf"^{name}\b", sources, re.M), name
+
+
+@pytest.mark.parametrize("module_name", PACKAGES)
 def test_all_exports_resolve(module_name):
     """Every name in __all__ is actually importable from the module."""
     module = importlib.import_module(module_name)
